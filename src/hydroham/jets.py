@@ -69,6 +69,46 @@ def _product_table(n: int, order: int):
     return ii, jj, kk
 
 
+@lru_cache(maxsize=None)
+def product_scatter(n: int, order: int):
+    """The product table of :func:`_product_table` sorted by output index,
+    as (ii, jj, starts): for coefficient arrays with a trailing lane axis,
+    ``np.add.reduceat(a[ii] * b[jj], starts, axis=0)`` is the truncated
+    product, each output summed in the same order as ``Jet.__mul__``."""
+    ii, jj, kk = _product_table(n, order)
+    perm = np.array(sorted(range(len(kk)), key=lambda t: kk[t]))  # stable
+    starts = np.flatnonzero(np.diff(kk[perm], prepend=-1))
+    return ii[perm], jj[perm], starts
+
+
+@lru_cache(maxsize=None)
+def partial_map(n: int, order: int, k: int):
+    """(positions, factors) such that ``coeffs[positions] * factors`` are the
+    coefficients of d_k f at ``order - 1`` from those of f at ``order``,
+    as in :meth:`Jet.partial`."""
+    pos_in = _position(n, order)
+    positions, factors = [], []
+    for m in multi_indices(n, order - 1):
+        positions.append(pos_in[tuple(v + 1 if a == k else v for a, v in enumerate(m))])
+        factors.append(float(m[k] + 1))
+    return np.array(positions), np.array(factors)
+
+
+@lru_cache(maxsize=None)
+def derivative_positions(n: int, order: int):
+    """Positions of the first derivatives (n,) and, for order >= 2, of the
+    second derivatives (n, n) among the coefficients, with the factorial
+    factors (n, n) that turn the latter into Hessian entries."""
+    pos = _position(n, order)
+    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    first = np.array([pos[u] for u in unit])
+    if order < 2:
+        return first, None, None
+    second = np.array([[pos[tuple(a + b for a, b in zip(unit[i], unit[j]))]
+                        for j in range(n)] for i in range(n)])
+    return first, second, np.where(np.eye(n, dtype=bool), 2.0, 1.0)
+
+
 def _multi_factorial(m: tuple[int, ...]) -> int:
     out = 1
     for k in m:

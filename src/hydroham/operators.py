@@ -20,21 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, EvalDomainError, HostileDomainError
+from .errors import EvalDomainError, HostileDomainError
 from .exprs import Expr, as_expr, eval_jet
 from .geometry import (
     AffinorField,
     ConnectionField,
+    GridTape,
     MetricField,
-    MetricFrame,
-    covariant_derivative_values,
+    MetricFrames,
+    compile_grid,
+    concat_frames,
+    covariant_derivatives,
     eval_matrix,
-    eval_matrix_jets,
     eval_tensor3,
-    metric_frame,
+    grid_values,
+    lane_einsum,
+    metric_frames,
 )
-from .reports import CheckReport, ConditionResult, condition_from_samples
-from .sampling import RESAMPLE_BUDGET, SamplePlan
+from .reports import CheckReport, ConditionResult, condition_from_arrays
+from .sampling import RESAMPLE_BUDGET, SamplePlan, blocks, sweep
 
 DEGENERATE_FRACTION_LIMIT = 0.2
 
@@ -68,68 +72,179 @@ class NonlocalOperator:
 
 # -- sampling of metric frames -------------------------------------------------
 
+REDRAW_DOMAIN = 1  # sweep status: a domain violation at the drawn point
+REDRAW_DEGENERATE = 2  # sweep status: the metric is degenerate there
+
 
 @dataclass
-class _FrameSweep:
-    frames: list  # resolved (point, MetricFrame) pairs
-    g_values: list  # (point, g_up values) for every attempt that evaluated
+class FrameSweep:
+    """How the frame sweep of a plan (or of some of its blocks) went."""
+
+    g_points: np.ndarray  # every attempt at which g evaluated, in (point, retry) order
+    g_values: np.ndarray  # g_up at those attempts
     attempts: int
+    resolved: int
     degenerate: int
     unresolved: int
     degenerate_witness: tuple | None
 
     @property
     def identically_degenerate(self) -> bool:
-        return not self.frames and self.degenerate > 0
+        return not self.resolved and self.degenerate > 0
 
 
-def _sweep_frames(g: MetricField, plan: SamplePlan, curvature: bool) -> _FrameSweep:
-    """Resolve one frame per plan point, redrawing points hit by domain
-    violations or isolated metric degeneracy."""
-    sweep = _FrameSweep([], [], 0, 0, 0, None)
-    for i in range(plan.count):
-        resolved = None
-        domain_failures = 0
-        for r in range(RESAMPLE_BUDGET + 1):
-            p = plan.point(i, r)
-            sweep.attempts += 1
-            try:
-                frame = metric_frame(g, p, curvature=curvature)
-            except DegenerateMetricError:
-                sweep.degenerate += 1
-                sweep.degenerate_witness = tuple(float(x) for x in p)
-                try:
-                    sweep.g_values.append((p, eval_matrix(g.entries, p)))
-                except EvalDomainError:
-                    pass
-                continue
-            except EvalDomainError:
-                domain_failures += 1
-                continue
-            resolved = (p, frame)
-            break
-        if resolved is None:
-            if domain_failures > RESAMPLE_BUDGET:
-                raise HostileDomainError(
-                    f"domain too hostile: sample point {i} exhausted {RESAMPLE_BUDGET} redraws"
-                )
-            sweep.unresolved += 1
-        else:
-            sweep.frames.append(resolved)
-            sweep.g_values.append(resolved[0:1] + (resolved[1].g_up,))
-    return sweep
+def _flat(rounds, pick) -> np.ndarray:
+    """``pick(round)`` of every sweep round, concatenated along the lanes."""
+    return np.concatenate([pick(rd) for rd in rounds])
 
 
-def _symmetry_condition(samples, tol) -> ConditionResult:
-    return condition_from_samples(
-        "metric_symmetric",
-        "g^{ij} = g^{ji}",
-        samples,
-        tol,
+def _sorting_permutation(keys: np.ndarray) -> np.ndarray:
+    """The permutation that sorts distinct non-negative integer keys, found
+    by placing each key in its own slot."""
+    slots = np.full(int(keys.max()) + 1 if len(keys) else 0, -1)
+    slots[keys] = np.arange(len(keys))
+    return slots[slots >= 0]
+
+
+def _attempts(rounds):
+    """(index, status, order) of every attempt, flattened across rounds, with
+    the permutation that sorts the attempts by (plan index, retry)."""
+    index = _flat(rounds, lambda rd: rd.index)
+    retry = _flat(rounds, lambda rd: np.full(len(rd.index), rd.retry))
+    key = (index - index.min()) * (RESAMPLE_BUDGET + 1) + retry
+    return index, _flat(rounds, lambda rd: rd.status), _sorting_permutation(key)
+
+
+def _first_exhausted(index, status, cause=None):
+    """Smallest plan index whose every draw failed (with ``cause``, if
+    given), or None."""
+    bad = status != 0 if cause is None else status == cause
+    exhausted = np.flatnonzero(np.bincount(index[bad], minlength=1) > RESAMPLE_BUDGET)
+    return int(exhausted[0]) if exhausted.size else None
+
+
+def resolve_frames(grid: GridTape, plan: SamplePlan, index):
+    """Resolve one curvature frame per plan point in ``index`` (in order),
+    redrawing points hit by domain violations or isolated metric
+    degeneracy; every round is one batch.  ``grid`` holds the metric entries
+    compiled at order 2.  Returns (frames in plan order, FrameSweep).
+    """
+    def evaluate(points):
+        frames = metric_frames(grid, points, curvature=True)
+        status = np.where(frames.failed, REDRAW_DOMAIN,
+                          np.where(frames.degenerate, REDRAW_DEGENERATE, 0))
+        # keep only what is read later: resolved frames, g_up where it evaluated
+        resolved = frames.take(status == 0) if status.any() else frames._replace(grid=None)
+        return status, (resolved, frames.g_up.copy())
+
+    rounds = sweep(plan, evaluate, index)
+    index, status, order = _attempts(rounds)
+    hostile = _first_exhausted(index, status, REDRAW_DOMAIN)
+    if hostile is not None:
+        raise HostileDomainError(
+            f"domain too hostile: sample point {hostile} exhausted {RESAMPLE_BUDGET} redraws"
+        )
+    parts = [rd.payload[0] for rd in rounds if rd.payload[0].lanes]
+    if len(parts) == 1:  # one round's lanes: already in plan order
+        frames = parts[0]
+    else:
+        resolved = _flat(rounds, lambda rd: rd.index[rd.status == 0])
+        frames = concat_frames(parts or [rounds[0].payload[0]]).take(
+            _sorting_permutation(resolved))
+    status = status[order]
+    points = _flat(rounds, lambda rd: rd.points)[order]
+    g_up = _flat(rounds, lambda rd: rd.payload[1])[order]
+    evaluated, degenerate = status != REDRAW_DOMAIN, status == REDRAW_DEGENERATE
+    return frames, FrameSweep(
+        g_points=points[evaluated],
+        g_values=g_up[evaluated],
+        attempts=len(status),
+        resolved=frames.lanes,
+        degenerate=int(degenerate.sum()),
+        unresolved=int(np.count_nonzero(rounds[-1].status)),
+        degenerate_witness=tuple(float(x) for x in points[degenerate][-1])
+        if degenerate.any() else None,
     )
 
 
-def _nondegeneracy_condition(sweep: _FrameSweep, plan: SamplePlan) -> ConditionResult:
+def _merge_sweeps(sweeps) -> FrameSweep:
+    """One FrameSweep for consecutive blocks of a plan."""
+    witnesses = [s.degenerate_witness for s in sweeps if s.degenerate_witness is not None]
+    return FrameSweep(
+        g_points=np.concatenate([s.g_points for s in sweeps]),
+        g_values=np.concatenate([s.g_values for s in sweeps]),
+        attempts=sum(s.attempts for s in sweeps),
+        resolved=sum(s.resolved for s in sweeps),
+        degenerate=sum(s.degenerate for s in sweeps),
+        unresolved=sum(s.unresolved for s in sweeps),
+        degenerate_witness=witnesses[-1] if witnesses else None,
+    )
+
+
+def _concat_results(parts) -> dict:
+    """Per-condition (raw, scale) arrays of consecutive blocks, joined."""
+    return {cid: tuple(np.concatenate([p[cid][k] for p in parts]) for k in (0, 1))
+            for cid in parts[0]}
+
+
+def _lane_max(x: np.ndarray) -> np.ndarray:
+    """max |x| over everything but the leading lane axis."""
+    return np.max(np.abs(x).reshape(len(x), -1), axis=1)
+
+
+def _raise_first_failure(*grids):
+    """Raise the domain error of the first failing lane, taking the grids in
+    the order the per-point checks evaluated them."""
+    failed = np.logical_or.reduce([g.failed for g in grids])
+    if failed.any():
+        lane = int(np.argmax(failed))
+        for g in grids:
+            if g.failed[lane]:
+                raise g.error(lane)
+
+
+def _frame_check(g: MetricField, plan: SamplePlan, kernel):
+    """Resolve curvature frames block by block and run ``kernel(frames)``,
+    which returns per-lane (raw, scale) arrays by condition id, on each
+    block's resolved frames.
+
+    Returns (the symmetry and nondegeneracy conditions of g over every
+    attempt, resolved points, results), points and results in plan order,
+    results None when no point resolved.  A domain error the kernel raises
+    waits until every block is swept, so that a hostile point anywhere in
+    the plan is reported first, as when every frame was resolved before any
+    kernel ran.
+    """
+    grid = compile_grid(g.entries, plan.dim, 2)
+    sweeps, points, results, error = [], [], [], None
+    for index in blocks(plan):
+        frames, found = resolve_frames(grid, plan, index)
+        sweeps.append(found)
+        if error is None and frames.lanes:
+            try:
+                results.append(kernel(frames))
+                points.append(frames.point)
+            except EvalDomainError as err:
+                error = err
+        del frames  # before the next block's are built
+    if error is not None:
+        raise error
+    found = _merge_sweeps(sweeps)
+    symmetric = condition_from_arrays(
+        "metric_symmetric",
+        "g^{ij} = g^{ji}",
+        found.g_points,
+        _lane_max(found.g_values - np.swapaxes(found.g_values, 1, 2)),
+        _lane_max(found.g_values),
+        plan.tolerance,
+    )
+    conditions = [symmetric, _nondegeneracy_condition(found)]
+    if not results:
+        return conditions, None, None
+    return conditions, np.concatenate(points), _concat_results(results)
+
+
+def _nondegeneracy_condition(sweep: FrameSweep) -> ConditionResult:
     bad_fraction = sweep.degenerate / max(1, sweep.attempts)
     failed = sweep.unresolved > 0 or bad_fraction > DEGENERATE_FRACTION_LIMIT
     note = None
@@ -158,146 +273,192 @@ def _not_evaluated(cid: str, description: str) -> ConditionResult:
     )
 
 
-def _gamma_from_b(frame: MetricFrame, b_vals: np.ndarray) -> np.ndarray:
-    return -np.einsum("is,ijk->jsk", frame.g_lo, b_vals)
+# -- per-lane residual kernels ---------------------------------------------------
+#
+# Each returns, per condition, (raw, scale) arrays with one entry per lane.
 
 
-def _compatibility_residual(frame: MetricFrame, gamma: np.ndarray):
-    """nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ik} g_{sj} - Gamma^s_{jk} g_{is}."""
-    t1 = np.einsum("sik,sj->kij", gamma, frame.g_lo)
-    t2 = np.einsum("sjk,is->kij", gamma, frame.g_lo)
-    res = frame.dg_lo - t1 - t2
-    scale = max(
-        np.max(np.abs(frame.dg_lo)), np.max(np.abs(t1)), np.max(np.abs(t2))
-    )
-    return np.max(np.abs(res)), scale
+def skew_residuals(g_vals: np.ndarray, dg: np.ndarray, b_vals: np.ndarray) -> dict:
+    """g^{ij} = g^{ji} and b^{ij}_k + b^{ji}_k = d_k g^{ij}, from the values
+    and first derivatives dg[k, i, j] of g and the values of b."""
+    lhs = b_vals + np.swapaxes(b_vals, 1, 2)
+    rhs = np.transpose(dg, (0, 2, 3, 1))
+    return {
+        "metric_symmetric": (_lane_max(g_vals - np.swapaxes(g_vals, 1, 2)), _lane_max(g_vals)),
+        "skew_pairing": (_lane_max(lhs - rhs), np.maximum(_lane_max(b_vals), _lane_max(dg))),
+    }
 
 
-def _flatness_residual(frame: MetricFrame):
-    gg = np.einsum("jmk,msl->jskl", frame.gamma, frame.gamma)
-    scale = max(np.max(np.abs(frame.dgamma)), np.max(np.abs(gg)))
-    return np.max(np.abs(frame.riemann)), scale
+def connection_residuals(frames: MetricFrames, b_vals: np.ndarray) -> dict:
+    """Symmetry of Gamma^j_{sk} = -g_{is} b^{ij}_k, and metric compatibility
+    nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ik} g_{sj} - Gamma^s_{jk} g_{is}."""
+    gamma = -lane_einsum("is,ijk->jsk", frames.g_lo, b_vals)
+    t1 = lane_einsum("sik,sj->kij", gamma, frames.g_lo)
+    t2 = lane_einsum("sjk,is->kij", gamma, frames.g_lo)
+    scale = np.maximum(np.maximum(_lane_max(frames.dg_lo), _lane_max(t1)), _lane_max(t2))
+    return {
+        "connection_symmetric": (_lane_max(gamma - lane_einsum("jsk->jks", gamma)),
+                                 _lane_max(gamma)),
+        "metric_compatible": (_lane_max(frames.dg_lo - t1 - t2), scale),
+    }
+
+
+def flatness_residuals(frames: MetricFrames):
+    gg = lane_einsum("jmk,msl->jskl", frames.gamma, frames.gamma)
+    return _lane_max(frames.riemann), np.maximum(_lane_max(frames.dgamma), _lane_max(gg))
+
+
+def _keep_worst(worst, raw, scale):
+    """Per lane, replace the kept (raw, scale) where raw is at least as
+    large (or NaN, which must reach the verdict)."""
+    take = (raw >= worst[0]) | np.isnan(raw)
+    return np.where(take, raw, worst[0]), np.where(take, scale, worst[1])
+
+
+def tail_residuals(frames: MetricFrames, tails, w_vals, w_jets) -> dict:
+    """The tail conditions t1-t4, from scalar values (lanes, tails, n, n) and
+    order-1 jets of the affinors.  For t1, t2 and t4 the worst tail (or
+    pair) is kept per lane, the last one on ties."""
+    lanes, n = frames.lanes, frames.g_up.shape[-1]
+    out = {}
+    worst = (np.zeros(lanes), np.ones(lanes))
+    for a in range(len(tails)):
+        gw = lane_einsum("ik,kj->ij", frames.g_lo, w_vals[:, a])
+        worst = _keep_worst(worst, _lane_max(gw - np.swapaxes(gw, 1, 2)), _lane_max(gw))
+    out["t1_pairing_symmetric"] = worst
+
+    worst = (np.zeros(lanes), np.ones(lanes))
+    for a in range(len(tails)):
+        nabla = covariant_derivatives(w_jets.vals[:, a], w_jets.d1[:, :, a], frames.gamma)
+        worst = _keep_worst(worst, _lane_max(nabla - lane_einsum("kij->jik", nabla)),
+                            _lane_max(nabla))
+    out["t2_codazzi"] = worst
+
+    if tails:
+        tail_sum = gauss_tail_sum(tails, [w_vals[:, a] for a in range(len(tails))], n)
+    else:
+        tail_sum = np.zeros((lanes,) + (n,) * 4)
+    gg = lane_einsum("jmk,msl->jskl", frames.gamma, frames.gamma)
+    scale = np.maximum.reduce([_lane_max(frames.riemann_up), _lane_max(tail_sum),
+                               _lane_max(frames.dgamma), _lane_max(gg)])
+    out["t3_gauss"] = (_lane_max(frames.riemann_up - tail_sum), scale)
+
+    worst = (np.zeros(lanes), np.ones(lanes))
+    for x in range(len(tails)):
+        for y in range(x + 1, len(tails)):
+            xy = lane_einsum("ik,kj->ij", w_vals[:, x], w_vals[:, y])
+            yx = lane_einsum("ik,kj->ij", w_vals[:, y], w_vals[:, x])
+            worst = _keep_worst(worst, _lane_max(xy - yx), _lane_max(xy))
+    out["t4_tails_commute"] = worst
+    return out
 
 
 # -- checks ---------------------------------------------------------------------
 
+_LOCAL_CONDITIONS = (
+    ("connection_symmetric", "Gamma^j_{sk} = Gamma^j_{ks} for Gamma derived from b"),
+    ("metric_compatible", "nabla_k g_{ij} = 0 under the connection derived from b"),
+)
 
+
+def _conditions(results: dict, table, points, tol) -> list:
+    return [condition_from_arrays(cid, desc, points, *results[cid], tol) for cid, desc in table]
+
+
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_skew_adjoint(a: LocalOperator, plan: SamplePlan) -> CheckReport:
     """Formal skew-adjointness: g symmetric and b^{ij}_k + b^{ji}_k = d_k g^{ij}."""
-    sym_samples = []
-    pair_samples = []
-    for i in range(plan.count):
-        for r in range(RESAMPLE_BUDGET + 1):
-            p = plan.point(i, r)
-            try:
-                g_vals, dg = eval_matrix_jets(a.g.entries, p, 1)
-                b_vals = eval_tensor3(a.b.entries, p)
-            except EvalDomainError:
-                continue
-            break
-        else:
-            raise HostileDomainError(f"domain too hostile at sample point {i}")
-        sym_samples.append((p, np.max(np.abs(g_vals - g_vals.T)), np.max(np.abs(g_vals))))
-        lhs = b_vals + np.einsum("ijk->jik", b_vals)
-        rhs = np.einsum("kij->ijk", dg)
-        pair_samples.append(
-            (p, np.max(np.abs(lhs - rhs)), max(np.max(np.abs(b_vals)), np.max(np.abs(dg))))
-        )
-    conditions = [
-        _symmetry_condition(sym_samples, plan.tolerance),
-        condition_from_samples(
-            "skew_pairing",
-            "b^{ij}_k + b^{ji}_k = d_k g^{ij}",
-            pair_samples,
-            plan.tolerance,
-        ),
-    ]
+    g_grid = compile_grid(a.g.entries, plan.dim, 1)
+    b_grid = compile_grid(a.b.entries, plan.dim, 0)
+
+    def evaluate(points):
+        g, b = grid_values(g_grid, points), grid_values(b_grid, points)
+        return np.where(g.failed | b.failed, REDRAW_DOMAIN, 0), (g, b)
+
+    points, results = [], []
+    for index in blocks(plan):
+        rounds = sweep(plan, evaluate, index)
+        index, status, order = _attempts(rounds)
+        hostile = _first_exhausted(index, status)
+        if hostile is not None:
+            raise HostileDomainError(f"domain too hostile at sample point {hostile}")
+        resolved = order[status[order] == 0]  # in plan order
+
+        def gather(pick):
+            return _flat(rounds, pick)[resolved]
+
+        points.append(gather(lambda rd: rd.points))
+        results.append(skew_residuals(gather(lambda rd: rd.payload[0].vals),
+                                      gather(lambda rd: rd.payload[0].d1),
+                                      gather(lambda rd: rd.payload[1].vals)))
+    table = (("metric_symmetric", "g^{ij} = g^{ji}"),
+             ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
+    conditions = _conditions(_concat_results(results), table, np.concatenate(points),
+                             plan.tolerance)
     return CheckReport(title="skew-adjointness", conditions=conditions, plan=plan)
 
 
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_local_hamiltonian(a: LocalOperator, plan: SamplePlan) -> CheckReport:
     """The five conditions for a local operator to be Hamiltonian: symmetric
     nondegenerate metric, symmetric connection, metric compatibility, and a
     flat metric."""
-    sweep = _sweep_frames(a.g, plan, curvature=True)
-    sym_samples = [
-        (p, np.max(np.abs(G - G.T)), np.max(np.abs(G))) for p, G in sweep.g_values
-    ]
-    conditions = [
-        _symmetry_condition(sym_samples, plan.tolerance),
-        _nondegeneracy_condition(sweep, plan),
-    ]
-    if not sweep.frames:
+    b_grid = compile_grid(a.b.entries, plan.dim, 0)
+
+    def kernel(frames):
+        b = grid_values(b_grid, frames.point)
+        _raise_first_failure(b)
+        results = connection_residuals(frames, b.vals)
+        results["metric_flat"] = flatness_residuals(frames)
+        return results
+
+    conditions, points, results = _frame_check(a.g, plan, kernel)
+    if results is None:
         conditions.append(_not_evaluated("connection_symmetric", "Gamma^j_{sk} = Gamma^j_{ks}"))
         conditions.append(_not_evaluated("metric_compatible", "nabla g = 0"))
         conditions.append(_not_evaluated("metric_flat", "curvature of g vanishes"))
         return CheckReport(title="local Hamiltonian", conditions=conditions, plan=plan)
-
-    gamma_sym, compat, flat = [], [], []
-    for p, frame in sweep.frames:
-        b_vals = eval_tensor3(a.b.entries, p)
-        gamma_b = _gamma_from_b(frame, b_vals)
-        gamma_scale = np.max(np.abs(gamma_b))
-        gamma_sym.append(
-            (p, np.max(np.abs(gamma_b - np.einsum("jsk->jks", gamma_b))), gamma_scale)
-        )
-        raw, scale = _compatibility_residual(frame, gamma_b)
-        compat.append((p, raw, scale))
-        raw, scale = _flatness_residual(frame)
-        flat.append((p, raw, scale))
-    conditions.append(
-        condition_from_samples(
-            "connection_symmetric",
-            "Gamma^j_{sk} = Gamma^j_{ks} for Gamma derived from b",
-            gamma_sym,
-            plan.tolerance,
-        )
-    )
-    conditions.append(
-        condition_from_samples(
-            "metric_compatible",
-            "nabla_k g_{ij} = 0 under the connection derived from b",
-            compat,
-            plan.tolerance,
-        )
-    )
-    conditions.append(
-        condition_from_samples(
-            "metric_flat",
-            "Riemann curvature of g vanishes",
-            flat,
-            plan.tolerance,
-        )
-    )
+    table = _LOCAL_CONDITIONS + (("metric_flat", "Riemann curvature of g vanishes"),)
+    conditions += _conditions(results, table, points, plan.tolerance)
     return CheckReport(title="local Hamiltonian", conditions=conditions, plan=plan)
 
 
 def gauss_tail_sum(tails, w_values, dim: int | None = None) -> np.ndarray:
-    """sum_a eps_a (w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l})."""
+    """sum_a eps_a (w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}); the value
+    arrays may carry leading lane axes."""
     if dim is None:
-        dim = w_values[0].shape[0]
-    out = np.zeros((dim, dim, dim, dim))
+        dim = w_values[0].shape[-1]
+    lead = np.shape(w_values[0])[:-2] if len(w_values) else ()
+    out = np.zeros(lead + (dim,) * 4)
     for w, vals in zip(tails, w_values):
         out += w.sign * (
-            np.einsum("il,jk->ijkl", vals, vals) - np.einsum("ik,jl->ijkl", vals, vals)
+            np.einsum("...il,...jk->...ijkl", vals, vals)
+            - np.einsum("...ik,...jl->...ijkl", vals, vals)
         )
     return out
 
 
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_ferapontov(a: NonlocalOperator, plan: SamplePlan) -> CheckReport:
     """Hamiltonianity conditions for a nonlocal operator: the local
     conditions minus flatness, plus pairing symmetry (t1), Codazzi symmetry
     (t2), the Gauss equation (t3) and commuting affinors (t4)."""
     op = a.local
-    sweep = _sweep_frames(op.g, plan, curvature=True)
-    sym_samples = [
-        (p, np.max(np.abs(G - G.T)), np.max(np.abs(G))) for p, G in sweep.g_values
-    ]
-    conditions = [
-        _symmetry_condition(sym_samples, plan.tolerance),
-        _nondegeneracy_condition(sweep, plan),
-    ]
-    if not sweep.frames:
+    b_grid = compile_grid(op.b.entries, plan.dim, 0)
+    tail_entries = tuple(w.entries for w in a.tails)
+    w_grid, w_jet_grid = (compile_grid(tail_entries, plan.dim, order) for order in (0, 1))
+
+    def kernel(frames):
+        b = grid_values(b_grid, frames.point)
+        w_vals = grid_values(w_grid, frames.point)
+        w_jets = grid_values(w_jet_grid, frames.point)
+        _raise_first_failure(b, w_vals, w_jets)
+        results = connection_residuals(frames, b.vals)
+        results.update(tail_residuals(frames, a.tails, w_vals.vals, w_jets))
+        return results
+
+    conditions, points, results = _frame_check(op.g, plan, kernel)
+    if results is None:
         for cid, desc in (
             ("connection_symmetric", "Gamma^j_{sk} = Gamma^j_{ks}"),
             ("metric_compatible", "nabla g = 0"),
@@ -308,95 +469,13 @@ def check_ferapontov(a: NonlocalOperator, plan: SamplePlan) -> CheckReport:
         ):
             conditions.append(_not_evaluated(cid, desc))
         return CheckReport(title="nonlocal Hamiltonian", conditions=conditions, plan=plan)
-
-    gamma_sym, compat = [], []
-    t1, t2, t3, t4 = [], [], [], []
-    for p, frame in sweep.frames:
-        b_vals = eval_tensor3(op.b.entries, p)
-        gamma_b = _gamma_from_b(frame, b_vals)
-        gamma_sym.append(
-            (p, np.max(np.abs(gamma_b - np.einsum("jsk->jks", gamma_b))),
-             np.max(np.abs(gamma_b)))
-        )
-        raw, scale = _compatibility_residual(frame, gamma_b)
-        compat.append((p, raw, scale))
-
-        w_vals = [eval_matrix(w.entries, p) for w in a.tails]
-
-        worst = (0.0, 1.0)
-        for vals in w_vals:
-            gw = frame.g_lo @ vals
-            raw = np.max(np.abs(gw - gw.T))
-            if raw >= worst[0]:
-                worst = (raw, np.max(np.abs(gw)))
-        t1.append((p, worst[0], worst[1]))
-
-        worst = (0.0, 1.0)
-        for w in a.tails:
-            nabla = covariant_derivative_values(w, frame)
-            raw = np.max(np.abs(nabla - np.einsum("kij->jik", nabla)))
-            if raw >= worst[0]:
-                worst = (raw, np.max(np.abs(nabla)))
-        t2.append((p, worst[0], worst[1]))
-
-        tail_sum = gauss_tail_sum(a.tails, w_vals, op.dim)
-        gg = np.einsum("jmk,msl->jskl", frame.gamma, frame.gamma)
-        scale = max(
-            np.max(np.abs(frame.riemann_up)),
-            np.max(np.abs(tail_sum)),
-            np.max(np.abs(frame.dgamma)),
-            np.max(np.abs(gg)),
-        )
-        t3.append((p, np.max(np.abs(frame.riemann_up - tail_sum)), scale))
-
-        worst = (0.0, 1.0)
-        for x in range(len(w_vals)):
-            for y in range(x + 1, len(w_vals)):
-                comm = w_vals[x] @ w_vals[y] - w_vals[y] @ w_vals[x]
-                raw = np.max(np.abs(comm))
-                if raw >= worst[0]:
-                    worst = (raw, np.max(np.abs(w_vals[x] @ w_vals[y])))
-        t4.append((p, worst[0], worst[1]))
-
-    conditions.append(
-        condition_from_samples(
-            "connection_symmetric",
-            "Gamma^j_{sk} = Gamma^j_{ks} for Gamma derived from b",
-            gamma_sym,
-            plan.tolerance,
-        )
+    table = _LOCAL_CONDITIONS + (
+        ("t1_pairing_symmetric", "g_{ik} w^k_j = g_{jk} w^k_i"),
+        ("t2_codazzi", "nabla_k w^i_j = nabla_j w^i_k"),
+        ("t3_gauss", "R^{ij}_{kl} = sum_a eps_a (w^i_l w^j_k - w^i_k w^j_l)"),
+        ("t4_tails_commute", "[w_a, w_b] = 0 for all tail pairs"),
     )
-    conditions.append(
-        condition_from_samples(
-            "metric_compatible",
-            "nabla_k g_{ij} = 0 under the connection derived from b",
-            compat,
-            plan.tolerance,
-        )
-    )
-    conditions.append(
-        condition_from_samples(
-            "t1_pairing_symmetric", "g_{ik} w^k_j = g_{jk} w^k_i", t1, plan.tolerance
-        )
-    )
-    conditions.append(
-        condition_from_samples(
-            "t2_codazzi", "nabla_k w^i_j = nabla_j w^i_k", t2, plan.tolerance
-        )
-    )
-    conditions.append(
-        condition_from_samples(
-            "t3_gauss",
-            "R^{ij}_{kl} = sum_a eps_a (w^i_l w^j_k - w^i_k w^j_l)",
-            t3,
-            plan.tolerance,
-        )
-    )
-    conditions.append(
-        condition_from_samples(
-            "t4_tails_commute", "[w_a, w_b] = 0 for all tail pairs", t4, plan.tolerance
-        )
-    )
+    conditions += _conditions(results, table, points, plan.tolerance)
     return CheckReport(title="nonlocal Hamiltonian", conditions=conditions, plan=plan)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .sampling import SamplePlan
 
 
@@ -73,23 +75,57 @@ class CheckReport:
 
 def condition_from_samples(cid: str, description: str, samples, tolerance: float,
                            note: Optional[str] = None) -> ConditionResult:
-    """Aggregate (point, raw_residual, scale) triples into one condition.
+    """Aggregate (point, raw_residual, scale) triples into one condition;
+    see :func:`condition_from_arrays`."""
+    samples = list(samples)
+    return condition_from_arrays(
+        cid,
+        description,
+        [p for p, _, _ in samples],
+        np.array([float(abs(raw)) for _, raw, _ in samples]),
+        np.array([float(scale) for _, _, scale in samples]),
+        tolerance,
+        note,
+    )
 
-    The normalized residual at a point is raw / max(1, scale); the condition
-    passes iff the normalized residual is within tolerance everywhere.
+
+def condition_from_arrays(cid: str, description: str, points, raw, scale,
+                          tolerance: float, note: Optional[str] = None) -> ConditionResult:
+    """Aggregate per-point raw residuals and scales, given in plan order,
+    into one condition.
+
+    The normalized residual at a point is |raw| / max(1, scale); the
+    condition passes iff the normalized residual is within tolerance
+    everywhere.  The witness is the first point of the largest residual.  A
+    raw value or scale that is NaN or infinite fails the condition: its
+    residual is then None, its witness the first such point, and the note
+    counts them.
     """
-    worst = 0.0
-    witness = None
-    for point, raw, scale in samples:
-        norm = float(abs(raw)) / max(1.0, float(scale))
-        if norm > worst:
-            worst = norm
-            witness = tuple(float(x) for x in point)
+    raw = np.abs(np.asarray(raw, dtype=float))
+    scale = np.asarray(scale, dtype=float)
+    finite = np.isfinite(raw) & np.isfinite(scale)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        what = f"non-finite value at {int(np.sum(~finite))} of {len(raw)} points"
+        return ConditionResult(
+            cid=cid,
+            description=description,
+            residual=None,
+            witness=tuple(float(x) for x in points[first]),
+            passed=False,
+            note=what if note is None else f"{note}; {what}",
+        )
+    norm = raw / np.maximum(1.0, scale)
+    worst, witness = 0.0, None
+    if len(norm):
+        k = int(np.argmax(norm))
+        if norm[k] > 0.0:
+            worst, witness = float(norm[k]), tuple(float(x) for x in points[k])
     return ConditionResult(
         cid=cid,
         description=description,
         residual=worst,
-        witness=None if worst == 0.0 else witness,
+        witness=witness,
         passed=bool(worst <= tolerance),
         note=note,
     )

@@ -9,12 +9,16 @@ reproducibly by bumping the retry counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EvalDomainError, HostileDomainError
 
 RESAMPLE_BUDGET = 16
+# Plan points evaluated as one batch.  Checks go through a plan block by
+# block, so the arrays they hold stay bounded whatever the point count.
+BLOCK = 25
 
 DEFAULT_COUNT = 100
 DEFAULT_TOLERANCE = 1e-9
@@ -92,3 +96,43 @@ def resolve_point(plan: SamplePlan, i: int, evaluate, retriable=(EvalDomainError
     raise HostileDomainError(
         f"domain too hostile: sample point {i} exhausted {RESAMPLE_BUDGET} redraws"
     ) from last
+
+
+class SweepRound(NamedTuple):
+    """One round of :func:`sweep`: the plan points it drew and their fate."""
+
+    retry: int
+    index: np.ndarray  # plan index of each lane
+    points: np.ndarray  # (lanes, dim), plan.point(index[k], retry)
+    status: np.ndarray  # per lane: 0 resolved, else the evaluator's redraw cause
+    payload: object  # whatever the evaluator returned beside the status
+
+
+def blocks(plan: SamplePlan) -> list:
+    """The plan's point indices in contiguous runs of at most BLOCK, in order."""
+    return [np.arange(start, min(start + BLOCK, plan.count))
+            for start in range(0, plan.count, BLOCK)]
+
+
+def sweep(plan: SamplePlan, evaluate, index) -> list[SweepRound]:
+    """Resolve the plan points ``index`` in rounds, evaluating each round as
+    a batch.
+
+    Round r draws ``plan.point(i, r)`` for every i, in the given order, that
+    no earlier round resolved, and calls ``evaluate(points)``, which returns
+    ``(status, payload)`` with a status per lane: 0 for resolved, any other
+    value for a point to redraw.  This draws exactly the points a per-point
+    redraw loop draws; rounds stop when everything is resolved or the
+    resample budget is spent.  Points still unresolved are those of the
+    last round with a nonzero status after ``RESAMPLE_BUDGET`` redraws.
+    """
+    rounds = []
+    for retry in range(RESAMPLE_BUDGET + 1):
+        if index.size == 0:
+            break
+        points = np.array([plan.point(int(i), retry) for i in index])
+        status, payload = evaluate(points)
+        status = np.asarray(status)
+        rounds.append(SweepRound(retry, index, points, status, payload))
+        index = index[status != 0]
+    return rounds

@@ -1,0 +1,231 @@
+"""Batched evaluation: jet tapes against the recursive evaluator, lane
+independence of tapes and frames, and reports pinned against those of the
+per-point evaluator (``golden_reports.json``, written by record_golden.py)."""
+
+from __future__ import annotations
+
+import json
+import os
+import warnings
+
+import numpy as np
+import pytest
+
+import cases
+from conftest import SMOOTH_CORPUS, random_smooth_expr
+from hydroham import driftflux as df
+from hydroham.errors import EvalDomainError
+from hydroham.exprs import compile_tape, eval_jet, eval_scalar, eval_tape, exp, variables
+from hydroham.geometry import (
+    ConnectionField,
+    MetricField,
+    compile_grid,
+    grid_values,
+    lane_einsum,
+    metric_frames,
+)
+from hydroham.operators import LocalOperator, check_local_hamiltonian, pencil_operator
+from hydroham.parsing import parse_expr
+from hydroham.sampling import default_plan
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+RESIDUAL_ABS, RESIDUAL_REL = 1e-12, 1e-9
+WITNESS_EXACT_FROM = 1e-10
+
+
+# -- tape against eval_jet ------------------------------------------------------
+
+
+def _oracle_corpus():
+    """(expression, dimension, box): the smooth corpus on boxes widened past
+    its domains, the seeded random expressions, and every metric, connection
+    and tail entry of the drift-flux presets (Deriv included)."""
+    out = [(parse_expr(t, n), n, tuple((lo - 1.5, hi + 1.5) for lo, hi in box))
+           for t, n, box in SMOOTH_CORPUS]
+    # two subtrees that fail together on a quarter of the box: the error
+    # must name the one evaluated first
+    for text in ("ln(u1) + sqrt(u2)", "sqrt(u2) * ln(u1)"):
+        out.append((parse_expr(text, 2), 2, ((-1.0, 1.0), (-1.0, 1.0))))
+    rng = np.random.default_rng(20240817)
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        out.append((random_smooth_expr(rng, n, 4), n, ((-1.0, 1.0),) * n))
+    box3 = ((-0.7, 0.7), (-0.7, 0.7), (0.1, 1.0))
+    seen = set()
+    for _, op in cases.local_operators() + cases.nonlocal_operators():
+        local = getattr(op, "local", op)
+        grids = [local.g.entries, local.b.entries] + [w.entries for w in getattr(op, "tails", ())]
+        for grid in grids:
+            for e in np.array(grid, dtype=object).ravel():
+                if str(e) not in seen and str(e) != "0":
+                    seen.add(str(e))
+                    out.append((e, local.dim, box3[:local.dim]))
+    return out
+
+
+ORACLE = _oracle_corpus()
+
+
+def _reference(e, p, order):
+    try:
+        return (eval_jet(e, p, order).coeffs if order else np.array([eval_scalar(e, p)])), None
+    except EvalDomainError as err:
+        return None, err
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_tape_matches_eval_jet(order):
+    rng = np.random.default_rng(order)
+    worst = 0.0
+    for e, n, box in ORACLE:
+        points = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(12)])
+        try:
+            tape = compile_tape([e], n, order)
+        except ValueError:  # a Deriv needs a jet beyond MAX_ORDER
+            with pytest.raises(ValueError, match="jet order"):
+                eval_jet(e, points[0], order)
+            continue
+        got = eval_tape(tape, points)
+        for lane, p in enumerate(points):
+            ref, err = _reference(e, p, order)
+            assert got.failed[lane] == (err is not None), (str(e), p)
+            if err is not None:
+                assert str(got.error(lane)) == str(err)
+                continue
+            # relative to the jet's largest coefficient, so an exact zero that
+            # the tape reaches through a different rounding does not divide by 0
+            diff = np.max(np.abs(got.coeffs[0, :, lane] - ref))
+            worst = max(worst, float(diff / max(np.max(np.abs(ref)), np.finfo(float).tiny)))
+    assert worst <= 1e-13, worst
+
+
+def test_scalar_tape_matches_eval_scalar():
+    rng = np.random.default_rng(0)
+    for e, n, box in ORACLE:
+        points = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(12)])
+        got = eval_tape(compile_tape([e], n, 0), points)
+        for lane, p in enumerate(points):
+            ref, err = _reference(e, p, 0)
+            assert got.failed[lane] == (err is not None)
+            if err is not None:
+                assert str(got.error(lane)) == str(err)
+            else:
+                assert got.coeffs[0, 0, lane] == pytest.approx(ref[0], rel=1e-13, abs=1e-300)
+
+
+def test_tape_shares_subtrees_and_drops_zero_entries():
+    u1, u2 = variables(2)
+    p = exp(u2 - u1)
+    tape = compile_tape([p * u1, parse_expr("exp(u2-u1)*u2", 2), parse_expr("0", 2), p], 2, 2)
+    assert [op for op, *_ in tape.code].count("exp") == 1
+    assert tape.outputs[2] is None
+    assert tape.code[tape.outputs[3]][0] == "exp"
+
+
+# -- lane independence ------------------------------------------------------------
+
+
+def _operators():
+    """(name, g, b, tails) of every operator the golden reports check."""
+    ops = [(name, op, ()) for name, op in cases.local_operators()]
+    ops += [(name, op.local, op.tails) for name, op in cases.nonlocal_operators()]
+    ops += [(f"{name} lambda={lam}", pencil_operator(a, b, lam), ())
+            for name, a, b in cases.pencil_pairs() for lam in cases.LAMBDAS]
+    ops += [(f"mutant {name}", getattr(op, "local", op), getattr(op, "tails", ()))
+            for name, _, op in df.mutation_catalog()]
+    return [(name, op.g, op.b, tails) for name, op, tails in ops]
+
+
+def _batch_arrays(g, b, tails, points):
+    """Every tape coefficient and frame array the checks compute, lane first."""
+    dim = points.shape[1]
+    frames = metric_frames(compile_grid(g.entries, dim, 2), points, curvature=True)
+    arrays = {name: getattr(frames, name) for name in
+              ("g_up", "g_lo", "dg_up", "dg_lo", "gamma", "d2g_up", "dgamma", "riemann",
+               "riemann_up", "det")}
+    for label, entries, order in [("b", b.entries, 0)] + [
+            (f"w{a}.{order}", w.entries, order) for a, w in enumerate(tails) for order in (0, 1)]:
+        values = grid_values(compile_grid(entries, dim, order), points)
+        arrays[label] = np.moveaxis(values.tape_values.coeffs, -1, 0)
+    arrays["g.coeffs"] = frames.grid.tape_values.coeffs.transpose(2, 0, 1)
+    return arrays
+
+
+OPERATORS = _operators()
+
+
+@pytest.mark.parametrize("name,g,b,tails", OPERATORS, ids=[o[0] for o in OPERATORS])
+def test_lanes_are_bit_identical_in_any_batch(name, g, b, tails):
+    plan = cases.plan_for(g.dim, 5)
+    points = np.array([plan.point(i) for i in range(plan.count)])
+    full = _batch_arrays(g, b, tails, points)
+    perm = np.random.default_rng(3).permutation(plan.count)
+    permuted = _batch_arrays(g, b, tails, points[perm])
+    seven = _batch_arrays(g, b, tails, points[10:17])
+    for key, arr in full.items():
+        assert np.array_equal(permuted[key], arr[perm], equal_nan=True), key
+        assert np.array_equal(seven[key], arr[10:17], equal_nan=True), key
+    for i in (0, 13, plan.count - 1):
+        alone = _batch_arrays(g, b, tails, points[i:i + 1])
+        for key, arr in full.items():
+            assert np.array_equal(alone[key][0], arr[i], equal_nan=True), (key, i)
+
+
+@pytest.mark.parametrize("spec", [
+    "ia,kab,bj->kij", "jm,msk->jsk", "lia,kab,bj->lkij", "jmk,msl->jskl",
+    "is,jskl->ijkl", "kjsl->jskl", "il,jk->ijkl",
+])
+def test_lane_einsum_matches_einsum(spec):
+    rng = np.random.default_rng(9)
+    inputs = spec.split("->")[0].split(",")
+    ops = [rng.standard_normal((5,) + (3,) * len(sub)) for sub in inputs]
+    want = np.einsum(",".join("z" + sub for sub in inputs) + "->z" + spec.split("->")[1], *ops)
+    assert np.allclose(lane_einsum(spec, *ops), want, rtol=1e-13, atol=1e-13)
+
+
+# -- reports against the per-point evaluator ---------------------------------------------
+
+
+with open(GOLDEN, "r", encoding="utf-8") as fh:
+    GOLDEN_REPORTS = json.load(fh)
+
+CASES = {f"{name} @ seed {seed}": (run, seed) for name, run in cases.cases() for seed in cases.SEEDS}
+
+
+def test_golden_covers_every_case():
+    assert sorted(CASES) == sorted(GOLDEN_REPORTS)
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_report_matches_per_point_evaluator(key):
+    run, seed = CASES[key]
+    got, want = run(seed).to_dict(), GOLDEN_REPORTS[key]
+    assert (got["title"], got["passed"], got["plan"], got["notes"]) == \
+        (want["title"], want["passed"], want["plan"], want["notes"])
+    assert [c["id"] for c in got["conditions"]] == [c["id"] for c in want["conditions"]]
+    for g, w in zip(got["conditions"], want["conditions"]):
+        assert (g["description"], g["passed"], g["note"]) == \
+            (w["description"], w["passed"], w["note"]), g["id"]
+        if w["max_residual"] is None:
+            assert g["max_residual"] is None and g["witness"] == w["witness"], g["id"]
+            continue
+        assert g["max_residual"] == pytest.approx(w["max_residual"], rel=RESIDUAL_REL,
+                                                  abs=RESIDUAL_ABS), g["id"]
+        if w["max_residual"] == 0.0 or w["max_residual"] >= WITNESS_EXACT_FROM:
+            assert g["witness"] == w["witness"], g["id"]
+
+
+# -- non-finite values fail ----------------------------------------------------------------
+
+
+def test_non_finite_metric_fails_without_warnings():
+    (u1,) = variables(1)
+    g = MetricField(1, ((exp(400) * exp(400) * (2 + u1),),))
+    b = ConnectionField(1, (((parse_expr("0", 1),),),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_local_hamiltonian(LocalOperator(1, g, b), default_plan(1, count=20, seed=3))
+    assert not rep.passed
+    failed = [c for c in rep.conditions if not c.passed]
+    assert failed and all("non-finite" in c.note for c in failed)
+    assert all(c.residual is None and c.witness is not None for c in failed)
