@@ -39,8 +39,8 @@ from .systems import (
     SIGN_BRIDGE_NOTE,
     ConservedCurrent,
     HydroSystem,
+    build_reciprocal_system,
     check_conserved_current,
-    reciprocal_transform_system,
 )
 
 EXIT_PASS = 0
@@ -415,7 +415,7 @@ def run_preset(name: str, args):
             rep = check_conserved_current(system, c, plan)
             rep.title = f"conserved current {i}"
             reports.append(rep)
-        transformed = reciprocal_transform_system(system, c1, c2, plan)
+        transformed = build_reciprocal_system(system, c1, c2, plan)  # currents checked above
         expected = (
             parse_expr("-exp(r1-r2)", 3),
             parse_expr("exp(r1-r2)", 3),
@@ -497,7 +497,7 @@ def cmd_reciprocal(args) -> int:
         emit(reports, args, echo, started,
              extra_lines=["currents are not conserved; not transforming"])
         return EXIT_FAIL
-    transformed = reciprocal_transform_system(system, currents[0], currents[1], plan)
+    transformed = build_reciprocal_system(system, currents[0], currents[1], plan)
     for rep in reports:
         rep.notes.append(SIGN_BRIDGE_NOTE)
     lines = _speed_grid_lines(transformed, plan)
@@ -557,8 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed command line (argparse exits with code 2 on bad usage)."""
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except WorkbenchError as err:

@@ -25,18 +25,21 @@ from .exprs import (
     Deriv,
     Expr,
     as_expr,
+    compile_tape,
     const,
-    eval_jet,
     eval_scalar,
+    eval_tape,
     exp,
+    first_error,
     ln,
     var_indices,
     variables,
 )
+from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import AffinorField, ConnectionField, MetricField
 from .operators import LocalOperator, NonlocalOperator
-from .reports import CheckReport, condition_from_samples
-from .sampling import SamplePlan
+from .reports import CheckReport, condition_from_arrays
+from .sampling import SamplePlan, blocks, draw
 from .systems import ConservedCurrent, HydroSystem, PointChangeMap
 
 DEFAULT_SEED = 8128
@@ -432,24 +435,40 @@ def restrict_local(op: LocalOperator, dim: int = 2) -> LocalOperator:
 # -- wave-equation families ---------------------------------------------------------
 
 
+def wave_residuals(d1: np.ndarray, d2: np.ndarray):
+    """Per lane (raw, scale) of 2 Psi_{r1 r2} + Psi_{r1} - Psi_{r2}, from
+    the first derivatives (N, 2) and second derivatives (N, 2, 2) of Psi."""
+    mixed = 2.0 * d2[:, 0, 1]
+    raw = mixed + d1[:, 0] - d1[:, 1]
+    return raw, np.maximum(np.maximum(np.abs(mixed), np.abs(d1[:, 0])), np.abs(d1[:, 1]))
+
+
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
     """Residual of the linear wave identity 2 Psi_{r1 r2} = Psi_{r2} - Psi_{r1}
-    for a function of (r1, r2)."""
+    for a function of (r1, r2).  Points are not redrawn: a domain violation
+    raises at the first plan point where it occurs."""
     psi = as_expr(psi)
     if not var_indices(psi) <= {0, 1}:
         raise ValueError("Psi must depend on (r1, r2) only")
     if plan is None:
         plan = plane_plan()
-    samples = []
-    for i in range(plan.count):
-        p = plan.point(i)
-        jet = eval_jet(psi, p[:2], 2)
-        mixed = 2.0 * jet.derivative((1, 1))
-        d1 = jet.derivative((1, 0))
-        d2 = jet.derivative((0, 1))
-        samples.append((p, mixed + d1 - d2, max(abs(mixed), abs(d1), abs(d2))))
-    cond = condition_from_samples(
-        "wave_identity", "2 Psi_{r1 r2} - Psi_{r2} + Psi_{r1} = 0", samples, plan.tolerance
+    n = min(2, plan.dim)
+    tape = compile_tape((psi,), n, 2)
+    points, raw, scale = [], [], []
+    for index in blocks(plan):
+        p = draw(plan, index)
+        jets = eval_tape(tape, p[:, :n])
+        if jets.failed.any():
+            raise jets.error(int(np.argmax(jets.failed)))
+        _, d1, d2 = jets.derivatives()
+        r, sc = wave_residuals(d1[..., 0], d2[..., 0])
+        points.append(p)
+        raw.append(r)
+        scale.append(sc)
+    cond = condition_from_arrays(
+        "wave_identity", "2 Psi_{r1 r2} - Psi_{r2} + Psi_{r1} = 0",
+        np.concatenate(points), np.concatenate(raw), np.concatenate(scale), plan.tolerance
     )
     return CheckReport(title="wave-equation residual", conditions=[cond], plan=plan)
 
@@ -528,6 +547,28 @@ def default_ansatz(block: ConstantBlock = DEFAULT_BLOCK,
 
 CONSTRAINT_EQUATIONS = ("eq4a", "eq4b", "eq4c", "eq5", "eq7", "eq4a3", "eq4b3")
 
+
+def _phi_psi_r1(phi, psi, d1, d2):
+    return (phi + psi) * d1
+
+
+def _phi_psi_r2(phi, psi, d1, d2):
+    return (phi + psi) * d2
+
+
+# per equation: the term of one component, from (Phi, Psi, Psi_{r1}, Psi_{r2}),
+# and the residual, from (sum of eps_a terms, e^{r1-r2}, r1 + r2, Omega, C)
+_EQUATIONS = {
+    "eq4a": (_phi_psi_r1, lambda t, e, s, omega, c: t + e),
+    "eq4b": (_phi_psi_r2, lambda t, e, s, omega, c: t - e),
+    "eq4c": (lambda phi, psi, d1, d2: d1 * d2, lambda t, e, s, omega, c: t),
+    "eq5": (lambda phi, psi, d1, d2: (phi + psi / 2.0) * psi,
+            lambda t, e, s, omega, c: t - omega + e),
+    "eq7": (lambda phi, psi, d1, d2: psi * psi, lambda t, e, s, omega, c: t - float(c) + 2.0 * e),
+    "eq4a3": (_phi_psi_r1, lambda t, e, s, omega, c: t - 0.5 * (s + 1.0) * e),
+    "eq4b3": (_phi_psi_r2, lambda t, e, s, omega, c: t + 0.5 * (s - 1.0) * e),
+}
+
 _DESCRIPTIONS = {
     "eq4a": "sum eps (Phi + Psi) Psi_{r1} = -e^{r1-r2}",
     "eq4b": "sum eps (Phi + Psi) Psi_{r2} = e^{r1-r2}",
@@ -539,13 +580,15 @@ _DESCRIPTIONS = {
 }
 
 
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
                          plan: SamplePlan | None = None,
                          omega: Expr | None = None,
                          big_c: float | None = None) -> CheckReport:
     """Residual of one constraint equation of the prolongation construction
     over the sample plan.  The Psi components must satisfy the wave identity;
-    that precondition is checked first."""
+    that precondition is checked first.  Points are not redrawn: a domain
+    violation raises at the first plan point where it occurs."""
     if which not in CONSTRAINT_EQUATIONS:
         raise ValueError(f"unknown equation tag {which!r}")
     if which == "eq5":
@@ -562,48 +605,43 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
                 f"(residual {pre.conditions[0].residual:.3e})"
             )
 
-    samples = []
-    for i in range(plan.count):
-        p = plan.point(i)
-        e_val = float(np.exp(p[0] - p[1]))
-        s = p[0] + p[1]
-        total = 0.0
-        scale = abs(e_val)
-        for a in range(3):
-            jet = eval_jet(ansatz.psi[a], p, 1)
-            psi_v = jet.value
-            d1, d2 = jet.gradient()[0], jet.gradient()[1]
-            phi_v = eval_scalar(ansatz.phi[a], p)
-            sign = ansatz.eps[a]
-            if which in ("eq4a", "eq4a3"):
-                term = sign * (phi_v + psi_v) * d1
-            elif which in ("eq4b", "eq4b3"):
-                term = sign * (phi_v + psi_v) * d2
-            elif which == "eq4c":
-                term = sign * d1 * d2
-            elif which == "eq5":
-                term = sign * (phi_v + psi_v / 2.0) * psi_v
-            else:  # eq7
-                term = sign * psi_v * psi_v
-            total += term
-            scale = max(scale, abs(term))
-        if which == "eq4a":
-            res = total + e_val
-        elif which == "eq4b":
-            res = total - e_val
-        elif which == "eq4c":
-            res = total
-        elif which == "eq5":
-            res = total - eval_scalar(omega, p) + e_val
-        elif which == "eq7":
-            res = total - float(big_c) + 2.0 * e_val
-        elif which == "eq4a3":
-            res = total - 0.5 * (s + 1.0) * e_val
-        else:  # eq4b3
-            res = total + 0.5 * (s - 1.0) * e_val
-        samples.append((p, res, scale))
-    cond = condition_from_samples(which, _DESCRIPTIONS[which], samples, plan.tolerance)
+    psi_jets = compile_tape(ansatz.psi, plan.dim, 1)
+    extra = (omega,) if which == "eq5" else ()
+    values = compile_tape(ansatz.phi + extra, plan.dim, 0)
+    points, raw, scale = [], [], []
+    for index in blocks(plan):
+        p = draw(plan, index)
+        jets, vals = eval_tape(psi_jets, p), eval_tape(values, p)
+        failed = jets.failed | vals.failed
+        if failed.any():
+            # a point evaluates the jet of Psi^a, then Phi^a, for each a, then Omega
+            calls = [(t, a) for a in range(3) for t in (jets, vals)] + [(vals, 3)] * len(extra)
+            raise first_error(int(np.argmax(failed)), calls)
+        psi, grad, _ = jets.derivatives()
+        r, sc = constraint_equation_residuals(which, ansatz.eps, p, psi, grad[:, 0], grad[:, 1],
+                                              vals.coeffs[:, 0, :].T, big_c)
+        points.append(p)
+        raw.append(r)
+        scale.append(sc)
+    cond = condition_from_arrays(which, _DESCRIPTIONS[which], np.concatenate(points),
+                                 np.concatenate(raw), np.concatenate(scale), plan.tolerance)
     return CheckReport(title=f"constraint residual {which}", conditions=[cond], plan=plan)
+
+
+def constraint_equation_residuals(which: str, eps, points, psi, psi_r1, psi_r2, values,
+                                  big_c=None):
+    """Per lane (raw, scale) of one constraint equation, from the values and
+    r1, r2 derivatives of the three Psi^a (each (N, 3)) and the values of the
+    three Phi^a, then Omega for eq5 (N, 3 or 4)."""
+    term, residual = _EQUATIONS[which]
+    e_val = np.exp(points[:, 0] - points[:, 1])
+    total, scale = 0.0, np.abs(e_val)
+    for a in range(3):
+        t = eps[a] * term(values[:, a], psi[:, a], psi_r1[:, a], psi_r2[:, a])
+        total = total + t
+        scale = np.maximum(scale, np.abs(t))
+    omega = values[:, 3] if which == "eq5" else None
+    return residual(total, e_val, points[:, 0] + points[:, 1], omega, big_c), scale
 
 
 def ansatz_affinors(ansatz: ProlongationAnsatz) -> tuple[AffinorField, ...]:

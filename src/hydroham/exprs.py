@@ -6,18 +6,22 @@ arithmetic operations, powers with constant rational exponent, and the
 elementary functions exp, ln, sin, cos, sqrt.  They are frozen dataclasses,
 so trees compare structurally and are safe to share across threads.
 
-Two evaluators share one semantics.  The recursive one works at a single
-point over plain floats (:func:`eval_scalar`) or
-:class:`~hydroham.jets.Jet` values (:func:`eval_jet`); it serves the
-per-point callers (systems, currents, drift-flux residuals), whose trees are
-small.  The batched one compiles a list of expressions into a flat,
-hash-consed :class:`Tape` (:func:`compile_tape`) and evaluates it at N points
-at once (:func:`eval_tape`), each jet a coefficient array with a lane axis
-over the points; the geometry layer and the operator checks use it.  Domain
-violations (log of a non-positive value, division by zero, a negative base
-under a fractional power) raise :class:`~hydroham.errors.EvalDomainError`
-carrying the offending subtree in the recursive evaluator, and are flagged
-per lane in the batched one, which builds the same error on request.
+Two evaluators share one semantics.  The batched one compiles a list of
+expressions into a flat, hash-consed :class:`Tape` (:func:`compile_tape`) and
+evaluates it at N points at once (:func:`eval_tape`), each jet a coefficient
+array with a lane axis over the points; every check uses it, through the
+geometry layer, the system checks, the drift-flux residuals and
+:func:`field_values`, which also takes callable fields (evaluated lane by
+lane).  The recursive one works at a single point over plain floats
+(:func:`eval_scalar`) or :class:`~hydroham.jets.Jet` values
+(:func:`eval_jet`); it now serves only one-off points, the callable fields
+of :func:`~hydroham.operators.hamiltonian_flow` and the reciprocal
+transform, and the tests, which use it as the reference.  Domain violations
+(log of a non-positive value, division by zero, a negative base under a
+fractional power) raise :class:`~hydroham.errors.EvalDomainError` carrying
+the offending subtree in the recursive evaluator, and are flagged per lane
+in the batched one, which builds the same error on request
+(:meth:`TapeValues.error`, :func:`first_error`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -39,8 +43,8 @@ from .jets import (
     partial_map,
     product_scatter,
 )
-from .reports import CheckReport, ConditionResult
-from .sampling import SamplePlan, resolve_point
+from .reports import CheckReport, ConditionResult, non_finite_condition
+from .sampling import RESAMPLE_BUDGET, SamplePlan, resolve
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
 
@@ -493,6 +497,14 @@ class TapeValues(NamedTuple):
     def failed(self) -> np.ndarray:
         return self.first_failure < len(self.tape.code)
 
+    def failed_output(self) -> np.ndarray:
+        """Per lane, the first output whose evaluation fails there, or
+        len(outputs).  Outputs compile in order and an output's instructions
+        that can fail come at or before its slot, so the first failing
+        instruction belongs to the first failing output."""
+        ends = np.maximum.accumulate([-1 if s is None else s for s in self.tape.outputs])
+        return np.searchsorted(ends, self.first_failure)
+
     def derivatives(self):
         """(values, gradients, Hessians) with the lane axis first: shapes
         (N, outputs), (N, n, outputs) and (N, n, n, outputs); None past the
@@ -733,7 +745,16 @@ def _compose(x, derivs, scatter):
     return acc
 
 
-# -- identity testing ---------------------------------------------------------
+def first_error(lane: int, calls) -> EvalDomainError:
+    """The error a per-point evaluation raises at a failing lane, given the
+    evaluations it makes there in order as (TapeValues, output) pairs."""
+    for values, k in calls:
+        if values.failed_output()[lane] == k:
+            return values.error(lane)
+    raise ValueError(f"lane {lane} fails in none of the calls")
+
+
+# -- fields: expressions or callables, at many points ------------------------------
 
 Field = Union[Expr, Callable[[np.ndarray], float]]
 
@@ -745,39 +766,100 @@ def field_value(f: Field, point) -> float:
     return float(f(point))
 
 
+class FieldTape(NamedTuple):
+    """Scalar fields prepared for :func:`field_values`: one order-0 tape when
+    every field is an expression, else None, and the fields are evaluated
+    lane by lane in order."""
+
+    fields: tuple
+    tape: Optional[Tape]
+
+
+def compile_fields(fields, n: int) -> FieldTape:
+    fields = tuple(fields)
+    exprs_only = all(isinstance(f, Expr) for f in fields)
+    return FieldTape(fields, compile_tape(fields, n, 0) if exprs_only else None)
+
+
+class FieldValues(NamedTuple):
+    """Values at N points, lane axis first, with the lanes where evaluation
+    left the domain."""
+
+    vals: np.ndarray  # (N, fields), or reshaped by the caller
+    failed: np.ndarray  # (N,)
+    error: Callable  # lane -> the error the per-point evaluation raises there
+
+
+def field_values(fields: FieldTape, points, skip=None) -> FieldValues:
+    """Every field at every row of ``points`` (N, n), as eval_scalar or the
+    callable gives it.  Domain violations are flagged per lane.  Without a
+    tape, lanes in the ``skip`` mask are not evaluated (NaN, not failed), so
+    a callable is only called where a per-point caller would reach it."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if fields.tape is not None:
+        values = eval_tape(fields.tape, points)
+        return FieldValues(values.coeffs[:, 0, :].T, values.failed, values.error)
+    vals = np.full((len(points), len(fields.fields)), np.nan)
+    failed = np.zeros(len(points), dtype=bool)
+    errors = {}
+    for lane, p in enumerate(points):
+        if skip is not None and skip[lane]:
+            continue
+        try:
+            for k, f in enumerate(fields.fields):
+                vals[lane, k] = field_value(f, p)
+        except EvalDomainError as err:
+            failed[lane] = True
+            errors[lane] = err
+    return FieldValues(vals, failed, errors.__getitem__)
+
+
+# -- identity testing ---------------------------------------------------------
+
+
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def fields_equal_numeric(
     f1: Field, f2: Field, plan: SamplePlan, title: str = "fields equal"
 ) -> CheckReport:
     """Pointwise comparison of two scalar fields on the plan's sample set.
 
     Passes iff |f1 - f2| <= tol * max(1, |f1|, |f2|) + floor at every point.
-    The reported residual is |f1 - f2| / max(1, |f1|, |f2|).
+    The reported residual is |f1 - f2| / max(1, |f1|, |f2|).  Points where
+    either field leaves its domain are redrawn.  A NaN or infinite
+    difference or value fails: the residual is then None and the witness the
+    first such point.
     """
+    both = compile_fields((f1, f2), plan.dim)
 
-    def both(p):
-        return field_value(f1, p), field_value(f2, p)
+    def evaluate(points):
+        values = field_values(both, points)
+        return values.failed, (values.vals,)
 
-    worst = 0.0
-    witness = None
-    ok = True
-    for i in range(plan.count):
-        p, (v1, v2) = resolve_point(plan, i, both)
-        raw = abs(v1 - v2)
-        scale = max(1.0, abs(v1), abs(v2))
-        if raw > plan.tolerance * scale + plan.floor:
-            ok = False
+    found = resolve(plan, evaluate, "domain too hostile: sample point {} exhausted "
+                    f"{RESAMPLE_BUDGET} redraws")
+    raw, scale = comparison_residuals(*found.payload)
+    cid, description = "pointwise_equal", "values agree at every sample point"
+    finite = np.isfinite(raw) & np.isfinite(scale)
+    if not finite.all():
+        cond = non_finite_condition(cid, description, found.points, finite)
+    else:
         norm = raw / scale
-        if norm > worst:
-            worst = norm
-            witness = p
-    cond = ConditionResult(
-        cid="pointwise_equal",
-        description="values agree at every sample point",
-        residual=worst,
-        witness=None if worst == 0.0 else tuple(float(x) for x in witness),
-        passed=ok,
-    )
+        k = int(np.argmax(norm))
+        worst = float(norm[k])
+        cond = ConditionResult(
+            cid=cid,
+            description=description,
+            residual=worst,
+            witness=None if worst == 0.0 else tuple(float(x) for x in found.points[k]),
+            passed=bool(np.all(raw <= plan.tolerance * scale + plan.floor)),
+        )
     return CheckReport(title=title, conditions=[cond], plan=plan)
+
+
+def comparison_residuals(vals: np.ndarray):
+    """Per lane (|f1 - f2|, max(1, |f1|, |f2|)) from values (N, 2)."""
+    v1, v2 = vals[:, 0], vals[:, 1]
+    return np.abs(v1 - v2), np.maximum(np.maximum(1.0, np.abs(v1)), np.abs(v2))
 
 
 def expr_equal_numeric(e1: Expr, e2: Expr, plan: SamplePlan) -> CheckReport:

@@ -145,6 +145,11 @@ def lane_einsum(spec: str, *operands) -> np.ndarray:
     return total
 
 
+def lane_max(x: np.ndarray) -> np.ndarray:
+    """max |x| over everything but the leading lane axis."""
+    return np.max(np.abs(x).reshape(len(x), -1), axis=1)
+
+
 def _grid_leaves(entries):
     """(shape, flat list of leaves) of a nested grid of expressions."""
     if isinstance(entries, Expr):

@@ -35,10 +35,11 @@ from .geometry import (
     eval_tensor3,
     grid_values,
     lane_einsum,
+    lane_max,
     metric_frames,
 )
 from .reports import CheckReport, ConditionResult, condition_from_arrays
-from .sampling import RESAMPLE_BUDGET, SamplePlan, blocks, sweep
+from .sampling import REDRAW_DOMAIN, RESAMPLE_BUDGET, SamplePlan, blocks, resolve, sweep
 
 DEGENERATE_FRACTION_LIMIT = 0.2
 
@@ -72,7 +73,6 @@ class NonlocalOperator:
 
 # -- sampling of metric frames -------------------------------------------------
 
-REDRAW_DOMAIN = 1  # sweep status: a domain violation at the drawn point
 REDRAW_DEGENERATE = 2  # sweep status: the metric is degenerate there
 
 
@@ -115,11 +115,9 @@ def _attempts(rounds):
     return index, _flat(rounds, lambda rd: rd.status), _sorting_permutation(key)
 
 
-def _first_exhausted(index, status, cause=None):
-    """Smallest plan index whose every draw failed (with ``cause``, if
-    given), or None."""
-    bad = status != 0 if cause is None else status == cause
-    exhausted = np.flatnonzero(np.bincount(index[bad], minlength=1) > RESAMPLE_BUDGET)
+def _first_exhausted(index, status, cause):
+    """Smallest plan index whose every draw failed with ``cause``, or None."""
+    exhausted = np.flatnonzero(np.bincount(index[status == cause], minlength=1) > RESAMPLE_BUDGET)
     return int(exhausted[0]) if exhausted.size else None
 
 
@@ -187,11 +185,6 @@ def _concat_results(parts) -> dict:
             for cid in parts[0]}
 
 
-def _lane_max(x: np.ndarray) -> np.ndarray:
-    """max |x| over everything but the leading lane axis."""
-    return np.max(np.abs(x).reshape(len(x), -1), axis=1)
-
-
 def _raise_first_failure(*grids):
     """Raise the domain error of the first failing lane, taking the grids in
     the order the per-point checks evaluated them."""
@@ -234,8 +227,8 @@ def _frame_check(g: MetricField, plan: SamplePlan, kernel):
         "metric_symmetric",
         "g^{ij} = g^{ji}",
         found.g_points,
-        _lane_max(found.g_values - np.swapaxes(found.g_values, 1, 2)),
-        _lane_max(found.g_values),
+        lane_max(found.g_values - np.swapaxes(found.g_values, 1, 2)),
+        lane_max(found.g_values),
         plan.tolerance,
     )
     conditions = [symmetric, _nondegeneracy_condition(found)]
@@ -284,8 +277,8 @@ def skew_residuals(g_vals: np.ndarray, dg: np.ndarray, b_vals: np.ndarray) -> di
     lhs = b_vals + np.swapaxes(b_vals, 1, 2)
     rhs = np.transpose(dg, (0, 2, 3, 1))
     return {
-        "metric_symmetric": (_lane_max(g_vals - np.swapaxes(g_vals, 1, 2)), _lane_max(g_vals)),
-        "skew_pairing": (_lane_max(lhs - rhs), np.maximum(_lane_max(b_vals), _lane_max(dg))),
+        "metric_symmetric": (lane_max(g_vals - np.swapaxes(g_vals, 1, 2)), lane_max(g_vals)),
+        "skew_pairing": (lane_max(lhs - rhs), np.maximum(lane_max(b_vals), lane_max(dg))),
     }
 
 
@@ -295,17 +288,17 @@ def connection_residuals(frames: MetricFrames, b_vals: np.ndarray) -> dict:
     gamma = -lane_einsum("is,ijk->jsk", frames.g_lo, b_vals)
     t1 = lane_einsum("sik,sj->kij", gamma, frames.g_lo)
     t2 = lane_einsum("sjk,is->kij", gamma, frames.g_lo)
-    scale = np.maximum(np.maximum(_lane_max(frames.dg_lo), _lane_max(t1)), _lane_max(t2))
+    scale = np.maximum(np.maximum(lane_max(frames.dg_lo), lane_max(t1)), lane_max(t2))
     return {
-        "connection_symmetric": (_lane_max(gamma - lane_einsum("jsk->jks", gamma)),
-                                 _lane_max(gamma)),
-        "metric_compatible": (_lane_max(frames.dg_lo - t1 - t2), scale),
+        "connection_symmetric": (lane_max(gamma - lane_einsum("jsk->jks", gamma)),
+                                 lane_max(gamma)),
+        "metric_compatible": (lane_max(frames.dg_lo - t1 - t2), scale),
     }
 
 
 def flatness_residuals(frames: MetricFrames):
     gg = lane_einsum("jmk,msl->jskl", frames.gamma, frames.gamma)
-    return _lane_max(frames.riemann), np.maximum(_lane_max(frames.dgamma), _lane_max(gg))
+    return lane_max(frames.riemann), np.maximum(lane_max(frames.dgamma), lane_max(gg))
 
 
 def _keep_worst(worst, raw, scale):
@@ -324,14 +317,14 @@ def tail_residuals(frames: MetricFrames, tails, w_vals, w_jets) -> dict:
     worst = (np.zeros(lanes), np.ones(lanes))
     for a in range(len(tails)):
         gw = lane_einsum("ik,kj->ij", frames.g_lo, w_vals[:, a])
-        worst = _keep_worst(worst, _lane_max(gw - np.swapaxes(gw, 1, 2)), _lane_max(gw))
+        worst = _keep_worst(worst, lane_max(gw - np.swapaxes(gw, 1, 2)), lane_max(gw))
     out["t1_pairing_symmetric"] = worst
 
     worst = (np.zeros(lanes), np.ones(lanes))
     for a in range(len(tails)):
         nabla = covariant_derivatives(w_jets.vals[:, a], w_jets.d1[:, :, a], frames.gamma)
-        worst = _keep_worst(worst, _lane_max(nabla - lane_einsum("kij->jik", nabla)),
-                            _lane_max(nabla))
+        worst = _keep_worst(worst, lane_max(nabla - lane_einsum("kij->jik", nabla)),
+                            lane_max(nabla))
     out["t2_codazzi"] = worst
 
     if tails:
@@ -339,16 +332,16 @@ def tail_residuals(frames: MetricFrames, tails, w_vals, w_jets) -> dict:
     else:
         tail_sum = np.zeros((lanes,) + (n,) * 4)
     gg = lane_einsum("jmk,msl->jskl", frames.gamma, frames.gamma)
-    scale = np.maximum.reduce([_lane_max(frames.riemann_up), _lane_max(tail_sum),
-                               _lane_max(frames.dgamma), _lane_max(gg)])
-    out["t3_gauss"] = (_lane_max(frames.riemann_up - tail_sum), scale)
+    scale = np.maximum.reduce([lane_max(frames.riemann_up), lane_max(tail_sum),
+                               lane_max(frames.dgamma), lane_max(gg)])
+    out["t3_gauss"] = (lane_max(frames.riemann_up - tail_sum), scale)
 
     worst = (np.zeros(lanes), np.ones(lanes))
     for x in range(len(tails)):
         for y in range(x + 1, len(tails)):
             xy = lane_einsum("ik,kj->ij", w_vals[:, x], w_vals[:, y])
             yx = lane_einsum("ik,kj->ij", w_vals[:, y], w_vals[:, x])
-            worst = _keep_worst(worst, _lane_max(xy - yx), _lane_max(xy))
+            worst = _keep_worst(worst, lane_max(xy - yx), lane_max(xy))
     out["t4_tails_commute"] = worst
     return out
 
@@ -373,27 +366,12 @@ def check_skew_adjoint(a: LocalOperator, plan: SamplePlan) -> CheckReport:
 
     def evaluate(points):
         g, b = grid_values(g_grid, points), grid_values(b_grid, points)
-        return np.where(g.failed | b.failed, REDRAW_DOMAIN, 0), (g, b)
+        return np.where(g.failed | b.failed, REDRAW_DOMAIN, 0), (g.vals, g.d1, b.vals)
 
-    points, results = [], []
-    for index in blocks(plan):
-        rounds = sweep(plan, evaluate, index)
-        index, status, order = _attempts(rounds)
-        hostile = _first_exhausted(index, status)
-        if hostile is not None:
-            raise HostileDomainError(f"domain too hostile at sample point {hostile}")
-        resolved = order[status[order] == 0]  # in plan order
-
-        def gather(pick):
-            return _flat(rounds, pick)[resolved]
-
-        points.append(gather(lambda rd: rd.points))
-        results.append(skew_residuals(gather(lambda rd: rd.payload[0].vals),
-                                      gather(lambda rd: rd.payload[0].d1),
-                                      gather(lambda rd: rd.payload[1].vals)))
+    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
     table = (("metric_symmetric", "g^{ij} = g^{ji}"),
              ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
-    conditions = _conditions(_concat_results(results), table, np.concatenate(points),
+    conditions = _conditions(skew_residuals(*found.payload), table, found.points,
                              plan.tolerance)
     return CheckReport(title="skew-adjointness", conditions=conditions, plan=plan)
 

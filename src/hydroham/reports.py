@@ -105,16 +105,7 @@ def condition_from_arrays(cid: str, description: str, points, raw, scale,
     scale = np.asarray(scale, dtype=float)
     finite = np.isfinite(raw) & np.isfinite(scale)
     if not finite.all():
-        first = int(np.argmin(finite))
-        what = f"non-finite value at {int(np.sum(~finite))} of {len(raw)} points"
-        return ConditionResult(
-            cid=cid,
-            description=description,
-            residual=None,
-            witness=tuple(float(x) for x in points[first]),
-            passed=False,
-            note=what if note is None else f"{note}; {what}",
-        )
+        return non_finite_condition(cid, description, points, finite, note)
     norm = raw / np.maximum(1.0, scale)
     worst, witness = 0.0, None
     if len(norm):
@@ -128,4 +119,21 @@ def condition_from_arrays(cid: str, description: str, points, raw, scale,
         witness=witness,
         passed=bool(worst <= tolerance),
         note=note,
+    )
+
+
+def non_finite_condition(cid: str, description: str, points, finite,
+                         note: Optional[str] = None) -> ConditionResult:
+    """A failed condition for values that are NaN or infinite at the points
+    where ``finite`` is False: residual None, the first such point as
+    witness, and a note counting them."""
+    first = int(np.argmin(finite))
+    what = f"non-finite value at {int(np.sum(~finite))} of {len(finite)} points"
+    return ConditionResult(
+        cid=cid,
+        description=description,
+        residual=None,
+        witness=tuple(float(x) for x in points[first]),
+        passed=False,
+        note=what if note is None else f"{note}; {what}",
     )

@@ -4,6 +4,13 @@ Point i of a plan is a pure function of (seed, i, retry): each draw seeds its
 own counter-based generator, so parallel or out-of-order evaluation cannot
 change results, and a point hit by a domain violation can be redrawn
 reproducibly by bumping the retry counter.
+
+Checks go through a plan in blocks of :data:`BLOCK` points (:func:`blocks`,
+:func:`draw`).  :func:`sweep` is the one redraw mechanism: it evaluates a
+block in rounds, each round one batch of the points still unresolved, and
+draws exactly the ``(i, retry)`` pairs a per-point redraw loop would;
+:func:`resolve` runs it over the whole plan and returns each point's
+resolved draw in plan order.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvalDomainError, HostileDomainError
+from .errors import HostileDomainError
 
 RESAMPLE_BUDGET = 16
+REDRAW_DOMAIN = 1  # sweep status: a domain violation at the drawn point
 # Plan points evaluated as one batch.  Checks go through a plan block by
 # block, so the arrays they hold stay bounded whatever the point count.
 BLOCK = 25
@@ -48,13 +56,14 @@ class SamplePlan:
             raise ValueError("count must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        # box corners as arrays, kept out of the fields (eq, hash, echo)
+        object.__setattr__(self, "_lo", np.array([b[0] for b in self.box], dtype=float))
+        object.__setattr__(self, "_hi", np.array([b[1] for b in self.box], dtype=float))
 
     def point(self, i: int, retry: int = 0) -> np.ndarray:
-        rng = np.random.default_rng((self.seed, i, retry))
-        u = rng.random(self.dim)
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        return lo + (hi - lo) * u
+        # the generator np.random.default_rng((seed, i, retry)) builds
+        u = np.random.Generator(np.random.PCG64((self.seed, i, retry))).random(self.dim)
+        return self._lo + (self._hi - self._lo) * u
 
     def points(self):
         for i in range(self.count):
@@ -80,24 +89,6 @@ def default_plan(dim: int, box=None, count: int = DEFAULT_COUNT, seed: int = 0,
                       seed=seed, tolerance=tolerance, floor=floor)
 
 
-def resolve_point(plan: SamplePlan, i: int, evaluate, retriable=(EvalDomainError,)):
-    """Evaluate at point i, redrawing the point on retriable errors.
-
-    Returns (point, result).  Exhausting the retry budget raises
-    HostileDomainError (domain too hostile).
-    """
-    last = None
-    for r in range(RESAMPLE_BUDGET + 1):
-        p = plan.point(i, r)
-        try:
-            return p, evaluate(p)
-        except retriable as err:
-            last = err
-    raise HostileDomainError(
-        f"domain too hostile: sample point {i} exhausted {RESAMPLE_BUDGET} redraws"
-    ) from last
-
-
 class SweepRound(NamedTuple):
     """One round of :func:`sweep`: the plan points it drew and their fate."""
 
@@ -112,6 +103,11 @@ def blocks(plan: SamplePlan) -> list:
     """The plan's point indices in contiguous runs of at most BLOCK, in order."""
     return [np.arange(start, min(start + BLOCK, plan.count))
             for start in range(0, plan.count, BLOCK)]
+
+
+def draw(plan: SamplePlan, index, retry: int = 0) -> np.ndarray:
+    """``plan.point(i, retry)`` for every i of ``index``, as rows."""
+    return np.array([plan.point(int(i), retry) for i in index])
 
 
 def sweep(plan: SamplePlan, evaluate, index) -> list[SweepRound]:
@@ -130,9 +126,49 @@ def sweep(plan: SamplePlan, evaluate, index) -> list[SweepRound]:
     for retry in range(RESAMPLE_BUDGET + 1):
         if index.size == 0:
             break
-        points = np.array([plan.point(int(i), retry) for i in index])
+        points = draw(plan, index, retry)
         status, payload = evaluate(points)
         status = np.asarray(status)
         rounds.append(SweepRound(retry, index, points, status, payload))
         index = index[status != 0]
     return rounds
+
+
+class Resolved(NamedTuple):
+    """Every point of a plan resolved by :func:`resolve`, in plan order."""
+
+    points: np.ndarray  # (count, dim), the draw of each point that resolved
+    payload: tuple  # the evaluator's per-lane arrays at those draws
+    redrawn: np.ndarray  # the status of every draw that was redrawn
+
+
+def resolve(plan: SamplePlan, evaluate, hostile: str) -> Resolved:
+    """Resolve every plan point, block by block, through :func:`sweep`.
+
+    ``evaluate(points)`` returns ``(status, payload)``, the payload a tuple
+    of arrays with one row per lane.  A point still unresolved after the
+    resample budget raises HostileDomainError with ``hostile`` formatted
+    with its index; blocks go in plan order, so that is the first such
+    point.
+    """
+    points, payload, redrawn = [], [], []
+    for index in blocks(plan):
+        rounds = sweep(plan, evaluate, index)
+        last = rounds[-1]
+        if last.status.any():
+            raise HostileDomainError(hostile.format(int(last.index[np.argmax(last.status != 0)])))
+        redrawn += [rd.status[rd.status != 0] for rd in rounds]
+        if len(rounds) == 1:
+            points.append(last.points)
+            payload.append(last.payload)
+            continue
+        ok = [rd.status == 0 for rd in rounds]
+        order = np.argsort(np.concatenate([rd.index[k] for rd, k in zip(rounds, ok)]),
+                           kind="stable")
+        points.append(np.concatenate([rd.points[k] for rd, k in zip(rounds, ok)])[order])
+        payload.append(tuple(
+            np.concatenate([rd.payload[j][k] for rd, k in zip(rounds, ok)])[order]
+            for j in range(len(last.payload))))
+    return Resolved(np.concatenate(points),
+                    tuple(np.concatenate(arrays) for arrays in zip(*payload)),
+                    np.concatenate(redrawn))

@@ -16,36 +16,64 @@ conservation convention above, the t-form kept with positive orientation
 (which fixes the sign freedom left by closedness and makes the identity pair
 rho=(0,1), (1,0) act as the identity).  This sign bridge is a documented
 decision and is echoed in the notes of every transformation report.
+
+The checks evaluate their fields at whole blocks of plan points at once:
+currents, Jacobians and maps as jet or value tapes (order-1 jets and order-0
+values compile to separate tapes, since eval_jet and eval_scalar reject
+different points), speed matrices through :func:`speed_values`, and the
+per-lane residuals in public kernels.  Points are redrawn only through
+:func:`~hydroham.sampling.sweep`.  :meth:`HydroSystem.speeds`,
+:meth:`PointChangeMap.apply` and :meth:`PointChangeMap.jacobian` are one-lane
+views of :func:`speed_values`, :func:`mapped_points` and
+:func:`map_jacobians`.  Callable fields (transformed systems, Hamiltonian
+flows) are evaluated lane by lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    EvalDomainError,
-    HostileDomainError,
-    NonConservedCurrentError,
-    VanishingDenominatorError,
+from .errors import NonConservedCurrentError, VanishingDenominatorError
+from .exprs import (
+    Const,
+    Expr,
+    FieldValues,
+    compile_fields,
+    compile_tape,
+    const,
+    eval_scalar,
+    eval_tape,
+    field_value,
+    field_values,
 )
-from .exprs import Const, Expr, const, eval_jet, eval_scalar, field_value
-from .geometry import scaled_abs_det
-from .reports import CheckReport, condition_from_samples
-from .sampling import RESAMPLE_BUDGET, SamplePlan
+from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
+from .geometry import lane_einsum, lane_max, scaled_abs_dets
+from .reports import CheckReport, condition_from_arrays
+from .sampling import REDRAW_DOMAIN, SamplePlan, blocks, draw, resolve
 
 SIGN_BRIDGE_NOTE = (
     "sign bridge: currents stored with D_t rho + D_x sigma = 0; "
     "dt~ = sigma_1 dt + rho_1 dx, dx~ = -sigma_2 dt + rho_2 dx"
 )
 
+REDRAW_SINGULAR = 2  # sweep status: the Jacobian of the map is singular there
+
 ScalarField = Union[Expr, Callable[[np.ndarray], float]]
 
 
 def _is_zero_expr(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0
+
+
+def _one_lane(values: FieldValues) -> np.ndarray:
+    """The values of a one-point batch, raising where the point failed."""
+    if values.failed[0]:
+        raise values.error(0)
+    return values.vals[0]
 
 
 @dataclass(frozen=True)
@@ -70,12 +98,21 @@ class HydroSystem:
                         )
         object.__setattr__(self, "v", rows)
 
+    @cached_property
+    def _speed_fields(self):
+        # compiled on first use, not by the builders
+        return compile_fields([e for row in self.v for e in row], self.dim)
+
     def speeds(self, point) -> np.ndarray:
-        out = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i, j] = field_value(self.v[i][j], point)
-        return out
+        return _one_lane(speed_values(self, [point]))
+
+
+def speed_values(s: HydroSystem, points, skip=None) -> FieldValues:
+    """The speed matrix at every row of ``points``: values (N, n, n), entries
+    in row-major order as :meth:`HydroSystem.speeds` evaluates them.  See
+    :func:`~hydroham.exprs.field_values` for ``skip``."""
+    values = field_values(s._speed_fields, points, skip)
+    return values._replace(vals=values.vals.reshape(-1, s.dim, s.dim))
 
 
 @dataclass(frozen=True)
@@ -100,8 +137,13 @@ class PointChangeMap:
     def dim(self) -> int:
         return len(self.forward)
 
+    @cached_property
+    def _tapes(self):
+        # (values, jets of order 1) of the forward map, compiled on first use
+        return (compile_tape(self.forward, self.dim, 0), compile_tape(self.forward, self.dim, 1))
+
     def apply(self, point) -> np.ndarray:
-        return np.array([eval_scalar(e, point) for e in self.forward])
+        return _one_lane(mapped_points(self, [point]))
 
     def apply_inverse(self, point) -> np.ndarray:
         if self.inverse is None:
@@ -109,11 +151,7 @@ class PointChangeMap:
         return np.array([eval_scalar(e, point) for e in self.inverse])
 
     def jacobian(self, point) -> np.ndarray:
-        n = self.dim
-        out = np.empty((n, n))
-        for a, e in enumerate(self.forward):
-            out[a, :] = eval_jet(e, point, 1).gradient()
-        return out
+        return _one_lane(map_jacobians(self, [point]))
 
     def inverted(self) -> "PointChangeMap":
         if self.inverse is None:
@@ -121,67 +159,88 @@ class PointChangeMap:
         return PointChangeMap(forward=self.inverse, inverse=self.forward)
 
 
+def mapped_points(m: PointChangeMap, points) -> FieldValues:
+    """The image m(u) of every row of ``points``: values (N, n)."""
+    values = eval_tape(m._tapes[0], np.atleast_2d(np.asarray(points, dtype=float)))
+    return FieldValues(values.coeffs[:, 0, :].T, values.failed, values.error)
+
+
+def map_jacobians(m: PointChangeMap, points) -> FieldValues:
+    """The Jacobian J[a, k] = d_k m^a at every row of ``points``: values
+    (N, n, n)."""
+    values = eval_tape(m._tapes[1], np.atleast_2d(np.asarray(points, dtype=float)))
+    _, d1, _ = values.derivatives()
+    return FieldValues(np.swapaxes(d1, 1, 2), values.failed, values.error)
+
+
+def current_residuals(grad_rho: np.ndarray, grad_sigma: np.ndarray, v: np.ndarray):
+    """Per lane (raw, scale) of the on-shell divergence d_k rho v^k_l + d_l sigma."""
+    transport = lane_einsum("k,kl->l", grad_rho, v)
+    return (lane_max(transport + grad_sigma),
+            np.maximum(lane_max(transport), lane_max(grad_sigma)))
+
+
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_conserved_current(s: HydroSystem, c: ConservedCurrent,
                             plan: SamplePlan) -> CheckReport:
     """On-shell divergence: d_k rho v^k_l + d_l sigma = 0 for every l."""
-    samples = []
-    for i in range(plan.count):
-        for r in range(RESAMPLE_BUDGET + 1):
-            p = plan.point(i, r)
-            try:
-                grad_rho = eval_jet(c.rho, p, 1).gradient()
-                grad_sigma = eval_jet(c.sigma, p, 1).gradient()
-                v = s.speeds(p)
-            except EvalDomainError:
-                continue
-            break
-        else:
-            raise HostileDomainError(f"domain too hostile at sample point {i}")
-        transport = grad_rho @ v
-        res = transport + grad_sigma
-        scale = max(np.max(np.abs(transport)), np.max(np.abs(grad_sigma)))
-        samples.append((p, np.max(np.abs(res)), scale))
-    cond = condition_from_samples(
+    currents = compile_tape((c.rho, c.sigma), plan.dim, 1)
+
+    def evaluate(points):
+        jets = eval_tape(currents, points)
+        v = speed_values(s, points, jets.failed)
+        _, grads, _ = jets.derivatives()
+        return (jets.failed | v.failed,
+                current_residuals(grads[..., 0], grads[..., 1], v.vals))
+
+    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
+    cond = condition_from_arrays(
         "current_conserved",
         "d_k rho v^k_l + d_l sigma = 0 for every l",
-        samples,
+        found.points,
+        *found.payload,
         plan.tolerance,
     )
     return CheckReport(title="conserved current", conditions=[cond], plan=plan)
 
 
+def conjugacy_residuals(jac: np.ndarray, v_old: np.ndarray, v_new: np.ndarray):
+    """Per lane (raw, scale) of J v_old - v_new J."""
+    lhs = lane_einsum("ak,kl->al", jac, v_old)
+    rhs = lane_einsum("ak,kl->al", v_new, jac)
+    return lane_max(lhs - rhs), np.maximum(lane_max(lhs), lane_max(rhs))
+
+
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
                               m: PointChangeMap, plan: SamplePlan) -> CheckReport:
     """Conjugacy of speed matrices: J(u) v_old(u) = v_new(m(u)) J(u)."""
     if not (s_old.dim == s_new.dim == m.dim):
         raise ValueError("systems and map disagree on dimension")
-    samples = []
-    notes = []
-    for i in range(plan.count):
-        for r in range(RESAMPLE_BUDGET + 1):
-            p = plan.point(i, r)
-            try:
-                jac = m.jacobian(p)
-                if scaled_abs_det(jac) < plan.floor:
-                    if not notes:
-                        notes.append("singular Jacobian encountered; point redrawn")
-                    continue
-                lhs = jac @ s_old.speeds(p)
-                rhs = s_new.speeds(m.apply(p)) @ jac
-            except EvalDomainError:
-                continue
-            break
-        else:
-            raise HostileDomainError(f"domain too hostile at sample point {i}")
-        samples.append(
-            (p, np.max(np.abs(lhs - rhs)), max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
-        )
-    cond = condition_from_samples(
+
+    def evaluate(points):
+        jac = map_jacobians(m, points)
+        singular = ~jac.failed & (scaled_abs_dets(jac.vals) < plan.floor)
+        failed = jac.failed
+        v_old = speed_values(s_old, points, failed | singular)
+        mapped = mapped_points(m, points)
+        failed = failed | v_old.failed | mapped.failed
+        v_new = speed_values(s_new, mapped.vals, failed | singular)
+        status = np.where(singular, REDRAW_SINGULAR,
+                          np.where(failed | v_new.failed, REDRAW_DOMAIN, 0))
+        return status, conjugacy_residuals(jac.vals, v_old.vals, v_new.vals)
+
+    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
+    cond = condition_from_arrays(
         "conjugacy",
         "J v_old = v_new(m(u)) J for the Jacobian J of the map",
-        samples,
+        found.points,
+        *found.payload,
         plan.tolerance,
     )
+    notes = []
+    if np.any(found.redrawn == REDRAW_SINGULAR):
+        notes.append("singular Jacobian encountered; point redrawn")
     return CheckReport(
         title="change of variables", conditions=[cond], plan=plan, notes=notes
     )
@@ -189,16 +248,9 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
 
 def reciprocal_transform_system(s: HydroSystem, c1: ConservedCurrent,
                                 c2: ConservedCurrent, plan: SamplePlan) -> HydroSystem:
-    """Transform a system under the change of independent variables defined
-    by two conserved currents.
-
-    In the u_t = v u_x convention the new speed matrix is
-
-        v~ = (rho_2 v + sigma_2 I) (sigma_1 I - rho_1 v)^{-1},
-
-    which acts entrywise on diagonal systems.  Entries of the result are
-    callable fields closing over the inputs.
-    """
+    """Check that both currents are conserved on the plan, raising
+    NonConservedCurrentError if one is not, then transform the system by
+    them (:func:`build_reciprocal_system`)."""
     for label, c in (("c1", c1), ("c2", c2)):
         rep = check_conserved_current(s, c, plan)
         if not rep.passed:
@@ -206,29 +258,57 @@ def reciprocal_transform_system(s: HydroSystem, c1: ConservedCurrent,
                 f"current {label} is not conserved "
                 f"(max residual {rep.conditions[0].residual:.3e})"
             )
+    return build_reciprocal_system(s, c1, c2, plan)
+
+
+def denominator_dets(sigma1: np.ndarray, rho1: np.ndarray, v: np.ndarray):
+    """Per lane, the scaled |det| and the sign (+1 or -1) of the determinant
+    of the denominator sigma_1 I - rho_1 v."""
+    d = sigma1[:, None, None] * np.eye(v.shape[-1]) - rho1[:, None, None] * v
+    return scaled_abs_dets(d), np.where(np.linalg.det(d) > 0, 1, -1)
+
+
+@np.errstate(all="ignore")
+def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
+                            c2: ConservedCurrent, plan: SamplePlan) -> HydroSystem:
+    """Transform a system under the change of independent variables defined
+    by two currents, taken to be conserved (see
+    :func:`reciprocal_transform_system`).
+
+    In the u_t = v u_x convention the new speed matrix is
+
+        v~ = (rho_2 v + sigma_2 I) (sigma_1 I - rho_1 v)^{-1},
+
+    which acts entrywise on diagonal systems.  The denominator is scanned at
+    the plan points, skipping those outside the domain, and must neither
+    come near singular nor change the sign of its determinant.  Entries of
+    the result are callable fields closing over the inputs.
+    """
     n = s.dim
-
-    def denominator(p) -> np.ndarray:
-        return float(eval_scalar(c1.sigma, p)) * np.eye(n) - float(
-            eval_scalar(c1.rho, p)
-        ) * s.speeds(p)
-
+    currents = compile_tape((c1.sigma, c1.rho), plan.dim, 0)
     sign_seen = 0
-    for i in range(plan.count):
-        p = plan.point(i)
-        try:
-            d = denominator(p)
-        except EvalDomainError:
+    for index in blocks(plan):
+        points = draw(plan, index)
+        values = eval_tape(currents, points)
+        v = speed_values(s, points, values.failed)
+        ok = ~(values.failed | v.failed)
+        if not ok.any():
             continue
-        if scaled_abs_det(d) < 1e-6:
-            raise VanishingDenominatorError(f"denominator field vanishes near {tuple(p)}")
-        sign = 1 if np.linalg.det(d) > 0 else -1
+        points = points[ok]
+        dets, sign = denominator_dets(values.coeffs[0, 0, ok], values.coeffs[1, 0, ok],
+                                      v.vals[ok])
+        small = dets < 1e-6
         if sign_seen == 0:
-            sign_seen = sign
-        elif sign != sign_seen:
+            sign_seen = sign[0]
+        bad = small | (sign != sign_seen)
+        if bad.any():
+            k = int(np.argmax(bad))
+            p = tuple(points[k])
+            if small[k]:
+                raise VanishingDenominatorError(f"denominator field vanishes near {p}")
             # determinant changes sign across the box, so it crosses zero
             raise VanishingDenominatorError(
-                f"denominator field vanishes inside the box (sign change near {tuple(p)})"
+                f"denominator field vanishes inside the box (sign change near {p})"
             )
 
     def currents_at(p):

@@ -1,13 +1,23 @@
-"""The operator checks whose reports are pinned by ``golden_reports.json``.
+"""The operator checks whose reports are pinned by ``golden_reports.json``,
+and the CLI runs whose documents are pinned by ``golden_cli.json``.
 
 Each case is (name, seed -> CheckReport).  ``record_golden.py`` writes the
 reports of every case at seeds 1 and 5; ``test_batched.py`` compares the
 current reports against them and reuses the operators for its
-batch-independence test.
+batch-independence test.  ``cli_cases`` lists the CLI runs (every README
+preset and the spec-file example, at seeds 1 and 5) that ``test_golden_cli.py``
+compares, draw counts included.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import os
+import re
+
+from hydroham import cli
 from hydroham import driftflux as df
 from hydroham.exprs import const
 from hydroham.operators import (
@@ -17,6 +27,7 @@ from hydroham.operators import (
     check_skew_adjoint,
 )
 from hydroham.parsing import parse_expr
+from hydroham.sampling import SamplePlan
 
 SEEDS = (1, 5)
 LAMBDAS = (-2.0, -1.0, 0.5, 1.0, 3.0)
@@ -72,3 +83,75 @@ def cases():
         out.append((f"mutant {name}",
                     lambda s, op=op, check=check: check(op, plan_for(op.dim, s))))
     return out
+
+
+# -- CLI documents pinned by golden_cli.json ---------------------------------------
+
+# every preset in the README table, in its order
+PRESETS = ("h1", "h2", "h3", "h1-theta", "h2-hat", "h3-hat", "remark-ops",
+           "s", "s0", "s-tilde", "kg-family", "constraints", "reciprocal-remark")
+KG_PARAMS = ("1", "2", "-1/3")
+
+SPEC_DOC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "docs", "workbench_spec.md")
+
+
+def spec_example() -> dict:
+    """The system-and-currents example of docs/workbench_spec.md."""
+    with open(SPEC_DOC, "r", encoding="utf-8") as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    return next(json.loads(b) for b in blocks if '"currents"' in b)
+
+
+def cli_cases(workdir: str) -> list:
+    """(name, argv) of every pinned CLI document; spec files are written
+    under ``workdir``.  ``--json`` is appended by the caller."""
+    spec = spec_example()
+    checked = dict(spec, checks=["conserved_currents"])
+    broken = dict(spec, currents=[spec["currents"][0],
+                                  dict(spec["currents"][1],
+                                       sigma=spec["currents"][1]["sigma"] + " + r1")])
+    paths = {}
+    for name, doc in (("example", spec), ("example-checked", checked),
+                      ("example-broken", broken)):
+        paths[name] = os.path.join(workdir, f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    out = []
+    for seed in SEEDS:
+        s = ["--seed", str(seed)]
+        for name in PRESETS:
+            if name == "kg-family":
+                # argparse reads "--k -1/3" as two options
+                out += [(f"preset {name} --k={k} @ seed {seed}", ["preset", name, f"--k={k}"] + s)
+                        for k in KG_PARAMS]
+            else:
+                out.append((f"preset {name} @ seed {seed}", ["preset", name] + s))
+        out.append((f"check example @ seed {seed}", ["check", paths["example-checked"]] + s))
+        out.append((f"reciprocal example @ seed {seed}", ["reciprocal", paths["example"]] + s))
+        out.append((f"reciprocal broken current @ seed {seed}",
+                    ["reciprocal", paths["example-broken"]] + s))
+    return out
+
+
+def run_cli_json(argv: list) -> dict:
+    """Run ``hydroham <argv> --json`` in process; returns the exit code, the
+    document with ``wall_time_s`` masked, and the number of plan points
+    drawn (``SamplePlan.point`` calls)."""
+    draws = [0]
+    original = SamplePlan.point
+
+    def counted(self, *args, **kwargs):
+        draws[0] += 1
+        return original(self, *args, **kwargs)
+
+    out = io.StringIO()
+    SamplePlan.point = counted
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + ["--json"])
+    finally:
+        SamplePlan.point = original
+    doc = json.loads(out.getvalue())
+    doc["wall_time_s"] = None
+    return {"exit_code": code, "draws": draws[0], "document": doc}

@@ -1,10 +1,15 @@
-"""Write ``golden_reports.json``: ``to_dict()`` of every check in
-``cases.py`` at each seed in ``cases.SEEDS``.
+"""Write the golden files the tests compare against:
 
-    PYTHONPATH=src python tests/record_golden.py
+* ``golden_reports.json``: ``to_dict()`` of every check in ``cases.py`` at
+  each seed in ``cases.SEEDS``;
+* ``golden_cli.json``: exit code, ``--json`` document (``wall_time_s``
+  masked) and plan-point draw count of every run in ``cases.cli_cases``.
 
-The file pins the verdicts of the per-point evaluator; rerun this only on
-purpose, when a change is meant to alter reports.
+    PYTHONPATH=src python tests/record_golden.py [reports|cli]
+
+With no argument both files are written.  The files pin the verdicts of an
+earlier evaluator; rerun this only on purpose, when a change is meant to
+alter reports.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
@@ -19,18 +25,35 @@ sys.path.insert(0, HERE)
 import cases  # noqa: E402
 
 GOLDEN_PATH = os.path.join(HERE, "golden_reports.json")
+GOLDEN_CLI_PATH = os.path.join(HERE, "golden_cli.json")
 
 
-def main():
+def record_reports():
     doc = {}
     for name, run in cases.cases():
         for seed in cases.SEEDS:
             doc[f"{name} @ seed {seed}"] = run(seed).to_dict()
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+    write(GOLDEN_PATH, doc)
+
+
+def record_cli():
+    with tempfile.TemporaryDirectory() as workdir:
+        doc = {name: cases.run_cli_json(argv) for name, argv in cases.cli_cases(workdir)}
+    write(GOLDEN_CLI_PATH, doc)
+
+
+def write(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(doc)} reports to {GOLDEN_PATH}")
+    print(f"wrote {len(doc)} entries to {path}")
+
+
+def main(argv):
+    which = argv[1:] or ["reports", "cli"]
+    for name in which:
+        {"reports": record_reports, "cli": record_cli}[name]()
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv)
