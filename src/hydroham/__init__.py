@@ -22,7 +22,6 @@ from .exprs import (
     Expr,
     eval_jet,
     eval_scalar,
-    expr_equal_numeric,
     fields_equal_numeric,
     variables,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "default_plan",
     "eval_jet",
     "eval_scalar",
-    "expr_equal_numeric",
     "fields_equal_numeric",
     "hamiltonian_flow",
     "invert_metric",

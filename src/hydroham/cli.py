@@ -535,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run checks from a workbench spec file")
     p_check.add_argument("spec")
     common(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     p_preset = sub.add_parser("preset", help="run a shipped preset suite")
     p_preset.add_argument("name")
@@ -548,24 +547,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--b3", default=None, help="three constants, comma separated")
     p_preset.add_argument("--k", default=None, help="rational parameter of the families")
     common(p_preset)
-    p_preset.set_defaults(func=cmd_preset)
 
     p_rec = sub.add_parser("reciprocal", help="transform a system by two conserved currents")
     p_rec.add_argument("spec")
     common(p_rec)
-    p_rec.set_defaults(func=cmd_reciprocal)
     return parser
+
+
+_PARSER = build_parser()
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     """The parsed command line (argparse exits with code 2 on bad usage)."""
-    return build_parser().parse_args(argv)
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    # the subcommands are looked up when called, so a rebound cmd_* is the one run
+    command = {"check": cmd_check, "preset": cmd_preset, "reciprocal": cmd_reciprocal}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except WorkbenchError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -600,10 +600,9 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
     for a, psi in enumerate(ansatz.psi):
         pre = kg_residual(psi, plane_plan(count=25, seed=plan.seed))
         if not pre.passed:
-            raise ValueError(
-                f"Psi[{a}] does not satisfy the wave identity "
-                f"(residual {pre.conditions[0].residual:.3e})"
-            )
+            residual = pre.conditions[0].residual
+            shown = "non-finite" if residual is None else f"{residual:.3e}"
+            raise ValueError(f"Psi[{a}] does not satisfy the wave identity (residual {shown})")
 
     psi_jets = compile_tape(ansatz.psi, plan.dim, 1)
     extra = (omega,) if which == "eq5" else ()

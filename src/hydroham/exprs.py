@@ -11,17 +11,15 @@ expressions into a flat, hash-consed :class:`Tape` (:func:`compile_tape`) and
 evaluates it at N points at once (:func:`eval_tape`), each jet a coefficient
 array with a lane axis over the points; every check uses it, through the
 geometry layer, the system checks, the drift-flux residuals and
-:func:`field_values`, which also takes callable fields (evaluated lane by
-lane).  The recursive one works at a single point over plain floats
-(:func:`eval_scalar`) or :class:`~hydroham.jets.Jet` values
-(:func:`eval_jet`); it now serves only one-off points, the callable fields
-of :func:`~hydroham.operators.hamiltonian_flow` and the reciprocal
-transform, and the tests, which use it as the reference.  Domain violations
-(log of a non-positive value, division by zero, a negative base under a
-fractional power) raise :class:`~hydroham.errors.EvalDomainError` carrying
-the offending subtree in the recursive evaluator, and are flagged per lane
-in the batched one, which builds the same error on request
-(:meth:`TapeValues.error`, :func:`first_error`).
+:func:`field_values`.  The recursive one works at a single point over plain
+floats (:func:`eval_scalar`) or :class:`~hydroham.jets.Jet` values
+(:func:`eval_jet`); it serves one-off points and the tests, which use it as
+the reference.  Domain violations (log of a non-positive value, division by
+zero, a negative base under a fractional power) raise
+:class:`~hydroham.errors.EvalDomainError` carrying the offending subtree in
+the recursive evaluator, and are flagged per lane in the batched one, which
+builds the same error on request (:meth:`TapeValues.error`,
+:func:`first_error`).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -754,64 +752,30 @@ def first_error(lane: int, calls) -> EvalDomainError:
     raise ValueError(f"lane {lane} fails in none of the calls")
 
 
-# -- fields: expressions or callables, at many points ------------------------------
-
-Field = Union[Expr, Callable[[np.ndarray], float]]
-
-
-def field_value(f: Field, point) -> float:
-    """Evaluate an expression or a callable scalar field at a point."""
-    if isinstance(f, Expr):
-        return eval_scalar(f, point)
-    return float(f(point))
-
-
-class FieldTape(NamedTuple):
-    """Scalar fields prepared for :func:`field_values`: one order-0 tape when
-    every field is an expression, else None, and the fields are evaluated
-    lane by lane in order."""
-
-    fields: tuple
-    tape: Optional[Tape]
-
-
-def compile_fields(fields, n: int) -> FieldTape:
-    fields = tuple(fields)
-    exprs_only = all(isinstance(f, Expr) for f in fields)
-    return FieldTape(fields, compile_tape(fields, n, 0) if exprs_only else None)
+# -- values of expressions at many points ------------------------------------------
 
 
 class FieldValues(NamedTuple):
-    """Values at N points, lane axis first, with the lanes where evaluation
-    left the domain."""
+    """Values at N points, lane axis first, with the tape evaluation they
+    come from, which knows the lanes that left the domain."""
 
     vals: np.ndarray  # (N, fields), or reshaped by the caller
-    failed: np.ndarray  # (N,)
-    error: Callable  # lane -> the error the per-point evaluation raises there
+    source: TapeValues
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.source.failed
+
+    def error(self, lane: int) -> EvalDomainError:
+        """The error the per-point evaluation raises at this lane."""
+        return self.source.error(lane)
 
 
-def field_values(fields: FieldTape, points, skip=None) -> FieldValues:
-    """Every field at every row of ``points`` (N, n), as eval_scalar or the
-    callable gives it.  Domain violations are flagged per lane.  Without a
-    tape, lanes in the ``skip`` mask are not evaluated (NaN, not failed), so
-    a callable is only called where a per-point caller would reach it."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if fields.tape is not None:
-        values = eval_tape(fields.tape, points)
-        return FieldValues(values.coeffs[:, 0, :].T, values.failed, values.error)
-    vals = np.full((len(points), len(fields.fields)), np.nan)
-    failed = np.zeros(len(points), dtype=bool)
-    errors = {}
-    for lane, p in enumerate(points):
-        if skip is not None and skip[lane]:
-            continue
-        try:
-            for k, f in enumerate(fields.fields):
-                vals[lane, k] = field_value(f, p)
-        except EvalDomainError as err:
-            failed[lane] = True
-            errors[lane] = err
-    return FieldValues(vals, failed, errors.__getitem__)
+def field_values(tape: Tape, points) -> FieldValues:
+    """Every output of an order-0 tape at every row of ``points`` (N, n), as
+    eval_scalar gives it.  Domain violations are flagged per lane."""
+    values = eval_tape(tape, points)
+    return FieldValues(values.coeffs[:, 0, :].T, values)
 
 
 # -- identity testing ---------------------------------------------------------
@@ -819,9 +783,9 @@ def field_values(fields: FieldTape, points, skip=None) -> FieldValues:
 
 @np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def fields_equal_numeric(
-    f1: Field, f2: Field, plan: SamplePlan, title: str = "fields equal"
+    f1: Expr, f2: Expr, plan: SamplePlan, title: str = "fields equal"
 ) -> CheckReport:
-    """Pointwise comparison of two scalar fields on the plan's sample set.
+    """Pointwise comparison of two expressions on the plan's sample set.
 
     Passes iff |f1 - f2| <= tol * max(1, |f1|, |f2|) + floor at every point.
     The reported residual is |f1 - f2| / max(1, |f1|, |f2|).  Points where
@@ -829,7 +793,7 @@ def fields_equal_numeric(
     difference or value fails: the residual is then None and the witness the
     first such point.
     """
-    both = compile_fields((f1, f2), plan.dim)
+    both = compile_tape((f1, f2), plan.dim, 0)
 
     def evaluate(points):
         values = field_values(both, points)
@@ -860,8 +824,3 @@ def comparison_residuals(vals: np.ndarray):
     """Per lane (|f1 - f2|, max(1, |f1|, |f2|)) from values (N, 2)."""
     v1, v2 = vals[:, 0], vals[:, 1]
     return np.abs(v1 - v2), np.maximum(np.maximum(1.0, np.abs(v1)), np.abs(v2))
-
-
-def expr_equal_numeric(e1: Expr, e2: Expr, plan: SamplePlan) -> CheckReport:
-    """Randomized identity test between two expression trees."""
-    return fields_equal_numeric(e1, e2, plan, title="expressions equal")

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalDomainError, HostileDomainError
-from .exprs import Expr, as_expr, eval_jet
+from .exprs import Deriv, Expr, as_expr
+from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import (
     AffinorField,
     ConnectionField,
@@ -31,8 +32,6 @@ from .geometry import (
     compile_grid,
     concat_frames,
     covariant_derivatives,
-    eval_matrix,
-    eval_tensor3,
     grid_values,
     lane_einsum,
     lane_max,
@@ -525,28 +524,22 @@ def hamiltonian_flow(a: LocalOperator, h: Expr, plan: SamplePlan | None = None):
     """The hydrodynamic system u_t = v u_x generated by a density depending
     on u only: v^i_k = g^{ij} d_j d_k H + b^{ij}_k d_j H.
 
-    Entries are callable fields closing over the operator and the density.
+    Entries are expressions over the operator's coefficients and
+    :class:`~hydroham.exprs.Deriv` nodes of the density, so the derivatives
+    come from jets.  With a plan, the speeds are evaluated at its first point
+    to fail fast on domain problems.
     """
     from .systems import HydroSystem  # local import to avoid a cycle
 
     n = a.dim
+    grad = [Deriv(h, j) for j in range(n)]
 
-    def v_matrix(p) -> np.ndarray:
-        jet = eval_jet(h, p, 2)
-        grad = jet.gradient()
-        hess = jet.hessian()
-        g_vals = eval_matrix(a.g.entries, p)
-        b_vals = eval_tensor3(a.b.entries, p)
-        return g_vals @ hess + np.einsum("ijk,j->ik", b_vals, grad)
+    def entry(i: int, k: int) -> Expr:
+        terms = [a.g.entries[i][j] * Deriv(grad[j], k) + a.b.entries[i][j][k] * grad[j]
+                 for j in range(n)]
+        return sum(terms[1:], terms[0])
 
-    def entry(i: int, k: int):
-        def field(p, _i=i, _k=k):
-            return float(v_matrix(p)[_i, _k])
-
-        return field
-
+    system = HydroSystem(dim=n, v=tuple(tuple(entry(i, k) for k in range(n)) for i in range(n)))
     if plan is not None:
-        v_matrix(plan.point(0))  # fail fast on domain problems
-    return HydroSystem(
-        dim=n, v=tuple(tuple(entry(i, k) for k in range(n)) for i in range(n))
-    )
+        system.speeds(plan.point(0))
+    return system

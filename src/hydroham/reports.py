@@ -73,22 +73,6 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def condition_from_samples(cid: str, description: str, samples, tolerance: float,
-                           note: Optional[str] = None) -> ConditionResult:
-    """Aggregate (point, raw_residual, scale) triples into one condition;
-    see :func:`condition_from_arrays`."""
-    samples = list(samples)
-    return condition_from_arrays(
-        cid,
-        description,
-        [p for p, _, _ in samples],
-        np.array([float(abs(raw)) for _, raw, _ in samples]),
-        np.array([float(scale) for _, _, scale in samples]),
-        tolerance,
-        note,
-    )
-
-
 def condition_from_arrays(cid: str, description: str, points, raw, scale,
                           tolerance: float, note: Optional[str] = None) -> ConditionResult:
     """Aggregate per-point raw residuals and scales, given in plan order,

@@ -25,15 +25,15 @@ per-lane residuals in public kernels.  Points are redrawn only through
 :func:`~hydroham.sampling.sweep`.  :meth:`HydroSystem.speeds`,
 :meth:`PointChangeMap.apply` and :meth:`PointChangeMap.jacobian` are one-lane
 views of :func:`speed_values`, :func:`mapped_points` and
-:func:`map_jacobians`.  Callable fields (transformed systems, Hamiltonian
-flows) are evaluated lane by lane.
+:func:`map_jacobians`.  Every speed-matrix entry is an expression, transformed
+systems included, so a speed matrix is always one order-0 tape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, Union
+from functools import cache, cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -42,12 +42,10 @@ from .exprs import (
     Const,
     Expr,
     FieldValues,
-    compile_fields,
     compile_tape,
     const,
     eval_scalar,
     eval_tape,
-    field_value,
     field_values,
 )
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
@@ -61,8 +59,6 @@ SIGN_BRIDGE_NOTE = (
 )
 
 REDRAW_SINGULAR = 2  # sweep status: the Jacobian of the map is singular there
-
-ScalarField = Union[Expr, Callable[[np.ndarray], float]]
 
 
 def _is_zero_expr(e: Expr) -> bool:
@@ -81,37 +77,39 @@ class HydroSystem:
     """First-order quasilinear system u^i_t = v^i_j(u) u^j_x."""
 
     dim: int
-    v: tuple  # n x n of Expr or callable fields
+    v: tuple  # n x n of Expr
     diagonal: bool = False
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.v)
         if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
             raise ValueError("speed matrix must be n x n")
+        for row in rows:
+            for e in row:
+                if not isinstance(e, Expr):
+                    raise TypeError(f"speed matrix entries must be expressions, not {e!r}")
         if self.diagonal:
             for i in range(self.dim):
                 for j in range(self.dim):
-                    e = rows[i][j]
-                    if i != j and isinstance(e, Expr) and not _is_zero_expr(e):
+                    if i != j and not _is_zero_expr(rows[i][j]):
                         raise ValueError(
                             "diagonal systems must have identically zero off-diagonal entries"
                         )
         object.__setattr__(self, "v", rows)
 
     @cached_property
-    def _speed_fields(self):
+    def _speed_tape(self):
         # compiled on first use, not by the builders
-        return compile_fields([e for row in self.v for e in row], self.dim)
+        return compile_tape([e for row in self.v for e in row], self.dim, 0)
 
     def speeds(self, point) -> np.ndarray:
         return _one_lane(speed_values(self, [point]))
 
 
-def speed_values(s: HydroSystem, points, skip=None) -> FieldValues:
+def speed_values(s: HydroSystem, points) -> FieldValues:
     """The speed matrix at every row of ``points``: values (N, n, n), entries
-    in row-major order as :meth:`HydroSystem.speeds` evaluates them.  See
-    :func:`~hydroham.exprs.field_values` for ``skip``."""
-    values = field_values(s._speed_fields, points, skip)
+    in row-major order as :meth:`HydroSystem.speeds` evaluates them."""
+    values = field_values(s._speed_tape, points)
     return values._replace(vals=values.vals.reshape(-1, s.dim, s.dim))
 
 
@@ -153,16 +151,10 @@ class PointChangeMap:
     def jacobian(self, point) -> np.ndarray:
         return _one_lane(map_jacobians(self, [point]))
 
-    def inverted(self) -> "PointChangeMap":
-        if self.inverse is None:
-            raise ValueError("no inverse map supplied")
-        return PointChangeMap(forward=self.inverse, inverse=self.forward)
-
 
 def mapped_points(m: PointChangeMap, points) -> FieldValues:
     """The image m(u) of every row of ``points``: values (N, n)."""
-    values = eval_tape(m._tapes[0], np.atleast_2d(np.asarray(points, dtype=float)))
-    return FieldValues(values.coeffs[:, 0, :].T, values.failed, values.error)
+    return field_values(m._tapes[0], points)
 
 
 def map_jacobians(m: PointChangeMap, points) -> FieldValues:
@@ -170,7 +162,7 @@ def map_jacobians(m: PointChangeMap, points) -> FieldValues:
     (N, n, n)."""
     values = eval_tape(m._tapes[1], np.atleast_2d(np.asarray(points, dtype=float)))
     _, d1, _ = values.derivatives()
-    return FieldValues(np.swapaxes(d1, 1, 2), values.failed, values.error)
+    return FieldValues(np.swapaxes(d1, 1, 2), values)
 
 
 def current_residuals(grad_rho: np.ndarray, grad_sigma: np.ndarray, v: np.ndarray):
@@ -188,7 +180,7 @@ def check_conserved_current(s: HydroSystem, c: ConservedCurrent,
 
     def evaluate(points):
         jets = eval_tape(currents, points)
-        v = speed_values(s, points, jets.failed)
+        v = speed_values(s, points)
         _, grads, _ = jets.derivatives()
         return (jets.failed | v.failed,
                 current_residuals(grads[..., 0], grads[..., 1], v.vals))
@@ -221,11 +213,10 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
     def evaluate(points):
         jac = map_jacobians(m, points)
         singular = ~jac.failed & (scaled_abs_dets(jac.vals) < plan.floor)
-        failed = jac.failed
-        v_old = speed_values(s_old, points, failed | singular)
+        v_old = speed_values(s_old, points)
         mapped = mapped_points(m, points)
-        failed = failed | v_old.failed | mapped.failed
-        v_new = speed_values(s_new, mapped.vals, failed | singular)
+        failed = jac.failed | v_old.failed | mapped.failed
+        v_new = speed_values(s_new, mapped.vals)
         status = np.where(singular, REDRAW_SINGULAR,
                           np.where(failed | v_new.failed, REDRAW_DOMAIN, 0))
         return status, conjugacy_residuals(jac.vals, v_old.vals, v_new.vals)
@@ -254,9 +245,10 @@ def reciprocal_transform_system(s: HydroSystem, c1: ConservedCurrent,
     for label, c in (("c1", c1), ("c2", c2)):
         rep = check_conserved_current(s, c, plan)
         if not rep.passed:
+            residual = rep.conditions[0].residual
+            shown = "non-finite" if residual is None else f"{residual:.3e}"
             raise NonConservedCurrentError(
-                f"current {label} is not conserved "
-                f"(max residual {rep.conditions[0].residual:.3e})"
+                f"current {label} is not conserved (max residual {shown})"
             )
     return build_reciprocal_system(s, c1, c2, plan)
 
@@ -282,7 +274,8 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
     which acts entrywise on diagonal systems.  The denominator is scanned at
     the plan points, skipping those outside the domain, and must neither
     come near singular nor change the sign of its determinant.  Entries of
-    the result are callable fields closing over the inputs.
+    the result are expressions in the entries of ``s`` and the currents: the
+    inverse is written out as adj(D) / det D, D = sigma_1 I - rho_1 v.
     """
     n = s.dim
     currents = compile_tape((c1.sigma, c1.rho), plan.dim, 0)
@@ -290,7 +283,7 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
     for index in blocks(plan):
         points = draw(plan, index)
         values = eval_tape(currents, points)
-        v = speed_values(s, points, values.failed)
+        v = speed_values(s, points)
         ok = ~(values.failed | v.failed)
         if not ok.any():
             continue
@@ -311,44 +304,54 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
                 f"denominator field vanishes inside the box (sign change near {p})"
             )
 
-    def currents_at(p):
-        return (
-            eval_scalar(c1.sigma, p),
-            eval_scalar(c1.rho, p),
-            eval_scalar(c2.sigma, p),
-            eval_scalar(c2.rho, p),
-        )
-
     if s.diagonal:
-        def diag_entry(i: int):
-            def field(p, _i=i):
-                vi = field_value(s.v[_i][_i], p)
-                s1, r1, s2, r2 = currents_at(p)
-                return (r2 * vi + s2) / (s1 - r1 * vi)
-
-            return field
-
         zero = const(0)
         return HydroSystem(
             dim=n,
             v=tuple(
-                tuple(diag_entry(i) if i == j else zero for j in range(n))
+                tuple((c2.rho * s.v[i][i] + c2.sigma) / (c1.sigma - c1.rho * s.v[i][i])
+                      if i == j else zero for j in range(n))
                 for i in range(n)
             ),
             diagonal=True,
         )
 
-    def new_speeds(p) -> np.ndarray:
-        v = s.speeds(p)
-        s1, r1, s2, r2 = currents_at(p)
-        return (r2 * v + s2 * np.eye(n)) @ np.linalg.inv(s1 * np.eye(n) - r1 * v)
+    def shifted(scale, shift, i, j):  # (shift I + scale v)_ij
+        term = scale * s.v[i][j]
+        return term + shift if i == j else term
 
-    def entry(i: int, j: int):
-        def field(p, _i=i, _j=j):
-            return float(new_speeds(p)[_i, _j])
+    numerator = [[shifted(c2.rho, c2.sigma, i, j) for j in range(n)] for i in range(n)]
+    adj, det = _adjugate([[shifted(-c1.rho, c1.sigma, i, j) for j in range(n)]
+                          for i in range(n)])
 
-        return field
+    def entry(i, j):  # (numerator adj)_ij / det
+        total = numerator[i][0] * adj[0][j]
+        for k in range(1, n):
+            total = total + numerator[i][k] * adj[k][j]
+        return total / det
 
-    return HydroSystem(
-        dim=n, v=tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
-    )
+    return HydroSystem(dim=n, v=tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+
+
+def _adjugate(d):
+    """(adj d, det d) of a square matrix of expressions by Laplace expansion
+    along the first row of each minor.  Each minor is built once and shared,
+    so a tape compiles it once."""
+    n = len(d)
+
+    @cache
+    def minor(rows: tuple, cols: tuple) -> Expr:
+        if len(rows) <= 1:
+            return d[rows[0]][cols[0]] if rows else const(1)
+        total = d[rows[0]][cols[0]] * minor(rows[1:], cols[1:])
+        for k in range(1, len(cols)):
+            term = d[rows[0]][cols[k]] * minor(rows[1:], cols[:k] + cols[k + 1:])
+            total = total - term if k % 2 else total + term
+        return total
+
+    def without(i):
+        return tuple(k for k in range(n) if k != i)
+
+    adj = [[minor(without(j), without(i)) if (i + j) % 2 == 0
+            else -minor(without(j), without(i)) for j in range(n)] for i in range(n)]
+    return adj, minor(tuple(range(n)), tuple(range(n)))

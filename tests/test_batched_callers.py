@@ -22,7 +22,6 @@ from hydroham.exprs import (
     eval_scalar,
     eval_tape,
     exp,
-    field_value,
     fields_equal_numeric,
     variables,
 )
@@ -183,7 +182,7 @@ def _current_reference(s, c, plan):
 
 
 def _recursive_speeds(s):
-    return lambda p: np.array([[field_value(e, p) for e in row] for row in s.v])
+    return lambda p: np.array([[eval_scalar(e, p) for e in row] for row in s.v])
 
 
 @pytest.mark.parametrize("seed", [1, 5])
@@ -200,7 +199,7 @@ def test_current_check_redraws_like_the_per_point_loop(seed):
     assert not rep.passed
 
 
-def test_current_check_on_callable_speeds():
+def test_current_check_on_transformed_speeds():
     s, (c1, c2) = df.build_system_S(), df.remark_currents()
     t = build_reciprocal_system(s, c1, c2, df.drift_plan(count=30))
     c = ConservedCurrent(df.R3, parse_expr("0", 3))
@@ -418,13 +417,13 @@ def test_constraint_residuals_match_the_per_point_loop():
 
 
 def test_field_comparison_redraws_like_resolve_point():
-    f1, f2 = parse_expr("ln(u1) * u2", 2), lambda p: np.log(p[0]) * p[1] * (1 + 1e-12 * p[1])
+    f1, f2 = parse_expr("ln(u1) * u2", 2), parse_expr("ln(u1) * u2 * (1 + 1e-12 * u2)", 2)
     plan = counting(SamplePlan(2, HOSTILE_BOX, count=50, seed=8))
     rep = fields_equal_numeric(f1, f2, plan)
     reference = counting(plan)
 
     def evaluate(p):
-        v1, v2 = field_value(f1, p), field_value(f2, p)
+        v1, v2 = eval_scalar(f1, p), eval_scalar(f2, p)
         return abs(v1 - v2), max(abs(v1), abs(v2))
 
     want = worst(redraw_loop(reference, evaluate, ""))
@@ -448,10 +447,13 @@ def test_non_finite_comparison_fails():
     assert not rep.passed and cond.residual is None
     assert cond.witness == tuple(default_plan(1, count=10).point(0))
     assert cond.note == "non-finite value at 10 of 10 points"
-    one_bad = fields_equal_numeric(u1, lambda p: np.inf if p[0] > 0.5 else p[0],
-                                   default_plan(1, count=40, seed=2))
-    first = next(i for i in range(40) if default_plan(1, count=40, seed=2).point(i)[0] > 0.5)
-    assert one_bad.conditions[0].witness == tuple(default_plan(1, count=40, seed=2).point(first))
+    # the product overflows to inf, and 0 * inf is NaN, where u1 > 709.78 / 1400
+    plan = default_plan(1, count=40, seed=2)
+    f2 = u1 + 0 * (exp(700 * u1) * exp(700 * u1))
+    one_bad = fields_equal_numeric(u1, f2, plan)
+    first = next(i for i in range(40) if not np.isfinite(eval_scalar(f2, plan.point(i))))
+    assert plan.point(first)[0] > 0.5
+    assert one_bad.conditions[0].witness == tuple(plan.point(first))
     assert not one_bad.passed
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -234,3 +235,28 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "overall: PASS" in proc.stdout
+
+
+def _without_wall_time(text):
+    return re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": null', text)
+
+
+def test_consecutive_calls_match_separate_runs(tmp_path, capsys):
+    # one parser serves every in-process call: no subcommand, option or
+    # default of one call may carry over into the next
+    spec = write_spec(tmp_path, dimension=2, metric=H1_METRIC, b=H1_B,
+                      checks=["skew_adjoint"], sample_plan=PLAN)
+    calls = [
+        ["preset", "h1-theta", "--theta", "1+r3^2", "--samples", "10", "--seed", "3", "--json"],
+        ["check", spec, "--samples", "12", "--tol", "1e-6", "--json"],
+        ["preset", "h1-theta", "--samples", "10", "--json"],
+        ["check", spec],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, _without_wall_time(capsys.readouterr().out)))
+    for argv, got in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "hydroham", *argv],
+                              capture_output=True, text=True)
+        assert got == (proc.returncode, _without_wall_time(proc.stdout)), argv

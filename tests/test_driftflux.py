@@ -6,7 +6,7 @@ import pytest
 
 from hydroham import driftflux as df
 from hydroham.errors import ConstraintViolation
-from hydroham.exprs import const, eval_scalar, fields_equal_numeric
+from hydroham.exprs import const, eval_scalar, exp, fields_equal_numeric
 from hydroham.geometry import eval_matrix
 from hydroham.operators import check_ferapontov, check_local_hamiltonian, check_skew_adjoint
 from hydroham.parsing import parse_expr
@@ -216,6 +216,14 @@ def test_zero_ansatz_fails_first_constraint():
     assert not rep.passed
     # raw residual is e^{r1-r2} itself; normalized it is capped at 1
     assert rep.conditions[0].residual >= 0.5
+
+
+def test_non_finite_psi_fails_the_wave_precondition():
+    base = df.default_ansatz()
+    psi = (exp(400) * exp(400) * df.R1,) + base.psi[1:]
+    ansatz = df.ProlongationAnsatz(base.eps, psi, base.phi)
+    with pytest.raises(ValueError, match=r"Psi\[0\].*non-finite"):
+        df.constraint_residuals(ansatz, "eq4a", df.drift_plan(count=10))
 
 
 def test_quadratic_constraint_with_shifted_solution():

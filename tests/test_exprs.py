@@ -9,7 +9,6 @@ from hydroham.exprs import (
     const,
     eval_jet,
     eval_scalar,
-    expr_equal_numeric,
     fields_equal_numeric,
     variables,
 )
@@ -66,13 +65,13 @@ def test_expr_equal_exponential_identity():
     plan = default_plan(2, count=100, seed=5)
     e1 = parse_expr("exp(u1+u2)", 2)
     e2 = parse_expr("exp(u1)*exp(u2)", 2)
-    rep = expr_equal_numeric(e1, e2, plan)
+    rep = fields_equal_numeric(e1, e2, plan)
     assert rep.passed
 
 
 def test_expr_equal_distinct_polynomials_fail_with_witness():
     plan = default_plan(2, count=50, seed=5)
-    rep = expr_equal_numeric(parse_expr("u1+u2", 2), parse_expr("u1-u2", 2), plan)
+    rep = fields_equal_numeric(parse_expr("u1+u2", 2), parse_expr("u1-u2", 2), plan)
     assert not rep.passed
     cond = rep.conditions[0]
     assert cond.residual > 0
@@ -86,7 +85,7 @@ def test_family_exponent_mismatch_detected():
     halved = parse_expr("exp(u1/2 + u2/(1-2))", 2)
     corrected = parse_expr("exp(u1 + u2/(1-2))", 2)
     assert eval_scalar(halved, (1.0, 0.0)) != pytest.approx(eval_scalar(corrected, (1.0, 0.0)))
-    rep = expr_equal_numeric(halved, corrected, plan)
+    rep = fields_equal_numeric(halved, corrected, plan)
     assert not rep.passed
 
 
@@ -95,15 +94,15 @@ def test_soundness_identical_trees_never_fail(rng):
         n = int(rng.integers(1, 4))
         e = random_smooth_expr(rng, n)
         plan = default_plan(n, count=40, seed=int(rng.integers(1 << 30)))
-        assert expr_equal_numeric(e, e, plan).passed
+        assert fields_equal_numeric(e, e, plan).passed
 
 
 def test_report_determinism_byte_identical():
     plan = default_plan(2, count=60, seed=1234)
     e1 = parse_expr("sin(u1)*cos(u2)", 2)
     e2 = parse_expr("sin(u1)*cos(u2) + 1e-14*u1", 2)
-    d1 = json.dumps(expr_equal_numeric(e1, e2, plan).to_dict())
-    d2 = json.dumps(expr_equal_numeric(e1, e2, plan).to_dict())
+    d1 = json.dumps(fields_equal_numeric(e1, e2, plan).to_dict())
+    d2 = json.dumps(fields_equal_numeric(e1, e2, plan).to_dict())
     assert d1 == d2
 
 
@@ -119,7 +118,7 @@ def test_plan_points_are_pure_functions_of_seed_and_index():
 def test_domain_violations_are_resampled():
     # ln(u1) on a box straddling zero: some draws violate, the loop redraws
     plan = SamplePlan(dim=1, box=((-1.0, 1.0),), count=40, seed=7)
-    rep = expr_equal_numeric(parse_expr("ln(u1^2+1)", 1), parse_expr("ln(1+u1^2)", 1), plan)
+    rep = fields_equal_numeric(parse_expr("ln(u1^2+1)", 1), parse_expr("ln(1+u1^2)", 1), plan)
     assert rep.passed
     rep2 = fields_equal_numeric(
         parse_expr("ln(u1)", 1), parse_expr("ln(u1)", 1), plan
@@ -135,11 +134,11 @@ def test_hostile_domain_exhausts_budget():
         )
 
 
-def test_fields_equal_accepts_callables():
+def test_fields_equal_rejects_non_expressions():
     plan = default_plan(2, count=30, seed=2)
     e = parse_expr("u1*u2", 2)
-    rep = fields_equal_numeric(e, lambda p: p[0] * p[1], plan)
-    assert rep.passed
+    with pytest.raises(TypeError, match="not an expression node"):
+        fields_equal_numeric(e, lambda p: p[0] * p[1], plan)
 
 
 def test_sample_plan_validation():

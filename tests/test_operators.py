@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hydroham import driftflux as df
-from hydroham.exprs import const, eval_scalar, variables
+from hydroham.exprs import const, eval_jet, eval_scalar, variables
 from hydroham.geometry import AffinorField, ConnectionField, MetricField
 from hydroham.operators import (
     LocalOperator,
@@ -196,7 +196,7 @@ def test_pencil_operator_builds_sum():
 def test_flow_of_quadratic_density_is_translation():
     u1, = variables(1)
     system = hamiltonian_flow(_dx_operator(), u1 * u1 / 2, default_plan(1, count=5))
-    assert system.v[0][0]((0.37,)) == pytest.approx(1.0)
+    assert eval_scalar(system.v[0][0], (0.37,)) == pytest.approx(1.0)
 
 
 def test_flow_constant_hessian():
@@ -207,6 +207,22 @@ def test_flow_constant_hessian():
     system = hamiltonian_flow(LocalOperator(2, g, b), u1 * u2)
     v = system.speeds((0.3, 0.4))
     assert np.allclose(v, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_flow_matches_the_jet_formula():
+    # the Deriv entries against one order-2 jet of the density per point
+    from hydroham.geometry import eval_matrix, eval_tensor3
+
+    plan = df.drift_plan(count=30, seed=3)
+    op = df.build_H1_Theta(parse_expr("1 + r3^2", 3))
+    h = parse_expr("exp(r1-r2)*(r1+r2) + r3^2*r1 + sin(r2*r3)", 3)
+    system = hamiltonian_flow(op, h, plan)
+    for i in range(plan.count):
+        p = plan.point(i)
+        jet = eval_jet(h, p, 2)
+        want = (eval_matrix(op.g.entries, p) @ jet.hessian()
+                + np.einsum("ijk,j->ik", eval_tensor3(op.b.entries, p), jet.gradient()))
+        assert np.max(np.abs(system.speeds(p) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _fd_grad_hess(expr, p, h=LD(1e-5)):

@@ -3,12 +3,13 @@ import pytest
 
 from hydroham import driftflux as df
 from hydroham.errors import NonConservedCurrentError, VanishingDenominatorError
-from hydroham.exprs import const, variables
+from hydroham.exprs import const, eval_scalar, exp, variables
 from hydroham.parsing import parse_expr
 from hydroham.systems import (
     ConservedCurrent,
     HydroSystem,
     PointChangeMap,
+    build_reciprocal_system,
     check_change_of_variables,
     check_conserved_current,
     reciprocal_transform_system,
@@ -73,9 +74,10 @@ def test_wrong_map_fails():
 
 def test_conjugacy_is_invertible():
     # if (S_old, S_new, m) passes then so does (S_new, S_old, m^{-1})
+    m = df.riemann_map()
     rep = check_change_of_variables(
         df.build_system_S(), df.build_system_S_tilde(),
-        df.riemann_map().inverted(), PLAN3,
+        PointChangeMap(forward=m.inverse, inverse=m.forward), PLAN3,
     )
     assert rep.passed
 
@@ -153,6 +155,39 @@ def test_diagonal_flag_requires_zero_offdiagonals():
         )
     with pytest.raises(ValueError, match="n x n"):
         HydroSystem(dim=2, v=((const(1), const(0)),), diagonal=True)
+
+
+def test_non_finite_divergence_is_not_conserved():
+    s = df.build_system_S()
+    bad = ConservedCurrent(exp(400) * exp(400) * df.R1, const(0))
+    good = ConservedCurrent(const(0), const(1))
+    with pytest.raises(NonConservedCurrentError, match="non-finite"):
+        reciprocal_transform_system(s, bad, good, df.drift_plan(count=10))
+
+
+def test_speed_entries_must_be_expressions():
+    (u1,) = variables(1)
+    with pytest.raises(TypeError, match="expressions"):
+        HydroSystem(dim=1, v=((lambda p: p[0],),))
+    with pytest.raises(TypeError, match="expressions"):
+        HydroSystem(dim=2, v=((u1, 0.0), (const(0), u1)), diagonal=True)
+
+
+def test_non_diagonal_transform_matches_the_matrix_inverse():
+    # S~ is not diagonal, and rho_1 != 0 puts v into the denominator
+    s = df.build_system_S_tilde()
+    c1 = ConservedCurrent(parse_expr("r1", 3), parse_expr("3 + r3", 3))
+    c2 = ConservedCurrent(parse_expr("exp(r3)", 3), parse_expr("r2", 3))
+    plan = df.physical_plan(count=100)
+    t = build_reciprocal_system(s, c1, c2, plan)
+    assert not t.diagonal
+    for i in range(plan.count):
+        p = plan.point(i)
+        v, eye = s.speeds(p), np.eye(3)
+        sigma1, rho1, sigma2, rho2 = (eval_scalar(e, p) for e in (c1.sigma, c1.rho,
+                                                                  c2.sigma, c2.rho))
+        want = (rho2 * v + sigma2 * eye) @ np.linalg.inv(sigma1 * eye - rho1 * v)
+        assert np.max(np.abs(t.speeds(p) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_diagonal_system_transforms_to_diagonal():
