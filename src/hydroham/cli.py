@@ -6,6 +6,12 @@ Three subcommands:
     preset <name>            materialize a shipped preset and run its suite
     reciprocal <spec.json>   transform a system by two conserved currents
 
+Dispatch is data: :data:`PRESETS` maps each preset name to its plan factory
+and suite, :data:`SPEC_CHECKS` each spec check id to the spec fields it needs
+and its runner, and the messages for unknown names and missing fields are
+derived from them.  A suite returns its reports, plus the transformed system
+when it has one.
+
 Exit codes: 0 all conditions passed, 1 at least one condition failed,
 2 invalid or degenerate input.  JSON output (--json) carries full precision;
 the human-readable table rounds residuals to three significant digits.
@@ -40,14 +46,13 @@ from .systems import (
     ConservedCurrent,
     HydroSystem,
     build_reciprocal_system,
+    check_change_of_variables,
     check_conserved_current,
 )
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
-
-KNOWN_CHECKS = ("skew_adjoint", "local_hamiltonian", "ferapontov", "conserved_currents")
 
 
 class SpecError(WorkbenchError):
@@ -131,8 +136,8 @@ def load_spec(path: str) -> dict:
     if not isinstance(checks, list):
         raise SpecError("'checks' must be a list of check ids")
     for cid in checks:
-        if cid not in KNOWN_CHECKS:
-            raise SpecError(f"unknown check id {cid!r}; known: {', '.join(KNOWN_CHECKS)}")
+        if cid not in SPEC_CHECKS:
+            raise SpecError(f"unknown check id {cid!r}; known: {', '.join(SPEC_CHECKS)}")
     spec["checks"] = checks
     spec["sample_plan"] = raw.get("sample_plan", {})
     return spec
@@ -169,35 +174,31 @@ def build_plan(spec: dict, args, default_box=None) -> SamplePlan:
         raise SpecError(f"bad sample plan: {err}") from None
 
 
-def run_spec_checks(spec: dict, plan: SamplePlan) -> list[CheckReport]:
+def _current_reports(system: HydroSystem, currents, plan: SamplePlan) -> list[CheckReport]:
     reports = []
-    for cid in spec["checks"]:
-        if cid == "skew_adjoint":
-            if "metric" not in spec or "b" not in spec:
-                raise SpecError("check 'skew_adjoint' needs 'metric' and 'b'")
-            op = LocalOperator(spec["dimension"], spec["metric"], spec["b"])
-            reports.append(check_skew_adjoint(op, plan))
-        elif cid == "local_hamiltonian":
-            if "metric" not in spec or "b" not in spec:
-                raise SpecError("check 'local_hamiltonian' needs 'metric' and 'b'")
-            op = LocalOperator(spec["dimension"], spec["metric"], spec["b"])
-            reports.append(check_local_hamiltonian(op, plan))
-        elif cid == "ferapontov":
-            if "metric" not in spec or "b" not in spec:
-                raise SpecError("check 'ferapontov' needs 'metric' and 'b'")
-            op = NonlocalOperator(
-                LocalOperator(spec["dimension"], spec["metric"], spec["b"]),
-                spec.get("tails", ()),
-            )
-            reports.append(check_ferapontov(op, plan))
-        elif cid == "conserved_currents":
-            if "system" not in spec or "currents" not in spec:
-                raise SpecError("check 'conserved_currents' needs 'system' and 'currents'")
-            for i, c in enumerate(spec["currents"], 1):
-                rep = check_conserved_current(spec["system"], c, plan)
-                rep.title = f"conserved current {i}"
-                reports.append(rep)
+    for i, c in enumerate(currents, 1):
+        rep = check_conserved_current(system, c, plan)
+        rep.title = f"conserved current {i}"
+        reports.append(rep)
     return reports
+
+
+def _spec_operator(spec: dict) -> LocalOperator:
+    return LocalOperator(spec["dimension"], spec["metric"], spec["b"])
+
+
+# check id -> (the spec fields it needs, runner(spec, plan) -> reports); the
+# runners look the checks up when called, so a rebound check is the one run
+SPEC_CHECKS = {
+    "skew_adjoint": (("metric", "b"), lambda spec, plan: [
+        check_skew_adjoint(_spec_operator(spec), plan)]),
+    "local_hamiltonian": (("metric", "b"), lambda spec, plan: [
+        check_local_hamiltonian(_spec_operator(spec), plan)]),
+    "ferapontov": (("metric", "b"), lambda spec, plan: [
+        check_ferapontov(NonlocalOperator(_spec_operator(spec), spec.get("tails", ())), plan)]),
+    "conserved_currents": (("system", "currents"), lambda spec, plan: _current_reports(
+        spec["system"], spec["currents"], plan)),
+}
 
 
 # -- output -------------------------------------------------------------------------
@@ -245,7 +246,12 @@ def cmd_check(args) -> int:
     if not spec["checks"]:
         raise SpecError("spec requests no checks")
     plan = build_plan(spec, args)
-    reports = run_spec_checks(spec, plan)
+    reports = []
+    for cid in spec["checks"]:
+        fields, run = SPEC_CHECKS[cid]
+        if any(f not in spec for f in fields):
+            raise SpecError(f"check {cid!r} needs {' and '.join(map(repr, fields))}")
+        reports += run(spec, plan)
     echo = dict(spec["raw"])
     echo["sample_plan"] = plan.echo()
     return emit(reports, args, echo, started)
@@ -258,6 +264,12 @@ def _parse_theta(text: str, what: str = "theta"):
         raise SpecError(f"bad {what} expression: {err}") from None
 
 
+def _arg_expr(args, name: str, default):
+    """The expression in r3 given by option ``name``, else ``default``."""
+    text = getattr(args, name)
+    return _parse_theta(text, name) if text else default
+
+
 def _parse_triple(text: str, what: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
@@ -266,13 +278,6 @@ def _parse_triple(text: str, what: str) -> tuple:
         return tuple(Fraction(p.strip()) for p in parts)
     except (ValueError, ZeroDivisionError) as err:
         raise SpecError(f"bad {what}: {err}") from None
-
-
-def _preset_plan(args, factory, **kw) -> SamplePlan:
-    count = args.samples if args.samples is not None else 100
-    seed = args.seed if args.seed is not None else driftflux.DEFAULT_SEED
-    tol = args.tol if args.tol is not None else 1e-9
-    return factory(count=count, seed=seed, tolerance=tol, **kw)
 
 
 def _block_from_args(args) -> driftflux.ConstantBlock:
@@ -295,157 +300,139 @@ def _condition_report(title: str, plan: SamplePlan, triples) -> CheckReport:
     return CheckReport(title=title, conditions=conditions, plan=plan)
 
 
-def run_preset(name: str, args):
-    """Returns (reports, extra_lines, extra_data)."""
-    lines: list[str] = []
-    data: dict = {}
+# -- preset suites: (args, plan) -> (reports, the transformed system or None) ------
 
-    if name in ("h1", "h2", "h3"):
-        k = int(name[1])
-        plan = _preset_plan(args, driftflux.plane_plan)
-        op = driftflux.build_nutku(k)
-        return [check_skew_adjoint(op, plan), check_local_hamiltonian(op, plan)], lines, data
 
-    if name == "h1-theta":
-        theta = _parse_theta(args.theta) if args.theta else const(1)
-        plan = _preset_plan(args, driftflux.drift_plan)
-        op = driftflux.build_H1_Theta(theta)
-        return [check_skew_adjoint(op, plan), check_local_hamiltonian(op, plan)], lines, data
+def _local_suite(op: LocalOperator, plan: SamplePlan):
+    return [check_skew_adjoint(op, plan), check_local_hamiltonian(op, plan)], None
 
-    if name in ("h2-hat", "h3-hat"):
-        theta = _parse_theta(args.theta) if args.theta else driftflux.DEFAULT_THETA
-        lam1 = _parse_theta(args.lambda1, "lambda1") if args.lambda1 else driftflux.DEFAULT_LAMBDA1
-        lam2 = _parse_theta(args.lambda2, "lambda2") if args.lambda2 else driftflux.DEFAULT_LAMBDA2
-        block = _block_from_args(args)
-        build = driftflux.build_H2_hat if name == "h2-hat" else driftflux.build_H3_hat
-        op = build(theta, lam1, lam2, block)
-        plan = _preset_plan(args, driftflux.drift_plan)
-        return [check_ferapontov(op, plan)], lines, data
 
-    if name == "remark-ops":
-        theta = _parse_theta(args.theta) if args.theta else const(1)
-        plan = _preset_plan(args, driftflux.drift_plan)
-        reports = []
-        for i, op in enumerate(driftflux.build_remark_operators(theta), 1):
-            rep = check_local_hamiltonian(op, plan)
-            rep.title = f"transformed operator {i}: local Hamiltonian"
-            reports.append(rep)
-        return reports, lines, data
+def _hat_suite(build, args, plan: SamplePlan):
+    op = build(_arg_expr(args, "theta", driftflux.DEFAULT_THETA),
+               _arg_expr(args, "lambda1", driftflux.DEFAULT_LAMBDA1),
+               _arg_expr(args, "lambda2", driftflux.DEFAULT_LAMBDA2),
+               _block_from_args(args))
+    return [check_ferapontov(op, plan)], None
 
-    if name == "s":
-        plan = _preset_plan(args, driftflux.drift_plan)
-        system = driftflux.build_system_S()
-        c1, c2 = driftflux.remark_currents()
-        reports = []
-        for i, c in enumerate((c1, c2), 1):
-            rep = check_conserved_current(system, c, plan)
-            rep.title = f"conserved current {i}"
-            reports.append(rep)
-        return reports, lines, data
 
-    if name == "s0":
-        plan = _preset_plan(args, driftflux.plane_plan)
-        system = driftflux.build_system_S0()
-        rho = parse_expr("exp(r1-r2)", 2)
-        sigma = parse_expr("(r1+r2)*exp(r1-r2)", 2)
-        rep = check_conserved_current(system, ConservedCurrent(rho, sigma), plan)
-        return [rep], lines, data
+def _remark_reports(args, plan: SamplePlan) -> list[CheckReport]:
+    ops = driftflux.build_remark_operators(_arg_expr(args, "theta", const(1)))
+    reports = []
+    for i, op in enumerate(ops, 1):
+        rep = check_local_hamiltonian(op, plan)
+        rep.title = f"transformed operator {i}: local Hamiltonian"
+        reports.append(rep)
+    return reports
 
-    if name == "s-tilde":
-        plan = _preset_plan(args, driftflux.physical_plan)
-        from .systems import check_change_of_variables
 
-        rep = check_change_of_variables(
-            driftflux.build_system_S_tilde(), driftflux.build_system_S(),
-            driftflux.riemann_map(), plan
-        )
-        rep.title = "diagonalization by Riemann invariants"
-        return [rep], lines, data
+def _s0_suite(args, plan: SamplePlan):
+    rho = parse_expr("exp(r1-r2)", 2)
+    sigma = parse_expr("(r1+r2)*exp(r1-r2)", 2)
+    system = driftflux.build_system_S0()
+    return [check_conserved_current(system, ConservedCurrent(rho, sigma), plan)], None
 
-    if name == "kg-family":
-        k = Fraction(args.k) if args.k else Fraction(1)
-        plan = _preset_plan(args, driftflux.plane_plan)
-        triples = []
-        for kk in (1, 2, 3):
-            rep = driftflux.kg_residual(driftflux.kg_family_v(kk), plan)
-            triples.append(
-                (f"v_k solves (k={kk})", "derived family solves the wave identity",
-                 rep.passed, rep.conditions[0].residual)
-            )
-        rep = driftflux.kg_residual(driftflux.kg_family_u(k), plan)
+
+def _s_tilde_suite(args, plan: SamplePlan):
+    rep = check_change_of_variables(
+        driftflux.build_system_S_tilde(), driftflux.build_system_S(),
+        driftflux.riemann_map(), plan
+    )
+    rep.title = "diagonalization by Riemann invariants"
+    return [rep], None
+
+
+def _kg_family_suite(args, plan: SamplePlan):
+    k = Fraction(args.k) if args.k else Fraction(1)
+    triples = []
+    for kk in (1, 2, 3):
+        rep = driftflux.kg_residual(driftflux.kg_family_v(kk), plan)
         triples.append(
-            (f"u_k solves (k={k})", "exponential family solves the wave identity",
+            (f"v_k solves (k={kk})", "derived family solves the wave identity",
              rep.passed, rep.conditions[0].residual)
         )
-        if k != 0:
-            neg = driftflux.kg_residual(driftflux.kg_family_u_half_r1(k), plan)
-            res = neg.conditions[0].residual
-            triples.append(
-                (f"half-exponent variant fails (k={k})",
-                 "negative control: halved r1 coefficient breaks the identity",
-                 (not neg.passed) and res >= 1e-2, res)
-            )
-        jrep = fields_equal_numeric(
-            const(1 - 2 * k) * driftflux.kg_characteristic_J(driftflux.kg_family_u(k)),
-            driftflux.kg_family_v(k),
-            plan,
-        )
-        triples.append(
-            (f"(1-2k) J[u_k] = v_k (k={k})", "symmetry characteristic maps u to v",
-             jrep.passed, jrep.conditions[0].residual)
-        )
-        return [_condition_report("wave-equation families", plan, triples)], lines, data
-
-    if name == "constraints":
-        plan = _preset_plan(args, driftflux.drift_plan)
-        ansatz = driftflux.default_ansatz(_block_from_args(args))
-        reports = [
-            driftflux.constraint_residuals(ansatz, eq, plan)
-            for eq in ("eq4a", "eq4b", "eq4c")
-        ]
-        reports.append(driftflux.constraint_residuals(ansatz, "eq5", plan, omega=const(0)))
-        return reports, lines, data
-
-    if name == "reciprocal-remark":
-        plan = _preset_plan(args, driftflux.drift_plan)
-        system = driftflux.build_system_S()
-        c1, c2 = driftflux.remark_currents()
-        reports = []
-        for i, c in enumerate((c1, c2), 1):
-            rep = check_conserved_current(system, c, plan)
-            rep.title = f"conserved current {i}"
-            reports.append(rep)
-        transformed = build_reciprocal_system(system, c1, c2, plan)  # currents checked above
-        expected = (
-            parse_expr("-exp(r1-r2)", 3),
-            parse_expr("exp(r1-r2)", 3),
-            parse_expr("0", 3),
-        )
-        for i in range(3):
-            rep = fields_equal_numeric(transformed.v[i][i], expected[i], plan)
-            rep.title = f"transformed speed {i + 1} matches -e^{{r1-r2}}, e^{{r1-r2}}, 0"
-            rep.notes.append(SIGN_BRIDGE_NOTE)
-            reports.append(rep)
-        theta = _parse_theta(args.theta) if args.theta else const(1)
-        for i, op in enumerate(driftflux.build_remark_operators(theta), 1):
-            rep = check_local_hamiltonian(op, plan)
-            rep.title = f"transformed operator {i}: local Hamiltonian"
-            reports.append(rep)
-        lines.extend(_speed_grid_lines(transformed, plan))
-        data["transformed_speeds"] = _speed_grid_data(transformed, plan)
-        return reports, lines, data
-
-    raise SpecError(
-        f"unknown preset {name!r}; available: h1 h2 h3 h1-theta h2-hat h3-hat "
-        "remark-ops s s0 s-tilde kg-family constraints reciprocal-remark"
+    rep = driftflux.kg_residual(driftflux.kg_family_u(k), plan)
+    triples.append(
+        (f"u_k solves (k={k})", "exponential family solves the wave identity",
+         rep.passed, rep.conditions[0].residual)
     )
+    if k != 0:
+        neg = driftflux.kg_residual(driftflux.kg_family_u_half_r1(k), plan)
+        res = neg.conditions[0].residual
+        triples.append(
+            (f"half-exponent variant fails (k={k})",
+             "negative control: halved r1 coefficient breaks the identity",
+             (not neg.passed) and res >= 1e-2, res)
+        )
+    jrep = fields_equal_numeric(
+        const(1 - 2 * k) * driftflux.kg_characteristic_J(driftflux.kg_family_u(k)),
+        driftflux.kg_family_v(k),
+        plan,
+    )
+    triples.append(
+        (f"(1-2k) J[u_k] = v_k (k={k})", "symmetry characteristic maps u to v",
+         jrep.passed, jrep.conditions[0].residual)
+    )
+    return [_condition_report("wave-equation families", plan, triples)], None
+
+
+def _constraints_suite(args, plan: SamplePlan):
+    ansatz = driftflux.default_ansatz(_block_from_args(args))
+    reports = [
+        driftflux.constraint_residuals(ansatz, eq, plan)
+        for eq in ("eq4a", "eq4b", "eq4c")
+    ]
+    reports.append(driftflux.constraint_residuals(ansatz, "eq5", plan, omega=const(0)))
+    return reports, None
+
+
+def _reciprocal_remark_suite(args, plan: SamplePlan):
+    system = driftflux.build_system_S()
+    c1, c2 = driftflux.remark_currents()
+    reports = _current_reports(system, (c1, c2), plan)
+    transformed = build_reciprocal_system(system, c1, c2, plan)  # currents checked above
+    expected = (
+        parse_expr("-exp(r1-r2)", 3),
+        parse_expr("exp(r1-r2)", 3),
+        parse_expr("0", 3),
+    )
+    for i in range(3):
+        rep = fields_equal_numeric(transformed.v[i][i], expected[i], plan)
+        rep.title = f"transformed speed {i + 1} matches -e^{{r1-r2}}, e^{{r1-r2}}, 0"
+        rep.notes.append(SIGN_BRIDGE_NOTE)
+        reports.append(rep)
+    return reports + _remark_reports(args, plan), transformed
+
+
+# preset name -> (the driftflux plan factory, suite); the factory by name and
+# the builders inside lambdas are looked up when called, so a rebound one is
+# the one run
+PRESETS = {
+    "h1": ("plane_plan", lambda args, plan: _local_suite(driftflux.build_nutku(1), plan)),
+    "h2": ("plane_plan", lambda args, plan: _local_suite(driftflux.build_nutku(2), plan)),
+    "h3": ("plane_plan", lambda args, plan: _local_suite(driftflux.build_nutku(3), plan)),
+    "h1-theta": ("drift_plan", lambda args, plan: _local_suite(
+        driftflux.build_H1_Theta(_arg_expr(args, "theta", const(1))), plan)),
+    "h2-hat": ("drift_plan", lambda args, plan: _hat_suite(driftflux.build_H2_hat, args, plan)),
+    "h3-hat": ("drift_plan", lambda args, plan: _hat_suite(driftflux.build_H3_hat, args, plan)),
+    "remark-ops": ("drift_plan", lambda args, plan: (_remark_reports(args, plan), None)),
+    "s": ("drift_plan", lambda args, plan: (_current_reports(
+        driftflux.build_system_S(), driftflux.remark_currents(), plan), None)),
+    "s0": ("plane_plan", _s0_suite),
+    "s-tilde": ("physical_plan", _s_tilde_suite),
+    "kg-family": ("plane_plan", _kg_family_suite),
+    "constraints": ("drift_plan", _constraints_suite),
+    "reciprocal-remark": ("drift_plan", _reciprocal_remark_suite),
+}
 
 
 def _speed_grid_points(plan: SamplePlan):
     return [plan.point(i) for i in range(min(4, plan.count))]
 
 
-def _speed_grid_lines(system: HydroSystem, plan: SamplePlan) -> list[str]:
+def _transformed_speeds(system: HydroSystem, plan: SamplePlan):
+    """(table lines, JSON data) of the transformed speed matrix at the first
+    plan points.  Each format draws its points itself; the pinned CLI
+    documents count those draws."""
     lines = ["transformed speed matrix v~ (u_t = v~ u_x) on sample points:"]
     for p in _speed_grid_points(plan):
         v = system.speeds(p)
@@ -454,25 +441,30 @@ def _speed_grid_lines(system: HydroSystem, plan: SamplePlan) -> list[str]:
             "[" + ", ".join(f"{x: .6e}" for x in row) + "]" for row in v
         )
         lines.append(f"  at ({pt}): {rows}")
-    return lines
-
-
-def _speed_grid_data(system: HydroSystem, plan: SamplePlan) -> list[dict]:
-    out = []
-    for p in _speed_grid_points(plan):
-        out.append({"point": [float(x) for x in p],
-                    "v": [[float(x) for x in row] for row in system.speeds(p)]})
-    return out
+    data = [{"point": [float(x) for x in p],
+             "v": [[float(x) for x in row] for row in system.speeds(p)]}
+            for p in _speed_grid_points(plan)]
+    return lines, {"transformed_speeds": data}
 
 
 def cmd_preset(args) -> int:
     started = time.perf_counter()
-    reports, lines, data = run_preset(args.name, args)
+    if args.name not in PRESETS:
+        raise SpecError(f"unknown preset {args.name!r}; available: {' '.join(PRESETS)}")
+    factory, suite = PRESETS[args.name]
+    count = args.samples if args.samples is not None else 100
+    seed = args.seed if args.seed is not None else driftflux.DEFAULT_SEED
+    tol = args.tol if args.tol is not None else 1e-9
+    plan = getattr(driftflux, factory)(count=count, seed=seed, tolerance=tol)
+    reports, transformed = suite(args, plan)
+    lines, data = [], None
+    if transformed is not None:
+        lines, data = _transformed_speeds(transformed, plan)
     echo = {"preset": args.name,
             "params": {k: v for k, v in vars(args).items()
                        if k in ("theta", "lambda1", "lambda2", "c", "b1", "b2", "b3", "k")
                        and v is not None},
-            "sample_plan": reports[0].plan.echo() if reports else None}
+            "sample_plan": plan.echo()}
     return emit(reports, args, echo, started, extra_lines=lines, extra_data=data)
 
 
@@ -486,22 +478,16 @@ def cmd_reciprocal(args) -> int:
         raise SpecError("reciprocal needs exactly two currents")
     plan = build_plan(spec, args)
     system = spec["system"]
-    reports = []
-    for i, c in enumerate(currents, 1):
-        rep = check_conserved_current(system, c, plan)
-        rep.title = f"conserved current {i}"
-        reports.append(rep)
+    reports = _current_reports(system, currents, plan)
+    echo = dict(spec["raw"])
+    echo["sample_plan"] = plan.echo()
     if not all(r.passed for r in reports):
-        echo = dict(spec["raw"])
-        echo["sample_plan"] = plan.echo()
-        emit(reports, args, echo, started,
-             extra_lines=["currents are not conserved; not transforming"])
-        return EXIT_FAIL
+        return emit(reports, args, echo, started,
+                    extra_lines=["currents are not conserved; not transforming"])
     transformed = build_reciprocal_system(system, currents[0], currents[1], plan)
     for rep in reports:
         rep.notes.append(SIGN_BRIDGE_NOTE)
-    lines = _speed_grid_lines(transformed, plan)
-    data = {"transformed_speeds": _speed_grid_data(transformed, plan)}
+    lines, data = _transformed_speeds(transformed, plan)
     if "candidate_operators" in spec["raw"]:
         for i, cand in enumerate(spec["raw"]["candidate_operators"], 1):
             dim = spec["dimension"]
@@ -510,8 +496,6 @@ def cmd_reciprocal(args) -> int:
             rep = check_local_hamiltonian(LocalOperator(dim, g, b), plan)
             rep.title = f"candidate operator {i}: local Hamiltonian"
             reports.append(rep)
-    echo = dict(spec["raw"])
-    echo["sample_plan"] = plan.echo()
     return emit(reports, args, echo, started, extra_lines=lines, extra_data=data)
 
 

@@ -39,7 +39,7 @@ from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at 
 from .geometry import AffinorField, ConnectionField, MetricField
 from .operators import LocalOperator, NonlocalOperator
 from .reports import CheckReport, condition_from_arrays
-from .sampling import SamplePlan, blocks, draw
+from .sampling import SamplePlan, resolve
 from .systems import ConservedCurrent, HydroSystem, PointChangeMap
 
 DEFAULT_SEED = 8128
@@ -85,7 +85,6 @@ def _diag_system(speeds: tuple[Expr, ...]) -> HydroSystem:
     return HydroSystem(
         dim=n,
         v=tuple(tuple(speeds[i] if i == j else zero for j in range(n)) for i in range(n)),
-        diagonal=True,
     )
 
 
@@ -455,20 +454,18 @@ def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
         plan = plane_plan()
     n = min(2, plan.dim)
     tape = compile_tape((psi,), n, 2)
-    points, raw, scale = [], [], []
-    for index in blocks(plan):
-        p = draw(plan, index)
-        jets = eval_tape(tape, p[:, :n])
+
+    def evaluate(points):  # status 0 everywhere: a point that fails raises
+        jets = eval_tape(tape, points[:, :n])
         if jets.failed.any():
             raise jets.error(int(np.argmax(jets.failed)))
         _, d1, d2 = jets.derivatives()
-        r, sc = wave_residuals(d1[..., 0], d2[..., 0])
-        points.append(p)
-        raw.append(r)
-        scale.append(sc)
+        return np.zeros(len(points), int), wave_residuals(d1[..., 0], d2[..., 0])
+
+    found = resolve(plan, evaluate, "")
     cond = condition_from_arrays(
         "wave_identity", "2 Psi_{r1 r2} - Psi_{r2} + Psi_{r1} = 0",
-        np.concatenate(points), np.concatenate(raw), np.concatenate(scale), plan.tolerance
+        found.points, *found.payload, plan.tolerance
     )
     return CheckReport(title="wave-equation residual", conditions=[cond], plan=plan)
 
@@ -607,23 +604,21 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
     psi_jets = compile_tape(ansatz.psi, plan.dim, 1)
     extra = (omega,) if which == "eq5" else ()
     values = compile_tape(ansatz.phi + extra, plan.dim, 0)
-    points, raw, scale = [], [], []
-    for index in blocks(plan):
-        p = draw(plan, index)
-        jets, vals = eval_tape(psi_jets, p), eval_tape(values, p)
+
+    def evaluate(points):  # status 0 everywhere: a point that fails raises
+        jets, vals = eval_tape(psi_jets, points), eval_tape(values, points)
         failed = jets.failed | vals.failed
         if failed.any():
             # a point evaluates the jet of Psi^a, then Phi^a, for each a, then Omega
             calls = [(t, a) for a in range(3) for t in (jets, vals)] + [(vals, 3)] * len(extra)
             raise first_error(int(np.argmax(failed)), calls)
         psi, grad, _ = jets.derivatives()
-        r, sc = constraint_equation_residuals(which, ansatz.eps, p, psi, grad[:, 0], grad[:, 1],
-                                              vals.coeffs[:, 0, :].T, big_c)
-        points.append(p)
-        raw.append(r)
-        scale.append(sc)
-    cond = condition_from_arrays(which, _DESCRIPTIONS[which], np.concatenate(points),
-                                 np.concatenate(raw), np.concatenate(scale), plan.tolerance)
+        return np.zeros(len(points), int), constraint_equation_residuals(
+            which, ansatz.eps, points, psi, grad[:, 0], grad[:, 1], vals.coeffs[:, 0, :].T, big_c)
+
+    found = resolve(plan, evaluate, "")
+    cond = condition_from_arrays(which, _DESCRIPTIONS[which], found.points, *found.payload,
+                                 plan.tolerance)
     return CheckReport(title=f"constraint residual {which}", conditions=[cond], plan=plan)
 
 

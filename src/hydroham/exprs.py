@@ -10,8 +10,8 @@ Two evaluators share one semantics.  The batched one compiles a list of
 expressions into a flat, hash-consed :class:`Tape` (:func:`compile_tape`) and
 evaluates it at N points at once (:func:`eval_tape`), each jet a coefficient
 array with a lane axis over the points; every check uses it, through the
-geometry layer, the system checks, the drift-flux residuals and
-:func:`field_values`.  The recursive one works at a single point over plain
+geometry layer's grids, the system checks, the drift-flux residuals and
+:func:`fields_equal_numeric`.  The recursive one works at a single point over plain
 floats (:func:`eval_scalar`) or :class:`~hydroham.jets.Jet` values
 (:func:`eval_jet`); it serves one-off points and the tests, which use it as
 the reference.  Domain violations (log of a non-positive value, division by
@@ -752,32 +752,6 @@ def first_error(lane: int, calls) -> EvalDomainError:
     raise ValueError(f"lane {lane} fails in none of the calls")
 
 
-# -- values of expressions at many points ------------------------------------------
-
-
-class FieldValues(NamedTuple):
-    """Values at N points, lane axis first, with the tape evaluation they
-    come from, which knows the lanes that left the domain."""
-
-    vals: np.ndarray  # (N, fields), or reshaped by the caller
-    source: TapeValues
-
-    @property
-    def failed(self) -> np.ndarray:
-        return self.source.failed
-
-    def error(self, lane: int) -> EvalDomainError:
-        """The error the per-point evaluation raises at this lane."""
-        return self.source.error(lane)
-
-
-def field_values(tape: Tape, points) -> FieldValues:
-    """Every output of an order-0 tape at every row of ``points`` (N, n), as
-    eval_scalar gives it.  Domain violations are flagged per lane."""
-    values = eval_tape(tape, points)
-    return FieldValues(values.coeffs[:, 0, :].T, values)
-
-
 # -- identity testing ---------------------------------------------------------
 
 
@@ -796,8 +770,8 @@ def fields_equal_numeric(
     both = compile_tape((f1, f2), plan.dim, 0)
 
     def evaluate(points):
-        values = field_values(both, points)
-        return values.failed, (values.vals,)
+        values = eval_tape(both, points)
+        return values.failed, (values.coeffs[:, 0, :].T,)
 
     found = resolve(plan, evaluate, "domain too hostile: sample point {} exhausted "
                     f"{RESAMPLE_BUDGET} redraws")

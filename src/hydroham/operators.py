@@ -195,17 +195,17 @@ def _raise_first_failure(*grids):
                 raise g.error(lane)
 
 
-def _frame_check(g: MetricField, plan: SamplePlan, kernel):
-    """Resolve curvature frames block by block and run ``kernel(frames)``,
-    which returns per-lane (raw, scale) arrays by condition id, on each
-    block's resolved frames.
+def _frame_check(title: str, g: MetricField, plan: SamplePlan, kernel, table) -> CheckReport:
+    """Resolve curvature frames block by block, run ``kernel(frames)``, which
+    returns per-lane (raw, scale) arrays by condition id, on each block's
+    resolved frames, and report the symmetry and nondegeneracy of g (over
+    every attempt) followed by the conditions of ``table``.
 
-    Returns (the symmetry and nondegeneracy conditions of g over every
-    attempt, resolved points, results), points and results in plan order,
-    results None when no point resolved.  A domain error the kernel raises
-    waits until every block is swept, so that a hostile point anywhere in
-    the plan is reported first, as when every frame was resolved before any
-    kernel ran.
+    ``table`` rows are (id, description, short description); when no point
+    resolves, each row is reported not evaluated under its short
+    description.  A domain error the kernel raises waits until every block
+    is swept, so that a hostile point anywhere in the plan is reported
+    first, as when every frame was resolved before any kernel ran.
     """
     grid = compile_grid(g.entries, plan.dim, 2)
     sweeps, points, results, error = [], [], [], None
@@ -231,9 +231,12 @@ def _frame_check(g: MetricField, plan: SamplePlan, kernel):
         plan.tolerance,
     )
     conditions = [symmetric, _nondegeneracy_condition(found)]
-    if not results:
-        return conditions, None, None
-    return conditions, np.concatenate(points), _concat_results(results)
+    if results:
+        conditions += _conditions(_concat_results(results), table, np.concatenate(points),
+                                  plan.tolerance)
+    else:
+        conditions += [_not_evaluated(cid, short) for cid, _, short in table]
+    return CheckReport(title=title, conditions=conditions, plan=plan)
 
 
 def _nondegeneracy_condition(sweep: FrameSweep) -> ConditionResult:
@@ -347,14 +350,28 @@ def tail_residuals(frames: MetricFrames, tails, w_vals, w_jets) -> dict:
 
 # -- checks ---------------------------------------------------------------------
 
+# (id, description, the shorter description reported when g is degenerate everywhere)
 _LOCAL_CONDITIONS = (
-    ("connection_symmetric", "Gamma^j_{sk} = Gamma^j_{ks} for Gamma derived from b"),
-    ("metric_compatible", "nabla_k g_{ij} = 0 under the connection derived from b"),
+    ("connection_symmetric", "Gamma^j_{sk} = Gamma^j_{ks} for Gamma derived from b",
+     "Gamma^j_{sk} = Gamma^j_{ks}"),
+    ("metric_compatible", "nabla_k g_{ij} = 0 under the connection derived from b",
+     "nabla g = 0"),
+)
+_FLAT_CONDITIONS = _LOCAL_CONDITIONS + (
+    ("metric_flat", "Riemann curvature of g vanishes", "curvature of g vanishes"),
+)
+_TAIL_CONDITIONS = _LOCAL_CONDITIONS + (
+    ("t1_pairing_symmetric", "g_{ik} w^k_j = g_{jk} w^k_i", "g_{ik} w^k_j symmetric"),
+    ("t2_codazzi", "nabla_k w^i_j = nabla_j w^i_k", "nabla_k w^i_j = nabla_j w^i_k"),
+    ("t3_gauss", "R^{ij}_{kl} = sum_a eps_a (w^i_l w^j_k - w^i_k w^j_l)",
+     "curvature equals the tail sum"),
+    ("t4_tails_commute", "[w_a, w_b] = 0 for all tail pairs", "[w_a, w_b] = 0"),
 )
 
 
 def _conditions(results: dict, table, points, tol) -> list:
-    return [condition_from_arrays(cid, desc, points, *results[cid], tol) for cid, desc in table]
+    return [condition_from_arrays(cid, desc, points, *results[cid], tol)
+            for cid, desc, *_ in table]
 
 
 @np.errstate(all="ignore")  # non-finite values fail in the verdict instead
@@ -389,15 +406,7 @@ def check_local_hamiltonian(a: LocalOperator, plan: SamplePlan) -> CheckReport:
         results["metric_flat"] = flatness_residuals(frames)
         return results
 
-    conditions, points, results = _frame_check(a.g, plan, kernel)
-    if results is None:
-        conditions.append(_not_evaluated("connection_symmetric", "Gamma^j_{sk} = Gamma^j_{ks}"))
-        conditions.append(_not_evaluated("metric_compatible", "nabla g = 0"))
-        conditions.append(_not_evaluated("metric_flat", "curvature of g vanishes"))
-        return CheckReport(title="local Hamiltonian", conditions=conditions, plan=plan)
-    table = _LOCAL_CONDITIONS + (("metric_flat", "Riemann curvature of g vanishes"),)
-    conditions += _conditions(results, table, points, plan.tolerance)
-    return CheckReport(title="local Hamiltonian", conditions=conditions, plan=plan)
+    return _frame_check("local Hamiltonian", a.g, plan, kernel, _FLAT_CONDITIONS)
 
 
 def gauss_tail_sum(tails, w_values, dim: int | None = None) -> np.ndarray:
@@ -434,26 +443,7 @@ def check_ferapontov(a: NonlocalOperator, plan: SamplePlan) -> CheckReport:
         results.update(tail_residuals(frames, a.tails, w_vals.vals, w_jets))
         return results
 
-    conditions, points, results = _frame_check(op.g, plan, kernel)
-    if results is None:
-        for cid, desc in (
-            ("connection_symmetric", "Gamma^j_{sk} = Gamma^j_{ks}"),
-            ("metric_compatible", "nabla g = 0"),
-            ("t1_pairing_symmetric", "g_{ik} w^k_j symmetric"),
-            ("t2_codazzi", "nabla_k w^i_j = nabla_j w^i_k"),
-            ("t3_gauss", "curvature equals the tail sum"),
-            ("t4_tails_commute", "[w_a, w_b] = 0"),
-        ):
-            conditions.append(_not_evaluated(cid, desc))
-        return CheckReport(title="nonlocal Hamiltonian", conditions=conditions, plan=plan)
-    table = _LOCAL_CONDITIONS + (
-        ("t1_pairing_symmetric", "g_{ik} w^k_j = g_{jk} w^k_i"),
-        ("t2_codazzi", "nabla_k w^i_j = nabla_j w^i_k"),
-        ("t3_gauss", "R^{ij}_{kl} = sum_a eps_a (w^i_l w^j_k - w^i_k w^j_l)"),
-        ("t4_tails_commute", "[w_a, w_b] = 0 for all tail pairs"),
-    )
-    conditions += _conditions(results, table, points, plan.tolerance)
-    return CheckReport(title="nonlocal Hamiltonian", conditions=conditions, plan=plan)
+    return _frame_check("nonlocal Hamiltonian", op.g, plan, kernel, _TAIL_CONDITIONS)
 
 
 def pencil_operator(a: LocalOperator, b: LocalOperator, lam: float) -> LocalOperator:

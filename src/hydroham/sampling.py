@@ -65,10 +65,6 @@ class SamplePlan:
         u = np.random.Generator(np.random.PCG64((self.seed, i, retry))).random(self.dim)
         return self._lo + (self._hi - self._lo) * u
 
-    def points(self):
-        for i in range(self.count):
-            yield self.point(i)
-
     def echo(self) -> dict:
         return {
             "dim": self.dim,

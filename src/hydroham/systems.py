@@ -18,15 +18,18 @@ rho=(0,1), (1,0) act as the identity).  This sign bridge is a documented
 decision and is echoed in the notes of every transformation report.
 
 The checks evaluate their fields at whole blocks of plan points at once:
-currents, Jacobians and maps as jet or value tapes (order-1 jets and order-0
-values compile to separate tapes, since eval_jet and eval_scalar reject
-different points), speed matrices through :func:`speed_values`, and the
-per-lane residuals in public kernels.  Points are redrawn only through
-:func:`~hydroham.sampling.sweep`.  :meth:`HydroSystem.speeds`,
-:meth:`PointChangeMap.apply` and :meth:`PointChangeMap.jacobian` are one-lane
-views of :func:`speed_values`, :func:`mapped_points` and
-:func:`map_jacobians`.  Every speed-matrix entry is an expression, transformed
-systems included, so a speed matrix is always one order-0 tape.
+currents as jet or value tapes, speed matrices and maps as grids
+(:func:`~hydroham.geometry.compile_grid`, read with
+:func:`~hydroham.geometry.grid_values`; order-1 jets and order-0 values
+compile separately, since eval_jet and eval_scalar reject different points),
+and the per-lane residuals in public kernels.  Every check, the denominator
+scan included, walks the plan through :func:`~hydroham.sampling.resolve`.
+:meth:`HydroSystem.speeds`, :meth:`PointChangeMap.apply` and
+:meth:`PointChangeMap.jacobian` are one-lane views of :func:`speed_values`,
+:func:`mapped_points` and :func:`map_jacobians`.  Every speed-matrix entry is
+an expression, transformed systems included, so a speed matrix is always one
+order-0 grid.  A system is diagonal when its off-diagonal entries are literal
+zeros; the reciprocal transform then acts entrywise.
 """
 
 from __future__ import annotations
@@ -38,20 +41,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonConservedCurrentError, VanishingDenominatorError
-from .exprs import (
-    Const,
-    Expr,
-    FieldValues,
-    compile_tape,
-    const,
-    eval_scalar,
-    eval_tape,
-    field_values,
-)
+from .exprs import Const, Expr, compile_tape, const, eval_scalar, eval_tape
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
-from .geometry import lane_einsum, lane_max, scaled_abs_dets
+from .geometry import (
+    GridValues,
+    compile_grid,
+    grid_values,
+    lane_einsum,
+    lane_max,
+    scaled_abs_dets,
+)
 from .reports import CheckReport, condition_from_arrays
-from .sampling import REDRAW_DOMAIN, SamplePlan, blocks, draw, resolve
+from .sampling import REDRAW_DOMAIN, SamplePlan, resolve
 
 SIGN_BRIDGE_NOTE = (
     "sign bridge: currents stored with D_t rho + D_x sigma = 0; "
@@ -61,11 +62,7 @@ SIGN_BRIDGE_NOTE = (
 REDRAW_SINGULAR = 2  # sweep status: the Jacobian of the map is singular there
 
 
-def _is_zero_expr(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0
-
-
-def _one_lane(values: FieldValues) -> np.ndarray:
+def _one_lane(values: GridValues) -> np.ndarray:
     """The values of a one-point batch, raising where the point failed."""
     if values.failed[0]:
         raise values.error(0)
@@ -78,7 +75,6 @@ class HydroSystem:
 
     dim: int
     v: tuple  # n x n of Expr
-    diagonal: bool = False
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.v)
@@ -88,29 +84,27 @@ class HydroSystem:
             for e in row:
                 if not isinstance(e, Expr):
                     raise TypeError(f"speed matrix entries must be expressions, not {e!r}")
-        if self.diagonal:
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if i != j and not _is_zero_expr(rows[i][j]):
-                        raise ValueError(
-                            "diagonal systems must have identically zero off-diagonal entries"
-                        )
         object.__setattr__(self, "v", rows)
 
     @cached_property
-    def _speed_tape(self):
+    def diagonal(self) -> bool:
+        """True iff every off-diagonal entry is a literal zero."""
+        return all(isinstance(e, Const) and e.value == 0
+                   for i, row in enumerate(self.v) for j, e in enumerate(row) if i != j)
+
+    @cached_property
+    def _speed_grid(self):
         # compiled on first use, not by the builders
-        return compile_tape([e for row in self.v for e in row], self.dim, 0)
+        return compile_grid(self.v, self.dim, 0)
 
     def speeds(self, point) -> np.ndarray:
         return _one_lane(speed_values(self, [point]))
 
 
-def speed_values(s: HydroSystem, points) -> FieldValues:
+def speed_values(s: HydroSystem, points) -> GridValues:
     """The speed matrix at every row of ``points``: values (N, n, n), entries
     in row-major order as :meth:`HydroSystem.speeds` evaluates them."""
-    values = field_values(s._speed_tape, points)
-    return values._replace(vals=values.vals.reshape(-1, s.dim, s.dim))
+    return grid_values(s._speed_grid, points)
 
 
 @dataclass(frozen=True)
@@ -136,9 +130,9 @@ class PointChangeMap:
         return len(self.forward)
 
     @cached_property
-    def _tapes(self):
+    def _grids(self):
         # (values, jets of order 1) of the forward map, compiled on first use
-        return (compile_tape(self.forward, self.dim, 0), compile_tape(self.forward, self.dim, 1))
+        return (compile_grid(self.forward, self.dim, 0), compile_grid(self.forward, self.dim, 1))
 
     def apply(self, point) -> np.ndarray:
         return _one_lane(mapped_points(self, [point]))
@@ -152,17 +146,16 @@ class PointChangeMap:
         return _one_lane(map_jacobians(self, [point]))
 
 
-def mapped_points(m: PointChangeMap, points) -> FieldValues:
+def mapped_points(m: PointChangeMap, points) -> GridValues:
     """The image m(u) of every row of ``points``: values (N, n)."""
-    return field_values(m._tapes[0], points)
+    return grid_values(m._grids[0], points)
 
 
-def map_jacobians(m: PointChangeMap, points) -> FieldValues:
+def map_jacobians(m: PointChangeMap, points) -> GridValues:
     """The Jacobian J[a, k] = d_k m^a at every row of ``points``: values
     (N, n, n)."""
-    values = eval_tape(m._tapes[1], np.atleast_2d(np.asarray(points, dtype=float)))
-    _, d1, _ = values.derivatives()
-    return FieldValues(np.swapaxes(d1, 1, 2), values)
+    jets = grid_values(m._grids[1], points)
+    return jets._replace(vals=np.swapaxes(jets.d1, 1, 2))
 
 
 def current_residuals(grad_rho: np.ndarray, grad_sigma: np.ndarray, v: np.ndarray):
@@ -279,30 +272,26 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
     """
     n = s.dim
     currents = compile_tape((c1.sigma, c1.rho), plan.dim, 0)
-    sign_seen = 0
-    for index in blocks(plan):
-        points = draw(plan, index)
+
+    def evaluate(points):  # every point is drawn once: out-of-domain ones are skipped
         values = eval_tape(currents, points)
         v = speed_values(s, points)
-        ok = ~(values.failed | v.failed)
-        if not ok.any():
-            continue
-        points = points[ok]
-        dets, sign = denominator_dets(values.coeffs[0, 0, ok], values.coeffs[1, 0, ok],
-                                      v.vals[ok])
-        small = dets < 1e-6
-        if sign_seen == 0:
-            sign_seen = sign[0]
-        bad = small | (sign != sign_seen)
-        if bad.any():
-            k = int(np.argmax(bad))
-            p = tuple(points[k])
-            if small[k]:
-                raise VanishingDenominatorError(f"denominator field vanishes near {p}")
-            # determinant changes sign across the box, so it crosses zero
-            raise VanishingDenominatorError(
-                f"denominator field vanishes inside the box (sign change near {p})"
-            )
+        dets, sign = denominator_dets(values.coeffs[0, 0], values.coeffs[1, 0], v.vals)
+        return np.zeros(len(points), int), (~(values.failed | v.failed), dets, sign)
+
+    found = resolve(plan, evaluate, "")
+    ok, dets, sign = found.payload
+    small, sign = dets[ok] < 1e-6, sign[ok]
+    bad = small | (sign != sign[:1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        p = tuple(found.points[ok][k])
+        if small[k]:
+            raise VanishingDenominatorError(f"denominator field vanishes near {p}")
+        # determinant changes sign across the box, so it crosses zero
+        raise VanishingDenominatorError(
+            f"denominator field vanishes inside the box (sign change near {p})"
+        )
 
     if s.diagonal:
         zero = const(0)
@@ -313,7 +302,6 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
                       if i == j else zero for j in range(n))
                 for i in range(n)
             ),
-            diagonal=True,
         )
 
     def shifted(scale, shift, i, j):  # (shift I + scale v)_ij

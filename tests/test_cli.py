@@ -1,11 +1,14 @@
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from hydroham.cli import main
+from hydroham.cli import PRESETS, SPEC_CHECKS, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 H1_METRIC = [["-exp(r2-r1)", "0"], ["0", "exp(r2-r1)"]]
@@ -260,3 +263,39 @@ def test_consecutive_calls_match_separate_runs(tmp_path, capsys):
         proc = subprocess.run([sys.executable, "-m", "hydroham", *argv],
                               capture_output=True, text=True)
         assert got == (proc.returncode, _without_wall_time(proc.stdout)), argv
+
+
+# -- the dispatch tables against the docs ------------------------------------------
+
+
+def _read(*parts):
+    with open(os.path.join(ROOT, *parts), "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_readme_preset_table_names_every_preset():
+    rows = re.findall(r"^\| (`[^|]*)\|", _read("README.md"), re.M)
+    assert [name for row in rows for name in re.findall(r"`([^`]+)`", row)] == list(PRESETS)
+
+
+def test_spec_doc_lists_every_check_with_its_fields():
+    bullets = re.findall(r"^\* `(\w+)` - (.*)$", _read("docs", "workbench_spec.md"), re.M)
+    documented = [(cid, tuple(re.findall(r"`(\w+)`", fields.split("optionally")[0])))
+                  for cid, fields in bullets]
+    assert documented == [(cid, fields) for cid, (fields, _) in SPEC_CHECKS.items()]
+
+
+def test_unknown_preset_and_check_messages(tmp_path, capsys):
+    assert main(["preset", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown preset 'bogus'; available: h1 h2 h3 h1-theta h2-hat h3-hat "
+        "remark-ops s s0 s-tilde kg-family constraints reciprocal-remark\n")
+    spec = write_spec(tmp_path, dimension=2, metric=H1_METRIC, checks=["frobnicate"])
+    assert main(["check", spec]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown check id 'frobnicate'; known: skew_adjoint, local_hamiltonian, "
+        "ferapontov, conserved_currents\n")
+    spec = write_spec(tmp_path, dimension=2, metric=H1_METRIC, checks=["conserved_currents"])
+    assert main(["check", spec]) == 2
+    assert capsys.readouterr().err == (
+        "error: check 'conserved_currents' needs 'system' and 'currents'\n")

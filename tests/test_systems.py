@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import cases
 from hydroham import driftflux as df
 from hydroham.errors import NonConservedCurrentError, VanishingDenominatorError
 from hydroham.exprs import const, eval_scalar, exp, variables
 from hydroham.parsing import parse_expr
+from hydroham.sampling import SamplePlan
 from hydroham.systems import (
     ConservedCurrent,
     HydroSystem,
@@ -146,15 +148,15 @@ def test_vanishing_denominator_rejected():
         reciprocal_transform_system(s, c1, c2, PLAN3)
 
 
-def test_diagonal_flag_requires_zero_offdiagonals():
-    with pytest.raises(ValueError, match="off-diagonal"):
-        HydroSystem(
-            dim=2,
-            v=((const(1), const(1)), (const(0), const(1))),
-            diagonal=True,
-        )
+def test_diagonal_is_read_from_the_entries():
+    (u1,) = variables(1)
+    assert HydroSystem(dim=2, v=((u1, const(0)), (parse_expr("0", 2), const(1)))).diagonal
+    assert not HydroSystem(dim=2, v=((const(1), const(1)), (const(0), const(1)))).diagonal
+    # only a literal zero counts, not an entry that merely evaluates to zero
+    assert not HydroSystem(dim=2, v=((u1, u1 - u1), (const(0), u1))).diagonal
+    assert df.build_system_S().diagonal and not df.build_system_S_tilde().diagonal
     with pytest.raises(ValueError, match="n x n"):
-        HydroSystem(dim=2, v=((const(1), const(0)),), diagonal=True)
+        HydroSystem(dim=2, v=((const(1), const(0)),))
 
 
 def test_non_finite_divergence_is_not_conserved():
@@ -170,24 +172,37 @@ def test_speed_entries_must_be_expressions():
     with pytest.raises(TypeError, match="expressions"):
         HydroSystem(dim=1, v=((lambda p: p[0],),))
     with pytest.raises(TypeError, match="expressions"):
-        HydroSystem(dim=2, v=((u1, 0.0), (const(0), u1)), diagonal=True)
+        HydroSystem(dim=2, v=((u1, 0.0), (const(0), u1)))
+
+
+def _spec_example_transform():
+    """System, currents and plan of the docs/workbench_spec.md example."""
+    spec = cases.spec_example()
+    n = spec["dimension"]
+    s = HydroSystem(dim=n, v=[[parse_expr(e, n) for e in row] for row in spec["system"]])
+    c1, c2 = (ConservedCurrent(parse_expr(c["rho"], n), parse_expr(c["sigma"], n))
+              for c in spec["currents"])
+    box = tuple(tuple(b) for b in spec["sample_plan"]["box"])
+    return s, c1, c2, SamplePlan(dim=n, box=box, count=100, seed=5)
 
 
 def test_non_diagonal_transform_matches_the_matrix_inverse():
-    # S~ is not diagonal, and rho_1 != 0 puts v into the denominator
-    s = df.build_system_S_tilde()
-    c1 = ConservedCurrent(parse_expr("r1", 3), parse_expr("3 + r3", 3))
-    c2 = ConservedCurrent(parse_expr("exp(r3)", 3), parse_expr("r2", 3))
-    plan = df.physical_plan(count=100)
-    t = build_reciprocal_system(s, c1, c2, plan)
-    assert not t.diagonal
-    for i in range(plan.count):
-        p = plan.point(i)
-        v, eye = s.speeds(p), np.eye(3)
-        sigma1, rho1, sigma2, rho2 = (eval_scalar(e, p) for e in (c1.sigma, c1.rho,
-                                                                  c2.sigma, c2.rho))
-        want = (rho2 * v + sigma2 * eye) @ np.linalg.inv(sigma1 * eye - rho1 * v)
-        assert np.max(np.abs(t.speeds(p) - want)) <= 1e-12 * np.max(np.abs(want))
+    # S~ is not diagonal, and rho_1 != 0 puts v into the denominator; the spec
+    # example's system is diagonal, so its transform is built entrywise
+    s_tilde = (df.build_system_S_tilde(),
+               ConservedCurrent(parse_expr("r1", 3), parse_expr("3 + r3", 3)),
+               ConservedCurrent(parse_expr("exp(r3)", 3), parse_expr("r2", 3)),
+               df.physical_plan(count=100))
+    for (s, c1, c2, plan), diagonal in ((s_tilde, False), (_spec_example_transform(), True)):
+        t = build_reciprocal_system(s, c1, c2, plan)
+        assert t.diagonal == diagonal
+        for i in range(plan.count):
+            p = plan.point(i)
+            v, eye = s.speeds(p), np.eye(3)
+            sigma1, rho1, sigma2, rho2 = (eval_scalar(e, p) for e in (c1.sigma, c1.rho,
+                                                                      c2.sigma, c2.rho))
+            want = (rho2 * v + sigma2 * eye) @ np.linalg.inv(sigma1 * eye - rho1 * v)
+            assert np.max(np.abs(t.speeds(p) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_diagonal_system_transforms_to_diagonal():
