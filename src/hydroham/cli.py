@@ -425,25 +425,19 @@ PRESETS = {
 }
 
 
-def _speed_grid_points(plan: SamplePlan):
-    return [plan.point(i) for i in range(min(4, plan.count))]
-
-
 def _transformed_speeds(system: HydroSystem, plan: SamplePlan):
     """(table lines, JSON data) of the transformed speed matrix at the first
-    plan points.  Each format draws its points itself; the pinned CLI
-    documents count those draws."""
+    plan points, each point drawn and evaluated once for both formats."""
+    grid = [(p, system.speeds(p)) for p in (plan.point(i) for i in range(min(4, plan.count)))]
     lines = ["transformed speed matrix v~ (u_t = v~ u_x) on sample points:"]
-    for p in _speed_grid_points(plan):
-        v = system.speeds(p)
+    for p, v in grid:
         pt = ", ".join(f"{x:.4f}" for x in p)
         rows = "; ".join(
             "[" + ", ".join(f"{x: .6e}" for x in row) + "]" for row in v
         )
         lines.append(f"  at ({pt}): {rows}")
-    data = [{"point": [float(x) for x in p],
-             "v": [[float(x) for x in row] for row in system.speeds(p)]}
-            for p in _speed_grid_points(plan)]
+    data = [{"point": [float(x) for x in p], "v": [[float(x) for x in row] for row in v]}
+            for p, v in grid]
     return lines, {"transformed_speeds": data}
 
 

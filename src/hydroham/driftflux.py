@@ -30,7 +30,6 @@ from .exprs import (
     eval_scalar,
     eval_tape,
     exp,
-    first_error,
     ln,
     var_indices,
     variables,
@@ -445,8 +444,8 @@ def wave_residuals(d1: np.ndarray, d2: np.ndarray):
 @np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
     """Residual of the linear wave identity 2 Psi_{r1 r2} = Psi_{r2} - Psi_{r1}
-    for a function of (r1, r2).  Points are not redrawn: a domain violation
-    raises at the first plan point where it occurs."""
+    for a function of (r1, r2), redrawing points where Psi leaves its
+    domain."""
     psi = as_expr(psi)
     if not var_indices(psi) <= {0, 1}:
         raise ValueError("Psi must depend on (r1, r2) only")
@@ -455,14 +454,12 @@ def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
     n = min(2, plan.dim)
     tape = compile_tape((psi,), n, 2)
 
-    def evaluate(points):  # status 0 everywhere: a point that fails raises
+    def evaluate(points):
         jets = eval_tape(tape, points[:, :n])
-        if jets.failed.any():
-            raise jets.error(int(np.argmax(jets.failed)))
         _, d1, d2 = jets.derivatives()
-        return np.zeros(len(points), int), wave_residuals(d1[..., 0], d2[..., 0])
+        return jets.failed, wave_residuals(d1[..., 0], d2[..., 0])
 
-    found = resolve(plan, evaluate, "")
+    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
     cond = condition_from_arrays(
         "wave_identity", "2 Psi_{r1 r2} - Psi_{r2} + Psi_{r1} = 0",
         found.points, *found.payload, plan.tolerance
@@ -531,6 +528,21 @@ class ProlongationAnsatz:
             if not var_indices(p) <= {2}:
                 raise ValueError("each Phi must depend on r3 only")
 
+    def require_wave_identity(self, seed: int) -> None:
+        """Raise ValueError unless each Psi satisfies the wave identity on the
+        25-point plane plan of ``seed``.  A seed that passed is kept, so the
+        residuals of several equations check the Psi once."""
+        passed = self.__dict__.setdefault("_wave_identity_seeds", set())
+        if seed in passed:
+            return
+        for a, psi in enumerate(self.psi):
+            pre = kg_residual(psi, plane_plan(count=25, seed=seed))
+            if not pre.passed:
+                residual = pre.conditions[0].residual
+                shown = "non-finite" if residual is None else f"{residual:.3e}"
+                raise ValueError(f"Psi[{a}] does not satisfy the wave identity (residual {shown})")
+        passed.add(seed)
+
 
 def default_ansatz(block: ConstantBlock = DEFAULT_BLOCK,
                    lam1: Expr = DEFAULT_LAMBDA1,
@@ -583,9 +595,9 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
                          omega: Expr | None = None,
                          big_c: float | None = None) -> CheckReport:
     """Residual of one constraint equation of the prolongation construction
-    over the sample plan.  The Psi components must satisfy the wave identity;
-    that precondition is checked first.  Points are not redrawn: a domain
-    violation raises at the first plan point where it occurs."""
+    over the sample plan, redrawing points where a field leaves its domain.
+    The Psi components must satisfy the wave identity; that precondition is
+    checked first, once per ansatz and seed."""
     if which not in CONSTRAINT_EQUATIONS:
         raise ValueError(f"unknown equation tag {which!r}")
     if which == "eq5":
@@ -594,29 +606,19 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
         raise ValueError("eq7 requires the constant C")
     if plan is None:
         plan = drift_plan()
-    for a, psi in enumerate(ansatz.psi):
-        pre = kg_residual(psi, plane_plan(count=25, seed=plan.seed))
-        if not pre.passed:
-            residual = pre.conditions[0].residual
-            shown = "non-finite" if residual is None else f"{residual:.3e}"
-            raise ValueError(f"Psi[{a}] does not satisfy the wave identity (residual {shown})")
+    ansatz.require_wave_identity(plan.seed)
 
     psi_jets = compile_tape(ansatz.psi, plan.dim, 1)
     extra = (omega,) if which == "eq5" else ()
     values = compile_tape(ansatz.phi + extra, plan.dim, 0)
 
-    def evaluate(points):  # status 0 everywhere: a point that fails raises
+    def evaluate(points):
         jets, vals = eval_tape(psi_jets, points), eval_tape(values, points)
-        failed = jets.failed | vals.failed
-        if failed.any():
-            # a point evaluates the jet of Psi^a, then Phi^a, for each a, then Omega
-            calls = [(t, a) for a in range(3) for t in (jets, vals)] + [(vals, 3)] * len(extra)
-            raise first_error(int(np.argmax(failed)), calls)
         psi, grad, _ = jets.derivatives()
-        return np.zeros(len(points), int), constraint_equation_residuals(
+        return jets.failed | vals.failed, constraint_equation_residuals(
             which, ansatz.eps, points, psi, grad[:, 0], grad[:, 1], vals.coeffs[:, 0, :].T, big_c)
 
-    found = resolve(plan, evaluate, "")
+    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
     cond = condition_from_arrays(which, _DESCRIPTIONS[which], found.points, *found.payload,
                                  plan.tolerance)
     return CheckReport(title=f"constraint residual {which}", conditions=[cond], plan=plan)

@@ -18,8 +18,7 @@ the reference.  Domain violations (log of a non-positive value, division by
 zero, a negative base under a fractional power) raise
 :class:`~hydroham.errors.EvalDomainError` carrying the offending subtree in
 the recursive evaluator, and are flagged per lane in the batched one, which
-builds the same error on request (:meth:`TapeValues.error`,
-:func:`first_error`).
+builds the same error on request (:meth:`TapeValues.error`).
 """
 
 from __future__ import annotations
@@ -741,15 +740,6 @@ def _compose(x, derivs, scatter):
         acc = _mul(acc, delta, scatter)
         acc[0] = acc[0] + derivs[k] / math.factorial(k)
     return acc
-
-
-def first_error(lane: int, calls) -> EvalDomainError:
-    """The error a per-point evaluation raises at a failing lane, given the
-    evaluations it makes there in order as (TapeValues, output) pairs."""
-    for values, k in calls:
-        if values.failed_output()[lane] == k:
-            return values.error(lane)
-    raise ValueError(f"lane {lane} fails in none of the calls")
 
 
 # -- identity testing ---------------------------------------------------------

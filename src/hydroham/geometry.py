@@ -323,15 +323,6 @@ def _lanes_of(array, lanes):
     return None if array is None else array[lanes]
 
 
-def concat_frames(parts) -> MetricFrames:
-    """Batches of frames joined lane after lane, without the error source."""
-    return MetricFrames(**{
-        name: None if getattr(parts[0], name) is None
-        else np.concatenate([getattr(p, name) for p in parts])
-        for name in _LANE_ARRAYS
-    })
-
-
 def _levi_civita_from_parts(g_up, dg_lo):
     t = (
         lane_einsum("smk->msk", dg_lo)

@@ -5,16 +5,18 @@ own counter-based generator, so parallel or out-of-order evaluation cannot
 change results, and a point hit by a domain violation can be redrawn
 reproducibly by bumping the retry counter.
 
-Checks go through a plan in blocks of :data:`BLOCK` points (:func:`blocks`,
-:func:`draw`).  :func:`sweep` is the one redraw mechanism: it evaluates a
-block in rounds, each round one batch of the points still unresolved, and
-draws exactly the ``(i, retry)`` pairs a per-point redraw loop would;
-:func:`resolve` runs it over the whole plan and returns each point's
-resolved draw in plan order.
+:func:`resolve` is the one plan walk and holds the one redraw rule: a draw
+at which any field of a check leaves its domain is redrawn, and so is any
+draw the check's evaluator rejects for its own reason (a degenerate metric,
+a singular Jacobian).  It goes through a plan in blocks of :data:`BLOCK`
+points, each round one batch of the points still unresolved, drawing
+exactly the ``(i, retry)`` pairs a per-point redraw loop would, and records
+every draw beside the resolved ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,9 +25,9 @@ import numpy as np
 from .errors import HostileDomainError
 
 RESAMPLE_BUDGET = 16
-REDRAW_DOMAIN = 1  # sweep status: a domain violation at the drawn point
-# Plan points evaluated as one batch.  Checks go through a plan block by
-# block, so the arrays they hold stay bounded whatever the point count.
+REDRAW_DOMAIN = 1  # evaluator status: a field left its domain at the drawn point
+# Plan points evaluated as one batch, so the arrays an evaluator builds stay
+# bounded whatever the point count.
 BLOCK = 25
 
 DEFAULT_COUNT = 100
@@ -50,12 +52,16 @@ class SamplePlan:
         if len(self.box) != self.dim:
             raise ValueError("box must supply one interval per variable")
         for lo, hi in self.box:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"sampling interval [{lo}, {hi}] is not finite")
             if not lo < hi:
                 raise ValueError(f"empty sampling interval [{lo}, {hi}]")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if not (math.isfinite(self.floor) and self.floor >= 0):
+            raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
         # box corners as arrays, kept out of the fields (eq, hash, echo)
         object.__setattr__(self, "_lo", np.array([b[0] for b in self.box], dtype=float))
         object.__setattr__(self, "_hi", np.array([b[1] for b in self.box], dtype=float))
@@ -85,86 +91,60 @@ def default_plan(dim: int, box=None, count: int = DEFAULT_COUNT, seed: int = 0,
                       seed=seed, tolerance=tolerance, floor=floor)
 
 
-class SweepRound(NamedTuple):
-    """One round of :func:`sweep`: the plan points it drew and their fate."""
-
-    retry: int
-    index: np.ndarray  # plan index of each lane
-    points: np.ndarray  # (lanes, dim), plan.point(index[k], retry)
-    status: np.ndarray  # per lane: 0 resolved, else the evaluator's redraw cause
-    payload: object  # whatever the evaluator returned beside the status
-
-
-def blocks(plan: SamplePlan) -> list:
-    """The plan's point indices in contiguous runs of at most BLOCK, in order."""
-    return [np.arange(start, min(start + BLOCK, plan.count))
-            for start in range(0, plan.count, BLOCK)]
-
-
-def draw(plan: SamplePlan, index, retry: int = 0) -> np.ndarray:
-    """``plan.point(i, retry)`` for every i of ``index``, as rows."""
-    return np.array([plan.point(int(i), retry) for i in index])
-
-
-def sweep(plan: SamplePlan, evaluate, index) -> list[SweepRound]:
-    """Resolve the plan points ``index`` in rounds, evaluating each round as
-    a batch.
-
-    Round r draws ``plan.point(i, r)`` for every i, in the given order, that
-    no earlier round resolved, and calls ``evaluate(points)``, which returns
-    ``(status, payload)`` with a status per lane: 0 for resolved, any other
-    value for a point to redraw.  This draws exactly the points a per-point
-    redraw loop draws; rounds stop when everything is resolved or the
-    resample budget is spent.  Points still unresolved are those of the
-    last round with a nonzero status after ``RESAMPLE_BUDGET`` redraws.
-    """
-    rounds = []
-    for retry in range(RESAMPLE_BUDGET + 1):
-        if index.size == 0:
-            break
-        points = draw(plan, index, retry)
-        status, payload = evaluate(points)
-        status = np.asarray(status)
-        rounds.append(SweepRound(retry, index, points, status, payload))
-        index = index[status != 0]
-    return rounds
-
-
 class Resolved(NamedTuple):
-    """Every point of a plan resolved by :func:`resolve`, in plan order."""
+    """A plan walked by :func:`resolve`: every draw, in (index, retry) order,
+    with its status and the evaluator's rows there, and the draws that
+    resolved, in plan order."""
 
-    points: np.ndarray  # (count, dim), the draw of each point that resolved
+    points: np.ndarray  # (resolved, dim), the draw that resolved each point
     payload: tuple  # the evaluator's per-lane arrays at those draws
-    redrawn: np.ndarray  # the status of every draw that was redrawn
+    draws: np.ndarray  # (draws, dim), every point drawn
+    status: np.ndarray  # the status of every draw: 0 resolved, else its redraw cause
+    rows: tuple  # the evaluator's per-lane arrays at every draw
+    unresolved: np.ndarray  # plan indices left unresolved after the budget, ascending
 
 
 def resolve(plan: SamplePlan, evaluate, hostile: str) -> Resolved:
-    """Resolve every plan point, block by block, through :func:`sweep`.
+    """Resolve every plan point, evaluating each round of draws as a batch.
 
-    ``evaluate(points)`` returns ``(status, payload)``, the payload a tuple
-    of arrays with one row per lane.  A point still unresolved after the
-    resample budget raises HostileDomainError with ``hostile`` formatted
-    with its index; blocks go in plan order, so that is the first such
-    point.
+    The plan goes in blocks of :data:`BLOCK` points.  Round r of a block
+    draws ``plan.point(i, r)`` for every i of the block, in order, that no
+    earlier round resolved, and calls ``evaluate(points)``, which returns
+    ``(status, payload)``: a status per lane (0 for resolved, any other
+    value for a draw to redraw, :data:`REDRAW_DOMAIN` when a field left its
+    domain there) and a tuple of arrays with one row per lane.  These are
+    exactly the draws of a per-point redraw loop; a block stops when every
+    point is resolved or has spent the resample budget.
+
+    A point whose every draw was a domain violation raises
+    HostileDomainError with ``hostile`` formatted with its index, for the
+    first such point in plan order.  Any other point that spends the budget
+    is left unresolved and listed in ``Resolved.unresolved``.
     """
-    points, payload, redrawn = [], [], []
-    for index in blocks(plan):
-        rounds = sweep(plan, evaluate, index)
-        last = rounds[-1]
-        if last.status.any():
-            raise HostileDomainError(hostile.format(int(last.index[np.argmax(last.status != 0)])))
-        redrawn += [rd.status[rd.status != 0] for rd in rounds]
-        if len(rounds) == 1:
-            points.append(last.points)
-            payload.append(last.payload)
-            continue
-        ok = [rd.status == 0 for rd in rounds]
-        order = np.argsort(np.concatenate([rd.index[k] for rd, k in zip(rounds, ok)]),
-                           kind="stable")
-        points.append(np.concatenate([rd.points[k] for rd, k in zip(rounds, ok)])[order])
-        payload.append(tuple(
-            np.concatenate([rd.payload[j][k] for rd, k in zip(rounds, ok)])[order]
-            for j in range(len(last.payload))))
-    return Resolved(np.concatenate(points),
-                    tuple(np.concatenate(arrays) for arrays in zip(*payload)),
-                    np.concatenate(redrawn))
+    index, retry, draws, status, rows, unresolved = [], [], [], [], [], []
+    for start in range(0, plan.count, BLOCK):
+        todo = np.arange(start, min(start + BLOCK, plan.count))
+        domain_only = np.ones(len(todo), bool)  # every draw so far a domain violation
+        for r in range(RESAMPLE_BUDGET + 1):
+            if not todo.size:
+                break
+            points = np.array([plan.point(int(i), r) for i in todo])
+            st, payload = evaluate(points)
+            st = np.asarray(st, dtype=int)
+            index.append(todo)
+            retry.append(np.full(len(todo), r))
+            draws.append(points)
+            status.append(st)
+            rows.append(payload)
+            again = st != 0
+            todo, domain_only = todo[again], (domain_only & (st == REDRAW_DOMAIN))[again]
+        if domain_only.any():
+            raise HostileDomainError(hostile.format(int(todo[np.argmax(domain_only)])))
+        unresolved.append(todo)
+    order = np.argsort(np.concatenate(index) * (RESAMPLE_BUDGET + 1) + np.concatenate(retry))
+    status = np.concatenate(status)[order]
+    draws = np.concatenate(draws)[order]
+    rows = tuple(np.concatenate(arrays)[order] for arrays in zip(*rows))
+    ok = status == 0
+    return Resolved(draws[ok], tuple(a[ok] for a in rows), draws, status, rows,
+                    np.concatenate(unresolved))

@@ -23,7 +23,9 @@ currents as jet or value tapes, speed matrices and maps as grids
 :func:`~hydroham.geometry.grid_values`; order-1 jets and order-0 values
 compile separately, since eval_jet and eval_scalar reject different points),
 and the per-lane residuals in public kernels.  Every check, the denominator
-scan included, walks the plan through :func:`~hydroham.sampling.resolve`.
+scan included, walks the plan through :func:`~hydroham.sampling.resolve` and
+redraws a point where any of its fields leaves its domain; the conjugacy
+check also redraws a point where the map's Jacobian is singular.
 :meth:`HydroSystem.speeds`, :meth:`PointChangeMap.apply` and
 :meth:`PointChangeMap.jacobian` are one-lane views of :func:`speed_values`,
 :func:`mapped_points` and :func:`map_jacobians`.  Every speed-matrix entry is
@@ -40,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonConservedCurrentError, VanishingDenominatorError
+from .errors import HostileDomainError, NonConservedCurrentError, VanishingDenominatorError
 from .exprs import Const, Expr, compile_tape, const, eval_scalar, eval_tape
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import (
@@ -59,7 +61,7 @@ SIGN_BRIDGE_NOTE = (
     "dt~ = sigma_1 dt + rho_1 dx, dx~ = -sigma_2 dt + rho_2 dx"
 )
 
-REDRAW_SINGULAR = 2  # sweep status: the Jacobian of the map is singular there
+REDRAW_SINGULAR = 2  # evaluator status: the Jacobian of the map is singular there
 
 
 def _one_lane(values: GridValues) -> np.ndarray:
@@ -214,7 +216,10 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
                           np.where(failed | v_new.failed, REDRAW_DOMAIN, 0))
         return status, conjugacy_residuals(jac.vals, v_old.vals, v_new.vals)
 
-    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
+    hostile = "domain too hostile at sample point {}"
+    found = resolve(plan, evaluate, hostile)
+    if len(found.unresolved):
+        raise HostileDomainError(hostile.format(found.unresolved[0]))
     cond = condition_from_arrays(
         "conjugacy",
         "J v_old = v_new(m(u)) J for the Jacobian J of the map",
@@ -223,7 +228,7 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
         plan.tolerance,
     )
     notes = []
-    if np.any(found.redrawn == REDRAW_SINGULAR):
+    if np.any(found.status == REDRAW_SINGULAR):
         notes.append("singular Jacobian encountered; point redrawn")
     return CheckReport(
         title="change of variables", conditions=[cond], plan=plan, notes=notes
@@ -265,27 +270,27 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
         v~ = (rho_2 v + sigma_2 I) (sigma_1 I - rho_1 v)^{-1},
 
     which acts entrywise on diagonal systems.  The denominator is scanned at
-    the plan points, skipping those outside the domain, and must neither
-    come near singular nor change the sign of its determinant.  Entries of
+    the plan points, redrawing those where a field leaves its domain, and
+    must neither come near singular nor change the sign of its determinant.  Entries of
     the result are expressions in the entries of ``s`` and the currents: the
     inverse is written out as adj(D) / det D, D = sigma_1 I - rho_1 v.
     """
     n = s.dim
     currents = compile_tape((c1.sigma, c1.rho), plan.dim, 0)
 
-    def evaluate(points):  # every point is drawn once: out-of-domain ones are skipped
+    def evaluate(points):
         values = eval_tape(currents, points)
         v = speed_values(s, points)
-        dets, sign = denominator_dets(values.coeffs[0, 0], values.coeffs[1, 0], v.vals)
-        return np.zeros(len(points), int), (~(values.failed | v.failed), dets, sign)
+        return values.failed | v.failed, denominator_dets(values.coeffs[0, 0],
+                                                          values.coeffs[1, 0], v.vals)
 
-    found = resolve(plan, evaluate, "")
-    ok, dets, sign = found.payload
-    small, sign = dets[ok] < 1e-6, sign[ok]
+    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
+    dets, sign = found.payload
+    small = dets < 1e-6
     bad = small | (sign != sign[:1])
     if bad.any():
         k = int(np.argmax(bad))
-        p = tuple(found.points[ok][k])
+        p = tuple(found.points[k])
         if small[k]:
             raise VanishingDenominatorError(f"denominator field vanishes near {p}")
         # determinant changes sign across the box, so it crosses zero

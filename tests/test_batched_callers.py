@@ -1,8 +1,9 @@
 """The per-point callers on batched tapes (currents, conjugacy, the reciprocal
-denominator scan, wave and constraint residuals, field comparisons) against
-per-point reference loops built on eval_jet/eval_scalar: the same draws, the
-same verdicts and residuals up to roundoff, and the same errors at the same
-first failing point."""
+denominator scan, wave and constraint residuals, field comparisons, and the
+frame checks where b or a tail leaves its domain) against per-point reference
+loops built on eval_jet/eval_scalar: the same draws, the same verdicts and
+residuals up to roundoff, and the same errors at the same first failing
+point."""
 
 from __future__ import annotations
 
@@ -15,7 +16,12 @@ import pytest
 from conftest import SMOOTH_CORPUS, random_smooth_expr
 from hydroham import cli, systems
 from hydroham import driftflux as df
-from hydroham.errors import EvalDomainError, HostileDomainError, VanishingDenominatorError
+from hydroham.errors import (
+    DegenerateMetricError,
+    EvalDomainError,
+    HostileDomainError,
+    VanishingDenominatorError,
+)
 from hydroham.exprs import (
     compile_tape,
     eval_jet,
@@ -25,9 +31,15 @@ from hydroham.exprs import (
     fields_equal_numeric,
     variables,
 )
-from hydroham.geometry import scaled_abs_det
+from hydroham.geometry import AffinorField, ConnectionField, MetricField, metric_frame, scaled_abs_det
+from hydroham.operators import (
+    LocalOperator,
+    NonlocalOperator,
+    check_ferapontov,
+    check_local_hamiltonian,
+)
 from hydroham.parsing import parse_expr
-from hydroham.sampling import RESAMPLE_BUDGET, SamplePlan, default_plan
+from hydroham.sampling import RESAMPLE_BUDGET, SamplePlan, default_plan, resolve
 from hydroham.systems import (
     ConservedCurrent,
     HydroSystem,
@@ -54,7 +66,7 @@ def counting(plan: SamplePlan) -> CountingPlan:
 
 
 def redraw_loop(plan, evaluate, hostile, retriable=(EvalDomainError,)):
-    """The per-point redraw loop the sweep replaces: [(point, result)] in plan order."""
+    """The per-point redraw loop that resolve batches: [(point, result)] in plan order."""
     out = []
     for i in range(plan.count):
         for r in range(RESAMPLE_BUDGET + 1):
@@ -105,6 +117,47 @@ def test_plan_arrays_stay_out_of_equality_and_echo():
     a, b = default_plan(2, seed=3), default_plan(2, seed=3)
     assert a == b and hash(a) == hash(b)
     assert set(a.echo()) == {"dim", "box", "count", "seed", "tolerance", "floor"}
+
+
+# -- resolve ---------------------------------------------------------------------------------
+
+
+def test_resolve_records_every_draw_and_applies_the_exhaustion_rule():
+    base = SamplePlan(1, ((0.0, 1.0),), count=60, seed=2)
+    budget = range(RESAMPLE_BUDGET + 1)
+    pair_of = {float(base.point(i, r)[0]): (i, r) for i in range(base.count) for r in budget}
+    # point 7 is always rejected for a cause other than the domain, point 40
+    # leaves the domain until retry 3, point 52 alternates the two causes
+    cause = {7: lambda r: 2, 40: lambda r: 1 if r < 3 else 0, 52: lambda r: 1 + r % 2}
+
+    def evaluate(points):
+        pairs = [pair_of[float(p[0])] for p in points]
+        return np.array([cause.get(i, lambda r: 0)(r) for i, r in pairs]), (points[:, 0] * 2.0,)
+
+    plan = counting(base)
+    found = resolve(plan, evaluate, "hostile at {}")
+    want = sorted([(i, 0) for i in range(60) if i not in cause]
+                  + [(7, r) for r in budget] + [(40, r) for r in range(4)] + [(52, r) for r in budget])
+    assert sorted(plan.drawn) == want
+    assert [pair_of[float(p[0])] for p in found.draws] == want
+    assert [pair_of[float(p[0])] for p in found.points] == \
+        [(i, 3 if i == 40 else 0) for i in range(60) if i not in (7, 52)]
+    assert np.array_equal(found.payload[0], found.points[:, 0] * 2.0)
+    assert np.array_equal(found.rows[0], found.draws[:, 0] * 2.0)
+    assert list(found.unresolved) == [7, 52]
+    assert np.count_nonzero(found.status == 2) == len(budget) + len(budget) // 2
+
+    cause[30] = cause[45] = lambda r: 1  # every draw of these points leaves the domain
+    with pytest.raises(HostileDomainError, match="^hostile at 30$"):
+        resolve(plan, evaluate, "hostile at {}")
+
+
+def test_conjugacy_raises_for_a_point_it_cannot_resolve():
+    u1, u2 = variables(2)
+    s = HydroSystem(2, ((u1, u2), (u2, u1)))
+    singular = PointChangeMap((u1 + u2, u1 + u2))  # Jacobian singular everywhere
+    with pytest.raises(HostileDomainError, match="^domain too hostile at sample point 0$"):
+        check_change_of_variables(s, s, singular, default_plan(2, count=10))
 
 
 # -- one-lane views ----------------------------------------------------------------------
@@ -162,6 +215,75 @@ def test_failed_output_names_the_first_failing_expression():
                         first = k
                         break
                 assert values.failed_output()[lane] == first, ([str(e) for e in exprs], p)
+
+
+# -- metric frames with b and tails ----------------------------------------------------------
+
+
+def _flat_plane(b000):
+    """g = identity on the plane, b zero but for b^{11}_1 = b000."""
+    zero, one = parse_expr("0", 2), parse_expr("1", 2)
+    g = MetricField(2, ((one, zero), (zero, one)))
+    b = ConnectionField(2, tuple(tuple(tuple(b000 if i == j == k == 0 else zero for k in range(2))
+                                             for j in range(2)) for i in range(2)))
+    return LocalOperator(2, g, b)
+
+
+def _frame_reference(op, plan, sample, tails=()):
+    """The per-point loop of a frame check: redraw where g, b or a tail
+    leaves its domain or g is degenerate, then ``sample(p)``."""
+    def evaluate(p):
+        metric_frame(op.g, p, curvature=True)
+        for e in np.array(op.b.entries, dtype=object).ravel():
+            eval_scalar(e, p)
+        for w in tails:
+            for e in np.array(w.entries, dtype=object).ravel():
+                eval_scalar(e, p)
+                eval_jet(e, p, 1)
+        return sample(p)
+
+    return redraw_loop(plan, evaluate, "", (EvalDomainError, DegenerateMetricError))
+
+
+def test_local_check_redraws_where_b_leaves_its_domain():
+    # Gamma^1_{11} = -ln(u1 + 0.5): nabla_1 g_{11} = 2 ln(u1 + 0.5) against scale |ln(u1 + 0.5)|
+    b000 = parse_expr("ln(u1 + 0.5)", 2)
+    op = _flat_plane(b000)
+    plan = counting(SamplePlan(2, HOSTILE_BOX, count=60, seed=4))
+    rep = check_local_hamiltonian(op, plan)
+    reference = counting(plan)
+
+    def sample(p):
+        log = eval_scalar(b000, p)
+        return 2.0 * abs(log), abs(log)
+
+    want = worst(_frame_reference(op, reference, sample))
+    got = {c.cid: c for c in rep.conditions}
+    assert_same_condition(got["metric_compatible"], want, sorted(plan.drawn),
+                          sorted(reference.drawn))
+    assert any(r > 0 for _, r in plan.drawn)
+    assert [c.cid for c in rep.conditions if not c.passed] == ["metric_compatible"]
+
+
+def test_nonlocal_check_redraws_where_a_tail_leaves_its_domain():
+    # w^1_1 = sqrt(u2 + 0.3): the Codazzi residual is d_2 w^1_1 = 1 / (2 sqrt(u2 + 0.3))
+    root = parse_expr("sqrt(u2 + 0.3)", 2)
+    zero = parse_expr("0", 2)
+    tails = (AffinorField(2, 1, ((root, zero), (zero, zero))),)
+    op = NonlocalOperator(_flat_plane(zero), tails)
+    plan = counting(SamplePlan(2, HOSTILE_BOX, count=60, seed=4))
+    rep = check_ferapontov(op, plan)
+    reference = counting(plan)
+
+    def sample(p):
+        slope = eval_jet(root, p, 1).gradient()[1]
+        return abs(slope), abs(slope)
+
+    want = worst(_frame_reference(op.local, reference, sample, tails))
+    got = {c.cid: c for c in rep.conditions}
+    assert_same_condition(got["t2_codazzi"], want, sorted(plan.drawn), sorted(reference.drawn))
+    assert any(r > 0 for _, r in plan.drawn)
+    assert [c.cid for c in rep.conditions if not c.passed] == ["t2_codazzi"]
 
 
 # -- conserved currents, conjugacy and the reciprocal transform ------------------------------
@@ -255,13 +377,13 @@ def test_conjugacy_redraws_like_the_per_point_loop(floor):
 
 
 def _denominator_reference(s, c1, plan):
+    """The per-point scan: redraw where a field leaves its domain, raise at
+    the first resolved point where the denominator is bad."""
     n, sign_seen = s.dim, 0
-    for i in range(plan.count):
-        p = plan.point(i)
-        try:
-            d = eval_scalar(c1.sigma, p) * np.eye(n) - eval_scalar(c1.rho, p) * s.speeds(p)
-        except EvalDomainError:
-            continue
+
+    def evaluate(p):
+        nonlocal sign_seen
+        d = eval_scalar(c1.sigma, p) * np.eye(n) - eval_scalar(c1.rho, p) * s.speeds(p)
         if scaled_abs_det(d) < 1e-6:
             raise VanishingDenominatorError(f"denominator field vanishes near {tuple(p)}")
         sign = 1 if np.linalg.det(d) > 0 else -1
@@ -270,6 +392,12 @@ def _denominator_reference(s, c1, plan):
         elif sign != sign_seen:
             raise VanishingDenominatorError(
                 f"denominator field vanishes inside the box (sign change near {tuple(p)})")
+        return sign
+
+    return redraw_loop(plan, evaluate, "domain too hostile at sample point {}")
+
+
+DENOMINATOR_BOX = ((-0.7, 0.7), (-0.7, 0.7), (0.1, 1.0))
 
 
 @pytest.mark.parametrize("rho,sigma", [("1", "0"), ("0", "u1"), ("ln(u1)", "1"), ("1", "u3 - 0.55")])
@@ -277,13 +405,24 @@ def test_denominator_scan_raises_at_the_first_bad_point(rho, sigma):
     s = df.build_system_S()
     c1 = ConservedCurrent(parse_expr(rho, 3), parse_expr(sigma, 3))
     c2 = ConservedCurrent(parse_expr("0", 3), parse_expr("1", 3))
-    plan = counting(SamplePlan(3, ((-0.7, 0.7), (-0.7, 0.7), (0.1, 1.0)), count=80, seed=6))
+    plan = SamplePlan(3, DENOMINATOR_BOX, count=80, seed=6)
     with pytest.raises(VanishingDenominatorError) as want:
         _denominator_reference(s, c1, plan)
     with pytest.raises(VanishingDenominatorError) as got:
         build_reciprocal_system(s, c1, c2, plan)
     assert str(got.value) == str(want.value)
-    assert all(r == 0 for _, r in plan.drawn)  # the scan never redraws
+
+
+def test_denominator_scan_redraws_like_the_per_point_loop():
+    s = df.build_system_S()
+    c1 = ConservedCurrent(parse_expr("0 * ln(u1)", 3), parse_expr("1", 3))
+    c2 = ConservedCurrent(parse_expr("0", 3), parse_expr("1", 3))
+    plan = counting(SamplePlan(3, DENOMINATOR_BOX, count=60, seed=6))
+    build_reciprocal_system(s, c1, c2, plan)
+    reference = counting(plan)
+    _denominator_reference(s, c1, reference)
+    assert sorted(plan.drawn) == sorted(reference.drawn)
+    assert any(r > 0 for _, r in plan.drawn)  # ln(u1) leaves its domain where u1 <= 0
 
 
 def test_builder_equals_the_checked_transform():
@@ -330,59 +469,54 @@ def test_reciprocal_command_checks_currents_once_and_skips_the_builder(tmp_path,
 # -- wave and constraint residuals -------------------------------------------------------------
 
 
-def test_wave_residual_raises_at_the_first_failing_point():
-    psi = parse_expr("ln(r1 + 0.5) + r2", 2)
-    plan = df.plane_plan(count=60, seed=3)
-    with pytest.raises(EvalDomainError) as got:
-        df.kg_residual(psi, plan)
-    for i in range(plan.count):
-        try:
-            eval_jet(psi, plan.point(i)[:2], 2)
-        except EvalDomainError as err:
-            assert str(got.value) == str(err)
-            break
-    else:
-        pytest.fail("no point leaves the domain")
+def _wave_sample(psi, p):
+    jet = eval_jet(psi, p[:2], 2)
+    mixed = 2.0 * jet.derivative((1, 1))
+    d1, d2 = jet.derivative((1, 0)), jet.derivative((0, 1))
+    return mixed + d1 - d2, max(abs(mixed), abs(d1), abs(d2))
+
+
+def test_wave_residual_redraws_like_the_per_point_loop():
+    psi = parse_expr("ln(r1 + 0.5) + r1 * r2", 2)
+    plan = counting(df.plane_plan(count=60, seed=3))
+    rep = df.kg_residual(psi, plan)
+    reference = counting(plan)
+    want = worst(redraw_loop(reference, lambda p: _wave_sample(psi, p), ""))
+    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn), sorted(reference.drawn))
+    assert any(r > 0 for _, r in plan.drawn)  # ln(r1 + 0.5) leaves its domain
 
 
 def test_wave_residual_matches_the_per_point_jets():
     plan = df.drift_plan(count=50, seed=4)
     for psi in (df.kg_family_v(2), df.kg_family_u_half_r1(1), parse_expr("r1*r2^2", 2)):
         rep = df.kg_residual(psi, plan)
-        samples = []
-        for i in range(plan.count):
-            p = plan.point(i)
-            jet = eval_jet(psi, p[:2], 2)
-            mixed = 2.0 * jet.derivative((1, 1))
-            d1, d2 = jet.derivative((1, 0)), jet.derivative((0, 1))
-            samples.append((p, (mixed + d1 - d2, max(abs(mixed), abs(d1), abs(d2)))))
+        samples = [(plan.point(i), _wave_sample(psi, plan.point(i))) for i in range(plan.count)]
         assert_same_condition(rep.conditions[0], worst(samples), 0, 0)
 
 
-def test_constraint_residual_raises_the_first_error_of_a_point():
-    # Phi^1 = ln(r3) fails before Phi^2 = sqrt(r3 - 0.2) where both fail, and
-    # Omega = ln(r3 - 0.4) only where the Phi are fine
+def test_constraint_residuals_redraw_like_the_per_point_loop():
+    # Phi^1 = ln(r3) and Phi^2 = sqrt(r3 - 0.2) leave their domains on part
+    # of the box, and Omega = ln(r3 - 0.4) on a further part
     base = df.default_ansatz()
     ans = df.ProlongationAnsatz(base.eps, base.psi,
                                 (parse_expr("ln(r3)", 3), parse_expr("sqrt(r3 - 0.2)", 3), df.R3))
-    for omega, box3 in ((None, (-0.5, 1.0)), ("ln(r3 - 0.4)", (0.25, 1.0))):
-        plan = SamplePlan(3, ((-0.7, 0.7), (-0.7, 0.7), box3), count=40, seed=2)
-        om = None if omega is None else parse_expr(omega, 3)
-        with pytest.raises(EvalDomainError) as got:
-            df.constraint_residuals(ans, "eq5", plan, omega=om)
-        want = None
-        for i in range(plan.count):
-            p = plan.point(i)
-            try:
-                for a in range(3):
-                    eval_jet(ans.psi[a], p, 1)
-                    eval_scalar(ans.phi[a], p)
-                if om is not None:
-                    eval_scalar(om, p)
-            except EvalDomainError as err:
-                want = err
-                break
-        assert want is not None and str(got.value) == str(want)
+    omega = parse_expr("ln(r3 - 0.4)", 3)
+    plan = counting(SamplePlan(3, ((-0.7, 0.7), (-0.7, 0.7), (-0.5, 1.0)), count=40, seed=2))
+    rep = df.constraint_residuals(ans, "eq5", plan, omega=omega)
+    reference = counting(plan)
+
+    def evaluate(p):
+        total, scale = 0.0, abs(float(np.exp(p[0] - p[1])))
+        for a in range(3):
+            psi = eval_jet(ans.psi[a], p, 1).value
+            term = ans.eps[a] * (eval_scalar(ans.phi[a], p) + psi / 2.0) * psi
+            total += term
+            scale = max(scale, abs(term))
+        return total - eval_scalar(omega, p) + float(np.exp(p[0] - p[1])), scale
+
+    want = worst(redraw_loop(reference, evaluate, ""))
+    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn), sorted(reference.drawn))
+    assert any(r > 0 for _, r in plan.drawn)
 
 
 def test_constraint_residuals_match_the_per_point_loop():

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from hydroham.cli import PRESETS, SPEC_CHECKS, main
+from hydroham.sampling import SamplePlan
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -299,3 +300,52 @@ def test_unknown_preset_and_check_messages(tmp_path, capsys):
     assert main(["check", spec]) == 2
     assert capsys.readouterr().err == (
         "error: check 'conserved_currents' needs 'system' and 'currents'\n")
+
+
+# -- non-finite plan input ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tolerance", float("inf")), ("tolerance", float("nan")), ("tolerance", 0.0),
+    ("floor", float("inf")), ("floor", float("nan")), ("floor", -1e-12),
+])
+def test_plan_rejects_a_non_finite_tolerance_or_floor(field, value):
+    with pytest.raises(ValueError, match=field):
+        SamplePlan(1, ((-1.0, 1.0),), **{field: value})
+
+
+@pytest.mark.parametrize("box", [((float("-inf"), 1.0),), ((-1.0, float("inf")),),
+                                 ((float("nan"), 1.0),)])
+def test_plan_rejects_a_non_finite_box_bound(box):
+    with pytest.raises(ValueError, match="sampling interval"):
+        SamplePlan(1, box)
+
+
+# g = 2 + u1 with b = 0 is not metric compatible (normalized residual about 0.99)
+WRONG_CONNECTION = {"dimension": 1, "metric": [["2 + u1"]], "b": [[["0"]]],
+                    "checks": ["local_hamiltonian"]}
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+def test_non_finite_tolerance_is_invalid_input(tmp_path, capsys, tol):
+    spec = write_spec(tmp_path, **WRONG_CONNECTION)
+    assert main(["check", spec]) == 1
+    capsys.readouterr()
+    assert main(["check", spec, f"--tol={tol}"]) == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+    assert main(["preset", "h1", f"--tol={tol}"]) == 2
+
+
+def test_non_finite_box_bound_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    spec = dict(WRONG_CONNECTION, sample_plan={"box": [[-1.0, 1.0]]})
+    path.write_text(json.dumps(spec).replace("-1.0", "-1e400"), encoding="utf-8")
+    assert main(["check", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
+def test_non_finite_floor_is_invalid_input(tmp_path, capsys):
+    spec = write_spec(tmp_path, **dict(WRONG_CONNECTION, sample_plan={"floor": -1}))
+    assert main(["check", spec]) == 2
+    assert "floor must be finite and >= 0" in capsys.readouterr().err

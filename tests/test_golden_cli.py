@@ -17,8 +17,12 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.js
 RESIDUAL_ABS, RESIDUAL_REL = 1e-12, 1e-9
 WITNESS_EXACT_FROM = 1e-10
 # draws saved per run: the transform no longer re-checks the two currents the
-# command has just checked (2 currents x 100 points)
-SAVED_DRAWS = {"reciprocal example": 200, "preset reciprocal-remark": 200}
+# command has just checked (2 currents x 100 points), the transformed speeds
+# draw their 4 points once for the table and the JSON, and the constraints
+# preset checks its three Psi against the wave identity once instead of once
+# per equation (3 equations x 3 Psi x 25 points)
+SAVED_DRAWS = {"reciprocal example": 204, "preset reciprocal-remark": 204,
+               "preset constraints": 225}
 
 with open(GOLDEN, "r", encoding="utf-8") as fh:
     GOLDEN_DOCS = json.load(fh)
