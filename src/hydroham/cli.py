@@ -428,7 +428,7 @@ PRESETS = {
 def _transformed_speeds(system: HydroSystem, plan: SamplePlan):
     """(table lines, JSON data) of the transformed speed matrix at the first
     plan points, each point drawn and evaluated once for both formats."""
-    grid = [(p, system.speeds(p)) for p in (plan.point(i) for i in range(min(4, plan.count)))]
+    grid = [(p, system.speeds(p)) for p in plan.points(range(min(4, plan.count)))]
     lines = ["transformed speed matrix v~ (u_t = v~ u_x) on sample points:"]
     for p, v in grid:
         pt = ", ".join(f"{x:.4f}" for x in p)

@@ -459,7 +459,7 @@ def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
         _, d1, d2 = jets.derivatives()
         return jets.failed, wave_residuals(d1[..., 0], d2[..., 0])
 
-    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
+    found = resolve(plan, evaluate)
     cond = condition_from_arrays(
         "wave_identity", "2 Psi_{r1 r2} - Psi_{r2} + Psi_{r1} = 0",
         found.points, *found.payload, plan.tolerance
@@ -618,7 +618,7 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
         return jets.failed | vals.failed, constraint_equation_residuals(
             which, ansatz.eps, points, psi, grad[:, 0], grad[:, 1], vals.coeffs[:, 0, :].T, big_c)
 
-    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
+    found = resolve(plan, evaluate)
     cond = condition_from_arrays(which, _DESCRIPTIONS[which], found.points, *found.payload,
                                  plan.tolerance)
     return CheckReport(title=f"constraint residual {which}", conditions=[cond], plan=plan)

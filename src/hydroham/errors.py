@@ -35,7 +35,11 @@ class EvalDomainError(WorkbenchError):
 
 
 class HostileDomainError(WorkbenchError):
-    """Resampling budget exhausted: domain too hostile."""
+    """Resampling budget exhausted: domain too hostile at plan point ``index``."""
+
+    def __init__(self, index: int):
+        super().__init__(f"domain too hostile at sample point {index}")
+        self.index = index
 
 
 class DegenerateMetricError(WorkbenchError):

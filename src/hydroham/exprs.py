@@ -41,7 +41,7 @@ from .jets import (
     product_scatter,
 )
 from .reports import CheckReport, ConditionResult, non_finite_condition
-from .sampling import RESAMPLE_BUDGET, SamplePlan, resolve
+from .sampling import SamplePlan, resolve
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
 
@@ -494,14 +494,6 @@ class TapeValues(NamedTuple):
     def failed(self) -> np.ndarray:
         return self.first_failure < len(self.tape.code)
 
-    def failed_output(self) -> np.ndarray:
-        """Per lane, the first output whose evaluation fails there, or
-        len(outputs).  Outputs compile in order and an output's instructions
-        that can fail come at or before its slot, so the first failing
-        instruction belongs to the first failing output."""
-        ends = np.maximum.accumulate([-1 if s is None else s for s in self.tape.outputs])
-        return np.searchsorted(ends, self.first_failure)
-
     def derivatives(self):
         """(values, gradients, Hessians) with the lane axis first: shapes
         (N, outputs), (N, n, outputs) and (N, n, n, outputs); None past the
@@ -763,8 +755,7 @@ def fields_equal_numeric(
         values = eval_tape(both, points)
         return values.failed, (values.coeffs[:, 0, :].T,)
 
-    found = resolve(plan, evaluate, "domain too hostile: sample point {} exhausted "
-                    f"{RESAMPLE_BUDGET} redraws")
+    found = resolve(plan, evaluate)
     raw, scale = comparison_residuals(*found.payload)
     cid, description = "pointwise_equal", "values agree at every sample point"
     finite = np.isfinite(raw) & np.isfinite(scale)

@@ -31,6 +31,7 @@ present, comes before all of these):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
@@ -120,29 +121,45 @@ def lane_einsum(spec: str, *operands) -> np.ndarray:
     result does not depend on which other lanes share the batch; np.einsum
     may regroup a reduction depending on the operands' shapes.
     """
-    inputs, out = spec.split("->")
-    inputs = inputs.split(",")
-    sizes = {}
-    for sub, op in zip(inputs, operands):
-        sizes.update(zip(sub, op.shape[1:]))
-    summed = sorted(set("".join(inputs)) - set(out))
-    views = []  # (operand as (lane, its summed indices, its output indices), ...)
-    for sub, op in zip(inputs, operands):
-        own = [c for c in summed if c in sub]
-        perm = [0] + [1 + sub.index(c) for c in own] + [1 + sub.index(c) for c in out if c in sub]
-        expand = (slice(None),) + tuple(slice(None) if c in sub else None for c in out)
-        views.append((np.transpose(op, perm), [summed.index(c) for c in own], expand))
+    perms, terms, copy = _einsum_plan(spec, tuple(op.shape[1:] for op in operands))
+    views = [np.transpose(op, perm) for op, perm in zip(operands, perms)]
     total = None
-    for combo in itertools.product(*(range(sizes[c]) for c in summed)):
+    for term_index in terms:
         term = None
-        for view, own, expand in views:
-            x = view[(slice(None),) + tuple(combo[k] for k in own)][expand]
+        for view, index in zip(views, term_index):
+            x = view[index]
             term = x if term is None else term * x
         if total is None:
-            total = term if len(views) > 1 or not summed else term.copy()
+            total = term.copy() if copy else term
         else:
             total += term
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _einsum_plan(spec: str, shapes: tuple):
+    """How :func:`lane_einsum` sums on operands with these non-lane shapes:
+    per operand the axis order (lane, its summed indices, its output
+    indices); per term of the sum, in lexicographic order of the summed
+    indices, per operand the index that picks its factor shaped for the
+    output; and whether the first term is a view to copy before summing."""
+    inputs, out = spec.split("->")
+    inputs = inputs.split(",")
+    sizes = {}
+    for sub, shape in zip(inputs, shapes):
+        sizes.update(zip(sub, shape))
+    summed = sorted(set("".join(inputs)) - set(out))
+    perms, owns, expands = [], [], []
+    for sub in inputs:
+        own = [c for c in summed if c in sub]
+        perms.append(tuple([0] + [1 + sub.index(c) for c in own]
+                           + [1 + sub.index(c) for c in out if c in sub]))
+        owns.append([summed.index(c) for c in own])
+        expands.append(tuple(slice(None) if c in sub else None for c in out))
+    terms = tuple(tuple((slice(None),) + tuple(combo[k] for k in own) + expand
+                        for own, expand in zip(owns, expands))
+                  for combo in itertools.product(*(range(sizes[c]) for c in summed)))
+    return tuple(perms), terms, len(inputs) == 1 and bool(summed)
 
 
 def lane_max(x: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from .geometry import (
     metric_frames,
 )
 from .reports import CheckReport, ConditionResult, condition_from_arrays
-from .sampling import REDRAW_DOMAIN, RESAMPLE_BUDGET, Resolved, SamplePlan, resolve
+from .sampling import REDRAW_DOMAIN, Resolved, SamplePlan, resolve
 
 DEGENERATE_FRACTION_LIMIT = 0.2
 
@@ -112,8 +112,7 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
                 raw[ok, k], scale[ok, k] = found[key]
         return status, symmetric + (raw, scale)
 
-    found = resolve(plan, evaluate, "domain too hostile: sample point {} exhausted "
-                    f"{RESAMPLE_BUDGET} redraws")
+    found = resolve(plan, evaluate)
     evaluated = found.status != REDRAW_DOMAIN
     symmetric = condition_from_arrays("metric_symmetric", "g^{ij} = g^{ji}",
                                       found.draws[evaluated], found.rows[0][evaluated],
@@ -269,7 +268,7 @@ def check_skew_adjoint(a: LocalOperator, plan: SamplePlan) -> CheckReport:
         g, b = grid_values(g_grid, points), grid_values(b_grid, points)
         return np.where(g.failed | b.failed, REDRAW_DOMAIN, 0), (g.vals, g.d1, b.vals)
 
-    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
+    found = resolve(plan, evaluate)
     table = (("metric_symmetric", "g^{ij} = g^{ji}"),
              ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
     results = skew_residuals(*found.payload)

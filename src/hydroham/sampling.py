@@ -1,21 +1,25 @@
 """Deterministic sample plans for randomized identity checks.
 
-Point i of a plan is a pure function of (seed, i, retry): each draw seeds its
-own counter-based generator, so parallel or out-of-order evaluation cannot
-change results, and a point hit by a domain violation can be redrawn
-reproducibly by bumping the retry counter.
+Point i of a plan at draw ``retry`` is ``lo + (hi - lo) * u`` with
+``u = np.random.default_rng((seed, i, retry)).random(dim)``, a pure function
+of (seed, i, retry), so parallel or out-of-order evaluation cannot change
+results, and a point hit by a domain violation can be redrawn reproducibly
+by bumping the retry counter.  :meth:`SamplePlan.points` computes those
+numbers for a whole round of indices in one call, following numpy's
+SeedSequence and PCG64 in array arithmetic, without a generator per point.
 
 :func:`resolve` is the one plan walk and holds the one redraw rule: a draw
 at which any field of a check leaves its domain is redrawn, and so is any
 draw the check's evaluator rejects for its own reason (a degenerate metric,
 a singular Jacobian).  It goes through a plan in blocks of :data:`BLOCK`
-points, each round one batch of the points still unresolved, drawing
-exactly the ``(i, retry)`` pairs a per-point redraw loop would, and records
-every draw beside the resolved ones.
+points, each round one call to draw and one batch to evaluate of the points
+still unresolved, drawing exactly the ``(i, retry)`` pairs a per-point
+redraw loop would, and records every draw beside the resolved ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,9 +30,9 @@ from .errors import HostileDomainError
 
 RESAMPLE_BUDGET = 16
 REDRAW_DOMAIN = 1  # evaluator status: a field left its domain at the drawn point
-# Plan points evaluated as one batch, so the arrays an evaluator builds stay
-# bounded whatever the point count.
-BLOCK = 25
+# Plan points evaluated as one batch: a default plan is one block, and the
+# arrays an evaluator builds stay bounded whatever the point count.
+BLOCK = 256
 
 DEFAULT_COUNT = 100
 DEFAULT_TOLERANCE = 1e-9
@@ -58,6 +62,9 @@ class SamplePlan:
                 raise ValueError(f"empty sampling interval [{lo}, {hi}]")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not (math.isfinite(self.floor) and self.floor >= 0):
@@ -65,11 +72,25 @@ class SamplePlan:
         # box corners as arrays, kept out of the fields (eq, hash, echo)
         object.__setattr__(self, "_lo", np.array([b[0] for b in self.box], dtype=float))
         object.__setattr__(self, "_hi", np.array([b[1] for b in self.box], dtype=float))
+        object.__setattr__(self, "_seed_words", _words(int(self.seed)))
+
+    def points(self, indices, retry: int = 0) -> np.ndarray:
+        """Plan points ``indices`` at draw ``retry``, one row each: row k is
+        ``lo + (hi - lo) * np.random.default_rng((seed, indices[k],
+        retry)).random(dim)``, bit for bit, for indices below 2**64."""
+        idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
+        u = np.empty((idx.size, self.dim))
+        # an index gives SeedSequence one entropy word below 2**32, two above:
+        # one batch per layout
+        for lanes, wide in ((idx <= _M32, False), (idx > _M32, True)):
+            if lanes.any():
+                i = idx[lanes]
+                words = [i & _M32, i >> 32] if wide else [i]
+                u[lanes] = _uniforms(self._seed_words + words + _words(retry), i.size, self.dim)
+        return self._lo + (self._hi - self._lo) * u
 
     def point(self, i: int, retry: int = 0) -> np.ndarray:
-        # the generator np.random.default_rng((seed, i, retry)) builds
-        u = np.random.Generator(np.random.PCG64((self.seed, i, retry))).random(self.dim)
-        return self._lo + (self._hi - self._lo) * u
+        return self.points([i], retry)[0]
 
     def echo(self) -> dict:
         return {
@@ -91,6 +112,100 @@ def default_plan(dim: int, box=None, count: int = DEFAULT_COUNT, seed: int = 0,
                       seed=seed, tolerance=tolerance, floor=floor)
 
 
+# -- np.random.default_rng((seed, i, retry)).random(dim), for many i at once --------
+#
+# numpy seeds PCG64 from a SeedSequence over the 32-bit words of (seed, i,
+# retry): four pool words hashed and cross-mixed, four 64-bit state words
+# generated from the pool.  PCG64 then runs a 128-bit LCG, emitting the
+# XSL-RR output of each new state, and random() keeps its top 53 bits.  The
+# functions below follow those steps with one lane per index, in uint32
+# arrays for the hash and in 64-bit halves for the LCG.
+
+_M32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the state hash
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_HI, _PCG_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_PCG_LO0, _PCG_LO1 = _PCG_LO & np.uint64(_M32), _PCG_LO >> np.uint64(32)
+
+
+def _words(n: int) -> list:
+    """The 32-bit entropy words SeedSequence takes from an integer >= 0."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """(n, 1) uint32: the hash multiplier, from ``init``, after each of n - 1 steps."""
+    out = [init]
+    while len(out) < n:
+        out.append(out[-1] * mult & _M32)
+    out = np.array(out, dtype=np.uint32)[:, None]
+    out.setflags(write=False)  # shared by every caller of the cache
+    return out
+
+
+def _hashmix(values, constants):
+    """SeedSequence's hashmix of each row of ``values``, row k with the hash
+    multiplier at its k-th step; ``constants`` holds one step more than rows."""
+    v = (values ^ constants[:-1]) * constants[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    v = _MIX_L * x - _MIX_R * y
+    return v ^ (v >> 16)
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """The 128-bit state (hi, lo) times PCG64's multiplier plus the increment."""
+    a0, a1 = lo & _M32, lo >> 32
+    p01, p10 = a0 * _PCG_LO1, a1 * _PCG_LO0
+    mid = ((a0 * _PCG_LO0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = a1 * _PCG_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + hi * _PCG_LO + lo * _PCG_HI
+    lo = lo * _PCG_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _uniforms(entropy: list, lanes: int, dim: int) -> np.ndarray:
+    """(lanes, dim) doubles of default_rng(entropy words).random(dim), one lane
+    per column of the entropy words (each an int or a uint64 array)."""
+    n_words = max(len(entropy), _POOL)
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * n_words + 1)
+    words = np.zeros((n_words, lanes), dtype=np.uint32)
+    for k, w in enumerate(entropy):
+        words[k] = w
+    pool = _hashmix(words[:_POOL], a[:_POOL + 1])
+    step = _POOL
+    for src in range(_POOL):  # each pool word mixed into the three others
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[step:step + _POOL]))
+        step += _POOL - 1
+    for extra in words[_POOL:]:  # entropy beyond the pool, mixed into all four
+        pool = _mix(pool, _hashmix(extra, a[step:step + _POOL + 1]))
+        step += _POOL
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 9))
+    state = state.astype(np.uint64)
+    s_hi, s_lo, q_hi, q_lo = state[0::2] | (state[1::2] << 32)  # little-endian pairs
+    # PCG64 seeding: inc = 2 seq + 1; state = inc; state += initstate; step
+    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < s_lo)
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((lanes, dim))
+    for d in range(dim):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58  # XSL-RR
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[:, d] = (x >> 11) * 2.0 ** -53
+    return out
+
+
 class Resolved(NamedTuple):
     """A plan walked by :func:`resolve`: every draw, in (index, retry) order,
     with its status and the evaluator's rows there, and the draws that
@@ -104,12 +219,14 @@ class Resolved(NamedTuple):
     unresolved: np.ndarray  # plan indices left unresolved after the budget, ascending
 
 
-def resolve(plan: SamplePlan, evaluate, hostile: str) -> Resolved:
+def resolve(plan: SamplePlan, evaluate) -> Resolved:
     """Resolve every plan point, evaluating each round of draws as a batch.
 
     The plan goes in blocks of :data:`BLOCK` points.  Round r of a block
-    draws ``plan.point(i, r)`` for every i of the block, in order, that no
-    earlier round resolved, and calls ``evaluate(points)``, which returns
+    draws, in one ``plan.points`` call, point i at retry r (``lo + (hi - lo)
+    * np.random.default_rng((seed, i, r)).random(dim)``) for every i of the
+    block, in order, that no earlier round resolved, and calls
+    ``evaluate(points)``, which returns
     ``(status, payload)``: a status per lane (0 for resolved, any other
     value for a draw to redraw, :data:`REDRAW_DOMAIN` when a field left its
     domain there) and a tuple of arrays with one row per lane.  These are
@@ -117,7 +234,7 @@ def resolve(plan: SamplePlan, evaluate, hostile: str) -> Resolved:
     point is resolved or has spent the resample budget.
 
     A point whose every draw was a domain violation raises
-    HostileDomainError with ``hostile`` formatted with its index, for the
+    HostileDomainError ("domain too hostile at sample point i") for the
     first such point in plan order.  Any other point that spends the budget
     is left unresolved and listed in ``Resolved.unresolved``.
     """
@@ -128,7 +245,7 @@ def resolve(plan: SamplePlan, evaluate, hostile: str) -> Resolved:
         for r in range(RESAMPLE_BUDGET + 1):
             if not todo.size:
                 break
-            points = np.array([plan.point(int(i), r) for i in todo])
+            points = plan.points(todo, r)
             st, payload = evaluate(points)
             st = np.asarray(st, dtype=int)
             index.append(todo)
@@ -139,7 +256,7 @@ def resolve(plan: SamplePlan, evaluate, hostile: str) -> Resolved:
             again = st != 0
             todo, domain_only = todo[again], (domain_only & (st == REDRAW_DOMAIN))[again]
         if domain_only.any():
-            raise HostileDomainError(hostile.format(int(todo[np.argmax(domain_only)])))
+            raise HostileDomainError(int(todo[np.argmax(domain_only)]))
         unresolved.append(todo)
     order = np.argsort(np.concatenate(index) * (RESAMPLE_BUDGET + 1) + np.concatenate(retry))
     status = np.concatenate(status)[order]

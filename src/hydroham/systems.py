@@ -180,7 +180,7 @@ def check_conserved_current(s: HydroSystem, c: ConservedCurrent,
         return (jets.failed | v.failed,
                 current_residuals(grads[..., 0], grads[..., 1], v.vals))
 
-    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
+    found = resolve(plan, evaluate)
     cond = condition_from_arrays(
         "current_conserved",
         "d_k rho v^k_l + d_l sigma = 0 for every l",
@@ -216,10 +216,9 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
                           np.where(failed | v_new.failed, REDRAW_DOMAIN, 0))
         return status, conjugacy_residuals(jac.vals, v_old.vals, v_new.vals)
 
-    hostile = "domain too hostile at sample point {}"
-    found = resolve(plan, evaluate, hostile)
+    found = resolve(plan, evaluate)
     if len(found.unresolved):
-        raise HostileDomainError(hostile.format(found.unresolved[0]))
+        raise HostileDomainError(int(found.unresolved[0]))
     cond = condition_from_arrays(
         "conjugacy",
         "J v_old = v_new(m(u)) J for the Jacobian J of the map",
@@ -284,7 +283,7 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
         return values.failed | v.failed, denominator_dets(values.coeffs[0, 0],
                                                           values.coeffs[1, 0], v.vals)
 
-    found = resolve(plan, evaluate, "domain too hostile at sample point {}")
+    found = resolve(plan, evaluate)
     dets, sign = found.payload
     small = dets < 1e-6
     bad = small | (sign != sign[:1])

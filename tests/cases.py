@@ -137,21 +137,22 @@ def cli_cases(workdir: str) -> list:
 def run_cli_json(argv: list) -> dict:
     """Run ``hydroham <argv> --json`` in process; returns the exit code, the
     document with ``wall_time_s`` masked, and the number of plan points
-    drawn (``SamplePlan.point`` calls)."""
+    drawn (lanes of ``SamplePlan.points`` calls, through which every draw goes)."""
     draws = [0]
-    original = SamplePlan.point
+    original = SamplePlan.points
 
-    def counted(self, *args, **kwargs):
-        draws[0] += 1
-        return original(self, *args, **kwargs)
+    def counted(self, indices, retry=0):
+        drawn = original(self, indices, retry)
+        draws[0] += len(drawn)
+        return drawn
 
     out = io.StringIO()
-    SamplePlan.point = counted
+    SamplePlan.points = counted
     try:
         with contextlib.redirect_stdout(out):
             code = cli.main(argv + ["--json"])
     finally:
-        SamplePlan.point = original
+        SamplePlan.points = original
     doc = json.loads(out.getvalue())
     doc["wall_time_s"] = None
     return {"exit_code": code, "draws": draws[0], "document": doc}

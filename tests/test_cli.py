@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import cases
 from hydroham.cli import PRESETS, SPEC_CHECKS, main
 from hydroham.sampling import SamplePlan
 
@@ -241,6 +242,16 @@ def test_console_entry_point_runs():
     assert "overall: PASS" in proc.stdout
 
 
+def test_checks_never_load_numpy_random():
+    # plan points are computed in array arithmetic, with no generator per draw
+    code = ("import sys\nfrom hydroham.cli import main\n"
+            "codes = [main(['preset', name, '--samples', '20'])\n"
+            "         for name in ('h2-hat', 'h1', 'reciprocal-remark')]\n"
+            "print(codes, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False", proc.stderr
+
+
 def _without_wall_time(text):
     return re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": null', text)
 
@@ -343,6 +354,19 @@ def test_non_finite_box_bound_is_invalid_input(tmp_path, capsys):
     assert main(["check", str(path), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not finite" in captured.err
+
+
+def test_bad_seed_is_invalid_input(tmp_path, capsys):
+    spec = write_spec(tmp_path, **WRONG_CONNECTION)
+    example = write_spec(tmp_path, "example.json", **cases.spec_example())
+    for argv in (["check", spec], ["preset", "h1"], ["reciprocal", example]):
+        assert main(argv + ["--seed", "-1", "--json"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must be an integer >= 0, got -1" in captured.err
+    # a seed of the wrong type in a spec file, no longer a traceback at the first draw
+    spec = write_spec(tmp_path, **dict(WRONG_CONNECTION, sample_plan={"seed": 1.5}))
+    assert main(["check", spec]) == 2
+    assert "seed must be an integer >= 0, got 1.5" in capsys.readouterr().err
 
 
 def test_non_finite_floor_is_invalid_input(tmp_path, capsys):
