@@ -92,7 +92,7 @@ def load_spec(path: str) -> dict:
     if "dimension" not in raw:
         raise SpecError("spec is missing the required field 'dimension'")
     dim = raw["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise SpecError("'dimension' must be a positive integer")
 
     spec: dict = {"dimension": dim, "raw": raw}
@@ -109,7 +109,7 @@ def load_spec(path: str) -> dict:
         for t in raw["tails"]:
             if not isinstance(t, dict) or "epsilon" not in t or "matrix" not in t:
                 raise SpecError("each tail needs 'epsilon' and 'matrix'")
-            if t["epsilon"] not in (-1, 1):
+            if not _is_int(t["epsilon"]) or t["epsilon"] not in (-1, 1):
                 raise SpecError("tail 'epsilon' must be -1 or 1")
             tails.append(
                 AffinorField(dim, t["epsilon"], _parse_grid(t["matrix"], dim, 2, dim, "tail matrix"))
@@ -122,8 +122,9 @@ def load_spec(path: str) -> dict:
         if not isinstance(raw["currents"], list):
             raise SpecError("'currents' must be a list of {rho, sigma} objects")
         for c in raw["currents"]:
-            if not isinstance(c, dict) or "rho" not in c or "sigma" not in c:
-                raise SpecError("each current needs 'rho' and 'sigma'")
+            if not isinstance(c, dict) or not all(isinstance(c.get(k), str)
+                                                  for k in ("rho", "sigma")):
+                raise SpecError("each current needs 'rho' and 'sigma' expression strings")
             try:
                 currents.append(
                     ConservedCurrent(parse_expr(c["rho"], dim), parse_expr(c["sigma"], dim))
@@ -131,26 +132,45 @@ def load_spec(path: str) -> dict:
             except ParseError as err:
                 raise SpecError(f"bad expression in currents: {err}") from None
         spec["currents"] = tuple(currents)
+    if "candidate_operators" in raw:
+        candidates = raw["candidate_operators"]
+        if not isinstance(candidates, list) or not all(
+                isinstance(c, dict) and "metric" in c and "b" in c for c in candidates):
+            raise SpecError("'candidate_operators' must be a list of {metric, b} objects")
+        spec["candidate_operators"] = tuple(
+            LocalOperator(dim,
+                          MetricField(dim, _parse_grid(c["metric"], dim, 2, dim, "candidate metric")),
+                          ConnectionField(dim, _parse_grid(c["b"], dim, 3, dim, "candidate b")))
+            for c in candidates)
 
     checks = raw.get("checks", [])
     if not isinstance(checks, list):
         raise SpecError("'checks' must be a list of check ids")
     for cid in checks:
-        if cid not in SPEC_CHECKS:
+        if not isinstance(cid, str) or cid not in SPEC_CHECKS:
             raise SpecError(f"unknown check id {cid!r}; known: {', '.join(SPEC_CHECKS)}")
     spec["checks"] = checks
-    spec["sample_plan"] = raw.get("sample_plan", {})
+    plan = raw.get("sample_plan")
+    if plan is None:
+        plan = {}
+    if not isinstance(plan, dict):
+        raise SpecError("'sample_plan' must be a JSON object")
+    box = plan.get("box")
+    if box is not None and not (isinstance(box, list) and len(box) == dim and all(
+            isinstance(b, list) and len(b) == 2 for b in box)):
+        raise SpecError("sample_plan box must supply one [lo, hi] interval per variable")
+    spec["sample_plan"] = plan
     return spec
 
 
-def build_plan(spec: dict, args, default_box=None) -> SamplePlan:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def build_plan(spec: dict, args) -> SamplePlan:
     dim = spec["dimension"]
-    plan_raw = spec.get("sample_plan", {}) or {}
-    box = plan_raw.get("box", default_box)
-    if box is None:
-        box = [[-1.0, 1.0]] * dim
-    if len(box) != dim:
-        raise SpecError("sample_plan box must supply one interval per variable")
+    plan_raw = spec["sample_plan"]
+    box = plan_raw.get("box", [[-1.0, 1.0]] * dim)
     count = plan_raw.get("count", 100)
     seed = plan_raw.get("seed", 0)
     tolerance = plan_raw.get("tolerance", 1e-9)
@@ -482,14 +502,10 @@ def cmd_reciprocal(args) -> int:
     for rep in reports:
         rep.notes.append(SIGN_BRIDGE_NOTE)
     lines, data = _transformed_speeds(transformed, plan)
-    if "candidate_operators" in spec["raw"]:
-        for i, cand in enumerate(spec["raw"]["candidate_operators"], 1):
-            dim = spec["dimension"]
-            g = MetricField(dim, _parse_grid(cand["metric"], dim, 2, dim, "candidate metric"))
-            b = ConnectionField(dim, _parse_grid(cand["b"], dim, 3, dim, "candidate b"))
-            rep = check_local_hamiltonian(LocalOperator(dim, g, b), plan)
-            rep.title = f"candidate operator {i}: local Hamiltonian"
-            reports.append(rep)
+    for i, op in enumerate(spec.get("candidate_operators", ()), 1):
+        rep = check_local_hamiltonian(op, plan)
+        rep.title = f"candidate operator {i}: local Hamiltonian"
+        reports.append(rep)
     return emit(reports, args, echo, started, extra_lines=lines, extra_data=data)
 
 

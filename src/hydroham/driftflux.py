@@ -27,7 +27,6 @@ from .exprs import (
     as_expr,
     compile_tape,
     const,
-    eval_scalar,
     eval_tape,
     exp,
     ln,
@@ -335,13 +334,11 @@ def _validated_inputs(theta, lam1, lam2, block: ConstantBlock):
     lam1 = _require_r3_only(lam1, "Lambda1")
     lam2 = _require_r3_only(lam2, "Lambda2")
     block.validate()
-    pts = (0.2, 0.55, 0.9)
-    m = np.array(
-        [
-            [eval_scalar(lam1, (0.0, 0.0, t)), eval_scalar(lam2, (0.0, 0.0, t)), 1.0]
-            for t in pts
-        ]
-    )
+    points = [(0.0, 0.0, t) for t in (0.2, 0.55, 0.9)]
+    lams = eval_tape(compile_tape((lam1, lam2), 3, 0), points)
+    if lams.failed.any():
+        raise lams.error(int(np.argmax(lams.failed)))
+    m = np.column_stack((lams.coeffs[0, 0], lams.coeffs[1, 0], np.ones(3)))
     if abs(np.linalg.det(m)) < 1e-9:
         raise ConstraintViolation(
             "Lambda1, Lambda2 and the constant 1 must be linearly independent"

@@ -1,6 +1,12 @@
 """Exception types shared across the workbench."""
 
 
+def plain_point(point) -> tuple:
+    """A point as a tuple of Python floats, so messages print ``(0.5, -1.0)``
+    whatever the element type (numpy scalars print their type under numpy 2)."""
+    return tuple(float(x) for x in point)
+
+
 class WorkbenchError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -25,13 +31,13 @@ class EvalDomainError(WorkbenchError):
     """
 
     def __init__(self, reason: str, subtree: str, point=None):
-        msg = f"{reason} in {subtree!r}"
-        if point is not None:
-            msg += f" at {tuple(point)}"
-        super().__init__(msg)
         self.reason = reason
         self.subtree = subtree
-        self.point = None if point is None else tuple(point)
+        self.point = None if point is None else plain_point(point)
+        msg = f"{reason} in {subtree!r}"
+        if point is not None:
+            msg += f" at {self.point}"
+        super().__init__(msg)
 
 
 class HostileDomainError(WorkbenchError):
@@ -46,11 +52,9 @@ class DegenerateMetricError(WorkbenchError):
     """Metric failed the nondegeneracy floor at a point."""
 
     def __init__(self, det: float, point):
-        super().__init__(
-            f"degenerate metric: scaled |det| = {abs(det):.3e} at {tuple(point)}"
-        )
         self.det = det
-        self.point = tuple(point)
+        self.point = plain_point(point)
+        super().__init__(f"degenerate metric: scaled |det| = {abs(det):.3e} at {self.point}")
 
 
 class ConstraintViolation(WorkbenchError):

@@ -1,29 +1,27 @@
-"""Immutable expression trees over n field variables, with scalar and jet
-evaluation and randomized identity testing.
+"""Immutable expression trees over n field variables, their evaluation on
+jet tapes, and randomized identity testing.
 
 Expressions carry exact rational literals, variables u1..un, the four
 arithmetic operations, powers with constant rational exponent, and the
 elementary functions exp, ln, sin, cos, sqrt.  They are frozen dataclasses,
 so trees compare structurally and are safe to share across threads.
 
-Two evaluators share one semantics.  The batched one compiles a list of
-expressions into a flat, hash-consed :class:`Tape` (:func:`compile_tape`) and
-evaluates it at N points at once (:func:`eval_tape`), each jet a coefficient
-array with a lane axis over the points; every check uses it, through the
-geometry layer's grids, the system checks, the drift-flux residuals and
-:func:`fields_equal_numeric`.  The recursive one works at a single point over plain
-floats (:func:`eval_scalar`) or :class:`~hydroham.jets.Jet` values
-(:func:`eval_jet`); it serves one-off points and the tests, which use it as
-the reference.  Domain violations (log of a non-positive value, division by
-zero, a negative base under a fractional power) raise
-:class:`~hydroham.errors.EvalDomainError` carrying the offending subtree in
-the recursive evaluator, and are flagged per lane in the batched one, which
-builds the same error on request (:meth:`TapeValues.error`).
+There is one evaluator.  It compiles a list of expressions into a flat,
+hash-consed :class:`Tape` (:func:`compile_tape`) and evaluates it at N points
+at once (:func:`eval_tape`), each jet a coefficient array with a lane axis
+over the points, through the kernels of :mod:`hydroham.jets`; every check
+uses it, through the geometry layer's grids, the system checks, the
+drift-flux residuals and :func:`fields_equal_numeric`.  :func:`eval_scalar`
+(a float) and :func:`eval_jet` (a :class:`~hydroham.jets.Jet`) are its
+one-lane views at a single point.  Domain violations (log of a non-positive
+value, division by zero, a negative base under a fractional power) are
+flagged per lane; :meth:`TapeValues.error` builds the
+:class:`~hydroham.errors.EvalDomainError` of a lane, naming the offending
+subtree, and the one-lane views raise it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -32,9 +30,11 @@ import numpy as np
 
 from .errors import EvalDomainError
 from .jets import (
-    MAX_ORDER,
     Jet,
-    JetDomainError,
+    _binary,
+    _check_order,
+    _domain_reason,
+    _unary,
     derivative_positions,
     multi_indices,
     partial_map,
@@ -217,15 +217,7 @@ def sqrt(e) -> Call:
 
 def max_var_index(e: Expr) -> int:
     """Largest 0-based variable index in the tree, -1 for constant trees."""
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, BinOp):
-        return max(max_var_index(e.left), max_var_index(e.right))
-    if isinstance(e, Power):
-        return max_var_index(e.base)
-    if isinstance(e, (Neg, Call, Deriv)):
-        return max_var_index(e.arg)
-    return -1
+    return max(var_indices(e), default=-1)
 
 
 def var_indices(e: Expr) -> frozenset[int]:
@@ -240,134 +232,18 @@ def var_indices(e: Expr) -> frozenset[int]:
     return frozenset()
 
 
-# -- evaluation --------------------------------------------------------------
-
-
-def _float_call(func: str, x: float, node: Expr, point) -> float:
-    if func == "exp":
-        try:
-            return math.exp(x)
-        except OverflowError:
-            raise EvalDomainError("overflow in exp", str(node), point) from None
-    if func == "ln":
-        if x <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {x!r}", str(node), point)
-        return math.log(x)
-    if func == "sqrt":
-        if x < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {x!r}", str(node), point)
-        return math.sqrt(x)
-    if func == "sin":
-        return math.sin(x)
-    return math.cos(x)
-
-
-def _float_pow(base: float, q: Fraction, node: Expr, point) -> float:
-    if q.denominator == 1:
-        e = int(q)
-        if base == 0.0 and e < 0:
-            raise EvalDomainError("zero base with negative exponent", str(node), point)
-        try:
-            return float(base ** e)
-        except OverflowError:
-            raise EvalDomainError("overflow in power", str(node), point) from None
-    if base < 0.0:
-        raise EvalDomainError(
-            f"negative base {base!r} with fractional exponent", str(node), point
-        )
-    if base == 0.0 and q < 0:
-        raise EvalDomainError("zero base with negative exponent", str(node), point)
-    try:
-        return math.pow(base, float(q))
-    except (OverflowError, ValueError):
-        raise EvalDomainError("overflow in power", str(node), point) from None
-
-
-def _eval(node: Expr, carriers, point, is_jet: bool):
-    if isinstance(node, Const):
-        v = float(node.value)
-        return Jet.constant(v, carriers[0].n, carriers[0].order) if is_jet else v
-    if isinstance(node, NamedConst):
-        return Jet.constant(node.value, carriers[0].n, carriers[0].order) if is_jet else node.value
-    if isinstance(node, Var):
-        if node.index >= len(carriers):
-            raise ValueError(
-                f"variable u{node.index + 1} out of range for dimension {len(carriers)}"
-            )
-        return carriers[node.index]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, carriers, point, is_jet)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, carriers, point, is_jet)
-        right = _eval(node.right, carriers, point, is_jet)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        # division
-        if is_jet:
-            try:
-                return left / right
-            except JetDomainError as err:
-                raise EvalDomainError(str(err), str(node), point) from None
-        if right == 0.0:
-            raise EvalDomainError("division by zero", str(node), point)
-        return left / right
-    if isinstance(node, Power):
-        base = _eval(node.base, carriers, point, is_jet)
-        if is_jet:
-            try:
-                return base ** node.exponent
-            except JetDomainError as err:
-                raise EvalDomainError(str(err), str(node), point) from None
-        return _float_pow(base, node.exponent, node, point)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, carriers, point, is_jet)
-        if is_jet:
-            try:
-                return getattr(arg, "log" if node.func == "ln" else node.func)()
-            except JetDomainError as err:
-                raise EvalDomainError(str(err), str(node), point) from None
-        return _float_call(node.func, arg, node, point)
-    if isinstance(node, Deriv):
-        if is_jet:
-            inner = eval_jet(node.arg, point, carriers[0].order + 1)
-            return inner.partial(node.index)
-        return eval_jet(node.arg, point, 1).gradient()[node.index]
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def eval_scalar(e: Expr, point) -> float:
-    """IEEE double value of e at the point."""
-    pt = [float(x) for x in point]
-    return _eval(e, pt, pt, False)
-
-
-def eval_jet(e: Expr, point, order: int = 2) -> Jet:
-    """All mixed partials of e at the point up to total degree ``order``,
-    propagated through the tree by jet arithmetic (no finite differencing)."""
-    pt = [float(x) for x in point]
-    n = len(pt)
-    carriers = [Jet.variable(i, pt[i], n, order) for i in range(n)]
-    return _eval(e, carriers, pt, True)
-
-
-# -- batched evaluation: jet tapes -----------------------------------------------
+# -- evaluation: jet tapes ------------------------------------------------------
 #
 # A tape is a list of expressions compiled into one flat instruction list and
-# evaluated at N points at once (Taylor propagation as in Griewank & Walther,
-# Evaluating Derivatives, ch. 13).  Instruction i writes slot i; a slot holds a
-# Python float (a folded constant) or coefficient array of shape (ncoef, N) in
-# the graded order of hydroham.jets, the lane axis last.  Order 0 carries
-# values only and follows eval_scalar; orders 1-3 follow eval_jet, domain
-# checks and error messages included.  Structurally equal subtrees share one
-# slot, literal zero outputs compile to nothing, and Deriv compiles its
-# argument into a subtape one order higher.  A lane that leaves the domain is
-# flagged at the first failing instruction, which is the node the recursive
-# evaluator would have raised at, and keeps computing garbage that nothing
-# reads.
+# evaluated at N points at once by the kernels of hydroham.jets.  Instruction i
+# writes slot i; a slot holds a Python float (a folded constant) or coefficient
+# array of shape (ncoef, N) in the graded order of hydroham.jets, the lane axis
+# last.  Order 0 carries values only; orders 1-3 carry Taylor coefficients.
+# Structurally equal subtrees share one slot, literal zero outputs compile to
+# nothing, and Deriv compiles its argument into a subtape one order higher.  A
+# lane that leaves the domain is flagged at the first failing instruction in
+# evaluation order (operands before the node, left before right), and keeps
+# computing garbage that nothing reads.
 
 
 class Tape(NamedTuple):
@@ -385,8 +261,7 @@ class Tape(NamedTuple):
 
 class _TapeCompiler:
     def __init__(self, n: int, order: int):
-        if not 0 <= order <= MAX_ORDER:
-            raise ValueError(f"jet order must be in 1..{MAX_ORDER}, got {order}")
+        _check_order(order, lowest=0)
         self.n, self.order = n, order
         self.code: list = []
         self.by_key: dict = {}  # structural key -> slot
@@ -510,36 +385,15 @@ class TapeValues(NamedTuple):
         return vals, d1, d2
 
     def error(self, lane: int) -> EvalDomainError:
-        """The error the recursive evaluator raises at this lane's point."""
+        """The domain error at this lane's point, naming the subtree of its
+        first failing instruction."""
         i = int(self.first_failure[lane])
         op, _, param, node = self.tape.code[i]
         if op == "deriv":
             return self.failures[i].error(lane)
         v = float(self.failures[i][lane])
-        point = tuple(float(x) for x in self.points[lane])
-        return EvalDomainError(_domain_reason(op, param, v, self.tape.order), str(node), point)
-
-
-def _domain_reason(op: str, param, v: float, order: int) -> str:
-    if op == "exp":
-        return "overflow in exp"
-    if order > 0:
-        if op == "ln":
-            return f"log of non-positive value {v!r}"
-        if op == "sqrt" or (op == "pow" and param.denominator != 1):
-            return f"fractional power of non-positive base {v!r}"
-        return "division by a jet with zero value"
-    if op == "/":
-        return "division by zero"
-    if op == "ln":
-        return f"ln of non-positive value {v!r}"
-    if op == "sqrt":
-        return f"sqrt of negative value {v!r}"
-    if v < 0.0 and param.denominator != 1:
-        return f"negative base {v!r} with fractional exponent"
-    if v == 0.0 and param < 0:
-        return "zero base with negative exponent"
-    return "overflow in power"
+        return EvalDomainError(_domain_reason(op, param, v, self.tape.order), str(node),
+                               self.points[lane])
 
 
 def eval_tape(tape: Tape, points) -> TapeValues:
@@ -619,119 +473,32 @@ def _run_tape(tape: Tape, points: np.ndarray) -> TapeValues:
     return TapeValues(tape, points, coeffs, first, failures)
 
 
-def _mul(a, b, scatter):
-    if scatter is None:
-        return a * b
-    ii, jj, starts = scatter
-    return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
+# -- one-point views ---------------------------------------------------------------
 
 
-def _binary(op, a, b, order, scatter, full):
-    """(result, failing lanes or None, operand named in the error message)."""
-    a_const, b_const = isinstance(a, float), isinstance(b, float)
-    if op == "+":
-        if a_const or b_const:
-            x, c = (b, a) if a_const else (a, b)
-            out = x.copy()
-            out[0] = out[0] + c
-            return out, None, None
-        return a + b, None, None
-    if op == "-":
-        if b_const:
-            out = a.copy()
-            out[0] = out[0] - b
-            return out, None, None
-        if a_const:
-            out = -b
-            out[0] = out[0] + a
-            return out, None, None
-        return a - b, None, None
-    if op == "*":
-        if a_const or b_const:
-            return a * b, None, None
-        return _mul(a, b, scatter), None, None
-    b = full(b)
-    if order == 0:
-        return a / b, b[0] == 0.0, b[0]
-    recip, bad = _unary("pow", Fraction(-1), b, order, scatter)
-    return _mul(full(a), recip, scatter), bad, b[0]
+def one_lane(values):
+    """The values of a one-point batch (:class:`TapeValues`, or a grid's),
+    raising the domain error where the point failed."""
+    if values.failed[0]:
+        raise values.error(0)
+    return values
 
 
-def _unary(op, param, x, order, scatter):
-    """(result, failing lanes or None) of a function applied to x."""
-    v = x[0]
-    if op == "pow" and param.denominator == 1:
-        e = int(param)
-        if e == 0:
-            return 1.0, None
-        if order == 0:
-            out = v ** e
-            bad = np.isinf(out) & np.isfinite(v)
-            if e < 0:
-                bad |= v == 0.0
-            return out[None], bad
-        out = x
-        for _ in range(abs(e) - 1):
-            out = _mul(out, x, scatter)
-        if e > 0:
-            return out, None
-        w = out[0]
-        derivs, fac = [], 1.0
-        for k in range(order + 1):
-            derivs.append(fac / w ** (k + 1))
-            fac *= -(k + 1)
-        return _compose(out, derivs, scatter), w == 0.0
-    if order == 0:
-        if op == "exp":
-            out = np.exp(v)
-            return out[None], np.isinf(out) & ~np.isinf(v)
-        if op == "ln":
-            return np.log(v)[None], v <= 0.0
-        if op == "sqrt":
-            return np.sqrt(v)[None], v < 0.0
-        if op == "sin":
-            return np.sin(v)[None], None
-        if op == "cos":
-            return np.cos(v)[None], None
-        out = np.power(v, float(param))
-        bad = (v < 0.0) | ((v == 0.0) & (param < 0)) | (np.isinf(out) & np.isfinite(v))
-        return out[None], bad
-    bad = None
-    if op == "exp":
-        e = np.exp(v)
-        derivs, bad = [e] * (order + 1), np.isinf(e) & ~np.isinf(v)
-    elif op == "ln":
-        derivs, fac = [np.log(v)], 1.0
-        for k in range(1, order + 1):
-            derivs.append(fac / v ** k)
-            fac *= -k
-        bad = v <= 0.0
-    elif op in ("sin", "cos"):
-        s, c = np.sin(v), np.cos(v)
-        cycle = [s, c, -s, -c] if op == "sin" else [c, -s, -c, s]
-        derivs = [cycle[k % 4] for k in range(order + 1)]
-    else:  # sqrt, or a fractional power
-        q = 0.5 if op == "sqrt" else float(param)
-        derivs, fac = [], 1.0
-        for k in range(order + 1):
-            derivs.append(fac * np.power(v, q - k))
-            fac *= q - k
-        bad = v <= 0.0
-    return _compose(x, derivs, scatter), bad
+def _at_point(e: Expr, point, order: int) -> np.ndarray:
+    values = one_lane(eval_tape(compile_tape((e,), len(point), order), [point]))
+    return values.coeffs[0, :, 0]
 
 
-def _compose(x, derivs, scatter):
-    """Horner over delta = x - value, as Jet._compose, with per-lane
-    derivatives of the outer function."""
-    top = len(derivs) - 1
-    delta = x.copy()
-    delta[0] = 0.0
-    acc = delta * (derivs[top] / math.factorial(top))
-    acc[0] = acc[0] + derivs[top - 1] / math.factorial(top - 1)
-    for k in range(top - 2, -1, -1):
-        acc = _mul(acc, delta, scatter)
-        acc[0] = acc[0] + derivs[k] / math.factorial(k)
-    return acc
+def eval_scalar(e: Expr, point) -> float:
+    """IEEE double value of e at the point: one lane of an order-0 tape."""
+    return float(_at_point(e, point, 0)[0])
+
+
+def eval_jet(e: Expr, point, order: int = 2) -> Jet:
+    """All mixed partials of e at the point up to total degree ``order``:
+    one lane of a jet tape (no finite differencing)."""
+    _check_order(order)
+    return Jet(len(point), order, _at_point(e, point, order))
 
 
 # -- identity testing ---------------------------------------------------------

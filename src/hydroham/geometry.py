@@ -7,9 +7,8 @@ formed.  Derivatives of the metric come from a jet tape of its entries,
 derivatives of the inverse from d(g_lo) = -g_lo (d g_up) g_lo.  Contractions
 go through :func:`lane_einsum`, so a lane's numbers do not depend on the rest
 of its batch.  The single-point functions (:func:`metric_frame`,
-:func:`eval_matrix`, :func:`eval_tensor3`, :func:`eval_matrix_jets`,
-:func:`covariant_derivative_values`) are one-lane views of the batched ones
-and raise where those flag a lane.
+:func:`eval_matrix`, :func:`covariant_derivative_values`) are one-lane views
+of the batched ones and raise where those flag a lane.
 
 Index conventions, fixed once for the whole package (the lane axis, when
 present, comes before all of these):
@@ -39,7 +38,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .exprs import Expr, Tape, TapeValues, compile_tape, eval_tape, max_var_index
+from .exprs import Expr, Tape, TapeValues, compile_tape, eval_tape, max_var_index, one_lane
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 
 DEGENERACY_FLOOR = 1e-8
@@ -224,32 +223,9 @@ def grid_values(grid: GridTape, points) -> GridValues:
     )
 
 
-def _one_lane(entries, point, order: int) -> GridValues:
-    point = np.asarray(point, dtype=float)
-    out = grid_values(compile_grid(entries, len(point), order), point[None])
-    if out.failed[0]:
-        raise out.error(0)
-    return out
-
-
 def eval_matrix(entries, point) -> np.ndarray:
-    return _one_lane(entries, point, 0).vals[0]
-
-
-def eval_tensor3(entries, point) -> np.ndarray:
-    return _one_lane(entries, point, 0).vals[0]
-
-
-def eval_matrix_jets(entries, point, order: int):
-    """Values plus derivative arrays of a matrix of expressions.
-
-    Returns (vals, d1) for order 1 and (vals, d1, d2) for order 2, with the
-    derivative indices leading: d1[k, i, j] = d_k entry_{ij}.
-    """
-    out = _one_lane(entries, point, order)
-    if order >= 2:
-        return out.vals[0], out.d1[0], out.d2[0]
-    return out.vals[0], out.d1[0]
+    """Values of a grid of expressions (any shape) at one point."""
+    return one_lane(grid_values(compile_grid(entries, len(point), 0), [point])).vals[0]
 
 
 def scaled_abs_det(m: np.ndarray) -> float:
@@ -265,18 +241,15 @@ def scaled_abs_dets(ms: np.ndarray) -> np.ndarray:
     return np.where(np.any(vanishing, axis=-1), 0.0, det)
 
 
-def invert_metric_values(g_up: np.ndarray, point, floor: float = DEGENERACY_FLOOR) -> np.ndarray:
+def invert_metric(g: MetricField, point, floor: float = DEGENERACY_FLOOR) -> np.ndarray:
+    """Covariant metric g_{ij} at a point; raises DegenerateMetricError below
+    the degeneracy floor."""
+    g_up = eval_matrix(g.entries, point)
     det = scaled_abs_det(g_up)
     if det < floor:
         raise DegenerateMetricError(det, point)
     inv = np.linalg.inv(g_up)
     return (inv + inv.T) / 2.0
-
-
-def invert_metric(g: MetricField, point, floor: float = DEGENERACY_FLOOR) -> np.ndarray:
-    """Covariant metric g_{ij} at a point; raises DegenerateMetricError below
-    the degeneracy floor."""
-    return invert_metric_values(eval_matrix(g.entries, point), point, floor)
 
 
 # -- frames -------------------------------------------------------------------
@@ -427,7 +400,7 @@ def christoffel_from_b(g: MetricField, b: ConnectionField, point,
                        floor: float = DEGENERACY_FLOOR) -> np.ndarray:
     """Gamma^j_{sk} = -g_{is} b^{ij}_k, solving the defining representation."""
     g_lo = invert_metric(g, point, floor)
-    b_vals = eval_tensor3(b.entries, point)
+    b_vals = eval_matrix(b.entries, point)
     return -np.einsum("is,ijk->jsk", g_lo, b_vals)
 
 
@@ -450,5 +423,5 @@ def covariant_derivative_affinor(w: AffinorField, g: MetricField, point,
 
 
 def covariant_derivative_values(w: AffinorField, frame: MetricFrame) -> np.ndarray:
-    jets = _one_lane(w.entries, frame.point, 1)
+    jets = one_lane(grid_values(compile_grid(w.entries, w.dim, 1), [frame.point]))
     return covariant_derivatives(jets.vals, jets.d1, frame.gamma[None])[0]

@@ -1,15 +1,22 @@
-"""Truncated multivariate Taylor arithmetic.
-
-A :class:`Jet` holds the Taylor coefficients of a smooth function at a base
-point, up to a fixed total degree.  Arithmetic and elementary functions on
-jets propagate those coefficients exactly through the truncation order, so a
-jet is an exact forward-mode differentiation carrier: no step sizes, no
-cancellation error beyond ordinary rounding.
+"""Truncated multivariate Taylor arithmetic, in one implementation.
 
 Coefficients are stored densely in graded lexicographic order over the
 multi-indices of total degree <= order.  The entry for a multi-index m is
 Taylor-normalised, d^m f / m!, which makes multiplication a plain truncated
 convolution; the derivative accessors rescale by m! on the way out.
+Arithmetic and elementary functions propagate those coefficients exactly
+through the truncation order (forward-mode Taylor propagation, Griewank &
+Walther, Evaluating Derivatives, ch. 13): no step sizes, no cancellation
+error beyond ordinary rounding.
+
+The kernels (``_mul``, ``_binary``, ``_unary``, ``_compose``) act on
+coefficient arrays of shape (ncoef, ...), elementwise along any trailing lane
+axis, and flag the lanes that leave a function's domain instead of raising;
+``_domain_reason`` words the error.  The batched tapes of
+:mod:`hydroham.exprs` run them over many points at once.  A :class:`Jet` is a
+one-lane view: it holds one coefficient row (ncoef,), runs the same kernels
+on it and raises :class:`JetDomainError` where they flag the lane, so its
+numbers are bit for bit those of a tape lane.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ def product_scatter(n: int, order: int):
     """The product table of :func:`_product_table` sorted by output index,
     as (ii, jj, starts): for coefficient arrays with a trailing lane axis,
     ``np.add.reduceat(a[ii] * b[jj], starts, axis=0)`` is the truncated
-    product, each output summed in the same order as ``Jet.__mul__``."""
+    product, each output summed in the order of the product table."""
     ii, jj, kk = _product_table(n, order)
     perm = np.array(sorted(range(len(kk)), key=lambda t: kk[t]))  # stable
     starts = np.flatnonzero(np.diff(kk[perm], prepend=-1))
@@ -109,11 +116,150 @@ def derivative_positions(n: int, order: int):
     return first, second, np.where(np.eye(n, dtype=bool), 2.0, 1.0)
 
 
-def _multi_factorial(m: tuple[int, ...]) -> int:
-    out = 1
-    for k in m:
-        out *= math.factorial(k)
-    return out
+# -- kernels: coefficient arrays, lane axis last ------------------------------------
+
+
+def _mul(a, b, scatter):
+    if scatter is None:
+        return a * b
+    ii, jj, starts = scatter
+    return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
+
+
+def _binary(op, a, b, order, scatter, full):
+    """(result, failing lanes or None, operand named in the error message)."""
+    a_const, b_const = isinstance(a, float), isinstance(b, float)
+    if op == "+":
+        if a_const or b_const:
+            x, c = (b, a) if a_const else (a, b)
+            out = x.copy()
+            out[0] = out[0] + c
+            return out, None, None
+        return a + b, None, None
+    if op == "-":
+        if b_const:
+            out = a.copy()
+            out[0] = out[0] - b
+            return out, None, None
+        if a_const:
+            out = -b
+            out[0] = out[0] + a
+            return out, None, None
+        return a - b, None, None
+    if op == "*":
+        if a_const or b_const:
+            return a * b, None, None
+        return _mul(a, b, scatter), None, None
+    b = full(b)
+    if order == 0:
+        return a / b, b[0] == 0.0, b[0]
+    recip, bad = _unary("pow", Fraction(-1), b, order, scatter)
+    return _mul(full(a), recip, scatter), bad, b[0]
+
+
+def _unary(op, param, x, order, scatter):
+    """(result, failing lanes or None) of a function applied to x."""
+    v = x[0]
+    if op == "pow" and param.denominator == 1:
+        e = int(param)
+        if e == 0:
+            return 1.0, None
+        if order == 0:
+            out = v ** e
+            bad = np.isinf(out) & np.isfinite(v)
+            if e < 0:
+                bad |= v == 0.0
+            return out[None], bad
+        out = x
+        for _ in range(abs(e) - 1):
+            out = _mul(out, x, scatter)
+        if e > 0:
+            return out, None
+        w = out[0]
+        derivs, fac = [], 1.0
+        for k in range(order + 1):
+            derivs.append(fac / w ** (k + 1))
+            fac *= -(k + 1)
+        return _compose(out, derivs, scatter), w == 0.0
+    if order == 0:
+        if op == "exp":
+            out = np.exp(v)
+            return out[None], np.isinf(out) & ~np.isinf(v)
+        if op == "ln":
+            return np.log(v)[None], v <= 0.0
+        if op == "sqrt":
+            return np.sqrt(v)[None], v < 0.0
+        if op == "sin":
+            return np.sin(v)[None], None
+        if op == "cos":
+            return np.cos(v)[None], None
+        out = np.power(v, float(param))
+        bad = (v < 0.0) | ((v == 0.0) & (param < 0)) | (np.isinf(out) & np.isfinite(v))
+        return out[None], bad
+    bad = None
+    if op == "exp":
+        e = np.exp(v)
+        derivs, bad = [e] * (order + 1), np.isinf(e) & ~np.isinf(v)
+    elif op == "ln":
+        derivs, fac = [np.log(v)], 1.0
+        for k in range(1, order + 1):
+            derivs.append(fac / v ** k)
+            fac *= -k
+        bad = v <= 0.0
+    elif op in ("sin", "cos"):
+        s, c = np.sin(v), np.cos(v)
+        cycle = [s, c, -s, -c] if op == "sin" else [c, -s, -c, s]
+        derivs = [cycle[k % 4] for k in range(order + 1)]
+    else:  # sqrt, or a fractional power
+        q = 0.5 if op == "sqrt" else float(param)
+        derivs, fac = [], 1.0
+        for k in range(order + 1):
+            derivs.append(fac * np.power(v, q - k))
+            fac *= q - k
+        bad = v <= 0.0
+    return _compose(x, derivs, scatter), bad
+
+
+def _compose(x, derivs, scatter):
+    """A univariate function, given by its per-lane derivatives at the value,
+    applied to x: Horner over delta = x - value, exact through the truncation
+    order because delta has no constant term."""
+    top = len(derivs) - 1
+    delta = x.copy()
+    delta[0] = 0.0
+    acc = delta * (derivs[top] / math.factorial(top))
+    acc[0] = acc[0] + derivs[top - 1] / math.factorial(top - 1)
+    for k in range(top - 2, -1, -1):
+        acc = _mul(acc, delta, scatter)
+        acc[0] = acc[0] + derivs[k] / math.factorial(k)
+    return acc
+
+
+def _domain_reason(op: str, param, v: float, order: int) -> str:
+    if op == "exp":
+        return "overflow in exp"
+    if order > 0:
+        if op == "ln":
+            return f"log of non-positive value {v!r}"
+        if op == "sqrt" or (op == "pow" and param.denominator != 1):
+            return f"fractional power of non-positive base {v!r}"
+        return "division by a jet with zero value"
+    if op == "/":
+        return "division by zero"
+    if op == "ln":
+        return f"ln of non-positive value {v!r}"
+    if op == "sqrt":
+        return f"sqrt of negative value {v!r}"
+    if v < 0.0 and param.denominator != 1:
+        return f"negative base {v!r} with fractional exponent"
+    if v == 0.0 and param < 0:
+        return "zero base with negative exponent"
+    return "overflow in power"
+
+
+def _check_order(order: int, lowest: int = 1):
+    if not lowest <= order <= MAX_ORDER:
+        raise ValueError(f"jet order must be in {lowest}..{MAX_ORDER}, got {order}")
 
 
 class Jet:
@@ -122,8 +268,7 @@ class Jet:
     __slots__ = ("n", "order", "coeffs")
 
     def __init__(self, n: int, order: int, coeffs: np.ndarray):
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"jet order must be in 1..{MAX_ORDER}, got {order}")
+        _check_order(order)
         self.n = n
         self.order = order
         self.coeffs = coeffs
@@ -138,11 +283,9 @@ class Jet:
     def variable(cls, index: int, value: float, n: int, order: int) -> "Jet":
         if not 0 <= index < n:
             raise ValueError(f"variable index {index} out of range for n={n}")
-        c = np.zeros(len(multi_indices(n, order)))
-        c[0] = value
-        unit = tuple(1 if i == index else 0 for i in range(n))
-        c[_position(n, order)[unit]] = 1.0
-        return cls(n, order, c)
+        jet = cls.constant(value, n, order)
+        jet.coeffs[1 + index] = 1.0  # graded order: the unit multi-indices follow the constant
+        return jet
 
     # -- accessors ---------------------------------------------------------
 
@@ -154,23 +297,18 @@ class Jet:
         """Mixed partial derivative d^multi f at the base point."""
         if len(multi) != self.n or sum(multi) > self.order:
             raise ValueError(f"bad multi-index {multi} for n={self.n}, order={self.order}")
-        return float(self.coeffs[_position(self.n, self.order)[multi]]) * _multi_factorial(multi)
+        factorial = math.prod(math.factorial(k) for k in multi)
+        return float(self.coeffs[_position(self.n, self.order)[multi]]) * factorial
 
     def gradient(self) -> np.ndarray:
-        g = np.empty(self.n)
-        for i in range(self.n):
-            g[i] = self.derivative(tuple(1 if j == i else 0 for j in range(self.n)))
-        return g
+        first, _, _ = derivative_positions(self.n, self.order)
+        return self.coeffs[first]
 
     def hessian(self) -> np.ndarray:
         if self.order < 2:
             raise ValueError("hessian requires order >= 2")
-        h = np.empty((self.n, self.n))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                m = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(self.n))
-                h[i, j] = h[j, i] = self.derivative(m)
-        return h
+        _, second, fact = derivative_positions(self.n, self.order)
+        return self.coeffs[second] * fact
 
     def partial(self, k: int) -> "Jet":
         """The jet of d_k f, one order lower than self."""
@@ -178,157 +316,94 @@ class Jet:
             raise ValueError("partial requires order >= 2")
         if not 0 <= k < self.n:
             raise ValueError(f"variable index {k} out of range for n={self.n}")
-        out_idx = multi_indices(self.n, self.order - 1)
-        pos_in = _position(self.n, self.order)
-        out = np.empty(len(out_idx))
-        for i, m in enumerate(out_idx):
-            shifted = tuple(v + 1 if a == k else v for a, v in enumerate(m))
-            out[i] = self.coeffs[pos_in[shifted]] * (m[k] + 1)
-        return Jet(self.n, self.order - 1, out)
+        positions, factors = partial_map(self.n, self.order, k)
+        return Jet(self.n, self.order - 1, self.coeffs[positions] * factors)
 
-    # -- ring operations ----------------------------------------------------
+    # -- arithmetic: each operation runs a kernel on the coefficients as a
+    # one-lane column (ncoef, 1), the layout of a tape lane, so every sum runs
+    # in the same order as there.
 
-    def _like(self, coeffs: np.ndarray) -> "Jet":
-        return Jet(self.n, self.order, coeffs)
+    def _full(self, x):
+        if isinstance(x, float):
+            return Jet.constant(x, self.n, self.order).coeffs[:, None]
+        return x
 
-    def _coerce(self, other):
+    def _result(self, out, bad, op, param, operand) -> "Jet":
+        if bad is not None and bad[0]:
+            raise JetDomainError(_domain_reason(op, param, float(operand[0]), self.order))
+        return Jet(self.n, self.order, self._full(out)[:, 0])
+
+    def _lane_binary(self, op: str, other, reflected: bool = False):
         if isinstance(other, Jet):
             if other.n != self.n or other.order != self.order:
                 raise ValueError("jet shape mismatch")
-            return other
-        if isinstance(other, (int, float, Fraction, np.floating)):
-            return Jet.constant(float(other), self.n, self.order)
-        return NotImplemented
+            b = other.coeffs[:, None]
+        elif isinstance(other, (int, float, Fraction, np.floating)):
+            b = float(other)
+        else:
+            return NotImplemented
+        a = self.coeffs[:, None]
+        if reflected:
+            a, b = b, a
+        with np.errstate(all="ignore"):
+            out, bad, operand = _binary(op, a, b, self.order,
+                                        product_scatter(self.n, self.order), self._full)
+        return self._result(out, bad, op, None, operand)
+
+    def _lane_unary(self, op: str, param=None) -> "Jet":
+        x = self.coeffs[:, None]
+        with np.errstate(all="ignore"):
+            out, bad = _unary(op, param, x, self.order, product_scatter(self.n, self.order))
+        return self._result(out, bad, op, param, x[0])
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._like(self.coeffs + o.coeffs)
+        return self._lane_binary("+", other)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return self._lane_binary("+", other, reflected=True)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._like(self.coeffs - o.coeffs)
+        return self._lane_binary("-", other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__sub__(self)
+        return self._lane_binary("-", other, reflected=True)
 
     def __neg__(self):
-        return self._like(-self.coeffs)
+        return Jet(self.n, self.order, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction, np.floating)):
-            return self._like(self.coeffs * float(other))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        ii, jj, kk = _product_table(self.n, self.order)
-        out = np.zeros_like(self.coeffs)
-        np.add.at(out, kk, self.coeffs[ii] * o.coeffs[jj])
-        return self._like(out)
+        return self._lane_binary("*", other)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return self._lane_binary("*", other, reflected=True)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o._reciprocal()
+        return self._lane_binary("/", other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self._reciprocal()
+        return self._lane_binary("/", other, reflected=True)
 
     def __pow__(self, exponent):
-        if isinstance(exponent, Fraction) and exponent.denominator == 1:
-            exponent = int(exponent)
         if isinstance(exponent, (int, np.integer)):
-            return self._int_pow(int(exponent))
-        if isinstance(exponent, Fraction):
-            v = self.value
-            if v <= 0.0:
-                raise JetDomainError(
-                    f"fractional power of non-positive base {v!r}"
-                )
-            q = float(exponent)
-            derivs, fac = [], 1.0
-            for k in range(self.order + 1):
-                derivs.append(fac * math.pow(v, q - k))
-                fac *= q - k
-            return self._compose(derivs)
-        raise TypeError(f"jet exponent must be int or Fraction, got {type(exponent)}")
-
-    def _int_pow(self, e: int) -> "Jet":
-        if e < 0:
-            return self._int_pow(-e)._reciprocal()
-        out = Jet.constant(1.0, self.n, self.order)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def _reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0.0:
-            raise JetDomainError("division by a jet with zero value")
-        derivs, fac = [], 1.0
-        for k in range(self.order + 1):
-            derivs.append(fac / v ** (k + 1))
-            fac *= -(k + 1)
-        return self._compose(derivs)
-
-    # -- elementary functions -----------------------------------------------
-
-    def _compose(self, derivs: list[float]) -> "Jet":
-        """Apply a univariate function given by its derivatives at self.value.
-
-        Horner over the perturbation delta = self - value; exact through the
-        truncation order because delta has no constant term.
-        """
-        delta = self._like(self.coeffs.copy())
-        delta.coeffs[0] = 0.0
-        acc = Jet.constant(derivs[-1] / math.factorial(len(derivs) - 1), self.n, self.order)
-        for k in range(len(derivs) - 2, -1, -1):
-            acc = acc * delta + derivs[k] / math.factorial(k)
-        return acc
+            exponent = Fraction(int(exponent))
+        if not isinstance(exponent, Fraction):
+            raise TypeError(f"jet exponent must be int or Fraction, got {type(exponent)}")
+        return self._lane_unary("pow", exponent)
 
     def exp(self) -> "Jet":
-        try:
-            e = math.exp(self.value)
-        except OverflowError as err:
-            raise JetDomainError("overflow in exp") from err
-        return self._compose([e] * (self.order + 1))
+        return self._lane_unary("exp")
 
     def log(self) -> "Jet":
-        v = self.value
-        if v <= 0.0:
-            raise JetDomainError(f"log of non-positive value {v!r}")
-        derivs, fac = [math.log(v)], 1.0
-        for k in range(1, self.order + 1):
-            derivs.append(fac / v ** k)
-            fac *= -k
-        return self._compose(derivs)
+        return self._lane_unary("ln")
 
     def sqrt(self) -> "Jet":
-        return self ** Fraction(1, 2)
+        return self._lane_unary("sqrt")
 
     def sin(self) -> "Jet":
-        v = self.value
-        cycle = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
-        return self._compose([cycle[k % 4] for k in range(self.order + 1)])
+        return self._lane_unary("sin")
 
     def cos(self) -> "Jet":
-        v = self.value
-        cycle = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
-        return self._compose([cycle[k % 4] for k in range(self.order + 1)])
+        return self._lane_unary("cos")
 
     def __repr__(self):
         return f"Jet(n={self.n}, order={self.order}, value={self.value!r})"

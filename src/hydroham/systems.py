@@ -21,7 +21,8 @@ The checks evaluate their fields at whole blocks of plan points at once:
 currents as jet or value tapes, speed matrices and maps as grids
 (:func:`~hydroham.geometry.compile_grid`, read with
 :func:`~hydroham.geometry.grid_values`; order-1 jets and order-0 values
-compile separately, since eval_jet and eval_scalar reject different points),
+compile separately, since a jet fails at some points where the value is
+defined, such as sqrt at 0),
 and the per-lane residuals in public kernels.  Every check, the denominator
 scan included, walks the plan through :func:`~hydroham.sampling.resolve` and
 redraws a point where any of its fields leaves its domain; the conjugacy
@@ -42,8 +43,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HostileDomainError, NonConservedCurrentError, VanishingDenominatorError
-from .exprs import Const, Expr, compile_tape, const, eval_scalar, eval_tape
+from .errors import (HostileDomainError, NonConservedCurrentError, VanishingDenominatorError,
+                     plain_point)
+from .exprs import Const, Expr, compile_tape, const, eval_scalar, eval_tape, one_lane
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import (
     GridValues,
@@ -62,13 +64,6 @@ SIGN_BRIDGE_NOTE = (
 )
 
 REDRAW_SINGULAR = 2  # evaluator status: the Jacobian of the map is singular there
-
-
-def _one_lane(values: GridValues) -> np.ndarray:
-    """The values of a one-point batch, raising where the point failed."""
-    if values.failed[0]:
-        raise values.error(0)
-    return values.vals[0]
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ class HydroSystem:
         return compile_grid(self.v, self.dim, 0)
 
     def speeds(self, point) -> np.ndarray:
-        return _one_lane(speed_values(self, [point]))
+        return one_lane(speed_values(self, [point])).vals[0]
 
 
 def speed_values(s: HydroSystem, points) -> GridValues:
@@ -137,7 +132,7 @@ class PointChangeMap:
         return (compile_grid(self.forward, self.dim, 0), compile_grid(self.forward, self.dim, 1))
 
     def apply(self, point) -> np.ndarray:
-        return _one_lane(mapped_points(self, [point]))
+        return one_lane(mapped_points(self, [point])).vals[0]
 
     def apply_inverse(self, point) -> np.ndarray:
         if self.inverse is None:
@@ -145,7 +140,7 @@ class PointChangeMap:
         return np.array([eval_scalar(e, point) for e in self.inverse])
 
     def jacobian(self, point) -> np.ndarray:
-        return _one_lane(map_jacobians(self, [point]))
+        return one_lane(map_jacobians(self, [point])).vals[0]
 
 
 def mapped_points(m: PointChangeMap, points) -> GridValues:
@@ -289,7 +284,7 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
     bad = small | (sign != sign[:1])
     if bad.any():
         k = int(np.argmax(bad))
-        p = tuple(found.points[k])
+        p = plain_point(found.points[k])
         if small[k]:
             raise VanishingDenominatorError(f"denominator field vanishes near {p}")
         # determinant changes sign across the box, so it crosses zero

@@ -1,6 +1,7 @@
 """Shared test helpers: an independent extended-precision evaluator used as
 the finite-difference oracle, a smooth expression corpus, and a seeded
-random expression generator."""
+random expression generator.  The recursive double-precision evaluator the
+tapes are compared against lives in ``oracle.py``."""
 
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ def eval_longdouble(e: Expr, point) -> np.longdouble:
     """Recursive evaluator over numpy extended precision.
 
     Deliberately independent of the package's evaluation path: it shares no
-    code with eval_scalar or the jet machinery, so it can serve as an oracle
-    for both.
+    code with the tapes, the jet kernels or ``oracle``, so it can serve as an
+    oracle for all of them.
     """
     pt = [LD(x) for x in point]
 

@@ -1,10 +1,12 @@
-"""Batched evaluation: jet tapes against the recursive evaluator, lane
+"""Batched evaluation: jet tapes against the recursive evaluator of
+``oracle``, Jet and the one-point views against tape lanes bit for bit, lane
 independence of tapes and frames, and reports pinned against those of the
 per-point evaluator (``golden_reports.json``, written by record_golden.py)."""
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import warnings
 
@@ -13,9 +15,23 @@ import pytest
 
 import cases
 from conftest import SMOOTH_CORPUS, random_smooth_expr
+from oracle import eval_jet, eval_scalar
 from hydroham import driftflux as df
 from hydroham.errors import EvalDomainError
-from hydroham.exprs import compile_tape, eval_jet, eval_scalar, eval_tape, exp, variables
+from hydroham.exprs import (
+    BinOp,
+    Call,
+    Const,
+    NamedConst,
+    Neg,
+    Power,
+    Var,
+    compile_tape,
+    eval_tape,
+    exp,
+    variables,
+)
+from hydroham.exprs import eval_jet as hydroham_eval_jet
 from hydroham.geometry import (
     ConnectionField,
     MetricField,
@@ -24,6 +40,7 @@ from hydroham.geometry import (
     lane_einsum,
     metric_frames,
 )
+from hydroham.jets import Jet, JetDomainError
 from hydroham.operators import LocalOperator, check_local_hamiltonian, pencil_operator
 from hydroham.parsing import parse_expr
 from hydroham.sampling import default_plan
@@ -33,7 +50,7 @@ RESIDUAL_ABS, RESIDUAL_REL = 1e-12, 1e-9
 WITNESS_EXACT_FROM = 1e-10
 
 
-# -- tape against eval_jet ------------------------------------------------------
+# -- tape against the oracle ------------------------------------------------------
 
 
 def _oracle_corpus():
@@ -111,6 +128,61 @@ def test_scalar_tape_matches_eval_scalar():
                 assert str(got.error(lane)) == str(err)
             else:
                 assert got.coeffs[0, 0, lane] == pytest.approx(ref[0], rel=1e-13, abs=1e-300)
+
+
+def _jet_build(node, p, order):
+    """``node`` at ``p`` built operation by operation from Jet values, with
+    constant subtrees folded to floats as compile_tape folds them."""
+    if isinstance(node, (Const, NamedConst)):
+        return float(node.value)
+    if isinstance(node, Var):
+        return Jet.variable(node.index, p[node.index], len(p), order)
+    if isinstance(node, Neg):
+        return -_jet_build(node.arg, p, order)
+    if isinstance(node, BinOp):
+        a, b = _jet_build(node.left, p, order), _jet_build(node.right, p, order)
+        if node.op == "/" and isinstance(a, float) and isinstance(b, float):
+            return a * (1.0 / b)
+        return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                "/": operator.truediv}[node.op](a, b)
+    as_jet = (lambda x: Jet.constant(x, len(p), order) if isinstance(x, float) else x)
+    if isinstance(node, Power):
+        return as_jet(_jet_build(node.base, p, order)) ** node.exponent
+    if isinstance(node, Call):
+        arg = as_jet(_jet_build(node.arg, p, order))
+        return getattr(arg, "log" if node.func == "ln" else node.func)()
+    inner = _jet_build(node.arg, p, order + 1)  # Deriv
+    return 0.0 if isinstance(inner, float) else inner.partial(node.index)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_jet_and_eval_jet_are_tape_lanes_bit_for_bit(order):
+    rng = np.random.default_rng(10 + order)
+    compared = flagged = 0
+    for e, n, box in ORACLE:
+        points = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(12)])
+        try:
+            got = eval_tape(compile_tape([e], n, order), points)
+        except ValueError:  # a Deriv needs a jet beyond MAX_ORDER
+            continue
+        for lane, p in enumerate(points):
+            if got.failed[lane]:
+                with pytest.raises(JetDomainError) as err:
+                    _jet_build(e, p, order)
+                assert str(err.value) == got.error(lane).reason
+                with pytest.raises(EvalDomainError) as err:
+                    hydroham_eval_jet(e, p, order)
+                assert str(err.value) == str(got.error(lane))
+                flagged += 1
+                continue
+            want = got.coeffs[0, :, lane].tobytes()
+            built = _jet_build(e, p, order)
+            if isinstance(built, float):
+                built = Jet.constant(built, n, order)
+            assert built.coeffs.tobytes() == want, (str(e), p)
+            assert hydroham_eval_jet(e, p, order).coeffs.tobytes() == want, (str(e), p)
+            compared += 1
+    assert compared > 1000 and flagged > 10
 
 
 def test_tape_shares_subtrees_and_drops_zero_entries():

@@ -1,9 +1,9 @@
 """The per-point callers on batched tapes (currents, conjugacy, the reciprocal
 denominator scan, wave and constraint residuals, field comparisons, and the
 frame checks where b or a tail leaves its domain) against per-point reference
-loops built on eval_jet/eval_scalar: the same draws, the same verdicts and
-residuals up to roundoff, and the same errors at the same first failing
-point."""
+loops built on the recursive evaluator of ``oracle``: the same draws, the
+same verdicts and residuals up to roundoff, and the same errors at the same
+first failing point."""
 
 from __future__ import annotations
 
@@ -21,13 +21,7 @@ from hydroham.errors import (
     HostileDomainError,
     VanishingDenominatorError,
 )
-from hydroham.exprs import (
-    eval_jet,
-    eval_scalar,
-    exp,
-    fields_equal_numeric,
-    variables,
-)
+from hydroham.exprs import exp, fields_equal_numeric, variables
 from hydroham.geometry import AffinorField, ConnectionField, MetricField, metric_frame, scaled_abs_det
 from hydroham.operators import (
     LocalOperator,
@@ -47,6 +41,8 @@ from hydroham.systems import (
     check_conserved_current,
     reciprocal_transform_system,
 )
+
+from oracle import eval_jet, eval_scalar
 
 RESIDUAL_REL = 1e-9
 
@@ -431,13 +427,15 @@ def _denominator_reference(s, c1, plan):
         nonlocal sign_seen
         d = eval_scalar(c1.sigma, p) * np.eye(n) - eval_scalar(c1.rho, p) * s.speeds(p)
         if scaled_abs_det(d) < 1e-6:
-            raise VanishingDenominatorError(f"denominator field vanishes near {tuple(p)}")
+            raise VanishingDenominatorError(
+                f"denominator field vanishes near {tuple(float(x) for x in p)}")
         sign = 1 if np.linalg.det(d) > 0 else -1
         if sign_seen == 0:
             sign_seen = sign
         elif sign != sign_seen:
             raise VanishingDenominatorError(
-                f"denominator field vanishes inside the box (sign change near {tuple(p)})")
+                f"denominator field vanishes inside the box (sign change near "
+                f"{tuple(float(x) for x in p)})")
         return sign
 
     return redraw_loop(plan, evaluate)

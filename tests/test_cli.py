@@ -373,3 +373,30 @@ def test_non_finite_floor_is_invalid_input(tmp_path, capsys):
     spec = write_spec(tmp_path, **dict(WRONG_CONNECTION, sample_plan={"floor": -1}))
     assert main(["check", spec]) == 2
     assert "floor must be finite and >= 0" in capsys.readouterr().err
+
+
+# -- malformed spec files ---------------------------------------------------------------
+
+
+_CANDIDATE = {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+
+
+@pytest.mark.parametrize("command,fields,message", [
+    ("check", {"sample_plan": [1]}, "'sample_plan' must be a JSON object"),
+    ("check", {"sample_plan": {"box": 3}}, "one [lo, hi] interval per variable"),
+    ("check", {"sample_plan": {"box": [[-1.0, 1.0, 2.0]]}}, "one [lo, hi] interval per variable"),
+    ("check", {"dimension": True}, "'dimension' must be a positive integer"),
+    ("check", {"tails": [{"epsilon": True, "matrix": [["u1"]]}]}, "epsilon"),
+    ("check", {"checks": [["local_hamiltonian"]]}, "unknown check id"),
+    ("reciprocal", {"currents": [{"rho": 1, "sigma": "0"}, {"rho": "0", "sigma": "1"}]},
+     "'rho' and 'sigma' expression strings"),
+    ("reciprocal", {"candidate_operators": [_CANDIDATE]}, "list of {metric, b} objects"),
+    ("reciprocal", {"candidate_operators": {"metric": _CANDIDATE["metric"]}},
+     "list of {metric, b} objects"),
+])
+def test_malformed_spec_is_invalid_input(tmp_path, capsys, command, fields, message):
+    base = dict(WRONG_CONNECTION) if command == "check" else cases.spec_example()
+    spec = write_spec(tmp_path, **dict(base, **fields))
+    assert main([command, spec, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

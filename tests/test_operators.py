@@ -211,7 +211,7 @@ def test_flow_constant_hessian():
 
 def test_flow_matches_the_jet_formula():
     # the Deriv entries against one order-2 jet of the density per point
-    from hydroham.geometry import eval_matrix, eval_tensor3
+    from hydroham.geometry import eval_matrix
 
     plan = df.drift_plan(count=30, seed=3)
     op = df.build_H1_Theta(parse_expr("1 + r3^2", 3))
@@ -221,7 +221,7 @@ def test_flow_matches_the_jet_formula():
         p = plan.point(i)
         jet = eval_jet(h, p, 2)
         want = (eval_matrix(op.g.entries, p) @ jet.hessian()
-                + np.einsum("ijk,j->ik", eval_tensor3(op.b.entries, p), jet.gradient()))
+                + np.einsum("ijk,j->ik", eval_matrix(op.b.entries, p), jet.gradient()))
         assert np.max(np.abs(system.speeds(p) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -253,7 +253,7 @@ def test_flow_against_finite_difference_hessian(rng):
     # v^i_k = g^{ij} H_{jk} + b^{ij}_k H_j with the Hessian from extended
     # precision central differences; the first density is a Casimir of this
     # operator (zero flow), the second is generic
-    from hydroham.geometry import eval_matrix, eval_tensor3
+    from hydroham.geometry import eval_matrix
 
     op = df.build_nutku(1)
     for text in ("exp(r1-r2)", "exp(r1-r2)*(r1+r2) + r1^2"):
@@ -263,6 +263,6 @@ def test_flow_against_finite_difference_hessian(rng):
             p = rng.uniform(-0.6, 0.6, size=2)
             grad, hess = _fd_grad_hess(h_expr, p)
             g_vals = eval_matrix(op.g.entries, p)
-            b_vals = eval_tensor3(op.b.entries, p)
+            b_vals = eval_matrix(op.b.entries, p)
             expected = g_vals @ hess + np.einsum("ijk,j->ik", b_vals, grad)
             assert np.allclose(system.speeds(p), expected, rtol=1e-7, atol=1e-8)
