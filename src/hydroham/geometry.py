@@ -6,9 +6,13 @@ per sample point; no symbolic Christoffel symbols or curvature are ever
 formed.  Derivatives of the metric come from a jet tape of its entries,
 derivatives of the inverse from d(g_lo) = -g_lo (d g_up) g_lo.  Contractions
 go through :func:`lane_einsum`, so a lane's numbers do not depend on the rest
-of its batch.  The single-point functions (:func:`metric_frame`,
-:func:`eval_matrix`, :func:`covariant_derivative_values`) are one-lane views
-of the batched ones and raise where those flag a lane.
+of its batch.  Frames come in two steps: :func:`metric_status` reads from the
+metric's jets which lanes failed or are degenerate, and :func:`metric_frames`
+builds the inverse, Christoffel symbols and curvature at the usable lanes
+only, so a lane that cannot resolve costs a determinant and no contraction.
+The single-point functions (:func:`metric_frame`, :func:`eval_matrix`,
+:func:`covariant_derivative_values`) are one-lane views of the batched ones
+and raise where those flag a lane.
 
 Index conventions, fixed once for the whole package (the lane axis, when
 present, comes before all of these):
@@ -275,9 +279,9 @@ _FRAME_ARRAYS = tuple(f.name for f in fields(MetricFrame))
 
 
 class MetricFrames(NamedTuple):
-    """The arrays of :class:`MetricFrame` at N points, lane axis first, with
-    each lane's status.  Lanes that failed or are degenerate hold values
-    nothing should read (g_lo is NaN there)."""
+    """The arrays of :class:`MetricFrame` at N points, lane axis first.
+    :func:`metric_frames` builds them only at lanes where
+    :attr:`MetricStatus.usable` holds, so every lane carries a frame."""
 
     point: np.ndarray
     g_up: np.ndarray
@@ -289,28 +293,36 @@ class MetricFrames(NamedTuple):
     dgamma: Optional[np.ndarray]
     riemann: Optional[np.ndarray]
     riemann_up: Optional[np.ndarray]
-    failed: np.ndarray  # (N,) domain violation in a metric entry
-    degenerate: np.ndarray  # (N,) scaled |det| below the floor
-    det: np.ndarray  # (N,) scaled |det|
-    grid: Optional[GridValues] = None  # for the errors of failed lanes
 
     @property
     def lanes(self) -> int:
         return len(self.point)
 
     def lane(self, i: int) -> MetricFrame:
-        return MetricFrame(**{name: _lanes_of(getattr(self, name), i) for name in _FRAME_ARRAYS})
-
-    def take(self, lanes) -> "MetricFrames":
-        """The given lanes, in the given order, without the error source."""
-        return MetricFrames(**{name: _lanes_of(getattr(self, name), lanes) for name in _LANE_ARRAYS})
+        arrays = {name: getattr(self, name) for name in _FRAME_ARRAYS}
+        return MetricFrame(**{name: None if a is None else a[i] for name, a in arrays.items()})
 
 
-_LANE_ARRAYS = _FRAME_ARRAYS + ("failed", "degenerate", "det")
+class MetricStatus(NamedTuple):
+    """Per lane of a metric's jets, whether a frame can be built there."""
+
+    failed: np.ndarray  # (N,) domain violation in a metric entry
+    degenerate: np.ndarray  # (N,) scaled |det| below the floor
+    det: np.ndarray  # (N,) scaled |det|, NaN where an entry is not finite
+
+    @property
+    def usable(self) -> np.ndarray:
+        """Evaluated, nondegenerate and finite: np.linalg.inv turns
+        [[inf, 0], [0, 1]] into a finite matrix, so a non-finite metric
+        value gets no frame and its residuals stay NaN."""
+        return ~self.failed & ~self.degenerate & np.isfinite(self.det)
 
 
-def _lanes_of(array, lanes):
-    return None if array is None else array[lanes]
+@np.errstate(all="ignore")  # a non-finite entry leaves det NaN, not a warning
+def metric_status(jets: GridValues, floor: float = DEGENERACY_FLOOR) -> MetricStatus:
+    """Each lane's status, from the values of a metric grid's jets."""
+    det = scaled_abs_dets(jets.vals)
+    return MetricStatus(jets.failed, ~jets.failed & (det < floor), det)
 
 
 def _levi_civita_from_parts(g_up, dg_lo):
@@ -322,64 +334,57 @@ def _levi_civita_from_parts(g_up, dg_lo):
     return 0.5 * lane_einsum("jm,msk->jsk", g_up, t), t
 
 
-def metric_frames(g, points, curvature: bool = False,
-                  floor: float = DEGENERACY_FLOOR) -> MetricFrames:
-    """Frames at every row of ``points`` (N, dim), lane axis first.
-
-    ``g`` is a MetricField, or its entries already compiled by
-    :func:`compile_grid` at order 2 with curvature and order 1 without.
-    Domain violations and degeneracy are flagged per lane, not raised.
+@np.errstate(all="ignore")  # non-finite derivatives fail in the verdict instead
+def metric_frames(jets: GridValues, lanes) -> MetricFrames:
+    """Frames at the given lanes of a metric grid's jets (a boolean mask or
+    indices), in that order, lane axis first; with curvature when the grid
+    was compiled at order 2.  Every given lane must be
+    :attr:`MetricStatus.usable`; nothing here checks it.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not isinstance(g, GridTape):
-        g = compile_grid(g.entries, points.shape[1], 2 if curvature else 1)
-    jets = grid_values(g, points)
-    g_up, dg_up, d2g_up = jets.vals, jets.d1, jets.d2
-    with np.errstate(all="ignore"):
-        det = scaled_abs_dets(g_up)
-        failed = jets.failed
-        degenerate = ~failed & (det < floor)
-        usable = (~failed & ~degenerate & np.isfinite(det))[:, None, None]
-        inv = np.linalg.inv(np.where(usable, g_up, np.eye(g_up.shape[-1])))
-        g_lo = np.where(usable, (inv + np.swapaxes(inv, 1, 2)) / 2.0, np.nan)
-        lo_dg = lane_einsum("ia,kab->kib", g_lo, dg_up)  # g_lo d_k g_up
-        dg_lo = -lane_einsum("kib,bj->kij", lo_dg, g_lo)
-        gamma, t = _levi_civita_from_parts(g_up, dg_lo)
-        if not curvature:
-            return MetricFrames(points, g_up, g_lo, dg_up, dg_lo, gamma, None, None, None,
-                                None, failed, degenerate, det, jets)
-        # d_l d_k g_lo = -(d_l g_lo d_k g_up g_lo + g_lo d_l d_k g_up g_lo
-        #                  + g_lo d_k g_up d_l g_lo), one contraction at a time;
-        # sums accumulate in place to keep few (N, n, n, n, n) arrays alive
-        d2g_lo = lane_einsum("lia,kaj->lkij", dg_lo, lane_einsum("kab,bj->kaj", dg_up, g_lo))
-        d2g_lo += lane_einsum("lkib,bj->lkij", lane_einsum("ia,lkab->lkib", g_lo, d2g_up), g_lo)
-        d2g_lo += lane_einsum("kib,lbj->lkij", lo_dg, dg_lo)
-        np.negative(d2g_lo, out=d2g_lo)
-        dt = lane_einsum("lsmk->lmsk", d2g_lo) + lane_einsum("lkms->lmsk", d2g_lo)
-        dt -= d2g_lo
-        del d2g_lo
-        dgamma = lane_einsum("ljm,msk->ljsk", dg_up, t)
-        dgamma += lane_einsum("jm,lmsk->ljsk", g_up, dt)
-        dgamma *= 0.5
-        del dt
-        riemann = lane_einsum("kjsl->jskl", dgamma) - lane_einsum("ljsk->jskl", dgamma)
-        riemann += lane_einsum("jmk,msl->jskl", gamma, gamma)
-        riemann -= lane_einsum("jml,msk->jskl", gamma, gamma)
-        riemann_up = lane_einsum("is,jskl->ijkl", g_up, riemann)
-    return MetricFrames(points, g_up, g_lo, dg_up, dg_lo, gamma, d2g_up, dgamma, riemann,
-                        riemann_up, failed, degenerate, det, jets)
+    point = jets.tape_values.points[lanes]
+    g_up, dg_up = jets.vals[lanes], jets.d1[lanes]
+    inv = np.linalg.inv(g_up)
+    g_lo = (inv + np.swapaxes(inv, 1, 2)) / 2.0
+    lo_dg = lane_einsum("ia,kab->kib", g_lo, dg_up)  # g_lo d_k g_up
+    dg_lo = -lane_einsum("kib,bj->kij", lo_dg, g_lo)
+    gamma, t = _levi_civita_from_parts(g_up, dg_lo)
+    if jets.d2 is None:
+        return MetricFrames(point, g_up, g_lo, dg_up, dg_lo, gamma, None, None, None, None)
+    d2g_up = jets.d2[lanes]
+    # d_l d_k g_lo = -(d_l g_lo d_k g_up g_lo + g_lo d_l d_k g_up g_lo
+    #                  + g_lo d_k g_up d_l g_lo), one contraction at a time;
+    # sums accumulate in place to keep few (N, n, n, n, n) arrays alive
+    d2g_lo = lane_einsum("lia,kaj->lkij", dg_lo, lane_einsum("kab,bj->kaj", dg_up, g_lo))
+    d2g_lo += lane_einsum("lkib,bj->lkij", lane_einsum("ia,lkab->lkib", g_lo, d2g_up), g_lo)
+    d2g_lo += lane_einsum("kib,lbj->lkij", lo_dg, dg_lo)
+    np.negative(d2g_lo, out=d2g_lo)
+    dt = lane_einsum("lsmk->lmsk", d2g_lo) + lane_einsum("lkms->lmsk", d2g_lo)
+    dt -= d2g_lo
+    del d2g_lo
+    dgamma = lane_einsum("ljm,msk->ljsk", dg_up, t)
+    dgamma += lane_einsum("jm,lmsk->ljsk", g_up, dt)
+    dgamma *= 0.5
+    del dt
+    riemann = lane_einsum("kjsl->jskl", dgamma) - lane_einsum("ljsk->jskl", dgamma)
+    riemann += lane_einsum("jmk,msl->jskl", gamma, gamma)
+    riemann -= lane_einsum("jml,msk->jskl", gamma, gamma)
+    riemann_up = lane_einsum("is,jskl->ijkl", g_up, riemann)
+    return MetricFrames(point, g_up, g_lo, dg_up, dg_lo, gamma, d2g_up, dgamma, riemann,
+                        riemann_up)
 
 
 def metric_frame(g: MetricField, point, curvature: bool = False,
                  floor: float = DEGENERACY_FLOOR) -> MetricFrame:
     """Build the pointwise frame; order-2 jets are used only when curvature
-    is requested."""
-    frames = metric_frames(g, [point], curvature, floor)
-    if frames.failed[0]:
-        raise frames.grid.error(0)
-    if frames.degenerate[0]:
-        raise DegenerateMetricError(frames.det[0], point)
-    return frames.lane(0)
+    is requested.  Raises, before building, where g leaves its domain, and
+    DegenerateMetricError where it is degenerate or not finite."""
+    jets = grid_values(compile_grid(g.entries, len(point), 2 if curvature else 1), [point])
+    status = metric_status(jets, floor)
+    if status.failed[0]:
+        raise jets.error(0)
+    if not status.usable[0]:
+        raise DegenerateMetricError(status.det[0], point)
+    return metric_frames(jets, [0]).lane(0)
 
 
 def covariant_derivatives(vals: np.ndarray, d1: np.ndarray, gamma: np.ndarray) -> np.ndarray:

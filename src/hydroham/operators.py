@@ -14,8 +14,11 @@ terms entering each identity, so exponential prefactors do not distort the
 verdict; a condition passes only if it is within tolerance at every point.
 Plans are walked by :func:`~hydroham.sampling.resolve`, under its one rule:
 a draw at which g, b or a tail leaves its domain is redrawn, and so is one
-at which g is degenerate.  The local check is the nonlocal one without
-tails, its flatness the Gauss equation against an empty tail sum.
+at which g is degenerate.  Each round evaluates g, b and the tails at every
+draw, reads the status of each draw from them, and builds curvature frames
+only at the draws that resolve; a round at which none resolves runs no
+contraction.  The local check is the nonlocal one without tails, its
+flatness the Gauss equation against an empty tail sum.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .geometry import (
     lane_einsum,
     lane_max,
     metric_frames,
+    metric_status,
 )
 from .reports import CheckReport, ConditionResult, condition_from_arrays
 from .sampling import REDRAW_DOMAIN, Resolved, SamplePlan, resolve
@@ -83,8 +87,11 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
     fields evaluated) followed by the conditions of ``table``.
 
     A draw is redrawn where g, b or a tail leaves its domain, and where g is
-    degenerate.  Each round runs the connection and tail kernels once, on
-    its resolved lanes.  ``table`` rows are (id, description, short
+    degenerate; a domain violation outranks degeneracy.  Each round
+    evaluates g's order-2 jets, b and the tails at every draw, then builds
+    frames and runs the connection and tail kernels once, on its resolved
+    lanes whose metric value is finite (elsewhere the residuals stay NaN and
+    fail as non-finite).  ``table`` rows are (id, description, short
     description, kernel result); when no point resolves, each row is
     reported not evaluated under its short description.
     """
@@ -95,21 +102,20 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
     w_grids = [compile_grid(tail_entries, plan.dim, order) for order in (0, 1)] if a.tails else []
 
     def evaluate(points):
-        frames = metric_frames(g_grid, points, curvature=True)
-        b, *w = [grid_values(grid, points) for grid in [b_grid] + w_grids]
-        failed = np.logical_or.reduce([frames.failed, b.failed] + [x.failed for x in w])
-        status = np.where(failed, REDRAW_DOMAIN, np.where(frames.degenerate, REDRAW_DEGENERATE, 0))
-        g = frames.g_up
-        symmetric = lane_max(g - np.swapaxes(g, 1, 2)), lane_max(g)
-        ok = status == 0
+        g, b, *w = [grid_values(grid, points) for grid in [g_grid, b_grid] + w_grids]
+        metric = metric_status(g)
+        failed = np.logical_or.reduce([g.failed, b.failed] + [x.failed for x in w])
+        status = np.where(failed, REDRAW_DOMAIN, np.where(metric.degenerate, REDRAW_DEGENERATE, 0))
+        symmetric = lane_max(g.vals - np.swapaxes(g.vals, 1, 2)), lane_max(g.vals)
+        build = (status == 0) & metric.usable
         raw, scale = np.full((2, len(points), len(table)), np.nan)
-        if ok.any():
-            frames = frames.take(ok)
-            found = connection_residuals(frames, b.vals[ok])
-            w_arrays = [x[ok] for x in (w[0].vals, w[1].vals, w[1].d1)] if w else [None] * 3
+        if build.any():
+            frames = metric_frames(g, build)
+            found = connection_residuals(frames, b.vals[build])
+            w_arrays = [x[build] for x in (w[0].vals, w[1].vals, w[1].d1)] if w else [None] * 3
             found.update(tail_residuals(frames, a.tails, *w_arrays))
             for k, (*_, key) in enumerate(table):
-                raw[ok, k], scale[ok, k] = found[key]
+                raw[build, k], scale[build, k] = found[key]
         return status, symmetric + (raw, scale)
 
     found = resolve(plan, evaluate)

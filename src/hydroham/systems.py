@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (HostileDomainError, NonConservedCurrentError, VanishingDenominatorError,
                      plain_point)
-from .exprs import Const, Expr, compile_tape, const, eval_scalar, eval_tape, one_lane
+from .exprs import Const, Expr, compile_tape, const, eval_tape, one_lane
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import (
     GridValues,
@@ -134,10 +134,15 @@ class PointChangeMap:
     def apply(self, point) -> np.ndarray:
         return one_lane(mapped_points(self, [point])).vals[0]
 
+    @cached_property
+    def _inverse_grid(self):
+        # the inverse map's values, compiled on first use
+        return compile_grid(self.inverse, self.dim, 0)
+
     def apply_inverse(self, point) -> np.ndarray:
         if self.inverse is None:
             raise ValueError("no inverse map supplied")
-        return np.array([eval_scalar(e, point) for e in self.inverse])
+        return one_lane(grid_values(self._inverse_grid, [point])).vals[0]
 
     def jacobian(self, point) -> np.ndarray:
         return one_lane(map_jacobians(self, [point])).vals[0]

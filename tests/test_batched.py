@@ -17,6 +17,7 @@ import cases
 from conftest import SMOOTH_CORPUS, random_smooth_expr
 from oracle import eval_jet, eval_scalar
 from hydroham import driftflux as df
+from hydroham import operators
 from hydroham.errors import EvalDomainError
 from hydroham.exprs import (
     BinOp,
@@ -39,11 +40,17 @@ from hydroham.geometry import (
     grid_values,
     lane_einsum,
     metric_frames,
+    metric_status,
 )
 from hydroham.jets import Jet, JetDomainError
-from hydroham.operators import LocalOperator, check_local_hamiltonian, pencil_operator
+from hydroham.operators import (
+    REDRAW_DEGENERATE,
+    LocalOperator,
+    check_local_hamiltonian,
+    pencil_operator,
+)
 from hydroham.parsing import parse_expr
-from hydroham.sampling import default_plan
+from hydroham.sampling import REDRAW_DOMAIN, RESAMPLE_BUDGET, default_plan
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
 RESIDUAL_ABS, RESIDUAL_REL = 1e-12, 1e-9
@@ -209,17 +216,24 @@ def _operators():
 
 
 def _batch_arrays(g, b, tails, points):
-    """Every tape coefficient and frame array the checks compute, lane first."""
+    """Every tape coefficient and frame array the checks compute, lane first.
+    Frames are built at the usable lanes only; their arrays read NaN at the
+    other lanes, so they line up with the batch."""
     dim = points.shape[1]
-    frames = metric_frames(compile_grid(g.entries, dim, 2), points, curvature=True)
-    arrays = {name: getattr(frames, name) for name in
-              ("g_up", "g_lo", "dg_up", "dg_lo", "gamma", "d2g_up", "dgamma", "riemann",
-               "riemann_up", "det")}
+    jets = grid_values(compile_grid(g.entries, dim, 2), points)
+    status = metric_status(jets)
+    frames = metric_frames(jets, status.usable)
+    arrays = {"usable": status.usable, "det": status.det}
+    for name in ("g_up", "g_lo", "dg_up", "dg_lo", "gamma", "d2g_up", "dgamma", "riemann",
+                 "riemann_up"):
+        built = getattr(frames, name)
+        arrays[name] = np.full((len(points),) + built.shape[1:], np.nan)
+        arrays[name][status.usable] = built
     for label, entries, order in [("b", b.entries, 0)] + [
             (f"w{a}.{order}", w.entries, order) for a, w in enumerate(tails) for order in (0, 1)]:
         values = grid_values(compile_grid(entries, dim, order), points)
         arrays[label] = np.moveaxis(values.tape_values.coeffs, -1, 0)
-    arrays["g.coeffs"] = frames.grid.tape_values.coeffs.transpose(2, 0, 1)
+    arrays["g.coeffs"] = jets.tape_values.coeffs.transpose(2, 0, 1)
     return arrays
 
 
@@ -301,3 +315,114 @@ def test_non_finite_metric_fails_without_warnings():
     failed = [c for c in rep.conditions if not c.passed]
     assert failed and all("non-finite" in c.note for c in failed)
     assert all(c.residual is None and c.witness is not None for c in failed)
+
+
+def test_overflowing_metric_entry_fails_without_warnings():
+    # np.linalg.inv turns [[inf, 0], [0, 1]] into a finite matrix, so a lane
+    # whose det is not finite must get no frame for its residuals to fail
+    u1, _ = variables(2)
+    zero, one = parse_expr("0", 2), parse_expr("1", 2)
+    g = MetricField(2, ((exp(400) * exp(400) * (2 + u1), zero), (zero, one)))
+    b = ConnectionField(2, ((((zero,) * 2,) * 2,) * 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_local_hamiltonian(LocalOperator(2, g, b), default_plan(2, count=20, seed=3))
+    notes = {c.cid: (c.passed, c.residual, c.note) for c in rep.conditions}
+    non_finite = (False, None, "non-finite value at 20 of 20 points")
+    assert notes == {"metric_symmetric": non_finite, "metric_nondegenerate": (True, 0.0, None),
+                     "connection_symmetric": non_finite, "metric_compatible": non_finite,
+                     "metric_flat": non_finite}
+
+
+# -- frames only where a round can resolve -----------------------------------------------
+
+
+@pytest.fixture
+def frame_check_spy(monkeypatch):
+    """Record the lanes handed to the frame builder and every plan walk of
+    the frame checks."""
+    built, walks = [], []
+    resolve = operators.resolve
+
+    def build(jets, lanes):
+        built.append(len(jets.vals[lanes]))
+        return metric_frames(jets, lanes)
+
+    def walk(plan, evaluate):
+        walks.append(resolve(plan, evaluate))
+        return walks[-1]
+
+    monkeypatch.setattr(operators, "metric_frames", build)
+    monkeypatch.setattr(operators, "resolve", walk)
+    return built, walks
+
+
+def _identically_degenerate(plan, last_draw) -> dict:
+    """The report of a local check whose metric is degenerate at every draw."""
+    not_evaluated = {"max_residual": None, "witness": None, "passed": False,
+                     "note": "not evaluated (metric degenerate)"}
+    return {
+        "title": "local Hamiltonian",
+        "passed": False,
+        "conditions": [
+            {"id": "metric_symmetric", "description": "g^{ij} = g^{ji}", "max_residual": 0.0,
+             "witness": None, "passed": True, "note": None},
+            {"id": "metric_nondegenerate",
+             "description": "|det g| above the degeneracy floor on the box", "max_residual": 1.0,
+             "witness": [float(x) for x in last_draw], "passed": False,
+             "note": "identically degenerate"},
+            {"id": "connection_symmetric", "description": "Gamma^j_{sk} = Gamma^j_{ks}",
+             **not_evaluated},
+            {"id": "metric_compatible", "description": "nabla g = 0", **not_evaluated},
+            {"id": "metric_flat", "description": "curvature of g vanishes", **not_evaluated},
+        ],
+        "plan": plan.echo(),
+        "notes": [],
+    }
+
+
+DEGENERATE_OPERATORS = {
+    "mutant h1-theta Theta = 0 (degenerate)":
+        dict((name, op) for name, _, op in df.mutation_catalog())["h1-theta Theta = 0 (degenerate)"],
+    "pair 1-2 lambda=-1.0": pencil_operator(df.build_nutku(1), df.build_nutku(2), -1.0),
+}
+
+
+@pytest.mark.parametrize("seed", cases.SEEDS)
+@pytest.mark.parametrize("name", sorted(DEGENERATE_OPERATORS))
+def test_degenerate_rounds_build_no_frame(frame_check_spy, name, seed):
+    built, walks = frame_check_spy
+    op = DEGENERATE_OPERATORS[name]
+    plan = cases.plan_for(op.dim, seed)
+    report = check_local_hamiltonian(op, plan).to_dict()
+    assert sum(built) == 0
+    (found,) = walks
+    draws = np.array([plan.point(i, r) for i in range(plan.count)
+                      for r in range(RESAMPLE_BUDGET + 1)])
+    assert np.array_equal(found.status, np.full(len(draws), REDRAW_DEGENERATE))
+    assert found.draws.tobytes() == draws.tobytes()
+    assert report == _identically_degenerate(plan, draws[-1])
+    if name.startswith("mutant"):
+        assert report == GOLDEN_REPORTS[f"{name} @ seed {seed}"]
+
+
+def test_resolving_rounds_build_frames(frame_check_spy):
+    built, _ = frame_check_spy
+    op = df.build_nutku(1)
+    assert check_local_hamiltonian(op, cases.plan_for(op.dim, 1)).passed
+    assert sum(built) == 100
+
+
+def test_domain_redraw_outranks_degeneracy(frame_check_spy):
+    built, walks = frame_check_spy
+    g = MetricField(1, ((parse_expr("0", 1),),))
+    b = ConnectionField(1, (((parse_expr("ln(u1)", 1),),),))
+    report = check_local_hamiltonian(LocalOperator(1, g, b), default_plan(1, count=20, seed=3))
+    (found,) = walks
+    assert sum(built) == 0 and len(found.draws) == 20 * (RESAMPLE_BUDGET + 1)
+    outside = found.draws[:, 0] <= 0
+    assert outside.any() and not outside.all()
+    assert np.array_equal(found.status, np.where(outside, REDRAW_DOMAIN, REDRAW_DEGENERATE))
+    nondegenerate = report.conditions[1]
+    assert nondegenerate.note == "identically degenerate"
+    assert nondegenerate.witness == tuple(found.draws[~outside][-1])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hydroham import driftflux as df
-from hydroham.errors import ConstraintViolation
+from hydroham import systems
+from hydroham.errors import ConstraintViolation, EvalDomainError
 from hydroham.exprs import const, eval_scalar, exp, fields_equal_numeric
 from hydroham.geometry import eval_matrix
 from hydroham.operators import check_ferapontov, check_local_hamiltonian, check_skew_adjoint
@@ -55,6 +56,22 @@ def test_riemann_map_round_trip():
         back = m.apply(m.apply_inverse(r))
         worst = max(worst, np.max(np.abs(back - r) / np.maximum(1.0, np.abs(r))))
     assert worst <= 1e-10
+
+
+def test_inverse_map_compiles_once_and_matches_entrywise_values(monkeypatch):
+    m = df.riemann_map()
+    compiled = []
+    compile_grid = systems.compile_grid
+    monkeypatch.setattr(systems, "compile_grid",
+                        lambda *args: compiled.append(args) or compile_grid(*args))
+    points = [df.physical_plan(count=100).point(i) for i in range(100)]
+    points += [m.apply(p) for p in points]
+    for p in points:
+        want = np.array([eval_scalar(e, p) for e in m.inverse])
+        assert m.apply_inverse(p).tobytes() == want.tobytes(), p
+    assert [args[0] for args in compiled].count(m.inverse) == 1
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        m.apply_inverse((0.0, 0.0, -1.0))
 
 
 # -- operator builders ---------------------------------------------------------------

@@ -61,6 +61,14 @@ def test_degenerate_metric_raises():
         invert_metric(g, (0.1, 0.2, 0.5))
 
 
+@pytest.mark.parametrize("curvature", [False, True])
+def test_frame_of_non_finite_metric_raises(curvature):
+    # np.linalg.inv would turn [[inf, 0], [0, 1]] into a finite matrix
+    g = _metric([["exp(400)*exp(400)*(2+u1)", "0"], ["0", "1"]], 2)
+    with pytest.raises(DegenerateMetricError, match="nan"):
+        metric_frame(g, (0.1, 0.2), curvature=curvature)
+
+
 def test_scaled_det_is_scale_invariant():
     m = np.diag([1e-9, 1e9])
     assert scaled_abs_det(m) == pytest.approx(1.0)
