@@ -237,6 +237,7 @@ def scaled_abs_det(m: np.ndarray) -> float:
     return float(scaled_abs_dets(np.asarray(m)[None])[0])
 
 
+@np.errstate(all="ignore")  # a non-finite entry leaves det NaN, not a warning
 def scaled_abs_dets(ms: np.ndarray) -> np.ndarray:
     """:func:`scaled_abs_det` of each matrix along a leading lane axis."""
     rowmax = np.max(np.abs(ms), axis=-1)
@@ -247,10 +248,10 @@ def scaled_abs_dets(ms: np.ndarray) -> np.ndarray:
 
 def invert_metric(g: MetricField, point, floor: float = DEGENERACY_FLOOR) -> np.ndarray:
     """Covariant metric g_{ij} at a point; raises DegenerateMetricError below
-    the degeneracy floor."""
+    the degeneracy floor or where the metric is not finite (det NaN)."""
     g_up = eval_matrix(g.entries, point)
     det = scaled_abs_det(g_up)
-    if det < floor:
+    if not det >= floor:
         raise DegenerateMetricError(det, point)
     inv = np.linalg.inv(g_up)
     return (inv + inv.T) / 2.0
@@ -318,7 +319,6 @@ class MetricStatus(NamedTuple):
         return ~self.failed & ~self.degenerate & np.isfinite(self.det)
 
 
-@np.errstate(all="ignore")  # a non-finite entry leaves det NaN, not a warning
 def metric_status(jets: GridValues, floor: float = DEGENERACY_FLOOR) -> MetricStatus:
     """Each lane's status, from the values of a metric grid's jets."""
     det = scaled_abs_dets(jets.vals)

@@ -7,6 +7,9 @@ results, and a point hit by a domain violation can be redrawn reproducibly
 by bumping the retry counter.  :meth:`SamplePlan.points` computes those
 numbers for a whole round of indices in one call, following numpy's
 SeedSequence and PCG64 in array arithmetic, without a generator per point.
+Each plan object computes each ``(i, retry)`` once and reuses the row in every
+later walk of it, keeping at most the rows its walks asked for, in chunks of
+256 indices; threads that fill the same row at once write identical values.
 
 :func:`resolve` is the one plan walk and holds the one redraw rule: a draw
 at which any field of a check leaves its domain is redrawn, and so is any
@@ -37,6 +40,7 @@ BLOCK = 256
 DEFAULT_COUNT = 100
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_FLOOR = 1e-12
+_CHUNK = 256  # plan indices per memo entry of SamplePlan.points; not BLOCK, a batch size
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,7 @@ class SamplePlan:
                 raise ValueError(f"empty sampling interval [{lo}, {hi}]")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
-                or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _natural("seed", self.seed)
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not (math.isfinite(self.floor) and self.floor >= 0):
@@ -73,12 +75,61 @@ class SamplePlan:
         object.__setattr__(self, "_lo", np.array([b[0] for b in self.box], dtype=float))
         object.__setattr__(self, "_hi", np.array([b[1] for b in self.box], dtype=float))
         object.__setattr__(self, "_seed_words", _words(int(self.seed)))
+        # (chunk, retry) -> (rows, which rows are drawn), also out of the fields
+        object.__setattr__(self, "_memo", {})
 
     def points(self, indices, retry: int = 0) -> np.ndarray:
-        """Plan points ``indices`` at draw ``retry``, one row each: row k is
-        ``lo + (hi - lo) * np.random.default_rng((seed, indices[k],
-        retry)).random(dim)``, bit for bit, for indices below 2**64."""
-        idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
+        """Plan points ``indices`` at draw ``retry``, one row each, in a fresh
+        array: row k is ``lo + (hi - lo) * np.random.default_rng((seed,
+        indices[k], retry)).random(dim)``, bit for bit, for indices below
+        2**64.  Each ``(i, retry)`` with ``i < count`` and ``retry <=
+        RESAMPLE_BUDGET`` is computed once per plan object and reused by every
+        walk of it: the plan keeps at most the rows asked for, in 256-row
+        chunks, and concurrent fills of a row write identical values.
+        ValueError unless the indices and ``retry`` are integers >= 0."""
+        idx = _plan_indices(indices)
+        retry = _natural("retry", retry)
+        if not idx.size:
+            return np.empty((0, self.dim))
+        lo, hi = int(idx.min()), int(idx.max())
+        if lo < 0:
+            raise ValueError(f"plan index must be an integer >= 0, got {lo}")
+        if hi >= self.count or retry > RESAMPLE_BUDGET:
+            return self._draw(idx, retry)  # not a plan draw: not kept
+        first, last = lo // _CHUNK, hi // _CHUNK
+        if first == last:  # every round of resolve
+            return self._chunk(first, retry, idx - first * _CHUNK)
+        out = np.empty((idx.size, self.dim))
+        for c in range(first, last + 1):
+            lanes = idx // _CHUNK == c
+            out[lanes] = self._chunk(c, retry, idx[lanes] - c * _CHUNK)
+        return out
+
+    def _chunk(self, c: int, retry: int, local) -> np.ndarray:
+        """Rows ``c * 256 + local`` at draw ``retry``, drawing those the memo lacks."""
+        entry = self._memo.get((c, retry))
+        if entry is not None and entry[1][local].all():
+            return entry[0][local]
+        n = min(_CHUNK, self.count - c * _CHUNK)
+        if entry is None:
+            entry = self._memo.setdefault((c, retry), (np.empty((n, self.dim)), np.zeros(n, bool)))
+        rows, drawn = entry  # the drawn flags are set after the rows they vouch for
+        missing = np.zeros(n, bool)
+        missing[local] = True
+        missing &= ~drawn
+        if np.count_nonzero(missing) == local.size:  # all new and distinct: draw in request order
+            out = self._draw(local + c * _CHUNK, retry)
+            rows[local] = out
+            drawn[local] = True
+            return out
+        new = np.flatnonzero(missing)
+        rows[new] = self._draw(new + c * _CHUNK, retry)
+        drawn[new] = True
+        return rows[local]
+
+    def _draw(self, indices, retry: int) -> np.ndarray:
+        """The kernel behind :meth:`points`, with no memo."""
+        idx = np.asarray(indices, dtype=np.uint64)
         u = np.empty((idx.size, self.dim))
         # an index gives SeedSequence one entropy word below 2**32, two above:
         # one batch per layout
@@ -101,6 +152,21 @@ class SamplePlan:
             "tolerance": self.tolerance,
             "floor": self.floor,
         }
+
+
+def _natural(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= 0, as default_rng needs."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
+def _plan_indices(indices) -> np.ndarray:
+    """``indices`` as a flat integer array; ValueError for an entry that is not an
+    integer, or for a negative one outside an integer array (points checks those)."""
+    if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
+        return indices.reshape(-1)
+    return np.array([_natural("plan index", i) for i in indices], dtype=np.uint64)
 
 
 def default_plan(dim: int, box=None, count: int = DEFAULT_COUNT, seed: int = 0,

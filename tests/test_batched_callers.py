@@ -204,15 +204,21 @@ def test_resolve_is_the_same_for_every_block_size(monkeypatch, block):
 
 
 def test_reports_are_the_same_for_every_block_size(monkeypatch):
-    plane = df.plane_plan(count=30, seed=4)
-    runs = (lambda: check_ferapontov(df.build_H2_hat(), df.drift_plan(count=30, seed=4)),
-            # the lambda = -1 member of this pencil is degenerate everywhere
-            lambda: check_pencil_compatibility(df.build_nutku(1), df.build_nutku(2),
-                                               (-2.0, -1.0, 0.5), plane))
-    want = [json.dumps(run().to_dict()) for run in runs]
+    def runs(drift, plane):
+        return [json.dumps(check_ferapontov(df.build_H2_hat(), drift).to_dict()),
+                # the lambda = -1 member of this pencil is degenerate everywhere
+                json.dumps(check_pencil_compatibility(df.build_nutku(1), df.build_nutku(2),
+                                                      (-2.0, -1.0, 0.5), plane).to_dict())]
+
+    def fresh():
+        return df.drift_plan(count=30, seed=4), df.plane_plan(count=30, seed=4)
+
+    reused = fresh()  # plans whose draws every earlier block size already holds
+    want = runs(*reused)
     for block in (1, 7, 25, 256):
         monkeypatch.setattr(sampling, "BLOCK", block)
-        assert [json.dumps(run().to_dict()) for run in runs] == want, block
+        assert runs(*fresh()) == want, block
+        assert runs(*reused) == want, block
 
 
 def test_conjugacy_raises_for_a_point_it_cannot_resolve():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,19 @@ def test_frame_of_non_finite_metric_raises(curvature):
     g = _metric([["exp(400)*exp(400)*(2+u1)", "0"], ["0", "1"]], 2)
     with pytest.raises(DegenerateMetricError, match="nan"):
         metric_frame(g, (0.1, 0.2), curvature=curvature)
+
+
+@pytest.mark.parametrize("lower", [
+    invert_metric,
+    lambda g, p: christoffel_from_b(g, ConnectionField(2, ((((const(0),) * 2,) * 2,) * 2)), p),
+], ids=["invert_metric", "christoffel_from_b"])
+def test_non_finite_metric_is_not_inverted(lower):
+    # the scaled det of [[inf, 0], [0, 1]] is NaN, which no floor comparison rejects
+    g = _metric([["exp(400)*exp(400)*(2+u1)", "0"], ["0", "1"]], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateMetricError, match="nan"):
+            lower(g, (0.1, 0.2))
 
 
 def test_scaled_det_is_scale_invariant():
