@@ -432,10 +432,10 @@ def restrict_local(op: LocalOperator, dim: int = 2) -> LocalOperator:
 
 def wave_residuals(d1: np.ndarray, d2: np.ndarray):
     """Per lane (raw, scale) of 2 Psi_{r1 r2} + Psi_{r1} - Psi_{r2}, from
-    the first derivatives (N, 2) and second derivatives (N, 2, 2) of Psi."""
-    mixed = 2.0 * d2[:, 0, 1]
-    raw = mixed + d1[:, 0] - d1[:, 1]
-    return raw, np.maximum(np.maximum(np.abs(mixed), np.abs(d1[:, 0])), np.abs(d1[:, 1]))
+    the first derivatives (2, N) and second derivatives (2, 2, N) of Psi."""
+    mixed = 2.0 * d2[0, 1]
+    raw = mixed + d1[0] - d1[1]
+    return raw, np.maximum(np.maximum(np.abs(mixed), np.abs(d1[0])), np.abs(d1[1]))
 
 
 @np.errstate(all="ignore")  # non-finite values fail in the verdict instead
@@ -454,7 +454,7 @@ def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
     def evaluate(points):
         jets = eval_tape(tape, points[:, :n])
         _, d1, d2 = jets.derivatives()
-        return jets.failed, wave_residuals(d1[..., 0], d2[..., 0])
+        return jets.failed, wave_residuals(d1[:, 0], d2[:, :, 0])
 
     found = resolve(plan, evaluate)
     cond = condition_from_arrays(
@@ -613,7 +613,7 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
         jets, vals = eval_tape(psi_jets, points), eval_tape(values, points)
         psi, grad, _ = jets.derivatives()
         return jets.failed | vals.failed, constraint_equation_residuals(
-            which, ansatz.eps, points, psi, grad[:, 0], grad[:, 1], vals.coeffs[:, 0, :].T, big_c)
+            which, ansatz.eps, points, psi, grad[0], grad[1], vals.coeffs[:, 0], big_c)
 
     found = resolve(plan, evaluate)
     cond = condition_from_arrays(which, _DESCRIPTIONS[which], found.points, *found.payload,
@@ -624,16 +624,17 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
 def constraint_equation_residuals(which: str, eps, points, psi, psi_r1, psi_r2, values,
                                   big_c=None):
     """Per lane (raw, scale) of one constraint equation, from the values and
-    r1, r2 derivatives of the three Psi^a (each (N, 3)) and the values of the
-    three Phi^a, then Omega for eq5 (N, 3 or 4)."""
+    r1, r2 derivatives of the three Psi^a (each (3, N)) and the values of the
+    three Phi^a, then Omega for eq5 ((3 or 4, N)), at the rows of
+    ``points``."""
     term, residual = _EQUATIONS[which]
     e_val = np.exp(points[:, 0] - points[:, 1])
     total, scale = 0.0, np.abs(e_val)
     for a in range(3):
-        t = eps[a] * term(values[:, a], psi[:, a], psi_r1[:, a], psi_r2[:, a])
+        t = eps[a] * term(values[a], psi[a], psi_r1[a], psi_r2[a])
         total = total + t
         scale = np.maximum(scale, np.abs(t))
-    omega = values[:, 3] if which == "eq5" else None
+    omega = values[3] if which == "eq5" else None
     return residual(total, e_val, points[:, 0] + points[:, 1], omega, big_c), scale
 
 

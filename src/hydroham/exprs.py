@@ -370,18 +370,19 @@ class TapeValues(NamedTuple):
         return self.first_failure < len(self.tape.code)
 
     def derivatives(self):
-        """(values, gradients, Hessians) with the lane axis first: shapes
-        (N, outputs), (N, n, outputs) and (N, n, n, outputs); None past the
-        tape's order."""
+        """(values, gradients, Hessians) with the lane axis last, as the
+        coefficients hold it: shapes (outputs, N), (n, outputs, N) and
+        (n, n, outputs, N); None past the tape's order.  The values are a
+        view of the coefficients."""
         c = self.coeffs
-        vals = c[:, 0, :].T
+        vals = c[:, 0]
         if self.tape.order == 0:
             return vals, None, None
         first, second, fact = derivative_positions(self.tape.n, self.tape.order)
-        d1 = np.transpose(c[:, first, :], (2, 1, 0))
+        d1 = np.swapaxes(c[:, first], 0, 1)
         d2 = None
         if second is not None:
-            d2 = np.transpose(c[:, second, :], (3, 1, 2, 0)) * fact[None, :, :, None]
+            d2 = np.transpose(c[:, second], (1, 2, 0, 3)) * fact[:, :, None, None]
         return vals, d1, d2
 
     def error(self, lane: int) -> EvalDomainError:

@@ -1,7 +1,7 @@
 """Differential geometry derived from a contravariant metric field, at many
 points at once.
 
-Everything here evaluates to numpy arrays with a leading lane axis, one lane
+Everything here evaluates to numpy arrays with a trailing lane axis, one lane
 per sample point; no symbolic Christoffel symbols or curvature are ever
 formed.  Derivatives of the metric come from a jet tape of its entries,
 derivatives of the inverse from d(g_lo) = -g_lo (d g_up) g_lo.  Contractions
@@ -15,7 +15,10 @@ The single-point functions (:func:`metric_frame`, :func:`eval_matrix`,
 and raise where those flag a lane.
 
 Index conventions, fixed once for the whole package (the lane axis, when
-present, comes before all of these):
+present, comes after all of these, so that every product in a contraction
+runs over contiguous lanes; sample points stay rows, (N, dim), and so do the
+per-lane rows an evaluator hands to :func:`~hydroham.sampling.resolve`, and
+np.linalg gets matrices stacked lane first, through a moveaxis view):
 
     g_up[i, j]        g^{ij}               contravariant metric values
     g_lo[i, j]        g_{ij}               inverse (covariant) metric
@@ -116,15 +119,18 @@ class AffinorField:
 
 
 def lane_einsum(spec: str, *operands) -> np.ndarray:
-    """``np.einsum(spec)`` applied lane by lane along a leading lane axis of
-    every operand (which ``spec`` leaves out).
+    """``np.einsum(spec)`` applied lane by lane along a trailing lane axis of
+    every operand (which ``spec`` leaves out); the result's lane axis is last
+    too.
 
     Each output entry is a plain sequential sum over the contracted indices
-    in lexicographic order, built from elementwise products, so a lane's
-    result does not depend on which other lanes share the batch; np.einsum
-    may regroup a reduction depending on the operands' shapes.
+    in lexicographic order, each term a product of the operands' entries
+    from left to right, so a lane's result does not depend on which other
+    lanes share the batch; np.einsum may regroup a reduction depending on the
+    operands' shapes.  Each term is one elementwise product over contiguous
+    runs of lanes.
     """
-    perms, terms, copy = _einsum_plan(spec, tuple(op.shape[1:] for op in operands))
+    perms, terms, copy = _einsum_plan(spec, tuple(op.shape[:-1] for op in operands))
     views = [np.transpose(op, perm) for op, perm in zip(operands, perms)]
     total = None
     for term_index in terms:
@@ -142,10 +148,11 @@ def lane_einsum(spec: str, *operands) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _einsum_plan(spec: str, shapes: tuple):
     """How :func:`lane_einsum` sums on operands with these non-lane shapes:
-    per operand the axis order (lane, its summed indices, its output
-    indices); per term of the sum, in lexicographic order of the summed
+    per operand the axis order (its summed indices, its output indices,
+    lane); per term of the sum, in lexicographic order of the summed
     indices, per operand the index that picks its factor shaped for the
-    output; and whether the first term is a view to copy before summing."""
+    output (the lane axis left trailing); and whether the first term is a
+    view to copy before summing."""
     inputs, out = spec.split("->")
     inputs = inputs.split(",")
     sizes = {}
@@ -155,19 +162,20 @@ def _einsum_plan(spec: str, shapes: tuple):
     perms, owns, expands = [], [], []
     for sub in inputs:
         own = [c for c in summed if c in sub]
-        perms.append(tuple([0] + [1 + sub.index(c) for c in own]
-                           + [1 + sub.index(c) for c in out if c in sub]))
+        perms.append(tuple([sub.index(c) for c in own]
+                           + [sub.index(c) for c in out if c in sub] + [len(sub)]))
         owns.append([summed.index(c) for c in own])
         expands.append(tuple(slice(None) if c in sub else None for c in out))
-    terms = tuple(tuple((slice(None),) + tuple(combo[k] for k in own) + expand
+    terms = tuple(tuple(tuple(combo[k] for k in own) + expand
                         for own, expand in zip(owns, expands))
                   for combo in itertools.product(*(range(sizes[c]) for c in summed)))
     return tuple(perms), terms, len(inputs) == 1 and bool(summed)
 
 
-def lane_max(x: np.ndarray) -> np.ndarray:
-    """max |x| over everything but the leading lane axis."""
-    return np.max(np.abs(x).reshape(len(x), -1), axis=1)
+def lane_max(x: np.ndarray, lead: int = 0) -> np.ndarray:
+    """max |x| over every axis but the first ``lead`` and the trailing lane
+    axis: one value per lane, or per lane and leading index."""
+    return np.max(np.abs(x), axis=tuple(range(lead, x.ndim - 1)))
 
 
 def _grid_leaves(entries):
@@ -197,8 +205,9 @@ def compile_grid(entries, dim: int, order: int) -> GridTape:
 
 
 class GridValues(NamedTuple):
-    """A grid's values and derivatives at N points, lane axis first:
-    vals (N, *shape), d1[:, k] = d_k, d2[:, l, k] = d_l d_k."""
+    """A grid's values and derivatives at N points, lane axis last, read
+    from the tape's coefficients without a copy of the values:
+    vals (*shape, N), d1[k] = d_k, d2[l, k] = d_l d_k."""
 
     vals: np.ndarray
     d1: Optional[np.ndarray]
@@ -220,16 +229,16 @@ def grid_values(grid: GridTape, points) -> GridValues:
     vals, d1, d2 = values.derivatives()
     lanes, dim = values.points.shape
     return GridValues(
-        vals.reshape((lanes,) + grid.shape),
-        None if d1 is None else d1.reshape((lanes, dim) + grid.shape),
-        None if d2 is None else d2.reshape((lanes, dim, dim) + grid.shape),
+        vals.reshape(grid.shape + (lanes,)),
+        None if d1 is None else d1.reshape((dim,) + grid.shape + (lanes,)),
+        None if d2 is None else d2.reshape((dim, dim) + grid.shape + (lanes,)),
         values,
     )
 
 
 def eval_matrix(entries, point) -> np.ndarray:
     """Values of a grid of expressions (any shape) at one point."""
-    return one_lane(grid_values(compile_grid(entries, len(point), 0), [point])).vals[0]
+    return one_lane(grid_values(compile_grid(entries, len(point), 0), [point])).vals[..., 0]
 
 
 def scaled_abs_det(m: np.ndarray) -> float:
@@ -239,7 +248,8 @@ def scaled_abs_det(m: np.ndarray) -> float:
 
 @np.errstate(all="ignore")  # a non-finite entry leaves det NaN, not a warning
 def scaled_abs_dets(ms: np.ndarray) -> np.ndarray:
-    """:func:`scaled_abs_det` of each matrix along a leading lane axis."""
+    """:func:`scaled_abs_det` of each matrix stacked along leading axes, as
+    np.linalg takes them (a lanes-last array goes in as a moveaxis view)."""
     rowmax = np.max(np.abs(ms), axis=-1)
     vanishing = rowmax == 0.0
     det = np.abs(np.linalg.det(ms / np.where(vanishing, 1.0, rowmax)[..., None]))
@@ -280,9 +290,10 @@ _FRAME_ARRAYS = tuple(f.name for f in fields(MetricFrame))
 
 
 class MetricFrames(NamedTuple):
-    """The arrays of :class:`MetricFrame` at N points, lane axis first.
-    :func:`metric_frames` builds them only at lanes where
-    :attr:`MetricStatus.usable` holds, so every lane carries a frame."""
+    """The arrays of :class:`MetricFrame` at N points, each with a trailing
+    lane axis (point is (dim, N)).  :func:`metric_frames` builds them only
+    at lanes where :attr:`MetricStatus.usable` holds, so every lane carries
+    a frame."""
 
     point: np.ndarray
     g_up: np.ndarray
@@ -294,14 +305,17 @@ class MetricFrames(NamedTuple):
     dgamma: Optional[np.ndarray]
     riemann: Optional[np.ndarray]
     riemann_up: Optional[np.ndarray]
+    # Gamma^j_{mk} Gamma^m_{sl} at [j, s, k, l], a term of riemann
+    gamma_gamma: Optional[np.ndarray] = None
 
     @property
     def lanes(self) -> int:
-        return len(self.point)
+        return self.point.shape[-1]
 
     def lane(self, i: int) -> MetricFrame:
         arrays = {name: getattr(self, name) for name in _FRAME_ARRAYS}
-        return MetricFrame(**{name: None if a is None else a[i] for name, a in arrays.items()})
+        return MetricFrame(**{name: None if a is None else a[..., i]
+                              for name, a in arrays.items()})
 
 
 class MetricStatus(NamedTuple):
@@ -321,7 +335,7 @@ class MetricStatus(NamedTuple):
 
 def metric_status(jets: GridValues, floor: float = DEGENERACY_FLOOR) -> MetricStatus:
     """Each lane's status, from the values of a metric grid's jets."""
-    det = scaled_abs_dets(jets.vals)
+    det = scaled_abs_dets(np.moveaxis(jets.vals, -1, 0))
     return MetricStatus(jets.failed, ~jets.failed & (det < floor), det)
 
 
@@ -337,23 +351,27 @@ def _levi_civita_from_parts(g_up, dg_lo):
 @np.errstate(all="ignore")  # non-finite derivatives fail in the verdict instead
 def metric_frames(jets: GridValues, lanes) -> MetricFrames:
     """Frames at the given lanes of a metric grid's jets (a boolean mask or
-    indices), in that order, lane axis first; with curvature when the grid
+    indices), in that order, lane axis last; with curvature when the grid
     was compiled at order 2.  Every given lane must be
     :attr:`MetricStatus.usable`; nothing here checks it.
     """
-    point = jets.tape_values.points[lanes]
-    g_up, dg_up = jets.vals[lanes], jets.d1[lanes]
-    inv = np.linalg.inv(g_up)
-    g_lo = (inv + np.swapaxes(inv, 1, 2)) / 2.0
+    lanes = np.asarray(lanes)
+    if lanes.dtype == bool:
+        lanes = np.flatnonzero(lanes)
+    point = jets.tape_values.points[lanes].T
+    # np.take keeps the lanes innermost in memory; x[..., lanes] would not
+    g_up, dg_up = np.take(jets.vals, lanes, axis=-1), np.take(jets.d1, lanes, axis=-1)
+    inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.moveaxis(g_up, -1, 0)), 0, -1))
+    g_lo = (inv + np.swapaxes(inv, 0, 1)) / 2.0
     lo_dg = lane_einsum("ia,kab->kib", g_lo, dg_up)  # g_lo d_k g_up
     dg_lo = -lane_einsum("kib,bj->kij", lo_dg, g_lo)
     gamma, t = _levi_civita_from_parts(g_up, dg_lo)
     if jets.d2 is None:
         return MetricFrames(point, g_up, g_lo, dg_up, dg_lo, gamma, None, None, None, None)
-    d2g_up = jets.d2[lanes]
+    d2g_up = np.take(jets.d2, lanes, axis=-1)
     # d_l d_k g_lo = -(d_l g_lo d_k g_up g_lo + g_lo d_l d_k g_up g_lo
     #                  + g_lo d_k g_up d_l g_lo), one contraction at a time;
-    # sums accumulate in place to keep few (N, n, n, n, n) arrays alive
+    # sums accumulate in place to keep few (n, n, n, n, N) arrays alive
     d2g_lo = lane_einsum("lia,kaj->lkij", dg_lo, lane_einsum("kab,bj->kaj", dg_up, g_lo))
     d2g_lo += lane_einsum("lkib,bj->lkij", lane_einsum("ia,lkab->lkib", g_lo, d2g_up), g_lo)
     d2g_lo += lane_einsum("kib,lbj->lkij", lo_dg, dg_lo)
@@ -365,12 +383,13 @@ def metric_frames(jets: GridValues, lanes) -> MetricFrames:
     dgamma += lane_einsum("jm,lmsk->ljsk", g_up, dt)
     dgamma *= 0.5
     del dt
+    gamma_gamma = lane_einsum("jmk,msl->jskl", gamma, gamma)
     riemann = lane_einsum("kjsl->jskl", dgamma) - lane_einsum("ljsk->jskl", dgamma)
-    riemann += lane_einsum("jmk,msl->jskl", gamma, gamma)
-    riemann -= lane_einsum("jml,msk->jskl", gamma, gamma)
+    riemann += gamma_gamma
+    riemann -= np.swapaxes(gamma_gamma, 2, 3)  # Gamma^j_{ml} Gamma^m_{sk}
     riemann_up = lane_einsum("is,jskl->ijkl", g_up, riemann)
     return MetricFrames(point, g_up, g_lo, dg_up, dg_lo, gamma, d2g_up, dgamma, riemann,
-                        riemann_up)
+                        riemann_up, gamma_gamma)
 
 
 def metric_frame(g: MetricField, point, curvature: bool = False,
@@ -388,13 +407,14 @@ def metric_frame(g: MetricField, point, curvature: bool = False,
 
 
 def covariant_derivatives(vals: np.ndarray, d1: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """nabla_k w^i_j at every lane, from the values w^i_j and derivatives
-    d1[k, i, j] of an affinor and the Levi-Civita symbols, each with a
-    leading lane axis."""
+    """nabla[a, k, i, j] = nabla_k w^i_j of each affinor a of a stack, at
+    every lane, from a grid of affinors' values vals[a, i, j] and
+    derivatives d1[k, a, i, j] and the Levi-Civita symbols gamma[j, s, k],
+    each with a trailing lane axis."""
     return (
-        d1
-        + lane_einsum("isk,sj->kij", gamma, vals)
-        - lane_einsum("sjk,is->kij", gamma, vals)
+        np.swapaxes(d1, 0, 1)
+        + lane_einsum("isk,asj->akij", gamma, vals)
+        - lane_einsum("sjk,ais->akij", gamma, vals)
     )
 
 
@@ -428,5 +448,5 @@ def covariant_derivative_affinor(w: AffinorField, g: MetricField, point,
 
 
 def covariant_derivative_values(w: AffinorField, frame: MetricFrame) -> np.ndarray:
-    jets = one_lane(grid_values(compile_grid(w.entries, w.dim, 1), [frame.point]))
-    return covariant_derivatives(jets.vals, jets.d1, frame.gamma[None])[0]
+    jets = one_lane(grid_values(compile_grid((w.entries,), w.dim, 1), [frame.point]))
+    return covariant_derivatives(jets.vals, jets.d1, frame.gamma[..., None])[0, ..., 0]

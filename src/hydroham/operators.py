@@ -24,6 +24,7 @@ flatness the Gauss equation against an empty tail sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at 
 from .geometry import (
     AffinorField,
     ConnectionField,
+    GridTape,
     MetricField,
     MetricFrames,
     compile_grid,
@@ -58,6 +60,11 @@ class LocalOperator:
         if self.g.dim != self.dim or self.b.dim != self.dim:
             raise ValueError("operator parts disagree on dimension")
 
+    @cached_property
+    def _grids(self) -> dict:
+        # (part, plan dimension, order) -> GridTape, filled by _grid
+        return {}
+
 
 @dataclass(frozen=True)
 class NonlocalOperator:
@@ -73,6 +80,23 @@ class NonlocalOperator:
     @property
     def dim(self) -> int:
         return self.local.dim
+
+    @cached_property
+    def _grids(self) -> dict:
+        # ("tails", plan dimension, order) -> GridTape, filled by _grid
+        return {}
+
+
+def _grid(op, part: str, dim: int, order: int) -> GridTape:
+    """The grid of ``op``'s part g, b (a local operator) or tails (a nonlocal
+    one), compiled over ``dim`` variables at ``order`` once per object."""
+    key = (part, dim, order)
+    grid = op._grids.get(key)
+    if grid is None:
+        entries = (tuple(w.entries for w in op.tails) if part == "tails"
+                   else getattr(op, part).entries)
+        grid = op._grids.setdefault(key, compile_grid(entries, dim, order))
+    return grid
 
 
 # -- sampling of metric frames -------------------------------------------------
@@ -95,24 +119,23 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
     description, kernel result); when no point resolves, each row is
     reported not evaluated under its short description.
     """
-    op = a.local
-    g_grid = compile_grid(op.g.entries, plan.dim, 2)
-    b_grid = compile_grid(op.b.entries, plan.dim, 0)
-    tail_entries = tuple(w.entries for w in a.tails)
-    w_grids = [compile_grid(tail_entries, plan.dim, order) for order in (0, 1)] if a.tails else []
+    grids = [_grid(a.local, "g", plan.dim, 2), _grid(a.local, "b", plan.dim, 0)]
+    if a.tails:
+        grids += [_grid(a, "tails", plan.dim, order) for order in (0, 1)]
 
     def evaluate(points):
-        g, b, *w = [grid_values(grid, points) for grid in [g_grid, b_grid] + w_grids]
+        g, b, *w = [grid_values(grid, points) for grid in grids]
         metric = metric_status(g)
         failed = np.logical_or.reduce([g.failed, b.failed] + [x.failed for x in w])
         status = np.where(failed, REDRAW_DOMAIN, np.where(metric.degenerate, REDRAW_DEGENERATE, 0))
-        symmetric = lane_max(g.vals - np.swapaxes(g.vals, 1, 2)), lane_max(g.vals)
-        build = (status == 0) & metric.usable
+        symmetric = lane_max(g.vals - np.swapaxes(g.vals, 0, 1)), lane_max(g.vals)
+        build = np.flatnonzero((status == 0) & metric.usable)
         raw, scale = np.full((2, len(points), len(table)), np.nan)
-        if build.any():
+        if build.size:
             frames = metric_frames(g, build)
-            found = connection_residuals(frames, b.vals[build])
-            w_arrays = [x[build] for x in (w[0].vals, w[1].vals, w[1].d1)] if w else [None] * 3
+            found = connection_residuals(frames, np.take(b.vals, build, axis=-1))
+            w_arrays = ([np.take(x, build, axis=-1) for x in (w[0].vals, w[1].vals, w[1].d1)]
+                        if w else [None] * 3)
             found.update(tail_residuals(frames, a.tails, *w_arrays))
             for k, (*_, key) in enumerate(table):
                 raw[build, k], scale[build, k] = found[key]
@@ -173,10 +196,10 @@ def _not_evaluated(cid: str, description: str) -> ConditionResult:
 def skew_residuals(g_vals: np.ndarray, dg: np.ndarray, b_vals: np.ndarray) -> dict:
     """g^{ij} = g^{ji} and b^{ij}_k + b^{ji}_k = d_k g^{ij}, from the values
     and first derivatives dg[k, i, j] of g and the values of b."""
-    lhs = b_vals + np.swapaxes(b_vals, 1, 2)
-    rhs = np.transpose(dg, (0, 2, 3, 1))
+    lhs = b_vals + np.swapaxes(b_vals, 0, 1)
+    rhs = np.moveaxis(dg, 0, 2)
     return {
-        "metric_symmetric": (lane_max(g_vals - np.swapaxes(g_vals, 1, 2)), lane_max(g_vals)),
+        "metric_symmetric": (lane_max(g_vals - np.swapaxes(g_vals, 0, 1)), lane_max(g_vals)),
         "skew_pairing": (lane_max(lhs - rhs), np.maximum(lane_max(b_vals), lane_max(dg))),
     }
 
@@ -195,50 +218,46 @@ def connection_residuals(frames: MetricFrames, b_vals: np.ndarray) -> dict:
     }
 
 
-def _keep_worst(worst, raw, scale):
-    """Per lane, replace the kept (raw, scale) where raw is at least as
-    large (or NaN, which must reach the verdict)."""
-    take = (raw >= worst[0]) | np.isnan(raw)
-    return np.where(take, raw, worst[0]), np.where(take, scale, worst[1])
+def _worst(raw, scale):
+    """Per lane, the (raw, scale) of the row of ``raw`` (rows, lanes) that
+    is largest, the last one on ties; a NaN row outranks every number, since
+    it must reach the verdict, and the last NaN row wins.  (0, 1) with no
+    rows."""
+    if not len(raw):
+        return np.zeros(raw.shape[-1]), np.ones(raw.shape[-1])
+    # np.argmax takes the first NaN, else the first maximum: of the reversed rows
+    at = (len(raw) - 1 - np.argmax(raw[::-1], axis=0))[None]
+    return np.take_along_axis(raw, at, 0)[0], np.take_along_axis(scale, at, 0)[0]
 
 
 def tail_residuals(frames: MetricFrames, tails, w_vals, w_jet_vals, w_d1) -> dict:
-    """The tail conditions t1-t4, from scalar values (lanes, tails, n, n) of
-    the affinors and the values and first derivatives (lanes, n, tails, n, n)
-    of their order-1 jets.  For t1, t2 and t4 the worst tail (or
-    pair) is kept per lane, the last one on ties."""
-    lanes, n = frames.lanes, frames.g_up.shape[-1]
-    out = {}
-    worst = (np.zeros(lanes), np.ones(lanes))
-    for a in range(len(tails)):
-        gw = lane_einsum("ik,kj->ij", frames.g_lo, w_vals[:, a])
-        worst = _keep_worst(worst, lane_max(gw - np.swapaxes(gw, 1, 2)), lane_max(gw))
-    out["t1_pairing_symmetric"] = worst
-
-    worst = (np.zeros(lanes), np.ones(lanes))
-    for a in range(len(tails)):
-        nabla = covariant_derivatives(w_jet_vals[:, a], w_d1[:, :, a], frames.gamma)
-        worst = _keep_worst(worst, lane_max(nabla - lane_einsum("kij->jik", nabla)),
-                            lane_max(nabla))
-    out["t2_codazzi"] = worst
-
+    """The tail conditions t1-t4, from scalar values (tails, n, n, lanes) of
+    the affinors and the values (tails, n, n, lanes) and first derivatives
+    (n, tails, n, n, lanes) of their order-1 jets.  t1, t2 and t4 run as one
+    contraction each over an axis of tails (or of pairs of tails), and keep
+    the worst tail (or pair) per lane, the last one on ties."""
+    n, lanes = frames.g_up.shape[0], frames.lanes
+    none = np.empty((0, lanes))
+    t1 = t2 = t4 = (none, none)  # (raw, scale), one row per tail or pair
+    tail_sum = np.zeros((n,) * 4 + (lanes,))
     if tails:
-        tail_sum = gauss_tail_sum(tails, [w_vals[:, a] for a in range(len(tails))], n)
-    else:
-        tail_sum = np.zeros((lanes,) + (n,) * 4)
-    gg = lane_einsum("jmk,msl->jskl", frames.gamma, frames.gamma)
+        gw = lane_einsum("ik,akj->aij", frames.g_lo, w_vals)
+        t1 = lane_max(gw - np.swapaxes(gw, 1, 2), 1), lane_max(gw, 1)
+        nabla = covariant_derivatives(w_jet_vals, w_d1, frames.gamma)
+        t2 = lane_max(nabla - lane_einsum("akij->ajik", nabla), 1), lane_max(nabla, 1)
+        tail_sum = gauss_tail_sum(tails, w_vals)
+        x, y = np.triu_indices(len(tails), 1)  # the pairs x < y, in lexicographic order
+        xy = lane_einsum("pik,pkj->pij", w_vals[x], w_vals[y])
+        yx = lane_einsum("pik,pkj->pij", w_vals[y], w_vals[x])
+        t4 = lane_max(xy - yx, 1), lane_max(xy, 1)
     scale = np.maximum.reduce([lane_max(frames.riemann_up), lane_max(tail_sum),
-                               lane_max(frames.dgamma), lane_max(gg)])
-    out["t3_gauss"] = (lane_max(frames.riemann_up - tail_sum), scale)
-
-    worst = (np.zeros(lanes), np.ones(lanes))
-    for x in range(len(tails)):
-        for y in range(x + 1, len(tails)):
-            xy = lane_einsum("ik,kj->ij", w_vals[:, x], w_vals[:, y])
-            yx = lane_einsum("ik,kj->ij", w_vals[:, y], w_vals[:, x])
-            worst = _keep_worst(worst, lane_max(xy - yx), lane_max(xy))
-    out["t4_tails_commute"] = worst
-    return out
+                               lane_max(frames.dgamma), lane_max(frames.gamma_gamma)])
+    return {
+        "t1_pairing_symmetric": _worst(*t1),
+        "t2_codazzi": _worst(*t2),
+        "t3_gauss": (lane_max(frames.riemann_up - tail_sum), scale),
+        "t4_tails_commute": _worst(*t4),
+    }
 
 
 # -- checks ---------------------------------------------------------------------
@@ -267,19 +286,20 @@ _TAIL_CONDITIONS = _LOCAL_CONDITIONS + tuple((cid, desc, short, cid) for cid, de
 @np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_skew_adjoint(a: LocalOperator, plan: SamplePlan) -> CheckReport:
     """Formal skew-adjointness: g symmetric and b^{ij}_k + b^{ji}_k = d_k g^{ij}."""
-    g_grid = compile_grid(a.g.entries, plan.dim, 1)
-    b_grid = compile_grid(a.b.entries, plan.dim, 0)
+    g_grid, b_grid = _grid(a, "g", plan.dim, 1), _grid(a, "b", plan.dim, 0)
+    table = (("metric_symmetric", "g^{ij} = g^{ji}"),
+             ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
 
     def evaluate(points):
         g, b = grid_values(g_grid, points), grid_values(b_grid, points)
-        return np.where(g.failed | b.failed, REDRAW_DOMAIN, 0), (g.vals, g.d1, b.vals)
+        found = skew_residuals(g.vals, g.d1, b.vals)
+        return (np.where(g.failed | b.failed, REDRAW_DOMAIN, 0),
+                found["metric_symmetric"] + found["skew_pairing"])
 
     found = resolve(plan, evaluate)
-    table = (("metric_symmetric", "g^{ij} = g^{ji}"),
-             ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
-    results = skew_residuals(*found.payload)
-    conditions = [condition_from_arrays(cid, desc, found.points, *results[cid], plan.tolerance)
-                  for cid, desc in table]
+    rows = zip(found.payload[0::2], found.payload[1::2])  # (raw, scale) per condition
+    conditions = [condition_from_arrays(cid, desc, found.points, raw, scale, plan.tolerance)
+                  for (cid, desc), (raw, scale) in zip(table, rows)]
     return CheckReport(title="skew-adjointness", conditions=conditions, plan=plan)
 
 
@@ -291,18 +311,20 @@ def check_local_hamiltonian(a: LocalOperator, plan: SamplePlan) -> CheckReport:
 
 
 def gauss_tail_sum(tails, w_values, dim: int | None = None) -> np.ndarray:
-    """sum_a eps_a (w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}); the value
-    arrays may carry leading lane axes."""
-    if dim is None:
-        dim = w_values[0].shape[-1]
-    lead = np.shape(w_values[0])[:-2] if len(w_values) else ()
-    out = np.zeros(lead + (dim,) * 4)
-    for w, vals in zip(tails, w_values):
-        out += w.sign * (
-            np.einsum("...il,...jk->...ijkl", vals, vals)
-            - np.einsum("...ik,...jl->...ijkl", vals, vals)
-        )
-    return out
+    """sum_a eps_a (w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}), shaped
+    (n, n, n, n, ...), from the tails' values w_values[a, i, j, ...] (or a
+    sequence of per-tail arrays) with any trailing lane axes.  The products
+    of each tail are formed with a tail axis, then summed over it in tail
+    order."""
+    w = np.asarray(w_values, dtype=float)
+    if not len(tails):
+        return np.zeros((w.shape[-1] if dim is None else dim,) * 4 + w.shape[3:])
+    lanes = w.shape[3:]
+    w = w.reshape(w.shape[:3] + (-1,))  # one lane axis, of one lane at a single point
+    outer = lane_einsum("ail,ajk->aijkl", w, w)
+    terms = outer - np.swapaxes(outer, 3, 4)  # w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}
+    terms *= np.array([t.sign for t in tails], dtype=float).reshape(-1, 1, 1, 1, 1, 1)
+    return lane_einsum("aijkl->ijkl", terms).reshape(terms.shape[1:5] + lanes)
 
 
 def check_ferapontov(a: NonlocalOperator, plan: SamplePlan) -> CheckReport:

@@ -86,46 +86,53 @@ class SamplePlan:
         RESAMPLE_BUDGET`` is computed once per plan object and reused by every
         walk of it: the plan keeps at most the rows asked for, in 256-row
         chunks, and concurrent fills of a row write identical values.
-        ValueError unless the indices and ``retry`` are integers >= 0."""
+        ValueError unless the indices and ``retry`` are integers >= 0 and
+        the indices below 2**64."""
         idx = _plan_indices(indices)
         retry = _natural("retry", retry)
         if not idx.size:
             return np.empty((0, self.dim))
-        lo, hi = int(idx.min()), int(idx.max())
+        ascending = bool((idx[1:] > idx[:-1]).all())  # so distinct; every round of resolve
+        lo, hi = (int(idx[0]), int(idx[-1])) if ascending else (int(idx.min()), int(idx.max()))
         if lo < 0:
             raise ValueError(f"plan index must be an integer >= 0, got {lo}")
         if hi >= self.count or retry > RESAMPLE_BUDGET:
             return self._draw(idx, retry)  # not a plan draw: not kept
         first, last = lo // _CHUNK, hi // _CHUNK
         if first == last:  # every round of resolve
-            return self._chunk(first, retry, idx - first * _CHUNK)
+            return self._chunk(first, retry, idx - first * _CHUNK, ascending)
         out = np.empty((idx.size, self.dim))
         for c in range(first, last + 1):
             lanes = idx // _CHUNK == c
-            out[lanes] = self._chunk(c, retry, idx[lanes] - c * _CHUNK)
+            out[lanes] = self._chunk(c, retry, idx[lanes] - c * _CHUNK, ascending)
         return out
 
-    def _chunk(self, c: int, retry: int, local) -> np.ndarray:
-        """Rows ``c * 256 + local`` at draw ``retry``, drawing those the memo lacks."""
+    def _chunk(self, c: int, retry: int, local, distinct: bool) -> np.ndarray:
+        """Rows ``c * 256 + local`` at draw ``retry``, drawing those the memo
+        lacks; ``distinct`` when no index of ``local`` repeats."""
         entry = self._memo.get((c, retry))
         if entry is not None and entry[1][local].all():
             return entry[0][local]
         n = min(_CHUNK, self.count - c * _CHUNK)
+        fresh = False  # every requested row new, and each asked for once
         if entry is None:
-            entry = self._memo.setdefault((c, retry), (np.empty((n, self.dim)), np.zeros(n, bool)))
+            created = (np.empty((n, self.dim)), np.zeros(n, bool))
+            entry = self._memo.setdefault((c, retry), created)
+            fresh = distinct and entry is created  # lacks every row: no dedupe mask
         rows, drawn = entry  # the drawn flags are set after the rows they vouch for
-        missing = np.zeros(n, bool)
-        missing[local] = True
-        missing &= ~drawn
-        if np.count_nonzero(missing) == local.size:  # all new and distinct: draw in request order
-            out = self._draw(local + c * _CHUNK, retry)
-            rows[local] = out
-            drawn[local] = True
-            return out
-        new = np.flatnonzero(missing)
-        rows[new] = self._draw(new + c * _CHUNK, retry)
-        drawn[new] = True
-        return rows[local]
+        if not fresh:
+            missing = np.zeros(n, bool)
+            missing[local] = True
+            missing &= ~drawn
+            if np.count_nonzero(missing) < local.size:  # some drawn or repeated: gather
+                new = np.flatnonzero(missing)
+                rows[new] = self._draw(new + c * _CHUNK, retry)
+                drawn[new] = True
+                return rows[local]
+        out = self._draw(local + c * _CHUNK, retry)  # all new and distinct: in request order
+        rows[local] = out
+        drawn[local] = True
+        return out
 
     def _draw(self, indices, retry: int) -> np.ndarray:
         """The kernel behind :meth:`points`, with no memo."""
@@ -163,10 +170,14 @@ def _natural(name: str, value) -> int:
 
 def _plan_indices(indices) -> np.ndarray:
     """``indices`` as a flat integer array; ValueError for an entry that is not an
-    integer, or for a negative one outside an integer array (points checks those)."""
+    integer, or for a negative one outside an integer array (points checks those),
+    or for one of 2**64 or more."""
     if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
         return indices.reshape(-1)
-    return np.array([_natural("plan index", i) for i in indices], dtype=np.uint64)
+    idx = [_natural("plan index", i) for i in indices]
+    if idx and max(idx) >= 1 << 64:
+        raise ValueError(f"plan index must be an integer >= 0 and below 2**64, got {max(idx)}")
+    return np.array(idx, dtype=np.uint64)
 
 
 def default_plan(dim: int, box=None, count: int = DEFAULT_COUNT, seed: int = 0,

@@ -95,11 +95,11 @@ class HydroSystem:
         return compile_grid(self.v, self.dim, 0)
 
     def speeds(self, point) -> np.ndarray:
-        return one_lane(speed_values(self, [point])).vals[0]
+        return one_lane(speed_values(self, [point])).vals[..., 0]
 
 
 def speed_values(s: HydroSystem, points) -> GridValues:
-    """The speed matrix at every row of ``points``: values (N, n, n), entries
+    """The speed matrix at every row of ``points``: values (n, n, N), entries
     in row-major order as :meth:`HydroSystem.speeds` evaluates them."""
     return grid_values(s._speed_grid, points)
 
@@ -132,7 +132,7 @@ class PointChangeMap:
         return (compile_grid(self.forward, self.dim, 0), compile_grid(self.forward, self.dim, 1))
 
     def apply(self, point) -> np.ndarray:
-        return one_lane(mapped_points(self, [point])).vals[0]
+        return one_lane(mapped_points(self, [point])).vals[..., 0]
 
     @cached_property
     def _inverse_grid(self):
@@ -142,26 +142,28 @@ class PointChangeMap:
     def apply_inverse(self, point) -> np.ndarray:
         if self.inverse is None:
             raise ValueError("no inverse map supplied")
-        return one_lane(grid_values(self._inverse_grid, [point])).vals[0]
+        return one_lane(grid_values(self._inverse_grid, [point])).vals[..., 0]
 
     def jacobian(self, point) -> np.ndarray:
-        return one_lane(map_jacobians(self, [point])).vals[0]
+        return one_lane(map_jacobians(self, [point])).vals[..., 0]
 
 
 def mapped_points(m: PointChangeMap, points) -> GridValues:
-    """The image m(u) of every row of ``points``: values (N, n)."""
+    """The image m(u) of every row of ``points``: values (n, N), so the
+    mapped points are the rows of ``vals.T``."""
     return grid_values(m._grids[0], points)
 
 
 def map_jacobians(m: PointChangeMap, points) -> GridValues:
     """The Jacobian J[a, k] = d_k m^a at every row of ``points``: values
-    (N, n, n)."""
+    (n, n, N)."""
     jets = grid_values(m._grids[1], points)
-    return jets._replace(vals=np.swapaxes(jets.d1, 1, 2))
+    return jets._replace(vals=np.swapaxes(jets.d1, 0, 1))
 
 
 def current_residuals(grad_rho: np.ndarray, grad_sigma: np.ndarray, v: np.ndarray):
-    """Per lane (raw, scale) of the on-shell divergence d_k rho v^k_l + d_l sigma."""
+    """Per lane (raw, scale) of the on-shell divergence d_k rho v^k_l + d_l
+    sigma, from gradients (n, N) and speeds (n, n, N)."""
     transport = lane_einsum("k,kl->l", grad_rho, v)
     return (lane_max(transport + grad_sigma),
             np.maximum(lane_max(transport), lane_max(grad_sigma)))
@@ -178,7 +180,7 @@ def check_conserved_current(s: HydroSystem, c: ConservedCurrent,
         v = speed_values(s, points)
         _, grads, _ = jets.derivatives()
         return (jets.failed | v.failed,
-                current_residuals(grads[..., 0], grads[..., 1], v.vals))
+                current_residuals(grads[:, 0], grads[:, 1], v.vals))
 
     found = resolve(plan, evaluate)
     cond = condition_from_arrays(
@@ -192,7 +194,7 @@ def check_conserved_current(s: HydroSystem, c: ConservedCurrent,
 
 
 def conjugacy_residuals(jac: np.ndarray, v_old: np.ndarray, v_new: np.ndarray):
-    """Per lane (raw, scale) of J v_old - v_new J."""
+    """Per lane (raw, scale) of J v_old - v_new J, from (n, n, N) arrays."""
     lhs = lane_einsum("ak,kl->al", jac, v_old)
     rhs = lane_einsum("ak,kl->al", v_new, jac)
     return lane_max(lhs - rhs), np.maximum(lane_max(lhs), lane_max(rhs))
@@ -207,11 +209,11 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
 
     def evaluate(points):
         jac = map_jacobians(m, points)
-        singular = ~jac.failed & (scaled_abs_dets(jac.vals) < plan.floor)
+        singular = ~jac.failed & (scaled_abs_dets(np.moveaxis(jac.vals, -1, 0)) < plan.floor)
         v_old = speed_values(s_old, points)
         mapped = mapped_points(m, points)
         failed = jac.failed | v_old.failed | mapped.failed
-        v_new = speed_values(s_new, mapped.vals)
+        v_new = speed_values(s_new, mapped.vals.T)
         status = np.where(singular, REDRAW_SINGULAR,
                           np.where(failed | v_new.failed, REDRAW_DOMAIN, 0))
         return status, conjugacy_residuals(jac.vals, v_old.vals, v_new.vals)
@@ -252,8 +254,8 @@ def reciprocal_transform_system(s: HydroSystem, c1: ConservedCurrent,
 
 def denominator_dets(sigma1: np.ndarray, rho1: np.ndarray, v: np.ndarray):
     """Per lane, the scaled |det| and the sign (+1 or -1) of the determinant
-    of the denominator sigma_1 I - rho_1 v."""
-    d = sigma1[:, None, None] * np.eye(v.shape[-1]) - rho1[:, None, None] * v
+    of the denominator sigma_1 I - rho_1 v, from speeds v (n, n, N)."""
+    d = sigma1[:, None, None] * np.eye(len(v)) - rho1[:, None, None] * np.moveaxis(v, -1, 0)
     return scaled_abs_dets(d), np.where(np.linalg.det(d) > 0, 1, -1)
 
 

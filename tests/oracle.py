@@ -7,10 +7,16 @@ functions by Horner's rule over the perturbation.  It shares no kernel with
 ``hydroham.jets``, only the coefficient layout (:func:`multi_indices` and the
 product table), so a tape that agrees with it to roundoff, and raises the same
 errors at the same points, is checked by an independent computation.
+
+Also the lane contractions with the lane axis first (:func:`lane_einsum`),
+and the tail conditions as a loop over tails and pairs of tails
+(:func:`tail_residuals_by_tail`), which the package's lanes-last, fused
+versions must match bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -358,3 +364,83 @@ def eval_jet(e: Expr, point, order: int = 2) -> Jet:
     n = len(pt)
     carriers = [Jet.variable(i, pt[i], n, order) for i in range(n)]
     return _eval(e, carriers, pt, True)
+
+
+# -- lane contractions, lane axis first -------------------------------------------------
+
+
+def lane_einsum(spec: str, *operands) -> np.ndarray:
+    """``np.einsum(spec)`` lane by lane along a leading lane axis of every
+    operand: each output entry a sequential sum over the contracted indices
+    in lexicographic order, each term a left-to-right product."""
+    inputs, out = spec.split("->")
+    inputs = inputs.split(",")
+    sizes = {}
+    for sub, op in zip(inputs, operands):
+        sizes.update(zip(sub, op.shape[1:]))
+    summed = sorted(set("".join(inputs)) - set(out))
+    views, picks = [], []
+    for sub, op in zip(inputs, operands):
+        own = [c for c in summed if c in sub]
+        views.append(np.transpose(op, [0] + [1 + sub.index(c) for c in own]
+                                  + [1 + sub.index(c) for c in out if c in sub]))
+        picks.append(([summed.index(c) for c in own],
+                      tuple(slice(None) if c in sub else None for c in out)))
+    total = None
+    for combo in itertools.product(*(range(sizes[c]) for c in summed)):
+        term = None
+        for view, (own, expand) in zip(views, picks):
+            x = view[(slice(None),) + tuple(combo[k] for k in own) + expand]
+            term = x if term is None else term * x
+        total = term.copy() if total is None else total + term
+    return total
+
+
+def lane_max(x: np.ndarray) -> np.ndarray:
+    """max |x| over everything but the leading lane axis."""
+    return np.max(np.abs(x).reshape(len(x), -1), axis=1)
+
+
+def keep_worst(worst, raw, scale):
+    """Per lane, replace the kept (raw, scale) where raw is at least as
+    large (or NaN, which must reach the verdict)."""
+    take = (raw >= worst[0]) | np.isnan(raw)
+    return np.where(take, raw, worst[0]), np.where(take, scale, worst[1])
+
+
+def tail_residuals_by_tail(g_lo, gamma, riemann_up, dgamma, tails, w_vals, w_jet_vals, w_d1):
+    """The tail conditions t1-t4 one tail (or pair) at a time, lane axis
+    first: frame arrays (lanes, ...), tail values (lanes, tails, n, n), jet
+    derivatives (lanes, n, tails, n, n)."""
+    lanes, n = len(g_lo), g_lo.shape[-1]
+    out = {}
+    worst = (np.zeros(lanes), np.ones(lanes))
+    for a in range(len(tails)):
+        gw = lane_einsum("ik,kj->ij", g_lo, w_vals[:, a])
+        worst = keep_worst(worst, lane_max(gw - np.swapaxes(gw, 1, 2)), lane_max(gw))
+    out["t1_pairing_symmetric"] = worst
+    worst = (np.zeros(lanes), np.ones(lanes))
+    for a in range(len(tails)):
+        vals = w_jet_vals[:, a]
+        nabla = (w_d1[:, :, a] + lane_einsum("isk,sj->kij", gamma, vals)
+                 - lane_einsum("sjk,is->kij", gamma, vals))
+        worst = keep_worst(worst, lane_max(nabla - lane_einsum("kij->jik", nabla)),
+                           lane_max(nabla))
+    out["t2_codazzi"] = worst
+    tail_sum = np.zeros((lanes,) + (n,) * 4)
+    for a, w in enumerate(tails):
+        vals = w_vals[:, a]
+        tail_sum += w.sign * (np.einsum("...il,...jk->...ijkl", vals, vals)
+                              - np.einsum("...ik,...jl->...ijkl", vals, vals))
+    gg = lane_einsum("jmk,msl->jskl", gamma, gamma)
+    scale = np.maximum.reduce([lane_max(riemann_up), lane_max(tail_sum), lane_max(dgamma),
+                               lane_max(gg)])
+    out["t3_gauss"] = (lane_max(riemann_up - tail_sum), scale)
+    worst = (np.zeros(lanes), np.ones(lanes))
+    for x in range(len(tails)):
+        for y in range(x + 1, len(tails)):
+            xy = lane_einsum("ik,kj->ij", w_vals[:, x], w_vals[:, y])
+            yx = lane_einsum("ik,kj->ij", w_vals[:, y], w_vals[:, x])
+            worst = keep_worst(worst, lane_max(xy - yx), lane_max(xy))
+    out["t4_tails_commute"] = worst
+    return out

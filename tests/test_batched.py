@@ -216,9 +216,10 @@ def _operators():
 
 
 def _batch_arrays(g, b, tails, points):
-    """Every tape coefficient and frame array the checks compute, lane first.
-    Frames are built at the usable lanes only; their arrays read NaN at the
-    other lanes, so they line up with the batch."""
+    """Every tape coefficient and frame array the checks compute, with the
+    frames' trailing lane axis moved first.  Frames are built at the usable
+    lanes only; their arrays read NaN at the other lanes, so they line up
+    with the batch."""
     dim = points.shape[1]
     jets = grid_values(compile_grid(g.entries, dim, 2), points)
     status = metric_status(jets)
@@ -226,7 +227,7 @@ def _batch_arrays(g, b, tails, points):
     arrays = {"usable": status.usable, "det": status.det}
     for name in ("g_up", "g_lo", "dg_up", "dg_lo", "gamma", "d2g_up", "dgamma", "riemann",
                  "riemann_up"):
-        built = getattr(frames, name)
+        built = np.moveaxis(getattr(frames, name), -1, 0)
         arrays[name] = np.full((len(points),) + built.shape[1:], np.nan)
         arrays[name][status.usable] = built
     for label, entries, order in [("b", b.entries, 0)] + [
@@ -264,8 +265,8 @@ def test_lanes_are_bit_identical_in_any_batch(name, g, b, tails):
 def test_lane_einsum_matches_einsum(spec):
     rng = np.random.default_rng(9)
     inputs = spec.split("->")[0].split(",")
-    ops = [rng.standard_normal((5,) + (3,) * len(sub)) for sub in inputs]
-    want = np.einsum(",".join("z" + sub for sub in inputs) + "->z" + spec.split("->")[1], *ops)
+    ops = [rng.standard_normal((3,) * len(sub) + (5,)) for sub in inputs]
+    want = np.einsum(",".join(sub + "z" for sub in inputs) + "->" + spec.split("->")[1] + "z", *ops)
     assert np.allclose(lane_einsum(spec, *ops), want, rtol=1e-13, atol=1e-13)
 
 
@@ -345,7 +346,7 @@ def frame_check_spy(monkeypatch):
     resolve = operators.resolve
 
     def build(jets, lanes):
-        built.append(len(jets.vals[lanes]))
+        built.append(jets.vals[..., lanes].shape[-1])
         return metric_frames(jets, lanes)
 
     def walk(plan, evaluate):

@@ -101,6 +101,16 @@ def test_a_partly_drawn_request_computes_only_the_rows_it_lacks(draws):
         assert len(computed) == before + lacking
 
 
+def test_a_first_request_with_repeats_computes_each_row_once(draws):
+    # a chunk's first request skips the dedupe only when its indices ascend
+    computed, _ = draws
+    plan = SamplePlan(2, BOX[:2], count=100, seed=6)
+    for indices, retry in (([5, 5, 2, 5], 0), ([9, 4, 7], 1), ([3, 8], 2)):
+        before = len(computed)
+        assert np.array_equal(plan.points(indices, retry), formula(plan, indices, retry))
+        assert sorted(computed[before:]) == [(6, i, retry) for i in sorted(set(indices))]
+
+
 # -- (c) request order -----------------------------------------------------------------------
 
 
@@ -158,6 +168,8 @@ BAD_CALLS = {
     "negative index": (lambda p: p.points([-1]), "plan index"),
     "negative index array": (lambda p: p.points(np.array([2, -1])), "plan index"),
     "negative index of point": (lambda p: p.point(-1), "plan index"),
+    "index of 2**64": (lambda p: p.points([0, 2**64]), "plan index"),
+    "index of 2**64 of point": (lambda p: p.point(2**64), "plan index"),
 }
 
 
@@ -168,3 +180,9 @@ def test_points_reject_an_index_or_retry_that_is_not_an_integer_at_least_zero(ca
     plan = SamplePlan(2, BOX[:2], count=10, seed=3)
     with pytest.raises(ValueError, match=f"^{what} must be an integer >= 0"):
         call(plan)
+
+
+def test_an_index_below_2_to_the_64_still_draws():
+    plan = SamplePlan(2, BOX[:2], count=10, seed=3)
+    big = [2**63, 2**64 - 1]
+    assert plan.points(big).tobytes() == formula(plan, big, 0).tobytes()

@@ -1,0 +1,175 @@
+"""The lanes-last layout: every contraction the package runs equals the
+lanes-first reference of ``oracle`` bit for bit, at any lane count and with
+NaN and inf entries; the fused tail kernels equal the loop over tails; and
+each operator compiles its grids once per object."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import oracle
+from cases import plan_for, run_cli_json
+from hydroham import driftflux as df
+from hydroham import geometry, operators, systems
+from hydroham.geometry import compile_grid, grid_values, lane_einsum, metric_frames, metric_status
+from hydroham.operators import _worst, check_ferapontov, check_local_hamiltonian, tail_residuals
+from hydroham.sampling import default_plan
+
+# every spec string the package passes to lane_einsum
+SPECS = (
+    # metric frames
+    "ia,kab->kib", "kib,bj->kij", "smk->msk", "kms->msk", "jm,msk->jsk",
+    "lia,kaj->lkij", "kab,bj->kaj", "lkib,bj->lkij", "ia,lkab->lkib", "kib,lbj->lkij",
+    "lsmk->lmsk", "lkms->lmsk", "ljm,msk->ljsk", "jm,lmsk->ljsk", "kjsl->jskl", "ljsk->jskl",
+    "jmk,msl->jskl", "is,jskl->ijkl",
+    # connection and tail kernels, covariant derivatives, the Gauss tail sum
+    "is,ijk->jsk", "sik,sj->kij", "sjk,is->kij", "jsk->jks", "ik,akj->aij",
+    "isk,asj->akij", "sjk,ais->akij", "akij->ajik", "pik,pkj->pij",
+    "ail,ajk->aijkl", "aijkl->ijkl",
+    # systems
+    "k,kl->l", "ak,kl->al",
+)
+
+
+@pytest.fixture
+def seen_specs(monkeypatch):
+    seen = set()
+
+    def spy(spec, *operands):
+        seen.add(spec)
+        return lane_einsum(spec, *operands)
+
+    for module in (geometry, operators, systems):
+        monkeypatch.setattr(module, "lane_einsum", spy)
+    return seen
+
+
+def test_specs_are_every_contraction_of_the_package(seen_specs):
+    for argv in (["preset", "h2-hat"], ["preset", "h1"], ["preset", "s"], ["preset", "s-tilde"]):
+        run_cli_json(argv)
+    geometry.covariant_derivative_values(df.build_H2_hat().tails[0],
+                                         geometry.metric_frame(df.build_H2_hat().local.g,
+                                                               (0.1, 0.2, 0.5)))
+    assert seen_specs == set(SPECS)
+
+
+def _operands(spec: str, lanes: int, rng) -> list:
+    """Lanes-first random operands of ``spec``, each index of size 1 to 3,
+    with NaN, inf and -inf entries and signed zeros scattered in."""
+    inputs = spec.split("->")[0].split(",")
+    sizes = {c: int(rng.integers(1, 4)) for c in sorted(set("".join(inputs)))}
+    ops = []
+    for sub in inputs:
+        x = rng.standard_normal((lanes,) + tuple(sizes[c] for c in sub))
+        for value in (np.nan, np.inf, -np.inf, 0.0, -0.0):
+            x[rng.random(x.shape) < 0.04] = value
+        ops.append(x)
+    return ops
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 100])
+@pytest.mark.parametrize("spec", SPECS)
+def test_lane_einsum_is_the_lanes_first_reference_bit_for_bit(spec, lanes):
+    rng = np.random.default_rng([lanes, len(spec)])
+    for _ in range(3):
+        ops = _operands(spec, lanes, rng)
+        with np.errstate(all="ignore"):  # inf - inf and 0 * inf are part of the test
+            got = np.moveaxis(lane_einsum(spec, *[np.moveaxis(x, 0, -1) for x in ops]), -1, 0)
+            want = oracle.lane_einsum(spec, *ops)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 5])
+def test_worst_row_is_the_rule_of_the_loop_over_rows(rows):
+    rng = np.random.default_rng(rows)
+    lanes = 400
+    raw = rng.integers(0, 3, (rows, lanes)).astype(float)  # many ties
+    raw[rng.random(raw.shape) < 0.1] = np.nan
+    scale = rng.random((rows, lanes))
+    want = (np.zeros(lanes), np.ones(lanes))
+    for r, s in zip(raw, scale):
+        want = oracle.keep_worst(want, r, s)
+    got = _worst(raw, scale)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("build", [df.build_H2_hat, df.build_H3_hat])
+def test_fused_tail_kernels_are_the_loop_over_tails_bit_for_bit(build):
+    op = build()
+    plan = plan_for(op.dim, 4)
+    points = plan.points(np.arange(plan.count))
+    g = grid_values(compile_grid(op.local.g.entries, op.dim, 2), points)
+    usable = np.flatnonzero(metric_status(g).usable)
+    frames = metric_frames(g, usable)
+    entries = tuple(w.entries for w in op.tails)
+    w0, w1 = (grid_values(compile_grid(entries, op.dim, order), points) for order in (0, 1))
+    lanes_last = [np.take(x, usable, axis=-1) for x in (w0.vals, w1.vals, w1.d1)]
+    got = tail_residuals(frames, op.tails, *lanes_last)
+    first = [np.moveaxis(x, -1, 0) for x in
+             (frames.g_lo, frames.gamma, frames.riemann_up, frames.dgamma, *lanes_last)]
+    want = oracle.tail_residuals_by_tail(*first[:4], op.tails, *first[4:])
+    assert sorted(got) == sorted(want)
+    for key in want:
+        for g_, w_ in zip(got[key], want[key]):
+            assert g_.tobytes() == w_.tobytes(), key
+
+
+def test_gauss_tail_sum_at_a_point_is_one_lane_of_the_batch():
+    op = df.build_H2_hat()
+    plan = plan_for(op.dim, 2)
+    points = plan.points(np.arange(5))
+    vals = grid_values(compile_grid(tuple(w.entries for w in op.tails), op.dim, 0), points).vals
+    batch = operators.gauss_tail_sum(op.tails, vals)
+    for lane in range(5):
+        alone = operators.gauss_tail_sum(op.tails, [v[..., lane] for v in vals])
+        assert alone.tobytes() == np.ascontiguousarray(batch[..., lane]).tobytes()
+
+
+# -- grids compiled once per operator --------------------------------------------------------
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    calls = []
+
+    def counted(entries, dim, order):
+        calls.append((dim, order))
+        return compile_grid(entries, dim, order)
+
+    monkeypatch.setattr(operators, "compile_grid", counted)
+    return calls
+
+
+def test_each_operator_compiles_its_grids_once(compiled):
+    nonlocal_op, local_op = df.build_H2_hat(), df.build_nutku(1)
+    runs = [lambda: check_ferapontov(nonlocal_op, plan_for(3, 1)),
+            lambda: check_local_hamiltonian(local_op, plan_for(2, 1)),
+            lambda: operators.check_skew_adjoint(local_op, plan_for(2, 1))]
+    first = []
+    for run in runs:
+        before = len(compiled)
+        first.append(run().to_dict())
+        assert len(compiled) > before
+    total = len(compiled)
+    # g at orders 2 and 1, b once, the tails at orders 0 and 1
+    assert sorted(compiled) == sorted([(3, 2), (3, 0), (3, 0), (3, 1), (2, 2), (2, 0), (2, 1)])
+    assert [run().to_dict() for run in runs] == first
+    assert len(compiled) == total
+
+
+def test_a_plan_of_another_dimension_fails_as_before(compiled):
+    op = df.build_nutku(1)
+    assert check_local_hamiltonian(op, plan_for(2, 1)).passed
+    for check in (check_local_hamiltonian, operators.check_skew_adjoint):
+        for _ in range(2):  # a grid compiled for one dimension is never reused for another
+            with pytest.raises(ValueError, match="variable u2 out of range for dimension 1"):
+                check(op, default_plan(1))
+            with pytest.raises(ValueError, match="could not be broadcast"):
+                check(op, default_plan(3))
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        check_ferapontov(df.build_H2_hat(), default_plan(4))
+    assert check_local_hamiltonian(op, plan_for(2, 1)).passed
