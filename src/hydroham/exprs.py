@@ -13,7 +13,9 @@ over the points, through the kernels of :mod:`hydroham.jets`; every check
 uses it, through the geometry layer's grids, the system checks, the
 drift-flux residuals and :func:`fields_equal_numeric`.  :func:`eval_scalar`
 (a float) and :func:`eval_jet` (a :class:`~hydroham.jets.Jet`) are its
-one-lane views at a single point.  Domain violations (log of a non-positive
+one-lane views at a single point.  A :class:`Deriv` compiles its argument
+into the same tape one order higher, so every derivative of a
+user-supplied function is a jet too.  Domain violations (log of a non-positive
 value, division by zero, a negative base under a fractional power) are
 flagged per lane; :meth:`TapeValues.error` builds the
 :class:`~hydroham.errors.EvalDomainError` of a lane, naming the offending
@@ -163,9 +165,10 @@ class Deriv(Expr):
     """Partial derivative d/du_k of a subtree, evaluated through jets.
 
     Used by preset builders whose coefficient functions contain derivatives
-    of user-supplied functions; scalar evaluation costs one order-1 jet of
-    the argument, jet evaluation one jet of order+1 (so at most one level of
-    nesting is available at the default order)."""
+    of user-supplied functions.  A tape of order k evaluates the argument
+    in the same tape as a jet of order k + 1 (an order-1 jet for scalar
+    values), so each level of nesting costs one order: at most one level
+    is available at the default order 2."""
 
     arg: Expr
     index: int
@@ -237,123 +240,125 @@ def var_indices(e: Expr) -> frozenset[int]:
 # A tape is a list of expressions compiled into one flat instruction list and
 # evaluated at N points at once by the kernels of hydroham.jets.  Instruction i
 # writes slot i; a slot holds a Python float (a folded constant) or coefficient
-# array of shape (ncoef, N) in the graded order of hydroham.jets, the lane axis
-# last.  Order 0 carries values only; orders 1-3 carry Taylor coefficients.
-# Structurally equal subtrees share one slot, literal zero outputs compile to
-# nothing, and Deriv compiles its argument into a subtape one order higher.  A
-# lane that leaves the domain is flagged at the first failing instruction in
-# evaluation order (operands before the node, left before right), and keeps
-# computing garbage that nothing reads.
+# array of shape (ncoef, N) at the instruction's order, in the graded order of
+# hydroham.jets, the lane axis last.  Order 0 carries values only; orders 1-3
+# carry Taylor coefficients.
+# Each instruction carries its own order: Deriv compiles its argument into the
+# same tape one order higher and reads the shifted coefficients
+# (jets.partial_map).  Structurally equal subtrees share one slot per order,
+# and literal zero outputs compile to nothing.  A subtree needed at two orders
+# is computed at each, never truncated from the higher one: a jet's domain
+# depends on its order (sqrt at 0 has a value but no order-1 jet).  A lane
+# that leaves the domain is flagged at the first failing instruction in
+# evaluation order (operands before the node, left before right, a Deriv's
+# argument before the Deriv), and keeps computing garbage that nothing reads.
 
 
 class Tape(NamedTuple):
     n: int  # number of variables
-    order: int  # 0 for values only
-    code: tuple  # (op, argument slots, parameter, node) per instruction
+    order: int  # of the outputs; 0 for values only
+    code: tuple  # (op, argument slots, parameter, node, order) per instruction
     outputs: tuple  # slot of each compiled expression, None for a literal zero
-    subtapes: tuple  # one order+1 tape per distinct Deriv argument
     frees: tuple  # per instruction, the slots it reads last (outputs excepted)
 
     @property
     def ncoef(self) -> int:
-        return 1 if self.order == 0 else len(multi_indices(self.n, self.order))
+        return _ncoef(self.n, self.order)
+
+
+def _ncoef(n: int, order: int) -> int:
+    return 1 if order == 0 else len(multi_indices(n, order))
 
 
 class _TapeCompiler:
-    def __init__(self, n: int, order: int):
-        _check_order(order, lowest=0)
-        self.n, self.order = n, order
+    def __init__(self, n: int):
+        self.n = n
         self.code: list = []
-        self.by_key: dict = {}  # structural key -> slot
-        self.by_id: dict = {}  # id(node) -> slot
-        self.subtapes: list = []
-        self.subtape_of: dict = {}  # id(Deriv argument) -> subtape index
+        self.by_key: dict = {}  # (structural key, order) -> slot
+        self.by_id: dict = {}  # (id(node), order) -> slot
 
-    def emit(self, key, node) -> int:
-        slot = self.by_key.get(key)
+    def emit(self, key, node, order: int) -> int:
+        slot = self.by_key.get((key, order))
         if slot is None:
-            slot = self.by_key[key] = len(self.code)
+            slot = self.by_key[key, order] = len(self.code)
             op, args, param = key[0], key[1:-1], key[-1]
-            self.code.append((op, args, param, node))
+            self.code.append((op, args, param, node, order))
         return slot
 
-    def const(self, value: float) -> int:
-        return self.emit(("const", float(value)), None)
+    def const(self, value: float, order: int) -> int:
+        return self.emit(("const", float(value)), None, order)
 
     def value(self, slot: int):
         """The folded value of a constant slot, else None."""
-        op, _, param, _ = self.code[slot]
+        op, _, param, _, _ = self.code[slot]
         return param if op == "const" else None
 
-    def slot(self, node: Expr) -> int:
-        hit = self.by_id.get(id(node))
+    def slot(self, node: Expr, order: int) -> int:
+        hit = self.by_id.get((id(node), order))
         if hit is None:
-            hit = self.by_id[id(node)] = self._compile(node)
+            hit = self.by_id[id(node), order] = self._compile(node, order)
         return hit
 
-    def _compile(self, node: Expr) -> int:
+    def _compile(self, node: Expr, order: int) -> int:
         if isinstance(node, Const):
-            return self.const(float(node.value))
+            return self.const(float(node.value), order)
         if isinstance(node, NamedConst):
-            return self.const(node.value)
+            return self.const(node.value, order)
         if isinstance(node, Var):
             if node.index >= self.n:
                 raise ValueError(
                     f"variable u{node.index + 1} out of range for dimension {self.n}"
                 )
-            return self.emit(("var", node.index), node)
+            return self.emit(("var", node.index), node, order)
         if isinstance(node, Neg):
-            a = self.slot(node.arg)
+            a = self.slot(node.arg, order)
             c = self.value(a)
-            return self.const(-c) if c is not None else self.emit(("neg", a, None), node)
+            if c is not None:
+                return self.const(-c, order)
+            return self.emit(("neg", a, None), node, order)
         if isinstance(node, BinOp):
-            a, b = self.slot(node.left), self.slot(node.right)
+            a, b = self.slot(node.left, order), self.slot(node.right, order)
             ca, cb = self.value(a), self.value(b)
             if ca is not None and cb is not None:
                 if node.op == "+":
-                    return self.const(ca + cb)
+                    return self.const(ca + cb, order)
                 if node.op == "-":
-                    return self.const(ca - cb)
+                    return self.const(ca - cb, order)
                 if node.op == "*":
-                    return self.const(ca * cb)
+                    return self.const(ca * cb, order)
                 if cb != 0.0:  # jets divide by multiplying with the reciprocal
-                    return self.const(ca / cb if self.order == 0 else ca * (1.0 / cb))
-            return self.emit((node.op, a, b, None), node)
+                    return self.const(ca / cb if order == 0 else ca * (1.0 / cb), order)
+            return self.emit((node.op, a, b, None), node, order)
         if isinstance(node, Power):
-            return self.emit(("pow", self.slot(node.base), node.exponent), node)
+            return self.emit(("pow", self.slot(node.base, order), node.exponent), node, order)
         if isinstance(node, Call):
-            return self.emit((node.func, self.slot(node.arg), None), node)
+            return self.emit((node.func, self.slot(node.arg, order), None), node, order)
         if isinstance(node, Deriv):
-            sub = self.subtape_of.get(id(node.arg))
-            if sub is None:
-                tape = compile_tape((node.arg,), self.n, self.order + 1)
-                out = tape.outputs[0]
-                if out is None or tape.code[out][0] == "const":
-                    return self.const(0.0)
-                sub = self.subtape_of[id(node.arg)] = len(self.subtapes)
-                self.subtapes.append(tape)
-            return self.emit(("deriv", sub, node.index), node)
+            _check_order(order + 1, lowest=0)
+            arg = self.slot(node.arg, order + 1)
+            if self.value(arg) is not None:
+                return self.const(0.0, order)
+            return self.emit(("deriv", arg, node.index), node, order)
         raise TypeError(f"not an expression node: {node!r}")
 
 
 def compile_tape(exprs, n: int, order: int) -> Tape:
     """Compile expressions over n variables into one tape of the given order
     (0 for values only, else Taylor coefficients through that degree)."""
-    comp = _TapeCompiler(n, order)
+    _check_order(order, lowest=0)
+    comp = _TapeCompiler(n)
     outputs = tuple(
-        None if isinstance(e, Const) and e.value == 0 else comp.slot(e) for e in exprs
+        None if isinstance(e, Const) and e.value == 0 else comp.slot(e, order) for e in exprs
     )
     last_read = {}
-    for i, (op, args, _, _) in enumerate(comp.code):
-        if op != "deriv":  # a deriv's argument is a subtape, not a slot
-            for a in args:
-                last_read[a] = i
+    for i, (_, args, *_) in enumerate(comp.code):
+        for a in args:
+            last_read[a] = i
     frees = [[] for _ in comp.code]
     for slot, i in last_read.items():
         if slot not in outputs:
             frees[i].append(slot)
-    return Tape(n, order, tuple(comp.code), outputs, tuple(comp.subtapes),
-                tuple(tuple(f) for f in frees))
+    return Tape(n, order, tuple(comp.code), outputs, tuple(tuple(f) for f in frees))
 
 
 class TapeValues(NamedTuple):
@@ -363,7 +368,7 @@ class TapeValues(NamedTuple):
     points: np.ndarray  # (N, n)
     coeffs: np.ndarray  # (outputs, ncoef, N)
     first_failure: np.ndarray  # (N,) first failing instruction, len(code) if none
-    failures: dict  # failing instruction -> operand values or subtape values
+    failures: dict  # failing instruction -> its operand's values
 
     @property
     def failed(self) -> np.ndarray:
@@ -389,12 +394,9 @@ class TapeValues(NamedTuple):
         """The domain error at this lane's point, naming the subtree of its
         first failing instruction."""
         i = int(self.first_failure[lane])
-        op, _, param, node = self.tape.code[i]
-        if op == "deriv":
-            return self.failures[i].error(lane)
+        op, _, param, node, order = self.tape.code[i]
         v = float(self.failures[i][lane])
-        return EvalDomainError(_domain_reason(op, param, v, self.tape.order), str(node),
-                               self.points[lane])
+        return EvalDomainError(_domain_reason(op, param, v, order), str(node), self.points[lane])
 
 
 def eval_tape(tape: Tape, points) -> TapeValues:
@@ -412,22 +414,29 @@ def eval_tape(tape: Tape, points) -> TapeValues:
 
 
 def _run_tape(tape: Tape, points: np.ndarray) -> TapeValues:
-    n_lanes, ncoef, order = len(points), tape.ncoef, tape.order
-    scatter = product_scatter(tape.n, order) if order else None
-    end = len(tape.code)
+    n, n_lanes, end = tape.n, len(points), len(tape.code)
     first = np.full(n_lanes, end)
     failures: dict = {}
-    subvalues: dict = {}
     slots: list = [None] * end
 
-    def full(x):
-        if isinstance(x, float):
-            out = np.zeros((ncoef, n_lanes))
-            out[0] = x
-            return out
-        return x
+    def kernel(order):
+        """(ncoef, product scatter, constant-to-array) at an order."""
+        ncoef = _ncoef(n, order)
 
-    for i, (op, args, param, node) in enumerate(tape.code):
+        def full(x):
+            if isinstance(x, float):
+                out = np.zeros((ncoef, n_lanes))
+                out[0] = x
+                return out
+            return x
+        return ncoef, product_scatter(n, order) if order else None, full
+
+    kernels: dict = {}  # order -> kernel(order), built at its first instruction
+    for i, (op, args, param, node, order) in enumerate(tape.code):
+        at = kernels.get(order)
+        if at is None:
+            at = kernels[order] = kernel(order)
+        ncoef, scatter, full = at
         bad = operand = None  # failing lanes, and what the error message names
         if op == "const":
             slots[i] = param
@@ -437,17 +446,13 @@ def _run_tape(tape: Tape, points: np.ndarray) -> TapeValues:
             if order:
                 x[1 + param] = 1.0  # graded order: the unit multi-indices follow the constant
             slots[i] = x
-        elif op == "deriv":
-            sub = subvalues.get(args[0])
-            if sub is None:
-                sub = subvalues[args[0]] = _run_tape(tape.subtapes[args[0]], points)
-            coeffs = sub.coeffs[0]
+        elif op == "deriv":  # the argument's coefficients, one order higher
+            coeffs = kernels[order + 1][2](slots[args[0]])
             if order:
-                positions, factors = partial_map(tape.n, order + 1, param)
+                positions, factors = partial_map(n, order + 1, param)
                 slots[i] = coeffs[positions] * factors[:, None]
             else:
                 slots[i] = coeffs[1 + param : 2 + param].copy()
-            bad, operand = sub.failed, sub
         elif op in ("+", "-", "*", "/"):
             slots[i], bad, operand = _binary(op, slots[args[0]], slots[args[1]], order,
                                              scatter, full)
@@ -463,7 +468,7 @@ def _run_tape(tape: Tape, points: np.ndarray) -> TapeValues:
         for j in tape.frees[i]:
             slots[j] = None
 
-    coeffs = np.zeros((len(tape.outputs), ncoef, n_lanes))
+    coeffs = np.zeros((len(tape.outputs), tape.ncoef, n_lanes))
     for k, s in enumerate(tape.outputs):
         if s is not None:
             v = slots[s]

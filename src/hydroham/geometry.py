@@ -11,8 +11,9 @@ metric's jets which lanes failed or are degenerate, and :func:`metric_frames`
 builds the inverse, Christoffel symbols and curvature at the usable lanes
 only, so a lane that cannot resolve costs a determinant and no contraction.
 The single-point functions (:func:`metric_frame`, :func:`eval_matrix`,
-:func:`covariant_derivative_values`) are one-lane views of the batched ones
-and raise where those flag a lane.
+:func:`covariant_derivative_values`) are one-lane views of the batched ones:
+they return the same arrays with the lane axis dropped (a frame is the
+:class:`MetricFrames` of one lane) and raise where those flag a lane.
 
 Index conventions, fixed once for the whole package (the lane axis, when
 present, comes after all of these, so that every product in a contraction
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -270,9 +271,13 @@ def invert_metric(g: MetricField, point, floor: float = DEGENERACY_FLOOR) -> np.
 # -- frames -------------------------------------------------------------------
 
 
-@dataclass
-class MetricFrame:
-    """Everything the checks need about a metric at one point."""
+class MetricFrames(NamedTuple):
+    """Everything the checks need about a metric, at N points: each array
+    has a trailing lane axis (point is (dim, N)), the curvature arrays are
+    None without curvature.  :func:`metric_frames` builds them only at lanes
+    where :attr:`MetricStatus.usable` holds, so every lane carries a frame;
+    :func:`metric_frame` returns the arrays of one lane, without the lane
+    axis."""
 
     point: np.ndarray
     g_up: np.ndarray
@@ -280,29 +285,8 @@ class MetricFrame:
     dg_up: np.ndarray
     dg_lo: np.ndarray
     gamma: np.ndarray  # Levi-Civita, gamma[j, s, k]
-    d2g_up: Optional[np.ndarray] = None
-    dgamma: Optional[np.ndarray] = None  # dgamma[l, j, s, k]
-    riemann: Optional[np.ndarray] = None
-    riemann_up: Optional[np.ndarray] = None
-
-
-_FRAME_ARRAYS = tuple(f.name for f in fields(MetricFrame))
-
-
-class MetricFrames(NamedTuple):
-    """The arrays of :class:`MetricFrame` at N points, each with a trailing
-    lane axis (point is (dim, N)).  :func:`metric_frames` builds them only
-    at lanes where :attr:`MetricStatus.usable` holds, so every lane carries
-    a frame."""
-
-    point: np.ndarray
-    g_up: np.ndarray
-    g_lo: np.ndarray
-    dg_up: np.ndarray
-    dg_lo: np.ndarray
-    gamma: np.ndarray
     d2g_up: Optional[np.ndarray]
-    dgamma: Optional[np.ndarray]
+    dgamma: Optional[np.ndarray]  # dgamma[l, j, s, k]
     riemann: Optional[np.ndarray]
     riemann_up: Optional[np.ndarray]
     # Gamma^j_{mk} Gamma^m_{sl} at [j, s, k, l], a term of riemann
@@ -311,11 +295,6 @@ class MetricFrames(NamedTuple):
     @property
     def lanes(self) -> int:
         return self.point.shape[-1]
-
-    def lane(self, i: int) -> MetricFrame:
-        arrays = {name: getattr(self, name) for name in _FRAME_ARRAYS}
-        return MetricFrame(**{name: None if a is None else a[..., i]
-                              for name, a in arrays.items()})
 
 
 class MetricStatus(NamedTuple):
@@ -393,9 +372,10 @@ def metric_frames(jets: GridValues, lanes) -> MetricFrames:
 
 
 def metric_frame(g: MetricField, point, curvature: bool = False,
-                 floor: float = DEGENERACY_FLOOR) -> MetricFrame:
-    """Build the pointwise frame; order-2 jets are used only when curvature
-    is requested.  Raises, before building, where g leaves its domain, and
+                 floor: float = DEGENERACY_FLOOR) -> MetricFrames:
+    """The frame at one point, as :class:`MetricFrames` arrays without the
+    lane axis; order-2 jets are used only when curvature is requested.
+    Raises, before building, where g leaves its domain, and
     DegenerateMetricError where it is degenerate or not finite."""
     jets = grid_values(compile_grid(g.entries, len(point), 2 if curvature else 1), [point])
     status = metric_status(jets, floor)
@@ -403,7 +383,7 @@ def metric_frame(g: MetricField, point, curvature: bool = False,
         raise jets.error(0)
     if not status.usable[0]:
         raise DegenerateMetricError(status.det[0], point)
-    return metric_frames(jets, [0]).lane(0)
+    return MetricFrames(*(None if a is None else a[..., 0] for a in metric_frames(jets, [0])))
 
 
 def covariant_derivatives(vals: np.ndarray, d1: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -447,6 +427,7 @@ def covariant_derivative_affinor(w: AffinorField, g: MetricField, point,
     return covariant_derivative_values(w, frame)
 
 
-def covariant_derivative_values(w: AffinorField, frame: MetricFrame) -> np.ndarray:
+def covariant_derivative_values(w: AffinorField, frame: MetricFrames) -> np.ndarray:
+    """nabla_k w^i_j at the point of a one-point frame (:func:`metric_frame`)."""
     jets = one_lane(grid_values(compile_grid((w.entries,), w.dim, 1), [frame.point]))
     return covariant_derivatives(jets.vals, jets.d1, frame.gamma[..., None])[0, ..., 0]

@@ -8,7 +8,8 @@ replaced by the Gauss equation against the tail sum, plus the Codazzi
 symmetry, the pairing symmetry g_{ik} w^k_j = g_{jk} w^k_i and pairwise
 commutation of the affinors.
 
-Every check samples the identities on a seeded plan and reports one record
+Every check samples the identities on a seeded plan of the operator's
+dimension (a plan of another raises ``ValueError``) and reports one record
 per condition.  Residuals are normalized by the largest magnitude among the
 terms entering each identity, so exponential prefactors do not distort the
 verdict; a condition passes only if it is within tolerance at every point.
@@ -62,7 +63,7 @@ class LocalOperator:
 
     @cached_property
     def _grids(self) -> dict:
-        # (part, plan dimension, order) -> GridTape, filled by _grid
+        # (part, order) -> GridTape, filled by _grid
         return {}
 
 
@@ -83,20 +84,26 @@ class NonlocalOperator:
 
     @cached_property
     def _grids(self) -> dict:
-        # ("tails", plan dimension, order) -> GridTape, filled by _grid
+        # ("tails", order) -> GridTape, filled by _grid
         return {}
 
 
-def _grid(op, part: str, dim: int, order: int) -> GridTape:
+def _grid(op, part: str, order: int) -> GridTape:
     """The grid of ``op``'s part g, b (a local operator) or tails (a nonlocal
-    one), compiled over ``dim`` variables at ``order`` once per object."""
-    key = (part, dim, order)
+    one), compiled at ``order`` once per object."""
+    key = (part, order)
     grid = op._grids.get(key)
     if grid is None:
         entries = (tuple(w.entries for w in op.tails) if part == "tails"
                    else getattr(op, part).entries)
-        grid = op._grids.setdefault(key, compile_grid(entries, dim, order))
+        grid = op._grids.setdefault(key, compile_grid(entries, op.dim, order))
     return grid
+
+
+def _check_dimension(op, plan: SamplePlan):
+    if plan.dim != op.dim:
+        raise ValueError(f"sample plan of dimension {plan.dim} for an operator of "
+                         f"dimension {op.dim}")
 
 
 # -- sampling of metric frames -------------------------------------------------
@@ -119,9 +126,10 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
     description, kernel result); when no point resolves, each row is
     reported not evaluated under its short description.
     """
-    grids = [_grid(a.local, "g", plan.dim, 2), _grid(a.local, "b", plan.dim, 0)]
+    _check_dimension(a, plan)
+    grids = [_grid(a.local, "g", 2), _grid(a.local, "b", 0)]
     if a.tails:
-        grids += [_grid(a, "tails", plan.dim, order) for order in (0, 1)]
+        grids += [_grid(a, "tails", order) for order in (0, 1)]
 
     def evaluate(points):
         g, b, *w = [grid_values(grid, points) for grid in grids]
@@ -286,7 +294,8 @@ _TAIL_CONDITIONS = _LOCAL_CONDITIONS + tuple((cid, desc, short, cid) for cid, de
 @np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_skew_adjoint(a: LocalOperator, plan: SamplePlan) -> CheckReport:
     """Formal skew-adjointness: g symmetric and b^{ij}_k + b^{ji}_k = d_k g^{ij}."""
-    g_grid, b_grid = _grid(a, "g", plan.dim, 1), _grid(a, "b", plan.dim, 0)
+    _check_dimension(a, plan)
+    g_grid, b_grid = _grid(a, "g", 1), _grid(a, "b", 0)
     table = (("metric_symmetric", "g^{ij} = g^{ji}"),
              ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
 

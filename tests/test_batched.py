@@ -23,6 +23,7 @@ from hydroham.exprs import (
     BinOp,
     Call,
     Const,
+    Deriv,
     NamedConst,
     Neg,
     Power,
@@ -30,6 +31,8 @@ from hydroham.exprs import (
     compile_tape,
     eval_tape,
     exp,
+    ln,
+    sqrt,
     variables,
 )
 from hydroham.exprs import eval_jet as hydroham_eval_jet
@@ -70,6 +73,14 @@ def _oracle_corpus():
     # must name the one evaluated first
     for text in ("ln(u1) + sqrt(u2)", "sqrt(u2) * ln(u1)"):
         out.append((parse_expr(text, 2), 2, ((-1.0, 1.0), (-1.0, 1.0))))
+    # a Deriv whose argument leaves its domain: alone, nested, beside the
+    # same argument outside the Deriv, and after or before another subtree
+    # that fails on the same quarter of the box
+    u1, u2 = variables(2)
+    log = ln(u1)
+    for e in (Deriv(log, 0), Deriv(sqrt(u1), 0), Deriv(Deriv(ln(u1 + u2 * u2), 0), 1),
+              log + Deriv(log, 0), sqrt(u2) * Deriv(log, 0), Deriv(log, 0) * sqrt(u2)):
+        out.append((e, 2, ((-1.0, 1.0), (-1.0, 1.0))))
     rng = np.random.default_rng(20240817)
     for _ in range(30):
         n = int(rng.integers(1, 4))

@@ -12,8 +12,23 @@ import oracle
 from cases import plan_for, run_cli_json
 from hydroham import driftflux as df
 from hydroham import geometry, operators, systems
-from hydroham.geometry import compile_grid, grid_values, lane_einsum, metric_frames, metric_status
-from hydroham.operators import _worst, check_ferapontov, check_local_hamiltonian, tail_residuals
+from hydroham.exprs import const, variables
+from hydroham.geometry import (
+    ConnectionField,
+    MetricField,
+    compile_grid,
+    grid_values,
+    lane_einsum,
+    metric_frames,
+    metric_status,
+)
+from hydroham.operators import (
+    LocalOperator,
+    _worst,
+    check_ferapontov,
+    check_local_hamiltonian,
+    tail_residuals,
+)
 from hydroham.sampling import default_plan
 
 # every spec string the package passes to lane_einsum
@@ -164,12 +179,33 @@ def test_each_operator_compiles_its_grids_once(compiled):
 def test_a_plan_of_another_dimension_fails_as_before(compiled):
     op = df.build_nutku(1)
     assert check_local_hamiltonian(op, plan_for(2, 1)).passed
+    total = len(compiled)
     for check in (check_local_hamiltonian, operators.check_skew_adjoint):
-        for _ in range(2):  # a grid compiled for one dimension is never reused for another
-            with pytest.raises(ValueError, match="variable u2 out of range for dimension 1"):
+        for _ in range(2):  # the plan is checked before any grid is compiled or read
+            with pytest.raises(ValueError, match="sample plan of dimension 1 for an operator "
+                                                 "of dimension 2"):
                 check(op, default_plan(1))
-            with pytest.raises(ValueError, match="could not be broadcast"):
+            with pytest.raises(ValueError, match="sample plan of dimension 3 for an operator "
+                                                 "of dimension 2"):
                 check(op, default_plan(3))
-    with pytest.raises(ValueError, match="could not be broadcast"):
+    with pytest.raises(ValueError, match="sample plan of dimension 4 for an operator "
+                                         "of dimension 3"):
         check_ferapontov(df.build_H2_hat(), default_plan(4))
+    assert len(compiled) == total
     assert check_local_hamiltonian(op, plan_for(2, 1)).passed
+
+
+def test_a_smaller_plan_raises_instead_of_giving_a_verdict():
+    # g = diag(1 + u1^2, 1) uses u1 only, so its grids would compile over one
+    # variable as well and a one-dimensional plan would get a verdict (a wrong
+    # one: metric_flat fails there); the plan's dimension is checked first
+    u1, _ = variables(2)
+    zero = const(0)
+    probe = LocalOperator(2, MetricField(2, ((1 + u1 * u1, zero), (zero, const(1)))),
+                          ConnectionField(2, (((zero,) * 2,) * 2,) * 2))
+    flat = {c.cid: c for c in check_local_hamiltonian(probe, default_plan(2)).conditions}
+    assert flat["metric_flat"].passed and flat["metric_flat"].residual == 0.0
+    for check in (check_local_hamiltonian, operators.check_skew_adjoint):
+        with pytest.raises(ValueError, match="sample plan of dimension 1 for an operator "
+                                             "of dimension 2"):
+            check(probe, default_plan(1))

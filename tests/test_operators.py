@@ -20,6 +20,7 @@ from hydroham.operators import (
 from hydroham.parsing import parse_expr
 from hydroham.sampling import default_plan
 
+import oracle
 from conftest import LD, eval_longdouble
 
 
@@ -223,6 +224,32 @@ def test_flow_matches_the_jet_formula():
         want = (eval_matrix(op.g.entries, p) @ jet.hessian()
                 + np.einsum("ijk,j->ik", eval_matrix(op.b.entries, p), jet.gradient()))
         assert np.max(np.abs(system.speeds(p) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_flow_evaluates_each_density_jet_once():
+    # the speed tape of a 3-component flow computes H's order-2 jet once for
+    # all nine second derivatives and its order-1 jet once for the gradient;
+    # each entry is the jet formula on H's jets bit for bit, and the oracle's
+    # recursive evaluation to roundoff
+    from hydroham.geometry import eval_matrix, grid_values
+
+    op = df.build_H1_Theta(parse_expr("1 + r3^2", 3))
+    h = parse_expr("r1*r2*r3 + exp(r3)*r1^2", 3)
+    system = hamiltonian_flow(op, h)
+    tape = system._speed_grid.tape
+    assert sorted(order for *_, node, order in tape.code if node == h) == [1, 2]
+    plan = df.drift_plan(count=30, seed=3)
+    points = np.array([plan.point(i) for i in range(plan.count)])
+    speeds = grid_values(system._speed_grid, points).vals
+    for lane, p in enumerate(points):
+        grad, hess = eval_jet(h, p, 1).gradient(), eval_jet(h, p, 2).hessian()
+        g, b = eval_matrix(op.g.entries, p), eval_matrix(op.b.entries, p)
+        for i in range(3):
+            for k in range(3):
+                terms = [g[i, j] * hess[j, k] + b[i, j, k] * grad[j] for j in range(3)]
+                assert sum(terms[1:], terms[0]).tobytes() == speeds[i, k, lane].tobytes()
+        want = np.array([[oracle.eval_scalar(e, p) for e in row] for row in system.v])
+        assert np.max(np.abs(speeds[..., lane] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _fd_grad_hess(expr, p, h=LD(1e-5)):
