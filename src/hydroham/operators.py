@@ -368,8 +368,12 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     """Run the local Hamiltonian check on g_a + lam g_b, b_a + lam b_b for
     each lam.  A lam at which the combined metric is identically degenerate
     carries no constraint (the compatibility identities are polynomial in
-    lam) and is skipped with a note.
+    lam) and is skipped with a note.  ValueError without any lam, which
+    would pass with no condition checked.
     """
+    lambdas = list(lambdas)
+    if not lambdas:
+        raise ValueError("a pencil check needs at least one lambda")
     conditions: list[ConditionResult] = []
     notes: list[str] = []
     for lam in lambdas:

@@ -8,16 +8,21 @@ by bumping the retry counter.  :meth:`SamplePlan.points` computes those
 numbers for a whole round of indices in one call, following numpy's
 SeedSequence and PCG64 in array arithmetic, without a generator per point.
 Each plan object computes each ``(i, retry)`` once and reuses the row in every
-later walk of it, keeping at most the rows its walks asked for, in chunks of
-256 indices; threads that fill the same row at once write identical values.
+later walk of it, in chunks of 256 indices; threads that fill the same row at
+once write identical values.  It keeps the rows its walks asked for, and
+after a round of :func:`resolve` that resolved nothing, also the retries
+left for that round's points, drawn in one call.
 
 :func:`resolve` is the one plan walk and holds the one redraw rule: a draw
 at which any field of a check leaves its domain is redrawn, and so is any
 draw the check's evaluator rejects for its own reason (a degenerate metric,
 a singular Jacobian).  It goes through a plan in blocks of :data:`BLOCK`
 points, each round one call to draw and one batch to evaluate of the points
-still unresolved, drawing exactly the ``(i, retry)`` pairs a per-point
-redraw loop would, and records every draw beside the resolved ones.
+still unresolved, asking for exactly the ``(i, retry)`` pairs a per-point
+redraw loop would, and records every draw beside the resolved ones.  After a
+round that resolved nothing, the plan computes the block's remaining retries
+ahead, in one kernel call, so a block that cannot resolve costs two draw
+calls, not seventeen.
 """
 
 from __future__ import annotations
@@ -84,8 +89,9 @@ class SamplePlan:
         indices[k], retry)).random(dim)``, bit for bit, for indices below
         2**64.  Each ``(i, retry)`` with ``i < count`` and ``retry <=
         RESAMPLE_BUDGET`` is computed once per plan object and reused by every
-        walk of it: the plan keeps at most the rows asked for, in 256-row
-        chunks, and concurrent fills of a row write identical values.
+        walk of it: the plan keeps the rows asked for, and those
+        :func:`resolve` has it compute ahead, in 256-row chunks, and
+        concurrent fills of a row write identical values.
         ValueError unless the indices and ``retry`` are integers >= 0 and
         the indices below 2**64."""
         idx = _plan_indices(indices)
@@ -134,17 +140,47 @@ class SamplePlan:
         drawn[local] = True
         return out
 
-    def _draw(self, indices, retry: int) -> np.ndarray:
-        """The kernel behind :meth:`points`, with no memo."""
+    def _prefetch(self, indices, retry: int) -> None:
+        """Fill the memo for the distinct plan points ``indices`` at every
+        draw from ``retry`` to RESAMPLE_BUDGET, in one kernel call for the
+        rows it lacks; indices at or above ``count`` are left out."""
+        idx = np.asarray(indices, dtype=np.uint64)
+        idx = idx[idx < self.count]
+        chunk = idx // _CHUNK
+        lack = []  # (memo key, local rows it lacks)
+        for c in np.unique(chunk).tolist():
+            local = (idx[chunk == c] - c * _CHUNK).astype(np.intp)
+            for q in range(retry, RESAMPLE_BUDGET + 1):
+                entry = self._memo.get((c, q))
+                rows = local if entry is None else local[~entry[1][local]]
+                if rows.size:
+                    lack.append(((c, q), rows))
+        if not lack:
+            return
+        drawn = self._draw(np.concatenate([rows + c * _CHUNK for (c, _), rows in lack]),
+                           np.concatenate([np.full(rows.size, q, np.uint64) for (_, q), rows in lack]))
+        at = 0
+        for (c, q), rows in lack:
+            n = min(_CHUNK, self.count - c * _CHUNK)
+            entry = self._memo.setdefault((c, q), (np.empty((n, self.dim)), np.zeros(n, bool)))
+            entry[0][rows] = drawn[at:at + rows.size]  # the rows before their drawn flags
+            entry[1][rows] = True
+            at += rows.size
+
+    def _draw(self, indices, retry) -> np.ndarray:
+        """The kernel behind :meth:`points`, with no memo: ``retry`` is an int,
+        or a uint64 array of one retry below 2**32 per index."""
         idx = np.asarray(indices, dtype=np.uint64)
         u = np.empty((idx.size, self.dim))
+        per_lane = isinstance(retry, np.ndarray)
         # an index gives SeedSequence one entropy word below 2**32, two above:
         # one batch per layout
         for lanes, wide in ((idx <= _M32, False), (idx > _M32, True)):
             if lanes.any():
                 i = idx[lanes]
                 words = [i & _M32, i >> 32] if wide else [i]
-                u[lanes] = _uniforms(self._seed_words + words + _words(retry), i.size, self.dim)
+                words += [retry[lanes]] if per_lane else _words(retry)
+                u[lanes] = _uniforms(self._seed_words + words, i.size, self.dim)
         return self._lo + (self._hi - self._lo) * u
 
     def point(self, i: int, retry: int = 0) -> np.ndarray:
@@ -308,7 +344,11 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
     value for a draw to redraw, :data:`REDRAW_DOMAIN` when a field left its
     domain there) and a tuple of arrays with one row per lane.  These are
     exactly the draws of a per-point redraw loop; a block stops when every
-    point is resolved or has spent the resample budget.
+    point is resolved or has spent the resample budget.  Once a round of a
+    block has resolved nothing, the next round first has the plan compute
+    every retry left for the block's points in one kernel call
+    (``SamplePlan._prefetch``), so the rounds after it are memo hits; the
+    draws asked for, and so the result, stay the same.
 
     A point whose every draw was a domain violation raises
     HostileDomainError ("domain too hostile at sample point i") for the
@@ -319,9 +359,13 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
     for start in range(0, plan.count, BLOCK):
         todo = np.arange(start, min(start + BLOCK, plan.count))
         domain_only = np.ones(len(todo), bool)  # every draw so far a domain violation
+        ahead = False  # the block's later draws are in the plan's memo
         for r in range(RESAMPLE_BUDGET + 1):
             if not todo.size:
                 break
+            if r and not ahead and len(todo) == len(index[-1]):  # round r - 1 resolved nothing
+                plan._prefetch(todo, r)
+                ahead = True
             points = plan.points(todo, r)
             st, payload = evaluate(points)
             st = np.asarray(st, dtype=int)

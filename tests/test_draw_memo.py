@@ -14,10 +14,15 @@ import pytest
 
 from hydroham import driftflux as df
 from hydroham import sampling
-from hydroham.operators import check_pencil_compatibility
-from hydroham.sampling import RESAMPLE_BUDGET, SamplePlan
+from hydroham.errors import HostileDomainError
+from hydroham.exprs import variables
+from hydroham.operators import check_local_hamiltonian, check_pencil_compatibility
+from hydroham.parsing import parse_expr
+from hydroham.sampling import REDRAW_DOMAIN, RESAMPLE_BUDGET, SamplePlan, resolve
+from hydroham.systems import ConservedCurrent, HydroSystem, check_conserved_current
 
 from cases import LAMBDAS, run_cli_json
+from test_batched_callers import DRAW_SEEDS, HOSTILE_BOX
 
 GOLDEN_CLI = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 BOX = ((-0.5, 0.25), (-1.5, 2.25), (0.0, 1.0))
@@ -39,7 +44,8 @@ def draws(monkeypatch):
     def counted_uniforms(entropy, lanes, dim):
         seed, *words, retry = entropy  # seeds and retries below 2**32: one word each
         i = sum(np.asarray(w, dtype=object) << 32 * k for k, w in enumerate(words))
-        computed.extend((seed, int(k), retry) for k in np.broadcast_to(i, lanes))
+        computed.extend((seed, int(k), int(q))
+                        for k, q in zip(np.broadcast_to(i, lanes), np.broadcast_to(retry, lanes)))
         return uniforms(entropy, lanes, dim)
 
     def counted_points(self, indices, retry=0):
@@ -50,6 +56,20 @@ def draws(monkeypatch):
     monkeypatch.setattr(sampling, "_uniforms", counted_uniforms)
     monkeypatch.setattr(SamplePlan, "points", counted_points)
     return computed, requested
+
+
+@pytest.fixture
+def kernel_calls(draws, monkeypatch):
+    """The draws fixture's lists, and a one-item list counting calls of the kernel."""
+    calls = [0]
+    uniforms = sampling._uniforms
+
+    def counted_uniforms(entropy, lanes, dim):
+        calls[0] += 1
+        return uniforms(entropy, lanes, dim)
+
+    monkeypatch.setattr(sampling, "_uniforms", counted_uniforms)
+    return (*draws, calls)
 
 
 # -- (a) each distinct (i, retry) once per request -------------------------------------------
@@ -186,3 +206,103 @@ def test_an_index_below_2_to_the_64_still_draws():
     plan = SamplePlan(2, BOX[:2], count=10, seed=3)
     big = [2**63, 2**64 - 1]
     assert plan.points(big).tobytes() == formula(plan, big, 0).tobytes()
+
+
+# -- (f) drawing ahead after a round that resolved nothing ------------------------------------
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+@pytest.mark.parametrize("retry", [1, 9, RESAMPLE_BUDGET])
+def test_the_fill_is_the_seeded_formula_at_every_later_retry(monkeypatch, seed, retry):
+    # indices of one and two entropy words, across three memo chunks
+    plan = SamplePlan(2, BOX[:2], count=2**33, seed=seed)
+    indices = [0, 1, 255, 256, 2**32 - 3, 2**32 - 1, 2**32, 2**32 + 2, 2**33 - 1]
+    plan._prefetch(indices, retry)
+    assert sorted(plan._memo) == sorted((c, q) for c in (0, 1, 2**24 - 1, 2**24, 2**25 - 1)
+                                        for q in range(retry, RESAMPLE_BUDGET + 1))
+    monkeypatch.setattr(sampling, "_uniforms", None)  # every row below from the memo
+    for q in range(retry, RESAMPLE_BUDGET + 1):
+        got = np.concatenate([plan.points([i], q) for i in indices])  # one request per chunk
+        assert got.tobytes() == formula(plan, indices, q).tobytes(), q
+
+
+def test_the_fill_draws_only_plan_rows_the_memo_lacks(kernel_calls):
+    computed, _, calls = kernel_calls
+    plan = SamplePlan(2, BOX[:2], count=100, seed=6)
+    plan.points([1, 2], 5)
+    plan._prefetch([0, 1, 2, 3], 4)
+    assert calls[0] == 2
+    assert sorted(computed[2:]) == sorted({(6, i, q) for i in range(4) for q in range(4, 17)}
+                                          - {(6, 1, 5), (6, 2, 5)})
+    before = len(computed)
+    plan._prefetch([0, 1, 2, 3], 3)  # only retry 3 is new
+    plan._prefetch([1, 2], 7)
+    plan._prefetch([5, 99, 100, 2**40], RESAMPLE_BUDGET)
+    plan._prefetch([5], RESAMPLE_BUDGET + 1)
+    assert sorted(computed[before:]) == [(6, i, 3) for i in range(4)] + [(6, 5, 16), (6, 99, 16)]
+    assert calls[0] == 4
+    assert sorted(plan._memo) == [(0, q) for q in range(3, 17)]
+
+
+MUTANTS = {name: op for name, _, op in df.mutation_catalog()}
+
+
+@pytest.mark.parametrize("count,blocks", [(100, 1), (1000, 4)])
+def test_an_identically_degenerate_block_costs_two_kernel_calls(kernel_calls, count, blocks):
+    # round 0 resolves nothing, so round 1 fills retries 1 to 16 in one call
+    computed, requested, calls = kernel_calls
+    rep = check_local_hamiltonian(MUTANTS["h1-theta Theta = 0 (degenerate)"],
+                                  df.drift_plan(count=count, seed=3))
+    assert not rep.passed
+    assert calls[0] == 2 * blocks
+    assert len(computed) == len(set(computed)) == len(set(requested)) == count * 17
+    assert {(i, q) for _, i, q in computed} == {(i, q) for _, i, q in requested}
+
+
+def test_a_pencil_with_degenerate_lambdas_draws_in_two_calls(kernel_calls):
+    # lambda = -1 fills every retry; lambda = 1 finds them in the memo
+    computed, requested, calls = kernel_calls
+    check_pencil_compatibility(df.build_nutku(1), df.build_nutku(2), LAMBDAS,
+                               df.plane_plan(count=100, seed=1))
+    assert calls[0] == 2
+    assert len(computed) == len(set(computed)) == len(set(requested)) == 1700
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_a_walk_computes_ahead_only_after_a_round_that_resolved_nothing(draws, seed):
+    # ln(u1 + 0.5) and sqrt(u2 + 0.5) leave their domains at about 44% of draws:
+    # at seed 1 every round resolves something; at seed 5 round 5 resolves nothing
+    computed, requested = draws
+    u1, u2 = variables(2)
+    s = HydroSystem(2, ((parse_expr("sqrt(u2 + 0.5)", 2), u1), (u2, parse_expr("-u1", 2))))
+    c = ConservedCurrent(parse_expr("ln(u1 + 0.5) + u2", 2), u1 * u2)
+    check_conserved_current(s, c, SamplePlan(2, HOSTILE_BOX, count=60, seed=seed))
+    rounds = [sorted(i for _, i, q in requested if q == r) for r in range(RESAMPLE_BUDGET + 1)]
+    ahead = set()
+    for r in range(1, RESAMPLE_BUDGET + 1):
+        if rounds[r] and rounds[r] == rounds[r - 1]:
+            ahead = {(seed, i, q) for i in rounds[r] for q in range(r, RESAMPLE_BUDGET + 1)}
+            break
+    assert bool(ahead) == (seed == 5)
+    assert len(computed) == len(set(computed))
+    assert set(computed) == {(seed, i, q) for _, i, q in requested} | ahead
+
+
+def test_a_point_that_only_leaves_the_domain_still_raises_at_its_index(kernel_calls):
+    # round 0 resolves points 0-19, round 1 resolves nothing, so round 2 draws
+    # ahead; points 33 and 37 leave the domain at every draw, the others of
+    # 20-39 are rejected for another cause
+    *_, calls = kernel_calls
+    plan = SamplePlan(1, ((0.0, 1.0),), count=40, seed=2)
+    pair_of = {float(p[0]): (i, r) for r in range(RESAMPLE_BUDGET + 1)
+               for i, p in enumerate(plan.points(range(40), r))}
+
+    def evaluate(points):
+        index = np.array([pair_of[float(p[0])][0] for p in points])
+        status = np.where(index < 20, 0, np.where(np.isin(index, (33, 37)), REDRAW_DOMAIN, 2))
+        return status, (points[:, 0],)
+
+    calls[0] = 0
+    with pytest.raises(HostileDomainError, match="^domain too hostile at sample point 33$"):
+        resolve(SamplePlan(1, ((0.0, 1.0),), count=40, seed=2), evaluate)
+    assert calls[0] == 3  # rounds 0 and 1, then retries 2 to 16 at once

@@ -177,6 +177,13 @@ def test_identically_degenerate_lambda_is_skipped_with_note():
     assert "identically degenerate" in rep.notes[0]
 
 
+@pytest.mark.parametrize("lambdas", [[], (), iter(())])
+def test_pencil_without_a_lambda_is_rejected(lambdas):
+    # no lambda checks no condition: not a vacuous PASS
+    with pytest.raises(ValueError, match="at least one lambda"):
+        check_pencil_compatibility(df.build_nutku(1), df.build_nutku(2), lambdas, PLAN2)
+
+
 def test_incompatible_mutant_pencil_fails():
     _, _, bad = df.mutation_catalog()[0]
     rep = check_pencil_compatibility(df.build_nutku(2), bad, [1.0, 2.0], PLAN2)
