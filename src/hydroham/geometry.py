@@ -226,13 +226,28 @@ class GridValues(NamedTuple):
 def grid_values(grid: GridTape, points) -> GridValues:
     """Evaluate a compiled grid at every row of ``points``; lanes that leave
     the domain are flagged, not raised."""
+    return _grid_values(grid.shape, eval_tape(grid.tape, points))
+
+
+def pencil_values(grid: GridTape, points, lam) -> GridValues:
+    """The member A + lam B of a pair grid, compiled from (A, B), at every row
+    of ``points``, with one lam per row: the coefficients of A plus lam times
+    those of B, as a tape of the trees A + lam B computes them, scaled into
+    derivatives only then.  A lane is flagged where A or B leaves its
+    domain."""
     values = eval_tape(grid.tape, points)
+    half = len(values.coeffs) // 2
+    member = values.coeffs[:half] + lam * values.coeffs[half:]
+    return _grid_values(grid.shape[1:], values._replace(coeffs=member))
+
+
+def _grid_values(shape: tuple, values: TapeValues) -> GridValues:
     vals, d1, d2 = values.derivatives()
     lanes, dim = values.points.shape
     return GridValues(
-        vals.reshape(grid.shape + (lanes,)),
-        None if d1 is None else d1.reshape((dim,) + grid.shape + (lanes,)),
-        None if d2 is None else d2.reshape((dim, dim) + grid.shape + (lanes,)),
+        vals.reshape(shape + (lanes,)),
+        None if d1 is None else d1.reshape((dim,) + shape + (lanes,)),
+        None if d2 is None else d2.reshape((dim, dim) + shape + (lanes,)),
         values,
     )
 

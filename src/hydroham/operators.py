@@ -19,7 +19,11 @@ at which g is degenerate.  Each round evaluates g, b and the tails at every
 draw, reads the status of each draw from them, and builds curvature frames
 only at the draws that resolve; a round at which none resolves runs no
 contraction.  The local check is the nonlocal one without tails, its
-flatness the Gauss equation against an empty tail sum.
+flatness the Gauss equation against an empty tail sum.  A pencil is one
+local check walked for every lambda in lockstep
+(:func:`~hydroham.sampling.resolve_walks`) on a pair compiled once, each
+lane's member formed from the pair's tape coefficients; one round kernel
+serves both.
 """
 
 from __future__ import annotations
@@ -29,12 +33,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Deriv, Expr, as_expr
+from .exprs import Const, Deriv, Expr, NamedConst, as_expr
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import (
     AffinorField,
     ConnectionField,
     GridTape,
+    GridValues,
     MetricField,
     MetricFrames,
     compile_grid,
@@ -44,9 +49,10 @@ from .geometry import (
     lane_max,
     metric_frames,
     metric_status,
+    pencil_values,
 )
 from .reports import CheckReport, ConditionResult, condition_from_arrays
-from .sampling import REDRAW_DOMAIN, Resolved, SamplePlan, resolve
+from .sampling import REDRAW_DOMAIN, Resolved, SamplePlan, resolve, resolve_walks
 
 DEGENERATE_FRACTION_LIMIT = 0.2
 
@@ -111,21 +117,12 @@ def _check_dimension(op, plan: SamplePlan):
 REDRAW_DEGENERATE = 2  # evaluator status: the metric is degenerate there
 
 
-@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> CheckReport:
     """Resolve a curvature frame per plan point, with b and the tails, and
     report the symmetry and nondegeneracy of g (over every draw at which the
-    fields evaluated) followed by the conditions of ``table``.
-
-    A draw is redrawn where g, b or a tail leaves its domain, and where g is
-    degenerate; a domain violation outranks degeneracy.  Each round
-    evaluates g's order-2 jets, b and the tails at every draw, then builds
-    frames and runs the connection and tail kernels once, on its resolved
-    lanes whose metric value is finite (elsewhere the residuals stay NaN and
-    fail as non-finite).  ``table`` rows are (id, description, short
-    description, kernel result); when no point resolves, each row is
-    reported not evaluated under its short description.
-    """
+    fields evaluated) followed by the conditions of ``table``, as
+    :func:`_frame_round` computes them each round and :func:`_frame_report`
+    assembles them."""
     _check_dimension(a, plan)
     grids = [_grid(a.local, "g", 2), _grid(a.local, "b", 0)]
     if a.tails:
@@ -133,23 +130,47 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
 
     def evaluate(points):
         g, b, *w = [grid_values(grid, points) for grid in grids]
-        metric = metric_status(g)
-        failed = np.logical_or.reduce([g.failed, b.failed] + [x.failed for x in w])
-        status = np.where(failed, REDRAW_DOMAIN, np.where(metric.degenerate, REDRAW_DEGENERATE, 0))
-        symmetric = lane_max(g.vals - np.swapaxes(g.vals, 0, 1)), lane_max(g.vals)
-        build = np.flatnonzero((status == 0) & metric.usable)
-        raw, scale = np.full((2, len(points), len(table)), np.nan)
-        if build.size:
-            frames = metric_frames(g, build)
-            found = connection_residuals(frames, np.take(b.vals, build, axis=-1))
-            w_arrays = ([np.take(x, build, axis=-1) for x in (w[0].vals, w[1].vals, w[1].d1)]
-                        if w else [None] * 3)
-            found.update(tail_residuals(frames, a.tails, *w_arrays))
-            for k, (*_, key) in enumerate(table):
-                raw[build, k], scale[build, k] = found[key]
-        return status, symmetric + (raw, scale)
+        return _frame_round(table, a.tails, g, b, w)
 
-    found = resolve(plan, evaluate)
+    return _frame_report(title, resolve(plan, evaluate), plan, table)
+
+
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
+def _frame_round(table, tails, g: GridValues, b: GridValues, w) -> tuple:
+    """One round of a frame check at the lanes of g's order-2 jets, b's values
+    and, with ``tails``, the tails' order-0 and order-1 grid values ``w``:
+    the status of each lane and the payload :func:`_frame_report` reads.
+
+    A draw is redrawn where g, b or a tail leaves its domain, and where g is
+    degenerate; a domain violation outranks degeneracy.  Frames are built
+    and the connection and tail kernels run once, on the resolved lanes
+    whose metric value is finite (elsewhere the residuals stay NaN and fail
+    as non-finite).  ``table`` rows are (id, description, short description,
+    kernel result).
+    """
+    metric = metric_status(g)
+    failed = np.logical_or.reduce([g.failed, b.failed] + [x.failed for x in w])
+    status = np.where(failed, REDRAW_DOMAIN, np.where(metric.degenerate, REDRAW_DEGENERATE, 0))
+    symmetric = lane_max(g.vals - np.swapaxes(g.vals, 0, 1)), lane_max(g.vals)
+    build = np.flatnonzero((status == 0) & metric.usable)
+    raw, scale = np.full((2, len(status), len(table)), np.nan)
+    if build.size:
+        frames = metric_frames(g, build)
+        found = connection_residuals(frames, np.take(b.vals, build, axis=-1))
+        w_arrays = ([np.take(x, build, axis=-1) for x in (w[0].vals, w[1].vals, w[1].d1)]
+                    if w else [None] * 3)
+        found.update(tail_residuals(frames, tails, *w_arrays))
+        for k, (*_, key) in enumerate(table):
+            raw[build, k], scale[build, k] = found[key]
+    return status, symmetric + (raw, scale)
+
+
+@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
+def _frame_report(title: str, found: Resolved, plan: SamplePlan, table) -> CheckReport:
+    """The report of a walk of :func:`_frame_round`: g's symmetry over every
+    draw at which the fields evaluated, its nondegeneracy, then the
+    conditions of ``table`` at the resolved points, or, when no point
+    resolved, each row reported not evaluated under its short description."""
     evaluated = found.status != REDRAW_DOMAIN
     symmetric = condition_from_arrays("metric_symmetric", "g^{ij} = g^{ji}",
                                       found.draws[evaluated], found.rows[0][evaluated],
@@ -244,26 +265,26 @@ def tail_residuals(frames: MetricFrames, tails, w_vals, w_jet_vals, w_d1) -> dic
     (n, tails, n, n, lanes) of their order-1 jets.  t1, t2 and t4 run as one
     contraction each over an axis of tails (or of pairs of tails), and keep
     the worst tail (or pair) per lane, the last one on ties."""
-    n, lanes = frames.g_up.shape[0], frames.lanes
-    none = np.empty((0, lanes))
+    none = np.empty((0, frames.lanes))
     t1 = t2 = t4 = (none, none)  # (raw, scale), one row per tail or pair
-    tail_sum = np.zeros((n,) * 4 + (lanes,))
+    gauss = frames.riemann_up  # minus the tail sum, which is zero without tails
+    scales = [lane_max(frames.riemann_up), lane_max(frames.dgamma), lane_max(frames.gamma_gamma)]
     if tails:
         gw = lane_einsum("ik,akj->aij", frames.g_lo, w_vals)
         t1 = lane_max(gw - np.swapaxes(gw, 1, 2), 1), lane_max(gw, 1)
         nabla = covariant_derivatives(w_jet_vals, w_d1, frames.gamma)
         t2 = lane_max(nabla - lane_einsum("akij->ajik", nabla), 1), lane_max(nabla, 1)
         tail_sum = gauss_tail_sum(tails, w_vals)
+        gauss = frames.riemann_up - tail_sum
+        scales.append(lane_max(tail_sum))
         x, y = np.triu_indices(len(tails), 1)  # the pairs x < y, in lexicographic order
         xy = lane_einsum("pik,pkj->pij", w_vals[x], w_vals[y])
         yx = lane_einsum("pik,pkj->pij", w_vals[y], w_vals[x])
         t4 = lane_max(xy - yx, 1), lane_max(xy, 1)
-    scale = np.maximum.reduce([lane_max(frames.riemann_up), lane_max(tail_sum),
-                               lane_max(frames.dgamma), lane_max(frames.gamma_gamma)])
     return {
         "t1_pairing_symmetric": _worst(*t1),
         "t2_codazzi": _worst(*t2),
-        "t3_gauss": (lane_max(frames.riemann_up - tail_sum), scale),
+        "t3_gauss": (lane_max(gauss), np.maximum.reduce(scales)),
         "t4_tails_commute": _worst(*t4),
     }
 
@@ -344,7 +365,10 @@ def check_ferapontov(a: NonlocalOperator, plan: SamplePlan) -> CheckReport:
 
 
 def pencil_operator(a: LocalOperator, b: LocalOperator, lam: float) -> LocalOperator:
-    """The combination with metric g_a + lam g_b and connection b_a + lam b_b."""
+    """The combination with metric g_a + lam g_b and connection b_a + lam b_b.
+    :func:`check_pencil_compatibility` does not build it: it forms each
+    member from one tape of the pair, with the values this operator's
+    tapes give."""
     if a.dim != b.dim:
         raise ValueError("pencil requires operators of equal dimension")
     lam_e = as_expr(lam)
@@ -370,14 +394,36 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     carries no constraint (the compatibility identities are polynomial in
     lam) and is skipped with a note.  ValueError without any lam, which
     would pass with no condition checked.
+
+    The pair is compiled once, g_a and g_b into one order-2 grid and b_a and
+    b_b into one of values, and every lam walks the plan in lockstep
+    (:func:`~hydroham.sampling.resolve_walks`): each evaluator call, of up
+    to :data:`~hydroham.sampling.BLOCK` lanes of any lams, runs the two pair
+    grids once and forms each lane's member from their coefficients
+    (:func:`~hydroham.geometry.pencil_values`), so the lams of a round share
+    its tape runs, status passes and frame builds.  Each lam's report is the one :func:`check_local_hamiltonian` gives on
+    :func:`pencil_operator`; a draw is redrawn where g_a, g_b, b_a or b_b
+    leaves its domain, whatever lam.
     """
     lambdas = list(lambdas)
     if not lambdas:
         raise ValueError("a pencil check needs at least one lambda")
+    if a.dim != b.dim:
+        raise ValueError("pencil requires operators of equal dimension")
+    _check_dimension(a, plan)
+    g_pair = compile_grid((a.g.entries, b.g.entries), a.dim, 2)
+    b_pair = compile_grid((a.b.entries, b.b.entries), a.dim, 0)
+    lam_of_walk = np.array([_constant(lam) for lam in lambdas])
+
+    def evaluate(points, walk):
+        lam = lam_of_walk[walk]
+        g, bb = pencil_values(g_pair, points, lam), pencil_values(b_pair, points, lam)
+        return _frame_round(_FLAT_CONDITIONS, (), g, bb, ())
+
     conditions: list[ConditionResult] = []
     notes: list[str] = []
-    for lam in lambdas:
-        sub = check_local_hamiltonian(pencil_operator(a, b, lam), plan)
+    for lam, found in zip(lambdas, resolve_walks(plan, evaluate, len(lambdas))):
+        sub = _frame_report("local Hamiltonian", found, plan, _FLAT_CONDITIONS)
         degenerate_everywhere = any(
             c.cid == "metric_nondegenerate" and c.note == "identically degenerate"
             for c in sub.conditions
@@ -409,6 +455,15 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     return CheckReport(
         title="pencil compatibility", conditions=conditions, plan=plan, notes=notes
     )
+
+
+def _constant(lam) -> float:
+    """The double a tape computes with for the constant ``lam``, as it does in
+    the trees of :func:`pencil_operator`."""
+    e = as_expr(lam)
+    if not isinstance(e, (Const, NamedConst)):
+        raise TypeError(f"a pencil parameter must be a constant, got {lam!r}")
+    return float(e.value)
 
 
 def hamiltonian_flow(a: LocalOperator, h: Expr, plan: SamplePlan | None = None):

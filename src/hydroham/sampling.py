@@ -13,16 +13,19 @@ once write identical values.  It keeps the rows its walks asked for, and
 after a round of :func:`resolve` that resolved nothing, also the retries
 left for that round's points, drawn in one call.
 
-:func:`resolve` is the one plan walk and holds the one redraw rule: a draw
-at which any field of a check leaves its domain is redrawn, and so is any
-draw the check's evaluator rejects for its own reason (a degenerate metric,
-a singular Jacobian).  It goes through a plan in blocks of :data:`BLOCK`
-points, each round one call to draw and one batch to evaluate of the points
-still unresolved, asking for exactly the ``(i, retry)`` pairs a per-point
-redraw loop would, and records every draw beside the resolved ones.  After a
-round that resolved nothing, the plan computes the block's remaining retries
-ahead, in one kernel call, so a block that cannot resolve costs two draw
-calls, not seventeen.
+:func:`resolve_walks` is the one plan walk and holds the one redraw rule: a
+draw at which any field of a check leaves its domain is redrawn, and so is
+any draw the check's evaluator rejects for its own reason (a degenerate
+metric, a singular Jacobian).  It goes through a plan in blocks of
+:data:`BLOCK` points, each round one call to draw and one batch to evaluate
+of the points still unresolved, asking for exactly the ``(i, retry)`` pairs
+a per-point redraw loop would, and records every draw beside the resolved
+ones.  After a round that resolved nothing, the plan computes the block's
+remaining retries ahead, in one kernel call, so a block that cannot resolve
+costs two draw calls, not seventeen.  Several walks of one plan (a pencil's
+lambdas) go in lockstep, each round of them one draw call and as few
+evaluator calls of at most :data:`BLOCK` lanes as their lanes need;
+:func:`resolve` is the walk of one.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .errors import HostileDomainError
 RESAMPLE_BUDGET = 16
 REDRAW_DOMAIN = 1  # evaluator status: a field left its domain at the drawn point
 # Plan points evaluated as one batch: a default plan is one block, and the
-# arrays an evaluator builds stay bounded whatever the point count.
+# arrays an evaluator builds stay bounded whatever the point count or the
+# number of walks in lockstep, since no evaluator call gets more lanes.
 BLOCK = 256
 
 DEFAULT_COUNT = 100
@@ -104,12 +108,13 @@ class SamplePlan:
             raise ValueError(f"plan index must be an integer >= 0, got {lo}")
         if hi >= self.count or retry > RESAMPLE_BUDGET:
             return self._draw(idx, retry)  # not a plan draw: not kept
-        first, last = lo // _CHUNK, hi // _CHUNK
-        if first == last:  # every round of resolve
+        first = lo // _CHUNK
+        if first == hi // _CHUNK:  # every round of resolve at the default BLOCK
             return self._chunk(first, retry, idx - first * _CHUNK, ascending)
         out = np.empty((idx.size, self.dim))
-        for c in range(first, last + 1):
-            lanes = idx // _CHUNK == c
+        chunk = idx // _CHUNK
+        for c in np.unique(chunk).tolist():  # the chunks present, however far apart
+            lanes = chunk == c
             out[lanes] = self._chunk(c, retry, idx[lanes] - c * _CHUNK, ascending)
         return out
 
@@ -266,13 +271,17 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
 def _hashmix(values, constants):
     """SeedSequence's hashmix of each row of ``values``, row k with the hash
     multiplier at its k-th step; ``constants`` holds one step more than rows."""
-    v = (values ^ constants[:-1]) * constants[1:]
-    return v ^ (v >> 16)
+    v = values ^ constants[:-1]
+    v *= constants[1:]
+    v ^= v >> 16
+    return v
 
 
 def _mix(x, y):
-    v = _MIX_L * x - _MIX_R * y
-    return v ^ (v >> 16)
+    v = _MIX_L * x
+    v -= _MIX_R * y
+    v ^= v >> 16
+    return v
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
@@ -303,12 +312,15 @@ def _uniforms(entropy: list, lanes: int, dim: int) -> np.ndarray:
         pool = _mix(pool, _hashmix(extra, a[step:step + _POOL + 1]))
         step += _POOL
     state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 9))
-    state = state.astype(np.uint64)
-    s_hi, s_lo, q_hi, q_lo = state[0::2] | (state[1::2] << 32)  # little-endian pairs
+    del words, pool  # only the state words are read from here on
+    # little-endian pairs of 32-bit words, one (4, lanes) uint64 array
+    s_hi, s_lo, q_hi, q_lo = state[0::2] | (state[1::2].astype(np.uint64) << 32)
+    del state
     # PCG64 seeding: inc = 2 seq + 1; state = inc; state += initstate; step
     inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
     lo = inc_lo + s_lo
     hi = inc_hi + s_hi + (lo < s_lo)
+    del s_hi, s_lo, q_hi, q_lo  # the PCG steps read the 128-bit state and increment only
     hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
     out = np.empty((lanes, dim))
     for d in range(dim):
@@ -354,32 +366,89 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
     HostileDomainError ("domain too hostile at sample point i") for the
     first such point in plan order.  Any other point that spends the budget
     is left unresolved and listed in ``Resolved.unresolved``.
+
+    This is the one-walk case of :func:`resolve_walks`.
     """
-    index, retry, draws, status, rows, unresolved = [], [], [], [], [], []
+    return resolve_walks(plan, lambda points, walk: evaluate(points), 1)[0]
+
+
+def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...]:
+    """Resolve every plan point once per walk, ``walks`` walks in lockstep:
+    the :class:`Resolved` of each walk, in walk order, each what
+    :func:`resolve` returns for an evaluator that sees that walk's lanes only.
+
+    Each walk goes through the blocks and rounds of :func:`resolve` and asks
+    for exactly the draws it would, under the same redraw and budget rules;
+    it has the plan compute ahead after a round in which it resolved
+    nothing.  Round r of a block makes one ``plan.points`` call for the
+    unresolved points of every walk, walk after walk, and hands those lanes
+    to ``evaluate(points, walk)`` in that order, in as few calls as
+    :data:`BLOCK` lanes per call allow; ``walk`` is the walk number of each
+    lane.  At the end of the first block in which some walk has a point
+    whose every draw was a domain violation, HostileDomainError names the
+    first such point of the first such walk; when every walk has the same
+    domain flags, that is the point :func:`resolve` names.
+    """
+    # per walk: keys (index and retry), draws, status and rows per round, and
+    # unresolved indices per block
+    logs = [([], [], [], [], []) for _ in range(walks)]
+    lane_walk = _lane_walks(walks, BLOCK)
     for start in range(0, plan.count, BLOCK):
-        todo = np.arange(start, min(start + BLOCK, plan.count))
-        domain_only = np.ones(len(todo), bool)  # every draw so far a domain violation
-        ahead = False  # the block's later draws are in the plan's memo
+        block = np.arange(start, min(start + BLOCK, plan.count))
+        todo = [block] * walks
+        domain_only = [np.ones(len(block), bool)] * walks  # every draw so far a domain violation
+        ahead = [False] * walks  # the walk's later draws are in the plan's memo
         for r in range(RESAMPLE_BUDGET + 1):
-            if not todo.size:
+            live = [w for w in range(walks) if len(todo[w])]
+            if not live:
                 break
-            if r and not ahead and len(todo) == len(index[-1]):  # round r - 1 resolved nothing
-                plan._prefetch(todo, r)
-                ahead = True
-            points = plan.points(todo, r)
-            st, payload = evaluate(points)
-            st = np.asarray(st, dtype=int)
-            index.append(todo)
-            retry.append(np.full(len(todo), r))
-            draws.append(points)
-            status.append(st)
-            rows.append(payload)
-            again = st != 0
-            todo, domain_only = todo[again], (domain_only & (st == REDRAW_DOMAIN))[again]
-        if domain_only.any():
-            raise HostileDomainError(int(todo[np.argmax(domain_only)]))
-        unresolved.append(todo)
-    order = np.argsort(np.concatenate(index) * (RESAMPLE_BUDGET + 1) + np.concatenate(retry))
+            for w in live:
+                if r and not ahead[w] and len(todo[w]) == len(logs[w][0][-1]):  # resolved nothing
+                    plan._prefetch(todo[w], r)
+                    ahead[w] = True
+            points = plan.points(_join([todo[w] for w in live]), r)
+            walk = _join([lane_walk[w, :len(todo[w])] for w in live])
+            st, payload = [], []
+            for at in range(0, len(points), BLOCK):
+                s, p = evaluate(points[at:at + BLOCK], walk[at:at + BLOCK])
+                st.append(np.asarray(s, dtype=int))
+                payload.append(p)
+            st, payload = _join(st), tuple(map(_join, zip(*payload)))
+            at = 0
+            for w in live:
+                keys, draws, status, rows, _ = logs[w]
+                here = slice(at, at + len(todo[w]))
+                at = here.stop
+                keys.append(todo[w] * (RESAMPLE_BUDGET + 1) + r)
+                draws.append(points[here])
+                status.append(st[here])
+                rows.append([a[here] for a in payload])
+                again = status[-1] != 0
+                todo[w] = todo[w][again]
+                domain_only[w] = (domain_only[w] & (status[-1] == REDRAW_DOMAIN))[again]
+        for w in range(walks):
+            if domain_only[w].any():
+                raise HostileDomainError(int(todo[w][np.argmax(domain_only[w])]))
+            logs[w][4].append(todo[w])
+    return tuple(_resolved(*log) for log in logs)
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_walks(walks: int, block: int) -> np.ndarray:
+    """(walks, block): row w holds walk number w, to slice each walk's lanes from."""
+    out = np.repeat(np.arange(walks), block).reshape(walks, block)
+    out.setflags(write=False)  # shared by every caller of the cache
+    return out
+
+
+def _join(parts: list) -> np.ndarray:
+    """``parts`` concatenated; the one part itself when there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _resolved(keys, draws, status, rows, unresolved) -> Resolved:
+    """One walk's rounds, in (index, retry) order."""
+    order = np.argsort(np.concatenate(keys))
     status = np.concatenate(status)[order]
     draws = np.concatenate(draws)[order]
     rows = tuple(np.concatenate(arrays)[order] for arrays in zip(*rows))

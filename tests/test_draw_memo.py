@@ -144,6 +144,16 @@ def test_rows_come_back_in_request_order():
         assert np.array_equal(plan.points(np.array(indices), 1), formula(plan, indices, 1))
 
 
+def test_indices_far_apart_draw_only_their_own_chunks(draws):
+    # a request visits the memo chunks its indices fall in, not every chunk between
+    computed, _ = draws
+    plan = SamplePlan(2, BOX[:2], count=2**33, seed=4)
+    indices = [0, 2**33 - 1, 2**32 + 5]
+    assert plan.points(indices).tobytes() == formula(plan, indices, 0).tobytes()
+    assert sorted(plan._memo) == [(0, 0), (2**24, 0), (2**25 - 1, 0)]
+    assert sorted(computed) == sorted((4, i, 0) for i in indices)
+
+
 # -- (d) only plan draws are kept -------------------------------------------------------------
 
 

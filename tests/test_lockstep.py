@@ -1,0 +1,248 @@
+"""Walks in lockstep: ``sampling.resolve_walks`` against one ``resolve`` per
+walk, and the pencil check, which walks every lambda of a pair at once,
+against the local check of each ``pencil_operator`` member."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from hydroham import driftflux as df
+from hydroham import operators, sampling
+from hydroham.errors import HostileDomainError
+from hydroham.geometry import compile_grid, grid_values, pencil_values
+from hydroham.operators import (
+    check_local_hamiltonian,
+    check_pencil_compatibility,
+    pencil_operator,
+)
+from hydroham.reports import CheckReport, ConditionResult
+from hydroham.sampling import RESAMPLE_BUDGET, SamplePlan, resolve, resolve_walks
+
+import cases
+from test_batched_callers import counting
+
+BASE = SamplePlan(1, ((0.0, 1.0),), count=60, seed=2)
+PAIR_OF = {float(p[0]): (i, r) for r in range(RESAMPLE_BUDGET + 1)
+           for i, p in enumerate(BASE.points(range(BASE.count), r))}
+
+# per walk, (i, retry) -> status of the draws that do not resolve at once
+EVERY_WALK_RESOLVES = (
+    {7: lambda r: 2 if r < 16 else 0, 40: lambda r: 1 if r < 3 else 0, 52: lambda r: 1 + r % 2},
+    {},
+    {11: lambda r: 2 if r < 5 else 0, 12: lambda r: 1 if r < 2 else 0},
+)
+DEGENERATE = lambda r: 2  # noqa: E731  (rejected at every draw, for a cause besides the domain)
+ONE_WALK_DEGENERATE = EVERY_WALK_RESOLVES[:2] + (dict.fromkeys(range(60), DEGENERATE),)
+HOSTILE = lambda r: 1  # noqa: E731  (leaves the domain at every draw)
+# points 30 and 45 leave the domain at every draw of every walk
+WITH_A_HOSTILE_POINT = tuple({**causes, 30: HOSTILE, 45: HOSTILE}
+                             for causes in ONE_WALK_DEGENERATE)
+TABLES = {"every walk resolves": EVERY_WALK_RESOLVES,
+          "one walk identically degenerate": ONE_WALK_DEGENERATE,
+          "a hostile point": WITH_A_HOSTILE_POINT}
+
+
+def one_walk(causes: dict, w: int):
+    """The evaluator of walk ``w`` alone, with two payload arrays."""
+    def evaluate(points):
+        status = np.array([causes.get(i, lambda r: 0)(r)
+                           for i, r in (PAIR_OF[float(p[0])] for p in points)], dtype=int)
+        return status, (points[:, 0] * (w + 2.0), np.outer(points[:, 0], [1.0, -float(w)]))
+    return evaluate
+
+
+def lockstep(tables, calls: list):
+    """The evaluator of every walk at once; records the lanes of each call."""
+    walks = [one_walk(causes, w) for w, causes in enumerate(tables)]
+
+    def evaluate(points, walk):
+        calls.append(len(points))
+        status = np.empty(len(points), dtype=int)
+        rows = (np.empty(len(points)), np.empty((len(points), 2)))
+        for w in np.unique(walk):
+            lanes = walk == w
+            st, payload = walks[w](points[lanes])
+            status[lanes] = st
+            for out, part in zip(rows, payload):
+                out[lanes] = part
+        return status, rows
+    return evaluate
+
+
+@pytest.fixture
+def prefetches(monkeypatch):
+    """Every fill of the draw memo, as (plan indices, retry)."""
+    fills = []
+    original = SamplePlan._prefetch
+
+    def spy(self, indices, retry):
+        fills.append((tuple(int(i) for i in indices), retry))
+        return original(self, indices, retry)
+
+    monkeypatch.setattr(SamplePlan, "_prefetch", spy)
+    return fills
+
+
+def assert_same_resolved(got, want):
+    for name in ("points", "draws", "status", "unresolved"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for a, b in zip(got.payload + got.rows, want.payload + want.rows, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, prefetches, table, block):
+    monkeypatch.setattr(sampling, "BLOCK", block)
+    tables = TABLES[table]
+    hostile = table == "a hostile point"
+    singles, single_fills, drawn = [], [], []
+    for w, causes in enumerate(tables):
+        plan = counting(BASE)
+        if hostile:
+            with pytest.raises(HostileDomainError, match="^domain too hostile at sample point 30$"):
+                resolve(plan, one_walk(causes, w))
+        else:
+            singles.append(resolve(plan, one_walk(causes, w)))
+        drawn += plan.drawn
+    single_fills, prefetches[:] = prefetches[:], []
+
+    plan, calls = counting(BASE), []
+    if hostile:
+        with pytest.raises(HostileDomainError, match="^domain too hostile at sample point 30$"):
+            resolve_walks(plan, lockstep(tables, calls), len(tables))
+        assert plan.drawn  # the walks got as far as the block that holds point 30
+        return
+    got = resolve_walks(plan, lockstep(tables, calls), len(tables))
+    assert len(got) == len(singles)
+    for g, want in zip(got, singles):
+        assert_same_resolved(g, want)
+    # the same draws asked for, and the memo filled for the same walks, rounds and points
+    assert sorted(plan.drawn) == sorted(drawn)
+    assert sorted(prefetches) == sorted(single_fills)
+    if table == "one walk identically degenerate":
+        assert (tuple(range(min(block, 60))), 1) in prefetches
+    # each evaluate call holds at most BLOCK lanes, and a round makes as few as that allows
+    assert max(calls) <= block
+    lanes = sum(len(r.draws) for r in got)
+    assert sum(calls) == lanes
+    rounds = _rounds(got, block)
+    assert len(calls) == sum(math.ceil(n / block) for n in rounds)
+
+
+def _rounds(found, block: int) -> list:
+    """The lanes of each (block, round) over every walk of ``found``."""
+    lanes = {}
+    for r in found:
+        for p in r.draws:
+            i, q = PAIR_OF[float(p[0])]
+            lanes[i // block, q] = lanes.get((i // block, q), 0) + 1
+    return list(lanes.values())
+
+
+# -- the pencil check --------------------------------------------------------------------
+
+
+def per_lambda_pencil(a, b, lambdas, plan) -> CheckReport:
+    """The pencil check as one local check per lambda on ``pencil_operator``."""
+    conditions, notes = [], []
+    for lam in lambdas:
+        sub = check_local_hamiltonian(pencil_operator(a, b, lam), plan)
+        if any(c.cid == "metric_nondegenerate" and c.note == "identically degenerate"
+               for c in sub.conditions):
+            conditions.append(ConditionResult(
+                cid=f"lambda={lam}:degenerate",
+                description="combined metric identically degenerate; no constraint at this lambda",
+                residual=None, witness=None, passed=True, note="skipped"))
+            notes.append(f"lambda={lam}: identically degenerate combination skipped")
+            continue
+        conditions += [ConditionResult(f"lambda={lam}:{c.cid}", c.description, c.residual,
+                                       c.witness, c.passed, c.note) for c in sub.conditions]
+    return CheckReport(title="pencil compatibility", conditions=conditions, plan=plan,
+                       notes=notes)
+
+
+@pytest.mark.parametrize("seed", cases.SEEDS)
+@pytest.mark.parametrize("pair", [name for name, _, _ in cases.pencil_pairs()])
+def test_pencil_documents_are_the_per_lambda_checks(pair, seed):
+    _, a, b = next(p for p in cases.pencil_pairs() if p[0] == pair)
+    plan = cases.plan_for(a.dim, seed)
+    got = json.dumps(check_pencil_compatibility(a, b, cases.LAMBDAS, plan).to_dict())
+    want = json.dumps(per_lambda_pencil(a, b, cases.LAMBDAS, plan).to_dict())
+    assert got == want
+
+
+@pytest.mark.parametrize("lambdas", [[0, 2, -1], [0.25], (1.5, -0.5, 1.5)])
+def test_pencil_documents_for_other_lambdas(lambdas):
+    a, b = df.build_nutku(2), df.build_nutku(3)
+    plan = df.plane_plan(count=40, seed=9)
+    got = check_pencil_compatibility(a, b, lambdas, plan).to_dict()
+    assert got == per_lambda_pencil(a, b, lambdas, plan).to_dict()
+
+
+@pytest.mark.parametrize("pair", [name for name, _, _ in cases.pencil_pairs()])
+def test_pencil_values_are_the_member_grid(pair):
+    # the member formed on tape coefficients, before d2 is scaled, is the
+    # grid of the trees g_a + lam g_b
+    _, a, b = next(p for p in cases.pencil_pairs() if p[0] == pair)
+    plan = cases.plan_for(a.dim, 3)
+    points = plan.points(range(plan.count))
+    lam = np.resize(np.array(cases.LAMBDAS), plan.count)
+    got = pencil_values(compile_grid((a.g.entries, b.g.entries), a.dim, 2), points, lam)
+    for x in cases.LAMBDAS:
+        lanes = lam == x
+        member = pencil_operator(a, b, x).g.entries
+        want = grid_values(compile_grid(member, a.dim, 2), points[lanes])
+        for part in ("vals", "d1", "d2"):
+            assert np.array_equal(getattr(got, part)[..., lanes], getattr(want, part)), part
+        assert np.array_equal(got.failed[lanes], want.failed)
+
+
+@pytest.fixture
+def pencil_spy(monkeypatch):
+    """The grids a check compiles, and the lanes of each evaluate call of its walks."""
+    grids, calls = [], []
+    compile_original, walks_original = operators.compile_grid, operators.resolve_walks
+
+    def compile_spy(entries, dim, order):
+        grids.append(compile_original(entries, dim, order))
+        return grids[-1]
+
+    def walks_spy(plan, evaluate, walks):
+        def counted(points, walk):
+            calls.append(len(points))
+            return evaluate(points, walk)
+        return walks_original(plan, counted, walks)
+
+    monkeypatch.setattr(operators, "compile_grid", compile_spy)
+    monkeypatch.setattr(operators, "resolve_walks", walks_spy)
+    return grids, calls
+
+
+@pytest.mark.parametrize("block", [64, 256])
+def test_a_pencil_compiles_two_grids_and_evaluates_at_most_block_lanes(
+        monkeypatch, pencil_spy, block):
+    monkeypatch.setattr(sampling, "BLOCK", block)
+    grids, calls = pencil_spy
+    a, b = df.build_nutku(1), df.build_nutku(2)
+    rep = check_pencil_compatibility(a, b, cases.LAMBDAS, df.plane_plan(count=100, seed=1))
+    assert rep.passed
+    assert [(g.shape, g.tape.order) for g in grids] == [((2, 2, 2), 2), ((2, 2, 2, 2), 0)]
+    assert max(calls) <= block
+    # round 0 of a block of s points asks for 5 s lanes, each later round, of
+    # lambda = -1 and 1 only, for 2 s
+    sizes = [min(block, 100 - start) for start in range(0, 100, block)]
+    assert len(calls) == sum(math.ceil(5 * s / block) + RESAMPLE_BUDGET * math.ceil(2 * s / block)
+                             for s in sizes)
+    assert sum(calls) == sum(5 * s + RESAMPLE_BUDGET * 2 * s for s in sizes)
+
+
+def test_a_pencil_of_operators_of_two_dimensions_is_rejected():
+    with pytest.raises(ValueError, match="equal dimension"):
+        check_pencil_compatibility(df.build_nutku(1), df.build_H1_Theta(df.R3), [1.0],
+                                   df.plane_plan(count=10))
