@@ -40,7 +40,7 @@ from .operators import (
 )
 from .parsing import parse_expr
 from .reports import CheckReport, ConditionResult
-from .sampling import SamplePlan
+from .sampling import DEFAULT_COUNT, DEFAULT_FLOOR, DEFAULT_TOLERANCE, SamplePlan
 from .systems import (
     SIGN_BRIDGE_NOTE,
     ConservedCurrent,
@@ -48,6 +48,7 @@ from .systems import (
     build_reciprocal_system,
     check_change_of_variables,
     check_conserved_current,
+    speed_values,
 )
 
 EXIT_PASS = 0
@@ -171,10 +172,10 @@ def build_plan(spec: dict, args) -> SamplePlan:
     dim = spec["dimension"]
     plan_raw = spec["sample_plan"]
     box = plan_raw.get("box", [[-1.0, 1.0]] * dim)
-    count = plan_raw.get("count", 100)
+    count = plan_raw.get("count", DEFAULT_COUNT)
     seed = plan_raw.get("seed", 0)
-    tolerance = plan_raw.get("tolerance", 1e-9)
-    floor = plan_raw.get("floor", 1e-12)
+    tolerance = plan_raw.get("tolerance", DEFAULT_TOLERANCE)
+    floor = plan_raw.get("floor", DEFAULT_FLOOR)
     if getattr(args, "samples", None) is not None:
         count = args.samples
     if getattr(args, "seed", None) is not None:
@@ -194,13 +195,17 @@ def build_plan(spec: dict, args) -> SamplePlan:
         raise SpecError(f"bad sample plan: {err}") from None
 
 
-def _current_reports(system: HydroSystem, currents, plan: SamplePlan) -> list[CheckReport]:
-    reports = []
-    for i, c in enumerate(currents, 1):
-        rep = check_conserved_current(system, c, plan)
-        rep.title = f"conserved current {i}"
-        reports.append(rep)
+def _numbered(title: str, reports) -> list[CheckReport]:
+    """The reports, report i (from 1) titled ``title.format(i)``."""
+    reports = list(reports)
+    for i, rep in enumerate(reports, 1):
+        rep.title = title.format(i)
     return reports
+
+
+def _current_reports(system: HydroSystem, currents, plan: SamplePlan) -> list[CheckReport]:
+    return _numbered("conserved current {}",
+                     (check_conserved_current(system, c, plan) for c in currents))
 
 
 def _spec_operator(spec: dict) -> LocalOperator:
@@ -272,22 +277,19 @@ def cmd_check(args) -> int:
         if any(f not in spec for f in fields):
             raise SpecError(f"check {cid!r} needs {' and '.join(map(repr, fields))}")
         reports += run(spec, plan)
-    echo = dict(spec["raw"])
-    echo["sample_plan"] = plan.echo()
+    echo = {**spec["raw"], "sample_plan": plan.echo()}
     return emit(reports, args, echo, started)
-
-
-def _parse_theta(text: str, what: str = "theta"):
-    try:
-        return parse_expr(text, 3)
-    except ParseError as err:
-        raise SpecError(f"bad {what} expression: {err}") from None
 
 
 def _arg_expr(args, name: str, default):
     """The expression in r3 given by option ``name``, else ``default``."""
     text = getattr(args, name)
-    return _parse_theta(text, name) if text else default
+    if not text:
+        return default
+    try:
+        return parse_expr(text, 3)
+    except ParseError as err:
+        raise SpecError(f"bad {name} expression: {err}") from None
 
 
 def _parse_triple(text: str, what: str) -> tuple:
@@ -310,16 +312,6 @@ def _block_from_args(args) -> driftflux.ConstantBlock:
     )
 
 
-def _condition_report(title: str, plan: SamplePlan, triples) -> CheckReport:
-    """Assemble a report from (cid, description, passed, residual) tuples."""
-    conditions = [
-        ConditionResult(cid=cid, description=desc, residual=res,
-                        witness=None, passed=ok)
-        for cid, desc, ok, res in triples
-    ]
-    return CheckReport(title=title, conditions=conditions, plan=plan)
-
-
 # -- preset suites: (args, plan) -> (reports, the transformed system or None) ------
 
 
@@ -337,12 +329,8 @@ def _hat_suite(build, args, plan: SamplePlan):
 
 def _remark_reports(args, plan: SamplePlan) -> list[CheckReport]:
     ops = driftflux.build_remark_operators(_arg_expr(args, "theta", const(1)))
-    reports = []
-    for i, op in enumerate(ops, 1):
-        rep = check_local_hamiltonian(op, plan)
-        rep.title = f"transformed operator {i}: local Hamiltonian"
-        reports.append(rep)
-    return reports
+    return _numbered("transformed operator {}: local Hamiltonian",
+                     (check_local_hamiltonian(op, plan) for op in ops))
 
 
 def _s0_suite(args, plan: SamplePlan):
@@ -363,36 +351,31 @@ def _s_tilde_suite(args, plan: SamplePlan):
 
 def _kg_family_suite(args, plan: SamplePlan):
     k = Fraction(args.k) if args.k else Fraction(1)
-    triples = []
-    for kk in (1, 2, 3):
-        rep = driftflux.kg_residual(driftflux.kg_family_v(kk), plan)
-        triples.append(
-            (f"v_k solves (k={kk})", "derived family solves the wave identity",
-             rep.passed, rep.conditions[0].residual)
-        )
-    rep = driftflux.kg_residual(driftflux.kg_family_u(k), plan)
-    triples.append(
-        (f"u_k solves (k={k})", "exponential family solves the wave identity",
-         rep.passed, rep.conditions[0].residual)
-    )
+
+    def row(cid: str, description: str, rep: CheckReport, passed=None) -> ConditionResult:
+        """A one-condition report as a row: its residual, no witness, and its
+        verdict unless ``passed`` is given."""
+        return ConditionResult(cid=cid, description=description,
+                               residual=rep.conditions[0].residual, witness=None,
+                               passed=rep.passed if passed is None else passed)
+
+    conditions = [row(f"v_k solves (k={kk})", "derived family solves the wave identity",
+                      driftflux.kg_residual(driftflux.kg_family_v(kk), plan)) for kk in (1, 2, 3)]
+    conditions.append(row(f"u_k solves (k={k})", "exponential family solves the wave identity",
+                          driftflux.kg_residual(driftflux.kg_family_u(k), plan)))
     if k != 0:
         neg = driftflux.kg_residual(driftflux.kg_family_u_half_r1(k), plan)
-        res = neg.conditions[0].residual
-        triples.append(
-            (f"half-exponent variant fails (k={k})",
-             "negative control: halved r1 coefficient breaks the identity",
-             (not neg.passed) and res >= 1e-2, res)
-        )
+        conditions.append(row(f"half-exponent variant fails (k={k})",
+                              "negative control: halved r1 coefficient breaks the identity",
+                              neg, (not neg.passed) and neg.conditions[0].residual >= 1e-2))
     jrep = fields_equal_numeric(
         const(1 - 2 * k) * driftflux.kg_characteristic_J(driftflux.kg_family_u(k)),
         driftflux.kg_family_v(k),
         plan,
     )
-    triples.append(
-        (f"(1-2k) J[u_k] = v_k (k={k})", "symmetry characteristic maps u to v",
-         jrep.passed, jrep.conditions[0].residual)
-    )
-    return [_condition_report("wave-equation families", plan, triples)], None
+    conditions.append(row(f"(1-2k) J[u_k] = v_k (k={k})", "symmetry characteristic maps u to v",
+                          jrep))
+    return [CheckReport(title="wave-equation families", conditions=conditions, plan=plan)], None
 
 
 def _constraints_suite(args, plan: SamplePlan):
@@ -447,8 +430,12 @@ PRESETS = {
 
 def _transformed_speeds(system: HydroSystem, plan: SamplePlan):
     """(table lines, JSON data) of the transformed speed matrix at the first
-    plan points, each point drawn and evaluated once for both formats."""
-    grid = [(p, system.speeds(p)) for p in plan.points(range(min(4, plan.count)))]
+    plan points, drawn and evaluated once, in one batch, for both formats."""
+    points = plan.points(range(min(4, plan.count)))
+    speeds = speed_values(system, points)
+    if speeds.failed.any():  # the error of the first point that fails, as point by point
+        raise speeds.error(int(speeds.failed.argmax()))
+    grid = [(p, speeds.vals[..., i]) for i, p in enumerate(points)]
     lines = ["transformed speed matrix v~ (u_t = v~ u_x) on sample points:"]
     for p, v in grid:
         pt = ", ".join(f"{x:.4f}" for x in p)
@@ -466,9 +453,9 @@ def cmd_preset(args) -> int:
     if args.name not in PRESETS:
         raise SpecError(f"unknown preset {args.name!r}; available: {' '.join(PRESETS)}")
     factory, suite = PRESETS[args.name]
-    count = args.samples if args.samples is not None else 100
+    count = args.samples if args.samples is not None else DEFAULT_COUNT
     seed = args.seed if args.seed is not None else driftflux.DEFAULT_SEED
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCE
     plan = getattr(driftflux, factory)(count=count, seed=seed, tolerance=tol)
     reports, transformed = suite(args, plan)
     lines, data = [], None
@@ -493,8 +480,7 @@ def cmd_reciprocal(args) -> int:
     plan = build_plan(spec, args)
     system = spec["system"]
     reports = _current_reports(system, currents, plan)
-    echo = dict(spec["raw"])
-    echo["sample_plan"] = plan.echo()
+    echo = {**spec["raw"], "sample_plan": plan.echo()}
     if not all(r.passed for r in reports):
         return emit(reports, args, echo, started,
                     extra_lines=["currents are not conserved; not transforming"])
@@ -502,10 +488,9 @@ def cmd_reciprocal(args) -> int:
     for rep in reports:
         rep.notes.append(SIGN_BRIDGE_NOTE)
     lines, data = _transformed_speeds(transformed, plan)
-    for i, op in enumerate(spec.get("candidate_operators", ()), 1):
-        rep = check_local_hamiltonian(op, plan)
-        rep.title = f"candidate operator {i}: local Hamiltonian"
-        reports.append(rep)
+    reports += _numbered("candidate operator {}: local Hamiltonian",
+                         (check_local_hamiltonian(op, plan)
+                          for op in spec.get("candidate_operators", ())))
     return emit(reports, args, echo, started, extra_lines=lines, extra_data=data)
 
 

@@ -7,6 +7,15 @@ essential subsystem, their prolongations to S, and the operators of the
 reciprocally transformed system), the prolongation ansatz with its constraint
 residuals, and the wave-equation solution families used in the construction.
 
+The operators are built from small tables, as the example states them:
+``_CLASSICAL`` holds each classical structure k = 1, 2, 3 (metric diagonal,
+prefactor, 2x2 coefficient grid, and the r3_x coefficients its prolongation
+adds), ``_REMARK`` the three operators of the transformed system, and
+``_EQUATIONS`` the constraint equations of the ansatz (description, term of
+one component, residual).  One builder borders a 2x2 structure to S, so the
+local prolongations and the remark operators are each one construction over
+a table row, and both nonlocal tail families come from one helper.
+
 Coefficient extraction rule, applied uniformly to every operator built
 here: each matrix entry of the first-order part is a linear combination of
 r^k_x monomials, and the coefficient of r^k_x, including the outer prefactors
@@ -37,7 +46,7 @@ from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at 
 from .geometry import AffinorField, ConnectionField, MetricField
 from .operators import LocalOperator, NonlocalOperator
 from .reports import CheckReport, condition_from_arrays
-from .sampling import SamplePlan, resolve
+from .sampling import DEFAULT_COUNT, DEFAULT_TOLERANCE, SamplePlan, resolve
 from .systems import ConservedCurrent, HydroSystem, PointChangeMap
 
 DEFAULT_SEED = 8128
@@ -52,38 +61,36 @@ DEFAULT_LAMBDA1 = R3
 DEFAULT_LAMBDA2 = R3 ** 2
 
 
-def drift_plan(count: int = 100, seed: int = DEFAULT_SEED,
-               tolerance: float = 1e-9) -> SamplePlan:
+def drift_plan(count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED,
+               tolerance: float = DEFAULT_TOLERANCE) -> SamplePlan:
     """Sampling box r1, r2 in [-0.7, 0.7], r3 in [0.1, 1]: keeps e^{r2-r1}
     within [e^-1.4, e^1.4] and r3 clear of the map singularities."""
     return SamplePlan(dim=3, box=((-0.7, 0.7), (-0.7, 0.7), (0.1, 1.0)),
                       count=count, seed=seed, tolerance=tolerance)
 
 
-def plane_plan(count: int = 100, seed: int = DEFAULT_SEED,
-               tolerance: float = 1e-9) -> SamplePlan:
+def plane_plan(count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED,
+               tolerance: float = DEFAULT_TOLERANCE) -> SamplePlan:
     """Two-component box for the essential subsystem and wave-equation checks."""
     return SamplePlan(dim=2, box=((-0.7, 0.7), (-0.7, 0.7)),
                       count=count, seed=seed, tolerance=tolerance)
 
 
-def physical_plan(count: int = 100, seed: int = DEFAULT_SEED,
-                  tolerance: float = 1e-9) -> SamplePlan:
+def physical_plan(count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED,
+                  tolerance: float = DEFAULT_TOLERANCE) -> SamplePlan:
     """Box in the physical variables (rho1, rho2, u): densities positive."""
     return SamplePlan(dim=3, box=((0.1, 1.0), (0.1, 1.0), (-0.7, 0.7)),
                       count=count, seed=seed, tolerance=tolerance)
 
 
-# -- systems ---------------------------------------------------------------------
-
-
-def _diag_system(speeds: tuple[Expr, ...]) -> HydroSystem:
-    n = len(speeds)
+def _diag_grid(diag: tuple[Expr, ...]) -> tuple[tuple[Expr, ...], ...]:
+    """The square grid with ``diag`` on its diagonal and 0 elsewhere."""
+    n = len(diag)
     zero = const(0)
-    return HydroSystem(
-        dim=n,
-        v=tuple(tuple(speeds[i] if i == j else zero for j in range(n)) for i in range(n)),
-    )
+    return tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n))
+
+
+# -- systems ---------------------------------------------------------------------
 
 
 _S_SPEEDS = (-(R1 + R2 + 1), -(R1 + R2 - 1), -(R1 + R2))  # v = -lambda entrywise
@@ -92,12 +99,12 @@ _S_SPEEDS = (-(R1 + R2 + 1), -(R1 + R2 - 1), -(R1 + R2))  # v = -lambda entrywis
 def build_system_S() -> HydroSystem:
     """Diagonal system r^i_t + lambda_i r^i_x = 0 with characteristic speeds
     lambda = (r1+r2+1, r1+r2-1, r1+r2), stored as v = -lambda."""
-    return _diag_system(_S_SPEEDS)
+    return HydroSystem(dim=3, v=_diag_grid(_S_SPEEDS))
 
 
 def build_system_S0() -> HydroSystem:
     """The essential two-component subsystem: the first two rows of S."""
-    return _diag_system(_S_SPEEDS[:2])
+    return HydroSystem(dim=2, v=_diag_grid(_S_SPEEDS[:2]))
 
 
 def build_system_S_tilde() -> HydroSystem:
@@ -155,42 +162,56 @@ def _connection(dim: int, prefactor: Expr, rows) -> ConnectionField:
 _ONE = const(1)
 _MINUS = const(-1)
 
-# 2x2 coefficient grids of the three classical structures; the corresponding
-# 3x3 prolongations reuse these grids for their upper-left blocks.
-_B1_ROWS2 = (
-    ({0: _MINUS, 1: _ONE}, {0: _ONE, 1: _MINUS}),
-    ({0: _MINUS, 1: _ONE}, {0: _ONE, 1: _MINUS}),
-)
-_B2_ROWS2 = (
-    ({0: _MINUS, 1: _ONE}, {0: _MINUS, 1: _MINUS}),
-    ({0: _ONE, 1: _ONE}, {0: _MINUS, 1: _ONE}),
-)
-_B3_ROWS2 = (
-    ({0: _ONE - R1, 1: R1}, {0: -R2, 1: -R1}),
-    ({0: R2, 1: R1}, {0: -R2, 1: _ONE + R2}),
-)
-_G1_DIAG2 = (-_P, _P)
-_G2_DIAG2 = (_P, _P)
-_G3_DIAG2 = (_P * R1, _P * R2)
+# The three classical structures k of the essential subsystem, each (metric
+# diagonal, prefactor of b, 2x2 coefficient grid of r1_x, r2_x), and the
+# r3_x coefficients of b^{13}, b^{23}, b^{31}, b^{32} that its prolongation
+# to S adds around the same grid.
+_CLASSICAL = {
+    1: ((-_P, _P), -_HALF * _P,
+        (({0: _MINUS, 1: _ONE}, {0: _ONE, 1: _MINUS}),
+         ({0: _MINUS, 1: _ONE}, {0: _ONE, 1: _MINUS})),
+        (const(-2), const(-2), const(2), const(2))),
+    2: ((_P, _P), _HALF * _P,
+        (({0: _MINUS, 1: _ONE}, {0: _MINUS, 1: _MINUS}),
+         ({0: _ONE, 1: _ONE}, {0: _MINUS, 1: _ONE})),
+        (const(-2), const(2), const(2), const(-2))),
+    3: ((_P * R1, _P * R2), _HALF * _P,
+        (({0: _ONE - R1, 1: R1}, {0: -R2, 1: -R1}),
+         ({0: R2, 1: R1}, {0: -R2, 1: _ONE + R2})),
+        (const(-2) * R1, const(2) * R2, const(2) * R1, const(-2) * R2)),
+}
 
-
-def _diag_metric(diag: tuple[Expr, ...]) -> MetricField:
-    n = len(diag)
-    zero = const(0)
-    return MetricField(
-        n, tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n))
-    )
+# The three operators of the reciprocally transformed system, each (metric
+# diagonal on the first two components, prefactor of b, 2x2 coefficient
+# grid, factor of Theta~' in b^{33}_3).  The first two grids are the
+# classical ones with their overall sign flipped along with the prefactor
+# (now e^{r1-r2}), the unique choice under skew-adjointness.
+_REMARK = (
+    ((-_E, _E), _HALF * _E, _CLASSICAL[1][2], _P),
+    ((_E, _E), -_HALF * _E, _CLASSICAL[2][2], -_P),
+    ((_E * R1, _E * R2), _HALF * _E,
+     (({0: _ONE + R1, 1: -R1}, {0: R2, 1: R1}),
+      ({0: -R2, 1: -R1}, {0: R2, 1: _ONE - R2})),
+     _P),
+)
 
 
 def build_nutku(k: int) -> LocalOperator:
     """The three classical Hamiltonian structures of the essential subsystem."""
-    if k == 1:
-        return LocalOperator(2, _diag_metric(_G1_DIAG2), _connection(2, -_HALF * _P, _B1_ROWS2))
-    if k == 2:
-        return LocalOperator(2, _diag_metric(_G2_DIAG2), _connection(2, _HALF * _P, _B2_ROWS2))
-    if k == 3:
-        return LocalOperator(2, _diag_metric(_G3_DIAG2), _connection(2, _HALF * _P, _B3_ROWS2))
-    raise ValueError(f"operator index must be 1, 2 or 3, got {k}")
+    if k not in (1, 2, 3):
+        raise ValueError(f"operator index must be 1, 2 or 3, got {k}")
+    diag, prefactor, grid, _ = _CLASSICAL[k]
+    return LocalOperator(2, MetricField(2, _diag_grid(diag)), _connection(2, prefactor, grid))
+
+
+def _bordered(diag, g33: Expr, prefactor: Expr, grid, border, f33: dict) -> LocalOperator:
+    """A 2x2 structure bordered to the three components of S: its metric
+    diagonal extended by g^{33}, its coefficient grid by the coefficient rows
+    ``border`` of b^{13}, b^{23}, b^{31}, b^{32} and ``f33`` of b^{33}."""
+    b13, b23, b31, b32 = border
+    rows = ((*grid[0], b13), (*grid[1], b23), (b31, b32, f33))
+    g = MetricField(3, _diag_grid((*diag, g33)))
+    return LocalOperator(3, g, _connection(3, prefactor, rows))
 
 
 def _require_r3_only(e: Expr, name: str) -> Expr:
@@ -200,48 +221,25 @@ def _require_r3_only(e: Expr, name: str) -> Expr:
     return e
 
 
+def _prolongation(k: int, theta: Expr) -> LocalOperator:
+    """Structure k prolonged to S with g^{33} = P^2 Theta and
+    f^{33} = 2 (r2_x - r1_x) Theta_hat + Theta_hat' r3_x, where P = e^{r2-r1}
+    and Theta_hat = P Theta; the row of f^{33} flips its sign under k = 1's
+    negative prefactor."""
+    diag, prefactor, grid, border = _CLASSICAL[k]
+    two_pt = const(2) * _P * theta
+    if k == 1:
+        f33 = {0: two_pt, 1: -two_pt, 2: -_P * Deriv(theta, 2)}
+    else:
+        f33 = {0: -two_pt, 1: two_pt, 2: _P * Deriv(theta, 2)}
+    border = tuple({2: c} for c in border)
+    return _bordered(diag, _P * _P * theta, prefactor, grid, border, f33)
+
+
 def build_H1_Theta(theta) -> LocalOperator:
     """The local family prolonging the first classical structure to S,
     parameterized by a function Theta of r3."""
-    theta = _require_r3_only(theta, "Theta")
-    two_pt = const(2) * _P * theta
-    rows = (
-        (_B1_ROWS2[0][0], _B1_ROWS2[0][1], {2: const(-2)}),
-        (_B1_ROWS2[1][0], _B1_ROWS2[1][1], {2: const(-2)}),
-        (
-            {2: const(2)},
-            {2: const(2)},
-            {0: two_pt, 1: -two_pt, 2: -_P * Deriv(theta, 2)},
-        ),
-    )
-    g = _diag_metric((_G1_DIAG2[0], _G1_DIAG2[1], _P * _P * theta))
-    return LocalOperator(3, g, _connection(3, -_HALF * _P, rows))
-
-
-def _f33_rows(theta: Expr) -> dict:
-    # f^{33} = 2 (r2_x - r1_x) Theta_hat + Theta_hat' r3_x with Theta_hat = P Theta
-    two_pt = const(2) * _P * theta
-    return {0: -two_pt, 1: two_pt, 2: _P * Deriv(theta, 2)}
-
-
-def _h2_local(theta: Expr) -> LocalOperator:
-    rows = (
-        (_B2_ROWS2[0][0], _B2_ROWS2[0][1], {2: const(-2)}),
-        (_B2_ROWS2[1][0], _B2_ROWS2[1][1], {2: const(2)}),
-        ({2: const(2)}, {2: const(-2)}, _f33_rows(theta)),
-    )
-    g = _diag_metric((_G2_DIAG2[0], _G2_DIAG2[1], _P * _P * theta))
-    return LocalOperator(3, g, _connection(3, _HALF * _P, rows))
-
-
-def _h3_local(theta: Expr) -> LocalOperator:
-    rows = (
-        (_B3_ROWS2[0][0], _B3_ROWS2[0][1], {2: const(-2) * R1}),
-        (_B3_ROWS2[1][0], _B3_ROWS2[1][1], {2: const(2) * R2}),
-        ({2: const(2) * R1}, {2: const(-2) * R2}, _f33_rows(theta)),
-    )
-    g = _diag_metric((_G3_DIAG2[0], _G3_DIAG2[1], _P * _P * theta))
-    return LocalOperator(3, g, _connection(3, _HALF * _P, rows))
+    return _prolongation(1, _require_r3_only(theta, "Theta"))
 
 
 @dataclass(frozen=True)
@@ -268,15 +266,16 @@ class ConstantBlock:
         if any(e not in (-1, 1) for e in self.eps):
             raise ValueError("signs must be exactly -1 or +1")
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         checks = (
-            ("sum eps_a c_a^2 = 0", sum(e * c * c for e, c in zip(self.eps, self.c)), 0),
-            ("sum eps_a c_a b_1a = 0", sum(e * c * b for e, c, b in zip(self.eps, self.c, self.b1)), 0),
-            ("sum eps_a c_a b_2a = 0", sum(e * c * b for e, c, b in zip(self.eps, self.c, self.b2)), 0),
-            ("sum eps_a c_a b_3a = -1", sum(e * c * b for e, c, b in zip(self.eps, self.c, self.b3)), -1),
+            ("sum eps_a c_a^2 = 0", self.c, 0),
+            ("sum eps_a c_a b_1a = 0", self.b1, 0),
+            ("sum eps_a c_a b_2a = 0", self.b2, 0),
+            ("sum eps_a c_a b_3a = -1", self.b3, -1),
         )
-        for label, value, target in checks:
-            if abs(float(value) - target) > tol:
+        for label, row, target in checks:
+            value = sum(e * c * b for e, c, b in zip(self.eps, self.c, row))
+            if abs(float(value) - target) > 1e-12:
                 raise ConstraintViolation(
                     f"constant block violates {label} (got {float(value)!r})"
                 )
@@ -294,20 +293,19 @@ def _phi_exprs(block: ConstantBlock, lam1: Expr, lam2: Expr) -> list[Expr]:
     ]
 
 
+def _tails(block: ConstantBlock, lam1: Expr, lam2: Expr, diagonal) -> tuple[AffinorField, ...]:
+    """One diagonal affinor per component a of ``block``, with the diagonal
+    ``diagonal(c_a, Phi^a)`` and the sign eps_a."""
+    return tuple(
+        AffinorField(3, int(block.eps[a]), _diag_grid(diagonal(as_expr(block.c[a]), phi)))
+        for a, phi in enumerate(_phi_exprs(block, lam1, lam2))
+    )
+
+
 def h2_prolongation_tails(block: ConstantBlock, lam1: Expr, lam2: Expr) -> tuple[AffinorField, ...]:
     """diag(c_a, c_a, c_a + Phi^a e^{r2-r1}); no constraint validation here,
     so mutated blocks can be exercised as negative controls."""
-    zero = const(0)
-    tails = []
-    for a, phi in enumerate(_phi_exprs(block, lam1, lam2)):
-        ca = as_expr(block.c[a])
-        entries = (
-            (ca, zero, zero),
-            (zero, ca, zero),
-            (zero, zero, ca + phi * _P),
-        )
-        tails.append(AffinorField(3, int(block.eps[a]), entries))
-    return tuple(tails)
+    return _tails(block, lam1, lam2, lambda ca, phi: (ca, ca, ca + phi * _P))
 
 
 def h3_prolongation_tails(block: ConstantBlock, lam1: Expr, lam2: Expr,
@@ -316,20 +314,15 @@ def h3_prolongation_tails(block: ConstantBlock, lam1: Expr, lam2: Expr,
 
     The shipped instances carry phi_factor = 1/2; other values are negative
     controls."""
-    zero = const(0)
-    tails = []
-    for a, phi in enumerate(_phi_exprs(block, lam1, lam2)):
-        ca = as_expr(block.c[a])
-        entries = (
-            (ca * (R1 + R2 + 1), zero, zero),
-            (zero, ca * (R1 + R2 - 1), zero),
-            (zero, zero, ca * (R1 + R2) + const(phi_factor) * phi * _P),
-        )
-        tails.append(AffinorField(3, int(block.eps[a]), entries))
-    return tuple(tails)
+    return _tails(block, lam1, lam2, lambda ca, phi: (
+        ca * (R1 + R2 + 1),
+        ca * (R1 + R2 - 1),
+        ca * (R1 + R2) + const(phi_factor) * phi * _P,
+    ))
 
 
-def _validated_inputs(theta, lam1, lam2, block: ConstantBlock):
+def _hat(k: int, tails, theta, lam1, lam2, block: ConstantBlock) -> NonlocalOperator:
+    """Structure k prolonged to S with tails(block, Lambda1, Lambda2), inputs validated."""
     theta = _require_r3_only(theta, "Theta")
     lam1 = _require_r3_only(lam1, "Lambda1")
     lam2 = _require_r3_only(lam2, "Lambda2")
@@ -343,75 +336,32 @@ def _validated_inputs(theta, lam1, lam2, block: ConstantBlock):
         raise ConstraintViolation(
             "Lambda1, Lambda2 and the constant 1 must be linearly independent"
         )
-    return theta, lam1, lam2
+    return NonlocalOperator(_prolongation(k, theta), tails(block, lam1, lam2))
 
 
 def build_H2_hat(theta=DEFAULT_THETA, lam1=DEFAULT_LAMBDA1, lam2=DEFAULT_LAMBDA2,
                  block: ConstantBlock = DEFAULT_BLOCK) -> NonlocalOperator:
     """Nonlocal prolongation of the second classical structure to S."""
-    theta, lam1, lam2 = _validated_inputs(theta, lam1, lam2, block)
-    return NonlocalOperator(_h2_local(theta), h2_prolongation_tails(block, lam1, lam2))
+    return _hat(2, h2_prolongation_tails, theta, lam1, lam2, block)
 
 
 def build_H3_hat(theta=DEFAULT_THETA, lam1=DEFAULT_LAMBDA1, lam2=DEFAULT_LAMBDA2,
                  block: ConstantBlock = DEFAULT_BLOCK) -> NonlocalOperator:
     """Nonlocal prolongation of the third classical structure to S."""
-    theta, lam1, lam2 = _validated_inputs(theta, lam1, lam2, block)
-    return NonlocalOperator(_h3_local(theta), h3_prolongation_tails(block, lam1, lam2))
+    return _hat(3, h3_prolongation_tails, theta, lam1, lam2, block)
 
 
 def build_remark_operators(theta_tilde) -> tuple[LocalOperator, LocalOperator, LocalOperator]:
     """The three local operator families of the reciprocally transformed
-    system, parameterized by a function of r3.
-
-    The first-order blocks are the classical 2x2 grids with their overall
-    sign flipped along with the prefactor (now e^{r1-r2}), the unique choice
-    under skew-adjointness.
-    """
+    system, parameterized by a function of r3: the rows of ``_REMARK``, each
+    bordered with g^{33} = e^{r1-r2} e^{r2-r1} Theta~ (built as that product)
+    and b^{33}_3 a multiple of Theta~'."""
     tt = _require_r3_only(theta_tilde, "Theta")
-    q = _E
     dtt = Deriv(tt, 2)
-    zero_row: dict = {}
-    h1 = LocalOperator(
-        3,
-        _diag_metric((-q, q, q * _P * tt)),
-        _connection(
-            3,
-            _HALF * q,
-            (
-                (_B1_ROWS2[0][0], _B1_ROWS2[0][1], zero_row),
-                (_B1_ROWS2[1][0], _B1_ROWS2[1][1], zero_row),
-                (zero_row, zero_row, {2: _P * dtt}),
-            ),
-        ),
+    return tuple(
+        _bordered(diag, _E * _P * tt, prefactor, grid, ({},) * 4, {2: lead * dtt})
+        for diag, prefactor, grid, lead in _REMARK
     )
-    h2 = LocalOperator(
-        3,
-        _diag_metric((q, q, q * _P * tt)),
-        _connection(
-            3,
-            -_HALF * q,
-            (
-                (_B2_ROWS2[0][0], _B2_ROWS2[0][1], zero_row),
-                (_B2_ROWS2[1][0], _B2_ROWS2[1][1], zero_row),
-                (zero_row, zero_row, {2: -_P * dtt}),
-            ),
-        ),
-    )
-    h3 = LocalOperator(
-        3,
-        _diag_metric((q * R1, q * R2, q * _P * tt)),
-        _connection(
-            3,
-            _HALF * q,
-            (
-                ({0: _ONE + R1, 1: -R1}, {0: R2, 1: R1}, zero_row),
-                ({0: -R2, 1: -R1}, {0: R2, 1: _ONE - R2}, zero_row),
-                (zero_row, zero_row, {2: _P * dtt}),
-            ),
-        ),
-    )
-    return h1, h2, h3
 
 
 def restrict_local(op: LocalOperator, dim: int = 2) -> LocalOperator:
@@ -551,9 +501,6 @@ def default_ansatz(block: ConstantBlock = DEFAULT_BLOCK,
     return ProlongationAnsatz(eps=block.eps, psi=psi, phi=phi)
 
 
-CONSTRAINT_EQUATIONS = ("eq4a", "eq4b", "eq4c", "eq5", "eq7", "eq4a3", "eq4b3")
-
-
 def _phi_psi_r1(phi, psi, d1, d2):
     return (phi + psi) * d1
 
@@ -562,28 +509,27 @@ def _phi_psi_r2(phi, psi, d1, d2):
     return (phi + psi) * d2
 
 
-# per equation: the term of one component, from (Phi, Psi, Psi_{r1}, Psi_{r2}),
-# and the residual, from (sum of eps_a terms, e^{r1-r2}, r1 + r2, Omega, C)
+# per equation: its description, the term of one component, from (Phi, Psi,
+# Psi_{r1}, Psi_{r2}), and the residual, from (sum of eps_a terms,
+# e^{r1-r2}, r1 + r2, Omega, C)
 _EQUATIONS = {
-    "eq4a": (_phi_psi_r1, lambda t, e, s, omega, c: t + e),
-    "eq4b": (_phi_psi_r2, lambda t, e, s, omega, c: t - e),
-    "eq4c": (lambda phi, psi, d1, d2: d1 * d2, lambda t, e, s, omega, c: t),
-    "eq5": (lambda phi, psi, d1, d2: (phi + psi / 2.0) * psi,
+    "eq4a": ("sum eps (Phi + Psi) Psi_{r1} = -e^{r1-r2}",
+             _phi_psi_r1, lambda t, e, s, omega, c: t + e),
+    "eq4b": ("sum eps (Phi + Psi) Psi_{r2} = e^{r1-r2}",
+             _phi_psi_r2, lambda t, e, s, omega, c: t - e),
+    "eq4c": ("sum eps Psi_{r1} Psi_{r2} = 0",
+             lambda phi, psi, d1, d2: d1 * d2, lambda t, e, s, omega, c: t),
+    "eq5": ("sum eps (Phi + Psi/2) Psi = Omega(r3) - e^{r1-r2}",
+            lambda phi, psi, d1, d2: (phi + psi / 2.0) * psi,
             lambda t, e, s, omega, c: t - omega + e),
-    "eq7": (lambda phi, psi, d1, d2: psi * psi, lambda t, e, s, omega, c: t - float(c) + 2.0 * e),
-    "eq4a3": (_phi_psi_r1, lambda t, e, s, omega, c: t - 0.5 * (s + 1.0) * e),
-    "eq4b3": (_phi_psi_r2, lambda t, e, s, omega, c: t + 0.5 * (s - 1.0) * e),
+    "eq7": ("sum eps Psi^2 = C - 2 e^{r1-r2}",
+            lambda phi, psi, d1, d2: psi * psi, lambda t, e, s, omega, c: t - float(c) + 2.0 * e),
+    "eq4a3": ("sum eps (Phi + Psi) Psi_{r1} = (r1+r2+1)/2 e^{r1-r2}",
+              _phi_psi_r1, lambda t, e, s, omega, c: t - 0.5 * (s + 1.0) * e),
+    "eq4b3": ("sum eps (Phi + Psi) Psi_{r2} = -(r1+r2-1)/2 e^{r1-r2}",
+              _phi_psi_r2, lambda t, e, s, omega, c: t + 0.5 * (s - 1.0) * e),
 }
-
-_DESCRIPTIONS = {
-    "eq4a": "sum eps (Phi + Psi) Psi_{r1} = -e^{r1-r2}",
-    "eq4b": "sum eps (Phi + Psi) Psi_{r2} = e^{r1-r2}",
-    "eq4c": "sum eps Psi_{r1} Psi_{r2} = 0",
-    "eq5": "sum eps (Phi + Psi/2) Psi = Omega(r3) - e^{r1-r2}",
-    "eq7": "sum eps Psi^2 = C - 2 e^{r1-r2}",
-    "eq4a3": "sum eps (Phi + Psi) Psi_{r1} = (r1+r2+1)/2 e^{r1-r2}",
-    "eq4b3": "sum eps (Phi + Psi) Psi_{r2} = -(r1+r2-1)/2 e^{r1-r2}",
-}
+CONSTRAINT_EQUATIONS = tuple(_EQUATIONS)
 
 
 @np.errstate(all="ignore")  # non-finite values fail in the verdict instead
@@ -616,7 +562,7 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
             which, ansatz.eps, points, psi, grad[0], grad[1], vals.coeffs[:, 0], big_c)
 
     found = resolve(plan, evaluate)
-    cond = condition_from_arrays(which, _DESCRIPTIONS[which], found.points, *found.payload,
+    cond = condition_from_arrays(which, _EQUATIONS[which][0], found.points, *found.payload,
                                  plan.tolerance)
     return CheckReport(title=f"constraint residual {which}", conditions=[cond], plan=plan)
 
@@ -627,7 +573,7 @@ def constraint_equation_residuals(which: str, eps, points, psi, psi_r1, psi_r2, 
     r1, r2 derivatives of the three Psi^a (each (3, N)) and the values of the
     three Phi^a, then Omega for eq5 ((3 or 4, N)), at the rows of
     ``points``."""
-    term, residual = _EQUATIONS[which]
+    _, term, residual = _EQUATIONS[which]
     e_val = np.exp(points[:, 0] - points[:, 1])
     total, scale = 0.0, np.abs(e_val)
     for a in range(3):
@@ -641,17 +587,12 @@ def constraint_equation_residuals(which: str, eps, points, psi, psi_r1, psi_r2, 
 def ansatz_affinors(ansatz: ProlongationAnsatz) -> tuple[AffinorField, ...]:
     """Affinors e^{r2-r1} diag(Psi_{r1}, -Psi_{r2}, Phi + Psi) of the ansatz,
     with the derivatives materialized through jets."""
-    zero = const(0)
-    tails = []
-    for a in range(3):
-        psi, phi = ansatz.psi[a], ansatz.phi[a]
-        entries = (
-            (_P * Deriv(psi, 0), zero, zero),
-            (zero, -(_P * Deriv(psi, 1)), zero),
-            (zero, zero, _P * (phi + psi)),
-        )
-        tails.append(AffinorField(3, ansatz.eps[a], entries))
-    return tuple(tails)
+    return tuple(
+        AffinorField(3, eps, _diag_grid((
+            _P * Deriv(psi, 0), -(_P * Deriv(psi, 1)), _P * (phi + psi),
+        )))
+        for eps, psi, phi in zip(ansatz.eps, ansatz.psi, ansatz.phi)
+    )
 
 
 # -- mutation catalog ----------------------------------------------------------------
@@ -695,42 +636,19 @@ def mutation_catalog() -> list[tuple[str, str, object]]:
         ("remark op 1 b entry (3,3) negated", "local",
          _replace_b_entry(build_remark_operators(R3)[0], 2, 2, None, neg)),
     ]
+    lams = (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2)
     bad_b3 = ConstantBlock(c=(3, 4, 5), b1=(4, -3, 0), b2=(0, 5, 4), b3=(0, 0, 0))
-    catalog.append((
-        "h2-hat b3 = (0,0,0)",
-        "nonlocal",
-        NonlocalOperator(
-            _h2_local(DEFAULT_THETA),
-            h2_prolongation_tails(bad_b3, DEFAULT_LAMBDA1, DEFAULT_LAMBDA2),
-        ),
-    ))
+    bumped = ConstantBlock(c=(3, 4, 5.5), b1=(4, -3, 0), b2=(0, 5, 4), b3=(0, 0, Fraction(1, 5)))
     flipped = tuple(
         AffinorField(3, -w.sign if a == 2 else w.sign, w.entries)
-        for a, w in enumerate(
-            h2_prolongation_tails(DEFAULT_BLOCK, DEFAULT_LAMBDA1, DEFAULT_LAMBDA2)
-        )
+        for a, w in enumerate(h2_prolongation_tails(DEFAULT_BLOCK, *lams))
     )
-    catalog.append((
-        "h2-hat eps_3 sign flipped",
-        "nonlocal",
-        NonlocalOperator(_h2_local(DEFAULT_THETA), flipped),
-    ))
-    bumped = ConstantBlock(c=(3, 4, 5.5), b1=(4, -3, 0), b2=(0, 5, 4), b3=(0, 0, Fraction(1, 5)))
-    catalog.append((
-        "h2-hat c_3 bumped by 10%",
-        "nonlocal",
-        NonlocalOperator(
-            _h2_local(DEFAULT_THETA),
-            h2_prolongation_tails(bumped, DEFAULT_LAMBDA1, DEFAULT_LAMBDA2),
-        ),
-    ))
-    catalog.append((
-        "h3-hat Phi factor doubled",
-        "nonlocal",
-        NonlocalOperator(
-            _h3_local(DEFAULT_THETA),
-            h3_prolongation_tails(DEFAULT_BLOCK, DEFAULT_LAMBDA1, DEFAULT_LAMBDA2,
-                                  phi_factor=Fraction(1)),
-        ),
-    ))
+    for name, k, tails in (
+        ("h2-hat b3 = (0,0,0)", 2, h2_prolongation_tails(bad_b3, *lams)),
+        ("h2-hat eps_3 sign flipped", 2, flipped),
+        ("h2-hat c_3 bumped by 10%", 2, h2_prolongation_tails(bumped, *lams)),
+        ("h3-hat Phi factor doubled", 3,
+         h3_prolongation_tails(DEFAULT_BLOCK, *lams, phi_factor=Fraction(1))),
+    ):
+        catalog.append((name, "nonlocal", NonlocalOperator(_prolongation(k, DEFAULT_THETA), tails)))
     return catalog

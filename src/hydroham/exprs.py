@@ -511,9 +511,7 @@ def eval_jet(e: Expr, point, order: int = 2) -> Jet:
 
 
 @np.errstate(all="ignore")  # non-finite values fail in the verdict instead
-def fields_equal_numeric(
-    f1: Expr, f2: Expr, plan: SamplePlan, title: str = "fields equal"
-) -> CheckReport:
+def fields_equal_numeric(f1: Expr, f2: Expr, plan: SamplePlan) -> CheckReport:
     """Pointwise comparison of two expressions on the plan's sample set.
 
     Passes iff |f1 - f2| <= tol * max(1, |f1|, |f2|) + floor at every point.
@@ -545,7 +543,7 @@ def fields_equal_numeric(
             witness=None if worst == 0.0 else tuple(float(x) for x in found.points[k]),
             passed=bool(np.all(raw <= plan.tolerance * scale + plan.floor)),
         )
-    return CheckReport(title=title, conditions=[cond], plan=plan)
+    return CheckReport(title="fields equal", conditions=[cond], plan=plan)
 
 
 def comparison_residuals(vals: np.ndarray):

@@ -272,12 +272,12 @@ def scaled_abs_dets(ms: np.ndarray) -> np.ndarray:
     return np.where(np.any(vanishing, axis=-1), 0.0, det)
 
 
-def invert_metric(g: MetricField, point, floor: float = DEGENERACY_FLOOR) -> np.ndarray:
+def invert_metric(g: MetricField, point) -> np.ndarray:
     """Covariant metric g_{ij} at a point; raises DegenerateMetricError below
     the degeneracy floor or where the metric is not finite (det NaN)."""
     g_up = eval_matrix(g.entries, point)
     det = scaled_abs_det(g_up)
-    if not det >= floor:
+    if not det >= DEGENERACY_FLOOR:
         raise DegenerateMetricError(det, point)
     inv = np.linalg.inv(g_up)
     return (inv + inv.T) / 2.0
@@ -327,10 +327,10 @@ class MetricStatus(NamedTuple):
         return ~self.failed & ~self.degenerate & np.isfinite(self.det)
 
 
-def metric_status(jets: GridValues, floor: float = DEGENERACY_FLOOR) -> MetricStatus:
+def metric_status(jets: GridValues) -> MetricStatus:
     """Each lane's status, from the values of a metric grid's jets."""
     det = scaled_abs_dets(np.moveaxis(jets.vals, -1, 0))
-    return MetricStatus(jets.failed, ~jets.failed & (det < floor), det)
+    return MetricStatus(jets.failed, ~jets.failed & (det < DEGENERACY_FLOOR), det)
 
 
 def _levi_civita_from_parts(g_up, dg_lo):
@@ -386,14 +386,13 @@ def metric_frames(jets: GridValues, lanes) -> MetricFrames:
                         riemann_up, gamma_gamma)
 
 
-def metric_frame(g: MetricField, point, curvature: bool = False,
-                 floor: float = DEGENERACY_FLOOR) -> MetricFrames:
+def metric_frame(g: MetricField, point, curvature: bool = False) -> MetricFrames:
     """The frame at one point, as :class:`MetricFrames` arrays without the
     lane axis; order-2 jets are used only when curvature is requested.
     Raises, before building, where g leaves its domain, and
     DegenerateMetricError where it is degenerate or not finite."""
     jets = grid_values(compile_grid(g.entries, len(point), 2 if curvature else 1), [point])
-    status = metric_status(jets, floor)
+    status = metric_status(jets)
     if status.failed[0]:
         raise jets.error(0)
     if not status.usable[0]:
@@ -416,30 +415,27 @@ def covariant_derivatives(vals: np.ndarray, d1: np.ndarray, gamma: np.ndarray) -
 # -- public operations ----------------------------------------------------------
 
 
-def christoffel_from_b(g: MetricField, b: ConnectionField, point,
-                       floor: float = DEGENERACY_FLOOR) -> np.ndarray:
+def christoffel_from_b(g: MetricField, b: ConnectionField, point) -> np.ndarray:
     """Gamma^j_{sk} = -g_{is} b^{ij}_k, solving the defining representation."""
-    g_lo = invert_metric(g, point, floor)
+    g_lo = invert_metric(g, point)
     b_vals = eval_matrix(b.entries, point)
     return -np.einsum("is,ijk->jsk", g_lo, b_vals)
 
 
-def levi_civita(g: MetricField, point, floor: float = DEGENERACY_FLOOR) -> np.ndarray:
+def levi_civita(g: MetricField, point) -> np.ndarray:
     """Christoffel symbols of the metric inverse to g^{ij}, via order-1 jets."""
-    return metric_frame(g, point, curvature=False, floor=floor).gamma
+    return metric_frame(g, point).gamma
 
 
-def riemann_curvature(g: MetricField, point, floor: float = DEGENERACY_FLOOR):
+def riemann_curvature(g: MetricField, point):
     """Curvature of the Levi-Civita connection: (R^j_{skl}, g^{is} R^j_{skl})."""
-    frame = metric_frame(g, point, curvature=True, floor=floor)
+    frame = metric_frame(g, point, curvature=True)
     return frame.riemann, frame.riemann_up
 
 
-def covariant_derivative_affinor(w: AffinorField, g: MetricField, point,
-                                 floor: float = DEGENERACY_FLOOR) -> np.ndarray:
+def covariant_derivative_affinor(w: AffinorField, g: MetricField, point) -> np.ndarray:
     """nabla_k w^i_j under the Levi-Civita connection of g."""
-    frame = metric_frame(g, point, curvature=False, floor=floor)
-    return covariant_derivative_values(w, frame)
+    return covariant_derivative_values(w, metric_frame(g, point))
 
 
 def covariant_derivative_values(w: AffinorField, frame: MetricFrames) -> np.ndarray:

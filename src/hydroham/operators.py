@@ -28,7 +28,7 @@ serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -191,7 +191,7 @@ def _nondegeneracy_condition(found: Resolved) -> ConditionResult:
     bad_fraction = np.count_nonzero(degenerate) / len(found.status)
     failed = len(found.unresolved) > 0 or bad_fraction > DEGENERATE_FRACTION_LIMIT
     note = None
-    if not len(found.points) and degenerate.any():
+    if _identically_degenerate(found):
         note = "identically degenerate"
     elif failed:
         note = f"degenerate at {bad_fraction:.0%} of attempted points"
@@ -204,6 +204,11 @@ def _nondegeneracy_condition(found: Resolved) -> ConditionResult:
         passed=not failed,
         note=note,
     )
+
+
+def _identically_degenerate(found: Resolved) -> bool:
+    """No point of the walk resolved, and some draw had a degenerate metric."""
+    return not len(found.points) and bool((found.status == REDRAW_DEGENERATE).any())
 
 
 def _not_evaluated(cid: str, description: str) -> ConditionResult:
@@ -340,15 +345,13 @@ def check_local_hamiltonian(a: LocalOperator, plan: SamplePlan) -> CheckReport:
     return _frame_check("local Hamiltonian", NonlocalOperator(a, ()), plan, _FLAT_CONDITIONS)
 
 
-def gauss_tail_sum(tails, w_values, dim: int | None = None) -> np.ndarray:
+def gauss_tail_sum(tails, w_values) -> np.ndarray:
     """sum_a eps_a (w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}), shaped
-    (n, n, n, n, ...), from the tails' values w_values[a, i, j, ...] (or a
-    sequence of per-tail arrays) with any trailing lane axes.  The products
+    (n, n, n, n, ...), from the values w_values[a, i, j, ...] of one or more
+    tails (or a sequence of per-tail arrays) with any trailing lane axes.  The products
     of each tail are formed with a tail axis, then summed over it in tail
     order."""
     w = np.asarray(w_values, dtype=float)
-    if not len(tails):
-        return np.zeros((w.shape[-1] if dim is None else dim,) * 4 + w.shape[3:])
     lanes = w.shape[3:]
     w = w.reshape(w.shape[:3] + (-1,))  # one lane axis, of one lane at a single point
     outer = lane_einsum("ail,ajk->aijkl", w, w)
@@ -423,12 +426,7 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     conditions: list[ConditionResult] = []
     notes: list[str] = []
     for lam, found in zip(lambdas, resolve_walks(plan, evaluate, len(lambdas))):
-        sub = _frame_report("local Hamiltonian", found, plan, _FLAT_CONDITIONS)
-        degenerate_everywhere = any(
-            c.cid == "metric_nondegenerate" and c.note == "identically degenerate"
-            for c in sub.conditions
-        )
-        if degenerate_everywhere:
+        if _identically_degenerate(found):
             conditions.append(
                 ConditionResult(
                     cid=f"lambda={lam}:degenerate",
@@ -441,17 +439,8 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
             )
             notes.append(f"lambda={lam}: identically degenerate combination skipped")
             continue
-        for c in sub.conditions:
-            conditions.append(
-                ConditionResult(
-                    cid=f"lambda={lam}:{c.cid}",
-                    description=c.description,
-                    residual=c.residual,
-                    witness=c.witness,
-                    passed=c.passed,
-                    note=c.note,
-                )
-            )
+        sub = _frame_report("local Hamiltonian", found, plan, _FLAT_CONDITIONS)
+        conditions += [replace(c, cid=f"lambda={lam}:{c.cid}") for c in sub.conditions]
     return CheckReport(
         title="pencil compatibility", conditions=conditions, plan=plan, notes=notes
     )

@@ -74,7 +74,7 @@ class CheckReport:
 
 
 def condition_from_arrays(cid: str, description: str, points, raw, scale,
-                          tolerance: float, note: Optional[str] = None) -> ConditionResult:
+                          tolerance: float) -> ConditionResult:
     """Aggregate per-point raw residuals and scales, given in plan order,
     into one condition.
 
@@ -89,7 +89,7 @@ def condition_from_arrays(cid: str, description: str, points, raw, scale,
     scale = np.asarray(scale, dtype=float)
     finite = np.isfinite(raw) & np.isfinite(scale)
     if not finite.all():
-        return non_finite_condition(cid, description, points, finite, note)
+        return non_finite_condition(cid, description, points, finite)
     norm = raw / np.maximum(1.0, scale)
     worst, witness = 0.0, None
     if len(norm):
@@ -102,12 +102,10 @@ def condition_from_arrays(cid: str, description: str, points, raw, scale,
         residual=worst,
         witness=witness,
         passed=bool(worst <= tolerance),
-        note=note,
     )
 
 
-def non_finite_condition(cid: str, description: str, points, finite,
-                         note: Optional[str] = None) -> ConditionResult:
+def non_finite_condition(cid: str, description: str, points, finite) -> ConditionResult:
     """A failed condition for values that are NaN or infinite at the points
     where ``finite`` is False: residual None, the first such point as
     witness, and a note counting them."""
@@ -119,5 +117,5 @@ def non_finite_condition(cid: str, description: str, points, finite,
         residual=None,
         witness=tuple(float(x) for x in points[first]),
         passed=False,
-        note=what if note is None else f"{note}; {what}",
+        note=what,
     )

@@ -73,9 +73,11 @@ class SamplePlan:
                 raise ValueError(f"sampling interval [{lo}, {hi}] is not finite")
             if not lo < hi:
                 raise ValueError(f"empty sampling interval [{lo}, {hi}]")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        _natural("count", self.count, 1)
         _natural("seed", self.seed)
+        for name in ("tolerance", "floor"):  # a bool passes the checks below: true as 1.0
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not (math.isfinite(self.floor) and self.floor >= 0):
@@ -202,10 +204,11 @@ class SamplePlan:
         }
 
 
-def _natural(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= 0, as default_rng needs."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+def _natural(name: str, value, least: int = 0) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= ``least`` (0, as
+    default_rng needs, unless given)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

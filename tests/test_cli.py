@@ -325,6 +325,16 @@ def test_plan_rejects_a_non_finite_tolerance_or_floor(field, value):
         SamplePlan(1, ((-1.0, 1.0),), **{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("count", 10.5), ("count", 1e3), ("count", True), ("count", 0),
+    ("tolerance", True), ("floor", True), ("floor", False),
+])
+def test_plan_rejects_a_count_that_is_not_an_integer_or_a_bool_tolerance(field, value):
+    # a float count used to fail at the first draw; a bool tolerance read as 1.0
+    with pytest.raises(ValueError, match=field):
+        SamplePlan(1, ((-1.0, 1.0),), **{field: value})
+
+
 @pytest.mark.parametrize("box", [((float("-inf"), 1.0),), ((-1.0, float("inf")),),
                                  ((float("nan"), 1.0),)])
 def test_plan_rejects_a_non_finite_box_bound(box):
@@ -367,6 +377,21 @@ def test_bad_seed_is_invalid_input(tmp_path, capsys):
     spec = write_spec(tmp_path, **dict(WRONG_CONNECTION, sample_plan={"seed": 1.5}))
     assert main(["check", spec]) == 2
     assert "seed must be an integer >= 0, got 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plan,message", [
+    ({"count": 10.5}, "count must be an integer >= 1, got 10.5"),
+    ({"count": 1e3}, "count must be an integer >= 1, got 1000.0"),
+    ({"count": True}, "count must be an integer >= 1, got True"),
+    ({"tolerance": True}, "tolerance must be a number, got True"),
+])
+def test_plan_field_of_the_wrong_type_is_invalid_input(tmp_path, capsys, plan, message):
+    spec = write_spec(tmp_path, **dict(WRONG_CONNECTION, sample_plan=plan))
+    example = dict(cases.spec_example(), sample_plan=plan)
+    for argv in (["check", spec], ["reciprocal", write_spec(tmp_path, "example.json", **example)]):
+        assert main(argv + ["--json"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: bad sample plan: {message}\n"
 
 
 def test_non_finite_floor_is_invalid_input(tmp_path, capsys):

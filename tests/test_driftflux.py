@@ -77,25 +77,34 @@ def test_inverse_map_compiles_once_and_matches_entrywise_values(monkeypatch):
 # -- operator builders ---------------------------------------------------------------
 
 
-def test_family_restricts_to_classical_structure():
+# Theta of the prolongations: the restriction to the essential subsystem is
+# the classical structure whatever Theta (the prolongation property)
+RESTRICTION_THETAS = [const(1), df.R3, const(1) + df.R3 ** 2]
+
+
+@pytest.mark.parametrize("theta", RESTRICTION_THETAS, ids=str)
+def test_family_restricts_to_classical_structure(theta):
     h1 = df.build_nutku(1)
-    fam = df.build_H1_Theta(df.R3)
+    fam = df.build_H1_Theta(theta)
     for i in range(2):
         for j in range(2):
             assert fam.g.entries[i][j] == h1.g.entries[i][j]
             for k in range(2):
                 assert fam.b.entries[i][j][k] == h1.b.entries[i][j][k]
+    assert df.restrict_local(fam) == h1
 
 
-def test_nonlocal_blocks_restrict_to_classical_structures():
+@pytest.mark.parametrize("theta", RESTRICTION_THETAS, ids=str)
+def test_nonlocal_blocks_restrict_to_classical_structures(theta):
     for build, k in ((df.build_H2_hat, 2), (df.build_H3_hat, 3)):
         classical = df.build_nutku(k)
-        local = build().local
+        local = build(theta=theta).local
         for i in range(2):
             for j in range(2):
                 assert local.g.entries[i][j] == classical.g.entries[i][j]
                 for kk in range(2):
                     assert local.b.entries[i][j][kk] == classical.b.entries[i][j][kk]
+        assert df.restrict_local(local) == classical
 
 
 def test_theta_must_depend_on_r3_only():
@@ -110,10 +119,14 @@ def test_nutku_index_validation():
         df.build_nutku(4)
 
 
-def test_transformed_operator_block_is_skew_adjoint():
-    op2 = df.build_remark_operators(const(1))[1]
-    rep = check_skew_adjoint(df.restrict_local(op2, 2), df.plane_plan(count=40))
+@pytest.mark.parametrize("theta_tilde", [const(1), df.R3], ids=str)
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_transformed_operator_block_is_skew_adjoint(theta_tilde, index):
+    op = df.build_remark_operators(theta_tilde)[index]
+    rep = check_skew_adjoint(df.restrict_local(op, 2), df.plane_plan(count=40))
     assert rep.passed
+    assert check_skew_adjoint(op, df.drift_plan(count=40)).passed
+    assert check_local_hamiltonian(op, df.drift_plan(count=40)).passed
 
 
 # -- constant blocks --------------------------------------------------------------
