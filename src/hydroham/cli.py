@@ -185,14 +185,22 @@ def build_plan(spec: dict, args) -> SamplePlan:
     try:
         return SamplePlan(
             dim=dim,
-            box=tuple(tuple(float(x) for x in b) for b in box),
+            box=tuple(tuple(_box_bound(x) for x in b) for b in box),
             count=count,
             seed=seed,
             tolerance=tolerance,
             floor=floor,
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad sample plan: {err}") from None
+
+
+def _box_bound(x) -> float:
+    """A spec box bound as a float; ValueError unless it is a JSON number (a
+    bool or a numeric string is not)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"box bound must be a number, got {x!r}")
+    return float(x)
 
 
 def _numbered(title: str, reports) -> list[CheckReport]:

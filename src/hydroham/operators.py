@@ -18,8 +18,12 @@ a draw at which g, b or a tail leaves its domain is redrawn, and so is one
 at which g is degenerate.  Each round evaluates g, b and the tails at every
 draw, reads the status of each draw from them, and builds curvature frames
 only at the draws that resolve; a round at which none resolves runs no
-contraction.  The local check is the nonlocal one without tails, its
-flatness the Gauss equation against an empty tail sum.  A pencil is one
+contraction, and the next round, the block's last, evaluates every retry
+left at once and keeps each point's draws up to its first that resolves, so
+a metric degenerate everywhere costs two rounds per block, not seventeen,
+and the reports are those of a per-point redraw loop.  The local check is
+the nonlocal one without tails, its flatness the Gauss equation against an
+empty tail sum.  A pencil is one
 local check walked for every lambda in lockstep
 (:func:`~hydroham.sampling.resolve_walks`) on a pair compiled once, each
 lane's member formed from the pair's tape coefficients; one round kernel

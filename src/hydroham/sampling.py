@@ -10,21 +10,22 @@ SeedSequence and PCG64 in array arithmetic, without a generator per point.
 Each plan object computes each ``(i, retry)`` once and reuses the row in every
 later walk of it, in chunks of 256 indices; threads that fill the same row at
 once write identical values.  It keeps the rows its walks asked for, and
-after a round of :func:`resolve` that resolved nothing, also the retries
-left for that round's points, drawn in one call.
+fills in one call every retry left of the points of a walk's last round.
 
 :func:`resolve_walks` is the one plan walk and holds the one redraw rule: a
 draw at which any field of a check leaves its domain is redrawn, and so is
 any draw the check's evaluator rejects for its own reason (a degenerate
 metric, a singular Jacobian).  It goes through a plan in blocks of
-:data:`BLOCK` points, each round one call to draw and one batch to evaluate
-of the points still unresolved, asking for exactly the ``(i, retry)`` pairs
-a per-point redraw loop would, and records every draw beside the resolved
-ones.  After a round that resolved nothing, the plan computes the block's
-remaining retries ahead, in one kernel call, so a block that cannot resolve
-costs two draw calls, not seventeen.  Several walks of one plan (a pencil's
-lambdas) go in lockstep, each round of them one draw call and as few
-evaluator calls of at most :data:`BLOCK` lanes as their lanes need;
+:data:`BLOCK` points, each round one batch to evaluate of the points still
+unresolved, and records exactly the draws of a per-point redraw loop.  A
+round after one that resolved nothing is the block's last: it evaluates every
+retry left of its points at once, drawn in one kernel call, and keeps each
+point's draws up to its first that resolves, so a block that cannot resolve
+costs two draw calls and two rounds, not seventeen.  That speculative work
+is at most ``RESAMPLE_BUDGET - r`` lanes per unresolved point of a last round
+at retry r, and lanes are independent, so results do not change.  Several
+walks of one plan (a pencil's lambdas) go in lockstep, each round of them as
+few evaluator calls of at most :data:`BLOCK` lanes as their lanes need;
 :func:`resolve` is the walk of one.
 """
 
@@ -95,9 +96,10 @@ class SamplePlan:
         indices[k], retry)).random(dim)``, bit for bit, for indices below
         2**64.  Each ``(i, retry)`` with ``i < count`` and ``retry <=
         RESAMPLE_BUDGET`` is computed once per plan object and reused by every
-        walk of it: the plan keeps the rows asked for, and those
-        :func:`resolve` has it compute ahead, in 256-row chunks, and
-        concurrent fills of a row write identical values.
+        walk of it: the plan keeps the rows asked for, and those a last round
+        of :func:`resolve` has it fill in one call before asking for them
+        here, in 256-row chunks, and concurrent fills of a row write identical
+        values.
         ValueError unless the indices and ``retry`` are integers >= 0 and
         the indices below 2**64."""
         idx = _plan_indices(indices)
@@ -351,19 +353,20 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
     """Resolve every plan point, evaluating each round of draws as a batch.
 
     The plan goes in blocks of :data:`BLOCK` points.  Round r of a block
-    draws, in one ``plan.points`` call, point i at retry r (``lo + (hi - lo)
-    * np.random.default_rng((seed, i, r)).random(dim)``) for every i of the
+    asks ``plan.points`` for point i at retry r (``lo + (hi - lo) *
+    np.random.default_rng((seed, i, r)).random(dim)``) for every i of the
     block, in order, that no earlier round resolved, and calls
-    ``evaluate(points)``, which returns
-    ``(status, payload)``: a status per lane (0 for resolved, any other
-    value for a draw to redraw, :data:`REDRAW_DOMAIN` when a field left its
-    domain there) and a tuple of arrays with one row per lane.  These are
-    exactly the draws of a per-point redraw loop; a block stops when every
-    point is resolved or has spent the resample budget.  Once a round of a
-    block has resolved nothing, the next round first has the plan compute
-    every retry left for the block's points in one kernel call
-    (``SamplePlan._prefetch``), so the rounds after it are memo hits; the
-    draws asked for, and so the result, stay the same.
+    ``evaluate(points)``, which returns ``(status, payload)``: a status per
+    lane (0 for resolved, any other value for a draw to redraw,
+    :data:`REDRAW_DOMAIN` when a field left its domain there) and a tuple of
+    arrays with one row per lane.  A round after one that resolved nothing
+    is the block's last: the plan fills every retry left of its points in
+    one kernel call (``SamplePlan._prefetch``), and the round asks for and
+    evaluates all of them, retries r to RESAMPLE_BUDGET, in calls of at most
+    :data:`BLOCK` lanes.  Each point keeps its draws up to its first that
+    resolves, so the result records exactly the draws of a per-point redraw
+    loop, bit for bit, since lanes are independent; a block stops when every
+    point is resolved or has spent the resample budget.
 
     A point whose every draw was a domain violation raises
     HostileDomainError ("domain too hostile at sample point i") for the
@@ -380,37 +383,44 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
     the :class:`Resolved` of each walk, in walk order, each what
     :func:`resolve` returns for an evaluator that sees that walk's lanes only.
 
-    Each walk goes through the blocks and rounds of :func:`resolve` and asks
-    for exactly the draws it would, under the same redraw and budget rules;
-    it has the plan compute ahead after a round in which it resolved
-    nothing.  Round r of a block makes one ``plan.points`` call for the
-    unresolved points of every walk, walk after walk, and hands those lanes
-    to ``evaluate(points, walk)`` in that order, in as few calls as
-    :data:`BLOCK` lanes per call allow; ``walk`` is the walk number of each
-    lane.  At the end of the first block in which some walk has a point
+    Each walk goes through the blocks and rounds of :func:`resolve` under
+    the same redraw and budget rules: it records exactly the draws of a
+    per-point redraw loop, and after a round in which it resolved nothing,
+    its next round, its last of the block, evaluates every retry left at
+    once.  Round r of a block makes one ``plan.points`` call per retry it
+    draws, for the unresolved points of every walk that draws that retry,
+    and hands those lanes to ``evaluate(points, walk)`` walk after walk,
+    retry after retry within a walk, in as few calls as :data:`BLOCK` lanes
+    per call allow; ``walk`` is the walk number of each lane.  Every lane
+    evaluated is one asked for through ``plan.points``, and a last round
+    evaluates at most ``RESAMPLE_BUDGET - r`` lanes more than the loop would
+    per point.  At the end of the first block in which some walk has a point
     whose every draw was a domain violation, HostileDomainError names the
     first such point of the first such walk; when every walk has the same
     domain flags, that is the point :func:`resolve` names.
     """
-    # per walk: keys (index and retry), draws, status and rows per round, and
+    # per walk: plan indices, draws, status and rows per round, and
     # unresolved indices per block
     logs = [([], [], [], [], []) for _ in range(walks)]
     lane_walk = _lane_walks(walks, BLOCK)
     for start in range(0, plan.count, BLOCK):
         block = np.arange(start, min(start + BLOCK, plan.count))
         todo = [block] * walks
-        domain_only = [np.ones(len(block), bool)] * walks  # every draw so far a domain violation
-        ahead = [False] * walks  # the walk's later draws are in the plan's memo
+        span = [1] * walks  # the retries of the walk's next round; 0 after its last
+        first = [len(log[0]) for log in logs]  # the block's first round in each log
         for r in range(RESAMPLE_BUDGET + 1):
-            live = [w for w in range(walks) if len(todo[w])]
+            live = [w for w in range(walks) if span[w] and len(todo[w])]
             if not live:
                 break
-            for w in live:
-                if r and not ahead[w] and len(todo[w]) == len(logs[w][0][-1]):  # resolved nothing
+            spans = [span[w] for w in live]
+            for w, k in zip(live, spans):
+                if k > 1:  # a last round: every retry left, drawn in one kernel call
                     plan._prefetch(todo[w], r)
-                    ahead[w] = True
-            points = plan.points(_join([todo[w] for w in live]), r)
-            walk = _join([lane_walk[w, :len(todo[w])] for w in live])
+            parts = [plan.points(_join([todo[w] for w, k in zip(live, spans) if k > q]), r + q)
+                     for q in range(max(spans))]
+            points = parts[0] if len(parts) == 1 else _by_walk(parts, [len(todo[w]) for w in live],
+                                                                spans)
+            walk = _join([lane_walk[w, :len(todo[w])] for w, k in zip(live, spans) for _ in range(k)])
             st, payload = [], []
             for at in range(0, len(points), BLOCK):
                 s, p = evaluate(points[at:at + BLOCK], walk[at:at + BLOCK])
@@ -418,22 +428,59 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
                 payload.append(p)
             st, payload = _join(st), tuple(map(_join, zip(*payload)))
             at = 0
-            for w in live:
-                keys, draws, status, rows, _ = logs[w]
-                here = slice(at, at + len(todo[w]))
+            for w, k in zip(live, spans):
+                index, draws, status, rows, _ = logs[w]
+                n = len(todo[w])
+                here = slice(at, at + k * n)
                 at = here.stop
-                keys.append(todo[w] * (RESAMPLE_BUDGET + 1) + r)
-                draws.append(points[here])
-                status.append(st[here])
-                rows.append([a[here] for a in payload])
-                again = status[-1] != 0
-                todo[w] = todo[w][again]
-                domain_only[w] = (domain_only[w] & (status[-1] == REDRAW_DOMAIN))[again]
+                keep, drawn, todo[w] = _recorded(todo[w], (st[here] != 0).reshape(k, n))
+                index.append(drawn)
+                draws.append(points[here][keep])
+                status.append(st[here][keep])
+                rows.append([a[here][keep] for a in payload])
+                span[w] = 0 if k > 1 else 1 if len(todo[w]) < n else RESAMPLE_BUDGET - r
         for w in range(walks):
-            if domain_only[w].any():
-                raise HostileDomainError(int(todo[w][np.argmax(domain_only[w])]))
+            if len(todo[w]):
+                _check_hostile(todo[w], logs[w][0][first[w]:], logs[w][2][first[w]:])
             logs[w][4].append(todo[w])
     return tuple(_resolved(*log) for log in logs)
+
+
+def _by_walk(parts: list, sizes: list, spans: list) -> np.ndarray:
+    """The lanes of a round walk after walk, retry after retry within a walk,
+    from ``parts``: one array per retry of the round, holding the points of
+    each walk that draws that retry, in walk order."""
+    pieces, at = [], [0] * len(parts)
+    for n, k in zip(sizes, spans):
+        for q in range(k):
+            pieces.append(parts[q][at[q]:at[q] + n])
+            at[q] += n
+    return np.concatenate(pieces)
+
+
+def _recorded(todo: np.ndarray, again: np.ndarray) -> tuple:
+    """What a walk keeps of its round over the points ``todo``, from ``again``
+    (retries, points), true at each draw to redraw: the round's lanes to
+    record, flat and retry after retry, which are each point's draws up to
+    its first that resolves, or all of them where none does; the plan index
+    of each; and the points left unresolved."""
+    if len(again) == 1:  # one retry: every lane
+        return slice(None), todo, todo[again[0]]
+    unresolved = np.logical_and.accumulate(again)  # after each retry
+    keep = np.ones(again.shape, bool)
+    keep[1:] = unresolved[:-1]
+    keep = keep.reshape(-1)
+    return keep, np.tile(todo, len(again))[keep], todo[unresolved[-1]]
+
+
+def _check_hostile(unresolved: np.ndarray, index: list, status: list) -> None:
+    """HostileDomainError for the first of a block's ``unresolved`` points whose
+    every draw in that block's rounds (their plan indices and statuses) was
+    a domain violation."""
+    tame = np.concatenate(index)[np.concatenate(status) != REDRAW_DOMAIN]
+    hostile = np.isin(unresolved, tame, invert=True)
+    if hostile.any():
+        raise HostileDomainError(int(unresolved[np.argmax(hostile)]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,9 +496,12 @@ def _join(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _resolved(keys, draws, status, rows, unresolved) -> Resolved:
-    """One walk's rounds, in (index, retry) order."""
-    order = np.argsort(np.concatenate(keys))
+def _resolved(index, draws, status, rows, unresolved) -> Resolved:
+    """One walk's rounds, in (index, retry) order.  A round holds its draws
+    retry after retry, each retry's in index order, and a point's rounds
+    come in retry order, so sorting by index alone, stably, keeps each
+    point's retries in order."""
+    order = np.argsort(np.concatenate(index), kind="stable")
     status = np.concatenate(status)[order]
     draws = np.concatenate(draws)[order]
     rows = tuple(np.concatenate(arrays)[order] for arrays in zip(*rows))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -76,6 +77,36 @@ def redraw_loop(plan, evaluate, retriable=(EvalDomainError,)):
         else:
             raise HostileDomainError(i)
     return out
+
+
+def walk_rounds(draw_counts, count: int, block: int | None = None) -> list:
+    """The rounds of one walk of ``resolve`` over a plan of ``count`` points in
+    blocks of ``block`` (``sampling.BLOCK`` unless given), as (first plan
+    index of the block, retries, points), from ``draw_counts[i]``: the draws
+    the per-point redraw loop makes of point i, which resolves at its last
+    draw unless that is retry RESAMPLE_BUDGET.  A round after one that
+    resolved nothing is the block's last: it asks for every retry left."""
+    block = sampling.BLOCK if block is None else block
+    rounds = []
+    for start in range(0, count, block):
+        todo, r, span = list(range(start, min(start + block, count))), 0, 1
+        while todo and r <= RESAMPLE_BUDGET:
+            rounds.append((start, range(r, r + span), todo))
+            if span > 1:
+                break
+            left = [i for i in todo if draw_counts[i] > r + 1]
+            span = RESAMPLE_BUDGET - r if len(left) == len(todo) else 1
+            todo, r = left, r + 1
+    return rounds
+
+
+def resolve_requests(loop_draws, count: int) -> list:
+    """The (i, retry) pairs ``resolve`` asks ``SamplePlan.points`` for, sorted,
+    on a plan of ``count`` points where the per-point redraw loop draws the
+    (i, retry) pairs ``loop_draws``."""
+    counts = Counter(i for i, _ in loop_draws)
+    return sorted((i, q) for _, retries, points in walk_rounds(counts, count)
+                  for q in retries for i in points)
 
 
 def worst(samples):
@@ -170,7 +201,12 @@ def test_resolve_records_every_draw_and_applies_the_exhaustion_rule():
     found = resolve(plan, evaluate)
     want = sorted([(i, 0) for i in range(60) if i not in cause]
                   + [(7, r) for r in budget] + [(40, r) for r in range(4)] + [(52, r) for r in budget])
-    assert sorted(plan.drawn) == want
+    # round 1 resolves none of points 7, 40 and 52, so round 2, the last, asks
+    # for retries 2 to 16 of all three at once; point 40 keeps its draws up to
+    # retry 3, where it resolves
+    asked = sorted([(i, 0) for i in range(60) if i not in cause]
+                   + [(i, r) for i in (7, 40, 52) for r in budget])
+    assert sorted(plan.drawn) == asked == resolve_requests(want, 60)
     assert [pair_of[float(p[0])] for p in found.draws] == want
     assert [pair_of[float(p[0])] for p in found.points] == \
         [(i, 3 if i == 40 else 0) for i in range(60) if i not in (7, 52)]
@@ -308,7 +344,7 @@ def test_local_check_redraws_where_b_leaves_its_domain():
     want = worst(_frame_reference(op, reference, sample))
     got = {c.cid: c for c in rep.conditions}
     assert_same_condition(got["metric_compatible"], want, sorted(plan.drawn),
-                          sorted(reference.drawn))
+                          resolve_requests(reference.drawn, plan.count))
     assert any(r > 0 for _, r in plan.drawn)
     assert [c.cid for c in rep.conditions if not c.passed] == ["metric_compatible"]
 
@@ -365,7 +401,8 @@ def test_current_check_redraws_like_the_per_point_loop(seed):
     reference = counting(plan)
     want = worst(_current_reference(s, c, reference))
     assert sum(r > 0 for _, r in plan.drawn) > 20  # the domain forces redraws
-    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn), sorted(reference.drawn))
+    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn),
+                          resolve_requests(reference.drawn, plan.count))
     assert not rep.passed
 
 

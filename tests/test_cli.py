@@ -394,6 +394,22 @@ def test_plan_field_of_the_wrong_type_is_invalid_input(tmp_path, capsys, plan, m
         assert captured.out == "" and captured.err == f"error: bad sample plan: {message}\n"
 
 
+@pytest.mark.parametrize("bounds,message", [
+    ([False, True], "box bound must be a number, got False"),
+    (["0", "1"], "box bound must be a number, got '0'"),
+    ([0, 10**400], "int too large to convert to float"),
+])
+def test_box_bound_of_the_wrong_type_is_invalid_input(tmp_path, capsys, bounds, message):
+    # bounds were converted with float(): [[false, true]] ran on [0.0, 1.0]
+    spec = write_spec(tmp_path, **dict(WRONG_CONNECTION, sample_plan={"box": [bounds]}))
+    example = cases.spec_example()
+    example["sample_plan"] = {"box": [bounds] * example["dimension"]}
+    for argv in (["check", spec], ["reciprocal", write_spec(tmp_path, "example.json", **example)]):
+        assert main(argv + ["--json"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: bad sample plan: {message}\n"
+
+
 def test_non_finite_floor_is_invalid_input(tmp_path, capsys):
     spec = write_spec(tmp_path, **dict(WRONG_CONNECTION, sample_plan={"floor": -1}))
     assert main(["check", spec]) == 2

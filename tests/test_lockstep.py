@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hydroham.reports import CheckReport, ConditionResult
 from hydroham.sampling import RESAMPLE_BUDGET, SamplePlan, resolve, resolve_walks
 
 import cases
-from test_batched_callers import counting
+from test_batched_callers import counting, resolve_requests, walk_rounds
 
 BASE = SamplePlan(1, ((0.0, 1.0),), count=60, seed=2)
 PAIR_OF = {float(p[0]): (i, r) for r in range(RESAMPLE_BUDGET + 1)
@@ -127,21 +128,24 @@ def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, prefetches, table, 
     assert sorted(prefetches) == sorted(single_fills)
     if table == "one walk identically degenerate":
         assert (tuple(range(min(block, 60))), 1) in prefetches
-    # each evaluate call holds at most BLOCK lanes, and a round makes as few as that allows
+    # the pairs asked for are those of the walk rule, and each evaluate call
+    # holds at most BLOCK lanes, a round making as few calls as that allows
+    asked = [resolve_requests([PAIR_OF[float(p[0])] for p in r.draws], BASE.count) for r in got]
+    assert sorted(plan.drawn) == sorted(sum(asked, []))
     assert max(calls) <= block
-    lanes = sum(len(r.draws) for r in got)
-    assert sum(calls) == lanes
-    rounds = _rounds(got, block)
+    assert sum(calls) == sum(map(len, asked))
+    rounds = round_lanes(got, block)
     assert len(calls) == sum(math.ceil(n / block) for n in rounds)
 
 
-def _rounds(found, block: int) -> list:
-    """The lanes of each (block, round) over every walk of ``found``."""
-    lanes = {}
+def round_lanes(found, block: int, count: int = BASE.count) -> list:
+    """The lanes of each (block, round) over every walk of ``found`` on a plan
+    of ``count`` points, by the walk rule (``walk_rounds``)."""
+    lanes = Counter()
     for r in found:
-        for p in r.draws:
-            i, q = PAIR_OF[float(p[0])]
-            lanes[i // block, q] = lanes.get((i // block, q), 0) + 1
+        counts = Counter(PAIR_OF[float(p[0])][0] for p in r.draws)
+        for start, retries, points in walk_rounds(counts, count, block):
+            lanes[start, retries[0]] += len(retries) * len(points)
     return list(lanes.values())
 
 
@@ -234,10 +238,11 @@ def test_a_pencil_compiles_two_grids_and_evaluates_at_most_block_lanes(
     assert rep.passed
     assert [(g.shape, g.tape.order) for g in grids] == [((2, 2, 2), 2), ((2, 2, 2, 2), 0)]
     assert max(calls) <= block
-    # round 0 of a block of s points asks for 5 s lanes, each later round, of
-    # lambda = -1 and 1 only, for 2 s
+    # round 0 of a block of s points asks for 5 s lanes and resolves no point
+    # of lambda = -1 and 1; round 1, the last of both, asks for their retries 1
+    # to 16 at once: 16 x 2 s lanes
     sizes = [min(block, 100 - start) for start in range(0, 100, block)]
-    assert len(calls) == sum(math.ceil(5 * s / block) + RESAMPLE_BUDGET * math.ceil(2 * s / block)
+    assert len(calls) == sum(math.ceil(5 * s / block) + math.ceil(RESAMPLE_BUDGET * 2 * s / block)
                              for s in sizes)
     assert sum(calls) == sum(5 * s + RESAMPLE_BUDGET * 2 * s for s in sizes)
 
