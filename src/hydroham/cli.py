@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__, driftflux
@@ -363,9 +364,8 @@ def _kg_family_suite(args, plan: SamplePlan):
     def row(cid: str, description: str, rep: CheckReport, passed=None) -> ConditionResult:
         """A one-condition report as a row: its residual, no witness, and its
         verdict unless ``passed`` is given."""
-        return ConditionResult(cid=cid, description=description,
-                               residual=rep.conditions[0].residual, witness=None,
-                               passed=rep.passed if passed is None else passed)
+        return replace(rep.conditions[0], cid=cid, description=description, witness=None,
+                       note=None, passed=rep.passed if passed is None else passed)
 
     conditions = [row(f"v_k solves (k={kk})", "derived family solves the wave identity",
                       driftflux.kg_residual(driftflux.kg_family_v(kk), plan)) for kk in (1, 2, 3)]

@@ -45,8 +45,8 @@ from .exprs import (
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import AffinorField, ConnectionField, MetricField
 from .operators import LocalOperator, NonlocalOperator
-from .reports import CheckReport, condition_from_arrays
-from .sampling import DEFAULT_COUNT, DEFAULT_TOLERANCE, SamplePlan, resolve
+from .reports import CheckReport, walk_report
+from .sampling import DEFAULT_COUNT, DEFAULT_TOLERANCE, SamplePlan
 from .systems import ConservedCurrent, HydroSystem, PointChangeMap
 
 DEFAULT_SEED = 8128
@@ -388,7 +388,6 @@ def wave_residuals(d1: np.ndarray, d2: np.ndarray):
     return raw, np.maximum(np.maximum(np.abs(mixed), np.abs(d1[0])), np.abs(d1[1]))
 
 
-@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
     """Residual of the linear wave identity 2 Psi_{r1 r2} = Psi_{r2} - Psi_{r1}
     for a function of (r1, r2), redrawing points where Psi leaves its
@@ -406,12 +405,8 @@ def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
         _, d1, d2 = jets.derivatives()
         return jets.failed, wave_residuals(d1[:, 0], d2[:, :, 0])
 
-    found = resolve(plan, evaluate)
-    cond = condition_from_arrays(
-        "wave_identity", "2 Psi_{r1 r2} - Psi_{r2} + Psi_{r1} = 0",
-        found.points, *found.payload, plan.tolerance
-    )
-    return CheckReport(title="wave-equation residual", conditions=[cond], plan=plan)
+    table = (("wave_identity", "2 Psi_{r1 r2} - Psi_{r2} + Psi_{r1} = 0"),)
+    return walk_report("wave-equation residual", table, plan, evaluate)[0]
 
 
 def _as_k(k) -> Fraction:
@@ -532,7 +527,6 @@ _EQUATIONS = {
 CONSTRAINT_EQUATIONS = tuple(_EQUATIONS)
 
 
-@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
                          plan: SamplePlan | None = None,
                          omega: Expr | None = None,
@@ -561,10 +555,8 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
         return jets.failed | vals.failed, constraint_equation_residuals(
             which, ansatz.eps, points, psi, grad[0], grad[1], vals.coeffs[:, 0], big_c)
 
-    found = resolve(plan, evaluate)
-    cond = condition_from_arrays(which, _EQUATIONS[which][0], found.points, *found.payload,
-                                 plan.tolerance)
-    return CheckReport(title=f"constraint residual {which}", conditions=[cond], plan=plan)
+    table = ((which, _EQUATIONS[which][0]),)
+    return walk_report(f"constraint residual {which}", table, plan, evaluate)[0]
 
 
 def constraint_equation_residuals(which: str, eps, points, psi, psi_r1, psi_r2, values,

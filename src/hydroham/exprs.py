@@ -13,7 +13,8 @@ over the points, through the kernels of :mod:`hydroham.jets`; every check
 uses it, through the geometry layer's grids, the system checks, the
 drift-flux residuals and :func:`fields_equal_numeric`.  :func:`eval_scalar`
 (a float) and :func:`eval_jet` (a :class:`~hydroham.jets.Jet`) are its
-one-lane views at a single point.  A :class:`Deriv` compiles its argument
+one-lane views at a single point; they run outside any plan walk, so
+:func:`eval_tape` turns numpy's warnings off itself.  A :class:`Deriv` compiles its argument
 into the same tape one order higher, so every derivative of a
 user-supplied function is a jet too.  Domain violations (log of a non-positive
 value, division by zero, a negative base under a fractional power) are
@@ -42,8 +43,8 @@ from .jets import (
     partial_map,
     product_scatter,
 )
-from .reports import CheckReport, ConditionResult, non_finite_condition
-from .sampling import SamplePlan, resolve
+from .reports import CheckReport, walk_report
+from .sampling import SamplePlan
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
 
@@ -510,40 +511,28 @@ def eval_jet(e: Expr, point, order: int = 2) -> Jet:
 # -- identity testing ---------------------------------------------------------
 
 
-@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def fields_equal_numeric(f1: Expr, f2: Expr, plan: SamplePlan) -> CheckReport:
     """Pointwise comparison of two expressions on the plan's sample set.
 
-    Passes iff |f1 - f2| <= tol * max(1, |f1|, |f2|) + floor at every point.
-    The reported residual is |f1 - f2| / max(1, |f1|, |f2|).  Points where
-    either field leaves its domain are redrawn.  A NaN or infinite
-    difference or value fails: the residual is then None and the witness the
-    first such point.
+    The residual, witness and non-finite rule are those of every condition
+    (:func:`~hydroham.reports.walk_report`), with raw |f1 - f2| and scale
+    max(1, |f1|, |f2|).  Only the verdict differs: the comparison passes iff
+    its values are finite and |f1 - f2| <= tol * max(1, |f1|, |f2|) + floor
+    at every point.  Points where either field leaves its domain are
+    redrawn.
     """
     both = compile_tape((f1, f2), plan.dim, 0)
 
     def evaluate(points):
         values = eval_tape(both, points)
-        return values.failed, (values.coeffs[:, 0, :].T,)
+        return values.failed, comparison_residuals(values.coeffs[:, 0, :].T)
 
-    found = resolve(plan, evaluate)
-    raw, scale = comparison_residuals(*found.payload)
-    cid, description = "pointwise_equal", "values agree at every sample point"
-    finite = np.isfinite(raw) & np.isfinite(scale)
-    if not finite.all():
-        cond = non_finite_condition(cid, description, found.points, finite)
-    else:
-        norm = raw / scale
-        k = int(np.argmax(norm))
-        worst = float(norm[k])
-        cond = ConditionResult(
-            cid=cid,
-            description=description,
-            residual=worst,
-            witness=None if worst == 0.0 else tuple(float(x) for x in found.points[k]),
-            passed=bool(np.all(raw <= plan.tolerance * scale + plan.floor)),
-        )
-    return CheckReport(title="fields equal", conditions=[cond], plan=plan)
+    table = (("pointwise_equal", "values agree at every sample point"),)
+    rep, found = walk_report("fields equal", table, plan, evaluate)
+    (raw, scale), cond = found.payload, rep.conditions[0]
+    cond.passed = cond.residual is not None and bool(np.all(
+        raw <= plan.tolerance * scale + plan.floor))
+    return rep
 
 
 def comparison_residuals(vals: np.ndarray):

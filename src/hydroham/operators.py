@@ -18,16 +18,14 @@ a draw at which g, b or a tail leaves its domain is redrawn, and so is one
 at which g is degenerate.  Each round evaluates g, b and the tails at every
 draw, reads the status of each draw from them, and builds curvature frames
 only at the draws that resolve; a round at which none resolves runs no
-contraction, and the next round, the block's last, evaluates every retry
-left at once and keeps each point's draws up to its first that resolves, so
-a metric degenerate everywhere costs two rounds per block, not seventeen,
-and the reports are those of a per-point redraw loop.  The local check is
-the nonlocal one without tails, its flatness the Gauss equation against an
-empty tail sum.  A pencil is one
-local check walked for every lambda in lockstep
-(:func:`~hydroham.sampling.resolve_walks`) on a pair compiled once, each
-lane's member formed from the pair's tape coefficients; one round kernel
-serves both.
+contraction, so a metric degenerate everywhere costs two rounds per block.
+The local check is the nonlocal one without tails, its flatness the Gauss
+equation against an empty tail sum.  A pencil is one local check walked for
+every lambda in lockstep (:func:`~hydroham.sampling.resolve_walks`) on a
+pair compiled once, each lane's member formed from the pair's tape
+coefficients; one round kernel serves both.  The checks compute per-point
+(raw, scale) pairs, with numpy's warnings off in the walk, and
+:mod:`~hydroham.reports` makes the conditions of them.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .geometry import (
     metric_status,
     pencil_values,
 )
-from .reports import CheckReport, ConditionResult, condition_from_arrays
+from .reports import CheckReport, ConditionResult, table_conditions, walk_report
 from .sampling import REDRAW_DOMAIN, Resolved, SamplePlan, resolve, resolve_walks
 
 DEGENERATE_FRACTION_LIMIT = 0.2
@@ -139,7 +137,6 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
     return _frame_report(title, resolve(plan, evaluate), plan, table)
 
 
-@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def _frame_round(table, tails, g: GridValues, b: GridValues, w) -> tuple:
     """One round of a frame check at the lanes of g's order-2 jets, b's values
     and, with ``tails``, the tails' order-0 and order-1 grid values ``w``:
@@ -169,22 +166,19 @@ def _frame_round(table, tails, g: GridValues, b: GridValues, w) -> tuple:
     return status, symmetric + (raw, scale)
 
 
-@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def _frame_report(title: str, found: Resolved, plan: SamplePlan, table) -> CheckReport:
     """The report of a walk of :func:`_frame_round`: g's symmetry over every
     draw at which the fields evaluated, its nondegeneracy, then the
     conditions of ``table`` at the resolved points, or, when no point
     resolved, each row reported not evaluated under its short description."""
     evaluated = found.status != REDRAW_DOMAIN
-    symmetric = condition_from_arrays("metric_symmetric", "g^{ij} = g^{ji}",
-                                      found.draws[evaluated], found.rows[0][evaluated],
-                                      found.rows[1][evaluated], plan.tolerance)
-    conditions = [symmetric, _nondegeneracy_condition(found)]
+    sym_raw, sym_scale, _, _ = found.rows
+    conditions = table_conditions((_SYMMETRIC,), found.draws[evaluated],
+                                  [(sym_raw[evaluated], sym_scale[evaluated])], plan.tolerance)
+    conditions.append(_nondegeneracy_condition(found))
     _, _, raw, scale = found.payload
     if len(found.points):
-        conditions += [condition_from_arrays(cid, desc, found.points, raw[:, k], scale[:, k],
-                                             plan.tolerance)
-                       for k, (cid, desc, *_) in enumerate(table)]
+        conditions += table_conditions(table, found.points, zip(raw.T, scale.T), plan.tolerance)
     else:
         conditions += [_not_evaluated(cid, short) for cid, _, short, _ in table]
     return CheckReport(title=title, conditions=conditions, plan=plan)
@@ -300,6 +294,7 @@ def tail_residuals(frames: MetricFrames, tails, w_vals, w_jet_vals, w_d1) -> dic
 
 # -- checks ---------------------------------------------------------------------
 
+_SYMMETRIC = ("metric_symmetric", "g^{ij} = g^{ji}")
 # (id, description, the shorter description reported when g is degenerate
 # everywhere, the kernel result it reads)
 _LOCAL_CONDITIONS = (
@@ -321,13 +316,11 @@ _TAIL_CONDITIONS = _LOCAL_CONDITIONS + tuple((cid, desc, short, cid) for cid, de
 ))
 
 
-@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_skew_adjoint(a: LocalOperator, plan: SamplePlan) -> CheckReport:
     """Formal skew-adjointness: g symmetric and b^{ij}_k + b^{ji}_k = d_k g^{ij}."""
     _check_dimension(a, plan)
     g_grid, b_grid = _grid(a, "g", 1), _grid(a, "b", 0)
-    table = (("metric_symmetric", "g^{ij} = g^{ji}"),
-             ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
+    table = (_SYMMETRIC, ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
 
     def evaluate(points):
         g, b = grid_values(g_grid, points), grid_values(b_grid, points)
@@ -335,11 +328,7 @@ def check_skew_adjoint(a: LocalOperator, plan: SamplePlan) -> CheckReport:
         return (np.where(g.failed | b.failed, REDRAW_DOMAIN, 0),
                 found["metric_symmetric"] + found["skew_pairing"])
 
-    found = resolve(plan, evaluate)
-    rows = zip(found.payload[0::2], found.payload[1::2])  # (raw, scale) per condition
-    conditions = [condition_from_arrays(cid, desc, found.points, raw, scale, plan.tolerance)
-                  for (cid, desc), (raw, scale) in zip(table, rows)]
-    return CheckReport(title="skew-adjointness", conditions=conditions, plan=plan)
+    return walk_report("skew-adjointness", table, plan, evaluate)[0]
 
 
 def check_local_hamiltonian(a: LocalOperator, plan: SamplePlan) -> CheckReport:

@@ -4,6 +4,11 @@ A report lists one record per verified identity.  A condition passes iff its
 scale-normalized residual stays below the plan tolerance at every sample
 point; there is no majority voting.  The witness point of the worst residual
 is kept whenever the residual is nonzero.
+
+Every residual verdict is built here, by one rule (:func:`condition_from_arrays`),
+from a check's per-point (raw, scale) pairs: :func:`walk_report` walks a plan
+and reports one condition per row of a table, :func:`table_conditions` the
+same for a walk already made.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sampling import SamplePlan
+from .sampling import Resolved, SamplePlan, resolve
 
 
 @dataclass
@@ -73,6 +78,25 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def walk_report(title: str, table, plan: SamplePlan, evaluate) -> tuple[CheckReport, Resolved]:
+    """Walk ``plan`` with ``evaluate`` (:func:`~hydroham.sampling.resolve`)
+    and report one condition per ``(id, description)`` row of ``table`` at
+    the resolved points, reading the payload as one (raw, scale) pair per
+    row, in row order.  Returns the report and the walk."""
+    found = resolve(plan, evaluate)
+    pairs = zip(found.payload[0::2], found.payload[1::2])
+    return CheckReport(title, table_conditions(table, found.points, pairs, plan.tolerance),
+                       plan), found
+
+
+def table_conditions(table, points, pairs, tolerance: float) -> list[ConditionResult]:
+    """One condition per row of ``table``, whose first two entries are the id
+    and the description, from the per-point (raw, scale) pair of that row in
+    ``pairs``, at ``points`` (:func:`condition_from_arrays`)."""
+    return [condition_from_arrays(cid, description, points, raw, scale, tolerance)
+            for (cid, description, *_), (raw, scale) in zip(table, pairs)]
+
+
 def condition_from_arrays(cid: str, description: str, points, raw, scale,
                           tolerance: float) -> ConditionResult:
     """Aggregate per-point raw residuals and scales, given in plan order,
@@ -89,7 +113,15 @@ def condition_from_arrays(cid: str, description: str, points, raw, scale,
     scale = np.asarray(scale, dtype=float)
     finite = np.isfinite(raw) & np.isfinite(scale)
     if not finite.all():
-        return non_finite_condition(cid, description, points, finite)
+        first = int(np.argmin(finite))
+        return ConditionResult(
+            cid=cid,
+            description=description,
+            residual=None,
+            witness=tuple(float(x) for x in points[first]),
+            passed=False,
+            note=f"non-finite value at {int(np.sum(~finite))} of {len(finite)} points",
+        )
     norm = raw / np.maximum(1.0, scale)
     worst, witness = 0.0, None
     if len(norm):
@@ -104,18 +136,3 @@ def condition_from_arrays(cid: str, description: str, points, raw, scale,
         passed=bool(worst <= tolerance),
     )
 
-
-def non_finite_condition(cid: str, description: str, points, finite) -> ConditionResult:
-    """A failed condition for values that are NaN or infinite at the points
-    where ``finite`` is False: residual None, the first such point as
-    witness, and a note counting them."""
-    first = int(np.argmin(finite))
-    what = f"non-finite value at {int(np.sum(~finite))} of {len(finite)} points"
-    return ConditionResult(
-        cid=cid,
-        description=description,
-        residual=None,
-        witness=tuple(float(x) for x in points[first]),
-        passed=False,
-        note=what,
-    )

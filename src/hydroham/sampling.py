@@ -26,7 +26,9 @@ is at most ``RESAMPLE_BUDGET - r`` lanes per unresolved point of a last round
 at retry r, and lanes are independent, so results do not change.  Several
 walks of one plan (a pencil's lambdas) go in lockstep, each round of them as
 few evaluator calls of at most :data:`BLOCK` lanes as their lanes need;
-:func:`resolve` is the walk of one.
+:func:`resolve` is the walk of one.  The walk calls every evaluator with
+numpy's warnings off, so a NaN or infinity a check computes is no warning
+but a failed condition (:mod:`~hydroham.reports`).
 """
 
 from __future__ import annotations
@@ -356,17 +358,17 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
     asks ``plan.points`` for point i at retry r (``lo + (hi - lo) *
     np.random.default_rng((seed, i, r)).random(dim)``) for every i of the
     block, in order, that no earlier round resolved, and calls
-    ``evaluate(points)``, which returns ``(status, payload)``: a status per
-    lane (0 for resolved, any other value for a draw to redraw,
-    :data:`REDRAW_DOMAIN` when a field left its domain there) and a tuple of
-    arrays with one row per lane.  A round after one that resolved nothing
-    is the block's last: the plan fills every retry left of its points in
-    one kernel call (``SamplePlan._prefetch``), and the round asks for and
-    evaluates all of them, retries r to RESAMPLE_BUDGET, in calls of at most
-    :data:`BLOCK` lanes.  Each point keeps its draws up to its first that
-    resolves, so the result records exactly the draws of a per-point redraw
-    loop, bit for bit, since lanes are independent; a block stops when every
-    point is resolved or has spent the resample budget.
+    ``evaluate(points)`` with numpy's warnings off.  That returns ``(status,
+    payload)``: a status per lane (0 for resolved, any other value for a draw
+    to redraw, :data:`REDRAW_DOMAIN` when a field left its domain there) and
+    a tuple of arrays with one row per lane.  A round after one that
+    resolved nothing is the block's last: the plan fills every retry left of
+    its points in one kernel call (``SamplePlan._prefetch``), and the round
+    asks for and evaluates all of them, retries r to RESAMPLE_BUDGET, in
+    calls of at most :data:`BLOCK` lanes.  Each point keeps its draws up to
+    its first that resolves, so the result records exactly the draws of a
+    per-point redraw loop, bit for bit, since lanes are independent; a block
+    stops when every point is resolved or has spent the resample budget.
 
     A point whose every draw was a domain violation raises
     HostileDomainError ("domain too hostile at sample point i") for the
@@ -387,14 +389,14 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
     the same redraw and budget rules: it records exactly the draws of a
     per-point redraw loop, and after a round in which it resolved nothing,
     its next round, its last of the block, evaluates every retry left at
-    once.  Round r of a block makes one ``plan.points`` call per retry it
-    draws, for the unresolved points of every walk that draws that retry,
-    and hands those lanes to ``evaluate(points, walk)`` walk after walk,
-    retry after retry within a walk, in as few calls as :data:`BLOCK` lanes
-    per call allow; ``walk`` is the walk number of each lane.  Every lane
-    evaluated is one asked for through ``plan.points``, and a last round
-    evaluates at most ``RESAMPLE_BUDGET - r`` lanes more than the loop would
-    per point.  At the end of the first block in which some walk has a point
+    once.  Round r of a block makes one ``plan.points`` call per walk and
+    retry it draws, for that walk's unresolved points, walk after walk and
+    retry after retry within a walk (the plan's memo computes a draw that
+    several walks ask for once), and hands those lanes to ``evaluate(points,
+    walk)`` in that order, with numpy's warnings off, in as few calls as
+    :data:`BLOCK` lanes per call allow; ``walk`` is the walk number of each
+    lane.  A last round evaluates at most ``RESAMPLE_BUDGET - r`` lanes more
+    than the loop would per point.  At the end of the first block in which some walk has a point
     whose every draw was a domain violation, HostileDomainError names the
     first such point of the first such walk; when every walk has the same
     domain flags, that is the point :func:`resolve` names.
@@ -409,26 +411,23 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
         span = [1] * walks  # the retries of the walk's next round; 0 after its last
         first = [len(log[0]) for log in logs]  # the block's first round in each log
         for r in range(RESAMPLE_BUDGET + 1):
-            live = [w for w in range(walks) if span[w] and len(todo[w])]
+            live = [(w, span[w]) for w in range(walks) if span[w] and len(todo[w])]
             if not live:
                 break
-            spans = [span[w] for w in live]
-            for w, k in zip(live, spans):
+            for w, k in live:
                 if k > 1:  # a last round: every retry left, drawn in one kernel call
                     plan._prefetch(todo[w], r)
-            parts = [plan.points(_join([todo[w] for w, k in zip(live, spans) if k > q]), r + q)
-                     for q in range(max(spans))]
-            points = parts[0] if len(parts) == 1 else _by_walk(parts, [len(todo[w]) for w in live],
-                                                                spans)
-            walk = _join([lane_walk[w, :len(todo[w])] for w, k in zip(live, spans) for _ in range(k)])
+            points = _join([plan.points(todo[w], r + q) for w, k in live for q in range(k)])
+            walk = _join([lane_walk[w, :len(todo[w])] for w, k in live for _ in range(k)])
             st, payload = [], []
-            for at in range(0, len(points), BLOCK):
-                s, p = evaluate(points[at:at + BLOCK], walk[at:at + BLOCK])
-                st.append(np.asarray(s, dtype=int))
-                payload.append(p)
+            with np.errstate(all="ignore"):  # non-finite values fail in the verdict instead
+                for at in range(0, len(points), BLOCK):
+                    s, p = evaluate(points[at:at + BLOCK], walk[at:at + BLOCK])
+                    st.append(np.asarray(s, dtype=int))
+                    payload.append(p)
             st, payload = _join(st), tuple(map(_join, zip(*payload)))
             at = 0
-            for w, k in zip(live, spans):
+            for w, k in live:
                 index, draws, status, rows, _ = logs[w]
                 n = len(todo[w])
                 here = slice(at, at + k * n)
@@ -444,18 +443,6 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
                 _check_hostile(todo[w], logs[w][0][first[w]:], logs[w][2][first[w]:])
             logs[w][4].append(todo[w])
     return tuple(_resolved(*log) for log in logs)
-
-
-def _by_walk(parts: list, sizes: list, spans: list) -> np.ndarray:
-    """The lanes of a round walk after walk, retry after retry within a walk,
-    from ``parts``: one array per retry of the round, holding the points of
-    each walk that draws that retry, in walk order."""
-    pieces, at = [], [0] * len(parts)
-    for n, k in zip(sizes, spans):
-        for q in range(k):
-            pieces.append(parts[q][at[q]:at[q] + n])
-            at[q] += n
-    return np.concatenate(pieces)
 
 
 def _recorded(todo: np.ndarray, again: np.ndarray) -> tuple:

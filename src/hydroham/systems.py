@@ -26,7 +26,8 @@ defined, such as sqrt at 0),
 and the per-lane residuals in public kernels.  Every check, the denominator
 scan included, walks the plan through :func:`~hydroham.sampling.resolve` and
 redraws a point where any of its fields leaves its domain; the conjugacy
-check also redraws a point where the map's Jacobian is singular.
+check also redraws a point where the map's Jacobian is singular.  Its
+report, and the current check's, come from :func:`~hydroham.reports.walk_report`.
 :meth:`HydroSystem.speeds`, :meth:`PointChangeMap.apply` and
 :meth:`PointChangeMap.jacobian` are one-lane views of :func:`speed_values`,
 :func:`mapped_points` and :func:`map_jacobians`.  Every speed-matrix entry is
@@ -55,7 +56,7 @@ from .geometry import (
     lane_max,
     scaled_abs_dets,
 )
-from .reports import CheckReport, condition_from_arrays
+from .reports import CheckReport, walk_report
 from .sampling import REDRAW_DOMAIN, SamplePlan, resolve
 
 SIGN_BRIDGE_NOTE = (
@@ -169,7 +170,6 @@ def current_residuals(grad_rho: np.ndarray, grad_sigma: np.ndarray, v: np.ndarra
             np.maximum(lane_max(transport), lane_max(grad_sigma)))
 
 
-@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_conserved_current(s: HydroSystem, c: ConservedCurrent,
                             plan: SamplePlan) -> CheckReport:
     """On-shell divergence: d_k rho v^k_l + d_l sigma = 0 for every l."""
@@ -182,15 +182,8 @@ def check_conserved_current(s: HydroSystem, c: ConservedCurrent,
         return (jets.failed | v.failed,
                 current_residuals(grads[:, 0], grads[:, 1], v.vals))
 
-    found = resolve(plan, evaluate)
-    cond = condition_from_arrays(
-        "current_conserved",
-        "d_k rho v^k_l + d_l sigma = 0 for every l",
-        found.points,
-        *found.payload,
-        plan.tolerance,
-    )
-    return CheckReport(title="conserved current", conditions=[cond], plan=plan)
+    table = (("current_conserved", "d_k rho v^k_l + d_l sigma = 0 for every l"),)
+    return walk_report("conserved current", table, plan, evaluate)[0]
 
 
 def conjugacy_residuals(jac: np.ndarray, v_old: np.ndarray, v_new: np.ndarray):
@@ -200,7 +193,6 @@ def conjugacy_residuals(jac: np.ndarray, v_old: np.ndarray, v_new: np.ndarray):
     return lane_max(lhs - rhs), np.maximum(lane_max(lhs), lane_max(rhs))
 
 
-@np.errstate(all="ignore")  # non-finite values fail in the verdict instead
 def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
                               m: PointChangeMap, plan: SamplePlan) -> CheckReport:
     """Conjugacy of speed matrices: J(u) v_old(u) = v_new(m(u)) J(u)."""
@@ -218,22 +210,13 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
                           np.where(failed | v_new.failed, REDRAW_DOMAIN, 0))
         return status, conjugacy_residuals(jac.vals, v_old.vals, v_new.vals)
 
-    found = resolve(plan, evaluate)
+    table = (("conjugacy", "J v_old = v_new(m(u)) J for the Jacobian J of the map"),)
+    rep, found = walk_report("change of variables", table, plan, evaluate)
     if len(found.unresolved):
         raise HostileDomainError(int(found.unresolved[0]))
-    cond = condition_from_arrays(
-        "conjugacy",
-        "J v_old = v_new(m(u)) J for the Jacobian J of the map",
-        found.points,
-        *found.payload,
-        plan.tolerance,
-    )
-    notes = []
     if np.any(found.status == REDRAW_SINGULAR):
-        notes.append("singular Jacobian encountered; point redrawn")
-    return CheckReport(
-        title="change of variables", conditions=[cond], plan=plan, notes=notes
-    )
+        rep.notes.append("singular Jacobian encountered; point redrawn")
+    return rep
 
 
 def reciprocal_transform_system(s: HydroSystem, c1: ConservedCurrent,
@@ -259,7 +242,6 @@ def denominator_dets(sigma1: np.ndarray, rho1: np.ndarray, v: np.ndarray):
     return scaled_abs_dets(d), np.where(np.linalg.det(d) > 0, 1, -1)
 
 
-@np.errstate(all="ignore")
 def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
                             c2: ConservedCurrent, plan: SamplePlan) -> HydroSystem:
     """Transform a system under the change of independent variables defined
