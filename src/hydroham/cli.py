@@ -97,8 +97,11 @@ def load_spec(path: str) -> dict:
     if not _is_int(dim) or dim < 1:
         raise SpecError("'dimension' must be a positive integer")
 
+    names = raw.get("variable_names")
+    if names is not None and not (isinstance(names, list) and len(names) == dim
+                                  and all(isinstance(x, str) for x in names)):
+        raise SpecError(f"'variable_names' must be a list of {dim} strings")
     spec: dict = {"dimension": dim, "raw": raw}
-    spec["variable_names"] = raw.get("variable_names")
 
     if "metric" in raw:
         spec["metric"] = MetricField(dim, _parse_grid(raw["metric"], dim, 2, dim, "metric"))

@@ -441,3 +441,24 @@ def test_malformed_spec_is_invalid_input(tmp_path, capsys, command, fields, mess
     assert main([command, spec, "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("names", [5, ["a"], ["a", 3], "ab"])
+def test_variable_names_must_be_dimension_strings(tmp_path, capsys, names):
+    # they are echoed in --json, so anything else was echoed as given
+    operator = {"dimension": 2, "metric": H1_METRIC, "b": H1_B, "checks": ["skew_adjoint"]}
+    for command, base in (("check", operator), ("reciprocal", cases.spec_example())):
+        spec = write_spec(tmp_path, **dict(base, variable_names=names))
+        assert main([command, spec, "--json"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: 'variable_names' must be a list of {base['dimension']} strings\n"
+
+
+def test_variable_names_are_echoed(tmp_path, capsys):
+    example = cases.spec_example()
+    names = [f"r{i}" for i in range(1, example["dimension"] + 1)]
+    spec = write_spec(tmp_path, **dict(example, variable_names=names))
+    assert main(["reciprocal", spec, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"]["variable_names"] == names
