@@ -14,10 +14,11 @@ uses it, through the geometry layer's grids, the system checks, the
 drift-flux residuals and :func:`fields_equal_numeric`.  :func:`eval_scalar`
 (a float) and :func:`eval_jet` (a :class:`~hydroham.jets.Jet`) are its
 one-lane views at a single point; they run outside any plan walk, so
-:func:`eval_tape` turns numpy's warnings off itself.  A :class:`Deriv` compiles its argument
-into the same tape one order higher, so every derivative of a
-user-supplied function is a jet too.  Domain violations (log of a non-positive
-value, division by zero, a negative base under a fractional power) are
+:func:`eval_tape` turns numpy's warnings off itself.  A :class:`Deriv`
+compiles its argument into the same tape one order higher, so every
+derivative of a user-supplied function is a jet too.  Domain violations (log
+of a non-positive value, division by zero, a negative base under a
+fractional power) are
 flagged per lane; :meth:`TapeValues.error` builds the
 :class:`~hydroham.errors.EvalDomainError` of a lane, naming the offending
 subtree, and the one-lane views raise it.
@@ -525,7 +526,7 @@ def fields_equal_numeric(f1: Expr, f2: Expr, plan: SamplePlan) -> CheckReport:
 
     def evaluate(points):
         values = eval_tape(both, points)
-        return values.failed, comparison_residuals(values.coeffs[:, 0, :].T)
+        return values.failed, comparison_residuals(*values.coeffs[:, 0])
 
     table = (("pointwise_equal", "values agree at every sample point"),)
     rep, found = walk_report("fields equal", table, plan, evaluate)
@@ -535,7 +536,6 @@ def fields_equal_numeric(f1: Expr, f2: Expr, plan: SamplePlan) -> CheckReport:
     return rep
 
 
-def comparison_residuals(vals: np.ndarray):
-    """Per lane (|f1 - f2|, max(1, |f1|, |f2|)) from values (N, 2)."""
-    v1, v2 = vals[:, 0], vals[:, 1]
+def comparison_residuals(v1: np.ndarray, v2: np.ndarray):
+    """Per lane (|f1 - f2|, max(1, |f1|, |f2|)) from the values of f1 and f2."""
     return np.abs(v1 - v2), np.maximum(np.maximum(1.0, np.abs(v1)), np.abs(v2))

@@ -5,10 +5,10 @@ scale-normalized residual stays below the plan tolerance at every sample
 point; there is no majority voting.  The witness point of the worst residual
 is kept whenever the residual is nonzero.
 
-Every residual verdict is built here, by one rule (:func:`condition_from_arrays`),
-from a check's per-point (raw, scale) pairs: :func:`walk_report` walks a plan
-and reports one condition per row of a table, :func:`table_conditions` the
-same for a walk already made.
+Every residual verdict is built here, by one rule
+(:func:`condition_from_arrays`), from a check's per-point (raw, scale)
+pairs: :func:`walk_report` walks a plan and reports one condition per row of
+a table, :func:`table_conditions` the same for a walk already made.
 """
 
 from __future__ import annotations
@@ -135,4 +135,3 @@ def condition_from_arrays(cid: str, description: str, points, raw, scale,
         witness=witness,
         passed=bool(worst <= tolerance),
     )
-

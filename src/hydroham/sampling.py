@@ -396,10 +396,11 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
     walk)`` in that order, with numpy's warnings off, in as few calls as
     :data:`BLOCK` lanes per call allow; ``walk`` is the walk number of each
     lane.  A last round evaluates at most ``RESAMPLE_BUDGET - r`` lanes more
-    than the loop would per point.  At the end of the first block in which some walk has a point
-    whose every draw was a domain violation, HostileDomainError names the
-    first such point of the first such walk; when every walk has the same
-    domain flags, that is the point :func:`resolve` names.
+    than the loop would per point.  At the end of the first block in which
+    some walk has a point whose every draw was a domain violation,
+    HostileDomainError names the first such point of the first such walk;
+    when every walk has the same domain flags, that is the point
+    :func:`resolve` names.
     """
     # per walk: plan indices, draws, status and rows per round, and
     # unresolved indices per block

@@ -27,7 +27,8 @@ and the per-lane residuals in public kernels.  Every check, the denominator
 scan included, walks the plan through :func:`~hydroham.sampling.resolve` and
 redraws a point where any of its fields leaves its domain; the conjugacy
 check also redraws a point where the map's Jacobian is singular.  Its
-report, and the current check's, come from :func:`~hydroham.reports.walk_report`.
+report, and the current check's, come from
+:func:`~hydroham.reports.walk_report`.
 :meth:`HydroSystem.speeds`, :meth:`PointChangeMap.apply` and
 :meth:`PointChangeMap.jacobian` are one-lane views of :func:`speed_values`,
 :func:`mapped_points` and :func:`map_jacobians`.  Every speed-matrix entry is
