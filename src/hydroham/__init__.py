@@ -30,10 +30,8 @@ from .geometry import (
     ConnectionField,
     MetricField,
     christoffel_from_b,
-    covariant_derivative_affinor,
     invert_metric,
     levi_civita,
-    riemann_curvature,
 )
 from .jets import Jet
 from .operators import (
@@ -88,7 +86,6 @@ __all__ = [
     "check_pencil_compatibility",
     "check_skew_adjoint",
     "christoffel_from_b",
-    "covariant_derivative_affinor",
     "default_plan",
     "eval_jet",
     "eval_scalar",
@@ -98,6 +95,5 @@ __all__ = [
     "levi_civita",
     "parse_expr",
     "reciprocal_transform_system",
-    "riemann_curvature",
     "variables",
 ]

@@ -427,17 +427,6 @@ def levi_civita(g: MetricField, point) -> np.ndarray:
     return metric_frame(g, point).gamma
 
 
-def riemann_curvature(g: MetricField, point):
-    """Curvature of the Levi-Civita connection: (R^j_{skl}, g^{is} R^j_{skl})."""
-    frame = metric_frame(g, point, curvature=True)
-    return frame.riemann, frame.riemann_up
-
-
-def covariant_derivative_affinor(w: AffinorField, g: MetricField, point) -> np.ndarray:
-    """nabla_k w^i_j under the Levi-Civita connection of g."""
-    return covariant_derivative_values(w, metric_frame(g, point))
-
-
 def covariant_derivative_values(w: AffinorField, frame: MetricFrames) -> np.ndarray:
     """nabla_k w^i_j at the point of a one-point frame (:func:`metric_frame`)."""
     jets = one_lane(grid_values(compile_grid((w.entries,), w.dim, 1), [frame.point]))

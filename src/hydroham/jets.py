@@ -170,9 +170,11 @@ def _unary(op, param, x, order, scatter):
             if e < 0:
                 bad |= v == 0.0
             return out[None], bad
-        out = x
-        for _ in range(abs(e) - 1):
-            out = _mul(out, x, scatter)
+        out = x  # square-and-multiply, left to right: x*x, then *x, for |e| = 3
+        for bit in bin(abs(e))[3:]:
+            out = _mul(out, out, scatter)
+            if bit == "1":
+                out = _mul(out, x, scatter)
         if e > 0:
             return out, None
         w = out[0]

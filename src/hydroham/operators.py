@@ -448,14 +448,13 @@ def _constant(lam) -> float:
     return float(e.value)
 
 
-def hamiltonian_flow(a: LocalOperator, h: Expr, plan: SamplePlan | None = None):
+def hamiltonian_flow(a: LocalOperator, h: Expr):
     """The hydrodynamic system u_t = v u_x generated by a density depending
     on u only: v^i_k = g^{ij} d_j d_k H + b^{ij}_k d_j H.
 
     Entries are expressions over the operator's coefficients and
     :class:`~hydroham.exprs.Deriv` nodes of the density, so the derivatives
-    come from jets.  With a plan, the speeds are evaluated at its first point
-    to fail fast on domain problems.
+    come from jets.
     """
     from .systems import HydroSystem  # local import to avoid a cycle
 
@@ -467,7 +466,4 @@ def hamiltonian_flow(a: LocalOperator, h: Expr, plan: SamplePlan | None = None):
                  for j in range(n)]
         return sum(terms[1:], terms[0])
 
-    system = HydroSystem(dim=n, v=tuple(tuple(entry(i, k) for k in range(n)) for i in range(n)))
-    if plan is not None:
-        system.speeds(plan.point(0))
-    return system
+    return HydroSystem(dim=n, v=tuple(tuple(entry(i, k) for k in range(n)) for i in range(n)))

@@ -8,15 +8,17 @@ Grammar, by increasing binding power:
     power  := atom ('^' unary)*          exponent must fold to a rational
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-Binary operators of equal precedence associate to the left.  Variables are
-named u1..un, with r1..rn accepted as aliases; pi and e denote the usual
-constants; function names are exp, ln, sin, cos, sqrt.
+Binary operators of equal precedence associate to the left.  A number, and
+an exponent once folded, must be a finite double.  Variables are named
+u1..un, with r1..rn accepted as aliases; pi and e denote the usual constants;
+function names are exp, ln, sin, cos, sqrt.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -109,7 +111,7 @@ class _Parser:
         while (tok := self.peek()) is not None and tok.kind == "op" and tok.text == "^":
             self.next()
             at = self.peek().pos if self.peek() is not None else self.length
-            node = Power(node, _fold_rational(self.exponent_atom(), at))
+            node = Power(node, _finite(_fold_rational(self.exponent_atom(), at), "exponent", at))
         return node
 
     def exponent_atom(self) -> Expr:
@@ -126,7 +128,7 @@ class _Parser:
         if tok is None:
             raise ParseError("unexpected end of input", self.length)
         if tok.kind == "number":
-            return Const(Fraction(tok.text))
+            return Const(_finite(Fraction(tok.text), f"number {tok.text}", tok.pos))
         if tok.kind == "ident":
             return self.ident(tok)
         if tok.text == "(":
@@ -174,8 +176,18 @@ def _fold_rational(e: Expr, pos: int) -> Fraction:
             raise ParseError("division by zero in exponent", pos)
         return left / right
     if isinstance(e, Power) and e.exponent.denominator == 1 and e.exponent >= 0:
-        return _fold_rational(e.base, pos) ** int(e.exponent)
+        base = _fold_rational(e.base, pos)
+        if e.exponent * max(base.numerator.bit_length(), base.denominator.bit_length()) > 1 << 16:
+            raise ParseError("exponent too large to fold", pos)  # far past any double
+        return base ** int(e.exponent)
     raise ParseError("exponent must be a constant rational", pos)
+
+
+def _finite(value: Fraction, what: str, pos: int) -> Fraction:
+    """``value``; ParseError unless it is a finite double."""
+    if abs(value) > sys.float_info.max:
+        raise ParseError(f"{what} is not a finite double", pos)
+    return value
 
 
 def parse_expr(text: str, n: int) -> Expr:

@@ -7,10 +7,10 @@ results, and a point hit by a domain violation can be redrawn reproducibly
 by bumping the retry counter.  :meth:`SamplePlan.points` computes those
 numbers for a whole round of indices in one call, following numpy's
 SeedSequence and PCG64 in array arithmetic, without a generator per point.
-Each plan object computes each ``(i, retry)`` once and reuses the row in every
-later walk of it, in chunks of 256 indices; threads that fill the same row at
-once write identical values.  It keeps the rows its walks asked for, and
-fills in one call every retry left of the points of a walk's last round.
+Each plan object keeps the rows it draws, in chunks of 256 indices, for
+every later walk of it: a request whose rows it holds all is a gather, and
+any other is drawn whole, in one kernel call, and kept.  It also fills in one
+call every retry left of the points of a walk's last round.
 
 :func:`resolve_walks` is the one plan walk and holds the one redraw rule: a
 draw at which any field of a check leaves its domain is redrawn, and so is
@@ -97,58 +97,39 @@ class SamplePlan:
         array: row k is ``lo + (hi - lo) * np.random.default_rng((seed,
         indices[k], retry)).random(dim)``, bit for bit, for indices below
         2**64.  Each ``(i, retry)`` with ``i < count`` and ``retry <=
-        RESAMPLE_BUDGET`` is computed once per plan object and reused by every
-        walk of it: the plan keeps the rows asked for, and those a last round
-        of :func:`resolve` has it fill in one call before asking for them
-        here, in 256-row chunks, and concurrent fills of a row write identical
-        values.
+        RESAMPLE_BUDGET`` is kept per plan object, in 256-row chunks: a
+        request's rows of a chunk the memo holds all are a gather, others are
+        drawn whole, in one kernel call, and kept.  Concurrent fills of a row
+        write identical values.
         ValueError unless the indices and ``retry`` are integers >= 0 and
         the indices below 2**64."""
         idx = _plan_indices(indices)
         retry = _natural("retry", retry)
         if not idx.size:
             return np.empty((0, self.dim))
-        ascending = bool((idx[1:] > idx[:-1]).all())  # so distinct; every round of resolve
-        lo, hi = (int(idx[0]), int(idx[-1])) if ascending else (int(idx.min()), int(idx.max()))
+        lo, hi = int(idx.min()), int(idx.max())
         if lo < 0:
             raise ValueError(f"plan index must be an integer >= 0, got {lo}")
         if hi >= self.count or retry > RESAMPLE_BUDGET:
             return self._draw(idx, retry)  # not a plan draw: not kept
         first = lo // _CHUNK
         if first == hi // _CHUNK:  # every round of resolve at the default BLOCK
-            return self._chunk(first, retry, idx - first * _CHUNK, ascending)
+            return self._chunk(first, retry, idx - first * _CHUNK)
         out = np.empty((idx.size, self.dim))
         chunk = idx // _CHUNK
         for c in np.unique(chunk).tolist():  # the chunks present, however far apart
             lanes = chunk == c
-            out[lanes] = self._chunk(c, retry, idx[lanes] - c * _CHUNK, ascending)
+            out[lanes] = self._chunk(c, retry, idx[lanes] - c * _CHUNK)
         return out
 
-    def _chunk(self, c: int, retry: int, local, distinct: bool) -> np.ndarray:
-        """Rows ``c * 256 + local`` at draw ``retry``, drawing those the memo
-        lacks; ``distinct`` when no index of ``local`` repeats."""
+    def _chunk(self, c: int, retry: int, local) -> np.ndarray:
+        """Rows ``c * 256 + local`` at draw ``retry``: a gather from the memo
+        when it holds them all, else all drawn, in request order, and kept."""
         entry = self._memo.get((c, retry))
         if entry is not None and entry[1][local].all():
             return entry[0][local]
-        n = min(_CHUNK, self.count - c * _CHUNK)
-        fresh = False  # every requested row new, and each asked for once
-        if entry is None:
-            created = (np.empty((n, self.dim)), np.zeros(n, bool))
-            entry = self._memo.setdefault((c, retry), created)
-            fresh = distinct and entry is created  # lacks every row: no dedupe mask
-        rows, drawn = entry  # the drawn flags are set after the rows they vouch for
-        if not fresh:
-            missing = np.zeros(n, bool)
-            missing[local] = True
-            missing &= ~drawn
-            if np.count_nonzero(missing) < local.size:  # some drawn or repeated: gather
-                new = np.flatnonzero(missing)
-                rows[new] = self._draw(new + c * _CHUNK, retry)
-                drawn[new] = True
-                return rows[local]
-        out = self._draw(local + c * _CHUNK, retry)  # all new and distinct: in request order
-        rows[local] = out
-        drawn[local] = True
+        out = self._draw(local + c * _CHUNK, retry)
+        self._keep(c, retry, local, out)
         return out
 
     def _prefetch(self, indices, retry: int) -> None:
@@ -172,11 +153,15 @@ class SamplePlan:
                            np.concatenate([np.full(rows.size, q, np.uint64) for (_, q), rows in lack]))
         at = 0
         for (c, q), rows in lack:
-            n = min(_CHUNK, self.count - c * _CHUNK)
-            entry = self._memo.setdefault((c, q), (np.empty((n, self.dim)), np.zeros(n, bool)))
-            entry[0][rows] = drawn[at:at + rows.size]  # the rows before their drawn flags
-            entry[1][rows] = True
+            self._keep(c, q, rows, drawn[at:at + rows.size])
             at += rows.size
+
+    def _keep(self, c: int, retry: int, local, rows) -> None:
+        """Keep ``rows`` as rows ``c * 256 + local`` at draw ``retry``, before their flags."""
+        n = min(_CHUNK, self.count - c * _CHUNK)
+        entry = self._memo.setdefault((c, retry), (np.empty((n, self.dim)), np.zeros(n, bool)))
+        entry[0][local] = rows
+        entry[1][local] = True
 
     def _draw(self, indices, retry) -> np.ndarray:
         """The kernel behind :meth:`points`, with no memo: ``retry`` is an int,
@@ -391,8 +376,8 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
     its next round, its last of the block, evaluates every retry left at
     once.  Round r of a block makes one ``plan.points`` call per walk and
     retry it draws, for that walk's unresolved points, walk after walk and
-    retry after retry within a walk (the plan's memo computes a draw that
-    several walks ask for once), and hands those lanes to ``evaluate(points,
+    retry after retry within a walk (the plan's memo serves a request whose
+    rows an earlier walk drew), and hands those lanes to ``evaluate(points,
     walk)`` in that order, with numpy's warnings off, in as few calls as
     :data:`BLOCK` lanes per call allow; ``walk`` is the walk number of each
     lane.  A last round evaluates at most ``RESAMPLE_BUDGET - r`` lanes more

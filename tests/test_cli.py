@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import cases
-from hydroham.cli import PRESETS, SPEC_CHECKS, main
+from hydroham.cli import PRESET_OPTIONS, PRESETS, SPEC_CHECKS, main
 from hydroham.sampling import SamplePlan
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -462,3 +462,79 @@ def test_variable_names_are_echoed(tmp_path, capsys):
     spec = write_spec(tmp_path, **dict(example, variable_names=names))
     assert main(["reciprocal", spec, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["spec"]["variable_names"] == names
+
+
+# -- numbers from outside and preset options ------------------------------------------
+
+
+def _operator_spec(tmp_path, g11: str) -> str:
+    metric = [[g11, H1_METRIC[0][1]], H1_METRIC[1]]
+    return write_spec(tmp_path, dimension=2, metric=metric, b=H1_B,
+                      checks=["skew_adjoint", "local_hamiltonian"], sample_plan=PLAN)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["preset", "h1-theta", "--theta", "1e400"],
+     "bad --theta expression: number 1e400 is not a finite double"),
+    (["preset", "h2-hat", "--c=1e400,0,0"],
+     "--c must be 3 finite numbers, comma separated, got '1e400,0,0'"),
+    (["preset", "kg-family", "--k=1e400"], "--k must be 1 finite number, got '1e400'"),
+    (["preset", "kg-family", "--k=1/0"], "bad --k '1/0': Fraction(1, 0)"),
+    (["preset", "kg-family", "--k=1,2"], "--k must be 1 finite number, got '1,2'"),
+    (["preset", "constraints", "--b2=1,2"], "--b2 must be 3 finite numbers"),
+])
+def test_preset_numbers_past_the_doubles_are_invalid_input(capsys, argv, message):
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("g11,message", [
+    ("1e400", "error: bad expression in metric: number 1e400 is not a finite double"),
+    ("u1^(10^400)", "error: bad expression in metric: exponent is not a finite double"),
+])
+def test_spec_numbers_past_the_doubles_are_invalid_input(tmp_path, capsys, g11, message):
+    assert main(["check", _operator_spec(tmp_path, g11), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+
+
+def test_a_spec_with_a_large_integer_power_is_a_verdict(tmp_path, capsys):
+    # the order-2 jets of u1^(10^7) take a few dozen products, not 10^7
+    assert main(["check", _operator_spec(tmp_path, "1 + u1^(10^7)"), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["overall"] == "fail"
+
+
+def test_presets_take_only_the_options_they_read(capsys):
+    assert main(["preset", "h1", "--theta", "0", "--k", "7", "--c", "1,2,3", "--json"]) == 2
+    assert capsys.readouterr().err == \
+        "error: preset 'h1' does not take --theta --c --k; it takes no options\n"
+    for name, (_, takes, _) in PRESETS.items():
+        for option in PRESET_OPTIONS:
+            if option not in takes:
+                assert main(["preset", name, f"--{option}=1"]) == 2, (name, option)
+                assert f"does not take --{option};" in capsys.readouterr().err
+    assert sum(len(takes) for _, takes, _ in PRESETS.values()) == 22
+
+
+def test_presets_echo_the_options_they_accept(capsys):
+    # a block off its defining sums: the constraint residuals fail
+    argv = ["preset", "constraints", "--c", "1, 1, 0", "--b3", "0,0,1", "--samples", "5"]
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["spec"]["params"] == {"c": "1, 1, 0", "b3": "0,0,1"}
+
+
+def test_readme_preset_table_lists_each_presets_options():
+    rows = re.findall(r"^\| (`[^|]*)\|([^|]*)\|", _read("README.md"), re.M)
+    listed = {name: set(re.findall(r"--(\w+)", cell))
+              for names, cell in rows for name in re.findall(r"`([^`]+)`", names)}
+    assert listed == {name: set(takes) for name, (_, takes, _) in PRESETS.items()}
+
+
+@pytest.mark.parametrize("k", ["51", "2000"])
+def test_kg_family_control_holds_wherever_the_variant_fails(capsys, k):
+    # the half-r1 variant's residual is 1/(2k): 0.0098 at k = 51, far above tolerance
+    assert main(["preset", "kg-family", f"--k={k}", "--json"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    (control,) = [c for c in check["conditions"] if c["id"].startswith("half-exponent")]
+    assert control["passed"] and control["max_residual"] == pytest.approx(1 / (2 * int(k)))

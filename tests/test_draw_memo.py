@@ -111,24 +111,30 @@ def test_memo_hits_are_the_seeded_formula(draws):
         assert np.array_equal(plan.point(7, retry), hit[1])
 
 
-def test_a_partly_drawn_request_computes_only_the_rows_it_lacks(draws):
-    computed, _ = draws
+def test_a_partly_drawn_request_is_drawn_whole(kernel_calls):
+    # a request the memo cannot serve whole is one kernel call over every
+    # requested row, in request order; one it holds every row of is a gather
+    computed, _, calls = kernel_calls
     plan = SamplePlan(2, BOX[:2], count=100, seed=6)
     plan.points(range(10), 2)
-    for indices, lacking in (([12, 5, 10, 12, 9, 11], 3), (range(8, 14), 1), ([13, 11, 10, 12], 0)):
-        before = len(computed)
+    for indices, drawn in (([12, 5, 10, 12, 9, 11], True), (range(8, 14), True),
+                           ([13, 11, 10, 12], False)):
+        before, called = len(computed), calls[0]
         assert np.array_equal(plan.points(list(indices), 2), formula(plan, indices, 2))
-        assert len(computed) == before + lacking
+        assert computed[before:] == ([(6, i, 2) for i in indices] if drawn else [])
+        assert calls[0] == called + drawn
 
 
-def test_a_first_request_with_repeats_computes_each_row_once(draws):
-    # a chunk's first request skips the dedupe only when its indices ascend
-    computed, _ = draws
+def test_a_first_request_with_repeats_is_drawn_in_request_order(kernel_calls):
+    # repeats included, and kept: the same request again is a gather
+    computed, _, calls = kernel_calls
     plan = SamplePlan(2, BOX[:2], count=100, seed=6)
     for indices, retry in (([5, 5, 2, 5], 0), ([9, 4, 7], 1), ([3, 8], 2)):
-        before = len(computed)
+        before, called = len(computed), calls[0]
         assert np.array_equal(plan.points(indices, retry), formula(plan, indices, retry))
-        assert sorted(computed[before:]) == [(6, i, retry) for i in sorted(set(indices))]
+        assert computed[before:] == [(6, i, retry) for i in indices]
+        assert np.array_equal(plan.points(indices, retry), formula(plan, indices, retry))
+        assert len(computed) == before + len(indices) and calls[0] == called + 1
 
 
 # -- (c) request order -----------------------------------------------------------------------

@@ -11,13 +11,11 @@ from hydroham.geometry import (
     ConnectionField,
     MetricField,
     christoffel_from_b,
-    covariant_derivative_affinor,
     covariant_derivative_values,
     eval_matrix,
     invert_metric,
     levi_civita,
     metric_frame,
-    riemann_curvature,
     scaled_abs_det,
 )
 from hydroham.operators import gauss_tail_sum
@@ -158,14 +156,14 @@ def test_metric_compatibility_of_levi_civita(rng):
 
 
 def test_flat_identity_metric_curvature_vanishes():
-    r, _ = riemann_curvature(IDENTITY2, (0.1, 0.2))
+    r = metric_frame(IDENTITY2, (0.1, 0.2), curvature=True).riemann
     assert np.allclose(r, 0.0)
 
 
 def test_round_sphere_sectional_curvature():
     p = (math.pi / 4, 0.3)
-    r, _ = riemann_curvature(SPHERE, p)
     frame = metric_frame(SPHERE, p, curvature=True)
+    r = frame.riemann
     r_1212 = frame.g_lo[0, 0] * r[0, 1, 0, 1]
     k = r_1212 / (frame.g_lo[0, 0] * frame.g_lo[1, 1] - frame.g_lo[0, 1] ** 2)
     assert k == pytest.approx(1.0, rel=1e-9)
@@ -174,7 +172,7 @@ def test_round_sphere_sectional_curvature():
 def test_first_preset_metric_is_flat(rng):
     for _ in range(100):
         p = rng.uniform(-0.7, 0.7, size=2)
-        r, _ = riemann_curvature(H1_METRIC, p)
+        r = metric_frame(H1_METRIC, p, curvature=True).riemann
         assert np.max(np.abs(r)) <= 1e-10
 
 
@@ -216,12 +214,13 @@ def _diag_affinor(texts, n, sign=1):
 
 def test_identity_affinor_is_parallel():
     w = _diag_affinor(["1", "1"], 2)
-    assert np.allclose(covariant_derivative_affinor(w, H1_METRIC, (0.2, -0.4)), 0.0, atol=1e-13)
+    nabla = covariant_derivative_values(w, metric_frame(H1_METRIC, (0.2, -0.4)))
+    assert np.allclose(nabla, 0.0, atol=1e-13)
 
 
 def test_constant_affinor_flat_metric_parallel():
     w = _diag_affinor(["3", "3"], 2)
-    assert np.allclose(covariant_derivative_affinor(w, IDENTITY2, (0.5, 0.5)), 0.0)
+    assert np.allclose(covariant_derivative_values(w, metric_frame(IDENTITY2, (0.5, 0.5))), 0.0)
 
 
 def test_prolongation_tails_satisfy_codazzi(rng):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hydroham import jets
 from hydroham.jets import Jet, JetDomainError, multi_indices
 
 from conftest import random_smooth_expr
@@ -129,3 +130,26 @@ def test_leibniz_rule_on_random_expressions(rng):
         prod = j1 * j2
         scale = np.maximum(1.0, np.maximum(np.abs(j12.coeffs), np.abs(prod.coeffs)))
         assert np.all(np.abs(j12.coeffs - prod.coeffs) / scale <= 1e-12)
+
+
+def test_integer_powers_up_to_three_are_the_products_of_repeated_multiplication(rng):
+    # square-and-multiply forms x*x, then *x: today's products for |e| <= 3
+    x = Jet.variable(0, 0.0, 2, 3)
+    x = Jet(2, 3, rng.uniform(-2.0, 2.0, size=x.coeffs.shape))
+    for e, want in ((1, x), (2, x * x), (3, x * x * x), (-1, x ** -1),
+                    (-2, (x * x) ** -1), (-3, (x * x * x) ** -1)):
+        assert (x ** e).coeffs.tobytes() == want.coeffs.tobytes(), e
+
+
+def test_a_large_integer_power_takes_a_few_products(monkeypatch):
+    # 2 log2(e) products at most, not e - 1
+    products, mul = [], jets._mul
+    monkeypatch.setattr(jets, "_mul", lambda *a: products.append(1) or mul(*a))
+    x = Jet.variable(0, 1.0000001, 1, 2)
+    e = 10 ** 7
+    j = x ** e
+    assert len(products) <= 2 * e.bit_length()
+    value = 1.0000001 ** e
+    assert j.value == pytest.approx(value, rel=1e-6)
+    assert j.derivative((1,)) == pytest.approx(e * value / 1.0000001, rel=1e-6)
+    assert j.derivative((2,)) == pytest.approx(e * (e - 1) * value / 1.0000001 ** 2, rel=1e-6)

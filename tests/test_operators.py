@@ -203,7 +203,7 @@ def test_pencil_operator_builds_sum():
 
 def test_flow_of_quadratic_density_is_translation():
     u1, = variables(1)
-    system = hamiltonian_flow(_dx_operator(), u1 * u1 / 2, default_plan(1, count=5))
+    system = hamiltonian_flow(_dx_operator(), u1 * u1 / 2)
     assert eval_scalar(system.v[0][0], (0.37,)) == pytest.approx(1.0)
 
 
@@ -224,7 +224,7 @@ def test_flow_matches_the_jet_formula():
     plan = df.drift_plan(count=30, seed=3)
     op = df.build_H1_Theta(parse_expr("1 + r3^2", 3))
     h = parse_expr("exp(r1-r2)*(r1+r2) + r3^2*r1 + sin(r2*r3)", 3)
-    system = hamiltonian_flow(op, h, plan)
+    system = hamiltonian_flow(op, h)
     for i in range(plan.count):
         p = plan.point(i)
         jet = eval_jet(h, p, 2)
@@ -292,7 +292,7 @@ def test_flow_against_finite_difference_hessian(rng):
     op = df.build_nutku(1)
     for text in ("exp(r1-r2)", "exp(r1-r2)*(r1+r2) + r1^2"):
         h_expr = parse_expr(text, 2)
-        system = hamiltonian_flow(op, h_expr, df.plane_plan(count=5))
+        system = hamiltonian_flow(op, h_expr)
         for _ in range(10):
             p = rng.uniform(-0.6, 0.6, size=2)
             grad, hess = _fd_grad_hess(h_expr, p)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,3 +108,23 @@ def test_unexpected_character():
 def test_empty_input():
     with pytest.raises(ParseError, match="end of input"):
         parse_expr("", 1)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1e400", "number 1e400 is not a finite double"),
+    ("u1 + 2e308", "number 2e308 is not a finite double"),
+    ("u1^(10^400)", "exponent is not a finite double"),
+    ("u1^(1e400)", "number 1e400 is not a finite double"),
+    ("u1^(10^(10^10))", "exponent too large to fold"),
+    ("u1^((1/2)^(10^10))", "exponent too large to fold"),
+])
+def test_numbers_and_exponents_past_the_doubles_are_rejected(text, message):
+    # at once: the exact power of a folded exponent is bounded before it is formed
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        parse_expr(text, 1)
+
+
+def test_exponents_within_the_doubles_still_fold():
+    assert parse_expr("u1^(10^400/10^399)", 1) == Power(Var(0), Fraction(10))
+    assert parse_expr("1e-400", 1) == Const(Fraction(1, 10 ** 400))
+    assert parse_expr("u1^(10^7)", 1) == Power(Var(0), Fraction(10 ** 7))
