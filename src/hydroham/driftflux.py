@@ -413,27 +413,40 @@ def _as_k(k) -> Fraction:
     k = Fraction(k)
     if k == Fraction(1, 2):
         raise ValueError("k = 1/2 is excluded (pole in the exponent)")
+    _family_const(k, "k", k)
     return k
+
+
+def _family_const(value: Fraction, name: str, k: Fraction) -> Expr:
+    """const(value) for the constant ``name`` the families derive from k;
+    ValueError where it is not a finite double (the tape compiler's float()
+    would raise OverflowError)."""
+    try:
+        float(value)
+    except OverflowError:
+        at = "" if name == "k" else f" at k = {float(k):g}"
+        raise ValueError(f"the families' constant {name} is not a finite double{at}") from None
+    return const(value)
 
 
 def kg_family_u(k) -> Expr:
     """Exponential solution family e^{k r1 + k r2 / (1 - 2k)}."""
     k = _as_k(k)
-    return exp(const(k) * R1 + const(k / (1 - 2 * k)) * R2)
+    return exp(const(k) * R1 + _family_const(k / (1 - 2 * k), "k/(1 - 2k)", k) * R2)
 
 
 def kg_family_u_half_r1(k) -> Expr:
     """Variant with the r1 coefficient halved.  It fails the wave identity
     for every k != 0 and is kept as a diagnostic negative control."""
     k = _as_k(k)
-    return exp(const(k / 2) * R1 + const(k / (1 - 2 * k)) * R2)
+    return exp(const(k / 2) * R1 + _family_const(k / (1 - 2 * k), "k/(1 - 2k)", k) * R2)
 
 
 def kg_family_v(k) -> Expr:
     """Derived family ((1-2k)^2 r1 + r2) e^{k r1 + k r2/(1-2k)}: the image of
     the exponential family under the scaling symmetry of the wave identity."""
     k = _as_k(k)
-    return (const((1 - 2 * k) ** 2) * R1 + R2) * kg_family_u(k)
+    return (_family_const((1 - 2 * k) ** 2, "(1 - 2k)^2", k) * R1 + R2) * kg_family_u(k)
 
 
 def kg_characteristic_J(psi: Expr) -> Expr:

@@ -248,7 +248,10 @@ def var_indices(e: Expr) -> frozenset[int]:
 # Each instruction carries its own order: Deriv compiles its argument into the
 # same tape one order higher and reads the shifted coefficients
 # (jets.partial_map).  Structurally equal subtrees share one slot per order,
-# and literal zero outputs compile to nothing.  A subtree needed at two orders
+# literal zero outputs compile to nothing, and a folded constant (a literal,
+# or arithmetic on constants) gets its const instruction only where an
+# instruction or an output reads it, so no instruction goes unread.  A subtree
+# needed at two orders
 # is computed at each, never truncated from the higher one: a jet's domain
 # depends on its order (sqrt at 0 has a value but no order-1 jet).  A lane
 # that leaves the domain is flagged at the first failing instruction in
@@ -287,21 +290,28 @@ class _TapeCompiler:
             self.code.append((op, args, param, node, order))
         return slot
 
-    def const(self, value: float, order: int) -> int:
-        return self.emit(("const", float(value)), None, order)
+    def const(self, value: float, order: int) -> float:
+        """A folded constant: a float in place of a slot until an instruction
+        reads it (:meth:`read`), so a constant folded into another emits
+        nothing."""
+        return float(value)
 
-    def value(self, slot: int):
+    def value(self, slot):
         """The folded value of a constant slot, else None."""
-        op, _, param, _, _ = self.code[slot]
-        return param if op == "const" else None
+        return slot if isinstance(slot, float) else None
 
-    def slot(self, node: Expr, order: int) -> int:
+    def read(self, slot, order: int) -> int:
+        """The slot an instruction reads, a folded constant emitted at its
+        first read."""
+        return self.emit(("const", slot), None, order) if isinstance(slot, float) else slot
+
+    def slot(self, node: Expr, order: int) -> int | float:
         hit = self.by_id.get((id(node), order))
         if hit is None:
             hit = self.by_id[id(node), order] = self._compile(node, order)
         return hit
 
-    def _compile(self, node: Expr, order: int) -> int:
+    def _compile(self, node: Expr, order: int) -> int | float:
         if isinstance(node, Const):
             return self.const(float(node.value), order)
         if isinstance(node, NamedConst):
@@ -330,11 +340,14 @@ class _TapeCompiler:
                     return self.const(ca * cb, order)
                 if cb != 0.0:  # jets divide by multiplying with the reciprocal
                     return self.const(ca / cb if order == 0 else ca * (1.0 / cb), order)
-            return self.emit((node.op, a, b, None), node, order)
+            return self.emit((node.op, self.read(a, order), self.read(b, order), None), node,
+                             order)
         if isinstance(node, Power):
-            return self.emit(("pow", self.slot(node.base, order), node.exponent), node, order)
+            base = self.read(self.slot(node.base, order), order)
+            return self.emit(("pow", base, node.exponent), node, order)
         if isinstance(node, Call):
-            return self.emit((node.func, self.slot(node.arg, order), None), node, order)
+            return self.emit((node.func, self.read(self.slot(node.arg, order), order), None), node,
+                             order)
         if isinstance(node, Deriv):
             _check_order(order + 1, lowest=0)
             arg = self.slot(node.arg, order + 1)
@@ -350,7 +363,8 @@ def compile_tape(exprs, n: int, order: int) -> Tape:
     _check_order(order, lowest=0)
     comp = _TapeCompiler(n)
     outputs = tuple(
-        None if isinstance(e, Const) and e.value == 0 else comp.slot(e, order) for e in exprs
+        None if isinstance(e, Const) and e.value == 0 else comp.read(comp.slot(e, order), order)
+        for e in exprs
     )
     last_read = {}
     for i, (_, args, *_) in enumerate(comp.code):

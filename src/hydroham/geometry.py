@@ -7,9 +7,14 @@ formed.  Derivatives of the metric come from a jet tape of its entries,
 derivatives of the inverse from d(g_lo) = -g_lo (d g_up) g_lo.  Contractions
 go through :func:`lane_einsum`, so a lane's numbers do not depend on the rest
 of its batch.  Frames come in two steps: :func:`metric_status` reads from the
-metric's jets which lanes failed or are degenerate, and :func:`metric_frames`
-builds the inverse, Christoffel symbols and curvature at the usable lanes
-only, so a lane that cannot resolve costs a determinant and no contraction.
+metric's jet values which lanes failed or are degenerate, and
+:func:`metric_frames` takes the jets' coefficients at the usable lanes, forms
+the derivatives there and builds the inverse, Christoffel symbols and
+curvature from them, so a lane that cannot resolve costs a determinant and
+no derivative or contraction.  :class:`GridValues` forms derivatives only
+where they are read.  The determinant is that of the matrix with each row
+scaled by its largest entry, written out up to 3 x 3 and from np.linalg.det
+beyond; a vanishing row makes it 0 and a non-finite entry NaN.
 The single-point functions (:func:`metric_frame`, :func:`eval_matrix`,
 :func:`covariant_derivative_values`) are one-lane views of the batched ones:
 they return the same arrays with the lane axis dropped (a frame is the
@@ -205,14 +210,16 @@ def compile_grid(entries, dim: int, order: int) -> GridTape:
     return GridTape(shape, compile_tape(leaves, dim, order))
 
 
-class GridValues(NamedTuple):
-    """A grid's values and derivatives at N points, lane axis last, read
-    from the tape's coefficients without a copy of the values:
-    vals (*shape, N), d1[k] = d_k, d2[l, k] = d_l d_k."""
+@dataclass(frozen=True, eq=False)
+class GridValues:
+    """A grid's values and derivatives at N points, lane axis last:
+    vals (*shape, N), d1[k] = d_k, d2[l, k] = d_l d_k.  The values are read
+    from the tape's coefficients without a copy; d1 and d2 are formed from
+    them when first read, once, and :meth:`at` forms all three at some lanes
+    only, from the coefficients taken there, with the same bits."""
 
     vals: np.ndarray
-    d1: Optional[np.ndarray]
-    d2: Optional[np.ndarray]
+    shape: tuple  # of the grid
     tape_values: TapeValues
 
     @property
@@ -221,6 +228,31 @@ class GridValues(NamedTuple):
 
     def error(self, lane: int):
         return self.tape_values.error(lane)
+
+    @property
+    def d1(self) -> Optional[np.ndarray]:
+        return self._derivatives[1]
+
+    @property
+    def d2(self) -> Optional[np.ndarray]:
+        return self._derivatives[2]
+
+    @functools.cached_property
+    def _derivatives(self):
+        return self.at(None)
+
+    def at(self, lanes) -> tuple:
+        """(vals, d1, d2) at the given lanes (indices), or at every lane for
+        None; None past the tape's order."""
+        values = self.tape_values
+        if lanes is not None:
+            values = values._replace(coeffs=values.coeffs.take(lanes, -1))
+        vals, d1, d2 = values.derivatives()
+        shape = self.shape + vals.shape[-1:]
+        dim = self.tape_values.tape.n
+        return (vals.reshape(shape),
+                None if d1 is None else d1.reshape((dim,) + shape),
+                None if d2 is None else d2.reshape((dim, dim) + shape))
 
 
 def grid_values(grid: GridTape, points) -> GridValues:
@@ -242,14 +274,7 @@ def pencil_values(grid: GridTape, points, lam) -> GridValues:
 
 
 def _grid_values(shape: tuple, values: TapeValues) -> GridValues:
-    vals, d1, d2 = values.derivatives()
-    lanes, dim = values.points.shape
-    return GridValues(
-        vals.reshape(shape + (lanes,)),
-        None if d1 is None else d1.reshape((dim,) + shape + (lanes,)),
-        None if d2 is None else d2.reshape((dim, dim) + shape + (lanes,)),
-        values,
-    )
+    return GridValues(values.coeffs[:, 0].reshape(shape + (len(values.points),)), shape, values)
 
 
 def eval_matrix(entries, point) -> np.ndarray:
@@ -265,11 +290,26 @@ def scaled_abs_det(m: np.ndarray) -> float:
 @np.errstate(all="ignore")  # a non-finite entry leaves det NaN, not a warning
 def scaled_abs_dets(ms: np.ndarray) -> np.ndarray:
     """:func:`scaled_abs_det` of each matrix stacked along leading axes, as
-    np.linalg takes them (a lanes-last array goes in as a moveaxis view)."""
-    rowmax = np.max(np.abs(ms), axis=-1)
+    np.linalg takes them (a lanes-last array goes in as a moveaxis view).
+    The determinant of the row-scaled matrix is written out for n <= 3 (its
+    cofactor expansion along the first row) and taken from np.linalg.det
+    beyond; either way a non-finite entry makes it NaN."""
+    n, lead = ms.shape[-1], tuple(range(ms.ndim - 2))
+    m = ms.transpose((ms.ndim - 2, ms.ndim - 1) + lead)  # entries first: lanes-last layout
+    rowmax = np.abs(m).max(1)
     vanishing = rowmax == 0.0
-    det = np.abs(np.linalg.det(ms / np.where(vanishing, 1.0, rowmax)[..., None]))
-    return np.where(np.any(vanishing, axis=-1), 0.0, det)
+    rows = m / np.where(vanishing, 1.0, rowmax)[:, None]
+    if n > 3:
+        det = np.linalg.det(rows.transpose(tuple(a + 2 for a in lead) + (0, 1)))
+    elif n == 1:
+        det = rows[0, 0]
+    elif n == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.where(vanishing.any(0), 0.0, np.abs(det))
 
 
 def invert_metric(g: MetricField, point) -> np.ndarray:
@@ -353,16 +393,14 @@ def metric_frames(jets: GridValues, lanes) -> MetricFrames:
     if lanes.dtype == bool:
         lanes = np.flatnonzero(lanes)
     point = jets.tape_values.points[lanes].T
-    # np.take keeps the lanes innermost in memory; x[..., lanes] would not
-    g_up, dg_up = np.take(jets.vals, lanes, axis=-1), np.take(jets.d1, lanes, axis=-1)
+    g_up, dg_up, d2g_up = jets.at(lanes)
     inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.moveaxis(g_up, -1, 0)), 0, -1))
     g_lo = (inv + np.swapaxes(inv, 0, 1)) / 2.0
     lo_dg = lane_einsum("ia,kab->kib", g_lo, dg_up)  # g_lo d_k g_up
     dg_lo = -lane_einsum("kib,bj->kij", lo_dg, g_lo)
     gamma, t = _levi_civita_from_parts(g_up, dg_lo)
-    if jets.d2 is None:
+    if d2g_up is None:
         return MetricFrames(point, g_up, g_lo, dg_up, dg_lo, gamma, None, None, None, None)
-    d2g_up = np.take(jets.d2, lanes, axis=-1)
     # d_l d_k g_lo = -(d_l g_lo d_k g_up g_lo + g_lo d_l d_k g_up g_lo
     #                  + g_lo d_k g_up d_l g_lo), one contraction at a time;
     # sums accumulate in place to keep few (n, n, n, n, N) arrays alive

@@ -12,11 +12,15 @@ error beyond ordinary rounding.
 The kernels (``_mul``, ``_binary``, ``_unary``, ``_compose``) act on
 coefficient arrays of shape (ncoef, ...), elementwise along any trailing lane
 axis, and flag the lanes that leave a function's domain instead of raising;
-``_domain_reason`` words the error.  The batched tapes of
-:mod:`hydroham.exprs` run them over many points at once.  A :class:`Jet` is a
-one-lane view: it holds one coefficient row (ncoef,), runs the same kernels
-on it and raises :class:`JetDomainError` where they flag the lane, so its
-numbers are bit for bit those of a tape lane.
+``_domain_reason`` words the error.  ``_mul`` sums each coefficient of a
+truncated product as its first term plus the sequential sum of the others,
+t0 + ((t1 + t2) + ...), with one slice add per rank of terms
+(:func:`product_scatter`): the association np.add.reduceat gives a segment
+of at most 8 terms, the most a coefficient has at order <= 3.  The batched
+tapes of :mod:`hydroham.exprs` run the kernels over many points at once.  A
+:class:`Jet` is a one-lane view: it holds one coefficient row (ncoef,), runs
+the same kernels on it and raises :class:`JetDomainError` where they flag
+the lane, so its numbers are bit for bit those of a tape lane.
 """
 
 from __future__ import annotations
@@ -78,14 +82,24 @@ def _product_table(n: int, order: int):
 
 @lru_cache(maxsize=None)
 def product_scatter(n: int, order: int):
-    """The product table of :func:`_product_table` sorted by output index,
-    as (ii, jj, starts): for coefficient arrays with a trailing lane axis,
-    ``np.add.reduceat(a[ii] * b[jj], starts, axis=0)`` is the truncated
-    product, each output summed in the order of the product table."""
+    """The product table of :func:`_product_table` laid out by rank, for
+    :func:`_mul`, as (ii, jj, ranks, back).
+
+    Output k's terms a[i] * b[j] are taken in the order of the table, and
+    outputs are ranked by their number of terms, most first (ties in
+    graded order).  Block r of ``ii``, ``jj`` holds the r-th term of every
+    output that has one, in ranked order, so block r covers the first
+    ``ranks[r]`` ranked outputs; ``back`` is the position of each output,
+    in graded order, in block 0.  Output k is summed as np.add.reduceat
+    sums a segment, its first term plus the sequential sum of the rest:
+    t0 + ((t1 + t2) + ...)."""
     ii, jj, kk = _product_table(n, order)
-    perm = np.array(sorted(range(len(kk)), key=lambda t: kk[t]))  # stable
-    starts = np.flatnonzero(np.diff(kk[perm], prepend=-1))
-    return ii[perm], jj[perm], starts
+    terms = [np.flatnonzero(kk == k) for k in range(kk.max() + 1)]  # per output, in table order
+    ranked = sorted(range(len(terms)), key=lambda k: -len(terms[k]))  # stable
+    blocks = [[terms[k][r] for k in ranked if len(terms[k]) > r]
+              for r in range(len(terms[ranked[0]]))]
+    flat = np.array([t for block in blocks for t in block])
+    return ii[flat], jj[flat], tuple(len(b) for b in blocks), np.argsort(ranked)
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +136,15 @@ def derivative_positions(n: int, order: int):
 def _mul(a, b, scatter):
     if scatter is None:
         return a * b
-    ii, jj, starts = scatter
-    return np.add.reduceat(a[ii] * b[jj], starts, axis=0)
+    ii, jj, ranks, back = scatter
+    terms = a.take(ii, 0) * b.take(jj, 0)  # ndarray.take: less call overhead than a[ii]
+    ncoef, rest = ranks[:2]
+    start = ncoef + rest
+    for size in ranks[2:]:  # the rest of each output, summed into its second term
+        terms[ncoef:ncoef + size] += terms[start:start + size]
+        start += size
+    terms[:rest] += terms[ncoef:ncoef + rest]
+    return terms.take(back, 0)
 
 
 def _binary(op, a, b, order, scatter, full):

@@ -158,7 +158,7 @@ def _frame_round(table, tails, g: GridValues, b: GridValues, w) -> tuple:
     if build.size:
         frames = metric_frames(g, build)
         found = connection_residuals(frames, np.take(b.vals, build, axis=-1))
-        w_arrays = ([np.take(x, build, axis=-1) for x in (w[0].vals, w[1].vals, w[1].d1)]
+        w_arrays = ([np.take(w[0].vals, build, axis=-1), *w[1].at(build)[:2]]
                     if w else [None] * 3)
         found.update(tail_residuals(frames, tails, *w_arrays))
         for k, (*_, key) in enumerate(table):

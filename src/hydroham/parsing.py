@@ -9,7 +9,10 @@ Grammar, by increasing binding power:
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Binary operators of equal precedence associate to the left.  A number, and
-an exponent once folded, must be a finite double.  Variables are named
+an exponent once folded, must be a finite double; so must the value of a
+power or function call without variables, as the evaluator computes it
+(``10^400`` and ``exp(1000)`` are rejected), though such a subtree stays
+unfolded in the tree.  Variables are named
 u1..un, with r1..rn accepted as aliases; pi and e denote the usual constants;
 function names are exp, ln, sin, cos, sqrt.
 """
@@ -22,7 +25,8 @@ import sys
 from fractions import Fraction
 
 from .errors import ParseError
-from .exprs import BinOp, Call, Const, Expr, NamedConst, Neg, Power, Var, FUNCTIONS
+from .exprs import (FUNCTIONS, BinOp, Call, Const, Expr, NamedConst, Neg, Power, Var, compile_tape,
+                    eval_tape, var_indices)
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
@@ -67,6 +71,7 @@ class _Parser:
         self.n = n
         self.i = 0
         self.length = length
+        self.folding = 0  # depth of exponents being parsed, which fold exactly
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -107,11 +112,27 @@ class _Parser:
         return self.power()
 
     def power(self) -> Expr:
+        tok = self.peek()
+        start = tok.pos if tok is not None else self.length
         node = self.atom()
         while (tok := self.peek()) is not None and tok.kind == "op" and tok.text == "^":
             self.next()
             at = self.peek().pos if self.peek() is not None else self.length
-            node = Power(node, _finite(_fold_rational(self.exponent_atom(), at), "exponent", at))
+            self.folding += 1
+            exponent = _finite(_fold_rational(self.exponent_atom(), at), "exponent", at)
+            self.folding -= 1
+            node = self.constant_checked(Power(node, exponent), start)
+        return node
+
+    def constant_checked(self, node: Expr, pos: int) -> Expr:
+        """``node``, a power or a function call; ParseError if it has no
+        variable and its value is not a finite double, unless it is part of
+        an exponent."""
+        if self.folding or var_indices(node):
+            return node
+        value = eval_tape(compile_tape((node,), 1, 0), [[0.0]]).coeffs[0, 0, 0]
+        if not math.isfinite(value):
+            raise ParseError(f"constant {node} is not a finite double", pos)
         return node
 
     def exponent_atom(self) -> Expr:
@@ -143,7 +164,7 @@ class _Parser:
             self.expect_op("(")
             arg = self.expr()
             self.expect_op(")")
-            return Call(name, arg)
+            return self.constant_checked(Call(name, arg), tok.pos)
         if name in _CONSTANTS:
             return NamedConst(name, _CONSTANTS[name])
         m = re.fullmatch(r"[ur](\d+)", name)

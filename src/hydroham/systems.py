@@ -39,7 +39,7 @@ zeros; the reciprocal transform then acts entrywise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Optional
 
@@ -160,7 +160,7 @@ def map_jacobians(m: PointChangeMap, points) -> GridValues:
     """The Jacobian J[a, k] = d_k m^a at every row of ``points``: values
     (n, n, N)."""
     jets = grid_values(m._grids[1], points)
-    return jets._replace(vals=np.swapaxes(jets.d1, 0, 1))
+    return replace(jets, vals=np.swapaxes(jets.d1, 0, 1))
 
 
 def current_residuals(grad_rho: np.ndarray, grad_sigma: np.ndarray, v: np.ndarray):

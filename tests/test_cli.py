@@ -499,6 +499,30 @@ def test_spec_numbers_past_the_doubles_are_invalid_input(tmp_path, capsys, g11, 
     assert captured.out == "" and captured.err.startswith(message)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["preset", "kg-family", "--k=1e200"],
+     "the families' constant (1 - 2k)^2 is not a finite double at k = 1e+200"),
+    (["preset", "kg-family", "--k=1e300"],
+     "the families' constant (1 - 2k)^2 is not a finite double at k = 1e+300"),
+    (["preset", "h1-theta", "--theta", "10^400"],
+     "bad --theta expression: constant (10)^(400) is not a finite double (at position 0)"),
+    (["preset", "h1-theta", "--theta", "r3*10^400"],
+     "bad --theta expression: constant (10)^(400) is not a finite double (at position 3)"),
+])
+def test_preset_constants_past_the_doubles_are_invalid_input(capsys, argv, message):
+    # k = 1e300 ended in an OverflowError traceback, 10^400 in "domain too hostile"
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_a_spec_constant_past_the_doubles_is_invalid_input(tmp_path, capsys):
+    assert main(["check", _operator_spec(tmp_path, "2 + exp(1000)*u1"), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(
+        "error: bad expression in metric: constant exp(1000) is not a finite double")
+
+
 def test_a_spec_with_a_large_integer_power_is_a_verdict(tmp_path, capsys):
     # the order-2 jets of u1^(10^7) take a few dozen products, not 10^7
     assert main(["check", _operator_spec(tmp_path, "1 + u1^(10^7)"), "--json"]) == 1

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,24 @@ def test_excluded_parameter():
         df.kg_family_u(Fraction(1, 2))
     with pytest.raises(ValueError, match="1/2"):
         df.kg_family_v(0.5)
+
+
+@pytest.mark.parametrize("build", [df.kg_family_u, df.kg_family_u_half_r1, df.kg_family_v])
+@pytest.mark.parametrize("k,message", [
+    (Fraction(10) ** 400, "the families' constant k is not a finite double"),
+    (Fraction(1, 2) + Fraction(1, 10 ** 400),
+     "the families' constant k/(1 - 2k) is not a finite double at k = 0.5"),
+])
+def test_a_family_constant_past_the_doubles_is_a_value_error(build, k, message):
+    # the tape compiler met it as an OverflowError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(k)
+
+
+def test_the_derived_family_rejects_its_square_past_the_doubles():
+    with pytest.raises(ValueError, match=r"\(1 - 2k\)\^2 is not a finite double at k = 1e\+200"):
+        df.kg_family_v(1e200)
+    df.kg_family_u(1e200)  # raises nothing: k and k/(1 - 2k) are finite doubles
 
 
 # -- constraint residuals ---------------------------------------------------------------

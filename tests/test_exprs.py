@@ -3,15 +3,20 @@ import json
 import numpy as np
 import pytest
 
+import cases
+from hydroham import driftflux as df
 from hydroham.errors import EvalDomainError, HostileDomainError
 from hydroham.exprs import (
     Deriv,
+    compile_tape,
     const,
     eval_jet,
     eval_scalar,
     fields_equal_numeric,
     variables,
 )
+from hydroham.geometry import compile_grid
+from hydroham.operators import hamiltonian_flow
 from hydroham.parsing import parse_expr
 from hydroham.sampling import SamplePlan, default_plan
 
@@ -150,3 +155,48 @@ def test_sample_plan_validation():
         SamplePlan(dim=2, box=((-1.0, 1.0),), count=10)
     with pytest.raises(ValueError):
         SamplePlan(dim=1, box=((-1.0, 1.0),), count=10, tolerance=0.0)
+
+
+# -- instructions no one reads --------------------------------------------------------
+
+
+def _unread_slots(tape) -> list:
+    read = {a for _, args, *_ in tape.code for a in args}
+    read |= {s for s in tape.outputs if s is not None}
+    return [i for i in range(len(tape.code)) if i not in read]
+
+
+def test_folding_leaves_no_unread_instruction():
+    # the folded argument's const 3.0 at order 1 stayed in the tape, written per call
+    tape = compile_tape([Deriv(const(3), 0)], 2, 0)
+    assert tape.code == (("const", (), 0.0, None, 0),) and tape.outputs == (0,)
+    u1, u2 = variables(2)
+    tape = compile_tape([(u1 + const(2) * const(3)) * Deriv(u2 * u2, 1), const(0)], 2, 1)
+    assert _unread_slots(tape) == [] and tape.outputs[1] is None
+
+
+def _shipped_grids():
+    """(name, entries, dim, order) of every grid a check of a shipped operator
+    or system compiles."""
+    ops = [(name, op, ()) for name, op in cases.local_operators()]
+    ops += [(name, op.local, op.tails) for name, op in cases.nonlocal_operators()]
+    ops += [(name, op if kind == "local" else op.local, () if kind == "local" else op.tails)
+            for name, kind, op in df.mutation_catalog()]
+    for name, op, tails in ops:
+        for order in (0, 1, 2):
+            yield name, op.g.entries, op.dim, order
+        yield name, op.b.entries, op.dim, 0
+        for order in (0, 1):
+            if tails:
+                yield name, tuple(w.entries for w in tails), op.dim, order
+    systems = [("S", df.build_system_S()), ("S0", df.build_system_S0()),
+               ("S~", df.build_system_S_tilde()),
+               ("flow", hamiltonian_flow(df.build_H1_Theta(parse_expr("1 + r3^2", 3)),
+                                         parse_expr("exp(r1-r2)*(r1+r2) + r3^2*r1", 3)))]
+    for name, system in systems:
+        yield name, system.v, system.dim, 0
+
+
+def test_no_shipped_grid_compiles_an_unread_instruction():
+    for name, entries, dim, order in _shipped_grids():
+        assert _unread_slots(compile_grid(entries, dim, order).tape) == [], (name, order)

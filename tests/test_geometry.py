@@ -1,24 +1,35 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import cases
+from hydroham import geometry
 from hydroham.errors import DegenerateMetricError
 from hydroham.exprs import const, eval_scalar
 from hydroham.geometry import (
+    DEGENERACY_FLOOR,
     AffinorField,
     ConnectionField,
     MetricField,
+    MetricStatus,
     christoffel_from_b,
+    compile_grid,
     covariant_derivative_values,
     eval_matrix,
+    grid_values,
     invert_metric,
     levi_civita,
     metric_frame,
+    metric_status,
+    pencil_values,
     scaled_abs_det,
+    scaled_abs_dets,
 )
-from hydroham.operators import gauss_tail_sum
+from hydroham.operators import LocalOperator, check_local_hamiltonian, gauss_tail_sum
+from hydroham.sampling import SamplePlan
 from hydroham.parsing import parse_expr
 from hydroham import driftflux as df
 
@@ -271,3 +282,91 @@ def test_gauss_negative_control_perturbed_affinor(rng):
         scale = max(1.0, np.max(np.abs(frame.riemann_up)), np.max(np.abs(rhs)))
         worst = max(worst, np.max(np.abs(frame.riemann_up - rhs)) / scale)
     assert worst >= 1e-3
+
+
+# -- the scaled determinant: closed form up to 3 x 3, np.linalg.det beyond ------------------
+
+
+@np.errstate(all="ignore")
+def _lapack_scaled_abs_dets(ms):
+    """The scaled |det| with np.linalg.det at every n."""
+    rowmax = np.max(np.abs(ms), axis=-1)
+    vanishing = rowmax == 0.0
+    det = np.abs(np.linalg.det(ms / np.where(vanishing, 1.0, rowmax)[..., None]))
+    return np.where(np.any(vanishing, axis=-1), 0.0, det)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scaled_det_agrees_with_lapack(n):
+    rng = np.random.default_rng(n)
+    ms = rng.standard_normal((500, n, n)) * 10.0 ** rng.integers(-150, 150, (500, n, 1))
+    got, want = scaled_abs_dets(ms), _lapack_scaled_abs_dets(ms)
+    well = want > 1e-3  # the closed form and LU round differently near singular matrices
+    assert well.sum() > 100
+    assert np.allclose(got[well], want[well], rtol=1e-12, atol=0.0)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+    # a lanes-last array, as metric_status hands it over through a moveaxis view
+    lanes_last = np.ascontiguousarray(np.moveaxis(ms, 0, -1))
+    assert scaled_abs_dets(np.moveaxis(lanes_last, -1, 0)).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scaled_det_of_a_vanishing_row_is_zero_and_of_a_non_finite_entry_nan(n):
+    ms = np.tile(np.eye(n) + 0.25, (4, 1, 1))
+    ms[0, n - 1] = 0.0
+    ms[1, 0, n - 1] = np.inf
+    ms[2, n - 1, 0] = np.nan
+    ms[3, 0, 0] = -np.inf
+    det = scaled_abs_dets(ms)
+    assert det[0] == 0.0 and np.isnan(det[1:]).all()
+    status = MetricStatus(np.zeros(4, bool), det < DEGENERACY_FLOOR, det)
+    assert not status.usable.any()
+
+
+def test_scaled_det_runs_lapack_only_beyond_three_by_three(monkeypatch):
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m.shape) or det(m))
+    for n in (1, 2, 3):
+        scaled_abs_dets(np.ones((5, n, n)))
+    assert calls == []
+    scaled_abs_dets(np.ones((5, 4, 4)))
+    assert calls == [(5, 4, 4)]
+
+
+def test_no_draw_of_a_shipped_operator_changes_status():
+    # the degenerate and usable lanes of every shipped metric, and of its
+    # pencil members, are those of np.linalg.det
+    mats = []
+    ops = cases.local_operators() + [(name, op.local) for name, op in cases.nonlocal_operators()]
+    for _, op in ops:
+        points = cases.plan_for(op.dim, 2).points(np.arange(100))
+        mats.append(grid_values(compile_grid(op.g.entries, op.dim, 0), points).vals)
+    for _, a, b in cases.pencil_pairs():
+        points = cases.plan_for(a.dim, 2).points(np.arange(100))
+        lam = np.resize(np.array(cases.LAMBDAS), 100)
+        mats.append(pencil_values(compile_grid((a.g.entries, b.g.entries), a.dim, 0), points,
+                                  lam).vals)
+    for vals in mats:
+        ms = np.moveaxis(vals, -1, 0)
+        got, want = scaled_abs_dets(ms), _lapack_scaled_abs_dets(ms)
+        assert np.array_equal(got < DEGENERACY_FLOOR, want < DEGENERACY_FLOOR)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
+
+# g^{11} g^{22} - (g^{12})^2 = (u2 - 1/2)^5 is degenerate on a slab of the box,
+# so some draws are redrawn; the 4 x 4 determinant is np.linalg.det's
+_FOUR = LocalOperator(4, _metric([["1", "u1", "0", "0"], ["u1", "u1^2 + (u2 - 1/2)^5", "0", "0"],
+                                  ["0", "0", "u3", "0"], ["0", "0", "0", "u4"]], 4),
+                      ConnectionField(4, tuple(tuple(tuple(
+                          const(Fraction(1, 2)) if i == j == k > 1 else const(0)
+                          for k in range(4)) for j in range(4)) for i in range(4))))
+
+
+def test_a_four_dimensional_check_is_the_lapack_report(monkeypatch):
+    plan = SamplePlan(4, ((0.1, 1.0),) * 4, count=60, seed=3)
+    g = grid_values(compile_grid(_FOUR.g.entries, 4, 0), plan.points(np.arange(60)))
+    assert metric_status(g).degenerate.any()  # so draws are redrawn on the determinant
+    got = check_local_hamiltonian(_FOUR, plan).to_dict()
+    monkeypatch.setattr(geometry, "scaled_abs_dets", _lapack_scaled_abs_dets)
+    assert got == check_local_hamiltonian(_FOUR, plan).to_dict()

@@ -153,3 +153,41 @@ def test_a_large_integer_power_takes_a_few_products(monkeypatch):
     assert j.value == pytest.approx(value, rel=1e-6)
     assert j.derivative((1,)) == pytest.approx(e * value / 1.0000001, rel=1e-6)
     assert j.derivative((2,)) == pytest.approx(e * (e - 1) * value / 1.0000001 ** 2, rel=1e-6)
+
+
+# -- the product kernel ----------------------------------------------------------------
+
+
+def _reduceat_product(a, b, n, order):
+    """The truncated product as np.add.reduceat sums it over the product
+    table sorted by output: each output's first term plus the sequential sum
+    of the rest."""
+    ii, jj, kk = jets._product_table(n, order)
+    perm = np.argsort(kk, kind="stable")
+    starts = np.flatnonzero(np.diff(kk[perm], prepend=-1))
+    return np.add.reduceat(a[ii[perm]] * b[jj[perm]], starts, axis=0)
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, 3e-310])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("lanes", [1, 7, 256])
+def test_products_by_rank_are_the_reduceat_sums_bit_for_bit(n, order, lanes):
+    rng = np.random.default_rng(17 * n + 5 * order + lanes)
+    ncoef = len(multi_indices(n, order))
+    scatter = jets.product_scatter(n, order)
+    for trial in range(6):
+        a, b = (rng.standard_normal((ncoef, lanes))
+                * 10.0 ** rng.integers(-300, 300, (ncoef, lanes)) for _ in range(2))
+        if trial % 2:  # about a third of the entries special: signed zeros, infinities, tiny
+            for x in (a, b):
+                pick = rng.random(x.shape) < 0.3
+                x[pick] = rng.choice(_SPECIAL, size=int(pick.sum()))
+        with np.errstate(all="ignore"):
+            got, want = jets._mul(a, b, scatter), _reduceat_product(a, b, n, order)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        finite = ~np.isnan(want)  # a NaN's sign and payload bits may differ, nothing else
+        assert got[finite].tobytes() == want[finite].tobytes()

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import cases
 import oracle
 from cases import plan_for, run_cli_json
 from hydroham import driftflux as df
@@ -209,3 +210,52 @@ def test_a_smaller_plan_raises_instead_of_giving_a_verdict():
         with pytest.raises(ValueError, match="sample plan of dimension 1 for an operator "
                                              "of dimension 2"):
             check(probe, default_plan(1))
+
+
+# -- derivatives formed where they are read ----------------------------------------------
+
+
+def _grids_of_every_kind():
+    """(name, GridValues at 100 plan points) of plain grids at orders 0-2 and
+    of pencil members."""
+    for name, op in [("h2-hat", df.build_H2_hat()), ("h3-hat", df.build_H3_hat())]:
+        points = plan_for(op.dim, 3).points(np.arange(100))
+        for order in (0, 1, 2):
+            yield f"{name} g@{order}", grid_values(compile_grid(op.local.g.entries, op.dim, order),
+                                                   points)
+        yield f"{name} tails@1", grid_values(
+            compile_grid(tuple(w.entries for w in op.tails), op.dim, 1), points)
+    for name, a, b in cases.pencil_pairs():
+        points = plan_for(a.dim, 3).points(np.arange(100))
+        lam = np.resize(np.array(cases.LAMBDAS), 100)
+        for order in (0, 2):
+            yield f"{name}@{order}", geometry.pencil_values(
+                compile_grid((a.g.entries, b.g.entries), a.dim, order), points, lam)
+
+
+@pytest.mark.parametrize("lanes", [[], [0], [5, 2, 99, 2], list(range(0, 100, 3))])
+def test_derivatives_at_lanes_are_the_sliced_derivatives_bit_for_bit(lanes):
+    for name, grid in _grids_of_every_kind():
+        at = grid.at(np.array(lanes, dtype=int))
+        for part, got in zip(("vals", "d1", "d2"), at):
+            full = getattr(grid, part)
+            if full is None:
+                assert got is None, (name, part)
+                continue
+            want = np.take(full, lanes, axis=-1)
+            assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(
+                want).tobytes(), (name, part)
+
+
+def test_a_frame_round_forms_no_derivative_at_every_lane(monkeypatch):
+    # only metric_frames and the tails' kernels read derivatives, at the lanes they build
+    rounds, original = [], operators._frame_round
+    monkeypatch.setattr(operators, "_frame_round",
+                        lambda table, tails, g, b, w: rounds.append([g, b, *w])
+                        or original(table, tails, g, b, w))
+    check_ferapontov(df.build_H2_hat(), plan_for(3, 1))
+    operators.check_pencil_compatibility(df.build_nutku(1), df.build_nutku(2), cases.LAMBDAS,
+                                         plan_for(2, 1))
+    assert len(rounds) > 2
+    for grids in rounds:
+        assert all("_derivatives" not in vars(grid) for grid in grids)

@@ -128,3 +128,25 @@ def test_exponents_within_the_doubles_still_fold():
     assert parse_expr("u1^(10^400/10^399)", 1) == Power(Var(0), Fraction(10))
     assert parse_expr("1e-400", 1) == Const(Fraction(1, 10 ** 400))
     assert parse_expr("u1^(10^7)", 1) == Power(Var(0), Fraction(10 ** 7))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("10^400", "constant (10)^(400) is not a finite double (at position 0)"),
+    ("u1*10^400", "constant (10)^(400) is not a finite double (at position 3)"),
+    ("exp(1000)", "constant exp(1000) is not a finite double (at position 0)"),
+    ("u1 + exp(2*500)", "constant exp((2 * 500)) is not a finite double (at position 5)"),
+    ("e^1000", "constant (e)^(1000) is not a finite double (at position 0)"),
+    ("(10^200)^2", "constant ((10)^(200))^(2) is not a finite double"),
+    ("ln(0)", "constant ln(0) is not a finite double"),
+])
+def test_a_constant_power_or_function_past_the_doubles_is_rejected(text, message):
+    # it evaluated to inf at every draw, so every draw was redrawn as a hostile domain
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        parse_expr(text, 1)
+
+
+def test_finite_constant_powers_and_functions_stay_unfolded():
+    assert parse_expr("2^3*u1", 1) == BinOp("*", Power(Const(Fraction(2)), Fraction(3)), Var(0))
+    assert repr(parse_expr("exp(700)", 1)) == "Call(func='exp', arg=Const(value=Fraction(700, 1)))"
+    # inside an exponent a power folds exactly, past the doubles or not
+    assert parse_expr("u1^(10^400/10^399)", 1) == Power(Var(0), Fraction(10))
