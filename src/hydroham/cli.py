@@ -448,9 +448,8 @@ def _transformed_speeds(system: HydroSystem, plan: SamplePlan):
     """(table lines, JSON data) of the transformed speed matrix at the first
     plan points, drawn and evaluated once, in one batch, for both formats."""
     points = plan.points(range(min(4, plan.count)))
-    speeds = speed_values(system, points)
-    if speeds.failed.any():  # the error of the first point that fails, as point by point
-        raise speeds.error(int(speeds.failed.argmax()))
+    # the error of the first point that fails, as point by point
+    speeds = speed_values(system, points).checked()
     grid = [(p, speeds.vals[..., i]) for i, p in enumerate(points)]
     lines = ["transformed speed matrix v~ (u_t = v~ u_x) on sample points:"]
     for p, v in grid:

@@ -328,10 +328,8 @@ def _hat(k: int, tails, theta, lam1, lam2, block: ConstantBlock) -> NonlocalOper
     lam2 = _require_r3_only(lam2, "Lambda2")
     block.validate()
     points = [(0.0, 0.0, t) for t in (0.2, 0.55, 0.9)]
-    lams = eval_tape(compile_tape((lam1, lam2), 3, 0), points)
-    if lams.failed.any():
-        raise lams.error(int(np.argmax(lams.failed)))
-    m = np.column_stack((lams.coeffs[0, 0], lams.coeffs[1, 0], np.ones(3)))
+    lams = eval_tape(compile_tape((lam1, lam2), 3, 0), points).checked()
+    m = np.column_stack((*lams.vals, np.ones(3)))
     if abs(np.linalg.det(m)) < 1e-9:
         raise ConstraintViolation(
             "Lambda1, Lambda2 and the constant 1 must be linearly independent"
@@ -398,12 +396,12 @@ def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
     if plan is None:
         plan = plane_plan()
     n = min(2, plan.dim)
-    tape = compile_tape((psi,), n, 2)
+    tape = compile_tape(psi, n, 2)
 
     def evaluate(points):
         jets = eval_tape(tape, points[:, :n])
-        _, d1, d2 = jets.derivatives()
-        return jets.failed, wave_residuals(d1[:, 0], d2[:, :, 0])
+        _, d1, d2 = jets.at()
+        return jets.failed, wave_residuals(d1, d2)
 
     table = (("wave_identity", "2 Psi_{r1 r2} - Psi_{r2} + Psi_{r1} = 0"),)
     return walk_report("wave-equation residual", table, plan, evaluate)[0]
@@ -564,9 +562,9 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
 
     def evaluate(points):
         jets, vals = eval_tape(psi_jets, points), eval_tape(values, points)
-        psi, grad, _ = jets.derivatives()
+        psi, grad, _ = jets.at()
         return jets.failed | vals.failed, constraint_equation_residuals(
-            which, ansatz.eps, points, psi, grad[0], grad[1], vals.coeffs[:, 0], big_c)
+            which, ansatz.eps, points, psi, grad[0], grad[1], vals.vals, big_c)
 
     table = ((which, _EQUATIONS[which][0]),)
     return walk_report(f"constraint residual {which}", table, plan, evaluate)[0]

@@ -6,22 +6,26 @@ arithmetic operations, powers with constant rational exponent, and the
 elementary functions exp, ln, sin, cos, sqrt.  They are frozen dataclasses,
 so trees compare structurally and are safe to share across threads.
 
-There is one evaluator.  It compiles a list of expressions into a flat,
-hash-consed :class:`Tape` (:func:`compile_tape`) and evaluates it at N points
-at once (:func:`eval_tape`), each jet a coefficient array with a lane axis
-over the points, through the kernels of :mod:`hydroham.jets`; every check
-uses it, through the geometry layer's grids, the system checks, the
-drift-flux residuals and :func:`fields_equal_numeric`.  :func:`eval_scalar`
-(a float) and :func:`eval_jet` (a :class:`~hydroham.jets.Jet`) are its
-one-lane views at a single point; they run outside any plan walk, so
-:func:`eval_tape` turns numpy's warnings off itself.  A :class:`Deriv`
-compiles its argument into the same tape one order higher, so every
-derivative of a user-supplied function is a jet too.  Domain violations (log
-of a non-positive value, division by zero, a negative base under a
-fractional power) are
-flagged per lane; :meth:`TapeValues.error` builds the
+There is one evaluator and one value type.  :func:`compile_tape` compiles
+a nested grid of expressions (a list, a matrix of rows, ...) into a flat,
+hash-consed :class:`Tape` that records the grid's shape, and
+:func:`eval_tape` evaluates it at N points at once, each jet a coefficient
+array with a lane axis over the points, through the kernels of
+:mod:`hydroham.jets`.  Its :class:`TapeValues` hold the grid's values as a
+view of the coefficients and form derivatives only at the lanes
+:meth:`TapeValues.at` is given.  Every check reads its fields this way: the
+metric frames and pencils, the system checks, the drift-flux residuals and
+:func:`fields_equal_numeric`.  :func:`eval_scalar` (a float) and
+:func:`eval_jet` (a :class:`~hydroham.jets.Jet`) are its one-lane views at a
+single point; they run outside any plan walk, so :func:`eval_tape` turns
+numpy's warnings off itself.  A :class:`Deriv` compiles its argument into
+the same tape one order higher, so every derivative of a user-supplied
+function is a jet too.  Domain violations (log of a non-positive value,
+division by zero, a negative base under a fractional power) are flagged per
+lane; :meth:`TapeValues.error` builds the
 :class:`~hydroham.errors.EvalDomainError` of a lane, naming the offending
-subtree, and the one-lane views raise it.
+subtree, and :meth:`TapeValues.checked`, which the one-lane views call,
+raises that of the first failing lane.
 """
 
 from __future__ import annotations
@@ -265,10 +269,7 @@ class Tape(NamedTuple):
     code: tuple  # (op, argument slots, parameter, node, order) per instruction
     outputs: tuple  # slot of each compiled expression, None for a literal zero
     frees: tuple  # per instruction, the slots it reads last (outputs excepted)
-
-    @property
-    def ncoef(self) -> int:
-        return _ncoef(self.n, self.order)
+    shape: tuple  # of the compiled grid; its leaves are the outputs, row-major
 
 
 def _ncoef(n: int, order: int) -> int:
@@ -290,14 +291,10 @@ class _TapeCompiler:
             self.code.append((op, args, param, node, order))
         return slot
 
-    def const(self, value: float, order: int) -> float:
-        """A folded constant: a float in place of a slot until an instruction
-        reads it (:meth:`read`), so a constant folded into another emits
-        nothing."""
-        return float(value)
-
     def value(self, slot):
-        """The folded value of a constant slot, else None."""
+        """The value of a folded constant, else None: a float stands in place
+        of a slot until an instruction reads it (:meth:`read`), so a constant
+        folded into another emits nothing."""
         return slot if isinstance(slot, float) else None
 
     def read(self, slot, order: int) -> int:
@@ -312,10 +309,8 @@ class _TapeCompiler:
         return hit
 
     def _compile(self, node: Expr, order: int) -> int | float:
-        if isinstance(node, Const):
-            return self.const(float(node.value), order)
-        if isinstance(node, NamedConst):
-            return self.const(node.value, order)
+        if isinstance(node, (Const, NamedConst)):
+            return float(node.value)
         if isinstance(node, Var):
             if node.index >= self.n:
                 raise ValueError(
@@ -326,20 +321,20 @@ class _TapeCompiler:
             a = self.slot(node.arg, order)
             c = self.value(a)
             if c is not None:
-                return self.const(-c, order)
+                return -c
             return self.emit(("neg", a, None), node, order)
         if isinstance(node, BinOp):
             a, b = self.slot(node.left, order), self.slot(node.right, order)
             ca, cb = self.value(a), self.value(b)
             if ca is not None and cb is not None:
                 if node.op == "+":
-                    return self.const(ca + cb, order)
+                    return ca + cb
                 if node.op == "-":
-                    return self.const(ca - cb, order)
+                    return ca - cb
                 if node.op == "*":
-                    return self.const(ca * cb, order)
+                    return ca * cb
                 if cb != 0.0:  # jets divide by multiplying with the reciprocal
-                    return self.const(ca / cb if order == 0 else ca * (1.0 / cb), order)
+                    return ca / cb if order == 0 else ca * (1.0 / cb)
             return self.emit((node.op, self.read(a, order), self.read(b, order), None), node,
                              order)
         if isinstance(node, Power):
@@ -352,19 +347,30 @@ class _TapeCompiler:
             _check_order(order + 1, lowest=0)
             arg = self.slot(node.arg, order + 1)
             if self.value(arg) is not None:
-                return self.const(0.0, order)
+                return 0.0
             return self.emit(("deriv", arg, node.index), node, order)
         raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_tape(exprs, n: int, order: int) -> Tape:
-    """Compile expressions over n variables into one tape of the given order
-    (0 for values only, else Taylor coefficients through that degree)."""
+def _grid_leaves(entries) -> tuple:
+    """(shape, leaves in row-major order) of a nested grid (tuples or lists)
+    of expressions; anything else is a leaf."""
+    if not isinstance(entries, (tuple, list)):
+        return (), [entries]
+    rows = [_grid_leaves(row) for row in entries]
+    return (len(rows),) + (rows[0][0] if rows else ()), [e for _, leaves in rows for e in leaves]
+
+
+def compile_tape(entries, n: int, order: int) -> Tape:
+    """Compile a nested grid of expressions over n variables (a list, a
+    matrix of rows, ...) into one tape of the given order (0 for values only,
+    else Taylor coefficients through that degree) with the grid's shape."""
     _check_order(order, lowest=0)
+    shape, leaves = _grid_leaves(entries)
     comp = _TapeCompiler(n)
     outputs = tuple(
         None if isinstance(e, Const) and e.value == 0 else comp.read(comp.slot(e, order), order)
-        for e in exprs
+        for e in leaves
     )
     last_read = {}
     for i, (_, args, *_) in enumerate(comp.code):
@@ -374,36 +380,54 @@ def compile_tape(exprs, n: int, order: int) -> Tape:
     for slot, i in last_read.items():
         if slot not in outputs:
             frees[i].append(slot)
-    return Tape(n, order, tuple(comp.code), outputs, tuple(tuple(f) for f in frees))
+    return Tape(n, order, tuple(comp.code), outputs, tuple(tuple(f) for f in frees), shape)
 
 
 class TapeValues(NamedTuple):
-    """Every output of a tape at N points."""
+    """Every output of a tape at N points, shaped as its grid: ``vals`` is a
+    view of the coefficients, and :meth:`at` forms derivatives, only at the
+    lanes it is given."""
 
     tape: Tape
     points: np.ndarray  # (N, n)
     coeffs: np.ndarray  # (outputs, ncoef, N)
     first_failure: np.ndarray  # (N,) first failing instruction, len(code) if none
     failures: dict  # failing instruction -> its operand's values
+    shape: tuple  # of the grid the outputs fill, the tape's unless replaced
 
     @property
     def failed(self) -> np.ndarray:
         return self.first_failure < len(self.tape.code)
 
-    def derivatives(self):
-        """(values, gradients, Hessians) with the lane axis last, as the
-        coefficients hold it: shapes (outputs, N), (n, outputs, N) and
-        (n, n, outputs, N); None past the tape's order.  The values are a
-        view of the coefficients."""
-        c = self.coeffs
-        vals = c[:, 0]
-        if self.tape.order == 0:
+    def checked(self) -> TapeValues:
+        """These values, raising the domain error of the first lane that
+        failed: the check of the one-lane views."""
+        if self.failed.any():
+            raise self.error(int(self.failed.argmax()))
+        return self
+
+    @property
+    def vals(self) -> np.ndarray:
+        """The values (*shape, N), without a copy."""
+        return self.coeffs[:, 0].reshape(self.shape + self.coeffs.shape[-1:])
+
+    def at(self, lanes=None) -> tuple:
+        """(vals, d1, d2) at the given lanes (indices), or at every lane for
+        None, lane axis last: d1[k] = d_k and d2[l, k] = d_l d_k of the
+        grid, each None past the tape's order.  Derivatives are formed from
+        the coefficients taken at those lanes, with the bits of every lane's."""
+        c = self.coeffs if lanes is None else self.coeffs.take(lanes, -1)
+        shape = self.shape + c.shape[-1:]
+        vals = c[:, 0].reshape(shape)
+        n, order = self.tape.n, self.tape.order
+        if order == 0:
             return vals, None, None
-        first, second, fact = derivative_positions(self.tape.n, self.tape.order)
-        d1 = np.swapaxes(c[:, first], 0, 1)
+        first, second, fact = derivative_positions(n, order)
+        d1 = np.swapaxes(c[:, first], 0, 1).reshape((n,) + shape)
         d2 = None
         if second is not None:
-            d2 = np.transpose(c[:, second], (1, 2, 0, 3)) * fact[:, :, None, None]
+            d2 = (np.transpose(c[:, second], (1, 2, 0, 3))
+                  * fact[:, :, None, None]).reshape((n, n) + shape)
         return vals, d1, d2
 
     def error(self, lane: int) -> EvalDomainError:
@@ -484,7 +508,7 @@ def _run_tape(tape: Tape, points: np.ndarray) -> TapeValues:
         for j in tape.frees[i]:
             slots[j] = None
 
-    coeffs = np.zeros((len(tape.outputs), tape.ncoef, n_lanes))
+    coeffs = np.zeros((len(tape.outputs), _ncoef(n, tape.order), n_lanes))
     for k, s in enumerate(tape.outputs):
         if s is not None:
             v = slots[s]
@@ -492,22 +516,14 @@ def _run_tape(tape: Tape, points: np.ndarray) -> TapeValues:
                 coeffs[k, 0] = v
             else:
                 coeffs[k] = v
-    return TapeValues(tape, points, coeffs, first, failures)
+    return TapeValues(tape, points, coeffs, first, failures, tape.shape)
 
 
 # -- one-point views ---------------------------------------------------------------
 
 
-def one_lane(values):
-    """The values of a one-point batch (:class:`TapeValues`, or a grid's),
-    raising the domain error where the point failed."""
-    if values.failed[0]:
-        raise values.error(0)
-    return values
-
-
 def _at_point(e: Expr, point, order: int) -> np.ndarray:
-    values = one_lane(eval_tape(compile_tape((e,), len(point), order), [point]))
+    values = eval_tape(compile_tape((e,), len(point), order), [point]).checked()
     return values.coeffs[0, :, 0]
 
 
@@ -540,7 +556,7 @@ def fields_equal_numeric(f1: Expr, f2: Expr, plan: SamplePlan) -> CheckReport:
 
     def evaluate(points):
         values = eval_tape(both, points)
-        return values.failed, comparison_residuals(*values.coeffs[:, 0])
+        return values.failed, comparison_residuals(*values.vals)
 
     table = (("pointwise_equal", "values agree at every sample point"),)
     rep, found = walk_report("fields equal", table, plan, evaluate)

@@ -4,17 +4,18 @@ points at once.
 Everything here evaluates to numpy arrays with a trailing lane axis, one lane
 per sample point; no symbolic Christoffel symbols or curvature are ever
 formed.  Derivatives of the metric come from a jet tape of its entries,
-derivatives of the inverse from d(g_lo) = -g_lo (d g_up) g_lo.  Contractions
-go through :func:`lane_einsum`, so a lane's numbers do not depend on the rest
-of its batch.  Frames come in two steps: :func:`metric_status` reads from the
-metric's jet values which lanes failed or are degenerate, and
-:func:`metric_frames` takes the jets' coefficients at the usable lanes, forms
-the derivatives there and builds the inverse, Christoffel symbols and
-curvature from them, so a lane that cannot resolve costs a determinant and
-no derivative or contraction.  :class:`GridValues` forms derivatives only
-where they are read.  The determinant is that of the matrix with each row
-scaled by its largest entry, written out up to 3 x 3 and from np.linalg.det
-beyond; a vanishing row makes it 0 and a non-finite entry NaN.
+read as :class:`~hydroham.exprs.TapeValues`, the one value type of every
+grid; derivatives of the inverse come from d(g_lo) = -g_lo (d g_up) g_lo.
+Contractions go through :func:`lane_einsum`, so a lane's numbers do not
+depend on the rest of its batch.  Frames come in two steps:
+:func:`metric_status` reads from the metric's jet values which lanes failed
+or are degenerate, and :func:`metric_frames` forms the derivatives at the
+usable lanes only (:meth:`~hydroham.exprs.TapeValues.at`) and builds the
+inverse, Christoffel symbols and curvature from them, so a lane that cannot
+resolve costs a determinant and no derivative or contraction.  The
+determinant is that of the matrix with each row scaled by its largest entry,
+written out up to 3 x 3 and from np.linalg.det beyond; a vanishing row makes
+it 0 and a non-finite entry NaN.
 The single-point functions (:func:`metric_frame`, :func:`eval_matrix`,
 :func:`covariant_derivative_values`) are one-lane views of the batched ones:
 they return the same arrays with the lane axis dropped (a frame is the
@@ -51,7 +52,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .exprs import Expr, Tape, TapeValues, compile_tape, eval_tape, max_var_index, one_lane
+from .exprs import Expr, Tape, TapeValues, compile_tape, eval_tape, max_var_index
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 
 DEGENERACY_FLOOR = 1e-8
@@ -184,102 +185,21 @@ def lane_max(x: np.ndarray, lead: int = 0) -> np.ndarray:
     return np.max(np.abs(x), axis=tuple(range(lead, x.ndim - 1)))
 
 
-def _grid_leaves(entries):
-    """(shape, flat list of leaves) of a nested grid of expressions."""
-    if isinstance(entries, Expr):
-        return (), [entries]
-    shape, leaves = None, []
-    for row in entries:
-        sub, flat = _grid_leaves(row)
-        shape = sub if shape is None else shape
-        leaves.extend(flat)
-    return (len(entries),) + (shape or ()), leaves
-
-
-class GridTape(NamedTuple):
-    """A grid of expressions compiled into one jet tape."""
-
-    shape: tuple
-    tape: Tape
-
-
-def compile_grid(entries, dim: int, order: int) -> GridTape:
-    """Compile a nested grid of expressions over ``dim`` variables; order 0
-    for values only."""
-    shape, leaves = _grid_leaves(entries)
-    return GridTape(shape, compile_tape(leaves, dim, order))
-
-
-@dataclass(frozen=True, eq=False)
-class GridValues:
-    """A grid's values and derivatives at N points, lane axis last:
-    vals (*shape, N), d1[k] = d_k, d2[l, k] = d_l d_k.  The values are read
-    from the tape's coefficients without a copy; d1 and d2 are formed from
-    them when first read, once, and :meth:`at` forms all three at some lanes
-    only, from the coefficients taken there, with the same bits."""
-
-    vals: np.ndarray
-    shape: tuple  # of the grid
-    tape_values: TapeValues
-
-    @property
-    def failed(self) -> np.ndarray:
-        return self.tape_values.failed
-
-    def error(self, lane: int):
-        return self.tape_values.error(lane)
-
-    @property
-    def d1(self) -> Optional[np.ndarray]:
-        return self._derivatives[1]
-
-    @property
-    def d2(self) -> Optional[np.ndarray]:
-        return self._derivatives[2]
-
-    @functools.cached_property
-    def _derivatives(self):
-        return self.at(None)
-
-    def at(self, lanes) -> tuple:
-        """(vals, d1, d2) at the given lanes (indices), or at every lane for
-        None; None past the tape's order."""
-        values = self.tape_values
-        if lanes is not None:
-            values = values._replace(coeffs=values.coeffs.take(lanes, -1))
-        vals, d1, d2 = values.derivatives()
-        shape = self.shape + vals.shape[-1:]
-        dim = self.tape_values.tape.n
-        return (vals.reshape(shape),
-                None if d1 is None else d1.reshape((dim,) + shape),
-                None if d2 is None else d2.reshape((dim, dim) + shape))
-
-
-def grid_values(grid: GridTape, points) -> GridValues:
-    """Evaluate a compiled grid at every row of ``points``; lanes that leave
-    the domain are flagged, not raised."""
-    return _grid_values(grid.shape, eval_tape(grid.tape, points))
-
-
-def pencil_values(grid: GridTape, points, lam) -> GridValues:
-    """The member A + lam B of a pair grid, compiled from (A, B), at every row
-    of ``points``, with one lam per row: the coefficients of A plus lam times
+def pencil_values(pair: Tape, points, lam) -> TapeValues:
+    """The member A + lam B of a pair compiled from (A, B), at every row of
+    ``points``, with one lam per row: the coefficients of A plus lam times
     those of B, as a tape of the trees A + lam B computes them, scaled into
     derivatives only then.  A lane is flagged where A or B leaves its
     domain."""
-    values = eval_tape(grid.tape, points)
+    values = eval_tape(pair, points)
     half = len(values.coeffs) // 2
     member = values.coeffs[:half] + lam * values.coeffs[half:]
-    return _grid_values(grid.shape[1:], values._replace(coeffs=member))
-
-
-def _grid_values(shape: tuple, values: TapeValues) -> GridValues:
-    return GridValues(values.coeffs[:, 0].reshape(shape + (len(values.points),)), shape, values)
+    return values._replace(coeffs=member, shape=values.shape[1:])
 
 
 def eval_matrix(entries, point) -> np.ndarray:
     """Values of a grid of expressions (any shape) at one point."""
-    return one_lane(grid_values(compile_grid(entries, len(point), 0), [point])).vals[..., 0]
+    return eval_tape(compile_tape(entries, len(point), 0), [point]).checked().vals[..., 0]
 
 
 def scaled_abs_det(m: np.ndarray) -> float:
@@ -367,7 +287,7 @@ class MetricStatus(NamedTuple):
         return ~self.failed & ~self.degenerate & np.isfinite(self.det)
 
 
-def metric_status(jets: GridValues) -> MetricStatus:
+def metric_status(jets: TapeValues) -> MetricStatus:
     """Each lane's status, from the values of a metric grid's jets."""
     det = scaled_abs_dets(np.moveaxis(jets.vals, -1, 0))
     return MetricStatus(jets.failed, ~jets.failed & (det < DEGENERACY_FLOOR), det)
@@ -383,7 +303,7 @@ def _levi_civita_from_parts(g_up, dg_lo):
 
 
 @np.errstate(all="ignore")  # non-finite derivatives fail in the verdict instead
-def metric_frames(jets: GridValues, lanes) -> MetricFrames:
+def metric_frames(jets: TapeValues, lanes) -> MetricFrames:
     """Frames at the given lanes of a metric grid's jets (a boolean mask or
     indices), in that order, lane axis last; with curvature when the grid
     was compiled at order 2.  Every given lane must be
@@ -392,7 +312,7 @@ def metric_frames(jets: GridValues, lanes) -> MetricFrames:
     lanes = np.asarray(lanes)
     if lanes.dtype == bool:
         lanes = np.flatnonzero(lanes)
-    point = jets.tape_values.points[lanes].T
+    point = jets.points[lanes].T
     g_up, dg_up, d2g_up = jets.at(lanes)
     inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.moveaxis(g_up, -1, 0)), 0, -1))
     g_lo = (inv + np.swapaxes(inv, 0, 1)) / 2.0
@@ -429,10 +349,9 @@ def metric_frame(g: MetricField, point, curvature: bool = False) -> MetricFrames
     lane axis; order-2 jets are used only when curvature is requested.
     Raises, before building, where g leaves its domain, and
     DegenerateMetricError where it is degenerate or not finite."""
-    jets = grid_values(compile_grid(g.entries, len(point), 2 if curvature else 1), [point])
+    order = 2 if curvature else 1
+    jets = eval_tape(compile_tape(g.entries, len(point), order), [point]).checked()
     status = metric_status(jets)
-    if status.failed[0]:
-        raise jets.error(0)
     if not status.usable[0]:
         raise DegenerateMetricError(status.det[0], point)
     return MetricFrames(*(None if a is None else a[..., 0] for a in metric_frames(jets, [0])))
@@ -467,5 +386,5 @@ def levi_civita(g: MetricField, point) -> np.ndarray:
 
 def covariant_derivative_values(w: AffinorField, frame: MetricFrames) -> np.ndarray:
     """nabla_k w^i_j at the point of a one-point frame (:func:`metric_frame`)."""
-    jets = one_lane(grid_values(compile_grid((w.entries,), w.dim, 1), [frame.point]))
-    return covariant_derivatives(jets.vals, jets.d1, frame.gamma[..., None])[0, ..., 0]
+    vals, d1, _ = eval_tape(compile_tape((w.entries,), w.dim, 1), [frame.point]).checked().at()
+    return covariant_derivatives(vals, d1, frame.gamma[..., None])[0, ..., 0]

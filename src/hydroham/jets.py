@@ -183,8 +183,8 @@ def _unary(op, param, x, order, scatter):
     v = x[0]
     if op == "pow" and param.denominator == 1:
         e = int(param)
-        if e == 0:
-            return 1.0, None
+        if e == 0:  # the jet of 1 at every lane, an array like every other result
+            return np.eye(len(x), 1).repeat(x.shape[1], 1), None
         if order == 0:
             out = v ** e
             bad = np.isinf(out) & np.isfinite(v)

@@ -15,10 +15,12 @@ terms entering each identity, so exponential prefactors do not distort the
 verdict; a condition passes only if it is within tolerance at every point.
 Plans are walked by :func:`~hydroham.sampling.resolve`, under its one rule:
 a draw at which g, b or a tail leaves its domain is redrawn, and so is one
-at which g is degenerate.  Each round evaluates g, b and the tails at every
-draw, reads the status of each draw from them, and builds curvature frames
-only at the draws that resolve; a round at which none resolves runs no
-contraction, so a metric degenerate everywhere costs two rounds per block.
+at which g is degenerate.  Each round evaluates the tapes of g, b and the
+tails, compiled once per operator object, at every draw, reads the status
+of each draw from their :class:`~hydroham.exprs.TapeValues`, and forms
+derivatives and builds curvature frames only at the draws that resolve; a
+round at which none resolves runs no contraction, so a metric degenerate
+everywhere costs two rounds per block.
 The local check is the nonlocal one without tails, its flatness the Gauss
 equation against an empty tail sum.  A pencil is one local check walked for
 every lambda in lockstep (:func:`~hydroham.sampling.resolve_walks`) on a
@@ -35,18 +37,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprs import Const, Deriv, Expr, NamedConst, as_expr
+from .exprs import (Const, Deriv, Expr, NamedConst, Tape, TapeValues, as_expr, compile_tape,
+                    eval_tape)
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import (
     AffinorField,
     ConnectionField,
-    GridTape,
-    GridValues,
     MetricField,
     MetricFrames,
-    compile_grid,
     covariant_derivatives,
-    grid_values,
     lane_einsum,
     lane_max,
     metric_frames,
@@ -71,7 +70,7 @@ class LocalOperator:
 
     @cached_property
     def _grids(self) -> dict:
-        # (part, order) -> GridTape, filled by _grid
+        # (part, order) -> Tape, filled by _grid
         return {}
 
 
@@ -92,11 +91,11 @@ class NonlocalOperator:
 
     @cached_property
     def _grids(self) -> dict:
-        # ("tails", order) -> GridTape, filled by _grid
+        # ("tails", order) -> Tape, filled by _grid
         return {}
 
 
-def _grid(op, part: str, order: int) -> GridTape:
+def _grid(op, part: str, order: int) -> Tape:
     """The grid of ``op``'s part g, b (a local operator) or tails (a nonlocal
     one), compiled at ``order`` once per object."""
     key = (part, order)
@@ -104,7 +103,7 @@ def _grid(op, part: str, order: int) -> GridTape:
     if grid is None:
         entries = (tuple(w.entries for w in op.tails) if part == "tails"
                    else getattr(op, part).entries)
-        grid = op._grids.setdefault(key, compile_grid(entries, op.dim, order))
+        grid = op._grids.setdefault(key, compile_tape(entries, op.dim, order))
     return grid
 
 
@@ -131,13 +130,13 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
         grids += [_grid(a, "tails", order) for order in (0, 1)]
 
     def evaluate(points):
-        g, b, *w = [grid_values(grid, points) for grid in grids]
+        g, b, *w = [eval_tape(grid, points) for grid in grids]
         return _frame_round(table, a.tails, g, b, w)
 
     return _frame_report(title, resolve(plan, evaluate), plan, table)
 
 
-def _frame_round(table, tails, g: GridValues, b: GridValues, w) -> tuple:
+def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
     """One round of a frame check at the lanes of g's order-2 jets, b's values
     and, with ``tails``, the tails' order-0 and order-1 grid values ``w``:
     the status of each lane and the payload :func:`_frame_report` reads.
@@ -323,8 +322,8 @@ def check_skew_adjoint(a: LocalOperator, plan: SamplePlan) -> CheckReport:
     table = (_SYMMETRIC, ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
 
     def evaluate(points):
-        g, b = grid_values(g_grid, points), grid_values(b_grid, points)
-        found = skew_residuals(g.vals, g.d1, b.vals)
+        g, b = eval_tape(g_grid, points), eval_tape(b_grid, points)
+        found = skew_residuals(*g.at()[:2], b.vals)
         return (np.where(g.failed | b.failed, REDRAW_DOMAIN, 0),
                 found["metric_symmetric"] + found["skew_pairing"])
 
@@ -407,8 +406,8 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     if a.dim != b.dim:
         raise ValueError("pencil requires operators of equal dimension")
     _check_dimension(a, plan)
-    g_pair = compile_grid((a.g.entries, b.g.entries), a.dim, 2)
-    b_pair = compile_grid((a.b.entries, b.b.entries), a.dim, 0)
+    g_pair = compile_tape((a.g.entries, b.g.entries), a.dim, 2)
+    b_pair = compile_tape((a.b.entries, b.b.entries), a.dim, 0)
     lam_of_walk = np.array([_constant(lam) for lam in lambdas])
 
     def evaluate(points, walk):

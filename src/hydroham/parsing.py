@@ -4,17 +4,24 @@ Grammar, by increasing binding power:
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)*          exponent must fold to a rational
+    unary  := '-'* power
+    power  := atom ('^' '-'* atom)*      exponent must fold to a rational
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Binary operators of equal precedence associate to the left.  A number, and
 an exponent once folded, must be a finite double; so must the value of a
 power or function call without variables, as the evaluator computes it
 (``10^400`` and ``exp(1000)`` are rejected), though such a subtree stays
-unfolded in the tree.  Variables are named
-u1..un, with r1..rn accepted as aliases; pi and e denote the usual constants;
-function names are exp, ln, sin, cos, sqrt.
+unfolded in the tree; each is evaluated once, over its operand's value.
+Variables are named u1..un, with r1..rn accepted as aliases; pi and e denote
+the usual constants; function names are exp, ln, sin, cos, sqrt.
+
+Input nested past :data:`MAX_NESTING` levels is rejected: no more
+parentheses may be open at once (a call's included), and no expression tree
+may be deeper, each operator, sign, power or call one level over its
+operands (``1+1+...+u1`` with k plus signs is k levels deep).  Within the
+bound the parser, the tape compiler and the checks stay well inside Python's
+default recursion limit.
 """
 
 from __future__ import annotations
@@ -22,11 +29,14 @@ from __future__ import annotations
 import math
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import ParseError
 from .exprs import (FUNCTIONS, BinOp, Call, Const, Expr, NamedConst, Neg, Power, Var, compile_tape,
-                    eval_tape, var_indices)
+                    eval_tape)
+
+MAX_NESTING = 100  # open parentheses, and levels of an expression tree
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
@@ -35,6 +45,7 @@ _TOKEN = re.compile(
 )
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+_OPERANDS = {BinOp: ("left", "right"), Power: ("base",), Neg: ("arg",), Call: ("arg",)}
 
 
 class _Token:
@@ -48,7 +59,7 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
+    pos = depth = 0  # depth: parentheses open
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None or m.end() == pos:
@@ -61,6 +72,9 @@ def _tokenize(text: str) -> list[_Token]:
             if m.group(kind) is not None:
                 tokens.append(_Token(kind, m.group(kind), m.start(kind)))
                 break
+        depth += (tokens[-1].text == "(") - (tokens[-1].text == ")")
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tokens[-1].pos)
         pos = m.end()
     return tokens
 
@@ -72,6 +86,9 @@ class _Parser:
         self.i = 0
         self.length = length
         self.folding = 0  # depth of exponents being parsed, which fold exactly
+        # id(node) -> (node, tree depth, constant tree or None with a variable)
+        # of every node built, the node kept alive
+        self.records: dict = {}
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -94,22 +111,25 @@ class _Parser:
         node = self.term()
         while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "+-":
             self.next()
-            node = BinOp(tok.text, node, self.term())
+            node = self.build(BinOp(tok.text, node, self.term()), tok.pos)
         return node
 
     def term(self) -> Expr:
         node = self.unary()
         while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "*/":
             self.next()
-            node = BinOp(tok.text, node, self.unary())
+            node = self.build(BinOp(tok.text, node, self.unary()), tok.pos)
         return node
 
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
+    def unary(self, operand=None) -> Expr:
+        """Signs, each negating what follows, then ``operand()`` (a power)."""
+        signs = []
+        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text == "-":
+            signs.append(self.next().pos)
+        node = (operand or self.power)()
+        for pos in reversed(signs):
+            node = self.build(Neg(node), pos)
+        return node
 
     def power(self) -> Expr:
         tok = self.peek()
@@ -119,37 +139,42 @@ class _Parser:
             self.next()
             at = self.peek().pos if self.peek() is not None else self.length
             self.folding += 1
-            exponent = _finite(_fold_rational(self.exponent_atom(), at), "exponent", at)
+            # a signed atom: chained '^' is handled by this loop, keeping
+            # equal-precedence operators left-associative
+            exponent = _finite(_fold_rational(self.unary(self.atom), at), "exponent", at)
             self.folding -= 1
-            node = self.constant_checked(Power(node, exponent), start)
+            node = self.build(Power(node, exponent), start)
         return node
 
-    def constant_checked(self, node: Expr, pos: int) -> Expr:
-        """``node``, a power or a function call; ParseError if it has no
-        variable and its value is not a finite double, unless it is part of
-        an exponent."""
-        if self.folding or var_indices(node):
-            return node
-        value = eval_tape(compile_tape((node,), 1, 0), [[0.0]]).coeffs[0, 0, 0]
-        if not math.isfinite(value):
-            raise ParseError(f"constant {node} is not a finite double", pos)
+    def build(self, node: Expr, pos: int) -> Expr:
+        """``node``, recorded with its tree depth and, without a variable, its
+        constant tree: the node over its operands' constant trees, a power or
+        call evaluated to a constant leaf on a tape of that, once.  ParseError
+        where the tree gets deeper than MAX_NESTING, and where a power or call
+        has no variable and its value is not a finite double, unless it is
+        part of an exponent."""
+        operands = {k: self.records[id(getattr(node, k))] for k in _OPERANDS.get(type(node), ())}
+        depth = max((r[1] + 1 for r in operands.values()), default=0)
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        constants, constant = {k: r[2] for k, r in operands.items()}, None
+        if not isinstance(node, Var) and None not in constants.values():
+            constant = replace(node, **constants) if constants else node
+            if isinstance(node, (Power, Call)):
+                value = float(eval_tape(compile_tape(constant, 1, 0), [[0.0]]).vals[0])
+                if not self.folding and not math.isfinite(value):
+                    raise ParseError(f"constant {node} is not a finite double", pos)
+                constant = NamedConst(str(value), value)
+        self.records[id(node)] = (node, depth, constant)
         return node
-
-    def exponent_atom(self) -> Expr:
-        # a sign-prefixed atom: chained '^' is handled by the loop in power(),
-        # keeping equal-precedence operators left-associative
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self.next()
-            return Neg(self.exponent_atom())
-        return self.atom()
 
     def atom(self) -> Expr:
         tok = self.next()
         if tok is None:
             raise ParseError("unexpected end of input", self.length)
         if tok.kind == "number":
-            return Const(_finite(Fraction(tok.text), f"number {tok.text}", tok.pos))
+            return self.build(Const(_finite(Fraction(tok.text), f"number {tok.text}", tok.pos)),
+                              tok.pos)
         if tok.kind == "ident":
             return self.ident(tok)
         if tok.text == "(":
@@ -164,9 +189,9 @@ class _Parser:
             self.expect_op("(")
             arg = self.expr()
             self.expect_op(")")
-            return self.constant_checked(Call(name, arg), tok.pos)
+            return self.build(Call(name, arg), tok.pos)
         if name in _CONSTANTS:
-            return NamedConst(name, _CONSTANTS[name])
+            return self.build(NamedConst(name, _CONSTANTS[name]), tok.pos)
         m = re.fullmatch(r"[ur](\d+)", name)
         if m:
             index = int(m.group(1))
@@ -174,7 +199,7 @@ class _Parser:
                 raise ParseError(
                     f"variable {name!r} out of range for dimension {self.n}", tok.pos
                 )
-            return Var(index - 1)
+            return self.build(Var(index - 1), tok.pos)
         raise ParseError(f"unknown identifier {name!r}", tok.pos)
 
 

@@ -18,28 +18,26 @@ rho=(0,1), (1,0) act as the identity).  This sign bridge is a documented
 decision and is echoed in the notes of every transformation report.
 
 The checks evaluate their fields at whole blocks of plan points at once:
-currents as jet or value tapes, speed matrices and maps as grids
-(:func:`~hydroham.geometry.compile_grid`, read with
-:func:`~hydroham.geometry.grid_values`; order-1 jets and order-0 values
-compile separately, since a jet fails at some points where the value is
-defined, such as sqrt at 0),
-and the per-lane residuals in public kernels.  Every check, the denominator
-scan included, walks the plan through :func:`~hydroham.sampling.resolve` and
-redraws a point where any of its fields leaves its domain; the conjugacy
-check also redraws a point where the map's Jacobian is singular.  Its
-report, and the current check's, come from
-:func:`~hydroham.reports.walk_report`.
-:meth:`HydroSystem.speeds`, :meth:`PointChangeMap.apply` and
-:meth:`PointChangeMap.jacobian` are one-lane views of :func:`speed_values`,
-:func:`mapped_points` and :func:`map_jacobians`.  Every speed-matrix entry is
-an expression, transformed systems included, so a speed matrix is always one
-order-0 grid.  A system is diagonal when its off-diagonal entries are literal
-zeros; the reciprocal transform then acts entrywise.
+currents, speed matrices and maps each as one tape
+(:func:`~hydroham.exprs.compile_tape`, a matrix compiled with its shape),
+read as :class:`~hydroham.exprs.TapeValues`; order-1 jets and order-0
+values compile separately, since a jet fails at some points where the value
+is defined, such as sqrt at 0.  The per-lane residuals are public kernels.
+Every check, the denominator scan included, walks the plan through
+:func:`~hydroham.sampling.resolve` and redraws a point where any of its
+fields leaves its domain; the conjugacy check also redraws a point where the
+map's Jacobian is singular.  Its report, and the current check's, come from
+:func:`~hydroham.reports.walk_report`.  :meth:`HydroSystem.speeds` and
+:meth:`PointChangeMap.jacobian` are one-lane views of :func:`speed_values`
+and :func:`map_jacobians`.  Every speed-matrix entry is an expression,
+transformed systems included, so a speed matrix is always one order-0 grid.
+A system is diagonal when its off-diagonal entries are literal zeros; the
+reciprocal transform then acts entrywise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
 
@@ -47,16 +45,9 @@ import numpy as np
 
 from .errors import (HostileDomainError, NonConservedCurrentError, VanishingDenominatorError,
                      plain_point)
-from .exprs import Const, Expr, compile_tape, const, eval_tape, one_lane
+from .exprs import Const, Expr, TapeValues, compile_tape, const, eval_tape
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
-from .geometry import (
-    GridValues,
-    compile_grid,
-    grid_values,
-    lane_einsum,
-    lane_max,
-    scaled_abs_dets,
-)
+from .geometry import lane_einsum, lane_max, scaled_abs_dets
 from .reports import CheckReport, walk_report
 from .sampling import REDRAW_DOMAIN, SamplePlan, resolve
 
@@ -94,16 +85,16 @@ class HydroSystem:
     @cached_property
     def _speed_grid(self):
         # compiled on first use, not by the builders
-        return compile_grid(self.v, self.dim, 0)
+        return compile_tape(self.v, self.dim, 0)
 
     def speeds(self, point) -> np.ndarray:
-        return one_lane(speed_values(self, [point])).vals[..., 0]
+        return speed_values(self, [point]).checked().vals[..., 0]
 
 
-def speed_values(s: HydroSystem, points) -> GridValues:
+def speed_values(s: HydroSystem, points) -> TapeValues:
     """The speed matrix at every row of ``points``: values (n, n, N), entries
     in row-major order as :meth:`HydroSystem.speeds` evaluates them."""
-    return grid_values(s._speed_grid, points)
+    return eval_tape(s._speed_grid, points)
 
 
 @dataclass(frozen=True)
@@ -131,36 +122,32 @@ class PointChangeMap:
     @cached_property
     def _grids(self):
         # (values, jets of order 1) of the forward map, compiled on first use
-        return (compile_grid(self.forward, self.dim, 0), compile_grid(self.forward, self.dim, 1))
+        return (compile_tape(self.forward, self.dim, 0), compile_tape(self.forward, self.dim, 1))
 
     def apply(self, point) -> np.ndarray:
-        return one_lane(mapped_points(self, [point])).vals[..., 0]
+        return eval_tape(self._grids[0], [point]).checked().vals[..., 0]
 
     @cached_property
     def _inverse_grid(self):
         # the inverse map's values, compiled on first use
-        return compile_grid(self.inverse, self.dim, 0)
+        return compile_tape(self.inverse, self.dim, 0)
 
     def apply_inverse(self, point) -> np.ndarray:
         if self.inverse is None:
             raise ValueError("no inverse map supplied")
-        return one_lane(grid_values(self._inverse_grid, [point])).vals[..., 0]
+        return eval_tape(self._inverse_grid, [point]).checked().vals[..., 0]
 
     def jacobian(self, point) -> np.ndarray:
-        return one_lane(map_jacobians(self, [point])).vals[..., 0]
+        jets, jac = map_jacobians(self, [point])
+        jets.checked()
+        return jac[..., 0]
 
 
-def mapped_points(m: PointChangeMap, points) -> GridValues:
-    """The image m(u) of every row of ``points``: values (n, N), so the
-    mapped points are the rows of ``vals.T``."""
-    return grid_values(m._grids[0], points)
-
-
-def map_jacobians(m: PointChangeMap, points) -> GridValues:
-    """The Jacobian J[a, k] = d_k m^a at every row of ``points``: values
-    (n, n, N)."""
-    jets = grid_values(m._grids[1], points)
-    return replace(jets, vals=np.swapaxes(jets.d1, 0, 1))
+def map_jacobians(m: PointChangeMap, points) -> tuple:
+    """The order-1 jets of m at every row of ``points``, and from them the
+    Jacobian J[a, k] = d_k m^a, (n, n, N)."""
+    jets = eval_tape(m._grids[1], points)
+    return jets, np.swapaxes(jets.at()[1], 0, 1)
 
 
 def current_residuals(grad_rho: np.ndarray, grad_sigma: np.ndarray, v: np.ndarray):
@@ -179,7 +166,7 @@ def check_conserved_current(s: HydroSystem, c: ConservedCurrent,
     def evaluate(points):
         jets = eval_tape(currents, points)
         v = speed_values(s, points)
-        _, grads, _ = jets.derivatives()
+        grads = jets.at()[1]
         return (jets.failed | v.failed,
                 current_residuals(grads[:, 0], grads[:, 1], v.vals))
 
@@ -201,15 +188,15 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
         raise ValueError("systems and map disagree on dimension")
 
     def evaluate(points):
-        jac = map_jacobians(m, points)
-        singular = ~jac.failed & (scaled_abs_dets(np.moveaxis(jac.vals, -1, 0)) < plan.floor)
+        jets, jac = map_jacobians(m, points)
+        singular = ~jets.failed & (scaled_abs_dets(np.moveaxis(jac, -1, 0)) < plan.floor)
         v_old = speed_values(s_old, points)
-        mapped = mapped_points(m, points)
-        failed = jac.failed | v_old.failed | mapped.failed
+        mapped = eval_tape(m._grids[0], points)  # m(u), the rows of vals.T
+        failed = jets.failed | v_old.failed | mapped.failed
         v_new = speed_values(s_new, mapped.vals.T)
         status = np.where(singular, REDRAW_SINGULAR,
                           np.where(failed | v_new.failed, REDRAW_DOMAIN, 0))
-        return status, conjugacy_residuals(jac.vals, v_old.vals, v_new.vals)
+        return status, conjugacy_residuals(jac, v_old.vals, v_new.vals)
 
     table = (("conjugacy", "J v_old = v_new(m(u)) J for the Jacobian J of the map"),)
     rep, found = walk_report("change of variables", table, plan, evaluate)
@@ -265,8 +252,7 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
     def evaluate(points):
         values = eval_tape(currents, points)
         v = speed_values(s, points)
-        return values.failed | v.failed, denominator_dets(values.coeffs[0, 0],
-                                                          values.coeffs[1, 0], v.vals)
+        return values.failed | v.failed, denominator_dets(*values.vals, v.vals)
 
     found = resolve(plan, evaluate)
     dets, sign = found.payload

@@ -39,8 +39,6 @@ from hydroham.exprs import eval_jet as hydroham_eval_jet
 from hydroham.geometry import (
     ConnectionField,
     MetricField,
-    compile_grid,
-    grid_values,
     lane_einsum,
     metric_frames,
     metric_status,
@@ -232,7 +230,7 @@ def _batch_arrays(g, b, tails, points):
     lanes only; their arrays read NaN at the other lanes, so they line up
     with the batch."""
     dim = points.shape[1]
-    jets = grid_values(compile_grid(g.entries, dim, 2), points)
+    jets = eval_tape(compile_tape(g.entries, dim, 2), points)
     status = metric_status(jets)
     frames = metric_frames(jets, status.usable)
     arrays = {"usable": status.usable, "det": status.det}
@@ -243,9 +241,9 @@ def _batch_arrays(g, b, tails, points):
         arrays[name][status.usable] = built
     for label, entries, order in [("b", b.entries, 0)] + [
             (f"w{a}.{order}", w.entries, order) for a, w in enumerate(tails) for order in (0, 1)]:
-        values = grid_values(compile_grid(entries, dim, order), points)
-        arrays[label] = np.moveaxis(values.tape_values.coeffs, -1, 0)
-    arrays["g.coeffs"] = jets.tape_values.coeffs.transpose(2, 0, 1)
+        values = eval_tape(compile_tape(entries, dim, order), points)
+        arrays[label] = np.moveaxis(values.coeffs, -1, 0)
+    arrays["g.coeffs"] = jets.coeffs.transpose(2, 0, 1)
     return arrays
 
 

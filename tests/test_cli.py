@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import pytest
 
 import cases
 from hydroham.cli import PRESET_OPTIONS, PRESETS, SPEC_CHECKS, main
+from hydroham.parsing import MAX_NESTING
 from hydroham.sampling import SamplePlan
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -252,6 +254,35 @@ def test_checks_never_load_numpy_random():
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False", proc.stderr
 
 
+def _deepest(n, var):
+    """The inputs nested n levels that recurse deepest: calls, the parser's
+    deepest stack, and a sum n levels deep inside n parentheses."""
+    return ["sin(" * n + var + ")" * n, "(" * n + "1+" * n + var + ")" * n]
+
+
+def test_input_at_the_nesting_bound_runs_from_the_cli_and_one_past_exits_2(tmp_path):
+    # in a fresh interpreter at Python's default recursion limit: input nested
+    # to the bound parses, compiles and runs through two presets and a spec
+    # check; one level past it is a parse error, not a RecursionError
+    runs = []
+    for n in (MAX_NESTING, MAX_NESTING + 1):
+        for k, (theta, entry) in enumerate(zip(_deepest(n, "r3"), _deepest(n, "u1"))):
+            spec = write_spec(tmp_path, f"spec-{n}-{k}.json", dimension=2,
+                              metric=[[entry, "0"], H1_METRIC[1]], b=H1_B,
+                              checks=["local_hamiltonian"], sample_plan=dict(PLAN, count=5))
+            runs += [["preset", "h1-theta", f"--theta={theta}", "--samples", "5"],
+                     ["preset", "reciprocal-remark", f"--theta={theta}", "--samples", "5"],
+                     ["check", spec]]
+    code = (f"import sys\nfrom hydroham.cli import main\n"
+            f"print(sys.getrecursionlimit(), [main(a) for a in {runs!r}])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    limit, codes = proc.stdout.splitlines()[-1].split(" ", 1)
+    codes = ast.literal_eval(codes)
+    assert limit == "1000" and all(c in (0, 1) for c in codes[:6]) and codes[6:] == [2] * 6
+    assert proc.stderr.count(f"nesting deeper than {MAX_NESTING} levels") == 6
+
+
 def _without_wall_time(text):
     return re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": null', text)
 
@@ -283,6 +314,11 @@ def test_consecutive_calls_match_separate_runs(tmp_path, capsys):
 def _read(*parts):
     with open(os.path.join(ROOT, *parts), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def test_the_docs_state_the_nesting_bound():
+    for doc in (_read("README.md"), _read("docs", "workbench_spec.md")):
+        assert f"{MAX_NESTING} levels deep" in " ".join(doc.split())
 
 
 def test_readme_preset_table_names_every_preset():

@@ -62,9 +62,9 @@ def test_riemann_map_round_trip():
 def test_inverse_map_compiles_once_and_matches_entrywise_values(monkeypatch):
     m = df.riemann_map()
     compiled = []
-    compile_grid = systems.compile_grid
-    monkeypatch.setattr(systems, "compile_grid",
-                        lambda *args: compiled.append(args) or compile_grid(*args))
+    compile_tape = systems.compile_tape
+    monkeypatch.setattr(systems, "compile_tape",
+                        lambda *args: compiled.append(args) or compile_tape(*args))
     points = [df.physical_plan(count=100).point(i) for i in range(100)]
     points += [m.apply(p) for p in points]
     for p in points:

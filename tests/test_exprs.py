@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hydroham.exprs import (
     const,
     eval_jet,
     eval_scalar,
+    eval_tape,
     fields_equal_numeric,
     variables,
 )
-from hydroham.geometry import compile_grid
 from hydroham.operators import hamiltonian_flow
 from hydroham.parsing import parse_expr
 from hydroham.sampling import SamplePlan, default_plan
@@ -199,4 +200,16 @@ def _shipped_grids():
 
 def test_no_shipped_grid_compiles_an_unread_instruction():
     for name, entries, dim, order in _shipped_grids():
-        assert _unread_slots(compile_grid(entries, dim, order).tape) == [], (name, order)
+        assert _unread_slots(compile_tape(entries, dim, order)) == [], (name, order)
+
+
+@pytest.mark.parametrize("text", ["u1^0 + 1", "u1^0 * u2", "sin(u1^0)", "u1^0 + u1^0",
+                                  "2^0 - u2", "(u1*u2)^0 / u2"])
+def test_a_zero_power_is_the_jet_of_one_in_any_operation(text):
+    # its kernel returned the float 1.0, which +, - and the functions took for
+    # an array: an AttributeError or TypeError instead of a value
+    for order in (0, 1, 2):
+        got = eval_tape(compile_tape(parse_expr(text, 2), 2, order), [(0.3, 0.7)]).coeffs
+        one = parse_expr(re.sub(r"\(u1\*u2\)\^0|u1\^0|2\^0", "1", text), 2)
+        # equal, up to the sign of a zero coefficient (1 - u2 negates, then adds)
+        assert np.array_equal(got, eval_tape(compile_tape(one, 2, order), [(0.3, 0.7)]).coeffs)

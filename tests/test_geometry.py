@@ -8,7 +8,7 @@ import pytest
 import cases
 from hydroham import geometry
 from hydroham.errors import DegenerateMetricError
-from hydroham.exprs import const, eval_scalar
+from hydroham.exprs import compile_tape, const, eval_scalar, eval_tape
 from hydroham.geometry import (
     DEGENERACY_FLOOR,
     AffinorField,
@@ -16,10 +16,8 @@ from hydroham.geometry import (
     MetricField,
     MetricStatus,
     christoffel_from_b,
-    compile_grid,
     covariant_derivative_values,
     eval_matrix,
-    grid_values,
     invert_metric,
     levi_civita,
     metric_frame,
@@ -341,11 +339,11 @@ def test_no_draw_of_a_shipped_operator_changes_status():
     ops = cases.local_operators() + [(name, op.local) for name, op in cases.nonlocal_operators()]
     for _, op in ops:
         points = cases.plan_for(op.dim, 2).points(np.arange(100))
-        mats.append(grid_values(compile_grid(op.g.entries, op.dim, 0), points).vals)
+        mats.append(eval_tape(compile_tape(op.g.entries, op.dim, 0), points).vals)
     for _, a, b in cases.pencil_pairs():
         points = cases.plan_for(a.dim, 2).points(np.arange(100))
         lam = np.resize(np.array(cases.LAMBDAS), 100)
-        mats.append(pencil_values(compile_grid((a.g.entries, b.g.entries), a.dim, 0), points,
+        mats.append(pencil_values(compile_tape((a.g.entries, b.g.entries), a.dim, 0), points,
                                   lam).vals)
     for vals in mats:
         ms = np.moveaxis(vals, -1, 0)
@@ -365,7 +363,7 @@ _FOUR = LocalOperator(4, _metric([["1", "u1", "0", "0"], ["u1", "u1^2 + (u2 - 1/
 
 def test_a_four_dimensional_check_is_the_lapack_report(monkeypatch):
     plan = SamplePlan(4, ((0.1, 1.0),) * 4, count=60, seed=3)
-    g = grid_values(compile_grid(_FOUR.g.entries, 4, 0), plan.points(np.arange(60)))
+    g = eval_tape(compile_tape(_FOUR.g.entries, 4, 0), plan.points(np.arange(60)))
     assert metric_status(g).degenerate.any()  # so draws are redrawn on the determinant
     got = check_local_hamiltonian(_FOUR, plan).to_dict()
     monkeypatch.setattr(geometry, "scaled_abs_dets", _lapack_scaled_abs_dets)

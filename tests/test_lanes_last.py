@@ -13,12 +13,10 @@ import oracle
 from cases import plan_for, run_cli_json
 from hydroham import driftflux as df
 from hydroham import geometry, operators, systems
-from hydroham.exprs import const, variables
+from hydroham.exprs import TapeValues, compile_tape, const, eval_tape, variables
 from hydroham.geometry import (
     ConnectionField,
     MetricField,
-    compile_grid,
-    grid_values,
     lane_einsum,
     metric_frames,
     metric_status,
@@ -118,12 +116,12 @@ def test_fused_tail_kernels_are_the_loop_over_tails_bit_for_bit(build):
     op = build()
     plan = plan_for(op.dim, 4)
     points = plan.points(np.arange(plan.count))
-    g = grid_values(compile_grid(op.local.g.entries, op.dim, 2), points)
+    g = eval_tape(compile_tape(op.local.g.entries, op.dim, 2), points)
     usable = np.flatnonzero(metric_status(g).usable)
     frames = metric_frames(g, usable)
     entries = tuple(w.entries for w in op.tails)
-    w0, w1 = (grid_values(compile_grid(entries, op.dim, order), points) for order in (0, 1))
-    lanes_last = [np.take(x, usable, axis=-1) for x in (w0.vals, w1.vals, w1.d1)]
+    w0, w1 = (eval_tape(compile_tape(entries, op.dim, order), points) for order in (0, 1))
+    lanes_last = [np.take(x, usable, axis=-1) for x in (w0.vals, w1.vals, w1.at()[1])]
     got = tail_residuals(frames, op.tails, *lanes_last)
     first = [np.moveaxis(x, -1, 0) for x in
              (frames.g_lo, frames.gamma, frames.riemann_up, frames.dgamma, *lanes_last)]
@@ -138,7 +136,7 @@ def test_gauss_tail_sum_at_a_point_is_one_lane_of_the_batch():
     op = df.build_H2_hat()
     plan = plan_for(op.dim, 2)
     points = plan.points(np.arange(5))
-    vals = grid_values(compile_grid(tuple(w.entries for w in op.tails), op.dim, 0), points).vals
+    vals = eval_tape(compile_tape(tuple(w.entries for w in op.tails), op.dim, 0), points).vals
     batch = operators.gauss_tail_sum(op.tails, vals)
     for lane in range(5):
         alone = operators.gauss_tail_sum(op.tails, [v[..., lane] for v in vals])
@@ -154,9 +152,9 @@ def compiled(monkeypatch):
 
     def counted(entries, dim, order):
         calls.append((dim, order))
-        return compile_grid(entries, dim, order)
+        return compile_tape(entries, dim, order)
 
-    monkeypatch.setattr(operators, "compile_grid", counted)
+    monkeypatch.setattr(operators, "compile_tape", counted)
     return calls
 
 
@@ -216,29 +214,31 @@ def test_a_smaller_plan_raises_instead_of_giving_a_verdict():
 
 
 def _grids_of_every_kind():
-    """(name, GridValues at 100 plan points) of plain grids at orders 0-2 and
+    """(name, TapeValues at 100 plan points) of plain grids at orders 0-2 and
     of pencil members."""
     for name, op in [("h2-hat", df.build_H2_hat()), ("h3-hat", df.build_H3_hat())]:
         points = plan_for(op.dim, 3).points(np.arange(100))
         for order in (0, 1, 2):
-            yield f"{name} g@{order}", grid_values(compile_grid(op.local.g.entries, op.dim, order),
-                                                   points)
-        yield f"{name} tails@1", grid_values(
-            compile_grid(tuple(w.entries for w in op.tails), op.dim, 1), points)
+            yield f"{name} g@{order}", eval_tape(compile_tape(op.local.g.entries, op.dim, order),
+                                                 points)
+        yield f"{name} tails@1", eval_tape(
+            compile_tape(tuple(w.entries for w in op.tails), op.dim, 1), points)
     for name, a, b in cases.pencil_pairs():
         points = plan_for(a.dim, 3).points(np.arange(100))
         lam = np.resize(np.array(cases.LAMBDAS), 100)
         for order in (0, 2):
             yield f"{name}@{order}", geometry.pencil_values(
-                compile_grid((a.g.entries, b.g.entries), a.dim, order), points, lam)
+                compile_tape((a.g.entries, b.g.entries), a.dim, order), points, lam)
 
 
 @pytest.mark.parametrize("lanes", [[], [0], [5, 2, 99, 2], list(range(0, 100, 3))])
 def test_derivatives_at_lanes_are_the_sliced_derivatives_bit_for_bit(lanes):
     for name, grid in _grids_of_every_kind():
+        # the values are a view of the coefficients, with the bits at() forms
+        assert np.shares_memory(grid.vals, grid.coeffs), name
+        assert grid.vals.tobytes() == np.ascontiguousarray(grid.at()[0]).tobytes(), name
         at = grid.at(np.array(lanes, dtype=int))
-        for part, got in zip(("vals", "d1", "d2"), at):
-            full = getattr(grid, part)
+        for part, got, full in zip(("vals", "d1", "d2"), at, grid.at()):
             if full is None:
                 assert got is None, (name, part)
                 continue
@@ -253,9 +253,14 @@ def test_a_frame_round_forms_no_derivative_at_every_lane(monkeypatch):
     monkeypatch.setattr(operators, "_frame_round",
                         lambda table, tails, g, b, w: rounds.append([g, b, *w])
                         or original(table, tails, g, b, w))
+    reads, at = [], TapeValues.at
+    monkeypatch.setattr(TapeValues, "at",
+                        lambda self, lanes=None: reads.append((self, lanes)) or at(self, lanes))
     check_ferapontov(df.build_H2_hat(), plan_for(3, 1))
     operators.check_pencil_compatibility(df.build_nutku(1), df.build_nutku(2), cases.LAMBDAS,
                                          plan_for(2, 1))
     assert len(rounds) > 2
-    for grids in rounds:
-        assert all("_derivatives" not in vars(grid) for grid in grids)
+    in_rounds = [lanes for values, lanes in reads
+                 if any(values is grid for grids in rounds for grid in grids)]
+    assert in_rounds and all(lanes is not None for lanes in in_rounds)
+    assert all(lanes is not None for _, lanes in reads)

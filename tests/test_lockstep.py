@@ -14,7 +14,8 @@ import pytest
 from hydroham import driftflux as df
 from hydroham import operators, sampling
 from hydroham.errors import HostileDomainError
-from hydroham.geometry import compile_grid, grid_values, pencil_values
+from hydroham.exprs import compile_tape, eval_tape
+from hydroham.geometry import pencil_values
 from hydroham.operators import (
     check_local_hamiltonian,
     check_pencil_compatibility,
@@ -197,13 +198,13 @@ def test_pencil_values_are_the_member_grid(pair):
     plan = cases.plan_for(a.dim, 3)
     points = plan.points(range(plan.count))
     lam = np.resize(np.array(cases.LAMBDAS), plan.count)
-    got = pencil_values(compile_grid((a.g.entries, b.g.entries), a.dim, 2), points, lam)
+    got = pencil_values(compile_tape((a.g.entries, b.g.entries), a.dim, 2), points, lam)
     for x in cases.LAMBDAS:
         lanes = lam == x
         member = pencil_operator(a, b, x).g.entries
-        want = grid_values(compile_grid(member, a.dim, 2), points[lanes])
-        for part in ("vals", "d1", "d2"):
-            assert np.array_equal(getattr(got, part)[..., lanes], getattr(want, part)), part
+        want = eval_tape(compile_tape(member, a.dim, 2), points[lanes])
+        for part, g, w in zip(("vals", "d1", "d2"), got.at(), want.at()):
+            assert np.array_equal(g[..., lanes], w), part
         assert np.array_equal(got.failed[lanes], want.failed)
 
 
@@ -211,7 +212,7 @@ def test_pencil_values_are_the_member_grid(pair):
 def pencil_spy(monkeypatch):
     """The grids a check compiles, and the lanes of each evaluate call of its walks."""
     grids, calls = [], []
-    compile_original, walks_original = operators.compile_grid, operators.resolve_walks
+    compile_original, walks_original = operators.compile_tape, operators.resolve_walks
 
     def compile_spy(entries, dim, order):
         grids.append(compile_original(entries, dim, order))
@@ -223,7 +224,7 @@ def pencil_spy(monkeypatch):
             return evaluate(points, walk)
         return walks_original(plan, counted, walks)
 
-    monkeypatch.setattr(operators, "compile_grid", compile_spy)
+    monkeypatch.setattr(operators, "compile_tape", compile_spy)
     monkeypatch.setattr(operators, "resolve_walks", walks_spy)
     return grids, calls
 
@@ -236,7 +237,7 @@ def test_a_pencil_compiles_two_grids_and_evaluates_at_most_block_lanes(
     a, b = df.build_nutku(1), df.build_nutku(2)
     rep = check_pencil_compatibility(a, b, cases.LAMBDAS, df.plane_plan(count=100, seed=1))
     assert rep.passed
-    assert [(g.shape, g.tape.order) for g in grids] == [((2, 2, 2), 2), ((2, 2, 2, 2), 0)]
+    assert [(g.shape, g.order) for g in grids] == [((2, 2, 2), 2), ((2, 2, 2, 2), 0)]
     assert max(calls) <= block
     # round 0 of a block of s points asks for 5 s lanes and resolves no point
     # of lambda = -1 and 1; round 1, the last of both, asks for their retries 1

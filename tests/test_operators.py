@@ -238,16 +238,17 @@ def test_flow_evaluates_each_density_jet_once():
     # all nine second derivatives and its order-1 jet once for the gradient;
     # each entry is the jet formula on H's jets bit for bit, and the oracle's
     # recursive evaluation to roundoff
-    from hydroham.geometry import eval_matrix, grid_values
+    from hydroham.exprs import eval_tape
+    from hydroham.geometry import eval_matrix
 
     op = df.build_H1_Theta(parse_expr("1 + r3^2", 3))
     h = parse_expr("r1*r2*r3 + exp(r3)*r1^2", 3)
     system = hamiltonian_flow(op, h)
-    tape = system._speed_grid.tape
+    tape = system._speed_grid
     assert sorted(order for *_, node, order in tape.code if node == h) == [1, 2]
     plan = df.drift_plan(count=30, seed=3)
     points = np.array([plan.point(i) for i in range(plan.count)])
-    speeds = grid_values(system._speed_grid, points).vals
+    speeds = eval_tape(system._speed_grid, points).vals
     for lane, p in enumerate(points):
         grad, hess = eval_jet(h, p, 1).gradient(), eval_jet(h, p, 2).hessian()
         g, b = eval_matrix(op.g.entries, p), eval_matrix(op.b.entries, p)

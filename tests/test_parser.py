@@ -1,11 +1,15 @@
+import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hydroham import parsing
 from hydroham.errors import ParseError
-from hydroham.exprs import BinOp, Call, Const, NamedConst, Neg, Power, Var, eval_scalar
-from hydroham.parsing import parse_expr
+from hydroham.exprs import (FUNCTIONS, BinOp, Call, Const, NamedConst, Neg, Power, Var,
+                            compile_tape, eval_scalar, eval_tape)
+from hydroham.parsing import MAX_NESTING, parse_expr
 
 
 def test_exp_of_difference():
@@ -150,3 +154,105 @@ def test_finite_constant_powers_and_functions_stay_unfolded():
     assert repr(parse_expr("exp(700)", 1)) == "Call(func='exp', arg=Const(value=Fraction(700, 1)))"
     # inside an exponent a power folds exactly, past the doubles or not
     assert parse_expr("u1^(10^400/10^399)", 1) == Power(Var(0), Fraction(10))
+
+
+# -- the nesting bound ---------------------------------------------------------------------
+
+NESTED = {  # kind -> input nested n levels deep
+    "parentheses": lambda n: "(" * n + "u1" + ")" * n,
+    "calls": lambda n: "sin(" * n + "u1" + ")" * n,
+    "signs": lambda n: "-" * n + "u1",
+    "signed parentheses": lambda n: "-(" * n + "u1" + ")" * n,
+    "sum": lambda n: "1+" * n + "u1",
+    "product": lambda n: "u1" + "*2" * n,
+    "powers": lambda n: "u1" + "^1" * n,
+    "exponent signs": lambda n: "u1^" + "-" * n + "1",
+}
+
+
+@pytest.mark.parametrize("kind", NESTED)
+def test_input_nested_to_the_bound_parses_and_one_level_past_is_a_parse_error(kind):
+    parse_expr(NESTED[kind](MAX_NESTING), 1)
+    with pytest.raises(ParseError, match=f"^nesting deeper than {MAX_NESTING} levels"):
+        parse_expr(NESTED[kind](MAX_NESTING + 1), 1)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 200 + "r3" + ")" * 200,  # each of these ended in a RecursionError
+    "1+" * 499 + "r3",
+    "+".join(["1"] * 600),
+    "-" * 5000 + "r3",
+])
+def test_deeply_nested_input_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_expr(text, 3)
+
+
+# -- constant values, each computed once ----------------------------------------------------
+
+
+def _random_input(rng, depth: int) -> str:
+    """Mostly constant expression text, with a variable now and then."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["0", "1", "2", "0.5", "3", "700", "1e300", "1e-300", "pi", "e", "u1"])
+    kind, a = rng.randrange(4), _random_input(rng, depth - 1)
+    if kind == 0:
+        return f"({a}{rng.choice('+-*/')}{_random_input(rng, depth - 1)})"
+    if kind == 1:
+        return f"{rng.choice(FUNCTIONS)}({a})"
+    if kind == 2:
+        return f"({a})^{rng.choice(['2', '3', '-1', '-2', '(1/2)', '(-1/3)', '0', '10'])}"
+    return f"-{a}"
+
+
+RANDOM_INPUTS = [_random_input(random.Random(f"constants:{k}"), 5) for k in range(300)]
+
+
+def _tape_value(node) -> float:
+    return float(eval_tape(compile_tape(node, 1, 0), [[0.0]]).vals[0])
+
+
+def test_each_constant_tree_has_the_tapes_value_bit_for_bit():
+    compared = 0
+    for text in RANDOM_INPUTS:
+        parser = parsing._Parser(parsing._tokenize(text), 1, len(text))
+        try:
+            parser.expr()
+        except ParseError:
+            pass
+        for node, _, constant in parser.records.values():
+            if constant is not None:
+                got, want = _tape_value(constant), _tape_value(node)
+                assert np.array_equal(got, want, equal_nan=True), (text, str(node))
+                assert np.isnan(got) or np.signbit(got) == np.signbit(want), (text, str(node))
+                compared += 1
+    assert compared > 1000
+
+
+def _outcome(text: str) -> str:
+    try:
+        return repr(parse_expr(text, 1))
+    except ParseError as err:
+        return f"ParseError: {err}"
+
+
+def test_the_constant_check_decides_as_a_tape_of_the_whole_node(monkeypatch):
+    # the check as it was: each constant power or call evaluated on a tape of
+    # its whole subtree; same trees, same rejections, same messages
+    fast = [_outcome(text) for text in RANDOM_INPUTS]
+    assert 20 < sum(o.startswith("ParseError: constant") for o in fast) < len(fast) - 100
+    monkeypatch.setattr(parsing, "replace", lambda node, **operands: node)
+    assert [_outcome(text) for text in RANDOM_INPUTS] == fast
+
+
+def test_each_constant_power_or_call_is_evaluated_once(monkeypatch):
+    # nested sin(...1...) was recompiled whole at every level: 15, 47 and
+    # 104 ms at depths 50, 100 and 150
+    runs = []
+    monkeypatch.setattr(parsing, "eval_tape", lambda tape, points: runs.append(
+        [op for op, *_ in tape.code if op != "const"]) or eval_tape(tape, points))
+    parse_expr("sin(" * MAX_NESTING + "1" + ")" * MAX_NESTING, 1)
+    assert runs == [["sin"]] * MAX_NESTING
+    runs.clear()
+    parse_expr("(" * 50 + "2^2*" * 50 + "1" + ")" * 50, 1)
+    assert [ops for ops in runs if ops] == [["pow"]] * 50  # each product folds
