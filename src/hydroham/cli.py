@@ -543,12 +543,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_strings(parser: argparse.ArgumentParser) -> frozenset:
+    """Every option string of the parser and of its subcommands."""
+    strings = set()
+    for action in parser._actions:
+        strings.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                strings |= _option_strings(sub)
+    return frozenset(strings)
+
+
 _PARSER = build_parser()
+_OWN_OPTIONS = _option_strings(_PARSER) | {"--"}
+
+
+def _attach_values(argv: list) -> list:
+    """argv with a preset option followed by a token that starts with a minus
+    sign, such as ``--theta -r3``, written ``--theta=-r3``, unless that token
+    is an option of the parser itself (``--theta --json`` stays an error)."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and out[-1][2:] in PRESET_OPTIONS
+                and token.startswith("-") and token.split("=", 1)[0] not in _OWN_OPTIONS):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     """The parsed command line (argparse exits with code 2 on bad usage)."""
-    return _PARSER.parse_args(argv)
+    return _PARSER.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
 
 
 def main(argv=None) -> int:

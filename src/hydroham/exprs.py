@@ -26,10 +26,19 @@ lane; :meth:`TapeValues.error` builds the
 :class:`~hydroham.errors.EvalDomainError` of a lane, naming the offending
 subtree, and :meth:`TapeValues.checked`, which the one-lane views call,
 raises that of the first failing lane.
+
+A tape also records the structure of each output: a literal zero (or a
+constant folded to zero), a constant, or the set of variables its tree reads,
+a superset of those it depends on (a :class:`Deriv` reads its argument's).
+:attr:`TapeValues.patterns` turns that into the structural zero patterns of
+``vals``, ``d1`` and ``d2``, read from the tape alone and never from drawn
+values; the contractions of :mod:`hydroham.geometry` skip the products they
+make zero.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -270,6 +279,9 @@ class Tape(NamedTuple):
     outputs: tuple  # slot of each compiled expression, None for a literal zero
     frees: tuple  # per instruction, the slots it reads last (outputs excepted)
     shape: tuple  # of the compiled grid; its leaves are the outputs, row-major
+    # per output, None for a zero, else the variables its tree reads, as a
+    # bit mask (bit k for u_{k+1}; 0 for a constant)
+    reads: tuple
 
 
 def _ncoef(n: int, order: int) -> int:
@@ -372,15 +384,21 @@ def compile_tape(entries, n: int, order: int) -> Tape:
         None if isinstance(e, Const) and e.value == 0 else comp.read(comp.slot(e, order), order)
         for e in leaves
     )
-    last_read = {}
-    for i, (_, args, *_) in enumerate(comp.code):
+    last_read, masks = {}, []  # masks: per instruction, the variables its tree reads
+    for i, (op, args, param, _, _) in enumerate(comp.code):
+        mask = 1 << param if op == "var" else 0
         for a in args:
             last_read[a] = i
+            mask |= masks[a]
+        masks.append(mask)
+    reads = tuple(None if s is None or comp.code[s][0] == "const" and comp.code[s][2] == 0.0
+                  else masks[s] for s in outputs)
     frees = [[] for _ in comp.code]
     for slot, i in last_read.items():
         if slot not in outputs:
             frees[i].append(slot)
-    return Tape(n, order, tuple(comp.code), outputs, tuple(tuple(f) for f in frees), shape)
+    return Tape(n, order, tuple(comp.code), outputs, tuple(tuple(f) for f in frees), shape,
+                reads)
 
 
 class TapeValues(NamedTuple):
@@ -394,6 +412,7 @@ class TapeValues(NamedTuple):
     first_failure: np.ndarray  # (N,) first failing instruction, len(code) if none
     failures: dict  # failing instruction -> its operand's values
     shape: tuple  # of the grid the outputs fill, the tape's unless replaced
+    reads: tuple  # the structure of each output, as Tape.reads, the tape's unless replaced
 
     @property
     def failed(self) -> np.ndarray:
@@ -430,6 +449,16 @@ class TapeValues(NamedTuple):
                   * fact[:, :, None, None]).reshape((n, n) + shape)
         return vals, d1, d2
 
+    @property
+    def patterns(self) -> tuple:
+        """The structural patterns of (vals, d1, d2) as :meth:`at` gives them,
+        without the lane axis, each None where that is: False where the
+        entry is ±0.0 at every lane whatever the points, read from
+        :attr:`reads` alone.  An entry of a zero output is zero, and so is a
+        derivative along a variable its tree does not read.  Read-only
+        arrays, shared by every call on the same structure."""
+        return _patterns(self.reads, self.tape.n, self.tape.order, self.shape)
+
     def error(self, lane: int) -> EvalDomainError:
         """The domain error at this lane's point, naming the subtree of its
         first failing instruction."""
@@ -437,6 +466,18 @@ class TapeValues(NamedTuple):
         op, _, param, node, order = self.tape.code[i]
         v = float(self.failures[i][lane])
         return EvalDomainError(_domain_reason(op, param, v, order), str(node), self.points[lane])
+
+
+@functools.lru_cache(maxsize=None)
+def _patterns(reads: tuple, n: int, order: int, shape: tuple) -> tuple:
+    nonzero = np.array([r is not None for r in reads], dtype=bool).reshape(shape)
+    var = np.array([[r is not None and r >> k & 1 for r in reads] for k in range(n)],
+                   dtype=bool).reshape((n,) + shape)
+    patterns = (nonzero, var if order else None, var[:, None] & var if order >= 2 else None)
+    for p in patterns:
+        if p is not None:
+            p.flags.writeable = False
+    return patterns
 
 
 def eval_tape(tape: Tape, points) -> TapeValues:
@@ -516,7 +557,7 @@ def _run_tape(tape: Tape, points: np.ndarray) -> TapeValues:
                 coeffs[k, 0] = v
             else:
                 coeffs[k] = v
-    return TapeValues(tape, points, coeffs, first, failures, tape.shape)
+    return TapeValues(tape, points, coeffs, first, failures, tape.shape, tape.reads)
 
 
 # -- one-point views ---------------------------------------------------------------

@@ -21,6 +21,23 @@ The single-point functions (:func:`metric_frame`, :func:`eval_matrix`,
 they return the same arrays with the lane axis dropped (a frame is the
 :class:`MetricFrames` of one lane) and raise where those flag a lane.
 
+Structural zeros.  Every array a check contracts carries a pattern
+(:class:`Patterned`): False where the entry is ±0.0 at every lane by
+construction.  The patterns start from the tapes
+(:attr:`~hydroham.exprs.TapeValues.patterns`: a literal zero output, or a
+derivative along a variable its tree does not read) and follow rules that
+never read drawn values: a product is zero where any factor is, a sum where
+all its terms are, and g_lo is block diagonal over the connected components
+of g's pattern.  :func:`lane_einsum` forms only the terms whose every factor
+is structurally nonzero and sums each entry's terms in lexicographic order of
+the contracted indices, ``((t0 + t1) + t2) + ...``: the dense sum with the
+dropped terms left out.  A dropped term is an exact ±0.0 wherever its other
+factors are finite, so the results are the dense ones up to the sign of a
+zero, which the residuals' |.| discards.  Where a factor is not finite the
+dense sum has a NaN (0 * inf) that this one lacks; the entry that is not
+finite reaches the residuals either way, and the reports are the dense ones
+(tests/test_structural_zeros.py).
+
 Index conventions, fixed once for the whole package (the lane axis, when
 present, comes after all of these, so that every product in a contraction
 runs over contiguous lanes; sample points stay rows, (N, dim), and so do the
@@ -45,7 +62,7 @@ np.linalg gets matrices stacked lane first, through a moveaxis view):
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -125,58 +142,179 @@ class AffinorField:
 # -- batched evaluation ----------------------------------------------------------
 
 
-def lane_einsum(spec: str, *operands) -> np.ndarray:
+class Patterned:
+    """An array with a trailing lane axis and its structural pattern: a
+    boolean array of the non-lane shape, False where the entry is ±0.0 at
+    every lane by construction, whatever the drawn values.  A pattern is a
+    sound superset of the nonzero entries, so dropping a product with a
+    structurally zero factor drops an exact ±0.0.
+
+    The arithmetic carries the patterns by rules that read no values: a
+    sum or difference is zero where both terms are; negation, a scalar
+    factor, an axis swap and an index along the leading axis keep the
+    pattern; :func:`lane_einsum` gives the pattern of a contraction.  The
+    in-place sums write into :attr:`values` and return a new object, since
+    patterns are shared and read-only."""
+
+    __slots__ = ("values", "pattern")
+
+    def __init__(self, values: np.ndarray, pattern: np.ndarray):
+        self.values, self.pattern = values, pattern
+
+    @classmethod
+    def dense(cls, values) -> Patterned:
+        """Values with no known zero: a Patterned is itself."""
+        if isinstance(values, cls):
+            return values
+        values = np.asarray(values, dtype=float)
+        return cls(values, np.ones(values.shape[:-1], dtype=bool))
+
+    def __add__(self, other: Patterned) -> Patterned:
+        return Patterned(self.values + other.values, self.pattern | other.pattern)
+
+    def __sub__(self, other: Patterned) -> Patterned:
+        return Patterned(self.values - other.values, self.pattern | other.pattern)
+
+    def __iadd__(self, other: Patterned) -> Patterned:
+        self.values += other.values
+        return Patterned(self.values, self.pattern | other.pattern)
+
+    def __isub__(self, other: Patterned) -> Patterned:
+        self.values -= other.values
+        return Patterned(self.values, self.pattern | other.pattern)
+
+    def __neg__(self) -> Patterned:
+        return Patterned(-self.values, self.pattern)
+
+    def __mul__(self, factor) -> Patterned:
+        return Patterned(self.values * factor, self.pattern)
+
+    __rmul__ = __mul__
+
+    def __imul__(self, factor) -> Patterned:
+        self.values *= factor
+        return self
+
+    def __getitem__(self, index) -> Patterned:
+        """The entries at ``index`` of the leading axis."""
+        return Patterned(self.values[index], self.pattern[index])
+
+    def swapaxes(self, a: int, b: int) -> Patterned:
+        return Patterned(np.swapaxes(self.values, a, b), np.swapaxes(self.pattern, a, b))
+
+
+def lane_einsum(spec: str, *operands):
     """``np.einsum(spec)`` applied lane by lane along a trailing lane axis of
     every operand (which ``spec`` leaves out); the result's lane axis is last
-    too.
+    too.  An operand is an array, whose pattern is all-true, or a
+    :class:`Patterned`; the result is a :class:`Patterned` iff an operand is.
 
-    Each output entry is a plain sequential sum over the contracted indices
-    in lexicographic order, each term a product of the operands' entries
-    from left to right, so a lane's result does not depend on which other
-    lanes share the batch; np.einsum may regroup a reduction depending on the
-    operands' shapes.  Each term is one elementwise product over contiguous
-    runs of lanes.
+    Only the terms whose every factor is structurally nonzero are formed,
+    each a product of the operands' entries from left to right, and each
+    output entry is the sequential sum ``((t0 + t1) + t2) + ...`` of its
+    terms in lexicographic order of the contracted indices, so a lane's
+    result does not depend on the rest of its batch (np.einsum may regroup
+    a reduction by the operands' shapes).  An entry with no term is 0.0;
+    the result's pattern is the entries with a term.  Where the dropped
+    terms are ±0.0 (structurally zero entries ±0.0, the others finite), the
+    result is the dense sum's up to the sign of a zero.
+
+    One cached plan per (spec, shapes, patterns) gathers every term's
+    factors with one ``take`` per operand, multiplies them in one product
+    per operand, and adds rank by rank: rank r holds the r-th term of each
+    entry with more than r terms, the entries ranked by term count, so that
+    each rank is a prefix of the one before.
     """
-    perms, terms, copy = _einsum_plan(spec, tuple(op.shape[:-1] for op in operands))
-    views = [np.transpose(op, perm) for op, perm in zip(operands, perms)]
-    total = None
-    for term_index in terms:
-        term = None
-        for view, index in zip(views, term_index):
-            x = view[index]
-            term = x if term is None else term * x
-        if total is None:
-            total = term.copy() if copy else term
+    arrays, key, patterned = [], [spec], False
+    for op in operands:
+        if isinstance(op, Patterned):
+            patterned = True
+            key += (op.pattern.shape, op.pattern.tobytes())
+            op = op.values
         else:
-            total += term
-    return total
+            key += (op.shape[:-1], None)
+        arrays.append(op)
+    plan = _einsum_plan(*key)
+    lanes = arrays[0].shape[-1]
+    if plan.gathers is None:  # no term at all
+        out = np.zeros((plan.pattern.size, lanes))
+    else:
+        products = None
+        for a, size, index in zip(arrays, plan.sizes, plan.gathers):
+            factor = a.reshape(size, lanes).take(index, axis=0)
+            products = factor if products is None else np.multiply(products, factor, out=products)
+        if plan.zero is not None:
+            products[plan.zero] = 0.0
+        total = products[:plan.first]
+        for offset, count in plan.ranks:
+            total[:count] += products[offset:offset + count]
+        out = products if plan.rows is None else products.take(plan.rows, axis=0)
+    out = out.reshape(plan.pattern.shape + (lanes,))
+    return Patterned(out, plan.pattern) if patterned else out
+
+
+class _Plan(NamedTuple):
+    sizes: tuple  # per operand, its number of entries
+    # per operand, the flat index of its factor in each term, rank by rank,
+    # then in the zero row if there is one; None when no entry has a term
+    gathers: Optional[tuple]
+    first: int  # number of terms at rank 0: of entries with a term
+    ranks: tuple  # per later rank, (offset of its first term, number of terms)
+    zero: Optional[int]  # the row of products set to 0.0, read by the entries with no term
+    rows: Optional[np.ndarray]  # per output entry, its row of products; None for 0, 1, 2, ...
+    pattern: np.ndarray  # of the output: its entries with a term
 
 
 @functools.lru_cache(maxsize=None)
-def _einsum_plan(spec: str, shapes: tuple):
-    """How :func:`lane_einsum` sums on operands with these non-lane shapes:
-    per operand the axis order (its summed indices, its output indices,
-    lane); per term of the sum, in lexicographic order of the summed
-    indices, per operand the index that picks its factor shaped for the
-    output (the lane axis left trailing); and whether the first term is a
-    view to copy before summing."""
+def _einsum_plan(spec: str, *shapes_and_patterns) -> _Plan:
+    """How :func:`lane_einsum` sums on operands with these non-lane shapes
+    and patterns, given as (shape, pattern) per operand, a pattern as the
+    bytes of a boolean array or None for all-true."""
+    shapes, patterns = shapes_and_patterns[0::2], shapes_and_patterns[1::2]
     inputs, out = spec.split("->")
     inputs = inputs.split(",")
     sizes = {}
     for sub, shape in zip(inputs, shapes):
         sizes.update(zip(sub, shape))
     summed = sorted(set("".join(inputs)) - set(out))
-    perms, owns, expands = [], [], []
-    for sub in inputs:
-        own = [c for c in summed if c in sub]
-        perms.append(tuple([sub.index(c) for c in own]
-                           + [sub.index(c) for c in out if c in sub] + [len(sub)]))
-        owns.append([summed.index(c) for c in own])
-        expands.append(tuple(slice(None) if c in sub else None for c in out))
-    terms = tuple(tuple(tuple(combo[k] for k in own) + expand
-                        for own, expand in zip(owns, expands))
-                  for combo in itertools.product(*(range(sizes[c]) for c in summed)))
-    return tuple(perms), terms, len(inputs) == 1 and bool(summed)
+    out_shape = tuple(sizes[c] for c in out)
+    entries, per_entry = math.prod(out_shape), math.prod(sizes[c] for c in summed)
+    # one column per (output entry, combination of the summed indices), each
+    # in row-major, that is lexicographic, order
+    grid = dict(zip(out + "".join(summed),
+                    np.indices(out_shape + tuple(sizes[c] for c in summed)).reshape(
+                        len(out) + len(summed), -1)))
+    flats, keep = [], np.ones(entries * per_entry, dtype=bool)
+    for sub, shape, pattern in zip(inputs, shapes, patterns):
+        flat = np.ravel_multi_index([grid[c] for c in sub], shape)
+        flats.append(flat)
+        if pattern is not None:
+            keep &= np.frombuffer(pattern, dtype=bool)[flat]
+    keep = keep.reshape(entries, per_entry)
+    counts = keep.sum(1)
+    pattern = (counts > 0).reshape(out_shape)
+    pattern.flags.writeable = False
+    operand_sizes = tuple(map(math.prod, shapes))
+    if not keep.any():
+        return _Plan(operand_sizes, None, 0, (), None, None, pattern)
+    order = np.argsort(-counts, kind="stable")  # ranked by term count, ties in entry order
+    place = np.empty(entries, dtype=np.intp)
+    place[order] = np.arange(entries)
+    entry, combo = np.nonzero(keep)
+    rank = (np.cumsum(keep, 1) - 1)[entry, combo]
+    terms = np.lexsort((place[entry], rank))
+    columns = entry[terms] * per_entry + combo[terms]
+    per_rank = [int(np.count_nonzero(counts > r)) for r in range(counts.max())]
+    offsets = np.cumsum(per_rank).tolist()
+    rows, zero = place, None
+    if per_rank[0] < entries:  # entries with no term read a zero row after the terms
+        zero = offsets[-1]
+        columns = np.append(columns, 0)
+        rows = np.where(counts > 0, place, zero)
+    in_place = len(per_rank) == 1 and zero is None and bool(np.all(order == np.arange(entries)))
+    return _Plan(operand_sizes, tuple(flat[columns] for flat in flats), per_rank[0],
+                 tuple(zip(offsets[:-1], per_rank[1:])), zero, None if in_place else rows,
+                 pattern)
 
 
 def lane_max(x: np.ndarray, lead: int = 0) -> np.ndarray:
@@ -194,7 +332,17 @@ def pencil_values(pair: Tape, points, lam) -> TapeValues:
     values = eval_tape(pair, points)
     half = len(values.coeffs) // 2
     member = values.coeffs[:half] + lam * values.coeffs[half:]
-    return values._replace(coeffs=member, shape=values.shape[1:])
+    return values._replace(coeffs=member, shape=values.shape[1:],
+                           reads=_member_reads(values.reads))
+
+
+@functools.lru_cache(maxsize=None)
+def _member_reads(reads: tuple) -> tuple:
+    """The structure of each output of A + lam B from that of the pair (A, B):
+    zero where both are, else the variables either reads."""
+    half = len(reads) // 2
+    return tuple(None if a is None and b is None else (a or 0) | (b or 0)
+                 for a, b in zip(reads[:half], reads[half:]))
 
 
 def eval_matrix(entries, point) -> np.ndarray:
@@ -249,10 +397,11 @@ def invert_metric(g: MetricField, point) -> np.ndarray:
 class MetricFrames(NamedTuple):
     """Everything the checks need about a metric, at N points: each array
     has a trailing lane axis (point is (dim, N)), the curvature arrays are
-    None without curvature.  :func:`metric_frames` builds them only at lanes
-    where :attr:`MetricStatus.usable` holds, so every lane carries a frame;
-    :func:`metric_frame` returns the arrays of one lane, without the lane
-    axis."""
+    None without curvature, and ``patterns`` maps the name of each other
+    array to its structural pattern.  :func:`metric_frames` builds them only
+    at lanes where :attr:`MetricStatus.usable` holds, so every lane carries
+    a frame; :func:`metric_frame` returns the arrays of one lane, without
+    the lane axis."""
 
     point: np.ndarray
     g_up: np.ndarray
@@ -260,16 +409,21 @@ class MetricFrames(NamedTuple):
     dg_up: np.ndarray
     dg_lo: np.ndarray
     gamma: np.ndarray  # Levi-Civita, gamma[j, s, k]
-    d2g_up: Optional[np.ndarray]
-    dgamma: Optional[np.ndarray]  # dgamma[l, j, s, k]
-    riemann: Optional[np.ndarray]
-    riemann_up: Optional[np.ndarray]
+    d2g_up: Optional[np.ndarray] = None
+    dgamma: Optional[np.ndarray] = None  # dgamma[l, j, s, k]
+    riemann: Optional[np.ndarray] = None
+    riemann_up: Optional[np.ndarray] = None
     # Gamma^j_{mk} Gamma^m_{sl} at [j, s, k, l], a term of riemann
     gamma_gamma: Optional[np.ndarray] = None
+    patterns: Optional[dict] = None  # field name -> structural pattern of its array
 
     @property
     def lanes(self) -> int:
         return self.point.shape[-1]
+
+    def patterned(self, name: str) -> Patterned:
+        """The array of a field with its structural pattern."""
+        return Patterned(getattr(self, name), self.patterns[name])
 
 
 class MetricStatus(NamedTuple):
@@ -293,7 +447,7 @@ def metric_status(jets: TapeValues) -> MetricStatus:
     return MetricStatus(jets.failed, ~jets.failed & (det < DEGENERACY_FLOOR), det)
 
 
-def _levi_civita_from_parts(g_up, dg_lo):
+def _levi_civita_from_parts(g_up: Patterned, dg_lo: Patterned):
     t = (
         lane_einsum("smk->msk", dg_lo)
         + lane_einsum("kms->msk", dg_lo)
@@ -302,32 +456,50 @@ def _levi_civita_from_parts(g_up, dg_lo):
     return 0.5 * lane_einsum("jm,msk->jsk", g_up, t), t
 
 
+@functools.lru_cache(maxsize=None)
+def _inverse_pattern(pattern: bytes, n: int) -> np.ndarray:
+    """The pattern of the inverse of a matrix with this pattern: block
+    diagonal over the connected components of the graph whose edges are
+    its structurally nonzero entries, in either direction."""
+    a = np.frombuffer(pattern, dtype=bool).reshape(n, n)
+    reach = a | a.T | np.eye(n, dtype=bool)
+    for _ in range(n):
+        reach = (reach.astype(np.intp) @ reach.astype(np.intp)) > 0
+    reach.flags.writeable = False
+    return reach
+
+
 @np.errstate(all="ignore")  # non-finite derivatives fail in the verdict instead
 def metric_frames(jets: TapeValues, lanes) -> MetricFrames:
     """Frames at the given lanes of a metric grid's jets (a boolean mask or
     indices), in that order, lane axis last; with curvature when the grid
     was compiled at order 2.  Every given lane must be
-    :attr:`MetricStatus.usable`; nothing here checks it.
+    :attr:`MetricStatus.usable`; nothing here checks it.  Each array comes
+    with its structural pattern (:attr:`MetricFrames.patterns`), carried
+    from the jets' by the rules of :class:`Patterned`, with g_lo block
+    diagonal over the connected components of g's pattern.
     """
     lanes = np.asarray(lanes)
     if lanes.dtype == bool:
         lanes = np.flatnonzero(lanes)
     point = jets.points[lanes].T
-    g_up, dg_up, d2g_up = jets.at(lanes)
-    inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.moveaxis(g_up, -1, 0)), 0, -1))
-    g_lo = (inv + np.swapaxes(inv, 0, 1)) / 2.0
+    g_up, dg_up, d2g_up = (None if v is None else Patterned(v, p)
+                           for v, p in zip(jets.at(lanes), jets.patterns))
+    inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.moveaxis(g_up.values, -1, 0)), 0, -1))
+    g_lo = Patterned((inv + np.swapaxes(inv, 0, 1)) / 2.0,
+                     _inverse_pattern(g_up.pattern.tobytes(), len(inv)))
     lo_dg = lane_einsum("ia,kab->kib", g_lo, dg_up)  # g_lo d_k g_up
     dg_lo = -lane_einsum("kib,bj->kij", lo_dg, g_lo)
     gamma, t = _levi_civita_from_parts(g_up, dg_lo)
     if d2g_up is None:
-        return MetricFrames(point, g_up, g_lo, dg_up, dg_lo, gamma, None, None, None, None)
+        return _frames(point, g_up=g_up, g_lo=g_lo, dg_up=dg_up, dg_lo=dg_lo, gamma=gamma)
     # d_l d_k g_lo = -(d_l g_lo d_k g_up g_lo + g_lo d_l d_k g_up g_lo
     #                  + g_lo d_k g_up d_l g_lo), one contraction at a time;
     # sums accumulate in place to keep few (n, n, n, n, N) arrays alive
     d2g_lo = lane_einsum("lia,kaj->lkij", dg_lo, lane_einsum("kab,bj->kaj", dg_up, g_lo))
     d2g_lo += lane_einsum("lkib,bj->lkij", lane_einsum("ia,lkab->lkib", g_lo, d2g_up), g_lo)
     d2g_lo += lane_einsum("kib,lbj->lkij", lo_dg, dg_lo)
-    np.negative(d2g_lo, out=d2g_lo)
+    np.negative(d2g_lo.values, out=d2g_lo.values)
     dt = lane_einsum("lsmk->lmsk", d2g_lo) + lane_einsum("lkms->lmsk", d2g_lo)
     dt -= d2g_lo
     del d2g_lo
@@ -338,10 +510,16 @@ def metric_frames(jets: TapeValues, lanes) -> MetricFrames:
     gamma_gamma = lane_einsum("jmk,msl->jskl", gamma, gamma)
     riemann = lane_einsum("kjsl->jskl", dgamma) - lane_einsum("ljsk->jskl", dgamma)
     riemann += gamma_gamma
-    riemann -= np.swapaxes(gamma_gamma, 2, 3)  # Gamma^j_{ml} Gamma^m_{sk}
+    riemann -= gamma_gamma.swapaxes(2, 3)  # Gamma^j_{ml} Gamma^m_{sk}
     riemann_up = lane_einsum("is,jskl->ijkl", g_up, riemann)
-    return MetricFrames(point, g_up, g_lo, dg_up, dg_lo, gamma, d2g_up, dgamma, riemann,
-                        riemann_up, gamma_gamma)
+    return _frames(point, g_up=g_up, g_lo=g_lo, dg_up=dg_up, dg_lo=dg_lo, gamma=gamma,
+                   d2g_up=d2g_up, dgamma=dgamma, riemann=riemann, riemann_up=riemann_up,
+                   gamma_gamma=gamma_gamma)
+
+
+def _frames(point, **fields: Patterned) -> MetricFrames:
+    return MetricFrames(point, **{name: x.values for name, x in fields.items()},
+                        patterns={name: x.pattern for name, x in fields.items()})
 
 
 def metric_frame(g: MetricField, point, curvature: bool = False) -> MetricFrames:
@@ -354,16 +532,20 @@ def metric_frame(g: MetricField, point, curvature: bool = False) -> MetricFrames
     status = metric_status(jets)
     if not status.usable[0]:
         raise DegenerateMetricError(status.det[0], point)
-    return MetricFrames(*(None if a is None else a[..., 0] for a in metric_frames(jets, [0])))
+    frames = metric_frames(jets, [0])
+    return frames._replace(**{name: a[..., 0] for name, a in frames._asdict().items()
+                              if isinstance(a, np.ndarray)})
 
 
-def covariant_derivatives(vals: np.ndarray, d1: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def covariant_derivatives(vals, d1, gamma) -> Patterned:
     """nabla[a, k, i, j] = nabla_k w^i_j of each affinor a of a stack, at
     every lane, from a grid of affinors' values vals[a, i, j] and
     derivatives d1[k, a, i, j] and the Levi-Civita symbols gamma[j, s, k],
-    each with a trailing lane axis."""
+    each with a trailing lane axis: arrays, whose patterns are all-true, or
+    :class:`Patterned`."""
+    vals, d1, gamma = (Patterned.dense(x) for x in (vals, d1, gamma))
     return (
-        np.swapaxes(d1, 0, 1)
+        d1.swapaxes(0, 1)
         + lane_einsum("isk,asj->akij", gamma, vals)
         - lane_einsum("sjk,ais->akij", gamma, vals)
     )
@@ -387,4 +569,4 @@ def levi_civita(g: MetricField, point) -> np.ndarray:
 def covariant_derivative_values(w: AffinorField, frame: MetricFrames) -> np.ndarray:
     """nabla_k w^i_j at the point of a one-point frame (:func:`metric_frame`)."""
     vals, d1, _ = eval_tape(compile_tape((w.entries,), w.dim, 1), [frame.point]).checked().at()
-    return covariant_derivatives(vals, d1, frame.gamma[..., None])[0, ..., 0]
+    return covariant_derivatives(vals, d1, frame.gamma[..., None]).values[0, ..., 0]

@@ -45,6 +45,7 @@ from .geometry import (
     ConnectionField,
     MetricField,
     MetricFrames,
+    Patterned,
     covariant_derivatives,
     lane_einsum,
     lane_max,
@@ -156,8 +157,10 @@ def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
     raw, scale = np.full((2, len(status), len(table)), np.nan)
     if build.size:
         frames = metric_frames(g, build)
-        found = connection_residuals(frames, np.take(b.vals, build, axis=-1))
-        w_arrays = ([np.take(w[0].vals, build, axis=-1), *w[1].at(build)[:2]]
+        found = connection_residuals(frames, Patterned(np.take(b.vals, build, axis=-1),
+                                                       b.patterns[0]))
+        w_arrays = ([Patterned(np.take(w[0].vals, build, axis=-1), w[0].patterns[0]),
+                     *map(Patterned, w[1].at(build)[:2], w[1].patterns[:2])]
                     if w else [None] * 3)
         found.update(tail_residuals(frames, tails, *w_arrays))
         for k, (*_, key) in enumerate(table):
@@ -235,16 +238,18 @@ def skew_residuals(g_vals: np.ndarray, dg: np.ndarray, b_vals: np.ndarray) -> di
     }
 
 
-def connection_residuals(frames: MetricFrames, b_vals: np.ndarray) -> dict:
+def connection_residuals(frames: MetricFrames, b_vals) -> dict:
     """Symmetry of Gamma^j_{sk} = -g_{is} b^{ij}_k, and metric compatibility
-    nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ik} g_{sj} - Gamma^s_{jk} g_{is}."""
-    gamma = -lane_einsum("is,ijk->jsk", frames.g_lo, b_vals)
-    t1 = lane_einsum("sik,sj->kij", gamma, frames.g_lo)
-    t2 = lane_einsum("sjk,is->kij", gamma, frames.g_lo)
+    nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ik} g_{sj} - Gamma^s_{jk} g_{is},
+    from the values of b (an array or a :class:`~hydroham.geometry.Patterned`)."""
+    g_lo = frames.patterned("g_lo")
+    gamma = -lane_einsum("is,ijk->jsk", g_lo, b_vals)
+    t1 = lane_einsum("sik,sj->kij", gamma, g_lo).values
+    t2 = lane_einsum("sjk,is->kij", gamma, g_lo).values
     scale = np.maximum(np.maximum(lane_max(frames.dg_lo), lane_max(t1)), lane_max(t2))
     return {
-        "connection_symmetric": (lane_max(gamma - lane_einsum("jsk->jks", gamma)),
-                                 lane_max(gamma)),
+        "connection_symmetric": (lane_max(gamma.values - lane_einsum("jsk->jks", gamma).values),
+                                 lane_max(gamma.values)),
         "metric_compatible": (lane_max(frames.dg_lo - t1 - t2), scale),
     }
 
@@ -264,7 +269,8 @@ def _worst(raw, scale):
 def tail_residuals(frames: MetricFrames, tails, w_vals, w_jet_vals, w_d1) -> dict:
     """The tail conditions t1-t4, from scalar values (tails, n, n, lanes) of
     the affinors and the values (tails, n, n, lanes) and first derivatives
-    (n, tails, n, n, lanes) of their order-1 jets.  t1, t2 and t4 run as one
+    (n, tails, n, n, lanes) of their order-1 jets, each an array or a
+    :class:`~hydroham.geometry.Patterned`.  t1, t2 and t4 run as one
     contraction each over an axis of tails (or of pairs of tails), and keep
     the worst tail (or pair) per lane, the last one on ties."""
     none = np.empty((0, frames.lanes))
@@ -272,16 +278,18 @@ def tail_residuals(frames: MetricFrames, tails, w_vals, w_jet_vals, w_d1) -> dic
     gauss = frames.riemann_up  # minus the tail sum, which is zero without tails
     scales = [lane_max(frames.riemann_up), lane_max(frames.dgamma), lane_max(frames.gamma_gamma)]
     if tails:
-        gw = lane_einsum("ik,akj->aij", frames.g_lo, w_vals)
+        w_vals = Patterned.dense(w_vals)
+        gw = lane_einsum("ik,akj->aij", frames.patterned("g_lo"), w_vals).values
         t1 = lane_max(gw - np.swapaxes(gw, 1, 2), 1), lane_max(gw, 1)
-        nabla = covariant_derivatives(w_jet_vals, w_d1, frames.gamma)
-        t2 = lane_max(nabla - lane_einsum("akij->ajik", nabla), 1), lane_max(nabla, 1)
+        nabla = covariant_derivatives(w_jet_vals, w_d1, frames.patterned("gamma"))
+        t2 = (lane_max(nabla.values - lane_einsum("akij->ajik", nabla).values, 1),
+              lane_max(nabla.values, 1))
         tail_sum = gauss_tail_sum(tails, w_vals)
         gauss = frames.riemann_up - tail_sum
         scales.append(lane_max(tail_sum))
         x, y = np.triu_indices(len(tails), 1)  # the pairs x < y, in lexicographic order
-        xy = lane_einsum("pik,pkj->pij", w_vals[x], w_vals[y])
-        yx = lane_einsum("pik,pkj->pij", w_vals[y], w_vals[x])
+        xy = lane_einsum("pik,pkj->pij", w_vals[x], w_vals[y]).values
+        yx = lane_einsum("pik,pkj->pij", w_vals[y], w_vals[x]).values
         t4 = lane_max(xy - yx, 1), lane_max(xy, 1)
     return {
         "t1_pairing_symmetric": _worst(*t1),
@@ -340,16 +348,21 @@ def check_local_hamiltonian(a: LocalOperator, plan: SamplePlan) -> CheckReport:
 def gauss_tail_sum(tails, w_values) -> np.ndarray:
     """sum_a eps_a (w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}), shaped
     (n, n, n, n, ...), from the values w_values[a, i, j, ...] of one or more
-    tails (or a sequence of per-tail arrays) with any trailing lane axes.  The products
-    of each tail are formed with a tail axis, then summed over it in tail
-    order."""
-    w = np.asarray(w_values, dtype=float)
-    lanes = w.shape[3:]
-    w = w.reshape(w.shape[:3] + (-1,))  # one lane axis, of one lane at a single point
+    tails (or a sequence of per-tail arrays) with any trailing lane axes, or
+    a :class:`~hydroham.geometry.Patterned` of them with one lane axis.  The
+    products of each tail are formed with a tail axis, then summed over it
+    in tail order."""
+    if isinstance(w_values, Patterned):
+        w, lanes = w_values, w_values.values.shape[3:]
+    else:
+        values = np.asarray(w_values, dtype=float)
+        lanes = values.shape[3:]
+        # one lane axis, of one lane at a single point
+        w = Patterned.dense(values.reshape(values.shape[:3] + (-1,)))
     outer = lane_einsum("ail,ajk->aijkl", w, w)
-    terms = outer - np.swapaxes(outer, 3, 4)  # w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}
+    terms = outer - outer.swapaxes(3, 4)  # w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}
     terms *= np.array([t.sign for t in tails], dtype=float).reshape(-1, 1, 1, 1, 1, 1)
-    return lane_einsum("aijkl->ijkl", terms).reshape(terms.shape[1:5] + lanes)
+    return lane_einsum("aijkl->ijkl", terms).values.reshape(terms.values.shape[1:5] + lanes)
 
 
 def check_ferapontov(a: NonlocalOperator, plan: SamplePlan) -> CheckReport:

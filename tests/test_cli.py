@@ -598,3 +598,26 @@ def test_kg_family_control_holds_wherever_the_variant_fails(capsys, k):
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     (control,) = [c for c in check["conditions"] if c["id"].startswith("half-exponent")]
     assert control["passed"] and control["max_residual"] == pytest.approx(1 / (2 * int(k)))
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["preset", "h1-theta", "--theta", "-r3"], 0),
+    (["preset", "kg-family", "--k", "-1/3"], 0),
+    (["preset", "h2-hat", "--c", "-3,4,5"], 2),  # off the block's defining sums
+])
+def test_an_option_value_may_start_with_a_minus_sign(capsys, argv, code):
+    # read as --option=value: the same exit code, document and error line
+    assert main(argv + ["--json"]) == code
+    spaced = capsys.readouterr()
+    assert main(argv[:2] + [f"{argv[2]}={argv[3]}", "--json"]) == code
+    joined = capsys.readouterr()
+    assert _without_wall_time(spaced.out) == _without_wall_time(joined.out)
+    assert spaced.err == joined.err
+
+
+@pytest.mark.parametrize("value", ["--json", "-h", "--samples=5", "--"])
+def test_an_option_of_the_parser_is_not_a_preset_option_value(capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["preset", "h1-theta", "--theta", value, "--samples", "5"])
+    assert exit_.value.code == 2
+    assert "argument --theta: expected one argument" in capsys.readouterr().err

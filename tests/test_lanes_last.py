@@ -96,6 +96,64 @@ def test_lane_einsum_is_the_lanes_first_reference_bit_for_bit(spec, lanes):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _patterned_operands(spec: str, lanes: int, rng) -> tuple:
+    """Lanes-first finite random operands of ``spec``, each index of size 1
+    to 3, with random patterns; each structurally zero entry is +0.0 or
+    -0.0 at every lane, and signed zeros are scattered among the others."""
+    inputs = spec.split("->")[0].split(",")
+    sizes = {c: int(rng.integers(1, 4)) for c in sorted(set("".join(inputs)))}
+    ops, patterns = [], []
+    for sub in inputs:
+        x = rng.standard_normal((lanes,) + tuple(sizes[c] for c in sub))
+        x[rng.random(x.shape) < 0.04] = 0.0
+        x[rng.random(x.shape) < 0.04] = -0.0
+        pattern = rng.random(x.shape[1:]) < rng.choice([0.0, 0.3, 0.7, 1.0])
+        x[:, ~pattern] = np.where(rng.random((lanes, np.count_nonzero(~pattern))) < 0.5,
+                                  0.0, -0.0)
+        ops.append(x)
+        patterns.append(pattern)
+    return ops, patterns
+
+
+@pytest.mark.parametrize("lanes", [0, 1, 7, 100])
+@pytest.mark.parametrize("spec", SPECS)
+def test_lane_einsum_with_patterns_is_the_lanes_first_reference(spec, lanes):
+    rng = np.random.default_rng([lanes, len(spec), 7])
+    inputs, out = spec.split("->")
+    for _ in range(4):
+        ops, patterns = _patterned_operands(spec, lanes, rng)
+        lanes_last = [np.moveaxis(x, 0, -1) for x in ops]
+        want = oracle.lane_einsum(spec, *ops)
+        got = lane_einsum(spec, *map(geometry.Patterned, lanes_last, patterns))
+        assert isinstance(got, geometry.Patterned)
+        values = np.moveaxis(got.values, -1, 0)
+        assert values.shape == want.shape
+        assert np.array_equal(values, want)
+        # the pattern is the set of entries with a term whose factors are all
+        # structurally nonzero, and every other entry is zero
+        terms = np.einsum(spec, *(p.astype(int) for p in patterns))
+        assert got.pattern.shape == want.shape[1:]
+        assert np.array_equal(got.pattern, terms > 0)
+        assert not values[:, ~got.pattern].any()
+        # an array operand is all-true
+        plain = lane_einsum(spec, *lanes_last)
+        assert isinstance(plain, np.ndarray)
+        assert np.array_equal(np.moveaxis(plain, -1, 0), want)
+        mixed = lane_einsum(spec, geometry.Patterned.dense(lanes_last[0]), *lanes_last[1:])
+        assert np.array_equal(np.moveaxis(mixed.values, -1, 0), want)
+
+
+def test_a_contraction_with_no_term_is_zero_and_patterned_zero():
+    g = geometry.Patterned(np.ones((2, 2, 5)), np.eye(2, dtype=bool))
+    b = geometry.Patterned(np.full((2, 2, 2, 5), -0.0), np.zeros((2, 2, 2), dtype=bool))
+    for got in (lane_einsum("is,ijk->jsk", g, b), lane_einsum("ijk->kji", b)):
+        assert got.values.shape == (2, 2, 2, 5) and not got.pattern.any()
+        assert not got.values.any() and not np.signbit(got.values).any()
+    # an index of size zero: nothing to gather, every entry zero
+    got = lane_einsum("aij->ij", np.zeros((0, 2, 2, 5)))
+    assert got.shape == (2, 2, 5) and not got.any()
+
+
 @pytest.mark.parametrize("rows", [0, 1, 2, 5])
 def test_worst_row_is_the_rule_of_the_loop_over_rows(rows):
     rng = np.random.default_rng(rows)
