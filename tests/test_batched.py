@@ -1,7 +1,9 @@
 """Batched evaluation: jet tapes against the recursive evaluator of
 ``oracle``, Jet and the one-point views against tape lanes bit for bit, lane
-independence of tapes and frames, and reports pinned against those of the
-per-point evaluator (``golden_reports.json``, written by record_golden.py)."""
+independence of tapes and frames, and reports pinned against
+``golden_reports.json``: first written by record_golden.py from the
+per-point evaluator, re-recorded from the batched one with no verdict
+change, residuals and witnesses moving at roundoff only."""
 
 from __future__ import annotations
 
@@ -279,7 +281,7 @@ def test_lane_einsum_matches_einsum(spec):
     assert np.allclose(lane_einsum(spec, *ops), want, rtol=1e-13, atol=1e-13)
 
 
-# -- reports against the per-point evaluator ---------------------------------------------
+# -- reports against the golden file ------------------------------------------------------
 
 
 with open(GOLDEN, "r", encoding="utf-8") as fh:

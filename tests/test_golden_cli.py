@@ -1,8 +1,8 @@
 """CLI ``--json`` documents of every README preset and of the spec-file
-example, pinned against ``golden_cli.json`` (written by record_golden.py
-before the per-point callers moved onto batched tapes): exit codes, titles,
-condition ids, verdicts, notes and transformed-speed points exactly,
-residuals up to roundoff, and the number of plan points drawn."""
+example, pinned against ``golden_cli.json`` (written by record_golden.py,
+last from the batched evaluator, so the draw counts are today's): exit codes,
+titles, condition ids, verdicts, notes, transformed-speed points and the
+number of plan points drawn exactly, residuals up to roundoff."""
 
 from __future__ import annotations
 
@@ -16,13 +16,6 @@ import cases
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 RESIDUAL_ABS, RESIDUAL_REL = 1e-12, 1e-9
 WITNESS_EXACT_FROM = 1e-10
-# draws saved per run: the transform no longer re-checks the two currents the
-# command has just checked (2 currents x 100 points), the transformed speeds
-# draw their 4 points once for the table and the JSON, and the constraints
-# preset checks its three Psi against the wave identity once instead of once
-# per equation (3 equations x 3 Psi x 25 points)
-SAVED_DRAWS = {"reciprocal example": 204, "preset reciprocal-remark": 204,
-               "preset constraints": 225}
 
 with open(GOLDEN, "r", encoding="utf-8") as fh:
     GOLDEN_DOCS = json.load(fh)
@@ -45,8 +38,7 @@ def _close(got, want):
 def test_cli_document_matches_golden(key, runs):
     got, want = cases.run_cli_json(runs[key]), GOLDEN_DOCS[key]
     assert got["exit_code"] == want["exit_code"]
-    saved = SAVED_DRAWS.get(key.split(" @ ")[0], 0)
-    assert got["draws"] == want["draws"] - saved
+    assert got["draws"] == want["draws"]
     gdoc, wdoc = got["document"], want["document"]
     assert sorted(gdoc) == sorted(wdoc)
     for field in ("tool", "version", "spec", "overall", "wall_time_s"):
