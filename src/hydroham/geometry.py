@@ -68,6 +68,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import sampling
 from .errors import DegenerateMetricError
 from .exprs import Expr, Tape, TapeValues, compile_tape, eval_tape, max_var_index
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
@@ -151,8 +152,8 @@ class Patterned:
 
     The arithmetic carries the patterns by rules that read no values: a
     sum or difference is zero where both terms are; negation, a scalar
-    factor, an axis swap and an index along the leading axis keep the
-    pattern; :func:`lane_einsum` gives the pattern of a contraction.  The
+    factor, an axis swap or permutation and an index along the leading axis
+    keep the pattern; :func:`lane_einsum` gives the pattern of a contraction.  The
     in-place sums write into :attr:`values` and return a new object, since
     patterns are shared and read-only."""
 
@@ -201,6 +202,24 @@ class Patterned:
 
     def swapaxes(self, a: int, b: int) -> Patterned:
         return Patterned(np.swapaxes(self.values, a, b), np.swapaxes(self.pattern, a, b))
+
+    def transpose(self, spec: str) -> Patterned:
+        """The entries as ``lane_einsum(spec, self)`` places them, for a spec
+        that only permutes indices ("smk->msk": out[m, s, k] = self[s, m,
+        k]), as views with the lane axis last.  They are lane_einsum's up to
+        the sign of a zero at a structurally zero entry, which lane_einsum
+        makes +0.0 and this keeps."""
+        axes = _permutation(spec)
+        return Patterned(self.values.transpose(axes + (len(axes),)), self.pattern.transpose(axes))
+
+
+@functools.lru_cache(maxsize=None)
+def _permutation(spec: str) -> tuple:
+    """The axes np.transpose takes for a permutation spec such as "smk->msk"."""
+    source, out = spec.split("->")
+    if sorted(source) != sorted(out) or len(set(out)) != len(out):
+        raise ValueError(f"{spec!r} is not a permutation of indices")
+    return tuple(source.index(c) for c in out)
 
 
 def lane_einsum(spec: str, *operands):
@@ -328,12 +347,27 @@ def pencil_values(pair: Tape, points, lam) -> TapeValues:
     ``points``, with one lam per row: the coefficients of A plus lam times
     those of B, as a tape of the trees A + lam B computes them, scaled into
     derivatives only then.  A lane is flagged where A or B leaves its
-    domain."""
-    values = eval_tape(pair, points)
-    half = len(values.coeffs) // 2
-    member = values.coeffs[:half] + lam * values.coeffs[half:]
-    return values._replace(coeffs=member, shape=values.shape[1:],
-                           reads=_member_reads(values.reads))
+    domain.  The pair runs on at most :data:`~hydroham.sampling.BLOCK`
+    lanes at a time, each batch's member written into one array, so a
+    call of many lanes holds the pair's coefficients of one batch only."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    lanes, step = len(points), sampling.BLOCK
+    member = first = None
+    failures: dict = {}
+    for at in range(0, max(lanes, 1), step):
+        part = eval_tape(pair, points[at:at + step])
+        half = len(part.coeffs) // 2
+        if member is None:
+            member = np.empty((half,) + part.coeffs.shape[1:-1] + (lanes,))
+            first = np.empty(lanes, dtype=part.first_failure.dtype)
+        out = member[..., at:at + step]
+        np.add(part.coeffs[:half], np.multiply(lam[at:at + step], part.coeffs[half:], out=out),
+               out=out)
+        first[at:at + step] = part.first_failure
+        for i, operand in part.failures.items():
+            failures.setdefault(i, np.full(lanes, np.nan))[at:at + step] = operand
+    return TapeValues(pair, points, member, first, failures, pair.shape[1:],
+                      _member_reads(pair.reads))
 
 
 @functools.lru_cache(maxsize=None)
@@ -448,11 +482,7 @@ def metric_status(jets: TapeValues) -> MetricStatus:
 
 
 def _levi_civita_from_parts(g_up: Patterned, dg_lo: Patterned):
-    t = (
-        lane_einsum("smk->msk", dg_lo)
-        + lane_einsum("kms->msk", dg_lo)
-        - dg_lo
-    )
+    t = dg_lo.transpose("smk->msk") + dg_lo.transpose("kms->msk") - dg_lo
     return 0.5 * lane_einsum("jm,msk->jsk", g_up, t), t
 
 
@@ -500,7 +530,7 @@ def metric_frames(jets: TapeValues, lanes) -> MetricFrames:
     d2g_lo += lane_einsum("lkib,bj->lkij", lane_einsum("ia,lkab->lkib", g_lo, d2g_up), g_lo)
     d2g_lo += lane_einsum("kib,lbj->lkij", lo_dg, dg_lo)
     np.negative(d2g_lo.values, out=d2g_lo.values)
-    dt = lane_einsum("lsmk->lmsk", d2g_lo) + lane_einsum("lkms->lmsk", d2g_lo)
+    dt = d2g_lo.transpose("lsmk->lmsk") + d2g_lo.transpose("lkms->lmsk")
     dt -= d2g_lo
     del d2g_lo
     dgamma = lane_einsum("ljm,msk->ljsk", dg_up, t)
@@ -508,7 +538,7 @@ def metric_frames(jets: TapeValues, lanes) -> MetricFrames:
     dgamma *= 0.5
     del dt
     gamma_gamma = lane_einsum("jmk,msl->jskl", gamma, gamma)
-    riemann = lane_einsum("kjsl->jskl", dgamma) - lane_einsum("ljsk->jskl", dgamma)
+    riemann = dgamma.transpose("kjsl->jskl") - dgamma.transpose("ljsk->jskl")
     riemann += gamma_gamma
     riemann -= gamma_gamma.swapaxes(2, 3)  # Gamma^j_{ml} Gamma^m_{sk}
     riemann_up = lane_einsum("is,jskl->ijkl", g_up, riemann)

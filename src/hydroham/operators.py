@@ -18,16 +18,17 @@ a draw at which g, b or a tail leaves its domain is redrawn, and so is one
 at which g is degenerate.  Each round evaluates the tapes of g, b and the
 tails, compiled once per operator object, at every draw, reads the status
 of each draw from their :class:`~hydroham.exprs.TapeValues`, and forms
-derivatives and builds curvature frames only at the draws that resolve; a
-round at which none resolves runs no contraction, so a metric degenerate
-everywhere costs two rounds per block.
+derivatives and builds curvature frames only at the draws that resolve, at
+most :data:`~hydroham.sampling.BLOCK` lanes at a time; a round at which none
+resolves runs no contraction, so a metric degenerate everywhere costs two
+evaluator calls per block, the second its last round in one call.
 The local check is the nonlocal one without tails, its flatness the Gauss
 equation against an empty tail sum.  A pencil is one local check walked for
 every lambda in lockstep (:func:`~hydroham.sampling.resolve_walks`) on a
-pair compiled once, each lane's member formed from the pair's tape
-coefficients; one round kernel serves both.  The checks compute per-point
-(raw, scale) pairs, with numpy's warnings off in the walk, and
-:mod:`~hydroham.reports` makes the conditions of them.
+pair compiled once per pair of operator objects, each lane's member formed
+from the pair's tape coefficients; one round kernel serves both.  The
+checks compute per-point (raw, scale) pairs, with numpy's warnings off in
+the walk, and :mod:`~hydroham.reports` makes the conditions of them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import sampling
 from .exprs import (Const, Deriv, Expr, NamedConst, Tape, TapeValues, as_expr, compile_tape,
                     eval_tape)
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
@@ -71,7 +73,8 @@ class LocalOperator:
 
     @cached_property
     def _grids(self) -> dict:
-        # (part, order) -> Tape, filled by _grid
+        # (part, order) -> Tape, filled by _grid; ("pencil", id(b)) -> (b, g
+        # pair, b pair), filled by _pencil_grids
         return {}
 
 
@@ -106,6 +109,19 @@ def _grid(op, part: str, order: int) -> Tape:
                    else getattr(op, part).entries)
         grid = op._grids.setdefault(key, compile_tape(entries, op.dim, order))
     return grid
+
+
+def _pencil_grids(a: LocalOperator, b: LocalOperator) -> tuple[Tape, Tape]:
+    """The pair grids of the pencil of ``a`` and ``b``: g_a and g_b in one
+    order-2 grid, b_a and b_b in one of values, compiled once per pair of
+    objects and kept with ``a``'s grids.  The entry keeps ``b`` alive, so
+    its id names no other object."""
+    key = ("pencil", id(b))
+    entry = a._grids.get(key)
+    if entry is None:
+        entry = a._grids.setdefault(key, (b, compile_tape((a.g.entries, b.g.entries), a.dim, 2),
+                                          compile_tape((a.b.entries, b.b.entries), a.dim, 0)))
+    return entry[1:]
 
 
 def _check_dimension(op, plan: SamplePlan):
@@ -144,9 +160,10 @@ def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
 
     A draw is redrawn where g, b or a tail leaves its domain, and where g is
     degenerate; a domain violation outranks degeneracy.  Frames are built
-    and the connection and tail kernels run once, on the resolved lanes
-    whose metric value is finite (elsewhere the residuals stay NaN and fail
-    as non-finite).  ``table`` rows are (id, description, short description,
+    and the connection and tail kernels run on the resolved lanes whose
+    metric value is finite (elsewhere the residuals stay NaN and fail as
+    non-finite), in batches of at most :data:`~hydroham.sampling.BLOCK`
+    lanes, so a last round of many lanes builds no larger arrays.  ``table`` rows are (id, description, short description,
     kernel result).
     """
     metric = metric_status(g)
@@ -155,16 +172,17 @@ def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
     symmetric = lane_max(g.vals - np.swapaxes(g.vals, 0, 1)), lane_max(g.vals)
     build = np.flatnonzero((status == 0) & metric.usable)
     raw, scale = np.full((2, len(status), len(table)), np.nan)
-    if build.size:
-        frames = metric_frames(g, build)
-        found = connection_residuals(frames, Patterned(np.take(b.vals, build, axis=-1),
+    for at in range(0, build.size, sampling.BLOCK):
+        lanes = build[at:at + sampling.BLOCK]
+        frames = metric_frames(g, lanes)
+        found = connection_residuals(frames, Patterned(np.take(b.vals, lanes, axis=-1),
                                                        b.patterns[0]))
-        w_arrays = ([Patterned(np.take(w[0].vals, build, axis=-1), w[0].patterns[0]),
-                     *map(Patterned, w[1].at(build)[:2], w[1].patterns[:2])]
+        w_arrays = ([Patterned(np.take(w[0].vals, lanes, axis=-1), w[0].patterns[0]),
+                     *map(Patterned, w[1].at(lanes)[:2], w[1].patterns[:2])]
                     if w else [None] * 3)
         found.update(tail_residuals(frames, tails, *w_arrays))
         for k, (*_, key) in enumerate(table):
-            raw[build, k], scale[build, k] = found[key]
+            raw[lanes, k], scale[lanes, k] = found[key]
     return status, symmetric + (raw, scale)
 
 
@@ -248,7 +266,7 @@ def connection_residuals(frames: MetricFrames, b_vals) -> dict:
     t2 = lane_einsum("sjk,is->kij", gamma, g_lo).values
     scale = np.maximum(np.maximum(lane_max(frames.dg_lo), lane_max(t1)), lane_max(t2))
     return {
-        "connection_symmetric": (lane_max(gamma.values - lane_einsum("jsk->jks", gamma).values),
+        "connection_symmetric": (lane_max(gamma.values - gamma.transpose("jsk->jks").values),
                                  lane_max(gamma.values)),
         "metric_compatible": (lane_max(frames.dg_lo - t1 - t2), scale),
     }
@@ -282,7 +300,7 @@ def tail_residuals(frames: MetricFrames, tails, w_vals, w_jet_vals, w_d1) -> dic
         gw = lane_einsum("ik,akj->aij", frames.patterned("g_lo"), w_vals).values
         t1 = lane_max(gw - np.swapaxes(gw, 1, 2), 1), lane_max(gw, 1)
         nabla = covariant_derivatives(w_jet_vals, w_d1, frames.patterned("gamma"))
-        t2 = (lane_max(nabla.values - lane_einsum("akij->ajik", nabla).values, 1),
+        t2 = (lane_max(nabla.values - nabla.transpose("akij->ajik").values, 1),
               lane_max(nabla.values, 1))
         tail_sum = gauss_tail_sum(tails, w_vals)
         gauss = frames.riemann_up - tail_sum
@@ -403,13 +421,15 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     lam) and is skipped with a note.  ValueError without any lam, which
     would pass with no condition checked.
 
-    The pair is compiled once, g_a and g_b into one order-2 grid and b_a and
-    b_b into one of values, and every lam walks the plan in lockstep
-    (:func:`~hydroham.sampling.resolve_walks`): each evaluator call, of up
-    to :data:`~hydroham.sampling.BLOCK` lanes of any lams, runs the two pair
-    grids once and forms each lane's member from their coefficients
-    (:func:`~hydroham.geometry.pencil_values`), so the lams of a round share
-    its tape runs, status passes and frame builds.  Each lam's report is the one :func:`check_local_hamiltonian` gives on
+    The pair is compiled once per pair of operator objects, g_a and g_b into
+    one order-2 grid and b_a and b_b into one of values, and every lam walks
+    the plan in lockstep (:func:`~hydroham.sampling.resolve_walks`): each
+    evaluator call, of up to :data:`~hydroham.sampling.BLOCK` lanes of any
+    lams or of one lam's last round, runs the two pair grids on at most
+    BLOCK lanes at a time and forms each lane's member from their
+    coefficients (:func:`~hydroham.geometry.pencil_values`), so the lams of
+    a round share its tape runs, status passes and frame builds.  Each lam's
+    report is the one :func:`check_local_hamiltonian` gives on
     :func:`pencil_operator`; a draw is redrawn where g_a, g_b, b_a or b_b
     leaves its domain, whatever lam.
     """
@@ -419,8 +439,7 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     if a.dim != b.dim:
         raise ValueError("pencil requires operators of equal dimension")
     _check_dimension(a, plan)
-    g_pair = compile_tape((a.g.entries, b.g.entries), a.dim, 2)
-    b_pair = compile_tape((a.b.entries, b.b.entries), a.dim, 0)
+    g_pair, b_pair = _pencil_grids(a, b)
     lam_of_walk = np.array([_constant(lam) for lam in lambdas])
 
     def evaluate(points, walk):

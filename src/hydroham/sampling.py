@@ -19,13 +19,15 @@ metric, a singular Jacobian).  It goes through a plan in blocks of
 :data:`BLOCK` points, each round one batch to evaluate of the points still
 unresolved, and records exactly the draws of a per-point redraw loop.  A
 round after one that resolved nothing is the block's last: it evaluates every
-retry left of its points at once, drawn in one kernel call, and keeps each
-point's draws up to its first that resolves, so a block that cannot resolve
-costs two draw calls and two rounds, not seventeen.  That speculative work
-is at most ``RESAMPLE_BUDGET - r`` lanes per unresolved point of a last round
-at retry r, and lanes are independent, so results do not change.  Several
-walks of one plan (a pencil's lambdas) go in lockstep, each round of them as
-few evaluator calls of at most :data:`BLOCK` lanes as their lanes need;
+retry left of its points at once, drawn in one kernel call and passed to the
+evaluator as one call, and keeps each point's draws up to its first that
+resolves, so a block that cannot resolve costs two draw calls and two
+evaluator calls, not seventeen rounds.  That speculative work is at most
+``RESAMPLE_BUDGET - r`` lanes per unresolved point of a last round at retry
+r, and lanes are independent, so results do not change.  Several walks of
+one plan (a pencil's lambdas) go in lockstep: the one-retry rounds of a
+round of them in as few evaluator calls of at most :data:`BLOCK` lanes as
+their lanes need, then one call per walk whose last round it is;
 :func:`resolve` is the walk of one.  The walk calls every evaluator with
 numpy's warnings off, so a NaN or infinity a check computes is no warning
 but a failed condition (:mod:`~hydroham.reports`).
@@ -44,9 +46,11 @@ from .errors import HostileDomainError
 
 RESAMPLE_BUDGET = 16
 REDRAW_DOMAIN = 1  # evaluator status: a field left its domain at the drawn point
-# Plan points evaluated as one batch: a default plan is one block, and the
-# arrays an evaluator builds stay bounded whatever the point count or the
-# number of walks in lockstep, since no evaluator call gets more lanes.
+# Plan points evaluated as one batch: a default plan is one block.  An
+# evaluator call holds at most BLOCK lanes, or one walk's last round (at most
+# RESAMPLE_BUDGET x BLOCK lanes), whatever the point count or the number of
+# walks in lockstep; an evaluator bounds its own arrays past BLOCK lanes (the
+# pencil's pair tapes and the frame builds run BLOCK lanes at a time).
 BLOCK = 256
 
 DEFAULT_COUNT = 100
@@ -349,8 +353,8 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
     a tuple of arrays with one row per lane.  A round after one that
     resolved nothing is the block's last: the plan fills every retry left of
     its points in one kernel call (``SamplePlan._prefetch``), and the round
-    asks for and evaluates all of them, retries r to RESAMPLE_BUDGET, in
-    calls of at most :data:`BLOCK` lanes.  Each point keeps its draws up to
+    asks for all of them, retries r to RESAMPLE_BUDGET, and evaluates them
+    in one call.  Each point keeps its draws up to
     its first that resolves, so the result records exactly the draws of a
     per-point redraw loop, bit for bit, since lanes are independent; a block
     stops when every point is resolved or has spent the resample budget.
@@ -375,13 +379,16 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
     per-point redraw loop, and after a round in which it resolved nothing,
     its next round, its last of the block, evaluates every retry left at
     once.  Round r of a block makes one ``plan.points`` call per walk and
-    retry it draws, for that walk's unresolved points, walk after walk and
-    retry after retry within a walk (the plan's memo serves a request whose
-    rows an earlier walk drew), and hands those lanes to ``evaluate(points,
-    walk)`` in that order, with numpy's warnings off, in as few calls as
-    :data:`BLOCK` lanes per call allow; ``walk`` is the walk number of each
-    lane.  A last round evaluates at most ``RESAMPLE_BUDGET - r`` lanes more
-    than the loop would per point.  At the end of the first block in which
+    retry it draws, for that walk's unresolved points: first the walks whose
+    round has one retry, walk after walk, then the walks whose last round it
+    is, walk after walk and retry after retry within a walk (the plan's memo
+    serves a request whose rows an earlier walk drew).  It hands those lanes
+    to ``evaluate(points, walk)`` in that order, with numpy's warnings off:
+    the one-retry lanes in as few calls as :data:`BLOCK` lanes per call
+    allow, then each walk's last round in one call, of at most
+    ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes; ``walk`` is the walk number of
+    each lane.  A last round evaluates at most ``RESAMPLE_BUDGET - r`` lanes
+    more than the loop would per point.  At the end of the first block in which
     some walk has a point whose every draw was a domain violation,
     HostileDomainError names the first such point of the first such walk;
     when every walk has the same domain flags, that is the point
@@ -397,18 +404,26 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
         span = [1] * walks  # the retries of the walk's next round; 0 after its last
         first = [len(log[0]) for log in logs]  # the block's first round in each log
         for r in range(RESAMPLE_BUDGET + 1):
-            live = [(w, span[w]) for w in range(walks) if span[w] and len(todo[w])]
+            # the walks of one-retry rounds first, then each walk's last round
+            live = sorted(((w, span[w]) for w in range(walks) if span[w] and len(todo[w])),
+                          key=lambda wk: wk[1] > 1)
             if not live:
                 break
+            # where each evaluator call starts: BLOCK lanes of one-retry
+            # rounds at a time, then one call per last round
+            at = sum(len(todo[w]) for w, k in live if k == 1)
+            cuts = list(range(0, at, BLOCK))
             for w, k in live:
                 if k > 1:  # a last round: every retry left, drawn in one kernel call
                     plan._prefetch(todo[w], r)
+                    cuts.append(at)
+                    at += k * len(todo[w])
             points = _join([plan.points(todo[w], r + q) for w, k in live for q in range(k)])
             walk = _join([lane_walk[w, :len(todo[w])] for w, k in live for _ in range(k)])
             st, payload = [], []
             with np.errstate(all="ignore"):  # non-finite values fail in the verdict instead
-                for at in range(0, len(points), BLOCK):
-                    s, p = evaluate(points[at:at + BLOCK], walk[at:at + BLOCK])
+                for lo, hi in zip(cuts, cuts[1:] + [len(points)]):
+                    s, p = evaluate(points[lo:hi], walk[lo:hi])
                     st.append(np.asarray(s, dtype=int))
                     payload.append(p)
             st, payload = _join(st), tuple(map(_join, zip(*payload)))

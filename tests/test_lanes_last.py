@@ -30,7 +30,7 @@ from hydroham.operators import (
 )
 from hydroham.sampling import default_plan
 
-# every spec string the package passes to lane_einsum
+# every spec string the package passes to lane_einsum or Patterned.transpose
 SPECS = (
     # metric frames
     "ia,kab->kib", "kib,bj->kij", "smk->msk", "kms->msk", "jm,msk->jsk",
@@ -54,8 +54,14 @@ def seen_specs(monkeypatch):
         seen.add(spec)
         return lane_einsum(spec, *operands)
 
+    def transpose_spy(self, spec):
+        seen.add(spec)
+        return transpose(self, spec)
+
     for module in (geometry, operators, systems):
         monkeypatch.setattr(module, "lane_einsum", spy)
+    transpose = geometry.Patterned.transpose
+    monkeypatch.setattr(geometry.Patterned, "transpose", transpose_spy)
     return seen
 
 
@@ -141,6 +147,36 @@ def test_lane_einsum_with_patterns_is_the_lanes_first_reference(spec, lanes):
         assert np.array_equal(np.moveaxis(plain, -1, 0), want)
         mixed = lane_einsum(spec, geometry.Patterned.dense(lanes_last[0]), *lanes_last[1:])
         assert np.array_equal(np.moveaxis(mixed.values, -1, 0), want)
+
+
+PERMUTATIONS = [spec for spec in SPECS
+                if "," not in spec and sorted(spec.split("->")[0]) == sorted(spec.split("->")[1])]
+
+
+def test_the_package_permutes_indices_eight_ways():
+    assert PERMUTATIONS == ["smk->msk", "kms->msk", "lsmk->lmsk", "lkms->lmsk", "kjsl->jskl",
+                            "ljsk->jskl", "jsk->jks", "akij->ajik"]
+
+
+@pytest.mark.parametrize("lanes", [0, 1, 7, 100])
+@pytest.mark.parametrize("spec", PERMUTATIONS)
+def test_a_transpose_is_the_permuting_lane_einsum(spec, lanes):
+    # the same values, up to the sign of a zero at structurally zero entries
+    # (±0.0 here), which lane_einsum makes +0.0, and the same pattern
+    rng = np.random.default_rng([lanes, len(spec), 11])
+    for _ in range(4):
+        (x,), (pattern,) = _patterned_operands(spec, lanes, rng)
+        operand = geometry.Patterned(np.moveaxis(x, 0, -1), pattern)
+        got, want = operand.transpose(spec), lane_einsum(spec, operand)
+        assert got.values.shape == want.values.shape
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.pattern, want.pattern)
+        nonzero = got.values[want.pattern]
+        assert nonzero.tobytes() == want.values[want.pattern].tobytes()
+        assert not got.values[~want.pattern].any()
+        assert not lanes or np.shares_memory(got.values, operand.values)  # a view, no copy
+    with pytest.raises(ValueError, match="not a permutation"):
+        operand.transpose("smk->ms")
 
 
 def test_a_contraction_with_no_term_is_zero_and_patterned_zero():

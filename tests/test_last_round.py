@@ -1,13 +1,13 @@
 """The walk rule of ``sampling.resolve_walks`` as a property: on random status
 tables over (i, retry), for one to four walks in lockstep, every walk's
 ``Resolved`` is the per-point redraw loop's, byte for byte, and the walks ask
-``SamplePlan.points`` for exactly the lanes they evaluate, in calls of at most
-``BLOCK`` lanes; a round draws several retries only after a round of the walk
-that resolved nothing."""
+``SamplePlan.points`` for exactly the lanes they evaluate, each walk's last
+round in one call and the other rounds in calls of at most ``BLOCK`` lanes; a
+round draws several retries only after a round of the walk that resolved
+nothing."""
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from unittest import mock
 
@@ -21,7 +21,7 @@ from hydroham.errors import HostileDomainError
 from hydroham.sampling import REDRAW_DOMAIN, RESAMPLE_BUDGET, SamplePlan, resolve_walks
 
 from test_batched_callers import counting
-from test_lockstep import PAIR_OF, assert_same_resolved, lockstep, one_walk, round_lanes
+from test_lockstep import PAIR_OF, assert_same_resolved, lockstep, one_walk, round_calls
 
 RETRIES = RESAMPLE_BUDGET + 1
 MAX_COUNT = 60  # the points PAIR_OF names
@@ -125,7 +125,15 @@ def test_resolve_walks_is_the_per_point_loop(example):
             got = None
         else:
             got = resolve_walks(plan, evaluate, len(tables))
-    assert max(calls) <= block
+    assert max(calls) <= RESAMPLE_BUDGET * block
+    at = 0
+    for n in calls:  # a call of more than BLOCK lanes is one walk's last round
+        lanes, at = evaluated[at:at + n], at + n
+        if n > block:
+            retries = {q for _, _, q in lanes}
+            assert len({w for w, _, _ in lanes}) == 1 and len(retries) > 1
+            assert max(retries) == RESAMPLE_BUDGET
+            assert len({i for _, i, _ in lanes}) * len(retries) == n
     assert Counter((i, q) for _, i, q in evaluated) == Counter(plan.drawn)
     for w, table in enumerate(tables):
         lanes = [(i, q) for v, i, q in evaluated if v == w]
@@ -134,7 +142,6 @@ def test_resolve_walks_is_the_per_point_loop(example):
         return
     for g, f in zip(got, want, strict=True):
         assert_same_resolved(g, f)
-    # the lanes and calls of every round are the walk rule's
-    rounds = round_lanes(want, block, count)
-    assert len(calls) == sum(math.ceil(n / block) for n in rounds)
-    assert sum(calls) == sum(rounds)
+    # the lanes and calls of every round are the walk rule's: one call per
+    # walk's last round, the other rounds' lanes in calls of at most BLOCK
+    assert calls == round_calls(want, block, count)

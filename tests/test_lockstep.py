@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from hydroham import driftflux as df
-from hydroham import operators, sampling
+from hydroham import geometry, operators, sampling
 from hydroham.errors import HostileDomainError
-from hydroham.exprs import compile_tape, eval_tape
+from hydroham.exprs import compile_tape, const, eval_tape
 from hydroham.geometry import pencil_values
+from hydroham.parsing import parse_expr
 from hydroham.operators import (
     check_local_hamiltonian,
     check_pencil_compatibility,
@@ -129,25 +130,35 @@ def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, prefetches, table, 
     assert sorted(prefetches) == sorted(single_fills)
     if table == "one walk identically degenerate":
         assert (tuple(range(min(block, 60))), 1) in prefetches
-    # the pairs asked for are those of the walk rule, and each evaluate call
-    # holds at most BLOCK lanes, a round making as few calls as that allows
+    # the pairs asked for are those of the walk rule; each walk's last round
+    # is one evaluate call, and every other call holds at most BLOCK lanes, a
+    # round making as few calls as that allows
     asked = [resolve_requests([PAIR_OF[float(p[0])] for p in r.draws], BASE.count) for r in got]
     assert sorted(plan.drawn) == sorted(sum(asked, []))
-    assert max(calls) <= block
+    assert max(calls) <= RESAMPLE_BUDGET * block
     assert sum(calls) == sum(map(len, asked))
-    rounds = round_lanes(got, block)
-    assert len(calls) == sum(math.ceil(n / block) for n in rounds)
+    assert calls == round_calls(got, block)
 
 
-def round_lanes(found, block: int, count: int = BASE.count) -> list:
-    """The lanes of each (block, round) over every walk of ``found`` on a plan
-    of ``count`` points, by the walk rule (``walk_rounds``)."""
-    lanes = Counter()
+def round_calls(found, block: int, count: int = BASE.count) -> list:
+    """The lanes of each evaluate call of the walks of ``found`` in lockstep on
+    a plan of ``count`` points, in call order, by the walk rule
+    (``walk_rounds``): per block and round, the one-retry rounds of every walk
+    in calls of ``block`` lanes, then one call per walk whose last round it
+    is, in walk order."""
+    ordinary, last = Counter(), {}
     for r in found:
         counts = Counter(PAIR_OF[float(p[0])][0] for p in r.draws)
         for start, retries, points in walk_rounds(counts, count, block):
-            lanes[start, retries[0]] += len(retries) * len(points)
-    return list(lanes.values())
+            if len(retries) > 1:
+                last.setdefault((start, retries[0]), []).append(len(retries) * len(points))
+            else:
+                ordinary[start, retries[0]] += len(points)
+    calls = []
+    for key in sorted(ordinary.keys() | last.keys()):
+        calls += [min(block, ordinary[key] - at) for at in range(0, ordinary[key], block)]
+        calls += last.get(key, [])
+    return calls
 
 
 # -- the pencil check --------------------------------------------------------------------
@@ -190,14 +201,17 @@ def test_pencil_documents_for_other_lambdas(lambdas):
     assert got == per_lambda_pencil(a, b, lambdas, plan).to_dict()
 
 
+@pytest.mark.parametrize("block", [64, 256])
 @pytest.mark.parametrize("pair", [name for name, _, _ in cases.pencil_pairs()])
-def test_pencil_values_are_the_member_grid(pair):
+def test_pencil_values_are_the_member_grid(monkeypatch, pair, block):
     # the member formed on tape coefficients, before d2 is scaled, is the
-    # grid of the trees g_a + lam g_b
+    # grid of the trees g_a + lam g_b, also when the pair runs in batches of
+    # BLOCK lanes
+    monkeypatch.setattr(sampling, "BLOCK", block)
     _, a, b = next(p for p in cases.pencil_pairs() if p[0] == pair)
     plan = cases.plan_for(a.dim, 3)
-    points = plan.points(range(plan.count))
-    lam = np.resize(np.array(cases.LAMBDAS), plan.count)
+    points = plan.points(range(300))
+    lam = np.resize(np.array(cases.LAMBDAS), len(points))
     got = pencil_values(compile_tape((a.g.entries, b.g.entries), a.dim, 2), points, lam)
     for x in cases.LAMBDAS:
         lanes = lam == x
@@ -206,6 +220,22 @@ def test_pencil_values_are_the_member_grid(pair):
         for part, g, w in zip(("vals", "d1", "d2"), got.at(), want.at()):
             assert np.array_equal(g[..., lanes], w), part
         assert np.array_equal(got.failed[lanes], want.failed)
+
+
+@pytest.mark.parametrize("block", [7, 64, 256])
+def test_pencil_values_flag_the_lanes_of_the_pair_in_one_run(monkeypatch, block):
+    # a pair whose parts leave their domain: in batches, each lane fails at
+    # the instruction, and with the error, of the pair run on every lane
+    monkeypatch.setattr(sampling, "BLOCK", block)
+    u = df.plane_plan(count=1).points(range(300))
+    ga = [[parse_expr("sqrt(u1)", 2), parse_expr("0", 2)], [parse_expr("0", 2), parse_expr("1", 2)]]
+    gb = [[parse_expr("1", 2), parse_expr("0", 2)], [parse_expr("0", 2), parse_expr("ln(u2)", 2)]]
+    pair = compile_tape((ga, gb), 2, 2)
+    got, want = pencil_values(pair, u, np.full(len(u), 2.0)), eval_tape(pair, u)
+    assert got.failed.any() and not got.failed.all()
+    assert np.array_equal(got.first_failure, want.first_failure)
+    for lane in np.flatnonzero(got.failed):
+        assert str(got.error(lane)) == str(want.error(lane))
 
 
 @pytest.fixture
@@ -229,6 +259,20 @@ def pencil_spy(monkeypatch):
     return grids, calls
 
 
+def test_a_second_check_of_a_pair_compiles_no_grid(pencil_spy):
+    grids, _ = pencil_spy
+    a, b = df.build_nutku(1), df.build_nutku(3)
+    plan = df.plane_plan(count=30, seed=2)
+    first = check_pencil_compatibility(a, b, cases.LAMBDAS, plan).to_dict()
+    assert len(grids) == 2
+    assert check_pencil_compatibility(a, b, cases.LAMBDAS, plan).to_dict() == first
+    assert len(grids) == 2
+    # another pair of objects, even of the same operators, compiles its own
+    check_pencil_compatibility(b, a, cases.LAMBDAS, plan)
+    check_pencil_compatibility(a, df.build_nutku(3), cases.LAMBDAS, plan)
+    assert len(grids) == 6
+
+
 @pytest.mark.parametrize("block", [64, 256])
 def test_a_pencil_compiles_two_grids_and_evaluates_at_most_block_lanes(
         monkeypatch, pencil_spy, block):
@@ -238,17 +282,83 @@ def test_a_pencil_compiles_two_grids_and_evaluates_at_most_block_lanes(
     rep = check_pencil_compatibility(a, b, cases.LAMBDAS, df.plane_plan(count=100, seed=1))
     assert rep.passed
     assert [(g.shape, g.order) for g in grids] == [((2, 2, 2), 2), ((2, 2, 2, 2), 0)]
-    assert max(calls) <= block
-    # round 0 of a block of s points asks for 5 s lanes and resolves no point
-    # of lambda = -1 and 1; round 1, the last of both, asks for their retries 1
-    # to 16 at once: 16 x 2 s lanes
+    assert max(calls) <= RESAMPLE_BUDGET * block
+    # round 0 of a block of s points asks for 5 s lanes, in calls of at most
+    # BLOCK lanes, and resolves no point of lambda = -1 and 1; round 1, the
+    # last of both, asks for their retries 1 to 16 at once: one call of 16 s
+    # lanes per lambda
     sizes = [min(block, 100 - start) for start in range(0, 100, block)]
-    assert len(calls) == sum(math.ceil(5 * s / block) + math.ceil(RESAMPLE_BUDGET * 2 * s / block)
-                             for s in sizes)
+    assert len(calls) == sum(math.ceil(5 * s / block) + 2 for s in sizes)
     assert sum(calls) == sum(5 * s + RESAMPLE_BUDGET * 2 * s for s in sizes)
+    assert calls == [n for s in sizes for n in [min(block, 5 * s - at) for at in
+                                                range(0, 5 * s, block)] + [RESAMPLE_BUDGET * s] * 2]
 
 
 def test_a_pencil_of_operators_of_two_dimensions_is_rejected():
     with pytest.raises(ValueError, match="equal dimension"):
         check_pencil_compatibility(df.build_nutku(1), df.build_H1_Theta(df.R3), [1.0],
                                    df.plane_plan(count=10))
+
+
+@pytest.fixture
+def lanes_spy(monkeypatch):
+    """The lanes of every pair-tape run (geometry's eval_tape, which
+    pencil_values calls), every metric_frames call and every frame round,
+    with the frames each round built."""
+    pairs, frames, rounds = [], [], []
+    tape, build, round_ = geometry.eval_tape, operators.metric_frames, operators._frame_round
+
+    def tape_spy(t, points):
+        pairs.append(len(points))
+        return tape(t, points)
+
+    def build_spy(jets, lanes):
+        frames.append(len(lanes))
+        rounds[-1][1] += len(lanes)
+        return build(jets, lanes)
+
+    def round_spy(table, tails, g, b, w):
+        rounds.append([g.vals.shape[-1], 0])
+        return round_(table, tails, g, b, w)
+
+    monkeypatch.setattr(geometry, "eval_tape", tape_spy)
+    monkeypatch.setattr(operators, "metric_frames", build_spy)
+    monkeypatch.setattr(operators, "_frame_round", round_spy)
+    return pairs, frames, rounds
+
+
+def _theta_pencil():
+    a, b = df.build_H1_Theta(const(1)), df.build_H1_Theta(df.R3)
+    return json.dumps(check_pencil_compatibility(a, b, cases.LAMBDAS,
+                                                 df.drift_plan(count=1000, seed=1)).to_dict())
+
+
+def _sqrt_theta_preset():
+    # the draws a block's last round asks for depend on BLOCK; the document not
+    run = cases.run_cli_json(["preset", "h1-theta", "--theta", "sqrt(r3-0.5)"])
+    return json.dumps([run["exit_code"], run["document"]])
+
+
+@pytest.mark.parametrize("case, block", [("pencil", 64), ("preset", 64), ("preset", 4)])
+def test_pair_tapes_and_frames_get_at_most_block_lanes(monkeypatch, lanes_spy, case, block):
+    # a last round is one evaluator call of up to RESAMPLE_BUDGET x BLOCK
+    # lanes, but the pencil's pair tapes run, and frames are built, on at
+    # most BLOCK lanes at a time, with the reports of any other BLOCK
+    run = {"pencil": _theta_pencil, "preset": _sqrt_theta_preset}[case]
+    want = run()
+    pairs, frames, rounds = lanes_spy
+    del pairs[:], frames[:], rounds[:]
+    monkeypatch.setattr(sampling, "BLOCK", block)
+    assert run() == want
+    assert frames and max(frames) <= block
+    assert max(pairs, default=0) <= block
+    if case == "pencil":
+        # lambda = -1 is identically degenerate: each block of 64 points ends
+        # in one last round of 16 x 64 lanes
+        assert '"lambda=-1.0:degenerate"' in want
+        assert max(pairs) == block and len(pairs) >= 2 * len(rounds)
+        assert max(n for n, _ in rounds) == RESAMPLE_BUDGET * block
+    else:
+        assert any(n > block for n, _ in rounds) == (block == 4)
+        # the last rounds resolve lanes: at BLOCK = 4 more than BLOCK at once
+        assert any(built > block for _, built in rounds) == (block == 4)
