@@ -153,9 +153,9 @@ class Patterned:
     The arithmetic carries the patterns by rules that read no values: a
     sum or difference is zero where both terms are; negation, a scalar
     factor, an axis swap or permutation and an index along the leading axis
-    keep the pattern; :func:`lane_einsum` gives the pattern of a contraction.  The
-    in-place sums write into :attr:`values` and return a new object, since
-    patterns are shared and read-only."""
+    keep the pattern; :func:`lane_einsum` gives the pattern of a
+    contraction.  The in-place sums write into :attr:`values` and return a
+    new object, since patterns are shared and read-only."""
 
     __slots__ = ("values", "pattern")
 
@@ -217,8 +217,6 @@ class Patterned:
 def _permutation(spec: str) -> tuple:
     """The axes np.transpose takes for a permutation spec such as "smk->msk"."""
     source, out = spec.split("->")
-    if sorted(source) != sorted(out) or len(set(out)) != len(out):
-        raise ValueError(f"{spec!r} is not a permutation of indices")
     return tuple(source.index(c) for c in out)
 
 

@@ -163,8 +163,8 @@ def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
     and the connection and tail kernels run on the resolved lanes whose
     metric value is finite (elsewhere the residuals stay NaN and fail as
     non-finite), in batches of at most :data:`~hydroham.sampling.BLOCK`
-    lanes, so a last round of many lanes builds no larger arrays.  ``table`` rows are (id, description, short description,
-    kernel result).
+    lanes, so a last round of many lanes builds no larger arrays.  ``table``
+    rows are (id, description, short description, kernel result).
     """
     metric = metric_status(g)
     failed = np.logical_or.reduce([g.failed, b.failed] + [x.failed for x in w])

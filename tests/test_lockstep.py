@@ -290,8 +290,11 @@ def test_a_pencil_compiles_two_grids_and_evaluates_at_most_block_lanes(
     sizes = [min(block, 100 - start) for start in range(0, 100, block)]
     assert len(calls) == sum(math.ceil(5 * s / block) + 2 for s in sizes)
     assert sum(calls) == sum(5 * s + RESAMPLE_BUDGET * 2 * s for s in sizes)
-    assert calls == [n for s in sizes for n in [min(block, 5 * s - at) for at in
-                                                range(0, 5 * s, block)] + [RESAMPLE_BUDGET * s] * 2]
+    want = []
+    for s in sizes:
+        want += [min(block, 5 * s - at) for at in range(0, 5 * s, block)]
+        want += [RESAMPLE_BUDGET * s] * 2
+    assert calls == want
 
 
 def test_a_pencil_of_operators_of_two_dimensions_is_rejected():
@@ -359,6 +362,8 @@ def test_pair_tapes_and_frames_get_at_most_block_lanes(monkeypatch, lanes_spy, c
         assert max(pairs) == block and len(pairs) >= 2 * len(rounds)
         assert max(n for n, _ in rounds) == RESAMPLE_BUDGET * block
     else:
+        # the last rounds resolve lanes; at BLOCK = 4 some hold more than BLOCK
+        # lanes and resolve more than BLOCK of them, built in batches; at 64
+        # none is that long
         assert any(n > block for n, _ in rounds) == (block == 4)
-        # the last rounds resolve lanes: at BLOCK = 4 more than BLOCK at once
         assert any(built > block for _, built in rounds) == (block == 4)
