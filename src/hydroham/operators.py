@@ -95,7 +95,7 @@ class NonlocalOperator:
 
     @cached_property
     def _grids(self) -> dict:
-        # ("tails", order) -> Tape, filled by _grid
+        # ("tails", 1) -> Tape, filled by _grid; the tail kernels read its values too
         return {}
 
 
@@ -144,7 +144,7 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
     _check_dimension(a, plan)
     grids = [_grid(a.local, "g", 2), _grid(a.local, "b", 0)]
     if a.tails:
-        grids += [_grid(a, "tails", order) for order in (0, 1)]
+        grids.append(_grid(a, "tails", 1))
 
     def evaluate(points):
         g, b, *w = [eval_tape(grid, points) for grid in grids]
@@ -155,7 +155,7 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
 
 def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
     """One round of a frame check at the lanes of g's order-2 jets, b's values
-    and, with ``tails``, the tails' order-0 and order-1 grid values ``w``:
+    and, with ``tails``, the tails' order-1 jets ``w`` (empty without tails):
     the status of each lane and the payload :func:`_frame_report` reads.
 
     A draw is redrawn where g, b or a tail leaves its domain, and where g is
@@ -177,9 +177,7 @@ def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
         frames = metric_frames(g, lanes)
         found = connection_residuals(frames, Patterned(np.take(b.vals, lanes, axis=-1),
                                                        b.patterns[0]))
-        w_arrays = ([Patterned(np.take(w[0].vals, lanes, axis=-1), w[0].patterns[0]),
-                     *map(Patterned, w[1].at(lanes)[:2], w[1].patterns[:2])]
-                    if w else [None] * 3)
+        w_arrays = map(Patterned, w[0].at(lanes)[:2], w[0].patterns[:2]) if w else (None, None)
         found.update(tail_residuals(frames, tails, *w_arrays))
         for k, (*_, key) in enumerate(table):
             raw[lanes, k], scale[lanes, k] = found[key]
@@ -284,11 +282,11 @@ def _worst(raw, scale):
     return np.take_along_axis(raw, at, 0)[0], np.take_along_axis(scale, at, 0)[0]
 
 
-def tail_residuals(frames: MetricFrames, tails, w_vals, w_jet_vals, w_d1) -> dict:
-    """The tail conditions t1-t4, from scalar values (tails, n, n, lanes) of
-    the affinors and the values (tails, n, n, lanes) and first derivatives
-    (n, tails, n, n, lanes) of their order-1 jets, each an array or a
-    :class:`~hydroham.geometry.Patterned`.  t1, t2 and t4 run as one
+def tail_residuals(frames: MetricFrames, tails, w_vals, w_d1) -> dict:
+    """The tail conditions t1-t4, from the values (tails, n, n, lanes) and
+    first derivatives (n, tails, n, n, lanes) of the affinors' order-1 jets,
+    each an array or a :class:`~hydroham.geometry.Patterned`: t1, t3 and t4
+    read the values, and t2 (Codazzi) both.  t1, t2 and t4 run as one
     contraction each over an axis of tails (or of pairs of tails), and keep
     the worst tail (or pair) per lane, the last one on ties."""
     none = np.empty((0, frames.lanes))
@@ -299,7 +297,7 @@ def tail_residuals(frames: MetricFrames, tails, w_vals, w_jet_vals, w_d1) -> dic
         w_vals = Patterned.dense(w_vals)
         gw = lane_einsum("ik,akj->aij", frames.patterned("g_lo"), w_vals).values
         t1 = lane_max(gw - np.swapaxes(gw, 1, 2), 1), lane_max(gw, 1)
-        nabla = covariant_derivatives(w_jet_vals, w_d1, frames.patterned("gamma"))
+        nabla = covariant_derivatives(w_vals, w_d1, frames.patterned("gamma"))
         t2 = (lane_max(nabla.values - nabla.transpose("akij->ajik").values, 1),
               lane_max(nabla.values, 1))
         tail_sum = gauss_tail_sum(tails, w_vals)

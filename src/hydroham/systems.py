@@ -20,9 +20,9 @@ decision and is echoed in the notes of every transformation report.
 The checks evaluate their fields at whole blocks of plan points at once:
 currents, speed matrices and maps each as one tape
 (:func:`~hydroham.exprs.compile_tape`, a matrix compiled with its shape),
-read as :class:`~hydroham.exprs.TapeValues`; order-1 jets and order-0
-values compile separately, since a jet fails at some points where the value
-is defined, such as sqrt at 0.  The per-lane residuals are public kernels.
+read as :class:`~hydroham.exprs.TapeValues`; the conjugacy check reads the
+map's values from its order-1 jets, which fail at more points, such as sqrt
+at 0.  The per-lane residuals are public kernels.
 Every check, the denominator scan included, walks the plan through
 :func:`~hydroham.sampling.resolve` and redraws a point where any of its
 fields leaves its domain; the conjugacy check also redraws a point where the
@@ -120,12 +120,15 @@ class PointChangeMap:
         return len(self.forward)
 
     @cached_property
-    def _grids(self):
-        # (values, jets of order 1) of the forward map, compiled on first use
-        return (compile_tape(self.forward, self.dim, 0), compile_tape(self.forward, self.dim, 1))
+    def _values_grid(self):  # the tape of apply, compiled on first use
+        return compile_tape(self.forward, self.dim, 0)
+
+    @cached_property
+    def _jets_grid(self):  # the order-1 tape of jacobian and the conjugacy check
+        return compile_tape(self.forward, self.dim, 1)
 
     def apply(self, point) -> np.ndarray:
-        return eval_tape(self._grids[0], [point]).checked().vals[..., 0]
+        return eval_tape(self._values_grid, [point]).checked().vals[..., 0]
 
     @cached_property
     def _inverse_grid(self):
@@ -146,7 +149,7 @@ class PointChangeMap:
 def map_jacobians(m: PointChangeMap, points) -> tuple:
     """The order-1 jets of m at every row of ``points``, and from them the
     Jacobian J[a, k] = d_k m^a, (n, n, N)."""
-    jets = eval_tape(m._grids[1], points)
+    jets = eval_tape(m._jets_grid, points)
     return jets, np.swapaxes(jets.at()[1], 0, 1)
 
 
@@ -191,11 +194,9 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
         jets, jac = map_jacobians(m, points)
         singular = ~jets.failed & (scaled_abs_dets(np.moveaxis(jac, -1, 0)) < plan.floor)
         v_old = speed_values(s_old, points)
-        mapped = eval_tape(m._grids[0], points)  # m(u), the rows of vals.T
-        failed = jets.failed | v_old.failed | mapped.failed
-        v_new = speed_values(s_new, mapped.vals.T)
-        status = np.where(singular, REDRAW_SINGULAR,
-                          np.where(failed | v_new.failed, REDRAW_DOMAIN, 0))
+        v_new = speed_values(s_new, jets.vals.T)  # at m(u), the rows of vals.T
+        failed = jets.failed | v_old.failed | v_new.failed
+        status = np.where(singular, REDRAW_SINGULAR, np.where(failed, REDRAW_DOMAIN, 0))
         return status, conjugacy_residuals(jac, v_old.vals, v_new.vals)
 
     table = (("conjugacy", "J v_old = v_new(m(u)) J for the Jacobian J of the map"),)

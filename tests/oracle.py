@@ -408,10 +408,10 @@ def keep_worst(worst, raw, scale):
     return np.where(take, raw, worst[0]), np.where(take, scale, worst[1])
 
 
-def tail_residuals_by_tail(g_lo, gamma, riemann_up, dgamma, tails, w_vals, w_jet_vals, w_d1):
+def tail_residuals_by_tail(g_lo, gamma, riemann_up, dgamma, tails, w_vals, w_d1):
     """The tail conditions t1-t4 one tail (or pair) at a time, lane axis
-    first: frame arrays (lanes, ...), tail values (lanes, tails, n, n), jet
-    derivatives (lanes, n, tails, n, n)."""
+    first: frame arrays (lanes, ...), tail values (lanes, tails, n, n) and
+    first derivatives (lanes, n, tails, n, n) of the tails' order-1 jets."""
     lanes, n = len(g_lo), g_lo.shape[-1]
     out = {}
     worst = (np.zeros(lanes), np.ones(lanes))
@@ -421,7 +421,7 @@ def tail_residuals_by_tail(g_lo, gamma, riemann_up, dgamma, tails, w_vals, w_jet
     out["t1_pairing_symmetric"] = worst
     worst = (np.zeros(lanes), np.ones(lanes))
     for a in range(len(tails)):
-        vals = w_jet_vals[:, a]
+        vals = w_vals[:, a]
         nabla = (w_d1[:, :, a] + lane_einsum("isk,sj->kij", gamma, vals)
                  - lane_einsum("sjk,is->kij", gamma, vals))
         worst = keep_worst(worst, lane_max(nabla - lane_einsum("kij->jik", nabla)),

@@ -148,6 +148,28 @@ def test_scalar_tape_matches_eval_scalar():
                 assert got.coeffs[0, 0, lane] == pytest.approx(ref[0], rel=1e-13, abs=1e-300)
 
 
+def test_order_1_values_are_the_order_0_tape_wherever_it_evaluates():
+    # the checks read a field's values from its order-1 jets: an order-1 tape
+    # fails wherever the order-0 tape does, but for a power that overflows,
+    # which only order 0 flags; here exp(400*u1)^2 overflows past u1 = 0.887
+    rng = np.random.default_rng(1)
+    corpus = ORACLE + [(parse_expr("exp(400*u1)^2", 1), 1, ((0.1, 1.0),))]
+    worst, overflows = 0.0, 0
+    for e, n, box in corpus:
+        points = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(40)])
+        values, jets = (eval_tape(compile_tape([e], n, order), points) for order in (0, 1))
+        for lane in np.flatnonzero(values.failed & ~jets.failed):
+            assert values.error(lane).reason == "overflow in power", (str(e), points[lane])
+            overflows += 1
+        both = ~values.failed & ~jets.failed
+        want, got = values.vals[0, both], jets.vals[0, both]
+        diff = np.abs(got - want)
+        worst = max(worst, float(np.max(diff / np.maximum(np.abs(want), np.finfo(float).tiny),
+                                        initial=0.0)))
+    assert overflows > 0
+    assert worst <= 1e-13, worst
+
+
 def _jet_build(node, p, order):
     """``node`` at ``p`` built operation by operation from Jet values, with
     constant subtrees folded to floats as compile_tape folds them."""

@@ -22,7 +22,7 @@ from hydroham.errors import (
     HostileDomainError,
     VanishingDenominatorError,
 )
-from hydroham.exprs import exp, fields_equal_numeric, variables
+from hydroham.exprs import compile_tape, eval_tape, exp, fields_equal_numeric, variables
 from hydroham.geometry import AffinorField, ConnectionField, MetricField, metric_frame, scaled_abs_det
 from hydroham.operators import (
     LocalOperator,
@@ -370,6 +370,33 @@ def test_nonlocal_check_redraws_where_a_tail_leaves_its_domain():
     assert [c.cid for c in rep.conditions if not c.passed] == ["t2_codazzi"]
 
 
+OVERFLOW_BOX = ((0.1, 1.0),)
+
+
+def _order_0_overflows(e, plan):
+    """How many of the plan's first draws overflow e's order-0 tape, a power
+    its order-1 jets do not flag: those draws are kept, not redrawn."""
+    values = eval_tape(compile_tape((e,), 1, 0), plan.points(np.arange(plan.count)))
+    assert {values.error(lane).reason for lane in np.flatnonzero(values.failed)} == {
+        "overflow in power"}
+    return int(np.count_nonzero(values.failed))
+
+
+def test_a_tail_power_that_overflows_fails_as_non_finite():
+    # the tail conditions read the tails' values from their order-1 jets, so
+    # the draws past u1 = 0.887, where exp(400*u1)^2 overflows, are not redrawn
+    one, zero, w = (parse_expr(text, 1) for text in ("1", "0", "exp(400*u1)^2"))
+    local = LocalOperator(1, MetricField(1, ((one,),)), ConnectionField(1, (((zero,),),)))
+    plan = counting(SamplePlan(1, OVERFLOW_BOX, seed=1))
+    rep = check_ferapontov(NonlocalOperator(local, (AffinorField(1, 1, ((w,),)),)), plan)
+    assert _order_0_overflows(w, plan) == 9
+    assert all(r == 0 for _, r in plan.drawn)
+    notes = {c.cid: c.note for c in rep.conditions if not c.passed}
+    assert notes == {"t1_pairing_symmetric": "non-finite value at 9 of 100 points",
+                     "t2_codazzi": "non-finite value at 9 of 100 points",
+                     "t3_gauss": "non-finite value at 59 of 100 points"}
+
+
 # -- conserved currents, conjugacy and the reciprocal transform ------------------------------
 
 
@@ -459,6 +486,19 @@ def test_conjugacy_redraws_like_the_per_point_loop(floor):
     assert any(r > 0 for _, r in plan.drawn)  # ln(rho1 + rho2) leaves its domain
     assert bool(singular) == (floor == 0.3)
     assert rep.notes == (["singular Jacobian encountered; point redrawn"] if singular else [])
+
+
+def test_a_map_power_that_overflows_fails_as_non_finite():
+    # the check maps points through the map's order-1 jets, so the draws
+    # where exp(400*u1)^2 overflows are not redrawn
+    (u1,) = variables(1)
+    s, m = HydroSystem(1, ((u1,),)), PointChangeMap((parse_expr("exp(400*u1)^2", 1),))
+    plan = counting(SamplePlan(1, OVERFLOW_BOX, seed=1))
+    rep = check_change_of_variables(s, s, m, plan)
+    assert _order_0_overflows(m.forward[0], plan) == 9
+    assert all(r == 0 for _, r in plan.drawn)
+    assert not rep.passed
+    assert rep.conditions[0].note == "non-finite value at 59 of 100 points"
 
 
 def _denominator_reference(s, c1, plan):

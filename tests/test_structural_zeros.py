@@ -173,7 +173,7 @@ def test_an_h2_hat_frame_round_forms_a_seventh_of_the_dense_products(products):
     op = df.build_H2_hat()
     points = plan_for(3, 1).points(np.arange(20))
     grids = [operators._grid(op.local, "g", 2), operators._grid(op.local, "b", 0),
-             operators._grid(op, "tails", 0), operators._grid(op, "tails", 1)]
+             operators._grid(op, "tails", 1)]
     g, b, *w = [eval_tape(grid, points) for grid in grids]
     status, _ = operators._frame_round(operators._TAIL_CONDITIONS, op.tails, g, b, w)
     assert (status == 0).all()
