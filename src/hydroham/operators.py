@@ -33,6 +33,7 @@ the walk, and :mod:`~hydroham.reports` makes the conditions of them.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -73,8 +74,8 @@ class LocalOperator:
 
     @cached_property
     def _grids(self) -> dict:
-        # (part, order) -> Tape, filled by _grid; ("pencil", id(b)) -> (b, g
-        # pair, b pair), filled by _pencil_grids
+        # (part, order) -> Tape, filled by _grid; ("pencil", id(b)) -> (g
+        # pair, b pair), filled by _pencil_grids while b lives
         return {}
 
 
@@ -114,14 +115,15 @@ def _grid(op, part: str, order: int) -> Tape:
 def _pencil_grids(a: LocalOperator, b: LocalOperator) -> tuple[Tape, Tape]:
     """The pair grids of the pencil of ``a`` and ``b``: g_a and g_b in one
     order-2 grid, b_a and b_b in one of values, compiled once per pair of
-    objects and kept with ``a``'s grids.  The entry keeps ``b`` alive, so
-    its id names no other object."""
+    objects and kept with ``a``'s grids until ``b`` is collected, so its id
+    names no other object and a partner leaves nothing behind."""
     key = ("pencil", id(b))
     entry = a._grids.get(key)
     if entry is None:
-        entry = a._grids.setdefault(key, (b, compile_tape((a.g.entries, b.g.entries), a.dim, 2),
+        entry = a._grids.setdefault(key, (compile_tape((a.g.entries, b.g.entries), a.dim, 2),
                                           compile_tape((a.b.entries, b.b.entries), a.dim, 0)))
-    return entry[1:]
+        weakref.finalize(b, a._grids.pop, key, None)
+    return entry
 
 
 def _check_dimension(op, plan: SamplePlan):

@@ -4,8 +4,10 @@ against the local check of each ``pencil_operator`` member."""
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -271,6 +273,26 @@ def test_a_second_check_of_a_pair_compiles_no_grid(pencil_spy):
     check_pencil_compatibility(b, a, cases.LAMBDAS, plan)
     check_pencil_compatibility(a, df.build_nutku(3), cases.LAMBDAS, plan)
     assert len(grids) == 6
+
+
+def test_a_partner_leaves_no_pencil_grid_behind():
+    # the pair grids live as long as the partner: 50 partners checked and
+    # dropped leave no entry with the first operator, and next to no memory
+    # (each kept entry held about 5.6 KB)
+    a, plan = df.build_nutku(1), df.plane_plan(count=10, seed=1)
+    check_pencil_compatibility(a, df.build_nutku(2), (0.5,), plan)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            check_pencil_compatibility(a, df.build_nutku(2), (0.5,), plan)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [key for key in a._grids if key[0] == "pencil"] == []
+    assert grown < 64 * 1024
 
 
 @pytest.mark.parametrize("block", [64, 256])
