@@ -1,16 +1,14 @@
 """Deterministic sample plans for randomized identity checks.
 
-Point i of a plan at draw ``retry`` is ``lo + (hi - lo) * u`` with
-``u = np.random.default_rng((seed, i, retry)).random(dim)``, a pure function
-of (seed, i, retry), so parallel or out-of-order evaluation cannot change
-results, and a point hit by a domain violation can be redrawn reproducibly
-by bumping the retry counter.  :meth:`SamplePlan.points` computes those
-numbers for a whole round of indices in one call, following numpy's
-SeedSequence and PCG64 in array arithmetic, without a generator per point.
-Each plan object keeps the rows it draws, in chunks of 256 indices, for
-every later walk of it: a request whose rows it holds all is a gather, and
-any other is drawn whole, in one kernel call, and kept.  It also fills in one
-call every retry left of the points of a walk's last round.
+Point i of a plan at draw ``retry`` is ``lo + (hi - lo) * u``, where
+``u[d]`` is the top 53 bits of ``mix(mix(mix(key + i*G) + retry*G) +
+(d+1)*G)``, a fraction in [0, 1): ``mix`` is SplitMix64's finalizer, G =
+0x9E3779B97F4A7C15, all arithmetic is modulo 2**64, and ``key`` folds the
+seed's 64-bit words with the same mix.  So a point is a pure function of
+(seed, i, retry): parallel or out-of-order evaluation cannot change results,
+and a point hit by a domain violation can be redrawn reproducibly by bumping
+the retry counter.  :meth:`SamplePlan.points` computes those numbers for a
+whole round of indices in a few uint64 array operations, and keeps nothing.
 
 :func:`resolve_walks` is the one plan walk and holds the one redraw rule: a
 draw at which any field of a check leaves its domain is redrawn, and so is
@@ -19,13 +17,12 @@ metric, a singular Jacobian).  It goes through a plan in blocks of
 :data:`BLOCK` points, each round one batch to evaluate of the points still
 unresolved, and records exactly the draws of a per-point redraw loop.  A
 round after one that resolved nothing is the block's last: it evaluates every
-retry left of its points at once, drawn in one kernel call and passed to the
-evaluator as one call, and keeps each point's draws up to its first that
-resolves, so a block that cannot resolve costs two draw calls and two
-evaluator calls, not seventeen rounds.  That speculative work is at most
-``RESAMPLE_BUDGET - r`` lanes per unresolved point of a last round at retry
-r, and lanes are independent, so results do not change.  Several walks of
-one plan (a pencil's lambdas) go in lockstep: the one-retry rounds of a
+retry left of its points at once, in one evaluator call, and keeps each
+point's draws up to its first that resolves, so a block that cannot resolve
+costs two evaluator calls, not seventeen rounds.  That speculative work is at
+most ``RESAMPLE_BUDGET - r`` lanes per unresolved point of a last round at
+retry r, and lanes are independent, so results do not change.  Several walks
+of one plan (a pencil's lambdas) go in lockstep: the one-retry rounds of a
 round of them in as few evaluator calls of at most :data:`BLOCK` lanes as
 their lanes need, then one call per walk whose last round it is;
 :func:`resolve` is the walk of one.  The walk calls every evaluator with
@@ -56,7 +53,9 @@ BLOCK = 256
 DEFAULT_COUNT = 100
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_FLOOR = 1e-12
-_CHUNK = 256  # plan indices per memo entry of SamplePlan.points; not BLOCK, a batch size
+
+_M64 = (1 << 64) - 1
+_G = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2**64 over the golden ratio, odd
 
 
 @dataclass(frozen=True)
@@ -89,99 +88,28 @@ class SamplePlan:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not (math.isfinite(self.floor) and self.floor >= 0):
             raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
-        # box corners as arrays, kept out of the fields (eq, hash, echo)
+        # box corners and seed key, kept out of the fields (eq, hash, echo)
         object.__setattr__(self, "_lo", np.array([b[0] for b in self.box], dtype=float))
         object.__setattr__(self, "_hi", np.array([b[1] for b in self.box], dtype=float))
-        object.__setattr__(self, "_seed_words", _words(int(self.seed)))
-        # (chunk, retry) -> (rows, which rows are drawn), also out of the fields
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_key", _seed_key(int(self.seed)))
 
     def points(self, indices, retry: int = 0) -> np.ndarray:
-        """Plan points ``indices`` at draw ``retry``, one row each, in a fresh
-        array: row k is ``lo + (hi - lo) * np.random.default_rng((seed,
-        indices[k], retry)).random(dim)``, bit for bit, for indices below
-        2**64.  Each ``(i, retry)`` with ``i < count`` and ``retry <=
-        RESAMPLE_BUDGET`` is kept per plan object, in 256-row chunks: a
-        request's rows of a chunk the memo holds all are a gather, others are
-        drawn whole, in one kernel call, and kept.  Concurrent fills of a row
-        write identical values.
+        """Plan points ``indices`` at draw ``retry``, one row each, in request
+        order, in a fresh array: row k is ``lo + (hi - lo) * u`` with ``u[d]``
+        the top 53 bits of ``mix(mix(mix(key + indices[k]*G) + retry*G) +
+        (d+1)*G)`` over 2**53 (see the module docstring).
         ValueError unless the indices and ``retry`` are integers >= 0 and
-        the indices below 2**64."""
+        below 2**64."""
         idx = _plan_indices(indices)
         retry = _natural("retry", retry)
-        if not idx.size:
-            return np.empty((0, self.dim))
-        lo, hi = int(idx.min()), int(idx.max())
-        if lo < 0:
-            raise ValueError(f"plan index must be an integer >= 0, got {lo}")
-        if hi >= self.count or retry > RESAMPLE_BUDGET:
-            return self._draw(idx, retry)  # not a plan draw: not kept
-        first = lo // _CHUNK
-        if first == hi // _CHUNK:  # every round of resolve at the default BLOCK
-            return self._chunk(first, retry, idx - first * _CHUNK)
-        out = np.empty((idx.size, self.dim))
-        chunk = idx // _CHUNK
-        for c in np.unique(chunk).tolist():  # the chunks present, however far apart
-            lanes = chunk == c
-            out[lanes] = self._chunk(c, retry, idx[lanes] - c * _CHUNK)
-        return out
-
-    def _chunk(self, c: int, retry: int, local) -> np.ndarray:
-        """Rows ``c * 256 + local`` at draw ``retry``: a gather from the memo
-        when it holds them all, else all drawn, in request order, and kept."""
-        entry = self._memo.get((c, retry))
-        if entry is not None and entry[1][local].all():
-            return entry[0][local]
-        out = self._draw(local + c * _CHUNK, retry)
-        self._keep(c, retry, local, out)
-        return out
-
-    def _prefetch(self, indices, retry: int) -> None:
-        """Fill the memo for the distinct plan points ``indices`` at every
-        draw from ``retry`` to RESAMPLE_BUDGET, in one kernel call for the
-        rows it lacks; indices at or above ``count`` are left out."""
-        idx = np.asarray(indices, dtype=np.uint64)
-        idx = idx[idx < self.count]
-        chunk = idx // _CHUNK
-        lack = []  # (memo key, local rows it lacks)
-        for c in np.unique(chunk).tolist():
-            local = (idx[chunk == c] - c * _CHUNK).astype(np.intp)
-            for q in range(retry, RESAMPLE_BUDGET + 1):
-                entry = self._memo.get((c, q))
-                rows = local if entry is None else local[~entry[1][local]]
-                if rows.size:
-                    lack.append(((c, q), rows))
-        if not lack:
-            return
-        drawn = self._draw(np.concatenate([rows + c * _CHUNK for (c, _), rows in lack]),
-                           np.concatenate([np.full(rows.size, q, np.uint64) for (_, q), rows in lack]))
-        at = 0
-        for (c, q), rows in lack:
-            self._keep(c, q, rows, drawn[at:at + rows.size])
-            at += rows.size
-
-    def _keep(self, c: int, retry: int, local, rows) -> None:
-        """Keep ``rows`` as rows ``c * 256 + local`` at draw ``retry``, before their flags."""
-        n = min(_CHUNK, self.count - c * _CHUNK)
-        entry = self._memo.setdefault((c, retry), (np.empty((n, self.dim)), np.zeros(n, bool)))
-        entry[0][local] = rows
-        entry[1][local] = True
-
-    def _draw(self, indices, retry) -> np.ndarray:
-        """The kernel behind :meth:`points`, with no memo: ``retry`` is an int,
-        or a uint64 array of one retry below 2**32 per index."""
-        idx = np.asarray(indices, dtype=np.uint64)
-        u = np.empty((idx.size, self.dim))
-        per_lane = isinstance(retry, np.ndarray)
-        # an index gives SeedSequence one entropy word below 2**32, two above:
-        # one batch per layout
-        for lanes, wide in ((idx <= _M32, False), (idx > _M32, True)):
-            if lanes.any():
-                i = idx[lanes]
-                words = [i & _M32, i >> 32] if wide else [i]
-                words += [retry[lanes]] if per_lane else _words(retry)
-                u[lanes] = _uniforms(self._seed_words + words, i.size, self.dim)
-        return self._lo + (self._hi - self._lo) * u
+        if retry > _M64:
+            raise ValueError(f"retry must be an integer >= 0 and below 2**64, got {retry}")
+        if idx.size and idx.min() < 0:
+            raise ValueError(f"plan index must be an integer >= 0, got {int(idx.min())}")
+        lanes = _mix(idx.astype(np.uint64, copy=False) * _G + self._key)
+        lanes = _mix(lanes + (retry * _G & _M64))
+        u = _mix(lanes[:, None] + np.arange(1, self.dim + 1, dtype=np.uint64) * _G) >> 11
+        return self._lo + (self._hi - self._lo) * (u * 2.0 ** -53)
 
     def point(self, i: int, retry: int = 0) -> np.ndarray:
         return self.points([i], retry)[0]
@@ -198,8 +126,8 @@ class SamplePlan:
 
 
 def _natural(name: str, value, least: int = 0) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= ``least`` (0, as
-    default_rng needs, unless given)."""
+    """``value`` as an int; ValueError unless it is an integer >= ``least`` (0
+    unless given)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
@@ -212,7 +140,7 @@ def _plan_indices(indices) -> np.ndarray:
     if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
         return indices.reshape(-1)
     idx = [_natural("plan index", i) for i in indices]
-    if idx and max(idx) >= 1 << 64:
+    if idx and max(idx) > _M64:
         raise ValueError(f"plan index must be an integer >= 0 and below 2**64, got {max(idx)}")
     return np.array(idx, dtype=np.uint64)
 
@@ -226,105 +154,27 @@ def default_plan(dim: int, box=None, count: int = DEFAULT_COUNT, seed: int = 0,
                       seed=seed, tolerance=tolerance, floor=floor)
 
 
-# -- np.random.default_rng((seed, i, retry)).random(dim), for many i at once --------
-#
-# numpy seeds PCG64 from a SeedSequence over the 32-bit words of (seed, i,
-# retry): four pool words hashed and cross-mixed, four 64-bit state words
-# generated from the pool.  PCG64 then runs a 128-bit LCG, emitting the
-# XSL-RR output of each new state, and random() keeps its top 53 bits.  The
-# functions below follow those steps with one lane per index, in uint32
-# arrays for the hash and in 64-bit halves for the LCG.
-
-_M32 = 0xFFFFFFFF
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the entropy hash
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the state hash
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_HI, _PCG_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-_PCG_LO0, _PCG_LO1 = _PCG_LO & np.uint64(_M32), _PCG_LO >> np.uint64(32)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of each entry of the uint64 array ``z``, in a new
+    array; the products wrap modulo 2**64, which numpy does not warn of in arrays."""
+    z = z ^ (z >> 30)
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
-def _words(n: int) -> list:
-    """The 32-bit entropy words SeedSequence takes from an integer >= 0."""
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-@functools.lru_cache(maxsize=None)
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """(n, 1) uint32: the hash multiplier, from ``init``, after each of n - 1 steps."""
-    out = [init]
-    while len(out) < n:
-        out.append(out[-1] * mult & _M32)
-    out = np.array(out, dtype=np.uint32)[:, None]
-    out.setflags(write=False)  # shared by every caller of the cache
-    return out
-
-
-def _hashmix(values, constants):
-    """SeedSequence's hashmix of each row of ``values``, row k with the hash
-    multiplier at its k-th step; ``constants`` holds one step more than rows."""
-    v = values ^ constants[:-1]
-    v *= constants[1:]
-    v ^= v >> 16
-    return v
-
-
-def _mix(x, y):
-    v = _MIX_L * x
-    v -= _MIX_R * y
-    v ^= v >> 16
-    return v
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """The 128-bit state (hi, lo) times PCG64's multiplier plus the increment."""
-    a0, a1 = lo & _M32, lo >> 32
-    p01, p10 = a0 * _PCG_LO1, a1 * _PCG_LO0
-    mid = ((a0 * _PCG_LO0) >> 32) + (p01 & _M32) + (p10 & _M32)
-    hi = a1 * _PCG_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + hi * _PCG_LO + lo * _PCG_HI
-    lo = lo * _PCG_LO + inc_lo
-    return hi + inc_hi + (lo < inc_lo), lo
-
-
-def _uniforms(entropy: list, lanes: int, dim: int) -> np.ndarray:
-    """(lanes, dim) doubles of default_rng(entropy words).random(dim), one lane
-    per column of the entropy words (each an int or a uint64 array)."""
-    n_words = max(len(entropy), _POOL)
-    a = _hash_constants(_INIT_A, _MULT_A, _POOL * n_words + 1)
-    words = np.zeros((n_words, lanes), dtype=np.uint32)
-    for k, w in enumerate(entropy):
-        words[k] = w
-    pool = _hashmix(words[:_POOL], a[:_POOL + 1])
-    step = _POOL
-    for src in range(_POOL):  # each pool word mixed into the three others
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[step:step + _POOL]))
-        step += _POOL - 1
-    for extra in words[_POOL:]:  # entropy beyond the pool, mixed into all four
-        pool = _mix(pool, _hashmix(extra, a[step:step + _POOL + 1]))
-        step += _POOL
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 9))
-    del words, pool  # only the state words are read from here on
-    # little-endian pairs of 32-bit words, one (4, lanes) uint64 array
-    s_hi, s_lo, q_hi, q_lo = state[0::2] | (state[1::2].astype(np.uint64) << 32)
-    del state
-    # PCG64 seeding: inc = 2 seq + 1; state = inc; state += initstate; step
-    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
-    lo = inc_lo + s_lo
-    hi = inc_hi + s_hi + (lo < s_lo)
-    del s_hi, s_lo, q_hi, q_lo  # the PCG steps read the 128-bit state and increment only
-    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-    out = np.empty((lanes, dim))
-    for d in range(dim):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58  # XSL-RR
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        out[:, d] = (x >> 11) * 2.0 ** -53
-    return out
+def _seed_key(seed: int) -> np.ndarray:
+    """A seed's key, one uint64 lane: ``key = mix(key + G + w)`` from 0 over the
+    seed's 64-bit words w, low word first, so seeds of any size are keys, and
+    seeds below 2**64 distinct ones."""
+    key = np.zeros(1, dtype=np.uint64)
+    while True:
+        key = _mix(key + (_G + (seed & _M64) & _M64))
+        seed >>= 64
+        if not seed:
+            return key
 
 
 class Resolved(NamedTuple):
@@ -344,18 +194,17 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
     """Resolve every plan point, evaluating each round of draws as a batch.
 
     The plan goes in blocks of :data:`BLOCK` points.  Round r of a block
-    asks ``plan.points`` for point i at retry r (``lo + (hi - lo) *
-    np.random.default_rng((seed, i, r)).random(dim)``) for every i of the
-    block, in order, that no earlier round resolved, and calls
+    asks ``plan.points`` for point i at retry r (``lo + (hi - lo) * u``, u
+    the top bits of ``mix(mix(mix(key + i*G) + r*G) + (d+1)*G)``) for every
+    i of the block, in order, that no earlier round resolved, and calls
     ``evaluate(points)`` with numpy's warnings off.  That returns ``(status,
     payload)``: a status per lane (0 for resolved, any other value for a draw
     to redraw, :data:`REDRAW_DOMAIN` when a field left its domain there) and
     a tuple of arrays with one row per lane.  A round after one that
-    resolved nothing is the block's last: the plan fills every retry left of
-    its points in one kernel call (``SamplePlan._prefetch``), and the round
-    asks for all of them, retries r to RESAMPLE_BUDGET, and evaluates them
-    in one call.  Each point keeps its draws up to
-    its first that resolves, so the result records exactly the draws of a
+    resolved nothing is the block's last: it asks for every retry left of
+    its points, r to RESAMPLE_BUDGET, one ``plan.points`` call per retry,
+    and evaluates them in one call.  Each point keeps its draws up to its
+    first that resolves, so the result records exactly the draws of a
     per-point redraw loop, bit for bit, since lanes are independent; a block
     stops when every point is resolved or has spent the resample budget.
 
@@ -381,8 +230,8 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
     once.  Round r of a block makes one ``plan.points`` call per walk and
     retry it draws, for that walk's unresolved points: first the walks whose
     round has one retry, walk after walk, then the walks whose last round it
-    is, walk after walk and retry after retry within a walk (the plan's memo
-    serves a request whose rows an earlier walk drew).  It hands those lanes
+    is, walk after walk and retry after retry within a walk.  Walks that
+    draw the same (i, retry) compute the same row.  It hands those lanes
     to ``evaluate(points, walk)`` in that order, with numpy's warnings off:
     the one-retry lanes in as few calls as :data:`BLOCK` lanes per call
     allow, then each walk's last round in one call, of at most
@@ -414,8 +263,7 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
             at = sum(len(todo[w]) for w, k in live if k == 1)
             cuts = list(range(0, at, BLOCK))
             for w, k in live:
-                if k > 1:  # a last round: every retry left, drawn in one kernel call
-                    plan._prefetch(todo[w], r)
+                if k > 1:  # a last round: every retry left, in one evaluator call
                     cuts.append(at)
                     at += k * len(todo[w])
             points = _join([plan.points(todo[w], r + q) for w, k in live for q in range(k)])

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hydroham import cli, sampling, systems
+from hydroham import cli, operators, sampling, systems
 from hydroham import driftflux as df
 from hydroham.errors import (
     DegenerateMetricError,
@@ -32,7 +32,7 @@ from hydroham.operators import (
     check_pencil_compatibility,
 )
 from hydroham.parsing import parse_expr
-from hydroham.sampling import RESAMPLE_BUDGET, SamplePlan, default_plan, resolve
+from hydroham.sampling import REDRAW_DOMAIN, RESAMPLE_BUDGET, SamplePlan, default_plan, resolve
 from hydroham.systems import (
     ConservedCurrent,
     HydroSystem,
@@ -125,40 +125,170 @@ def assert_same_condition(cond, want, draws_got, draws_want):
         assert cond.witness == witness
 
 
-# -- SamplePlan.point ------------------------------------------------------------------
+# -- SamplePlan.points ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed,dim", [(0, 1), (7, 2), (8128, 3), (12345, 5)])
-def test_plan_point_is_the_seeded_formula(seed, dim):
-    box = tuple((-0.5 - k, 0.25 + 2 * k) for k in range(dim))
-    plan = SamplePlan(dim, box, count=20, seed=seed)
-    lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
-    for i in range(20):
-        for retry in (0, 1, RESAMPLE_BUDGET):
-            want = lo + (hi - lo) * np.random.default_rng((seed, i, retry)).random(dim)
-            assert np.array_equal(plan.point(i, retry), want)
+_M64, _G = 2**64 - 1, 0x9E3779B97F4A7C15
 
 
-# seeds of one, two, three and four entropy words; indices of one and two
-DRAW_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 99, 2**100 + 12345)
+def _mix(z: int) -> int:
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+def splitmix_bits(seed: int, i: int, retry: int, dim: int) -> list:
+    """The 53-bit integers 2**53 u[d] of plan point i at draw ``retry``, in
+    Python ints: the seed's 64-bit words folded into a key, low word first,
+    then top 53 bits of mix(mix(mix(key + i G) + retry G) + (d + 1) G)."""
+    key = 0
+    while True:
+        key = _mix(key + _G + (seed & _M64) & _M64)
+        seed >>= 64
+        if not seed:
+            break
+    lane = _mix(_mix(key + i * _G & _M64) + retry * _G & _M64)
+    return [_mix(lane + (d + 1) * _G & _M64) >> 11 for d in range(dim)]
+
+
+def formula(plan: SamplePlan, indices, retry: int) -> np.ndarray:
+    """Plan points ``indices`` at draw ``retry``, one per-point formula each."""
+    lo, hi = np.array(plan.box).T
+    rows = [lo + (hi - lo) * (np.array(splitmix_bits(plan.seed, int(i), retry, plan.dim)) * 2.0 ** -53)
+            for i in indices]
+    return np.array(rows).reshape(-1, plan.dim)
+
+
+# 2**53 u of plan point (seed, i, retry) at dim 2
+KNOWN_BITS = {
+    (0, 0, 0): (0x059d0135c03956, 0x0f249581fdad19),
+    (0, 0, 16): (0x0b685a31dbe669, 0x0630cf5bc18457),
+    (0, 2**63, 0): (0x145a5f973bf645, 0x19a00f9c972ddd),
+    (0, 2**63, 16): (0x18c5aa69460d7f, 0x1b2848ef073be5),
+    (0, 2**64 - 1, 0): (0x00369101490391, 0x0fa939dce78f42),
+    (0, 2**64 - 1, 16): (0x1292c1e0104649, 0x10896da851e249),
+    (2**64 + 99, 0, 0): (0x148bfe47ab8e2a, 0x007c34eba39d9d),
+    (2**64 + 99, 0, 16): (0x19b78e37da4db3, 0x162e1b99a94b9b),
+    (2**64 + 99, 2**63, 0): (0x11d2de134c0fef, 0x02e2455a56356e),
+    (2**64 + 99, 2**63, 16): (0x1ba05bc0b6159f, 0x0f981198a002e4),
+    (2**64 + 99, 2**64 - 1, 0): (0x06d9ecf061fb1d, 0x1a66625fa7e234),
+    (2**64 + 99, 2**64 - 1, 16): (0x03f19615bcc0f2, 0x0c3a0c70116214),
+    (2**100 + 12345, 0, 0): (0x14c2a92a62c1f0, 0x1e6e6de2d8e4fa),
+    (2**100 + 12345, 0, 16): (0x1fe5176cb7b3ed, 0x01d35f4cc6fefd),
+    (2**100 + 12345, 2**63, 0): (0x16e8e31f161cc1, 0x14b6afa2b83351),
+    (2**100 + 12345, 2**63, 16): (0x1cf7f45505d119, 0x0dda074a9358dd),
+    (2**100 + 12345, 2**64 - 1, 0): (0x15d70f4baee87e, 0x1e02565e9f9954),
+    (2**100 + 12345, 2**64 - 1, 16): (0x0bf23cf76da356, 0x10148044f8e574),
+}
+
+
+@pytest.mark.parametrize("seed,i,retry", sorted(KNOWN_BITS))
+def test_plan_points_are_the_known_answers(seed, i, retry):
+    box = ((-0.5, 0.25), (-1.5, 2.25))
+    want = np.array(KNOWN_BITS[seed, i, retry]) * 2.0 ** -53
+    lo, hi = np.array(box).T
+    assert np.array_equal(SamplePlan(2, ((0.0, 1.0),) * 2, seed=seed).point(i, retry), want)
+    assert np.array_equal(SamplePlan(2, box, seed=seed).points([i], retry)[0], lo + (hi - lo) * want)
+    assert splitmix_bits(seed, i, retry, 2) == list(KNOWN_BITS[seed, i, retry])
+
+
+# seeds of one, two and three 64-bit words; indices near 0, 2**32, 2**53, 2**63 and 2**64
+DRAW_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 99, 2**100 + 12345)
 DRAW_INDICES = (list(range(200)) + [2**32 - 1 - k for k in range(25)]
                 + [2**32 + k for k in range(15)] + [2**40 + 7, 2**53 + 1, 2**63 - 1, 2**63,
                                                      2**64 - 2, 2**64 - 1, 3**40, 5**27, 7**22, 11**18])
 
 
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
-def test_plan_points_are_default_rng_draws_bit_for_bit(seed):
-    # 6 seeds x 17 retries x 4 dims x 250 indices: 102,000 (seed, i, retry) triples
-    for dim in range(1, 5):
-        plan = SamplePlan(dim, ((0.0, 1.0),) * dim, seed=seed)  # lo + (hi - lo) u == u
-        for retry in range(RESAMPLE_BUDGET + 1):
+def test_plan_points_are_a_pure_function_of_seed_index_and_retry(seed):
+    # the per-point formula at every (index, retry), bit for bit, whatever the
+    # split or order of the request, and point(i, r) == points([i], r)[0]
+    order = np.random.default_rng(seed % 2**32).permutation(len(DRAW_INDICES))
+    for dim in (1, 3):
+        plan = SamplePlan(dim, ((-0.5, 0.25), (-1.5, 2.25), (0.0, 1.0))[:dim], seed=seed)
+        for retry in (0, 1, 7, RESAMPLE_BUDGET):
             got = plan.points(DRAW_INDICES, retry)
-            want = [np.random.default_rng((seed, i, retry)).random(dim) for i in DRAW_INDICES]
-            assert np.array_equal(got, want), (seed, dim, retry)
-            subset = [3, 201, 0, 249, 17]
-            assert np.array_equal(plan.points([DRAW_INDICES[k] for k in subset], retry),
-                                  got[subset])
-            assert np.array_equal(plan.point(DRAW_INDICES[201], retry), got[201])
+            assert got.tobytes() == formula(plan, DRAW_INDICES, retry).tobytes(), (dim, retry)
+            shuffled = plan.points([DRAW_INDICES[k] for k in order], retry)
+            assert shuffled.tobytes() == got[order].tobytes()
+            split = np.concatenate([plan.points(DRAW_INDICES[at:at + 37], retry)
+                                    for at in range(0, len(DRAW_INDICES), 37)])
+            assert split.tobytes() == got.tobytes()
+            for k in (0, 201, 249):
+                assert plan.point(DRAW_INDICES[k], retry).tobytes() == got[k].tobytes()
+
+
+def test_plan_points_fill_each_tenth_of_the_box_evenly():
+    # 10**5 draws per coordinate: each of 10 bins within 5% of its 10**4
+    plan = SamplePlan(3, ((0.0, 1.0), (-1.0, 1.0), (2.0, 7.0)), count=10**5, seed=8128)
+    rows = plan.points(np.arange(plan.count))
+    for d, (lo, hi) in enumerate(plan.box):
+        counts, _ = np.histogram(rows[:, d], bins=10, range=(lo, hi))
+        assert counts.sum() == 10**5
+        assert np.all(np.abs(counts - 10**4) <= 500), (d, counts)
+
+
+def test_plan_points_raise_no_warning_when_warnings_are_errors():
+    # the uint64 products wrap in arrays, where numpy does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2**64 - 1, 2**100 + 12345):
+            plan = SamplePlan(2, ((0.0, 1.0),) * 2, seed=seed)
+            for retry in (0, RESAMPLE_BUDGET, 2**64 - 1):
+                plan.points([0, 2**63, 2**64 - 1], retry)
+                plan.points(np.arange(300), retry)
+                plan.point(2**64 - 1, retry)
+
+
+BOX = ((-0.5, 0.25), (-1.5, 2.25), (0.0, 1.0))
+
+
+def test_rows_come_back_in_request_order_in_a_fresh_array():
+    plan = SamplePlan(2, BOX[:2], count=1000, seed=5)
+    orders = ([999, 0, 255, 256, 256, 511, 512, 3, 768, 767, 3, 999],
+              list(np.random.default_rng(1).permutation(1000)) + [0, 0, 999, 511])
+    for indices in orders:
+        assert np.array_equal(plan.points(indices, 1), formula(plan, indices, 1))
+        assert np.array_equal(plan.points(np.array(indices), 1), formula(plan, indices, 1))
+    first = plan.points([7, 3], 2)
+    first[:] = -9.0  # a caller's write reaches no other caller
+    plan.point(7, 2)[:] = -9.0
+    assert np.array_equal(plan.points([7, 3], 2), formula(plan, [7, 3], 2))
+    assert plan.points([], 2).shape == (0, 2)
+
+
+BAD_CALLS = {
+    "negative retry": (lambda p: p.points([1], -1), "retry"),
+    "float retry": (lambda p: p.points([1], 1.0), "retry"),
+    "bool retry": (lambda p: p.points([1], True), "retry"),
+    "retry of 2**64": (lambda p: p.points([1], 2**64), "retry"),
+    "negative retry of point": (lambda p: p.point(1, -1), "retry"),
+    "float index": (lambda p: p.points([1.5]), "plan index"),
+    "float index array": (lambda p: p.points(np.array([0.0, 1.0])), "plan index"),
+    "float index of point": (lambda p: p.point(1.5), "plan index"),
+    "bool index": (lambda p: p.points([0, True]), "plan index"),
+    "bool index of point": (lambda p: p.point(False), "plan index"),
+    "negative index": (lambda p: p.points([-1]), "plan index"),
+    "negative index array": (lambda p: p.points(np.array([2, -1])), "plan index"),
+    "negative index of point": (lambda p: p.point(-1), "plan index"),
+    "index of 2**64": (lambda p: p.points([0, 2**64]), "plan index"),
+    "index of 2**64 of point": (lambda p: p.point(2**64), "plan index"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CALLS)
+def test_points_reject_an_index_or_retry_that_is_not_an_integer_at_least_zero(case):
+    call, what = BAD_CALLS[case]
+    plan = SamplePlan(2, BOX[:2], count=10, seed=3)
+    with pytest.raises(ValueError, match=f"^{what} must be an integer >= 0"):
+        call(plan)
+
+
+def test_an_index_below_2_to_the_64_still_draws():
+    plan = SamplePlan(2, BOX[:2], count=10, seed=3)
+    big = [2**63, 2**64 - 1]
+    assert plan.points(big).tobytes() == formula(plan, big, 0).tobytes()
+    assert plan.points(np.array(big, dtype=np.uint64)).tobytes() == formula(plan, big, 0).tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0, "7", None])
@@ -169,8 +299,10 @@ def test_plan_rejects_a_seed_that_is_not_an_integer_at_least_zero(seed):
 
 def test_plan_arrays_stay_out_of_equality_and_echo():
     a, b = default_plan(2, seed=3), default_plan(2, seed=3)
-    assert a == b and hash(a) == hash(b)
+    a.points(range(50))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert set(a.echo()) == {"dim", "box", "count", "seed", "tolerance", "floor"}
+    assert {k for k in vars(a) if k.startswith("_")} == {"_lo", "_hi", "_key"}
 
 
 # -- resolve ---------------------------------------------------------------------------------
@@ -237,6 +369,79 @@ def test_resolve_is_the_same_for_every_block_size(monkeypatch, block):
     cause[45] = cause[30] = lambda r: 1  # every draw of these points leaves the domain
     with pytest.raises(HostileDomainError, match="^domain too hostile at sample point 30$"):
         resolve(plan, evaluate)
+
+
+def test_a_point_that_only_leaves_the_domain_still_raises_at_its_index():
+    # round 0 resolves points 0-19, round 1 resolves nothing, so round 2 is
+    # the last and asks for retries 2 to 16 at once; points 33 and 37 leave
+    # the domain at every draw, the others of 20-39 are rejected for another cause
+    base = SamplePlan(1, ((0.0, 1.0),), count=40, seed=2)
+    pair_of = {float(p[0]): (i, r) for r in range(RESAMPLE_BUDGET + 1)
+               for i, p in enumerate(base.points(range(40), r))}
+    calls = []
+
+    def evaluate(points):
+        calls.append(len(points))
+        index = np.array([pair_of[float(p[0])][0] for p in points])
+        status = np.where(index < 20, 0, np.where(np.isin(index, (33, 37)), REDRAW_DOMAIN, 2))
+        return status, (points[:, 0],)
+
+    plan = counting(base)
+    with pytest.raises(HostileDomainError, match="^domain too hostile at sample point 33$"):
+        resolve(plan, evaluate)
+    assert calls == [40, 20, 20 * (RESAMPLE_BUDGET - 1)]
+    assert sorted(plan.drawn) == sorted([(i, 0) for i in range(20)]
+                                        + [(i, q) for i in range(20, 40) for q in range(17)])
+
+
+MUTANTS = {name: op for name, _, op in df.mutation_catalog()}
+
+
+@pytest.mark.parametrize("count,blocks", [(100, 1), (1000, 4)])
+def test_an_identically_degenerate_block_costs_two_evaluator_calls(monkeypatch, count, blocks):
+    # round 0 resolves nothing, so round 1, the last, evaluates retries 1 to 16 in one call
+    calls = []
+
+    def spy(plan, evaluate):
+        def counted(points):
+            calls.append(len(points))
+            return evaluate(points)
+        return resolve(plan, counted)
+
+    monkeypatch.setattr(operators, "resolve", spy)
+    plan = counting(df.drift_plan(count=count, seed=3))
+    rep = check_local_hamiltonian(MUTANTS["h1-theta Theta = 0 (degenerate)"], plan)
+    assert not rep.passed
+    sizes = [min(sampling.BLOCK, count - start) for start in range(0, count, sampling.BLOCK)]
+    assert len(sizes) == blocks
+    assert calls == [n for size in sizes for n in (size, RESAMPLE_BUDGET * size)]
+    assert sorted(plan.drawn) == [(i, q) for i in range(count) for q in range(RESAMPLE_BUDGET + 1)]
+
+
+# seeds of the hostile current below: at the first, every round of its walk
+# resolves some point; at the second, a round resolves none, so the next is the last
+EVERY_ROUND_RESOLVES_SEED, A_ROUND_RESOLVES_NOTHING_SEED = 1, 2
+
+
+@pytest.mark.parametrize("seed", [EVERY_ROUND_RESOLVES_SEED, A_ROUND_RESOLVES_NOTHING_SEED])
+def test_a_walk_asks_for_every_retry_left_only_after_a_round_that_resolved_nothing(seed):
+    # ln(u1 + 0.5) and sqrt(u2 + 0.5) leave their domains at about 44% of draws
+    u1, u2 = variables(2)
+    s = HydroSystem(2, ((parse_expr("sqrt(u2 + 0.5)", 2), u1), (u2, parse_expr("-u1", 2))))
+    c = ConservedCurrent(parse_expr("ln(u1 + 0.5) + u2", 2), u1 * u2)
+    plan = counting(SamplePlan(2, HOSTILE_BOX, count=60, seed=seed))
+    check_conserved_current(s, c, plan)
+    reference = counting(plan)
+    _current_reference(s, c, reference)
+    assert sorted(plan.drawn) == resolve_requests(reference.drawn, plan.count)
+    rounds = [{i for i, q in plan.drawn if q == r} for r in range(RESAMPLE_BUDGET + 1)]
+    last = next((r for r in range(1, RESAMPLE_BUDGET + 1) if rounds[r] and rounds[r] == rounds[r - 1]),
+                None)
+    assert (last is None) == (seed == EVERY_ROUND_RESOLVES_SEED)
+    assert (sorted(plan.drawn) == sorted(reference.drawn)) == (last is None)
+    if last is not None:  # the last round asks for its points at every retry left
+        assert all(rounds[q] == rounds[last] for q in range(last, RESAMPLE_BUDGET + 1))
+        assert all(rounds[r] > rounds[r + 1] for r in range(last - 1))
 
 
 def test_reports_are_the_same_for_every_block_size(monkeypatch):
@@ -373,9 +578,11 @@ def test_nonlocal_check_redraws_where_a_tail_leaves_its_domain():
 OVERFLOW_BOX = ((0.1, 1.0),)
 
 
-def _order_0_overflows(e, plan):
-    """How many of the plan's first draws overflow e's order-0 tape, a power
-    its order-1 jets do not flag: those draws are kept, not redrawn."""
+def _order_0_overflows(text: str, plan) -> int:
+    """How many of the plan's first draws overflow the order-0 tape of the
+    expression ``text`` in u1, a power its order-1 jets do not flag: those
+    draws are kept, not redrawn."""
+    e = parse_expr(text, 1)
     values = eval_tape(compile_tape((e,), 1, 0), plan.points(np.arange(plan.count)))
     assert {values.error(lane).reason for lane in np.flatnonzero(values.failed)} == {
         "overflow in power"}
@@ -384,17 +591,21 @@ def _order_0_overflows(e, plan):
 
 def test_a_tail_power_that_overflows_fails_as_non_finite():
     # the tail conditions read the tails' values from their order-1 jets, so
-    # the draws past u1 = 0.887, where exp(400*u1)^2 overflows, are not redrawn
+    # the draws past u1 = 0.887, where w = exp(400*u1)^2 overflows, are not
+    # redrawn; the Codazzi residual, d_1 w = 800 exp(400*u1)^2, overflows from
+    # u1 = 0.879 and the Gauss one, w^2, from u1 = 0.444
     one, zero, w = (parse_expr(text, 1) for text in ("1", "0", "exp(400*u1)^2"))
     local = LocalOperator(1, MetricField(1, ((one,),)), ConnectionField(1, (((zero,),),)))
     plan = counting(SamplePlan(1, OVERFLOW_BOX, seed=1))
     rep = check_ferapontov(NonlocalOperator(local, (AffinorField(1, 1, ((w,),)),)), plan)
-    assert _order_0_overflows(w, plan) == 9
     assert all(r == 0 for _, r in plan.drawn)
     notes = {c.cid: c.note for c in rep.conditions if not c.passed}
-    assert notes == {"t1_pairing_symmetric": "non-finite value at 9 of 100 points",
-                     "t2_codazzi": "non-finite value at 9 of 100 points",
-                     "t3_gauss": "non-finite value at 59 of 100 points"}
+    overflows = {"t1_pairing_symmetric": "exp(400*u1)^2",
+                 "t2_codazzi": "(sqrt(800)*exp(400*u1))^2",
+                 "t3_gauss": "exp(400*u1)^4"}
+    assert notes == {cid: f"non-finite value at {_order_0_overflows(text, plan)} of 100 points"
+                     for cid, text in overflows.items()}
+    assert 0 < _order_0_overflows("exp(400*u1)^2", plan) < 100
 
 
 # -- conserved currents, conjugacy and the reciprocal transform ------------------------------
@@ -482,7 +693,8 @@ def test_conjugacy_redraws_like_the_per_point_loop(floor):
         return np.max(np.abs(lhs - rhs)), max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
 
     want = worst(redraw_loop(reference, evaluate))
-    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn), sorted(reference.drawn))
+    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn),
+                          resolve_requests(reference.drawn, plan.count))
     assert any(r > 0 for _, r in plan.drawn)  # ln(rho1 + rho2) leaves its domain
     assert bool(singular) == (floor == 0.3)
     assert rep.notes == (["singular Jacobian encountered; point redrawn"] if singular else [])
@@ -490,15 +702,17 @@ def test_conjugacy_redraws_like_the_per_point_loop(floor):
 
 def test_a_map_power_that_overflows_fails_as_non_finite():
     # the check maps points through the map's order-1 jets, so the draws
-    # where exp(400*u1)^2 overflows are not redrawn
+    # where m = exp(400*u1)^2 overflows are not redrawn; the conjugacy
+    # residual's v_new(m) J = m * 800 exp(400*u1)^2 overflows from u1 = 0.439
     (u1,) = variables(1)
     s, m = HydroSystem(1, ((u1,),)), PointChangeMap((parse_expr("exp(400*u1)^2", 1),))
     plan = counting(SamplePlan(1, OVERFLOW_BOX, seed=1))
     rep = check_change_of_variables(s, s, m, plan)
-    assert _order_0_overflows(m.forward[0], plan) == 9
+    assert 0 < _order_0_overflows("exp(400*u1)^2", plan) < 100
     assert all(r == 0 for _, r in plan.drawn)
     assert not rep.passed
-    assert rep.conditions[0].note == "non-finite value at 59 of 100 points"
+    overflows = _order_0_overflows("(800^(1/4)*exp(400*u1))^4", plan)
+    assert rep.conditions[0].note == f"non-finite value at {overflows} of 100 points"
 
 
 def _denominator_reference(s, c1, plan):
@@ -548,7 +762,7 @@ def test_denominator_scan_redraws_like_the_per_point_loop():
     build_reciprocal_system(s, c1, c2, plan)
     reference = counting(plan)
     _denominator_reference(s, c1, reference)
-    assert sorted(plan.drawn) == sorted(reference.drawn)
+    assert sorted(plan.drawn) == resolve_requests(reference.drawn, plan.count)
     assert any(r > 0 for _, r in plan.drawn)  # ln(u1) leaves its domain where u1 <= 0
 
 
@@ -642,7 +856,8 @@ def test_constraint_residuals_redraw_like_the_per_point_loop():
         return total - eval_scalar(omega, p) + float(np.exp(p[0] - p[1])), scale
 
     want = worst(redraw_loop(reference, evaluate))
-    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn), sorted(reference.drawn))
+    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn),
+                          resolve_requests(reference.drawn, plan.count))
     assert any(r > 0 for _, r in plan.drawn)
 
 
@@ -688,7 +903,8 @@ def test_field_comparison_redraws_like_resolve_point():
         return abs(v1 - v2), max(abs(v1), abs(v2))
 
     want = worst(redraw_loop(reference, evaluate))
-    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn), sorted(reference.drawn))
+    assert_same_condition(rep.conditions[0], want, sorted(plan.drawn),
+                          resolve_requests(reference.drawn, plan.count))
 
 
 def test_field_comparison_hostile_message():

@@ -78,20 +78,6 @@ def lockstep(tables, calls: list):
     return evaluate
 
 
-@pytest.fixture
-def prefetches(monkeypatch):
-    """Every fill of the draw memo, as (plan indices, retry)."""
-    fills = []
-    original = SamplePlan._prefetch
-
-    def spy(self, indices, retry):
-        fills.append((tuple(int(i) for i in indices), retry))
-        return original(self, indices, retry)
-
-    monkeypatch.setattr(SamplePlan, "_prefetch", spy)
-    return fills
-
-
 def assert_same_resolved(got, want):
     for name in ("points", "draws", "status", "unresolved"):
         a, b = getattr(got, name), getattr(want, name)
@@ -102,11 +88,11 @@ def assert_same_resolved(got, want):
 
 @pytest.mark.parametrize("block", [1, 7, 256])
 @pytest.mark.parametrize("table", sorted(TABLES))
-def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, prefetches, table, block):
+def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, table, block):
     monkeypatch.setattr(sampling, "BLOCK", block)
     tables = TABLES[table]
     hostile = table == "a hostile point"
-    singles, single_fills, drawn = [], [], []
+    singles, drawn = [], []
     for w, causes in enumerate(tables):
         plan = counting(BASE)
         if hostile:
@@ -115,7 +101,6 @@ def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, prefetches, table, 
         else:
             singles.append(resolve(plan, one_walk(causes, w)))
         drawn += plan.drawn
-    single_fills, prefetches[:] = prefetches[:], []
 
     plan, calls = counting(BASE), []
     if hostile:
@@ -127,11 +112,8 @@ def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, prefetches, table, 
     assert len(got) == len(singles)
     for g, want in zip(got, singles):
         assert_same_resolved(g, want)
-    # the same draws asked for, and the memo filled for the same walks, rounds and points
+    # the same draws asked for
     assert sorted(plan.drawn) == sorted(drawn)
-    assert sorted(prefetches) == sorted(single_fills)
-    if table == "one walk identically degenerate":
-        assert (tuple(range(min(block, 60))), 1) in prefetches
     # the pairs asked for are those of the walk rule; each walk's last round
     # is one evaluate call, and every other call holds at most BLOCK lanes, a
     # round making as few calls as that allows
