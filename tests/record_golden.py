@@ -8,9 +8,10 @@
     PYTHONPATH=src python tests/record_golden.py [reports|cli]
 
 With no argument both files are written.  The files were first recorded
-from the per-point evaluator and last re-recorded from the batched one,
-with no verdict change; rerun this only on purpose, when a change is meant
-to alter reports, and list every entry and field it changes.
+from the per-point evaluator, re-recorded from the batched one, and last
+re-recorded on the SplitMix64 plan points, each time with no verdict
+change; rerun this only on purpose, when a change is meant to alter
+reports, and list every entry and field it changes.
 """
 
 from __future__ import annotations

@@ -601,9 +601,9 @@ def test_kg_family_control_holds_wherever_the_variant_fails(capsys):
 
 @pytest.mark.parametrize("seed", [8128] + list(range(1, 31)))
 def test_kg_family_at_k_2000_fails_only_where_its_values_overflow(capsys, seed):
-    # for r1 near 0.35, e^{2000 r1 + ...} is finite but its jet coefficients and
-    # the products (1-2k) J[u_k] and (1-2k)^2 r1 u_k overflow: those rows fail
-    # with no residual, at some seeds only; the control and the v_k rows hold
+    # for r1 just below 0.355, where e^{2000 r1 - 2000/3999 r2} overflows, it is
+    # finite but its jet coefficients and (1-2k) J[u_k] overflow: those rows
+    # fail with no residual, at some seeds only; the control and v_k rows hold
     code = main(["preset", "kg-family", "--k=2000", "--seed", str(seed), "--json"])
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     rows = {c["id"]: c for c in check["conditions"]}
