@@ -170,11 +170,9 @@ def _seed_key(seed: int) -> np.ndarray:
     seed's 64-bit words w, low word first, so seeds of any size are keys, and
     seeds below 2**64 distinct ones."""
     key = np.zeros(1, dtype=np.uint64)
-    while True:
-        key = _mix(key + (_G + (seed & _M64) & _M64))
-        seed >>= 64
-        if not seed:
-            return key
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _mix(key + (_G + (seed >> shift & _M64) & _M64))
+    return key
 
 
 class Resolved(NamedTuple):
