@@ -583,10 +583,7 @@ def main(argv=None) -> int:
     command = {"check": cmd_check, "preset": cmd_preset, "reciprocal": cmd_reciprocal}
     try:
         return command[args.command](args)
-    except WorkbenchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as err:
+    except (WorkbenchError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

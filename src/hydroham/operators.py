@@ -26,9 +26,11 @@ The local check is the nonlocal one without tails, its flatness the Gauss
 equation against an empty tail sum.  A pencil is one local check walked for
 every lambda in lockstep (:func:`~hydroham.sampling.resolve_walks`) on a
 pair compiled once per pair of operator objects, each lane's member formed
-from the pair's tape coefficients; one round kernel serves both.  The
-checks compute per-point (raw, scale) pairs, with numpy's warnings off in
-the walk, and :mod:`~hydroham.reports` makes the conditions of them.
+from the pair's tape coefficients, a round's lanes of every lambda going to
+the evaluator in calls of at most ``RESAMPLE_BUDGET`` x ``BLOCK`` lanes; one
+round kernel serves both.  The checks compute per-point (raw, scale) pairs,
+with numpy's warnings off in the walk, and :mod:`~hydroham.reports` makes
+the conditions of them.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ from .geometry import (
     pencil_values,
 )
 from .reports import CheckReport, ConditionResult, table_conditions, walk_report
-from .sampling import REDRAW_DOMAIN, Resolved, SamplePlan, resolve, resolve_walks
+from .sampling import (REDRAW_DOMAIN, Resolved, SamplePlan, check_dimension, resolve,
+                       resolve_walks)
 
 DEGENERATE_FRACTION_LIMIT = 0.2
 
@@ -126,12 +129,6 @@ def _pencil_grids(a: LocalOperator, b: LocalOperator) -> tuple[Tape, Tape]:
     return entry
 
 
-def _check_dimension(op, plan: SamplePlan):
-    if plan.dim != op.dim:
-        raise ValueError(f"sample plan of dimension {plan.dim} for an operator of "
-                         f"dimension {op.dim}")
-
-
 # -- sampling of metric frames -------------------------------------------------
 
 REDRAW_DEGENERATE = 2  # evaluator status: the metric is degenerate there
@@ -143,7 +140,7 @@ def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> Ch
     fields evaluated) followed by the conditions of ``table``, as
     :func:`_frame_round` computes them each round and :func:`_frame_report`
     assembles them."""
-    _check_dimension(a, plan)
+    check_dimension(plan, "an operator", a.dim)
     grids = [_grid(a.local, "g", 2), _grid(a.local, "b", 0)]
     if a.tails:
         grids.append(_grid(a, "tails", 1))
@@ -343,7 +340,7 @@ _TAIL_CONDITIONS = _LOCAL_CONDITIONS + tuple((cid, desc, short, cid) for cid, de
 
 def check_skew_adjoint(a: LocalOperator, plan: SamplePlan) -> CheckReport:
     """Formal skew-adjointness: g symmetric and b^{ij}_k + b^{ji}_k = d_k g^{ij}."""
-    _check_dimension(a, plan)
+    check_dimension(plan, "an operator", a.dim)
     g_grid, b_grid = _grid(a, "g", 1), _grid(a, "b", 0)
     table = (_SYMMETRIC, ("skew_pairing", "b^{ij}_k + b^{ji}_k = d_k g^{ij}"))
 
@@ -424,10 +421,11 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     The pair is compiled once per pair of operator objects, g_a and g_b into
     one order-2 grid and b_a and b_b into one of values, and every lam walks
     the plan in lockstep (:func:`~hydroham.sampling.resolve_walks`): each
-    evaluator call, of up to :data:`~hydroham.sampling.BLOCK` lanes of any
-    lams or of one lam's last round, runs the two pair grids on at most
-    BLOCK lanes at a time and forms each lane's member from their
-    coefficients (:func:`~hydroham.geometry.pencil_values`), so the lams of
+    evaluator call, of up to ``RESAMPLE_BUDGET`` x
+    :data:`~hydroham.sampling.BLOCK` lanes of a round's lams in walk order,
+    runs the two pair grids on at most BLOCK lanes at a time and forms each
+    lane's member from their coefficients
+    (:func:`~hydroham.geometry.pencil_values`), so the lams of
     a round share its tape runs, status passes and frame builds.  Each lam's
     report is the one :func:`check_local_hamiltonian` gives on
     :func:`pencil_operator`; a draw is redrawn where g_a, g_b, b_a or b_b
@@ -438,7 +436,7 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
         raise ValueError("a pencil check needs at least one lambda")
     if a.dim != b.dim:
         raise ValueError("pencil requires operators of equal dimension")
-    _check_dimension(a, plan)
+    check_dimension(plan, "an operator", a.dim)
     g_pair, b_pair = _pencil_grids(a, b)
     lam_of_walk = np.array([_constant(lam) for lam in lambdas])
 

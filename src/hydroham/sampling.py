@@ -22,17 +22,16 @@ point's draws up to its first that resolves, so a block that cannot resolve
 costs two evaluator calls, not seventeen rounds.  That speculative work is at
 most ``RESAMPLE_BUDGET - r`` lanes per unresolved point of a last round at
 retry r, and lanes are independent, so results do not change.  Several walks
-of one plan (a pencil's lambdas) go in lockstep: the one-retry rounds of a
-round of them in as few evaluator calls of at most :data:`BLOCK` lanes as
-their lanes need, then one call per walk whose last round it is;
-:func:`resolve` is the walk of one.  The walk calls every evaluator with
-numpy's warnings off, so a NaN or infinity a check computes is no warning
-but a failed condition (:mod:`~hydroham.reports`).
+of one plan (a pencil's lambdas) go in lockstep under one call rule: a
+round's lanes, walk after walk and retry after retry, go to the evaluator in
+consecutive calls of at most ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes, so
+one walk's round is one call; :func:`resolve` is the walk of one.  The walk
+calls every evaluator with numpy's warnings off, so a NaN or infinity a
+check computes is no warning but a failed condition (:mod:`~hydroham.reports`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,10 +43,10 @@ from .errors import HostileDomainError
 RESAMPLE_BUDGET = 16
 REDRAW_DOMAIN = 1  # evaluator status: a field left its domain at the drawn point
 # Plan points evaluated as one batch: a default plan is one block.  An
-# evaluator call holds at most BLOCK lanes, or one walk's last round (at most
-# RESAMPLE_BUDGET x BLOCK lanes), whatever the point count or the number of
-# walks in lockstep; an evaluator bounds its own arrays past BLOCK lanes (the
-# pencil's pair tapes and the frame builds run BLOCK lanes at a time).
+# evaluator call holds at most RESAMPLE_BUDGET x BLOCK lanes, one walk's whole
+# round, whatever the point count or the number of walks in lockstep; an
+# evaluator bounds its own arrays past BLOCK lanes (the pencil's pair tapes
+# and the frame builds run BLOCK lanes at a time).
 BLOCK = 256
 
 DEFAULT_COUNT = 100
@@ -125,6 +124,13 @@ class SamplePlan:
         }
 
 
+def check_dimension(plan: SamplePlan, noun: str, dim: int) -> None:
+    """ValueError unless ``plan`` samples ``dim`` variables, those of the
+    ``noun`` ("an operator", "a system") to check on it."""
+    if plan.dim != dim:
+        raise ValueError(f"sample plan of dimension {plan.dim} for {noun} of dimension {dim}")
+
+
 def _natural(name: str, value, least: int = 0) -> int:
     """``value`` as an int; ValueError unless it is an integer >= ``least`` (0
     unless given)."""
@@ -200,11 +206,12 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
     to redraw, :data:`REDRAW_DOMAIN` when a field left its domain there) and
     a tuple of arrays with one row per lane.  A round after one that
     resolved nothing is the block's last: it asks for every retry left of
-    its points, r to RESAMPLE_BUDGET, one ``plan.points`` call per retry,
-    and evaluates them in one call.  Each point keeps its draws up to its
-    first that resolves, so the result records exactly the draws of a
-    per-point redraw loop, bit for bit, since lanes are independent; a block
-    stops when every point is resolved or has spent the resample budget.
+    its points, r to RESAMPLE_BUDGET, one ``plan.points`` call per retry.
+    Every round is one evaluator call, of at most ``RESAMPLE_BUDGET`` x
+    :data:`BLOCK` lanes.  Each point keeps its draws up to its first that
+    resolves, so the result records exactly the draws of a per-point redraw
+    loop, bit for bit, since lanes are independent; a block stops when every
+    point is resolved or has spent the resample budget.
 
     A point whose every draw was a domain violation raises
     HostileDomainError ("domain too hostile at sample point i") for the
@@ -226,50 +233,37 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
     per-point redraw loop, and after a round in which it resolved nothing,
     its next round, its last of the block, evaluates every retry left at
     once.  Round r of a block makes one ``plan.points`` call per walk and
-    retry it draws, for that walk's unresolved points: first the walks whose
-    round has one retry, walk after walk, then the walks whose last round it
-    is, walk after walk and retry after retry within a walk.  Walks that
-    draw the same (i, retry) compute the same row.  It hands those lanes
-    to ``evaluate(points, walk)`` in that order, with numpy's warnings off:
-    the one-retry lanes in as few calls as :data:`BLOCK` lanes per call
-    allow, then each walk's last round in one call, of at most
-    ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes; ``walk`` is the walk number of
-    each lane.  A last round evaluates at most ``RESAMPLE_BUDGET - r`` lanes
-    more than the loop would per point.  At the end of the first block in which
-    some walk has a point whose every draw was a domain violation,
-    HostileDomainError names the first such point of the first such walk;
-    when every walk has the same domain flags, that is the point
-    :func:`resolve` names.
+    retry it draws, for that walk's unresolved points, walk after walk and
+    retry after retry within a walk.  Walks that draw the same (i, retry)
+    compute the same row.  It hands those lanes to ``evaluate(points,
+    walk)`` in that order, with numpy's warnings off, in consecutive calls
+    of ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes (read when the walk runs),
+    the round's last call holding the rest; ``walk`` is the walk number of
+    each lane.  One walk's round fits one call.  A last round evaluates at
+    most ``RESAMPLE_BUDGET - r`` lanes more than the loop would per point.
+    At the end of the first block in which some walk has a point whose every
+    draw was a domain violation, HostileDomainError names the first such
+    point of the first such walk; when every walk has the same domain flags,
+    that is the point :func:`resolve` names.
     """
     # per walk: plan indices, draws, status and rows per round, and
     # unresolved indices per block
     logs = [([], [], [], [], []) for _ in range(walks)]
-    lane_walk = _lane_walks(walks, BLOCK)
     for start in range(0, plan.count, BLOCK):
         block = np.arange(start, min(start + BLOCK, plan.count))
         todo = [block] * walks
         span = [1] * walks  # the retries of the walk's next round; 0 after its last
         first = [len(log[0]) for log in logs]  # the block's first round in each log
         for r in range(RESAMPLE_BUDGET + 1):
-            # the walks of one-retry rounds first, then each walk's last round
-            live = sorted(((w, span[w]) for w in range(walks) if span[w] and len(todo[w])),
-                          key=lambda wk: wk[1] > 1)
+            live = [(w, span[w]) for w in range(walks) if span[w] and len(todo[w])]
             if not live:
                 break
-            # where each evaluator call starts: BLOCK lanes of one-retry
-            # rounds at a time, then one call per last round
-            at = sum(len(todo[w]) for w, k in live if k == 1)
-            cuts = list(range(0, at, BLOCK))
-            for w, k in live:
-                if k > 1:  # a last round: every retry left, in one evaluator call
-                    cuts.append(at)
-                    at += k * len(todo[w])
             points = _join([plan.points(todo[w], r + q) for w, k in live for q in range(k)])
-            walk = _join([lane_walk[w, :len(todo[w])] for w, k in live for _ in range(k)])
-            st, payload = [], []
+            walk = _join([np.full(k * len(todo[w]), w) for w, k in live])
+            step, st, payload = RESAMPLE_BUDGET * BLOCK, [], []
             with np.errstate(all="ignore"):  # non-finite values fail in the verdict instead
-                for lo, hi in zip(cuts, cuts[1:] + [len(points)]):
-                    s, p = evaluate(points[lo:hi], walk[lo:hi])
+                for lo in range(0, len(points), step):
+                    s, p = evaluate(points[lo:lo + step], walk[lo:lo + step])
                     st.append(np.asarray(s, dtype=int))
                     payload.append(p)
             st, payload = _join(st), tuple(map(_join, zip(*payload)))
@@ -315,14 +309,6 @@ def _check_hostile(unresolved: np.ndarray, index: list, status: list) -> None:
     hostile = np.isin(unresolved, tame, invert=True)
     if hostile.any():
         raise HostileDomainError(int(unresolved[np.argmax(hostile)]))
-
-
-@functools.lru_cache(maxsize=None)
-def _lane_walks(walks: int, block: int) -> np.ndarray:
-    """(walks, block): row w holds walk number w, to slice each walk's lanes from."""
-    out = np.repeat(np.arange(walks), block).reshape(walks, block)
-    out.setflags(write=False)  # shared by every caller of the cache
-    return out
 
 
 def _join(parts: list) -> np.ndarray:

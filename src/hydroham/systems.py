@@ -49,7 +49,7 @@ from .exprs import Const, Expr, TapeValues, compile_tape, const, eval_tape
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import lane_einsum, lane_max, scaled_abs_dets
 from .reports import CheckReport, walk_report
-from .sampling import REDRAW_DOMAIN, SamplePlan, resolve
+from .sampling import REDRAW_DOMAIN, SamplePlan, check_dimension, resolve
 
 SIGN_BRIDGE_NOTE = (
     "sign bridge: currents stored with D_t rho + D_x sigma = 0; "
@@ -164,6 +164,7 @@ def current_residuals(grad_rho: np.ndarray, grad_sigma: np.ndarray, v: np.ndarra
 def check_conserved_current(s: HydroSystem, c: ConservedCurrent,
                             plan: SamplePlan) -> CheckReport:
     """On-shell divergence: d_k rho v^k_l + d_l sigma = 0 for every l."""
+    check_dimension(plan, "a system", s.dim)
     currents = compile_tape((c.rho, c.sigma), plan.dim, 1)
 
     def evaluate(points):
@@ -189,6 +190,7 @@ def check_change_of_variables(s_old: HydroSystem, s_new: HydroSystem,
     """Conjugacy of speed matrices: J(u) v_old(u) = v_new(m(u)) J(u)."""
     if not (s_old.dim == s_new.dim == m.dim):
         raise ValueError("systems and map disagree on dimension")
+    check_dimension(plan, "a system", s_old.dim)
 
     def evaluate(points):
         jets, jac = map_jacobians(m, points)
@@ -247,6 +249,7 @@ def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,
     the result are expressions in the entries of ``s`` and the currents: the
     inverse is written out as adj(D) / det D, D = sigma_1 I - rho_1 v.
     """
+    check_dimension(plan, "a system", s.dim)
     n = s.dim
     currents = compile_tape((c1.sigma, c1.rho), plan.dim, 0)
 

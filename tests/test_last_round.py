@@ -1,10 +1,10 @@
 """The walk rule of ``sampling.resolve_walks`` as a property: on random status
 tables over (i, retry), for one to four walks in lockstep, every walk's
 ``Resolved`` is the per-point redraw loop's, byte for byte, and the walks ask
-``SamplePlan.points`` for exactly the lanes they evaluate, each walk's last
-round in one call and the other rounds in calls of at most ``BLOCK`` lanes; a
-round draws several retries only after a round of the walk that resolved
-nothing."""
+``SamplePlan.points`` for exactly the lanes they evaluate, each round's in the
+order drawn, walk after walk, in calls of ``RESAMPLE_BUDGET`` x ``BLOCK``
+lanes, the round's last call holding the rest; a round draws several retries
+only after a round of the walk that resolved nothing."""
 
 from __future__ import annotations
 
@@ -110,10 +110,11 @@ def test_resolve_walks_is_the_per_point_loop(example):
     count, block, tables = example
     want = per_point_loop(tables, count, block)
     plan = counting(SamplePlan(1, BASE.box, count=count, seed=BASE.seed))
-    calls, evaluated = [], []
+    calls, evaluated, drawn_before = [], [], []
     walks = lockstep([causes(table) for table in tables], calls)
 
     def evaluate(points, walk):
+        drawn_before.append(len(plan.drawn))
         evaluated.extend((int(w), *PAIR_OF[float(p[0])]) for w, p in zip(walk, points))
         return walks(points, walk)
 
@@ -126,14 +127,17 @@ def test_resolve_walks_is_the_per_point_loop(example):
         else:
             got = resolve_walks(plan, evaluate, len(tables))
     assert max(calls) <= RESAMPLE_BUDGET * block
-    at = 0
-    for n in calls:  # a call of more than BLOCK lanes is one walk's last round
-        lanes, at = evaluated[at:at + n], at + n
-        if n > block:
-            retries = {q for _, _, q in lanes}
-            assert len({w for w, _, _ in lanes}) == 1 and len(retries) > 1
-            assert max(retries) == RESAMPLE_BUDGET
-            assert len({i for _, i, _ in lanes}) * len(retries) == n
+    # a round is the calls made after the same draws: its lanes are those
+    # draws, in the order drawn, walk after walk, in calls of
+    # RESAMPLE_BUDGET x BLOCK lanes, the round's last call holding the rest
+    step, at = RESAMPLE_BUDGET * block, 0
+    for mark in sorted(set(drawn_before)):
+        sizes = [n for m, n in zip(drawn_before, calls) if m == mark]
+        lanes, at = evaluated[at:at + sum(sizes)], at + sum(sizes)
+        assert sizes == [min(step, len(lanes) - k) for k in range(0, len(lanes), step)]
+        drawn = plan.drawn[mark - len(lanes):mark]
+        walks_in_order = [w for w, _, _ in lanes] == sorted(w for w, _, _ in lanes)
+        assert walks_in_order and [(i, q) for _, i, q in lanes] == drawn
     assert Counter((i, q) for _, i, q in evaluated) == Counter(plan.drawn)
     for w, table in enumerate(tables):
         lanes = [(i, q) for v, i, q in evaluated if v == w]
@@ -142,6 +146,6 @@ def test_resolve_walks_is_the_per_point_loop(example):
         return
     for g, f in zip(got, want, strict=True):
         assert_same_resolved(g, f)
-    # the lanes and calls of every round are the walk rule's: one call per
-    # walk's last round, the other rounds' lanes in calls of at most BLOCK
+    # the lanes and calls of every round are the walk rule's: every round's
+    # lanes in calls of RESAMPLE_BUDGET x BLOCK lanes, the last holding the rest
     assert calls == round_calls(want, block, count)

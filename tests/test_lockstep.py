@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import tracemalloc
 from collections import Counter
 
@@ -114,9 +113,9 @@ def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, table, block):
         assert_same_resolved(g, want)
     # the same draws asked for
     assert sorted(plan.drawn) == sorted(drawn)
-    # the pairs asked for are those of the walk rule; each walk's last round
-    # is one evaluate call, and every other call holds at most BLOCK lanes, a
-    # round making as few calls as that allows
+    # the pairs asked for are those of the walk rule; each round's lanes go in
+    # calls of RESAMPLE_BUDGET x BLOCK lanes, the round's last call holding
+    # the rest
     asked = [resolve_requests([PAIR_OF[float(p[0])] for p in r.draws], BASE.count) for r in got]
     assert sorted(plan.drawn) == sorted(sum(asked, []))
     assert max(calls) <= RESAMPLE_BUDGET * block
@@ -127,22 +126,17 @@ def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, table, block):
 def round_calls(found, block: int, count: int = BASE.count) -> list:
     """The lanes of each evaluate call of the walks of ``found`` in lockstep on
     a plan of ``count`` points, in call order, by the walk rule
-    (``walk_rounds``): per block and round, the one-retry rounds of every walk
-    in calls of ``block`` lanes, then one call per walk whose last round it
-    is, in walk order."""
-    ordinary, last = Counter(), {}
+    (``walk_rounds``): per block and round, the lanes of every walk's round
+    in calls of RESAMPLE_BUDGET x ``block`` lanes, the last holding the
+    rest."""
+    lanes = Counter()
     for r in found:
         counts = Counter(PAIR_OF[float(p[0])][0] for p in r.draws)
         for start, retries, points in walk_rounds(counts, count, block):
-            if len(retries) > 1:
-                last.setdefault((start, retries[0]), []).append(len(retries) * len(points))
-            else:
-                ordinary[start, retries[0]] += len(points)
-    calls = []
-    for key in sorted(ordinary.keys() | last.keys()):
-        calls += [min(block, ordinary[key] - at) for at in range(0, ordinary[key], block)]
-        calls += last.get(key, [])
-    return calls
+            lanes[start, retries[0]] += len(retries) * len(points)
+    step = RESAMPLE_BUDGET * block
+    return [min(step, lanes[key] - at) for key in sorted(lanes)
+            for at in range(0, lanes[key], step)]
 
 
 # -- the pencil check --------------------------------------------------------------------
@@ -278,7 +272,7 @@ def test_a_partner_leaves_no_pencil_grid_behind():
 
 
 @pytest.mark.parametrize("block", [64, 256])
-def test_a_pencil_compiles_two_grids_and_evaluates_at_most_block_lanes(
+def test_a_pencil_compiles_two_grids_and_evaluates_a_round_in_calls_of_16_blocks(
         monkeypatch, pencil_spy, block):
     monkeypatch.setattr(sampling, "BLOCK", block)
     grids, calls = pencil_spy
@@ -287,17 +281,16 @@ def test_a_pencil_compiles_two_grids_and_evaluates_at_most_block_lanes(
     assert rep.passed
     assert [(g.shape, g.order) for g in grids] == [((2, 2, 2), 2), ((2, 2, 2, 2), 0)]
     assert max(calls) <= RESAMPLE_BUDGET * block
-    # round 0 of a block of s points asks for 5 s lanes, in calls of at most
-    # BLOCK lanes, and resolves no point of lambda = -1 and 1; round 1, the
-    # last of both, asks for their retries 1 to 16 at once: one call of 16 s
-    # lanes per lambda
+    # round 0 of a block of s points asks for 5 s lanes and resolves no point
+    # of lambda = -1 and 1; round 1, the last of both, asks for their retries
+    # 1 to 16 at once, 32 s lanes; each round goes in calls of 16 x BLOCK
+    # lanes, the last holding the rest
     sizes = [min(block, 100 - start) for start in range(0, 100, block)]
-    assert len(calls) == sum(math.ceil(5 * s / block) + 2 for s in sizes)
     assert sum(calls) == sum(5 * s + RESAMPLE_BUDGET * 2 * s for s in sizes)
-    want = []
+    step, want = RESAMPLE_BUDGET * block, []
     for s in sizes:
-        want += [min(block, 5 * s - at) for at in range(0, 5 * s, block)]
-        want += [RESAMPLE_BUDGET * s] * 2
+        for lanes in (5 * s, RESAMPLE_BUDGET * 2 * s):
+            want += [min(step, lanes - at) for at in range(0, lanes, step)]
     assert calls == want
 
 
@@ -371,3 +364,24 @@ def test_pair_tapes_and_frames_get_at_most_block_lanes(monkeypatch, lanes_spy, c
         # none is that long
         assert any(n > block for n, _ in rounds) == (block == 4)
         assert any(built > block for _, built in rounds) == (block == 4)
+
+
+def test_a_round_of_many_lambdas_is_cut_into_calls_of_16_blocks(
+        monkeypatch, pencil_spy, lanes_spy):
+    # 20 lambdas on one block of 64 points: round 0's 1,280 lanes go in calls
+    # of 1,024 and 256, and round 1 holds the last rounds of lambda = -1 and
+    # 1, identically degenerate, 1,024 lanes each; the pair tapes run, and
+    # frames are built, on at most 64 lanes at a time
+    monkeypatch.setattr(sampling, "BLOCK", 64)
+    _, calls = pencil_spy
+    pairs, frames, _ = lanes_spy
+    a, b = df.build_nutku(1), df.build_nutku(2)
+    lambdas, plan = [k / 4 - 2.5 for k in range(20)], df.plane_plan(count=64, seed=1)
+    got = check_pencil_compatibility(a, b, lambdas, plan).to_dict()
+    assert calls[:2] == [1024, 256]
+    assert max(calls) == RESAMPLE_BUDGET * 64 and sum(calls[2:]) >= 2 * RESAMPLE_BUDGET * 64
+    assert frames and max(frames) <= 64
+    assert max(pairs) == 64
+    assert got == per_lambda_pencil(a, b, lambdas, plan).to_dict()
+    assert {"lambda=-1.0:degenerate", "lambda=1.0:degenerate"} <= {
+        c["id"] for c in got["conditions"]}

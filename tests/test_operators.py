@@ -115,6 +115,36 @@ def test_empty_tails_reduce_to_local_check():
     assert t3.passed
 
 
+def _constant_curvature(n: int, signs) -> NonlocalOperator:
+    # g = delta - u u^T, b^{ij}_k = -delta^i_k u^j: a metric of constant
+    # curvature, whose Gauss equation the tail w = Id with eps = +1 balances
+    u, eye = variables(n), [[const(int(i == j)) for j in range(n)] for i in range(n)]
+    g = MetricField(n, [[eye[i][j] - u[i] * u[j] for j in range(n)] for i in range(n)])
+    b = ConnectionField(n, [[[-u[j] if i == k else const(0) for k in range(n)] for j in range(n)]
+                            for i in range(n)])
+    return NonlocalOperator(LocalOperator(n, g, b), [AffinorField(n, s, eye) for s in signs])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_constant_curvature_passes_past_three_components(monkeypatch, n):
+    # a non-diagonal metric with n > 3, whose nondegeneracy is read from
+    # np.linalg.det; with the tail's sign flipped, or with no tail, only the
+    # Gauss equation fails, at a residual of order 1
+    dets = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: dets.append(m.shape) or det(m))
+    h = 0.9 / np.sqrt(n)
+    plan = default_plan(n, [(-h, h)] * n, count=100, seed=1)
+    rep = check_ferapontov(_constant_curvature(n, [1]), plan)
+    assert rep.passed, [c.cid for c in rep.conditions if not c.passed]
+    assert max(c.residual for c in rep.conditions) < 1e-14
+    assert dets and all(shape[-2:] == (n, n) for shape in dets)
+    for signs in ([-1], []):
+        rep = check_ferapontov(_constant_curvature(n, signs), plan)
+        failed = [c for c in rep.conditions if not c.passed]
+        assert [c.cid for c in failed] == ["t3_gauss"] and failed[0].residual > 0.5
+
+
 def test_zeroed_constants_fail_gauss():
     _, _, op = next(m for m in df.mutation_catalog() if m[0].startswith("h2-hat b3"))
     rep = check_ferapontov(op, PLAN3)

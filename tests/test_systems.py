@@ -6,7 +6,7 @@ from hydroham import driftflux as df
 from hydroham.errors import NonConservedCurrentError, VanishingDenominatorError
 from hydroham.exprs import const, eval_scalar, exp, variables
 from hydroham.parsing import parse_expr
-from hydroham.sampling import SamplePlan
+from hydroham.sampling import SamplePlan, default_plan
 from hydroham.systems import (
     ConservedCurrent,
     HydroSystem,
@@ -43,6 +43,25 @@ def test_non_current_fails_with_predicted_residual():
     w = cond.witness
     raw = abs(-(w[0] + w[1] + 1.0))
     assert cond.residual == pytest.approx(raw / max(1.0, raw), rel=1e-12)
+
+
+SYSTEM_CHECKS = {
+    "current": lambda s, plan: check_conserved_current(s, df.remark_currents()[1], plan),
+    "change": lambda s, plan: check_change_of_variables(
+        s, s, PointChangeMap(forward=tuple(variables(3))), plan),
+    "reciprocal": lambda s, plan: build_reciprocal_system(s, *df.remark_currents(), plan),
+    "checked reciprocal": lambda s, plan: reciprocal_transform_system(
+        s, *df.remark_currents(), plan),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("check", sorted(SYSTEM_CHECKS))
+def test_a_plan_of_another_dimension_is_rejected(check, dim):
+    # rejected before any tape runs, with the operator checks' message
+    with pytest.raises(ValueError,
+                       match=f"^sample plan of dimension {dim} for a system of dimension 3$"):
+        SYSTEM_CHECKS[check](df.build_system_S(), default_plan(dim))
 
 
 # -- changes of variables ----------------------------------------------------------
