@@ -16,10 +16,11 @@ resolve costs a determinant and no derivative or contraction.  The
 determinant is that of the matrix with each row scaled by its largest entry,
 written out up to 3 x 3 and from np.linalg.det beyond; a vanishing row makes
 it 0 and a non-finite entry NaN.
+The batched frames and kernels hold and take :class:`Patterned` arrays.
 The single-point functions (:func:`metric_frame`, :func:`eval_matrix`,
 :func:`covariant_derivative_values`) are one-lane views of the batched ones:
-they return the same arrays with the lane axis dropped (a frame is the
-:class:`MetricFrames` of one lane) and raise where those flag a lane.
+they return plain arrays, the values with the lane axis dropped (a frame is
+the :class:`MetricFrames` of one lane), and raise where those flag a lane.
 
 Structural zeros.  Every array a check contracts carries a pattern
 (:class:`Patterned`): False where the entry is ±0.0 at every lane by
@@ -77,12 +78,15 @@ DEGENERACY_FLOOR = 1e-8
 
 
 def _as_entry_grid(entries, shape, what: str):
-    """Validate a nested sequence of Expr against a shape; return nested tuples."""
+    """Validate a nested sequence of Expr against a shape and its variables
+    against the dimension ``shape[0]``; return nested tuples."""
 
     def rec(node, dims):
         if not dims:
             if not isinstance(node, Expr):
                 raise TypeError(f"{what} entries must be expressions, got {type(node)}")
+            if max_var_index(node) >= shape[0]:
+                raise ValueError(f"{what} entry uses a variable beyond the dimension")
             return node
         seq = tuple(node)
         if len(seq) != dims[0]:
@@ -103,10 +107,6 @@ class MetricField:
         object.__setattr__(
             self, "entries", _as_entry_grid(self.entries, (self.dim, self.dim), "metric")
         )
-        for row in self.entries:
-            for e in row:
-                if max_var_index(e) >= self.dim:
-                    raise ValueError("metric entry uses a variable beyond the dimension")
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,7 @@ class Patterned:
 
     @classmethod
     def dense(cls, values) -> Patterned:
-        """Values with no known zero: a Patterned is itself."""
-        if isinstance(values, cls):
-            return values
+        """Values with no known zero."""
         values = np.asarray(values, dtype=float)
         return cls(values, np.ones(values.shape[:-1], dtype=bool))
 
@@ -427,35 +425,30 @@ def invert_metric(g: MetricField, point) -> np.ndarray:
 
 
 class MetricFrames(NamedTuple):
-    """Everything the checks need about a metric, at N points: each array
-    has a trailing lane axis (point is (dim, N)), the curvature arrays are
-    None without curvature, and ``patterns`` maps the name of each other
-    array to its structural pattern.  :func:`metric_frames` builds them only
-    at lanes where :attr:`MetricStatus.usable` holds, so every lane carries
-    a frame; :func:`metric_frame` returns the arrays of one lane, without
-    the lane axis."""
+    """Everything the checks need about a metric, at N points: point is
+    (dim, N), every other field is a :class:`Patterned` with a trailing lane
+    axis, and the curvature fields are None without curvature.
+    :func:`metric_frames` builds them only at lanes where
+    :attr:`MetricStatus.usable` holds, so every lane carries a frame;
+    :func:`metric_frame` returns the plain arrays of one lane, without the
+    lane axis."""
 
     point: np.ndarray
-    g_up: np.ndarray
-    g_lo: np.ndarray
-    dg_up: np.ndarray
-    dg_lo: np.ndarray
-    gamma: np.ndarray  # Levi-Civita, gamma[j, s, k]
-    d2g_up: Optional[np.ndarray] = None
-    dgamma: Optional[np.ndarray] = None  # dgamma[l, j, s, k]
-    riemann: Optional[np.ndarray] = None
-    riemann_up: Optional[np.ndarray] = None
+    g_up: Patterned
+    g_lo: Patterned
+    dg_up: Patterned
+    dg_lo: Patterned
+    gamma: Patterned  # Levi-Civita, gamma[j, s, k]
+    d2g_up: Optional[Patterned] = None
+    dgamma: Optional[Patterned] = None  # dgamma[l, j, s, k]
+    riemann: Optional[Patterned] = None
+    riemann_up: Optional[Patterned] = None
     # Gamma^j_{mk} Gamma^m_{sl} at [j, s, k, l], a term of riemann
-    gamma_gamma: Optional[np.ndarray] = None
-    patterns: Optional[dict] = None  # field name -> structural pattern of its array
+    gamma_gamma: Optional[Patterned] = None
 
     @property
     def lanes(self) -> int:
         return self.point.shape[-1]
-
-    def patterned(self, name: str) -> Patterned:
-        """The array of a field with its structural pattern."""
-        return Patterned(getattr(self, name), self.patterns[name])
 
 
 class MetricStatus(NamedTuple):
@@ -502,10 +495,9 @@ def metric_frames(jets: TapeValues, lanes) -> MetricFrames:
     """Frames at the given lanes of a metric grid's jets (a boolean mask or
     indices), in that order, lane axis last; with curvature when the grid
     was compiled at order 2.  Every given lane must be
-    :attr:`MetricStatus.usable`; nothing here checks it.  Each array comes
-    with its structural pattern (:attr:`MetricFrames.patterns`), carried
-    from the jets' by the rules of :class:`Patterned`, with g_lo block
-    diagonal over the connected components of g's pattern.
+    :attr:`MetricStatus.usable`; nothing here checks it.  Each field is a
+    :class:`Patterned` whose pattern is carried from the jets' by its rules,
+    with g_lo block diagonal over the connected components of g's pattern.
     """
     lanes = np.asarray(lanes)
     if lanes.dtype == bool:
@@ -520,7 +512,7 @@ def metric_frames(jets: TapeValues, lanes) -> MetricFrames:
     dg_lo = -lane_einsum("kib,bj->kij", lo_dg, g_lo)
     gamma, t = _levi_civita_from_parts(g_up, dg_lo)
     if d2g_up is None:
-        return _frames(point, g_up=g_up, g_lo=g_lo, dg_up=dg_up, dg_lo=dg_lo, gamma=gamma)
+        return MetricFrames(point, g_up, g_lo, dg_up, dg_lo, gamma)
     # d_l d_k g_lo = -(d_l g_lo d_k g_up g_lo + g_lo d_l d_k g_up g_lo
     #                  + g_lo d_k g_up d_l g_lo), one contraction at a time;
     # sums accumulate in place to keep few (n, n, n, n, N) arrays alive
@@ -540,19 +532,14 @@ def metric_frames(jets: TapeValues, lanes) -> MetricFrames:
     riemann += gamma_gamma
     riemann -= gamma_gamma.swapaxes(2, 3)  # Gamma^j_{ml} Gamma^m_{sk}
     riemann_up = lane_einsum("is,jskl->ijkl", g_up, riemann)
-    return _frames(point, g_up=g_up, g_lo=g_lo, dg_up=dg_up, dg_lo=dg_lo, gamma=gamma,
-                   d2g_up=d2g_up, dgamma=dgamma, riemann=riemann, riemann_up=riemann_up,
-                   gamma_gamma=gamma_gamma)
-
-
-def _frames(point, **fields: Patterned) -> MetricFrames:
-    return MetricFrames(point, **{name: x.values for name, x in fields.items()},
-                        patterns={name: x.pattern for name, x in fields.items()})
+    return MetricFrames(point, g_up, g_lo, dg_up, dg_lo, gamma, d2g_up, dgamma, riemann,
+                        riemann_up, gamma_gamma)
 
 
 def metric_frame(g: MetricField, point, curvature: bool = False) -> MetricFrames:
-    """The frame at one point, as :class:`MetricFrames` arrays without the
-    lane axis; order-2 jets are used only when curvature is requested.
+    """The frame at one point, as :class:`MetricFrames` of plain arrays, the
+    values without the lane axis; order-2 jets are used only when curvature
+    is requested.
     Raises, before building, where g leaves its domain, and
     DegenerateMetricError where it is degenerate or not finite."""
     order = 2 if curvature else 1
@@ -560,18 +547,15 @@ def metric_frame(g: MetricField, point, curvature: bool = False) -> MetricFrames
     status = metric_status(jets)
     if not status.usable[0]:
         raise DegenerateMetricError(status.det[0], point)
-    frames = metric_frames(jets, [0])
-    return frames._replace(**{name: a[..., 0] for name, a in frames._asdict().items()
-                              if isinstance(a, np.ndarray)})
+    point, *fields = metric_frames(jets, [0])
+    return MetricFrames(point[..., 0], *(None if a is None else a.values[..., 0] for a in fields))
 
 
-def covariant_derivatives(vals, d1, gamma) -> Patterned:
+def covariant_derivatives(vals: Patterned, d1: Patterned, gamma: Patterned) -> Patterned:
     """nabla[a, k, i, j] = nabla_k w^i_j of each affinor a of a stack, at
     every lane, from a grid of affinors' values vals[a, i, j] and
     derivatives d1[k, a, i, j] and the Levi-Civita symbols gamma[j, s, k],
-    each with a trailing lane axis: arrays, whose patterns are all-true, or
-    :class:`Patterned`."""
-    vals, d1, gamma = (Patterned.dense(x) for x in (vals, d1, gamma))
+    each a :class:`Patterned` with a trailing lane axis."""
     return (
         d1.swapaxes(0, 1)
         + lane_einsum("isk,asj->akij", gamma, vals)
@@ -597,4 +581,5 @@ def levi_civita(g: MetricField, point) -> np.ndarray:
 def covariant_derivative_values(w: AffinorField, frame: MetricFrames) -> np.ndarray:
     """nabla_k w^i_j at the point of a one-point frame (:func:`metric_frame`)."""
     vals, d1, _ = eval_tape(compile_tape((w.entries,), w.dim, 1), [frame.point]).checked().at()
-    return covariant_derivatives(vals, d1, frame.gamma[..., None]).values[0, ..., 0]
+    arrays = map(Patterned.dense, (vals, d1, frame.gamma[..., None]))
+    return covariant_derivatives(*arrays).values[0, ..., 0]

@@ -253,19 +253,19 @@ def skew_residuals(g_vals: np.ndarray, dg: np.ndarray, b_vals: np.ndarray) -> di
     }
 
 
-def connection_residuals(frames: MetricFrames, b_vals) -> dict:
+def connection_residuals(frames: MetricFrames, b_vals: Patterned) -> dict:
     """Symmetry of Gamma^j_{sk} = -g_{is} b^{ij}_k, and metric compatibility
     nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ik} g_{sj} - Gamma^s_{jk} g_{is},
-    from the values of b (an array or a :class:`~hydroham.geometry.Patterned`)."""
-    g_lo = frames.patterned("g_lo")
-    gamma = -lane_einsum("is,ijk->jsk", g_lo, b_vals)
-    t1 = lane_einsum("sik,sj->kij", gamma, g_lo).values
-    t2 = lane_einsum("sjk,is->kij", gamma, g_lo).values
-    scale = np.maximum(np.maximum(lane_max(frames.dg_lo), lane_max(t1)), lane_max(t2))
+    from the frames and the values of b, a :class:`~hydroham.geometry.Patterned`."""
+    gamma = -lane_einsum("is,ijk->jsk", frames.g_lo, b_vals)
+    t1 = lane_einsum("sik,sj->kij", gamma, frames.g_lo).values
+    t2 = lane_einsum("sjk,is->kij", gamma, frames.g_lo).values
+    dg_lo = frames.dg_lo.values
+    scale = np.maximum(np.maximum(lane_max(dg_lo), lane_max(t1)), lane_max(t2))
     return {
         "connection_symmetric": (lane_max(gamma.values - gamma.transpose("jsk->jks").values),
                                  lane_max(gamma.values)),
-        "metric_compatible": (lane_max(frames.dg_lo - t1 - t2), scale),
+        "metric_compatible": (lane_max(dg_lo - t1 - t2), scale),
     }
 
 
@@ -281,26 +281,25 @@ def _worst(raw, scale):
     return np.take_along_axis(raw, at, 0)[0], np.take_along_axis(scale, at, 0)[0]
 
 
-def tail_residuals(frames: MetricFrames, tails, w_vals, w_d1) -> dict:
-    """The tail conditions t1-t4, from the values (tails, n, n, lanes) and
-    first derivatives (n, tails, n, n, lanes) of the affinors' order-1 jets,
-    each an array or a :class:`~hydroham.geometry.Patterned`: t1, t3 and t4
-    read the values, and t2 (Codazzi) both.  t1, t2 and t4 run as one
+def tail_residuals(frames: MetricFrames, tails, w_vals: Patterned, w_d1: Patterned) -> dict:
+    """The tail conditions t1-t4, from the frames and the values (tails, n,
+    n, lanes) and first derivatives (n, tails, n, n, lanes) of the affinors'
+    order-1 jets, each a :class:`~hydroham.geometry.Patterned`: t1, t3 and
+    t4 read the values, and t2 (Codazzi) both.  t1, t2 and t4 run as one
     contraction each over an axis of tails (or of pairs of tails), and keep
     the worst tail (or pair) per lane, the last one on ties."""
     none = np.empty((0, frames.lanes))
     t1 = t2 = t4 = (none, none)  # (raw, scale), one row per tail or pair
-    gauss = frames.riemann_up  # minus the tail sum, which is zero without tails
-    scales = [lane_max(frames.riemann_up), lane_max(frames.dgamma), lane_max(frames.gamma_gamma)]
+    gauss = frames.riemann_up.values  # minus the tail sum, which is zero without tails
+    scales = [lane_max(gauss), lane_max(frames.dgamma.values), lane_max(frames.gamma_gamma.values)]
     if tails:
-        w_vals = Patterned.dense(w_vals)
-        gw = lane_einsum("ik,akj->aij", frames.patterned("g_lo"), w_vals).values
+        gw = lane_einsum("ik,akj->aij", frames.g_lo, w_vals).values
         t1 = lane_max(gw - np.swapaxes(gw, 1, 2), 1), lane_max(gw, 1)
-        nabla = covariant_derivatives(w_vals, w_d1, frames.patterned("gamma"))
+        nabla = covariant_derivatives(w_vals, w_d1, frames.gamma)
         t2 = (lane_max(nabla.values - nabla.transpose("akij->ajik").values, 1),
               lane_max(nabla.values, 1))
         tail_sum = gauss_tail_sum(tails, w_vals)
-        gauss = frames.riemann_up - tail_sum
+        gauss = gauss - tail_sum
         scales.append(lane_max(tail_sum))
         x, y = np.triu_indices(len(tails), 1)  # the pairs x < y, in lexicographic order
         xy = lane_einsum("pik,pkj->pij", w_vals[x], w_vals[y]).values
@@ -360,24 +359,16 @@ def check_local_hamiltonian(a: LocalOperator, plan: SamplePlan) -> CheckReport:
     return _frame_check("local Hamiltonian", NonlocalOperator(a, ()), plan, _FLAT_CONDITIONS)
 
 
-def gauss_tail_sum(tails, w_values) -> np.ndarray:
+def gauss_tail_sum(tails, w_values: Patterned) -> np.ndarray:
     """sum_a eps_a (w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}), shaped
-    (n, n, n, n, ...), from the values w_values[a, i, j, ...] of one or more
-    tails (or a sequence of per-tail arrays) with any trailing lane axes, or
-    a :class:`~hydroham.geometry.Patterned` of them with one lane axis.  The
+    (n, n, n, n, lanes), from the values w_values[a, i, j, lanes] of the
+    tails, a :class:`~hydroham.geometry.Patterned` with one lane axis.  The
     products of each tail are formed with a tail axis, then summed over it
     in tail order."""
-    if isinstance(w_values, Patterned):
-        w, lanes = w_values, w_values.values.shape[3:]
-    else:
-        values = np.asarray(w_values, dtype=float)
-        lanes = values.shape[3:]
-        # one lane axis, of one lane at a single point
-        w = Patterned.dense(values.reshape(values.shape[:3] + (-1,)))
-    outer = lane_einsum("ail,ajk->aijkl", w, w)
+    outer = lane_einsum("ail,ajk->aijkl", w_values, w_values)
     terms = outer - outer.swapaxes(3, 4)  # w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}
     terms *= np.array([t.sign for t in tails], dtype=float).reshape(-1, 1, 1, 1, 1, 1)
-    return lane_einsum("aijkl->ijkl", terms).values.reshape(terms.values.shape[1:5] + lanes)
+    return lane_einsum("aijkl->ijkl", terms).values
 
 
 def check_ferapontov(a: NonlocalOperator, plan: SamplePlan) -> CheckReport:

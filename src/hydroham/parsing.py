@@ -221,9 +221,11 @@ def _fold_rational(e: Expr, pos: int) -> Fraction:
         if right == 0:
             raise ParseError("division by zero in exponent", pos)
         return left / right
-    if isinstance(e, Power) and e.exponent.denominator == 1 and e.exponent >= 0:
+    if isinstance(e, Power) and e.exponent.denominator == 1:
         base = _fold_rational(e.base, pos)
-        if e.exponent * max(base.numerator.bit_length(), base.denominator.bit_length()) > 1 << 16:
+        if base == 0 and e.exponent < 0:
+            raise ParseError("division by zero in exponent", pos)
+        if abs(e.exponent) * max(abs(base.numerator), base.denominator).bit_length() > 1 << 16:
             raise ParseError("exponent too large to fold", pos)  # far past any double
         return base ** int(e.exponent)
     raise ParseError("exponent must be a constant rational", pos)

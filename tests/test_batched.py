@@ -260,7 +260,7 @@ def _batch_arrays(g, b, tails, points):
     arrays = {"usable": status.usable, "det": status.det}
     for name in ("g_up", "g_lo", "dg_up", "dg_lo", "gamma", "d2g_up", "dgamma", "riemann",
                  "riemann_up"):
-        built = np.moveaxis(getattr(frames, name), -1, 0)
+        built = np.moveaxis(getattr(frames, name).values, -1, 0)
         arrays[name] = np.full((len(points),) + built.shape[1:], np.nan)
         arrays[name][status.usable] = built
     for label, entries, order in [("b", b.entries, 0)] + [

@@ -741,7 +741,8 @@ def _denominator_reference(s, c1, plan):
 DENOMINATOR_BOX = ((-0.7, 0.7), (-0.7, 0.7), (0.1, 1.0))
 
 
-@pytest.mark.parametrize("rho,sigma", [("1", "0"), ("0", "u1"), ("ln(u1)", "1"), ("1", "u3 - 0.55")])
+@pytest.mark.parametrize("rho,sigma", [("0", "0"), ("1", "0"), ("0", "u1"), ("ln(u1)", "1"),
+                                       ("1", "u3 - 0.55")])
 def test_denominator_scan_raises_at_the_first_bad_point(rho, sigma):
     s = df.build_system_S()
     c1 = ConservedCurrent(parse_expr(rho, 3), parse_expr(sigma, 3))

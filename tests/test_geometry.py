@@ -15,6 +15,7 @@ from hydroham.geometry import (
     ConnectionField,
     MetricField,
     MetricStatus,
+    Patterned,
     christoffel_from_b,
     covariant_derivative_values,
     eval_matrix,
@@ -94,6 +95,22 @@ def test_scaled_det_is_scale_invariant():
     m = np.diag([1e-9, 1e9])
     assert scaled_abs_det(m) == pytest.approx(1.0)
     assert scaled_abs_det(np.array([[0.0, 0.0], [1.0, 2.0]])) == 0.0
+
+
+FIELDS_WITH_ENTRY = {  # field kind -> the 2-D field of that kind with one given entry
+    "metric": lambda e: MetricField(2, ((e, const(0)), (const(0), const(1)))),
+    "connection": lambda e: ConnectionField(2, (((const(0), e), (const(0),) * 2),
+                                                ((const(0),) * 2,) * 2)),
+    "affinor": lambda e: AffinorField(2, 1, ((const(1), const(0)), (const(0), e))),
+}
+
+
+@pytest.mark.parametrize("what", FIELDS_WITH_ENTRY)
+def test_a_field_rejects_a_variable_beyond_its_dimension_when_built(what):
+    build = FIELDS_WITH_ENTRY[what]
+    build(parse_expr("1 + u2", 2))
+    with pytest.raises(ValueError, match=f"^{what} entry uses a variable beyond the dimension$"):
+        build(parse_expr("1 + u3", 3))
 
 
 # -- Christoffel symbols --------------------------------------------------------
@@ -254,8 +271,8 @@ def test_gauss_calibration_on_nonlocal_preset(rng):
     for _ in range(50):
         p = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7), rng.uniform(0.1, 1.0)])
         frame = metric_frame(op.local.g, p, curvature=True)
-        w_vals = [eval_matrix(w.entries, p) for w in op.tails]
-        rhs = gauss_tail_sum(op.tails, w_vals)
+        w_vals = Patterned.dense(np.stack([eval_matrix(w.entries, p) for w in op.tails])[..., None])
+        rhs = gauss_tail_sum(op.tails, w_vals)[..., 0]
         scale = max(1.0, np.max(np.abs(frame.riemann_up)), np.max(np.abs(rhs)))
         worst = max(worst, np.max(np.abs(frame.riemann_up - rhs)) / scale)
     assert worst <= 1e-10
@@ -275,8 +292,8 @@ def test_gauss_negative_control_perturbed_affinor(rng):
     for _ in range(30):
         p = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7), rng.uniform(0.1, 1.0)])
         frame = metric_frame(op.local.g, p, curvature=True)
-        w_vals = [eval_matrix(w.entries, p) for w in tails]
-        rhs = gauss_tail_sum(tails, w_vals)
+        w_vals = Patterned.dense(np.stack([eval_matrix(w.entries, p) for w in tails])[..., None])
+        rhs = gauss_tail_sum(tails, w_vals)[..., 0]
         scale = max(1.0, np.max(np.abs(frame.riemann_up)), np.max(np.abs(rhs)))
         worst = max(worst, np.max(np.abs(frame.riemann_up - rhs)) / scale)
     assert worst >= 1e-3

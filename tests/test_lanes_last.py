@@ -212,9 +212,9 @@ def test_fused_tail_kernels_are_the_loop_over_tails_bit_for_bit(build):
     usable = np.flatnonzero(metric_status(g).usable)
     frames = metric_frames(g, usable)
     tails = eval_tape(compile_tape(tuple(w.entries for w in op.tails), op.dim, 1), points)
-    lanes_last = tails.at(usable)[:2]
+    lanes_last = [geometry.Patterned.dense(x) for x in tails.at(usable)[:2]]
     got = tail_residuals(frames, op.tails, *lanes_last)
-    first = [np.moveaxis(x, -1, 0) for x in
+    first = [np.moveaxis(x.values, -1, 0) for x in
              (frames.g_lo, frames.gamma, frames.riemann_up, frames.dgamma, *lanes_last)]
     want = oracle.tail_residuals_by_tail(*first[:4], op.tails, *first[4:])
     assert sorted(got) == sorted(want)
@@ -227,11 +227,13 @@ def test_gauss_tail_sum_at_a_point_is_one_lane_of_the_batch():
     op = df.build_H2_hat()
     plan = plan_for(op.dim, 2)
     points = plan.points(np.arange(5))
-    vals = eval_tape(compile_tape(tuple(w.entries for w in op.tails), op.dim, 0), points).vals
-    batch = operators.gauss_tail_sum(op.tails, vals)
+    tails = eval_tape(compile_tape(tuple(w.entries for w in op.tails), op.dim, 0), points)
+    pattern = tails.patterns[0]
+    batch = operators.gauss_tail_sum(op.tails, geometry.Patterned(tails.vals, pattern))
     for lane in range(5):
-        alone = operators.gauss_tail_sum(op.tails, [v[..., lane] for v in vals])
-        assert alone.tobytes() == np.ascontiguousarray(batch[..., lane]).tobytes()
+        one = geometry.Patterned(tails.vals[..., lane:lane + 1], pattern)
+        alone = operators.gauss_tail_sum(op.tails, one)
+        assert alone[..., 0].tobytes() == np.ascontiguousarray(batch[..., lane]).tobytes()
 
 
 # -- grids compiled once per operator --------------------------------------------------------

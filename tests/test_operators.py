@@ -90,6 +90,25 @@ def test_degenerate_family_member_fails_condition_two():
     assert cond["metric_flat"].residual is None  # not evaluated
 
 
+@pytest.mark.parametrize("power,seed,note", [
+    (16, 0, "degenerate at 32% of attempted points"),
+    (16, 1, "degenerate at 29% of attempted points"),
+    (16, 2, "degenerate at 32% of attempted points"),
+    (8, 1, None),
+])
+def test_a_metric_degenerate_at_many_draws_fails_by_their_fraction(power, seed, note):
+    # det g = u1^power is below the floor at |u1| < 1e-8^(1/power): 0.32 at
+    # power 16, about 30% of the box's draws; 0.1 at power 8, about 10%
+    g = MetricField(2, ((const(1), const(1)), (const(1), parse_expr(f"1 + u1^{power}", 2))))
+    b = ConnectionField(2, ((((const(0),) * 2,) * 2,) * 2))
+    rep = check_local_hamiltonian(LocalOperator(2, g, b), default_plan(2, seed=seed))
+    cond = {c.cid: c for c in rep.conditions}["metric_nondegenerate"]
+    assert cond.passed == (note is None)
+    assert cond.note == note
+    if note is not None:
+        assert abs(cond.witness[0]) < 0.32
+
+
 # -- nonlocal (Ferapontov-type) checks ------------------------------------------------
 
 
@@ -160,10 +179,10 @@ def test_gauss_tail_sum_antisymmetry(rng):
     tails = (w,) + df.build_H2_hat().tails[:2]
     for _ in range(20):
         p = rng.uniform(0.1, 0.9, size=3)
-        from hydroham.geometry import eval_matrix
+        from hydroham.geometry import Patterned, eval_matrix
 
-        vals = [eval_matrix(t.entries, p) for t in tails]
-        s = gauss_tail_sum(tails, vals)
+        vals = Patterned.dense(np.stack([eval_matrix(t.entries, p) for t in tails])[..., None])
+        s = gauss_tail_sum(tails, vals)[..., 0]
         scale = max(1.0, np.max(np.abs(s)))
         assert np.max(np.abs(s + np.einsum("ijlk->ijkl", s))) / scale <= 1e-10
         assert np.max(np.abs(s + np.einsum("jikl->ijkl", s))) / scale <= 1e-10

@@ -121,6 +121,7 @@ def test_empty_input():
     ("u1^(1e400)", "number 1e400 is not a finite double"),
     ("u1^(10^(10^10))", "exponent too large to fold"),
     ("u1^((1/2)^(10^10))", "exponent too large to fold"),
+    ("u1^(2^-(10^10))", "exponent too large to fold"),
 ])
 def test_numbers_and_exponents_past_the_doubles_are_rejected(text, message):
     # at once: the exact power of a folded exponent is bounded before it is formed
@@ -132,6 +133,23 @@ def test_exponents_within_the_doubles_still_fold():
     assert parse_expr("u1^(10^400/10^399)", 1) == Power(Var(0), Fraction(10))
     assert parse_expr("1e-400", 1) == Const(Fraction(1, 10 ** 400))
     assert parse_expr("u1^(10^7)", 1) == Power(Var(0), Fraction(10 ** 7))
+
+
+@pytest.mark.parametrize("text,exponent", [
+    ("u1^(1+1)", "2"), ("u1^(3-1)", "2"), ("u1^(2*1)", "2"),
+    ("u1^(2^-1)", "1/2"), ("u1^((1/2)^-2)", "4"),
+])
+def test_an_exponent_folds_sums_products_and_integer_powers_of_either_sign(text, exponent):
+    assert parse_expr(text, 1) == Power(Var(0), Fraction(exponent))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("u1^(0^-1)", "division by zero in exponent (at position 3)"),
+    ("u1^(2^(1/2))", "exponent must be a constant rational (at position 3)"),
+])
+def test_an_exponent_that_is_no_rational_is_rejected(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_expr(text, 1)
 
 
 @pytest.mark.parametrize("text,message", [
