@@ -233,21 +233,32 @@ def sqrt(e) -> Call:
     return Call("sqrt", as_expr(e))
 
 
-def max_var_index(e: Expr) -> int:
-    """Largest 0-based variable index in the tree, -1 for constant trees."""
-    return max(var_indices(e), default=-1)
+def max_var_index(e: Expr, memo: dict | None = None) -> int:
+    """Largest 0-based variable index in the tree, -1 for constant trees;
+    ``memo`` as for :func:`var_indices`."""
+    return max(var_indices(e, memo), default=-1)
 
 
-def var_indices(e: Expr) -> frozenset[int]:
-    if isinstance(e, Var):
-        return frozenset((e.index,))
-    if isinstance(e, BinOp):
-        return var_indices(e.left) | var_indices(e.right)
-    if isinstance(e, Power):
-        return var_indices(e.base)
-    if isinstance(e, (Neg, Call, Deriv)):
-        return var_indices(e.arg)
-    return frozenset()
+def var_indices(e: Expr, memo: dict | None = None) -> frozenset[int]:
+    """The 0-based indices of the variables the tree reads.  Each node is
+    walked once per ``memo``, a dict keyed by node id: pass one to the calls
+    on trees that share subtrees, such as the entries of a grid, and keep
+    those trees alive while it is in use."""
+    memo = {} if memo is None else memo
+    found = memo.get(id(e))
+    if found is None:
+        if isinstance(e, Var):
+            found = frozenset((e.index,))
+        elif isinstance(e, BinOp):
+            found = var_indices(e.left, memo) | var_indices(e.right, memo)
+        elif isinstance(e, Power):
+            found = var_indices(e.base, memo)
+        elif isinstance(e, (Neg, Call, Deriv)):
+            found = var_indices(e.arg, memo)
+        else:
+            found = frozenset()
+        memo[id(e)] = found
+    return found
 
 
 # -- evaluation: jet tapes ------------------------------------------------------

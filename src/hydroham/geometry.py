@@ -79,13 +79,15 @@ DEGENERACY_FLOOR = 1e-8
 
 def _as_entry_grid(entries, shape, what: str):
     """Validate a nested sequence of Expr against a shape and its variables
-    against the dimension ``shape[0]``; return nested tuples."""
+    against the dimension ``shape[0]``; return nested tuples.  A subtree
+    shared by several entries is walked once."""
+    memo: dict = {}
 
     def rec(node, dims):
         if not dims:
             if not isinstance(node, Expr):
                 raise TypeError(f"{what} entries must be expressions, got {type(node)}")
-            if max_var_index(node) >= shape[0]:
+            if max_var_index(node, memo) >= shape[0]:
                 raise ValueError(f"{what} entry uses a variable beyond the dimension")
             return node
         seq = tuple(node)

@@ -18,10 +18,12 @@ a draw at which g, b or a tail leaves its domain is redrawn, and so is one
 at which g is degenerate.  Each round evaluates the tapes of g, b and the
 tails, compiled once per operator object, at every draw, reads the status
 of each draw from their :class:`~hydroham.exprs.TapeValues`, and forms
-derivatives and builds curvature frames only at the draws that resolve, at
-most :data:`~hydroham.sampling.BLOCK` lanes at a time; a round at which none
-resolves runs no contraction, so a metric degenerate everywhere costs two
-evaluator calls per block, the second its last round in one call.
+derivatives and builds curvature frames only at the draws that resolve, in
+batches of :data:`FRAME_ENTRIES` entries of an n^4 array, so at most
+``FRAME_ENTRIES // n**4`` lanes at a time (256 at n = 3), which bounds a
+check's memory in n; a round at which none resolves runs no contraction, so
+a metric degenerate everywhere costs two evaluator calls per block, the
+second its last round in one call.
 The local check is the nonlocal one without tails, its flatness the Gauss
 equation against an empty tail sum.  A pencil is one local check walked for
 every lambda in lockstep (:func:`~hydroham.sampling.resolve_walks`) on a
@@ -41,7 +43,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import sampling
 from .exprs import (Const, Deriv, Expr, NamedConst, Tape, TapeValues, as_expr, compile_tape,
                     eval_tape)
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
@@ -132,6 +133,11 @@ def _pencil_grids(a: LocalOperator, b: LocalOperator) -> tuple[Tape, Tape]:
 # -- sampling of metric frames -------------------------------------------------
 
 REDRAW_DEGENERATE = 2  # evaluator status: the metric is degenerate there
+# Entries of an n^4 frame array per batch of a frame round: a batch holds
+# FRAME_ENTRIES // n**4 lanes (at least one), so 256 at n = 3, 1,296 at n = 2
+# and 5 at n = 8, and the frames' arrays stay near one size whatever n.
+# Larger n = 3 batches are slower, their gathers leaving the cache.
+FRAME_ENTRIES = 256 * 3**4
 
 
 def _frame_check(title: str, a: NonlocalOperator, plan: SamplePlan, table) -> CheckReport:
@@ -161,9 +167,10 @@ def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
     degenerate; a domain violation outranks degeneracy.  Frames are built
     and the connection and tail kernels run on the resolved lanes whose
     metric value is finite (elsewhere the residuals stay NaN and fail as
-    non-finite), in batches of at most :data:`~hydroham.sampling.BLOCK`
-    lanes, so a last round of many lanes builds no larger arrays.  ``table``
-    rows are (id, description, short description, kernel result).
+    non-finite), in batches of at most ``FRAME_ENTRIES // n**4`` lanes (at
+    least one), read when the round runs, so a last round of many lanes
+    builds no larger arrays, and neither does a large n.  ``table`` rows
+    are (id, description, short description, kernel result).
     """
     metric = metric_status(g)
     failed = np.logical_or.reduce([g.failed, b.failed] + [x.failed for x in w])
@@ -171,8 +178,9 @@ def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
     symmetric = lane_max(g.vals - np.swapaxes(g.vals, 0, 1)), lane_max(g.vals)
     build = np.flatnonzero((status == 0) & metric.usable)
     raw, scale = np.full((2, len(status), len(table)), np.nan)
-    for at in range(0, build.size, sampling.BLOCK):
-        lanes = build[at:at + sampling.BLOCK]
+    step = max(1, FRAME_ENTRIES // len(g.vals) ** 4)
+    for at in range(0, build.size, step):
+        lanes = build[at:at + step]
         frames = metric_frames(g, lanes)
         found = connection_residuals(frames, Patterned(np.take(b.vals, lanes, axis=-1),
                                                        b.patterns[0]))
@@ -258,10 +266,14 @@ def connection_residuals(frames: MetricFrames, b_vals: Patterned) -> dict:
     nabla_k g_{ij} = d_k g_{ij} - Gamma^s_{ik} g_{sj} - Gamma^s_{jk} g_{is},
     from the frames and the values of b, a :class:`~hydroham.geometry.Patterned`."""
     gamma = -lane_einsum("is,ijk->jsk", frames.g_lo, b_vals)
-    t1 = lane_einsum("sik,sj->kij", gamma, frames.g_lo).values
-    t2 = lane_einsum("sjk,is->kij", gamma, frames.g_lo).values
+    t1 = lane_einsum("sik,sj->kij", gamma, frames.g_lo)
+    # the term Gamma^s_{jk} g_{is} is t1 with i and j swapped, bit for bit:
+    # g_lo, (inv + inv^T)/2, is exactly symmetric in values and pattern, so
+    # each entry is the same sum of the same products; its lane_max is t1's
+    t2 = t1.transpose("kji->kij").values
+    t1 = t1.values
     dg_lo = frames.dg_lo.values
-    scale = np.maximum(np.maximum(lane_max(dg_lo), lane_max(t1)), lane_max(t2))
+    scale = np.maximum(lane_max(dg_lo), lane_max(t1))
     return {
         "connection_symmetric": (lane_max(gamma.values - gamma.transpose("jsk->jks").values),
                                  lane_max(gamma.values)),

@@ -8,7 +8,8 @@ seed's 64-bit words with the same mix.  So a point is a pure function of
 (seed, i, retry): parallel or out-of-order evaluation cannot change results,
 and a point hit by a domain violation can be redrawn reproducibly by bumping
 the retry counter.  :meth:`SamplePlan.points` computes those numbers for a
-whole round of indices in a few uint64 array operations, and keeps nothing.
+whole round of indices, at one retry or a range of them, in a few uint64
+array operations, and keeps nothing.
 
 :func:`resolve_walks` is the one plan walk and holds the one redraw rule: a
 draw at which any field of a check leaves its domain is redrawn, and so is
@@ -17,17 +18,19 @@ metric, a singular Jacobian).  It goes through a plan in blocks of
 :data:`BLOCK` points, each round one batch to evaluate of the points still
 unresolved, and records exactly the draws of a per-point redraw loop.  A
 round after one that resolved nothing is the block's last: it evaluates every
-retry left of its points at once, in one evaluator call, and keeps each
-point's draws up to its first that resolves, so a block that cannot resolve
-costs two evaluator calls, not seventeen rounds.  That speculative work is at
-most ``RESAMPLE_BUDGET - r`` lanes per unresolved point of a last round at
-retry r, and lanes are independent, so results do not change.  Several walks
-of one plan (a pencil's lambdas) go in lockstep under one call rule: a
-round's lanes, walk after walk and retry after retry, go to the evaluator in
-consecutive calls of at most ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes, so
-one walk's round is one call; :func:`resolve` is the walk of one.  The walk
-calls every evaluator with numpy's warnings off, so a NaN or infinity a
-check computes is no warning but a failed condition (:mod:`~hydroham.reports`).
+retry left of its points at once, drawn in one call and evaluated in one
+call, and keeps each point's draws up to its first that resolves, so a block
+that cannot resolve costs two draw calls and two evaluator calls, not
+seventeen rounds.  That speculative work is at most ``RESAMPLE_BUDGET - r``
+lanes per unresolved point of a last round at retry r, and lanes are
+independent, so results do not change.  Several walks of one plan (a
+pencil's lambdas) go in lockstep under one call rule: each walk draws its
+round in one call, and the round's lanes, walk after walk and retry after
+retry, go to the evaluator in consecutive calls of at most
+``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes, so one walk's round is one call;
+:func:`resolve` is the walk of one.  The walk calls every evaluator with
+numpy's warnings off, so a NaN or infinity a check computes is no warning
+but a failed condition (:mod:`~hydroham.reports`).
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ REDRAW_DOMAIN = 1  # evaluator status: a field left its domain at the drawn poin
 # Plan points evaluated as one batch: a default plan is one block.  An
 # evaluator call holds at most RESAMPLE_BUDGET x BLOCK lanes, one walk's whole
 # round, whatever the point count or the number of walks in lockstep; an
-# evaluator bounds its own arrays past BLOCK lanes (the pencil's pair tapes
-# and the frame builds run BLOCK lanes at a time).
+# evaluator bounds its own arrays past that (the pencil's pair tapes run BLOCK
+# lanes at a time, and frames are built in batches of operators.FRAME_ENTRIES
+# entries).
 BLOCK = 256
 
 DEFAULT_COUNT = 100
@@ -92,21 +96,22 @@ class SamplePlan:
         object.__setattr__(self, "_hi", np.array([b[1] for b in self.box], dtype=float))
         object.__setattr__(self, "_key", _seed_key(int(self.seed)))
 
-    def points(self, indices, retry: int = 0) -> np.ndarray:
+    def points(self, indices, retry: int | range = 0) -> np.ndarray:
         """Plan points ``indices`` at draw ``retry``, one row each, in request
         order, in a fresh array: row k is ``lo + (hi - lo) * u`` with ``u[d]``
         the top 53 bits of ``mix(mix(mix(key + indices[k]*G) + retry*G) +
-        (d+1)*G)`` over 2**53 (see the module docstring).
-        ValueError unless the indices and ``retry`` are integers >= 0 and
-        below 2**64."""
+        (d+1)*G)`` over 2**53 (see the module docstring).  A ``range`` of
+        retries gives the rows of each in turn, retry after retry, each
+        retry's in request order: the per-retry calls stacked, bit for bit,
+        with ``mix(key + i*G)`` computed once per index.
+        ValueError unless the indices and the retries are integers >= 0 and
+        below 2**64, and a range holds at least one retry."""
         idx = _plan_indices(indices)
-        retry = _natural("retry", retry)
-        if retry > _M64:
-            raise ValueError(f"retry must be an integer >= 0 and below 2**64, got {retry}")
+        steps = _retry_steps(retry)
         if idx.size and idx.min() < 0:
             raise ValueError(f"plan index must be an integer >= 0, got {int(idx.min())}")
         lanes = _mix(idx.astype(np.uint64, copy=False) * _G + self._key)
-        lanes = _mix(lanes + (retry * _G & _M64))
+        lanes = _mix(steps[:, None] + lanes).reshape(-1)
         u = _mix(lanes[:, None] + np.arange(1, self.dim + 1, dtype=np.uint64) * _G) >> 11
         return self._lo + (self._hi - self._lo) * (u * 2.0 ** -53)
 
@@ -137,6 +142,19 @@ def _natural(name: str, value, least: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _retry_steps(retry) -> np.ndarray:
+    """``retry*G`` modulo 2**64 for the retry, or for each retry of a range,
+    as a uint64 array; ValueError unless each is an integer >= 0 and below
+    2**64, or for an empty range."""
+    retries = retry if isinstance(retry, range) else (_natural("retry", retry),)
+    if not retries:
+        raise ValueError(f"a retry range must hold a retry, got {retry!r}")
+    for q in (retries[0], retries[-1]):  # a range's least and greatest, in some order
+        if not 0 <= q <= _M64:
+            raise ValueError(f"retry must be an integer >= 0 and below 2**64, got {q}")
+    return np.array([q * _G & _M64 for q in retries], dtype=np.uint64)
 
 
 def _plan_indices(indices) -> np.ndarray:
@@ -206,12 +224,13 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
     to redraw, :data:`REDRAW_DOMAIN` when a field left its domain there) and
     a tuple of arrays with one row per lane.  A round after one that
     resolved nothing is the block's last: it asks for every retry left of
-    its points, r to RESAMPLE_BUDGET, one ``plan.points`` call per retry.
-    Every round is one evaluator call, of at most ``RESAMPLE_BUDGET`` x
-    :data:`BLOCK` lanes.  Each point keeps its draws up to its first that
-    resolves, so the result records exactly the draws of a per-point redraw
-    loop, bit for bit, since lanes are independent; a block stops when every
-    point is resolved or has spent the resample budget.
+    its points, r to RESAMPLE_BUDGET, in one ``plan.points`` call, its rows
+    retry after retry.  Every round is one evaluator call, of at most
+    ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes.  Each point keeps its draws
+    up to its first that resolves, so the result records exactly the draws
+    of a per-point redraw loop, bit for bit, since lanes are independent; a
+    block stops when every point is resolved or has spent the resample
+    budget.
 
     A point whose every draw was a domain violation raises
     HostileDomainError ("domain too hostile at sample point i") for the
@@ -232,19 +251,19 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
     the same redraw and budget rules: it records exactly the draws of a
     per-point redraw loop, and after a round in which it resolved nothing,
     its next round, its last of the block, evaluates every retry left at
-    once.  Round r of a block makes one ``plan.points`` call per walk and
-    retry it draws, for that walk's unresolved points, walk after walk and
-    retry after retry within a walk.  Walks that draw the same (i, retry)
-    compute the same row.  It hands those lanes to ``evaluate(points,
-    walk)`` in that order, with numpy's warnings off, in consecutive calls
-    of ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes (read when the walk runs),
-    the round's last call holding the rest; ``walk`` is the walk number of
-    each lane.  One walk's round fits one call.  A last round evaluates at
-    most ``RESAMPLE_BUDGET - r`` lanes more than the loop would per point.
-    At the end of the first block in which some walk has a point whose every
-    draw was a domain violation, HostileDomainError names the first such
-    point of the first such walk; when every walk has the same domain flags,
-    that is the point :func:`resolve` names.
+    once.  Round r of a block makes one ``plan.points`` call per walk, walk
+    after walk, for the range of retries the walk draws at its unresolved
+    points, which gives their rows retry after retry.  Walks that draw the
+    same (i, retry) compute the same row.  It hands those lanes to
+    ``evaluate(points, walk)`` in that order, with numpy's warnings off, in
+    consecutive calls of ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes (read
+    when the walk runs), the round's last call holding the rest; ``walk`` is
+    the walk number of each lane.  One walk's round fits one call.  A last
+    round evaluates at most ``RESAMPLE_BUDGET - r`` lanes more than the loop
+    would per point.  At the end of the first block in which some walk has a
+    point whose every draw was a domain violation, HostileDomainError names
+    the first such point of the first such walk; when every walk has the
+    same domain flags, that is the point :func:`resolve` names.
     """
     # per walk: plan indices, draws, status and rows per round, and
     # unresolved indices per block
@@ -258,7 +277,7 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
             live = [(w, span[w]) for w in range(walks) if span[w] and len(todo[w])]
             if not live:
                 break
-            points = _join([plan.points(todo[w], r + q) for w, k in live for q in range(k)])
+            points = _join([plan.points(todo[w], range(r, r + k)) for w, k in live])
             walk = _join([np.full(k * len(todo[w]), w) for w, k in live])
             step, st, payload = RESAMPLE_BUDGET * BLOCK, [], []
             with np.errstate(all="ignore"):  # non-finite values fail in the verdict instead

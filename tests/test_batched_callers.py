@@ -22,7 +22,7 @@ from hydroham.errors import (
     HostileDomainError,
     VanishingDenominatorError,
 )
-from hydroham.exprs import compile_tape, eval_tape, exp, fields_equal_numeric, variables
+from hydroham.exprs import compile_tape, const, eval_tape, exp, fields_equal_numeric, variables
 from hydroham.geometry import AffinorField, ConnectionField, MetricField, metric_frame, scaled_abs_det
 from hydroham.operators import (
     LocalOperator,
@@ -49,11 +49,15 @@ RESIDUAL_REL = 1e-9
 
 
 class CountingPlan(SamplePlan):
-    """A plan that records every (i, retry) it draws, lane by lane."""
+    """A plan that records every (i, retry) it draws, row by row: for a range
+    of retries, retry after retry, each retry's indices in request order;
+    and each call, as (number of indices, retry or range of retries)."""
 
     def points(self, indices, retry=0):
         indices = [int(i) for i in indices]
-        self.__dict__.setdefault("drawn", []).extend((i, retry) for i in indices)
+        retries = retry if isinstance(retry, range) else (retry,)
+        self.__dict__.setdefault("drawn", []).extend((i, q) for q in retries for i in indices)
+        self.__dict__.setdefault("calls", []).append((len(indices), retry))
         return super().points(indices, retry)
 
 
@@ -218,6 +222,32 @@ def test_plan_points_are_a_pure_function_of_seed_index_and_retry(seed):
                 assert plan.point(DRAW_INDICES[k], retry).tobytes() == got[k].tobytes()
 
 
+RETRY_RANGES = (range(0, 1), range(0, RESAMPLE_BUDGET + 1), range(5, 17), range(16, 0, -5),
+                range(2**64 - 3, 2**64))
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_a_range_of_retries_is_the_per_retry_calls_stacked(seed):
+    # rows retry after retry, each retry's in request order, byte for byte
+    plan = SamplePlan(3, ((-0.5, 0.25), (-1.5, 2.25), (0.0, 1.0)), seed=seed)
+    indices = DRAW_INDICES[190:215] + [DRAW_INDICES[-1], 0, 0, 7]
+    for retries in RETRY_RANGES:
+        want = np.concatenate([plan.points(indices, q) for q in retries])
+        assert plan.points(indices, retries).tobytes() == want.tobytes(), retries
+        assert plan.points(np.array(indices, dtype=np.uint64), retries).tobytes() == want.tobytes()
+        assert plan.points([], retries).shape == (0, 3)
+    stacked = np.concatenate([formula(plan, indices, q) for q in RETRY_RANGES[2]])
+    assert plan.points(indices, RETRY_RANGES[2]).tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("seed", sorted({seed for seed, _, _ in KNOWN_BITS}))
+def test_a_range_of_retries_gives_the_known_answers(seed):
+    indices = sorted({i for s, i, _ in KNOWN_BITS if s == seed})
+    rows = SamplePlan(2, ((0.0, 1.0),) * 2, seed=seed).points(indices, range(0, 17, 16))
+    want = [KNOWN_BITS[seed, i, retry] for retry in (0, 16) for i in indices]
+    assert np.array_equal(rows, np.array(want) * 2.0 ** -53)
+
+
 def test_plan_points_fill_each_tenth_of_the_box_evenly():
     # 10**5 draws per coordinate: each of 10 bins within 5% of its 10**4
     plan = SamplePlan(3, ((0.0, 1.0), (-1.0, 1.0), (2.0, 7.0)), count=10**5, seed=8128)
@@ -238,6 +268,7 @@ def test_plan_points_raise_no_warning_when_warnings_are_errors():
                 plan.points([0, 2**63, 2**64 - 1], retry)
                 plan.points(np.arange(300), retry)
                 plan.point(2**64 - 1, retry)
+            plan.points([0, 2**63, 2**64 - 1], range(2**64 - RESAMPLE_BUDGET, 2**64))
 
 
 BOX = ((-0.5, 0.25), (-1.5, 2.25), (0.0, 1.0))
@@ -263,6 +294,9 @@ BAD_CALLS = {
     "bool retry": (lambda p: p.points([1], True), "retry"),
     "retry of 2**64": (lambda p: p.points([1], 2**64), "retry"),
     "negative retry of point": (lambda p: p.point(1, -1), "retry"),
+    "retry range from -1": (lambda p: p.points([1], range(-1, 3)), "retry"),
+    "falling retry range to -1": (lambda p: p.points([1], range(3, -2, -1)), "retry"),
+    "retry range to 2**64": (lambda p: p.points([1], range(2**64 - 2, 2**64 + 1)), "retry"),
     "float index": (lambda p: p.points([1.5]), "plan index"),
     "float index array": (lambda p: p.points(np.array([0.0, 1.0])), "plan index"),
     "float index of point": (lambda p: p.point(1.5), "plan index"),
@@ -282,6 +316,13 @@ def test_points_reject_an_index_or_retry_that_is_not_an_integer_at_least_zero(ca
     plan = SamplePlan(2, BOX[:2], count=10, seed=3)
     with pytest.raises(ValueError, match=f"^{what} must be an integer >= 0"):
         call(plan)
+
+
+def test_points_reject_an_empty_range_of_retries():
+    plan = SamplePlan(2, BOX[:2], count=10, seed=3)
+    for retries in (range(0), range(3, 3), range(3, 5, -1)):
+        with pytest.raises(ValueError, match="^a retry range must hold a retry"):
+            plan.points([1], retries)
 
 
 def test_an_index_below_2_to_the_64_still_draws():
@@ -398,8 +439,10 @@ MUTANTS = {name: op for name, _, op in df.mutation_catalog()}
 
 
 @pytest.mark.parametrize("count,blocks", [(100, 1), (1000, 4)])
-def test_an_identically_degenerate_block_costs_two_evaluator_calls(monkeypatch, count, blocks):
-    # round 0 resolves nothing, so round 1, the last, evaluates retries 1 to 16 in one call
+def test_an_identically_degenerate_block_costs_two_draw_and_two_evaluator_calls(
+        monkeypatch, count, blocks):
+    # round 0 resolves nothing, so round 1, the last, draws retries 1 to 16 in
+    # one call and evaluates them in one call
     calls = []
 
     def spy(plan, evaluate):
@@ -415,6 +458,8 @@ def test_an_identically_degenerate_block_costs_two_evaluator_calls(monkeypatch, 
     sizes = [min(sampling.BLOCK, count - start) for start in range(0, count, sampling.BLOCK)]
     assert len(sizes) == blocks
     assert calls == [n for size in sizes for n in (size, RESAMPLE_BUDGET * size)]
+    assert plan.calls == [(size, retries) for size in sizes
+                          for retries in (range(0, 1), range(1, RESAMPLE_BUDGET + 1))]
     assert sorted(plan.drawn) == [(i, q) for i in range(count) for q in range(RESAMPLE_BUDGET + 1)]
 
 
@@ -460,6 +505,28 @@ def test_reports_are_the_same_for_every_block_size(monkeypatch):
         monkeypatch.setattr(sampling, "BLOCK", block)
         assert runs(*fresh()) == want, block
         assert runs(*reused) == want, block
+
+
+def test_reports_are_the_same_for_every_frame_batch(monkeypatch):
+    # frames built 1 lane, 7 lanes or a whole evaluator call at a time, at
+    # n = 2, 3 and 5 and on a pencil whose lambda = -1 is degenerate everywhere
+    from test_operators import _constant_curvature
+
+    h = 0.9 / np.sqrt(5)
+    box5 = default_plan(5, [(-h, h)] * 5, count=30, seed=2)
+    plane, drift = df.plane_plan(count=30, seed=2), df.drift_plan(count=30, seed=2)
+    theta = df.build_H1_Theta(df.R3), df.build_H1_Theta(const(1))
+    runs = [(2, lambda: check_local_hamiltonian(df.build_nutku(1), plane)),
+            (3, lambda: check_ferapontov(df.build_H2_hat(), drift)),
+            (5, lambda: check_ferapontov(_constant_curvature(5, [1]), box5)),
+            (5, lambda: check_ferapontov(_constant_curvature(5, [-1]), box5)),
+            (3, lambda: check_pencil_compatibility(*theta, (-2.0, -1.0, 0.5), drift))]
+    want = [json.dumps(run().to_dict()) for _, run in runs]
+    assert '"lambda=-1.0:degenerate"' in want[-1]
+    for lanes in (1, 7, RESAMPLE_BUDGET * sampling.BLOCK):
+        for (n, run), doc in zip(runs, want):
+            monkeypatch.setattr(operators, "FRAME_ENTRIES", lanes * n**4)
+            assert json.dumps(run().to_dict()) == doc, (n, lanes)
 
 
 def test_conjugacy_raises_for_a_point_it_cannot_resolve():

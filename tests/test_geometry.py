@@ -113,6 +113,61 @@ def test_a_field_rejects_a_variable_beyond_its_dimension_when_built(what):
         build(parse_expr("1 + u3", 3))
 
 
+def _nodes(e, seen: dict) -> dict:
+    """Every node of the tree ``e`` by id, shared ones once."""
+    if id(e) not in seen:
+        seen[id(e)] = e
+        for child in (getattr(e, name, None) for name in ("left", "right", "base", "arg")):
+            if child is not None:
+                _nodes(child, seen)
+    return seen
+
+
+FIELDS_OF_ENTRIES = {  # field kind -> the 2-D field of that kind whose entry k is entries(k)
+    "metric": lambda e: MetricField(2, ((e(0), e(1)), (e(2), e(3)))),
+    "connection": lambda e: ConnectionField(2, (((e(0), e(1)), (e(2), e(3))),
+                                                ((e(4), e(5)), (e(6), e(7))))),
+    "affinor": lambda e: AffinorField(2, 1, ((e(0), e(1)), (e(2), e(3)))),
+}
+
+
+@pytest.mark.parametrize("what", FIELDS_OF_ENTRIES)
+def test_a_subtree_shared_by_every_entry_is_walked_once(monkeypatch, what):
+    # every entry holds one subtree: a chain 100 operations deep under 20
+    # doublings, 2**20 paths to u1; building the field walks each node once,
+    # and a variable beyond the dimension in the shared subtree is still
+    # reported as the entry's
+    import hydroham.exprs as exprs
+
+    walked, calls = [], []
+    var_indices = exprs.var_indices
+
+    def spy(e, memo=None):
+        calls.append(id(e))
+        if memo is None or id(e) not in memo:
+            walked.append(id(e))
+        return var_indices(e, memo)
+
+    def shared(var: str):
+        s = parse_expr(var, 3)
+        for k in range(100):
+            s = s * parse_expr("u2", 2) + const(k)
+        for _ in range(20):
+            s = s + s
+        return s
+
+    monkeypatch.setattr(exprs, "var_indices", spy)
+    tree = shared("u1")
+    field = FIELDS_OF_ENTRIES[what](lambda k: tree * const(k + 2))
+    nodes = {}
+    for entry in np.ravel(np.array(field.entries, dtype=object)):
+        _nodes(entry, nodes)
+    assert sorted(walked) == sorted(nodes) and len(calls) < 2 * len(nodes)
+    tree = shared("u3")
+    with pytest.raises(ValueError, match=f"^{what} entry uses a variable beyond the dimension$"):
+        FIELDS_OF_ENTRIES[what](lambda k: tree * const(k + 2))
+
+
 # -- Christoffel symbols --------------------------------------------------------
 
 

@@ -38,7 +38,7 @@ SPECS = (
     "lsmk->lmsk", "lkms->lmsk", "ljm,msk->ljsk", "jm,lmsk->ljsk", "kjsl->jskl", "ljsk->jskl",
     "jmk,msl->jskl", "is,jskl->ijkl",
     # connection and tail kernels, covariant derivatives, the Gauss tail sum
-    "is,ijk->jsk", "sik,sj->kij", "sjk,is->kij", "jsk->jks", "ik,akj->aij",
+    "is,ijk->jsk", "sik,sj->kij", "kji->kij", "jsk->jks", "ik,akj->aij",
     "isk,asj->akij", "sjk,ais->akij", "akij->ajik", "pik,pkj->pij",
     "ail,ajk->aijkl", "aijkl->ijkl",
     # systems
@@ -153,9 +153,9 @@ PERMUTATIONS = [spec for spec in SPECS
                 if "," not in spec and sorted(spec.split("->")[0]) == sorted(spec.split("->")[1])]
 
 
-def test_the_package_permutes_indices_eight_ways():
+def test_the_package_permutes_indices_nine_ways():
     assert PERMUTATIONS == ["smk->msk", "kms->msk", "lsmk->lmsk", "lkms->lmsk", "kjsl->jskl",
-                            "ljsk->jskl", "jsk->jks", "akij->ajik"]
+                            "ljsk->jskl", "kji->kij", "jsk->jks", "akij->ajik"]
 
 
 @pytest.mark.parametrize("lanes", [0, 1, 7, 100])

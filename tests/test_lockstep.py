@@ -277,7 +277,8 @@ def test_a_pencil_compiles_two_grids_and_evaluates_a_round_in_calls_of_16_blocks
     monkeypatch.setattr(sampling, "BLOCK", block)
     grids, calls = pencil_spy
     a, b = df.build_nutku(1), df.build_nutku(2)
-    rep = check_pencil_compatibility(a, b, cases.LAMBDAS, df.plane_plan(count=100, seed=1))
+    plan = counting(df.plane_plan(count=100, seed=1))
+    rep = check_pencil_compatibility(a, b, cases.LAMBDAS, plan)
     assert rep.passed
     assert [(g.shape, g.order) for g in grids] == [((2, 2, 2), 2), ((2, 2, 2, 2), 0)]
     assert max(calls) <= RESAMPLE_BUDGET * block
@@ -292,6 +293,10 @@ def test_a_pencil_compiles_two_grids_and_evaluates_a_round_in_calls_of_16_blocks
         for lanes in (5 * s, RESAMPLE_BUDGET * 2 * s):
             want += [min(step, lanes - at) for at in range(0, lanes, step)]
     assert calls == want
+    # each walk draws its round in one call: round 0 of all five, then the
+    # last rounds of lambda = -1 and 1
+    assert plan.calls == [(s, retries) for s in sizes for retries in
+                          [range(0, 1)] * 5 + [range(1, RESAMPLE_BUDGET + 1)] * 2]
 
 
 def test_a_pencil_of_operators_of_two_dimensions_is_rejected():
@@ -339,18 +344,22 @@ def _sqrt_theta_preset():
     return json.dumps([run["exit_code"], run["document"]])
 
 
-@pytest.mark.parametrize("case, block", [("pencil", 64), ("preset", 64), ("preset", 4)])
-def test_pair_tapes_and_frames_get_at_most_block_lanes(monkeypatch, lanes_spy, case, block):
+@pytest.mark.parametrize("case, block, batch", [("pencil", 64, 64), ("pencil", 64, 7),
+                                                 ("preset", 64, 64), ("preset", 4, 4)])
+def test_pair_tapes_get_at_most_block_lanes_and_frames_the_frame_budget(
+        monkeypatch, lanes_spy, case, block, batch):
     # a last round is one evaluator call of up to RESAMPLE_BUDGET x BLOCK
-    # lanes, but the pencil's pair tapes run, and frames are built, on at
-    # most BLOCK lanes at a time, with the reports of any other BLOCK
+    # lanes, but the pencil's pair tapes run on at most BLOCK lanes at a time,
+    # and frames are built on at most FRAME_ENTRIES // n**4 lanes at a time
+    # (both 3-D here), with the reports of any other BLOCK and frame budget
     run = {"pencil": _theta_pencil, "preset": _sqrt_theta_preset}[case]
     want = run()
     pairs, frames, rounds = lanes_spy
     del pairs[:], frames[:], rounds[:]
     monkeypatch.setattr(sampling, "BLOCK", block)
+    monkeypatch.setattr(operators, "FRAME_ENTRIES", batch * 3**4)
     assert run() == want
-    assert frames and max(frames) <= block
+    assert frames and max(frames) <= batch
     assert max(pairs, default=0) <= block
     if case == "pencil":
         # lambda = -1 is identically degenerate: each block of 64 points ends
@@ -358,21 +367,42 @@ def test_pair_tapes_and_frames_get_at_most_block_lanes(monkeypatch, lanes_spy, c
         assert '"lambda=-1.0:degenerate"' in want
         assert max(pairs) == block and len(pairs) >= 2 * len(rounds)
         assert max(n for n, _ in rounds) == RESAMPLE_BUDGET * block
+        assert max(frames) == batch
     else:
         # the last rounds resolve lanes; at BLOCK = 4 some hold more than BLOCK
-        # lanes and resolve more than BLOCK of them, built in batches; at 64
+        # lanes and resolve more than a batch of them, built in batches; at 64
         # none is that long
         assert any(n > block for n, _ in rounds) == (block == 4)
-        assert any(built > block for _, built in rounds) == (block == 4)
+        assert any(built > batch for _, built in rounds) == (block == 4)
+
+
+@pytest.mark.parametrize("pair, plan, batches", [
+    # lambda = -1 and 1 are identically degenerate: 768 of round 0's 1,280
+    # lanes resolve, built in one batch at n = 2
+    ((df.build_nutku(1), df.build_nutku(2)), df.plane_plan(count=256, seed=1), [768]),
+    # lambda = -1 is: 1,024 lanes resolve, built 256 at a time at n = 3
+    ((df.build_H1_Theta(const(1)), df.build_H1_Theta(df.R3)), df.drift_plan(count=256, seed=1),
+     [256] * 4),
+])
+def test_frame_batches_hold_the_frame_budget_in_entries(lanes_spy, pair, plan, batches):
+    # FRAME_ENTRIES // n**4 lanes a batch: 1,296 at n = 2, 256 at n = 3
+    assert operators.FRAME_ENTRIES // 2**4 == 1296 and operators.FRAME_ENTRIES // 3**4 == 256
+    _, frames, rounds = lanes_spy
+    assert check_pencil_compatibility(*pair, cases.LAMBDAS, plan).passed
+    assert rounds[0][0] == len(cases.LAMBDAS) * 256
+    assert frames[:len(batches)] == batches and rounds[0][1] == sum(batches)
 
 
 def test_a_round_of_many_lambdas_is_cut_into_calls_of_16_blocks(
         monkeypatch, pencil_spy, lanes_spy):
     # 20 lambdas on one block of 64 points: round 0's 1,280 lanes go in calls
     # of 1,024 and 256, and round 1 holds the last rounds of lambda = -1 and
-    # 1, identically degenerate, 1,024 lanes each; the pair tapes run, and
-    # frames are built, on at most 64 lanes at a time
+    # 1, identically degenerate, 1,024 lanes each; the pair tapes run on at
+    # most 64 lanes at a time, and frames, 2-D here, are built on at most
+    # FRAME_ENTRIES // 2**4 = 100 at a time: 896 lanes of the first call
+    # resolve, built in batches of 100 and a last one of 96
     monkeypatch.setattr(sampling, "BLOCK", 64)
+    monkeypatch.setattr(operators, "FRAME_ENTRIES", 100 * 2**4)
     _, calls = pencil_spy
     pairs, frames, _ = lanes_spy
     a, b = df.build_nutku(1), df.build_nutku(2)
@@ -380,7 +410,7 @@ def test_a_round_of_many_lambdas_is_cut_into_calls_of_16_blocks(
     got = check_pencil_compatibility(a, b, lambdas, plan).to_dict()
     assert calls[:2] == [1024, 256]
     assert max(calls) == RESAMPLE_BUDGET * 64 and sum(calls[2:]) >= 2 * RESAMPLE_BUDGET * 64
-    assert frames and max(frames) <= 64
+    assert frames[:9] == [100] * 8 + [96] and max(frames) == 100
     assert max(pairs) == 64
     assert got == per_lambda_pencil(a, b, lambdas, plan).to_dict()
     assert {"lambda=-1.0:degenerate", "lambda=1.0:degenerate"} <= {

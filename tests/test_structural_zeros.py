@@ -176,7 +176,48 @@ def test_an_h2_hat_frame_round_forms_a_seventh_of_the_dense_products(products):
     g, b, *w = [eval_tape(grid, points) for grid in grids]
     status, _ = operators._frame_round(operators._TAIL_CONDITIONS, op.tails, g, b, w)
     assert (status == 0).all()
-    assert products == [489, 3483]
+    assert products == [474, 3402]
+
+
+def _frame_operators():
+    """(name, LocalOperator, points) of every shipped operator, the local
+    part of every nonlocal one and of every catalog mutant, the sheared
+    Euclidean operator and constant curvature at n = 2 to 5."""
+    from test_operators import _constant_curvature
+
+    ops = cases.local_operators() + [(name, op.local) for name, op in cases.nonlocal_operators()]
+    ops += [(name, getattr(op, "local", op)) for name, _, op in df.mutation_catalog()]
+    ops.append(("euclidean sheared", euclidean_sheared()))
+    for name, op in ops:
+        yield name, op, plan_for(op.dim, 3).points(np.arange(60))
+    for n in (2, 3, 4, 5):
+        h = 0.9 / np.sqrt(n)
+        plan = default_plan(n, [(-h, h)] * n, count=60, seed=3)
+        yield f"constant curvature n={n}", _constant_curvature(n, []).local, plan.points(np.arange(60))
+
+
+def test_the_second_compatibility_term_is_the_first_transposed_bit_for_bit():
+    # Gamma^s_{jk} g_{is} is Gamma^s_{ik} g_{sj} with i and j swapped, signs
+    # of zero and pattern included, since g_lo is exactly symmetric; so
+    # metric_compatible is the two-contraction form's
+    for name, op, points in _frame_operators():
+        g = eval_tape(compile_tape(op.g.entries, op.dim, 1), points)
+        b = eval_tape(compile_tape(op.b.entries, op.dim, 0), points)
+        lanes = np.flatnonzero(geometry.metric_status(g).usable & ~b.failed)
+        frames = geometry.metric_frames(g, lanes)
+        b_vals = Patterned(b.vals[..., lanes], b.patterns[0])
+        gamma = -geometry.lane_einsum("is,ijk->jsk", frames.g_lo, b_vals)
+        t1 = geometry.lane_einsum("sik,sj->kij", gamma, frames.g_lo)
+        t2 = geometry.lane_einsum("sjk,is->kij", gamma, frames.g_lo)
+        swapped = t1.transpose("kji->kij")
+        assert swapped.values.tobytes() == np.ascontiguousarray(t2.values).tobytes(), name
+        assert np.array_equal(swapped.pattern, t2.pattern), name
+        dg_lo = frames.dg_lo.values
+        scale = np.maximum(np.maximum(geometry.lane_max(dg_lo), geometry.lane_max(t1.values)),
+                           geometry.lane_max(t2.values))
+        raw, got_scale = operators.connection_residuals(frames, b_vals)["metric_compatible"]
+        assert raw.tobytes() == geometry.lane_max(dg_lo - t1.values - t2.values).tobytes(), name
+        assert got_scale.tobytes() == scale.tobytes(), name
 
 
 # -- the same reports --------------------------------------------------------------------
