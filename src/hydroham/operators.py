@@ -27,12 +27,13 @@ second its last round in one call.
 The local check is the nonlocal one without tails, its flatness the Gauss
 equation against an empty tail sum.  A pencil is one local check walked for
 every lambda in lockstep (:func:`~hydroham.sampling.resolve_walks`) on a
-pair compiled once per pair of operator objects, each lane's member formed
-from the pair's tape coefficients, a round's lanes of every lambda going to
-the evaluator in calls of at most ``RESAMPLE_BUDGET`` x ``BLOCK`` lanes; one
-round kernel serves both.  The checks compute per-point (raw, scale) pairs,
-with numpy's warnings off in the walk, and :mod:`~hydroham.reports` makes
-the conditions of them.
+pair compiled once per pair of operator objects, a round's lanes of every
+lambda going to the evaluator in calls of at most ``RESAMPLE_BUDGET`` x
+``BLOCK`` lanes; the pair's tapes run once per distinct draw of a call, and
+each lambda's member is formed from their coefficients in that lambda's
+lanes; one round kernel serves both.  The checks compute per-point (raw,
+scale) pairs, with numpy's warnings off in the walk, and
+:mod:`~hydroham.reports` makes the conditions of them.
 """
 
 from __future__ import annotations
@@ -390,29 +391,6 @@ def check_ferapontov(a: NonlocalOperator, plan: SamplePlan) -> CheckReport:
     return _frame_check("nonlocal Hamiltonian", a, plan, _TAIL_CONDITIONS)
 
 
-def pencil_operator(a: LocalOperator, b: LocalOperator, lam: float) -> LocalOperator:
-    """The combination with metric g_a + lam g_b and connection b_a + lam b_b.
-    :func:`check_pencil_compatibility` does not build it: it forms each
-    member from one tape of the pair, with the values this operator's
-    tapes give."""
-    if a.dim != b.dim:
-        raise ValueError("pencil requires operators of equal dimension")
-    lam_e = as_expr(lam)
-    n = a.dim
-    g = tuple(
-        tuple(a.g.entries[i][j] + lam_e * b.g.entries[i][j] for j in range(n))
-        for i in range(n)
-    )
-    bb = tuple(
-        tuple(
-            tuple(a.b.entries[i][j][k] + lam_e * b.b.entries[i][j][k] for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return LocalOperator(n, MetricField(n, g), ConnectionField(n, bb))
-
-
 def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
                                plan: SamplePlan) -> CheckReport:
     """Run the local Hamiltonian check on g_a + lam g_b, b_a + lam b_b for
@@ -426,13 +404,14 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     the plan in lockstep (:func:`~hydroham.sampling.resolve_walks`): each
     evaluator call, of up to ``RESAMPLE_BUDGET`` x
     :data:`~hydroham.sampling.BLOCK` lanes of a round's lams in walk order,
-    runs the two pair grids on at most BLOCK lanes at a time and forms each
-    lane's member from their coefficients
-    (:func:`~hydroham.geometry.pencil_values`), so the lams of
-    a round share its tape runs, status passes and frame builds.  Each lam's
-    report is the one :func:`check_local_hamiltonian` gives on
-    :func:`pencil_operator`; a draw is redrawn where g_a, g_b, b_a or b_b
-    leaves its domain, whatever lam.
+    runs the two pair grids once at each distinct draw of the call, on at
+    most BLOCK draws at a time, and writes each lam's member into that
+    lam's run of lanes (:func:`~hydroham.geometry.pencil_values`), so the
+    lams of a round that draw the same points share their tape runs, and
+    every lam of it shares the status passes and frame builds.  Each lam's
+    report is the one :func:`check_local_hamiltonian` gives on the operator
+    of the trees g_a + lam g_b, b_a + lam b_b; a draw is redrawn where g_a,
+    g_b, b_a or b_b leaves its domain, whatever lam.
     """
     lambdas = list(lambdas)
     if not lambdas:
@@ -441,11 +420,11 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
         raise ValueError("pencil requires operators of equal dimension")
     check_dimension(plan, "an operator", a.dim)
     g_pair, b_pair = _pencil_grids(a, b)
-    lam_of_walk = np.array([_constant(lam) for lam in lambdas])
+    lam_of_walk = [_constant(lam) for lam in lambdas]
 
-    def evaluate(points, walk):
-        lam = lam_of_walk[walk]
-        g, bb = pencil_values(g_pair, points, lam), pencil_values(b_pair, points, lam)
+    def evaluate(points, runs):
+        members = [(lam_of_walk[w], rows) for w, rows in runs]
+        g, bb = pencil_values(g_pair, points, members), pencil_values(b_pair, points, members)
         return _frame_round(_FLAT_CONDITIONS, (), g, bb, ())
 
     conditions: list[ConditionResult] = []
@@ -473,7 +452,7 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
 
 def _constant(lam) -> float:
     """The double a tape computes with for the constant ``lam``, as it does in
-    the trees of :func:`pencil_operator`."""
+    the trees g_a + lam g_b of a pencil's member."""
     e = as_expr(lam)
     if not isinstance(e, (Const, NamedConst)):
         raise TypeError(f"a pencil parameter must be a constant, got {lam!r}")

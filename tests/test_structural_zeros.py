@@ -74,10 +74,10 @@ def _grids():
                     compile_tape(tuple(w.entries for w in tails), op.dim, order), points)
     for name, a, b in cases.pencil_pairs():
         points = plan_for(a.dim, 2).points(np.arange(60))
-        lam = np.resize(np.array(cases.LAMBDAS + (0.0,)), 60)
+        members = [(lam, slice(0, 60)) for lam in cases.LAMBDAS + (0.0,)]
         for order in (0, 2):
             yield f"{name}@{order}", geometry.pencil_values(
-                compile_tape((a.g.entries, b.g.entries), a.dim, order), points, lam)
+                compile_tape((a.g.entries, b.g.entries), a.dim, order), points, members)
 
 
 def test_every_structurally_zero_entry_of_a_grid_is_zero():
@@ -111,7 +111,8 @@ def test_a_pencil_member_has_the_union_of_its_pairs_patterns():
     zero = const(0)
     a = ((u1, zero), (zero, zero))
     b = ((u2, const(1)), (zero, zero))
-    member = geometry.pencil_values(compile_tape((a, b), 2, 1), [(0.3, 0.4)], [0.5])
+    member = geometry.pencil_values(compile_tape((a, b), 2, 1), [(0.3, 0.4)],
+                                    [(0.5, slice(0, 1))])
     vals, d1, _ = member.patterns
     assert vals.tolist() == [[True, True], [False, False]]
     assert d1.tolist() == [[[True, False], [False, False]], [[True, False], [False, False]]]
