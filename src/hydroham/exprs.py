@@ -445,8 +445,10 @@ class TapeValues(NamedTuple):
         """(vals, d1, d2) at the given lanes (indices), or at every lane for
         None, lane axis last: d1[k] = d_k and d2[l, k] = d_l d_k of the
         grid, each None past the tape's order.  Derivatives are formed from
-        the coefficients taken at those lanes, with the bits of every lane's."""
-        c = self.coeffs if lanes is None else self.coeffs.take(lanes, -1)
+        the coefficients at those lanes (:func:`take_lanes`: read in place
+        where the lanes are every lane in order, else gathered), with the
+        bits of every lane's."""
+        c = self.coeffs if lanes is None else take_lanes(self.coeffs, lanes)
         shape = self.shape + c.shape[-1:]
         vals = c[:, 0].reshape(shape)
         n, order = self.tape.n, self.tape.order
@@ -477,6 +479,17 @@ class TapeValues(NamedTuple):
         op, _, param, node, order = self.tape.code[i]
         v = float(self.failures[i][lane])
         return EvalDomainError(_domain_reason(op, param, v, order), str(node), self.points[lane])
+
+
+def take_lanes(values: np.ndarray, lanes) -> np.ndarray:
+    """``values`` at the lane indices ``lanes`` of its last axis, in that
+    order: ``values`` itself, without a copy, where they are every lane in
+    order (0, 1, ..., N - 1), else a copy gathered by ``take``."""
+    count = values.shape[-1]
+    if len(lanes) == count and (not count or lanes[0] == 0 and lanes[-1] == count - 1
+                                and bool((np.diff(lanes) == 1).all())):
+        return values
+    return values.take(lanes, -1)
 
 
 @functools.lru_cache(maxsize=None)

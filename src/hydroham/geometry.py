@@ -5,12 +5,17 @@ Everything here evaluates to numpy arrays with a trailing lane axis, one lane
 per sample point; no symbolic Christoffel symbols or curvature are ever
 formed.  Derivatives of the metric come from a jet tape of its entries,
 read as :class:`~hydroham.exprs.TapeValues`, the one value type of every
-grid; derivatives of the inverse come from d(g_lo) = -g_lo (d g_up) g_lo.
+grid.  The inverse g_lo is np.linalg.inv of g_up, symmetrized as (inv +
+inv^T) / 2, except where g's pattern makes it diagonal: there it is the
+reciprocal of each diagonal entry, the same doubles (up to the sign of a
+zero) with no LAPACK call.  Derivatives of the inverse come from
+d(g_lo) = -g_lo (d g_up) g_lo.
 Contractions go through :func:`lane_einsum`, so a lane's numbers do not
 depend on the rest of its batch.  Frames come in two steps:
 :func:`metric_status` reads from the metric's jet values which lanes failed
 or are degenerate, and :func:`metric_frames` forms the derivatives at the
-usable lanes only (:meth:`~hydroham.exprs.TapeValues.at`) and builds the
+usable lanes only (:meth:`~hydroham.exprs.TapeValues.at`; every lane of
+the jets is read in place, a part of them gathered) and builds the
 inverse, Christoffel symbols and curvature from them, so a lane that cannot
 resolve costs a determinant and no derivative or contraction.  The
 determinant is that of the matrix with each row scaled by its largest entry,
@@ -71,7 +76,8 @@ import numpy as np
 
 from . import sampling
 from .errors import DegenerateMetricError
-from .exprs import Expr, Tape, TapeValues, compile_tape, eval_tape, max_var_index
+from .exprs import (Expr, Tape, TapeValues, compile_tape, eval_tape, max_var_index,
+                    take_lanes)
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 
 DEGENERACY_FLOOR = 1e-8
@@ -475,9 +481,9 @@ class MetricStatus(NamedTuple):
 
     @property
     def usable(self) -> np.ndarray:
-        """Evaluated, nondegenerate and finite: np.linalg.inv turns
-        [[inf, 0], [0, 1]] into a finite matrix, so a non-finite metric
-        value gets no frame and its residuals stay NaN."""
+        """Evaluated, nondegenerate and finite: the inverse of [[inf, 0],
+        [0, 1]] is a finite matrix, so a non-finite metric value gets no
+        frame and its residuals stay NaN."""
         return ~self.failed & ~self.degenerate & np.isfinite(self.det)
 
 
@@ -505,24 +511,43 @@ def _inverse_pattern(pattern: bytes, n: int) -> np.ndarray:
     return reach
 
 
+def _inverse(g_up: Patterned) -> Patterned:
+    """g_lo at every lane of g_up, symmetrized as (inv + inv^T) / 2, with
+    the pattern :func:`_inverse_pattern` gives.  Where that pattern is
+    diagonal, the diagonal is (r + r) / 2 with r = 1 / g^{ii} and the rest
+    0.0, with no LAPACK call: np.linalg.inv's doubles up to the sign of a
+    zero wherever r is finite (where it overflows, inv has NaN off the
+    diagonal, which the contractions never read).  Any other pattern goes
+    through np.linalg.inv."""
+    n, lanes = len(g_up.values), g_up.values.shape[-1]
+    pattern = _inverse_pattern(g_up.pattern.tobytes(), n)
+    if np.count_nonzero(pattern) == n:
+        r = 1.0 / g_up.values.reshape(n * n, lanes)[::n + 1]
+        lo = np.zeros((n * n, lanes))
+        lo[::n + 1] = (r + r) / 2.0  # inf where r + r overflows, as in the symmetrization
+        return Patterned(lo.reshape(n, n, lanes), pattern)
+    inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.moveaxis(g_up.values, -1, 0)), 0, -1))
+    return Patterned((inv + np.swapaxes(inv, 0, 1)) / 2.0, pattern)
+
+
 @np.errstate(all="ignore")  # non-finite derivatives fail in the verdict instead
 def metric_frames(jets: TapeValues, lanes) -> MetricFrames:
     """Frames at the given lanes of a metric grid's jets (a boolean mask or
     indices), in that order, lane axis last; with curvature when the grid
     was compiled at order 2.  Every given lane must be
-    :attr:`MetricStatus.usable`; nothing here checks it.  Each field is a
-    :class:`Patterned` whose pattern is carried from the jets' by its rules,
-    with g_lo block diagonal over the connected components of g's pattern.
+    :attr:`MetricStatus.usable`; nothing here checks it.  Given every lane
+    in order, the jets are read in place (:func:`~hydroham.exprs.take_lanes`).
+    Each field is a :class:`Patterned` whose pattern is carried from the
+    jets' by its rules, with g_lo block diagonal over the connected
+    components of g's pattern (:func:`_inverse`).
     """
     lanes = np.asarray(lanes)
     if lanes.dtype == bool:
         lanes = np.flatnonzero(lanes)
-    point = jets.points[lanes].T
+    point = take_lanes(jets.points.T, lanes)
     g_up, dg_up, d2g_up = (None if v is None else Patterned(v, p)
                            for v, p in zip(jets.at(lanes), jets.patterns))
-    inv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.moveaxis(g_up.values, -1, 0)), 0, -1))
-    g_lo = Patterned((inv + np.swapaxes(inv, 0, 1)) / 2.0,
-                     _inverse_pattern(g_up.pattern.tobytes(), len(inv)))
+    g_lo = _inverse(g_up)
     lo_dg = lane_einsum("ia,kab->kib", g_lo, dg_up)  # g_lo d_k g_up
     dg_lo = -lane_einsum("kib,bj->kij", lo_dg, g_lo)
     gamma, t = _levi_civita_from_parts(g_up, dg_lo)

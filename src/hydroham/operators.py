@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .exprs import (Const, Deriv, Expr, NamedConst, Tape, TapeValues, as_expr, compile_tape,
-                    eval_tape)
+                    eval_tape, take_lanes)
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
 from .geometry import (
     AffinorField,
@@ -170,7 +170,9 @@ def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
     metric value is finite (elsewhere the residuals stay NaN and fail as
     non-finite), in batches of at most ``FRAME_ENTRIES // n**4`` lanes (at
     least one), read when the round runs, so a last round of many lanes
-    builds no larger arrays, and neither does a large n.  ``table`` rows
+    builds no larger arrays, and neither does a large n.  A batch of every
+    lane of the round reads the jets and values in place, and any other
+    gathers its lanes (:func:`~hydroham.exprs.take_lanes`).  ``table`` rows
     are (id, description, short description, kernel result).
     """
     metric = metric_status(g)
@@ -183,8 +185,7 @@ def _frame_round(table, tails, g: TapeValues, b: TapeValues, w) -> tuple:
     for at in range(0, build.size, step):
         lanes = build[at:at + step]
         frames = metric_frames(g, lanes)
-        found = connection_residuals(frames, Patterned(np.take(b.vals, lanes, axis=-1),
-                                                       b.patterns[0]))
+        found = connection_residuals(frames, Patterned(take_lanes(b.vals, lanes), b.patterns[0]))
         w_arrays = map(Patterned, w[0].at(lanes)[:2], w[0].patterns[:2]) if w else (None, None)
         found.update(tail_residuals(frames, tails, *w_arrays))
         for k, (*_, key) in enumerate(table):
@@ -290,8 +291,8 @@ def _worst(raw, scale):
     if not len(raw):
         return np.zeros(raw.shape[-1]), np.ones(raw.shape[-1])
     # np.argmax takes the first NaN, else the first maximum: of the reversed rows
-    at = (len(raw) - 1 - np.argmax(raw[::-1], axis=0))[None]
-    return np.take_along_axis(raw, at, 0)[0], np.take_along_axis(scale, at, 0)[0]
+    pick = len(raw) - 1 - np.argmax(raw[::-1], axis=0), np.arange(raw.shape[-1])
+    return raw[pick], scale[pick]
 
 
 def tail_residuals(frames: MetricFrames, tails, w_vals: Patterned, w_d1: Patterned) -> dict:
@@ -300,7 +301,9 @@ def tail_residuals(frames: MetricFrames, tails, w_vals: Patterned, w_d1: Pattern
     order-1 jets, each a :class:`~hydroham.geometry.Patterned`: t1, t3 and
     t4 read the values, and t2 (Codazzi) both.  t1, t2 and t4 run as one
     contraction each over an axis of tails (or of pairs of tails), and keep
-    the worst tail (or pair) per lane, the last one on ties."""
+    the worst tail (or pair) per lane, the last one on ties; t3 compares the
+    curvature with the tail sum, one contraction onto the n^4 entries with
+    no tail axis (:func:`gauss_tail_sum`)."""
     none = np.empty((0, frames.lanes))
     t1 = t2 = t4 = (none, none)  # (raw, scale), one row per tail or pair
     gauss = frames.riemann_up.values  # minus the tail sum, which is zero without tails
@@ -375,13 +378,17 @@ def check_local_hamiltonian(a: LocalOperator, plan: SamplePlan) -> CheckReport:
 def gauss_tail_sum(tails, w_values: Patterned) -> np.ndarray:
     """sum_a eps_a (w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}), shaped
     (n, n, n, n, lanes), from the values w_values[a, i, j, lanes] of the
-    tails, a :class:`~hydroham.geometry.Patterned` with one lane axis.  The
-    products of each tail are formed with a tail axis, then summed over it
-    in tail order."""
-    outer = lane_einsum("ail,ajk->aijkl", w_values, w_values)
-    terms = outer - outer.swapaxes(3, 4)  # w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}
-    terms *= np.array([t.sign for t in tails], dtype=float).reshape(-1, 1, 1, 1, 1, 1)
-    return lane_einsum("aijkl->ijkl", terms).values
+    tails, a :class:`~hydroham.geometry.Patterned` with one lane axis.  One
+    signed contraction onto the n^4 entries, half = sum_a eps_a w^i_{a l}
+    w^j_{a k} in tail order, gives the sum as half minus half with k and l
+    swapped, with no array of a tail axis.  That is the sum of the
+    per-tail differences up to roundoff.  It has their doubles, up to the
+    sign of a zero, for one tail, and for diagonal tails: there one side of
+    each entry's difference is zero, or, at i = j = k = l, both sides are
+    the same entry of half."""
+    signs = np.array([t.sign for t in tails], dtype=float).reshape(-1, 1, 1, 1)
+    half = lane_einsum("ail,ajk->ijkl", w_values * signs, w_values)
+    return (half - half.swapaxes(2, 3)).values
 
 
 def check_ferapontov(a: NonlocalOperator, plan: SamplePlan) -> CheckReport:

@@ -412,11 +412,24 @@ def keep_worst(worst, raw, scale):
     return np.where(take, raw, worst[0]), np.where(take, scale, worst[1])
 
 
+def gauss_tail_sum_by_tail(tails, w_vals):
+    """sum_a eps_a (w^i_{a l} w^j_{a k} - w^i_{a k} w^j_{a l}), lanes first,
+    (lanes, n, n, n, n), one tail at a time from the tail values (lanes,
+    tails, n, n): each tail's difference, then its sign, then the sum."""
+    lanes, n = len(w_vals), w_vals.shape[-1]
+    tail_sum = np.zeros((lanes,) + (n,) * 4)
+    for a, w in enumerate(tails):
+        vals = w_vals[:, a]
+        tail_sum += w.sign * (np.einsum("...il,...jk->...ijkl", vals, vals)
+                              - np.einsum("...ik,...jl->...ijkl", vals, vals))
+    return tail_sum
+
+
 def tail_residuals_by_tail(g_lo, gamma, riemann_up, dgamma, tails, w_vals, w_d1):
     """The tail conditions t1-t4 one tail (or pair) at a time, lane axis
     first: frame arrays (lanes, ...), tail values (lanes, tails, n, n) and
     first derivatives (lanes, n, tails, n, n) of the tails' order-1 jets."""
-    lanes, n = len(g_lo), g_lo.shape[-1]
+    lanes = len(g_lo)
     out = {}
     worst = (np.zeros(lanes), np.ones(lanes))
     for a in range(len(tails)):
@@ -431,11 +444,7 @@ def tail_residuals_by_tail(g_lo, gamma, riemann_up, dgamma, tails, w_vals, w_d1)
         worst = keep_worst(worst, lane_max(nabla - lane_einsum("kij->jik", nabla)),
                            lane_max(nabla))
     out["t2_codazzi"] = worst
-    tail_sum = np.zeros((lanes,) + (n,) * 4)
-    for a, w in enumerate(tails):
-        vals = w_vals[:, a]
-        tail_sum += w.sign * (np.einsum("...il,...jk->...ijkl", vals, vals)
-                              - np.einsum("...ik,...jl->...ijkl", vals, vals))
+    tail_sum = gauss_tail_sum_by_tail(tails, w_vals)
     gg = lane_einsum("jmk,msl->jskl", gamma, gamma)
     scale = np.maximum.reduce([lane_max(riemann_up), lane_max(tail_sum), lane_max(dgamma),
                                lane_max(gg)])

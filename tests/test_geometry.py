@@ -440,3 +440,69 @@ def test_a_four_dimensional_check_is_the_lapack_report(monkeypatch):
     got = check_local_hamiltonian(_FOUR, plan).to_dict()
     monkeypatch.setattr(geometry, "scaled_abs_dets", _lapack_scaled_abs_dets)
     assert got == check_local_hamiltonian(_FOUR, plan).to_dict()
+
+
+def _lapack_inverse(g_up):
+    """g_lo by np.linalg.inv whatever the pattern, symmetrized."""
+    inv = np.moveaxis(np.linalg.inv(np.moveaxis(g_up.values, -1, 0)), 0, -1)
+    return Patterned((inv + np.swapaxes(inv, 0, 1)) / 2.0,
+                     geometry._inverse_pattern(g_up.pattern.tobytes(), len(inv)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_diagonal_inverse_is_the_lapack_inverse_without_lapack(monkeypatch, n):
+    # both signs, magnitudes 1e-300 to 2e300, and 5.6e-309 to 1.1e-308, where
+    # 1/g is finite and the symmetrization's 1/g + 1/g overflows: the same
+    # doubles up to the sign of a zero, with no np.linalg.inv call; any other
+    # pattern calls it
+    rng = np.random.default_rng([n, 5])
+    lanes = 400
+    diagonal = (rng.choice([-1.0, 1.0], (n, lanes)) * (1.0 + rng.random((n, lanes)))
+                * 10.0 ** rng.uniform(-300, 300, (n, lanes)))
+    diagonal[:, :20] = rng.choice([-1.0, 1.0], (n, 20)) * rng.uniform(5.6e-309, 1.1e-308, (n, 20))
+    values = np.zeros((n, n, lanes))
+    values[range(n), range(n)] = diagonal
+    g_up = Patterned(values, np.eye(n, dtype=bool))
+    calls, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    with np.errstate(over="ignore"):
+        got = geometry._inverse(g_up)
+        assert not calls
+        want = _lapack_inverse(g_up)
+    assert np.isinf(np.diagonal(got.values[..., :20], 0, 0, 1)).all()
+    assert np.isfinite(got.values[..., 20:]).all()
+    assert np.array_equal(got.values, want.values) and np.array_equal(got.pattern, want.pattern)
+    if n > 1:
+        coupled = np.eye(n, dtype=bool)
+        coupled[0, 1] = coupled[1, 0] = True
+        values[0, 1] = values[1, 0] = (rng.uniform(-0.5, 0.5, lanes) * np.sqrt(np.abs(diagonal[0]))
+                                       * np.sqrt(np.abs(diagonal[1])))
+        g_up = Patterned(values, coupled)
+        calls.clear()
+        with np.errstate(all="ignore"):
+            got = geometry._inverse(g_up)
+            assert calls == [(lanes, n, n)]
+            assert got.values.tobytes() == _lapack_inverse(g_up).values.tobytes()
+
+
+def test_a_diagonal_inverse_past_the_doubles_fails_as_the_lapack_one(monkeypatch):
+    # 1 / g^{11} overflows: the reciprocal leaves 0.0 off the diagonal where
+    # LAPACK leaves NaN, which no contraction reads, and both verdicts fail
+    # as non-finite
+    g_up = Patterned(np.array([[[1e-310], [0.0]], [[0.0], [2.0]]]), np.eye(2, dtype=bool))
+    with np.errstate(all="ignore"):
+        got, want = geometry._inverse(g_up), _lapack_inverse(g_up)
+    assert got.values[:, :, 0].tolist() == [[math.inf, 0.0], [0.0, 0.5]]
+    assert np.isnan(want.values[[0, 1], [1, 0]]).all()
+    assert np.array_equal(np.diagonal(got.values, 0, 0, 1), np.diagonal(want.values, 0, 0, 1))
+    op = LocalOperator(2, _metric([["1e-310*(1+u1^2)", "0"], ["0", "2+u2"]], 2),
+                       ConnectionField(2, ((((const(0),) * 2,) * 2,) * 2)))
+    plan = cases.plan_for(2, 1)
+    reports = [check_local_hamiltonian(op, plan).to_dict()]
+    monkeypatch.setattr(geometry, "_inverse", _lapack_inverse)
+    reports.append(check_local_hamiltonian(op, plan).to_dict())
+    assert reports[0] == reports[1]
+    failed = {c["id"]: c for c in reports[0]["conditions"] if not c["passed"]}
+    assert sorted(failed) == ["metric_compatible", "metric_flat"]
+    assert all(c["max_residual"] is None and c["note"].startswith("non-finite value")
+               for c in failed.values())
