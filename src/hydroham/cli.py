@@ -42,7 +42,8 @@ from .operators import (
 )
 from .parsing import parse_expr
 from .reports import CheckReport, ConditionResult
-from .sampling import DEFAULT_COUNT, DEFAULT_FLOOR, DEFAULT_TOLERANCE, SamplePlan
+from .sampling import (DEFAULT_COUNT, DEFAULT_FLOOR, DEFAULT_TOLERANCE, REDRAW_DOMAIN,
+                       SamplePlan, resolve)
 from .systems import (
     SIGN_BRIDGE_NOTE,
     ConservedCurrent,
@@ -349,10 +350,8 @@ def _remark_reports(opts: dict, plan: SamplePlan) -> list[CheckReport]:
 
 
 def _s0_suite(opts: dict, plan: SamplePlan):
-    rho = parse_expr("exp(r1-r2)", 2)
-    sigma = parse_expr("(r1+r2)*exp(r1-r2)", 2)
-    system = driftflux.build_system_S0()
-    return [check_conserved_current(system, ConservedCurrent(rho, sigma), plan)], None
+    current = driftflux.remark_currents()[1]
+    return [check_conserved_current(driftflux.build_system_S0(), current, plan)], None
 
 
 def _s_tilde_suite(opts: dict, plan: SamplePlan):
@@ -446,11 +445,15 @@ PRESETS = {
 
 def _transformed_speeds(system: HydroSystem, plan: SamplePlan):
     """(table lines, JSON data) of the transformed speed matrix at the first
-    plan points, drawn and evaluated once, in one batch, for both formats."""
-    points = plan.points(range(min(4, plan.count)))
-    # the error of the first point that fails, as point by point
-    speeds = speed_values(system, points).checked()
-    grid = [(p, speeds.vals[..., i]) for i, p in enumerate(points)]
+    plan points, up to four, each redrawn where a speed leaves its domain
+    under the one redraw rule (:func:`~hydroham.sampling.resolve`), and
+    evaluated once for both formats."""
+    def evaluate(points):
+        speeds = speed_values(system, points)
+        return REDRAW_DOMAIN * speeds.failed, (speeds.vals.transpose(2, 0, 1),)
+
+    found = resolve(replace(plan, count=min(4, plan.count)), evaluate)
+    grid = list(zip(found.points, found.payload[0]))
     lines = ["transformed speed matrix v~ (u_t = v~ u_x) on sample points:"]
     for p, v in grid:
         pt = ", ".join(f"{x:.4f}" for x in p)

@@ -346,45 +346,35 @@ def lane_max(x: np.ndarray, lead: int = 0) -> np.ndarray:
     return np.max(np.abs(x), axis=tuple(range(lead, x.ndim - 1)))
 
 
-def pencil_values(pair: Tape, points, members) -> TapeValues:
-    """The members A + lam B of a pair compiled from (A, B), at the lanes of
-    ``members``: ``(lam, rows)`` pairs, ``rows`` a slice of ``points``, whose
-    lanes are the rows of each pair in turn.  The pair runs once at every
-    row of ``points``, on at most :data:`~hydroham.sampling.BLOCK` rows at a
-    time, and each member is written into its lanes by slices: the
-    coefficients of A plus lam times those of B, as a tape of the trees A +
-    lam B computes them, scaled into derivatives only then.  A lane is
-    flagged where A or B leaves its domain.  Members that read the same rows
-    share their pair run, and a call of many lanes holds the pair's
-    coefficients of one batch of rows only."""
+def pencil_values(pair: Tape, points, lams) -> TapeValues:
+    """The members A + lam B of a pair compiled from (A, B), one per lam of
+    ``lams``, at every row of ``points``: member j at lanes j n to (j + 1) n,
+    n the number of points.  The pair runs once at every row, on at most
+    :data:`~hydroham.sampling.BLOCK` rows at a time, and each member is
+    written into its lanes by slices: the coefficients of A plus lam times
+    those of B, as a tape of the trees A + lam B computes them, scaled into
+    derivatives only then.  A lane is flagged where A or B leaves its
+    domain.  Every member shares the pair's run, and a call of many lanes
+    holds the pair's coefficients of one batch of rows only."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    starts = [0]
-    for _, rows in members:
-        starts.append(starts[-1] + rows.stop - rows.start)
-    lanes, step = starts[-1], sampling.BLOCK
+    n, lanes, step = len(points), len(points) * len(lams), sampling.BLOCK
     member = first = None
     failures: dict = {}
-    for at in range(0, max(len(points), 1), step):
+    for at in range(0, max(n, 1), step):
         part = eval_tape(pair, points[at:at + step])
         half = len(part.coeffs) // 2
         if member is None:
             member = np.empty((half,) + part.coeffs.shape[1:-1] + (lanes,))
             first = np.empty(lanes, dtype=part.first_failure.dtype)
-        for (lam, rows), lane in zip(members, starts):
-            lo, hi = max(rows.start, at), min(rows.stop, at + step)
-            if lo >= hi:
-                continue
-            here = slice(lo - at, hi - at)
-            there = slice(lane + lo - rows.start, lane + hi - rows.start)
+        for j, lam in enumerate(lams):
+            there = slice(j * n + at, j * n + at + len(part.points))
             out = member[..., there]
-            np.add(part.coeffs[:half, ..., here],
-                   np.multiply(lam, part.coeffs[half:, ..., here], out=out), out=out)
-            first[there] = part.first_failure[here]
+            np.add(part.coeffs[:half], np.multiply(lam, part.coeffs[half:], out=out), out=out)
+            first[there] = part.first_failure
             for i, operand in part.failures.items():
-                failures.setdefault(i, np.full(lanes, np.nan))[there] = operand[here]
-    lane_points = np.concatenate([points[:0]] + [points[rows] for _, rows in members])
-    return TapeValues(pair, lane_points, member, first, failures, pair.shape[1:],
-                      _member_reads(pair.reads))
+                failures.setdefault(i, np.full(lanes, np.nan))[there] = operand
+    return TapeValues(pair, np.tile(points, (len(lams), 1)), member, first, failures,
+                      pair.shape[1:], _member_reads(pair.reads))
 
 
 @functools.lru_cache(maxsize=None)

@@ -27,12 +27,12 @@ second its last round in one call.
 The local check is the nonlocal one without tails, its flatness the Gauss
 equation against an empty tail sum.  A pencil is one local check walked for
 every lambda in lockstep (:func:`~hydroham.sampling.resolve_walks`) on a
-pair compiled once per pair of operator objects, a round's lanes of every
-lambda going to the evaluator in calls of at most ``RESAMPLE_BUDGET`` x
-``BLOCK`` lanes; the pair's tapes run once per distinct draw of a call, and
-each lambda's member is formed from their coefficients in that lambda's
-lanes; one round kernel serves both.  The checks compute per-point (raw,
-scale) pairs, with numpy's warnings off in the walk, and
+pair compiled once per pair of operator objects: an evaluator call is one
+array of draws and the lambdas that read it, whole rounds of at most
+``RESAMPLE_BUDGET`` x ``BLOCK`` lanes; the pair's tapes run once per row of
+the array, and each lambda's member is formed from their coefficients in
+that lambda's lanes; one round kernel serves both.  The checks compute
+per-point (raw, scale) pairs, with numpy's warnings off in the walk, and
 :mod:`~hydroham.reports` makes the conditions of them.
 """
 
@@ -409,16 +409,17 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     The pair is compiled once per pair of operator objects, g_a and g_b into
     one order-2 grid and b_a and b_b into one of values, and every lam walks
     the plan in lockstep (:func:`~hydroham.sampling.resolve_walks`): each
-    evaluator call, of up to ``RESAMPLE_BUDGET`` x
-    :data:`~hydroham.sampling.BLOCK` lanes of a round's lams in walk order,
-    runs the two pair grids once at each distinct draw of the call, on at
-    most BLOCK draws at a time, and writes each lam's member into that
-    lam's run of lanes (:func:`~hydroham.geometry.pencil_values`), so the
-    lams of a round that draw the same points share their tape runs, and
-    every lam of it shares the status passes and frame builds.  Each lam's
-    report is the one :func:`check_local_hamiltonian` gives on the operator
-    of the trees g_a + lam g_b, b_a + lam b_b; a draw is redrawn where g_a,
-    g_b, b_a or b_b leaves its domain, whatever lam.
+    evaluator call is one array of a round's draws and the lams that read
+    it, whole rounds of up to ``RESAMPLE_BUDGET`` x
+    :data:`~hydroham.sampling.BLOCK` lanes; it runs the two pair grids once
+    at each row of the array, on at most BLOCK rows at a time, and writes
+    each lam's member into that lam's lanes, the rows once per lam
+    (:func:`~hydroham.geometry.pencil_values`), so the lams of a round that
+    draw the same points share their tape runs, and every lam of a call
+    shares the status passes and frame builds.  Each lam's report is the
+    one :func:`check_local_hamiltonian` gives on the operator of the trees
+    g_a + lam g_b, b_a + lam b_b; a draw is redrawn where g_a, g_b, b_a or
+    b_b leaves its domain, whatever lam.
     """
     lambdas = list(lambdas)
     if not lambdas:
@@ -429,9 +430,9 @@ def check_pencil_compatibility(a: LocalOperator, b: LocalOperator, lambdas,
     g_pair, b_pair = _pencil_grids(a, b)
     lam_of_walk = [_constant(lam) for lam in lambdas]
 
-    def evaluate(points, runs):
-        members = [(lam_of_walk[w], rows) for w, rows in runs]
-        g, bb = pencil_values(g_pair, points, members), pencil_values(b_pair, points, members)
+    def evaluate(points, walks):
+        lams = [lam_of_walk[w] for w in walks]
+        g, bb = pencil_values(g_pair, points, lams), pencil_values(b_pair, points, lams)
         return _frame_round(_FLAT_CONDITIONS, (), g, bb, ())
 
     conditions: list[ConditionResult] = []

@@ -173,6 +173,29 @@ def test_reciprocal_command(tmp_path, capsys):
     assert abs(speeds[2][2]) <= 1e-12
 
 
+def test_reciprocal_redraws_table_points_where_a_transformed_speed_leaves_its_domain(
+        tmp_path, capsys):
+    # the currents pass under the redraw rule, and so does the table: each of
+    # its four points is the first draw of its plan point with u1 > 0
+    plan = {"count": 20, "seed": 3, "box": [[-1, 1]]}
+    spec = write_spec(tmp_path, dimension=1, system=[["-1"]],
+                      currents=[{"rho": "0", "sigma": "1"},
+                                {"rho": "ln(u1)", "sigma": "ln(u1)"}],
+                      checks=["conserved_currents"], sample_plan=plan)
+    assert main(["check", spec]) == 0
+    capsys.readouterr()
+    assert main(["reciprocal", spec, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overall"] == "pass"
+    draws = SamplePlan(1, ((-1.0, 1.0),), count=20, seed=3)
+    want = [next(float(p[0]) for r in range(17) if (p := draws.point(i, r))[0] > 0)
+            for i in range(4)]
+    assert [row["point"] for row in doc["transformed_speeds"]] == [[x] for x in want]
+    assert draws.point(0)[0] < 0  # the first point is redrawn
+    assert main(["reciprocal", spec]) == 0
+    assert "at (0.7446)" in capsys.readouterr().out
+
+
 def test_reciprocal_rejects_bad_current(tmp_path, capsys):
     spec = write_spec(
         tmp_path,

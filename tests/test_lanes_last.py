@@ -348,10 +348,9 @@ def _grids_of_every_kind():
             compile_tape(tuple(w.entries for w in op.tails), op.dim, 1), points)
     for name, a, b in cases.pencil_pairs():
         points = plan_for(a.dim, 3).points(np.arange(100))
-        members = [(lam, slice(0, 100)) for lam in cases.LAMBDAS]
         for order in (0, 2):
             yield f"{name}@{order}", geometry.pencil_values(
-                compile_tape((a.g.entries, b.g.entries), a.dim, order), points, members)
+                compile_tape((a.g.entries, b.g.entries), a.dim, order), points, cases.LAMBDAS)
 
 
 @pytest.mark.parametrize("lanes", [[], [0], [5, 2, 99, 2], list(range(0, 100, 3)),

@@ -2,11 +2,10 @@
 tables over (i, retry), for one to four walks in lockstep, every walk's
 ``Resolved`` is the per-point redraw loop's, byte for byte; the walks of a
 round that ask for the same draws draw them with one ``SamplePlan.points``
-call, and the round evaluates every walk's draws, walk after walk, in calls
-of ``RESAMPLE_BUDGET`` x ``BLOCK`` lanes, the round's last call holding the
-rest, each call handed every draw its lanes read once per set of draws; a
-round draws several retries only after a round of the walk that resolved
-nothing."""
+call, and the round evaluates each set of draws in calls of as many whole
+walks that read it as fit in ``RESAMPLE_BUDGET`` x ``BLOCK`` lanes, each
+call handed its set of draws once; a round draws several retries only after
+a round of the walk that resolved nothing."""
 
 from __future__ import annotations
 
@@ -114,10 +113,10 @@ def test_resolve_walks_is_the_per_point_loop(example):
     calls, rows, evaluated, drawn_before = [], [], [], []
     walks = lockstep([causes(table) for table in tables], calls, rows)
 
-    def evaluate(points, runs):
+    def evaluate(points, readers):
         drawn_before.append(len(plan.drawn))
-        evaluated.extend((w, *PAIR_OF[float(p[0])]) for w, s in runs for p in points[s])
-        return walks(points, runs)
+        evaluated.extend((w, *PAIR_OF[float(p[0])]) for w in readers for p in points)
+        return walks(points, readers)
 
     with mock.patch.object(sampling, "BLOCK", block):
         if isinstance(want, int):
@@ -128,22 +127,25 @@ def test_resolve_walks_is_the_per_point_loop(example):
         else:
             got = resolve_walks(plan, evaluate, len(tables))
     assert max(calls) <= RESAMPLE_BUDGET * block
-    # a round is the calls made after the same draws: its lanes are every
-    # walk's draws, walk after walk, in calls of RESAMPLE_BUDGET x BLOCK
-    # lanes, the round's last call holding the rest, and what it drew is
-    # each distinct walk's draws once, in the order of the first walk
-    step, at, before = RESAMPLE_BUDGET * block, 0, 0
+    # a round is the calls made after the same draws: each call is one set
+    # of draws once per walk that reads it, whole walks in walk order, and
+    # each walk's round is in one call; what the round drew is each distinct
+    # walk's draws once, in the order of the first walk, and its calls go
+    # set after set in that order
+    at, before = 0, 0
     for mark in sorted(set(drawn_before)):
-        sizes = [n for m, n in zip(drawn_before, calls) if m == mark]
-        lanes, at = evaluated[at:at + sum(sizes)], at + sum(sizes)
-        assert sizes == [min(step, len(lanes) - k) for k in range(0, len(lanes), step)]
-        assert [w for w, _, _ in lanes] == sorted(w for w, _, _ in lanes)
-        per_walk, distinct = {}, []
-        for w, i, q in lanes:
-            per_walk.setdefault(w, []).append((i, q))
-        for draws in per_walk.values():
-            if draws not in distinct:
-                distinct.append(draws)
+        sizes = [(n, k) for m, n, k in zip(drawn_before, calls, rows) if m == mark]
+        distinct, seen = [], []
+        for n, k in sizes:
+            lanes, at = evaluated[at:at + n], at + n
+            readers = [w for w, _, _ in lanes[::k]]
+            assert n % k == 0 and readers == sorted(set(readers))
+            per_walk = [[(i, q) for _, i, q in lanes[j:j + k]] for j in range(0, n, k)]
+            assert all(draws == per_walk[0] for draws in per_walk)
+            assert not set(readers) & set(seen)
+            seen += readers
+            if per_walk[0] not in distinct:
+                distinct.append(per_walk[0])
         assert sum(distinct, []) == plan.drawn[before:mark]
         before = mark
     assert before == len(plan.drawn)

@@ -45,9 +45,9 @@ HOSTILE = lambda r: 1  # noqa: E731  (leaves the domain at every draw)
 WITH_A_HOSTILE_POINT = tuple({**causes, 30: HOSTILE, 45: HOSTILE}
                              for causes in ONE_WALK_DEGENERATE)
 # walks 1 and 3 are identically degenerate and draw the same points; walks 0
-# and 2 redraw other points at retry 1, so at BLOCK 7 round 1 of a block is
-# 3 + 112 + 1 + 112 lanes, and its second call of 112 holds the last 3 rows
-# of walk 1's draws and the first 108 of walk 3's: two pieces of one array
+# and 2 redraw other points at retry 1, so at BLOCK 7 round 1 of a block
+# draws 3, 112 and 1 rows, and walks 1 and 3 read the array of 112 in a call
+# each, since two of its walks pass 16 x 7 lanes
 INTERLEAVED = ({i: lambda r: 2 if r < 1 else 0 for i in range(60) if i % 7 < 3},
                dict.fromkeys(range(60), DEGENERATE),
                {i: lambda r: 1 if r < 1 else 0 for i in range(60) if i % 7 == 3},
@@ -77,14 +77,13 @@ def one_walk(causes: dict, w: int):
 
 def lockstep(tables, calls: list, rows: list | None = None):
     """The evaluator of every walk at once; records the lanes of each call,
-    and, given ``rows``, the number of draws it was handed.  Each walk's
-    evaluator sees the rows of the walk's runs."""
+    and, given ``rows``, the number of draws it was handed.  Each walk of a
+    call sees every draw of it."""
     walks = [one_walk(causes, w) for w, causes in enumerate(tables)]
 
-    def evaluate(points, runs):
-        assert sorted({k for _, s in runs for k in range(len(points))[s]}) == list(
-            range(len(points)))  # every draw handed over is a lane's
-        found = [walks[w](points[s]) for w, s in runs]
+    def evaluate(points, readers):
+        assert list(readers) == sorted(set(readers))  # in walk order, once each
+        found = [walks[w](points) for w in readers]
         calls.append(sum(len(st) for st, _ in found))
         if rows is not None:
             rows.append(len(points))
@@ -129,9 +128,9 @@ def test_walks_in_lockstep_are_walks_one_by_one(monkeypatch, table, block):
         assert_same_resolved(g, want)
     # the same draws asked for, each round's shared ones once
     assert set(plan.drawn) == set(drawn)
-    # the pairs asked for are those of the walk rule; each round's lanes go in
-    # calls of RESAMPLE_BUDGET x BLOCK lanes, the round's last call holding
-    # the rest, each handed every draw its lanes read once per set of draws
+    # the pairs asked for are those of the walk rule; each round's sets of
+    # draws go in calls of the whole walks that read them, at most
+    # RESAMPLE_BUDGET x BLOCK lanes each
     asked = [resolve_requests([PAIR_OF[float(p[0])] for p in r.draws], BASE.count) for r in got]
     assert max(calls) <= RESAMPLE_BUDGET * block
     assert sum(calls) == sum(map(len, asked))
@@ -145,10 +144,9 @@ def round_layout(found, block: int, count: int = BASE.count) -> tuple:
     in order; the lanes of each evaluate call; and the draws each call is
     handed.  Per block and round, walks that ask for the same draws (the
     same points at the same retries) draw them once, in the order of the
-    first such walk; the round's lanes, every walk's draws walk after walk,
-    go in calls of RESAMPLE_BUDGET x ``block`` lanes, the last holding the
-    rest; and a call is handed each draw of its lanes once per set of draws
-    that holds it."""
+    first such walk; each set of draws, in that order, goes in calls of as
+    many of the walks that read it as fit in RESAMPLE_BUDGET x ``block``
+    lanes, its rows once per walk."""
     rounds = {}  # (block start, first retry) -> each live walk's draws, in walk order
     for r in found:
         counts = Counter(PAIR_OF[float(p[0])][0] for p in r.draws)
@@ -156,15 +154,14 @@ def round_layout(found, block: int, count: int = BASE.count) -> tuple:
             rounds.setdefault((start, retries[0]), []).append(
                 tuple((i, q) for q in retries for i in points))
     drawn, calls, rows = [], [], []
-    step = RESAMPLE_BUDGET * block
     for key in sorted(rounds):
         walks = rounds[key]
-        drawn += [pair for k, draws in enumerate(walks) if draws not in walks[:k]
-                  for pair in draws]
-        lanes = [(draws, pair) for draws in walks for pair in draws]
-        for at in range(0, len(lanes), step):
-            calls.append(len(lanes[at:at + step]))
-            rows.append(len(set(lanes[at:at + step])))
+        for draws in dict.fromkeys(walks):
+            drawn += draws
+            readers, fit = walks.count(draws), RESAMPLE_BUDGET * block // len(draws)
+            for at in range(0, readers, fit):
+                calls.append(len(draws) * min(fit, readers - at))
+                rows.append(len(draws))
     return drawn, calls, rows
 
 
@@ -208,10 +205,8 @@ def test_pencil_documents_for_other_lambdas(lambdas):
     assert got == per_lambda_pencil(a, b, lambdas, plan).to_dict()
 
 
-# (lam, rows of 300 points) per member: whole, overlapping and cut runs, in
-# no order of rows, and members that read the same rows
-MEMBER_RUNS = [(-2.0, slice(0, 300)), (-1.0, slice(250, 300)), (0.5, slice(0, 40)),
-               (1.0, slice(40, 300)), (3.0, slice(7, 263)), (0.5, slice(0, 300))]
+# the lam of each member, one lam twice
+MEMBER_LAMS = [-2.0, -1.0, 0.5, 1.0, 3.0, 0.5]
 
 
 @pytest.mark.parametrize("block", [64, 256])
@@ -219,24 +214,22 @@ MEMBER_RUNS = [(-2.0, slice(0, 300)), (-1.0, slice(250, 300)), (0.5, slice(0, 40
 def test_pencil_values_are_the_member_grid(monkeypatch, pair, block):
     # the member formed on tape coefficients, before d2 is scaled, is the
     # grid of the trees g_a + lam g_b in each member's lanes, also when the
-    # pair runs in batches of BLOCK rows that cut a member's rows
+    # pair runs in batches of BLOCK rows
     monkeypatch.setattr(sampling, "BLOCK", block)
     _, a, b = next(p for p in cases.pencil_pairs() if p[0] == pair)
     plan = cases.plan_for(a.dim, 3)
     points = plan.points(range(300))
     pair = compile_tape((a.g.entries, b.g.entries), a.dim, 2)
-    got = pencil_values(pair, points, MEMBER_RUNS)
-    at = 0
-    for x, rows in MEMBER_RUNS:
-        lanes = slice(at, at + rows.stop - rows.start)
-        at = lanes.stop
+    got = pencil_values(pair, points, MEMBER_LAMS)
+    for j, x in enumerate(MEMBER_LAMS):
+        lanes = slice(300 * j, 300 * (j + 1))
         member = pencil_operator(a, b, x).g.entries
-        want = eval_tape(compile_tape(member, a.dim, 2), points[rows])
+        want = eval_tape(compile_tape(member, a.dim, 2), points)
         for part, g, w in zip(("vals", "d1", "d2"), got.at(), want.at()):
             assert np.array_equal(g[..., lanes], w), part
         assert np.array_equal(got.failed[lanes], want.failed)
-        assert np.array_equal(got.points[lanes], points[rows])
-    assert at == got.coeffs.shape[-1] == len(got.points)
+        assert np.array_equal(got.points[lanes], points)
+    assert 300 * len(MEMBER_LAMS) == got.coeffs.shape[-1] == len(got.points)
     # no member: no lane, as with no point
     none = pencil_values(pair, points[:0], [])
     assert none.coeffs.shape == got.coeffs.shape[:-1] + (0,) and none.points.shape == (0, a.dim)
@@ -251,8 +244,8 @@ def test_pencil_values_flag_the_lanes_of_the_pair_in_one_run(monkeypatch, block)
     ga = [[parse_expr("sqrt(u1)", 2), parse_expr("0", 2)], [parse_expr("0", 2), parse_expr("1", 2)]]
     gb = [[parse_expr("1", 2), parse_expr("0", 2)], [parse_expr("0", 2), parse_expr("ln(u2)", 2)]]
     pair = compile_tape((ga, gb), 2, 2)
-    got = pencil_values(pair, u, [(lam, rows) for _, rows in MEMBER_RUNS for lam in (2.0,)])
-    want = [eval_tape(pair, u[rows]) for _, rows in MEMBER_RUNS]
+    got = pencil_values(pair, u, [2.0] * len(MEMBER_LAMS))
+    want = [eval_tape(pair, u)] * len(MEMBER_LAMS)
     assert got.failed.any() and not got.failed.all()
     assert np.array_equal(got.first_failure, np.concatenate([w.first_failure for w in want]))
     errors = [str(w.error(lane)) for w in want for lane in range(len(w.points)) if w.failed[lane]]
@@ -271,10 +264,10 @@ def pencil_spy(monkeypatch):
         return grids[-1]
 
     def walks_spy(plan, evaluate, walks):
-        def counted(points, runs):
-            calls.append(sum(s.stop - s.start for _, s in runs))
+        def counted(points, readers):
+            calls.append(len(points) * len(readers))
             rows.append(len(points))
-            return evaluate(points, runs)
+            return evaluate(points, readers)
         return walks_original(plan, counted, walks)
 
     monkeypatch.setattr(operators, "compile_tape", compile_spy)
@@ -329,17 +322,17 @@ def test_a_pencil_compiles_two_grids_and_evaluates_a_round_in_calls_of_16_blocks
     assert max(calls) <= RESAMPLE_BUDGET * block
     # round 0 of a block of s points asks for 5 s lanes and resolves no point
     # of lambda = -1 and 1; round 1, the last of both, asks for their retries
-    # 1 to 16 at once, 32 s lanes; each round goes in calls of 16 x BLOCK
-    # lanes, the last holding the rest, and a call is handed its distinct
-    # draws, at most the s or 16 s that the round's walks share
+    # 1 to 16 at once, 32 s lanes; a call is the s or 16 s draws that the
+    # round's walks share and as many of those walks as fit in 16 x BLOCK
+    # lanes
     sizes = [min(block, 100 - start) for start in range(0, 100, block)]
     assert sum(calls) == sum(5 * s + RESAMPLE_BUDGET * 2 * s for s in sizes)
-    step, want, distinct = RESAMPLE_BUDGET * block, [], []
+    want, distinct = [], []
     for s in sizes:
         for walks, draws in ((5, s), (2, RESAMPLE_BUDGET * s)):
-            lanes = walks * draws
-            want += [min(step, lanes - at) for at in range(0, lanes, step)]
-            distinct += [min(draws, step, lanes - at) for at in range(0, lanes, step)]
+            fit = RESAMPLE_BUDGET * block // draws
+            want += [draws * min(fit, walks - at) for at in range(0, walks, fit)]
+            distinct += [draws for _ in range(0, walks, fit)]
     assert calls == want and rows == distinct
     # the walks that ask for the same draws draw them in one call: round 0
     # of all five, then the last rounds of lambda = -1 and 1
@@ -528,18 +521,53 @@ def test_a_pencil_whose_draws_diverge_in_a_round_is_the_per_lambda_checks(
     assert sum(calls) > sum(rows)
 
 
-def test_walks_that_share_draws_cut_across_two_calls_are_the_per_lambda_checks(
+def test_walks_that_share_draws_past_a_call_go_in_calls_of_whole_walks(
         monkeypatch, pencil_spy):
-    # 20 lambdas on one block of 60 points at BLOCK 64: round 0's 1,200
-    # lanes of 60 shared draws go in calls of 1,024 and 176, the first
-    # ending 4 lanes into the 18th lambda; the last rounds of lambda = -1 and
-    # 1 share 960 draws in 1,920 lanes, cut 64 lanes into the second walk.
-    # Each call is handed each draw its lanes read once
+    # 20 lambdas on one block of 60 points at BLOCK 64: round 0's 60 shared
+    # draws go in calls of 17 and 3 lambdas, 1,020 and 180 lanes, since 17
+    # x 60 lanes fit in 16 x 64; the last rounds of lambda = -1 and 1 share
+    # 960 draws, and one walk of them fits a call.  Each call is handed its
+    # array of draws once
     monkeypatch.setattr(sampling, "BLOCK", 64)
     _, calls, rows = pencil_spy
     a, b = df.build_nutku(1), df.build_nutku(2)
     lambdas, plan = [k / 4 - 2.5 for k in range(20)], counting(df.plane_plan(count=60, seed=1))
     got = check_pencil_compatibility(a, b, lambdas, plan).to_dict()
     assert plan.calls == [(60, range(0, 1)), (60, range(1, RESAMPLE_BUDGET + 1))]
-    assert calls == [1024, 176, 1024, 896] and rows == [60, 60, 960, 896]
+    assert calls == [1020, 180, 960, 960] and rows == [60, 60, 960, 960]
     assert got == per_lambda_pencil(a, b, lambdas, plan).to_dict()
+
+
+def test_three_walks_that_share_an_array_past_a_call_go_two_and_one(monkeypatch):
+    # g_a = diag(1, 2, 3), g_b = -I, b = 0: lambda = 1, 2 and 3 are
+    # identically degenerate, and their last rounds share 1,600 draws, of
+    # which two walks fit a call of 16 x 256 lanes; lambda = 1/2 resolves
+    # every point at once
+    zero = const(0)
+
+    def op(diagonal):
+        g = tuple(tuple(const(diagonal[i]) if i == j else zero for j in range(3))
+                  for i in range(3))
+        return LocalOperator(3, MetricField(3, g), ConnectionField(3, (((zero,) * 3,) * 3,) * 3))
+
+    a, b = op((1, 2, 3)), op((-1, -1, -1))
+    lambdas = (1, 2, 3, 0.5)
+    plan = SamplePlan(3, ((-1.0, 1.0),) * 3, count=100, seed=1)
+    made, original = [], operators.resolve_walks
+
+    def walks_spy(plan, evaluate, walks):
+        def spied(points, readers):
+            made.append((len(points), len(points) * len(readers), tuple(readers)))
+            return evaluate(points, readers)
+        return original(plan, spied, walks)
+
+    monkeypatch.setattr(operators, "resolve_walks", walks_spy)
+    got = check_pencil_compatibility(a, b, lambdas, plan).to_dict()
+    assert got == per_lambda_pencil(a, b, lambdas, plan).to_dict()
+    assert [c["id"] for c in got["conditions"]][:3] == [
+        f"lambda={lam}:degenerate" for lam in lambdas[:3]]
+    assert [(rows, lanes) for rows, lanes, _ in made] == [(100, 400), (1600, 3200), (1600, 1600)]
+    assert max(lanes for _, lanes, _ in made) <= RESAMPLE_BUDGET * sampling.BLOCK
+    # each walk's round is in one call: round 0 of all four, then the last
+    # rounds of lambda = 1 and 2, then of 3
+    assert [readers for _, _, readers in made] == [(0, 1, 2, 3), (0, 1), (2,)]
