@@ -46,7 +46,7 @@ from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at 
 from .geometry import AffinorField, ConnectionField, MetricField
 from .operators import LocalOperator, NonlocalOperator
 from .reports import CheckReport, walk_report
-from .sampling import DEFAULT_COUNT, DEFAULT_TOLERANCE, SamplePlan
+from .sampling import DEFAULT_COUNT, DEFAULT_TOLERANCE, REDRAW_DOMAIN, SamplePlan, resolve
 from .systems import ConservedCurrent, HydroSystem, PointChangeMap
 
 DEFAULT_SEED = 8128
@@ -322,14 +322,20 @@ def h3_prolongation_tails(block: ConstantBlock, lam1: Expr, lam2: Expr,
 
 
 def _hat(k: int, tails, theta, lam1, lam2, block: ConstantBlock) -> NonlocalOperator:
-    """Structure k prolonged to S with tails(block, Lambda1, Lambda2), inputs validated."""
+    """Structure k prolonged to S with tails(block, Lambda1, Lambda2), inputs
+    validated: Lambda1, Lambda2 and 1 independent at three draws of
+    :func:`drift_plan`, each redrawn where a Lambda leaves its domain."""
     theta = _require_r3_only(theta, "Theta")
     lam1 = _require_r3_only(lam1, "Lambda1")
     lam2 = _require_r3_only(lam2, "Lambda2")
     block.validate()
-    points = [(0.0, 0.0, t) for t in (0.2, 0.55, 0.9)]
-    lams = eval_tape(compile_tape((lam1, lam2), 3, 0), points).checked()
-    m = np.column_stack((*lams.vals, np.ones(3)))
+    tape = compile_tape((lam1, lam2), 3, 0)
+
+    def evaluate(points):
+        lams = eval_tape(tape, points)
+        return REDRAW_DOMAIN * lams.failed, (lams.vals.T,)
+
+    m = np.column_stack((resolve(drift_plan(count=3), evaluate).payload[0], np.ones(3)))
     if abs(np.linalg.det(m)) < 1e-9:
         raise ConstraintViolation(
             "Lambda1, Lambda2 and the constant 1 must be linearly independent"
@@ -585,17 +591,6 @@ def constraint_equation_residuals(which: str, eps, points, psi, psi_r1, psi_r2, 
         scale = np.maximum(scale, np.abs(t))
     omega = values[3] if which == "eq5" else None
     return residual(total, e_val, points[:, 0] + points[:, 1], omega, big_c), scale
-
-
-def ansatz_affinors(ansatz: ProlongationAnsatz) -> tuple[AffinorField, ...]:
-    """Affinors e^{r2-r1} diag(Psi_{r1}, -Psi_{r2}, Phi + Psi) of the ansatz,
-    with the derivatives materialized through jets."""
-    return tuple(
-        AffinorField(3, eps, _diag_grid((
-            _P * Deriv(psi, 0), -(_P * Deriv(psi, 1)), _P * (phi + psi),
-        )))
-        for eps, psi, phi in zip(ansatz.eps, ansatz.psi, ansatz.phi)
-    )
 
 
 # -- mutation catalog ----------------------------------------------------------------

@@ -415,15 +415,15 @@ def compile_tape(entries, n: int, order: int) -> Tape:
 class TapeValues(NamedTuple):
     """Every output of a tape at N points, shaped as its grid: ``vals`` is a
     view of the coefficients, and :meth:`at` forms derivatives, only at the
-    lanes it is given."""
+    lanes it is given.  The grid's shape and structure are the tape's; a
+    pencil member's tape is its pair's with the member's shape and reads
+    (:func:`~hydroham.geometry.pencil_values`)."""
 
     tape: Tape
     points: np.ndarray  # (N, n)
     coeffs: np.ndarray  # (outputs, ncoef, N)
     first_failure: np.ndarray  # (N,) first failing instruction, len(code) if none
     failures: dict  # failing instruction -> its operand's values
-    shape: tuple  # of the grid the outputs fill, the tape's unless replaced
-    reads: tuple  # the structure of each output, as Tape.reads, the tape's unless replaced
 
     @property
     def failed(self) -> np.ndarray:
@@ -439,7 +439,7 @@ class TapeValues(NamedTuple):
     @property
     def vals(self) -> np.ndarray:
         """The values (*shape, N), without a copy."""
-        return self.coeffs[:, 0].reshape(self.shape + self.coeffs.shape[-1:])
+        return self.coeffs[:, 0].reshape(self.tape.shape + self.coeffs.shape[-1:])
 
     def at(self, lanes=None) -> tuple:
         """(vals, d1, d2) at the given lanes (indices), or at every lane for
@@ -449,7 +449,7 @@ class TapeValues(NamedTuple):
         where the lanes are every lane in order, else gathered), with the
         bits of every lane's."""
         c = self.coeffs if lanes is None else take_lanes(self.coeffs, lanes)
-        shape = self.shape + c.shape[-1:]
+        shape = self.tape.shape + c.shape[-1:]
         vals = c[:, 0].reshape(shape)
         n, order = self.tape.n, self.tape.order
         if order == 0:
@@ -466,11 +466,11 @@ class TapeValues(NamedTuple):
     def patterns(self) -> tuple:
         """The structural patterns of (vals, d1, d2) as :meth:`at` gives them,
         without the lane axis, each None where that is: False where the
-        entry is ±0.0 at every lane whatever the points, read from
-        :attr:`reads` alone.  An entry of a zero output is zero, and so is a
+        entry is ±0.0 at every lane whatever the points, read from the
+        tape's ``reads`` alone.  An entry of a zero output is zero, and so is a
         derivative along a variable its tree does not read.  Read-only
         arrays, shared by every call on the same structure."""
-        return _patterns(self.reads, self.tape.n, self.tape.order, self.shape)
+        return _patterns(self.tape.reads, self.tape.n, self.tape.order, self.tape.shape)
 
     def error(self, lane: int) -> EvalDomainError:
         """The domain error at this lane's point, naming the subtree of its
@@ -581,7 +581,7 @@ def _run_tape(tape: Tape, points: np.ndarray) -> TapeValues:
                 coeffs[k, 0] = v
             else:
                 coeffs[k] = v
-    return TapeValues(tape, points, coeffs, first, failures, tape.shape, tape.reads)
+    return TapeValues(tape, points, coeffs, first, failures)
 
 
 # -- one-point views ---------------------------------------------------------------

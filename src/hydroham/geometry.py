@@ -22,7 +22,8 @@ determinant is that of the matrix with each row scaled by its largest entry,
 written out up to 3 x 3 and from np.linalg.det beyond; a vanishing row makes
 it 0 and a non-finite entry NaN.
 The batched frames and kernels hold and take :class:`Patterned` arrays.
-The single-point functions (:func:`metric_frame`, :func:`eval_matrix`,
+The single-point functions (:func:`metric_frame`, :func:`invert_metric`,
+:func:`christoffel_from_b`, :func:`eval_matrix`,
 :func:`covariant_derivative_values`) are one-lane views of the batched ones:
 they return plain arrays, the values with the lane axis dropped (a frame is
 the :class:`MetricFrames` of one lane), and raise where those flag a lane.
@@ -350,31 +351,32 @@ def pencil_values(pair: Tape, points, lams) -> TapeValues:
     """The members A + lam B of a pair compiled from (A, B), one per lam of
     ``lams``, at every row of ``points``: member j at lanes j n to (j + 1) n,
     n the number of points.  The pair runs once at every row, on at most
-    :data:`~hydroham.sampling.BLOCK` rows at a time, and each member is
-    written into its lanes by slices: the coefficients of A plus lam times
-    those of B, as a tape of the trees A + lam B computes them, scaled into
-    derivatives only then.  A lane is flagged where A or B leaves its
-    domain.  Every member shares the pair's run, and a call of many lanes
+    :data:`~hydroham.sampling.BLOCK` rows at a time, and every member of a
+    batch is formed in one broadcast into a (..., lam, row) view of the
+    member array: the coefficients of A plus lam times those of B, as a tape
+    of the trees A + lam B computes them, scaled into derivatives only then.
+    A lane is flagged where A or B leaves its domain.  The values' tape is
+    the pair's with a member's shape and structure.  A call of many lanes
     holds the pair's coefficients of one batch of rows only."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, lanes, step = len(points), len(points) * len(lams), sampling.BLOCK
+    n, count, step = len(points), len(lams), sampling.BLOCK
+    scale = np.asarray(lams, dtype=float)[:, None]
     member = first = None
     failures: dict = {}
     for at in range(0, max(n, 1), step):
         part = eval_tape(pair, points[at:at + step])
-        half = len(part.coeffs) // 2
+        half, there = len(part.coeffs) // 2, slice(at, at + len(part.points))
         if member is None:
-            member = np.empty((half,) + part.coeffs.shape[1:-1] + (lanes,))
-            first = np.empty(lanes, dtype=part.first_failure.dtype)
-        for j, lam in enumerate(lams):
-            there = slice(j * n + at, j * n + at + len(part.points))
-            out = member[..., there]
-            np.add(part.coeffs[:half], np.multiply(lam, part.coeffs[half:], out=out), out=out)
-            first[there] = part.first_failure
-            for i, operand in part.failures.items():
-                failures.setdefault(i, np.full(lanes, np.nan))[there] = operand
-    return TapeValues(pair, np.tile(points, (len(lams), 1)), member, first, failures,
-                      pair.shape[1:], _member_reads(pair.reads))
+            member = np.empty((half,) + part.coeffs.shape[1:-1] + (count * n,))
+            first = np.empty(count * n, dtype=part.first_failure.dtype)
+        out = member.reshape(member.shape[:-1] + (count, n))[..., there]
+        np.multiply(scale, part.coeffs[half:, ..., None, :], out=out)
+        np.add(part.coeffs[:half, ..., None, :], out, out=out)
+        first.reshape(count, n)[:, there] = part.first_failure
+        for i, operand in part.failures.items():
+            failures.setdefault(i, np.full(count * n, np.nan)).reshape(count, n)[:, there] = operand
+    tape = pair._replace(shape=pair.shape[1:], reads=_member_reads(pair.reads))
+    return TapeValues(tape, np.tile(points, (count, 1)), member, first, failures)
 
 
 @functools.lru_cache(maxsize=None)
@@ -422,14 +424,10 @@ def scaled_abs_dets(ms: np.ndarray) -> np.ndarray:
 
 
 def invert_metric(g: MetricField, point) -> np.ndarray:
-    """Covariant metric g_{ij} at a point; raises DegenerateMetricError below
-    the degeneracy floor or where the metric is not finite (det NaN)."""
-    g_up = eval_matrix(g.entries, point)
-    det = scaled_abs_det(g_up)
-    if not det >= DEGENERACY_FLOOR:
-        raise DegenerateMetricError(det, point)
-    inv = np.linalg.inv(g_up)
-    return (inv + inv.T) / 2.0
+    """Covariant metric g_{ij} at a point, the g_lo of :func:`metric_frame`
+    there: one lane of :func:`metric_status` and :func:`_inverse`, raising
+    as that does."""
+    return metric_frame(g, point).g_lo
 
 
 # -- frames -------------------------------------------------------------------
@@ -597,10 +595,10 @@ def covariant_derivatives(vals: Patterned, d1: Patterned, gamma: Patterned) -> P
 
 
 def christoffel_from_b(g: MetricField, b: ConnectionField, point) -> np.ndarray:
-    """Gamma^j_{sk} = -g_{is} b^{ij}_k, solving the defining representation."""
-    g_lo = invert_metric(g, point)
-    b_vals = eval_matrix(b.entries, point)
-    return -np.einsum("is,ijk->jsk", g_lo, b_vals)
+    """Gamma^j_{sk} = -g_{is} b^{ij}_k, solving the defining representation:
+    one lane of the connection kernel's contraction."""
+    g_lo, b_vals = invert_metric(g, point), eval_matrix(b.entries, point)
+    return -lane_einsum("is,ijk->jsk", g_lo[..., None], b_vals[..., None])[..., 0]
 
 
 def levi_civita(g: MetricField, point) -> np.ndarray:

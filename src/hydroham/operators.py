@@ -63,6 +63,7 @@ from .geometry import (
 from .reports import CheckReport, ConditionResult, table_conditions, walk_report
 from .sampling import (REDRAW_DOMAIN, Resolved, SamplePlan, check_dimension, resolve,
                        resolve_walks)
+from .systems import HydroSystem
 
 DEGENERATE_FRACTION_LIMIT = 0.2
 
@@ -475,8 +476,6 @@ def hamiltonian_flow(a: LocalOperator, h: Expr):
     :class:`~hydroham.exprs.Deriv` nodes of the density, so the derivatives
     come from jets.
     """
-    from .systems import HydroSystem  # local import to avoid a cycle
-
     n = a.dim
     grad = [Deriv(h, j) for j in range(n)]
 

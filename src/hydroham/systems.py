@@ -47,7 +47,7 @@ from .errors import (HostileDomainError, NonConservedCurrentError, VanishingDeno
                      plain_point)
 from .exprs import Const, Expr, TapeValues, compile_tape, const, eval_tape
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
-from .geometry import lane_einsum, lane_max, scaled_abs_dets
+from .geometry import _as_entry_grid, lane_einsum, lane_max, scaled_abs_dets
 from .reports import CheckReport, walk_report
 from .sampling import REDRAW_DOMAIN, SamplePlan, check_dimension, resolve
 
@@ -61,20 +61,14 @@ REDRAW_SINGULAR = 2  # evaluator status: the Jacobian of the map is singular the
 
 @dataclass(frozen=True)
 class HydroSystem:
-    """First-order quasilinear system u^i_t = v^i_j(u) u^j_x."""
+    """First-order quasilinear system u^i_t = v^i_j(u) u^j_x; the speed
+    matrix is validated as the fields of :mod:`~hydroham.geometry` are."""
 
     dim: int
     v: tuple  # n x n of Expr
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.v)
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise ValueError("speed matrix must be n x n")
-        for row in rows:
-            for e in row:
-                if not isinstance(e, Expr):
-                    raise TypeError(f"speed matrix entries must be expressions, not {e!r}")
-        object.__setattr__(self, "v", rows)
+        object.__setattr__(self, "v", _as_entry_grid(self.v, (self.dim, self.dim), "speed matrix"))
 
     @cached_property
     def diagonal(self) -> bool:

@@ -132,6 +132,20 @@ def test_preset_nonlocal_suite(capsys):
     assert "t3_gauss" in cids
 
 
+@pytest.mark.parametrize("argv,code,error", [
+    # each Lambda is undefined on a part of drift_plan's box, where it is redrawn
+    (["h2-hat", "--lambda1", "sqrt(r3-0.3)"], 0, ""),
+    (["h3-hat", "--lambda2", "ln(r3-0.2)"], 0, ""),
+    (["h2-hat", "--lambda1", "r3^2"], 2,  # the default Lambda2
+     "error: Lambda1, Lambda2 and the constant 1 must be linearly independent\n"),
+    (["h2-hat", "--lambda1", "ln(-1-r3^2)"], 2, "error: domain too hostile at sample point 0\n"),
+])
+def test_the_lambdas_are_checked_independent_at_draws_where_they_are_defined(capsys, argv, code,
+                                                                             error):
+    assert main(["preset", *argv, "--samples", "20", "--json"]) == code
+    assert capsys.readouterr().err == error
+
+
 def test_preset_kg_family(capsys):
     assert main(["preset", "kg-family", "--k", "2", "--samples", "40"]) == 0
     out = capsys.readouterr().out

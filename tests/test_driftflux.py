@@ -8,8 +8,8 @@ import pytest
 from hydroham import driftflux as df
 from hydroham import systems
 from hydroham.errors import ConstraintViolation, EvalDomainError
-from hydroham.exprs import const, eval_scalar, exp, fields_equal_numeric
-from hydroham.geometry import eval_matrix
+from hydroham.exprs import Deriv, const, eval_scalar, exp, fields_equal_numeric
+from hydroham.geometry import AffinorField, eval_matrix
 from hydroham.operators import check_ferapontov, check_local_hamiltonian, check_skew_adjoint
 from hydroham.parsing import parse_expr
 
@@ -165,7 +165,13 @@ def test_dependent_lambdas_rejected():
 
 def test_tails_match_ansatz_affinors():
     built = df.build_H2_hat().tails
-    from_ansatz = df.ansatz_affinors(df.default_ansatz())
+    ansatz, p, zero = df.default_ansatz(), exp(df.R2 - df.R1), const(0)
+    # affinors e^{r2-r1} diag(Psi_{r1}, -Psi_{r2}, Phi + Psi), derivatives through jets
+    from_ansatz = [
+        AffinorField(3, eps, [[d if i == j else zero for j in range(3)] for i, d in enumerate(
+            (p * Deriv(psi, 0), -(p * Deriv(psi, 1)), p * (phi + psi)))])
+        for eps, psi, phi in zip(ansatz.eps, ansatz.psi, ansatz.phi)
+    ]
     plan = df.drift_plan(count=50)
     for w_built, w_ans in zip(built, from_ansatz):
         assert w_built.sign == w_ans.sign

@@ -20,8 +20,10 @@ from hydroham.geometry import (
     covariant_derivative_values,
     eval_matrix,
     invert_metric,
+    lane_einsum,
     levi_civita,
     metric_frame,
+    metric_frames,
     metric_status,
     pencil_values,
     scaled_abs_det,
@@ -33,6 +35,7 @@ from hydroham.parsing import parse_expr
 from hydroham import driftflux as df
 
 from conftest import LD, eval_longdouble
+from test_structural_zeros import euclidean_sheared
 
 
 def _metric(texts, n):
@@ -187,6 +190,33 @@ def test_christoffel_from_b_identity_metric_lowers_trivially(rng):
     gamma = christoffel_from_b(IDENTITY2, b, p)
     b_vals = np.array([[[eval_scalar(entries[i][j][k], p) for k in range(2)] for j in range(2)] for i in range(2)])
     assert np.allclose(gamma, -np.einsum("sjk->jsk", b_vals))
+
+
+def _one_point_operators():
+    """(name, LocalOperator): the eight shipped local operators of the
+    presets, and the sheared Euclidean operator, whose metric and g_lo have
+    no structural zero."""
+    ops = [(f"h{k}", df.build_nutku(k)) for k in (1, 2, 3)]
+    ops += [(f"h1-theta[{name}]", df.build_H1_Theta(t))
+            for name, t in (("r3", df.R3), ("1+r3^2", df.DEFAULT_THETA))]
+    ops += [(f"remark{k}", op) for k, op in enumerate(df.build_remark_operators(const(1)), 1)]
+    return ops + [("euclidean sheared", euclidean_sheared())]
+
+
+@pytest.mark.parametrize("op", [pytest.param(op, id=name) for name, op in _one_point_operators()])
+def test_the_one_point_geometry_is_a_lane_of_the_frame_kernels(op):
+    # invert_metric is the frame check's g_lo, and christoffel_from_b the
+    # connection kernel's Gamma, at each of 20 plan points, bit for bit (up to
+    # the sign of a zero, where the kernel drops a structurally zero term)
+    points = cases.plan_for(op.dim, 1).points(np.arange(20))
+    g = eval_tape(compile_tape(op.g.entries, op.dim, 2), points)
+    b = eval_tape(compile_tape(op.b.entries, op.dim, 0), points)
+    assert metric_status(g).usable.all() and not b.failed.any()
+    frames = metric_frames(g, np.arange(20))
+    gamma = -lane_einsum("is,ijk->jsk", frames.g_lo, Patterned(b.vals, b.patterns[0]))
+    for lane, point in enumerate(points):
+        assert np.array_equal(invert_metric(op.g, point), frames.g_lo.values[..., lane])
+        assert np.array_equal(christoffel_from_b(op.g, op.b, point), gamma.values[..., lane])
 
 
 def test_two_path_agreement_on_first_preset():
