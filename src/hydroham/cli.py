@@ -42,8 +42,7 @@ from .operators import (
 )
 from .parsing import parse_expr
 from .reports import CheckReport, ConditionResult
-from .sampling import (DEFAULT_COUNT, DEFAULT_FLOOR, DEFAULT_TOLERANCE, REDRAW_DOMAIN,
-                       SamplePlan, resolve)
+from .sampling import REDRAW_DOMAIN, SamplePlan, default_plan, resolve
 from .systems import (
     SIGN_BRIDGE_NOTE,
     ConservedCurrent,
@@ -66,7 +65,7 @@ class SpecError(WorkbenchError):
 # -- workbench spec files --------------------------------------------------------
 
 
-def _parse_grid(raw, dim, depth, n_vars, what):
+def _parse_grid(raw, dim, depth, what):
     if not isinstance(raw, list) or len(raw) != dim:
         raise SpecError(f"{what} must be a {'x'.join([str(dim)] * depth)} array")
     out = []
@@ -75,11 +74,11 @@ def _parse_grid(raw, dim, depth, n_vars, what):
             if not isinstance(item, str):
                 raise SpecError(f"{what} entries must be expression strings")
             try:
-                out.append(parse_expr(item, n_vars))
+                out.append(parse_expr(item, dim))
             except ParseError as err:
                 raise SpecError(f"bad expression in {what}: {err}") from None
         else:
-            out.append(_parse_grid(item, dim, depth - 1, n_vars, what))
+            out.append(_parse_grid(item, dim, depth - 1, what))
     return tuple(out)
 
 
@@ -106,9 +105,9 @@ def load_spec(path: str) -> dict:
     spec: dict = {"dimension": dim, "raw": raw}
 
     if "metric" in raw:
-        spec["metric"] = MetricField(dim, _parse_grid(raw["metric"], dim, 2, dim, "metric"))
+        spec["metric"] = MetricField(dim, _parse_grid(raw["metric"], dim, 2, "metric"))
     if "b" in raw:
-        spec["b"] = ConnectionField(dim, _parse_grid(raw["b"], dim, 3, dim, "b"))
+        spec["b"] = ConnectionField(dim, _parse_grid(raw["b"], dim, 3, "b"))
     if "metric" in spec and "b" in spec:  # one operator, so its tapes compile once per spec
         spec["operator"] = LocalOperator(dim, spec["metric"], spec["b"])
     if "tails" in raw:
@@ -121,11 +120,11 @@ def load_spec(path: str) -> dict:
             if not _is_int(t["epsilon"]) or t["epsilon"] not in (-1, 1):
                 raise SpecError("tail 'epsilon' must be -1 or 1")
             tails.append(
-                AffinorField(dim, t["epsilon"], _parse_grid(t["matrix"], dim, 2, dim, "tail matrix"))
+                AffinorField(dim, t["epsilon"], _parse_grid(t["matrix"], dim, 2, "tail matrix"))
             )
         spec["tails"] = tuple(tails)
     if "system" in raw:
-        spec["system"] = HydroSystem(dim, _parse_grid(raw["system"], dim, 2, dim, "system"))
+        spec["system"] = HydroSystem(dim, _parse_grid(raw["system"], dim, 2, "system"))
     if "currents" in raw:
         currents = []
         if not isinstance(raw["currents"], list):
@@ -148,8 +147,8 @@ def load_spec(path: str) -> dict:
             raise SpecError("'candidate_operators' must be a list of {metric, b} objects")
         spec["candidate_operators"] = tuple(
             LocalOperator(dim,
-                          MetricField(dim, _parse_grid(c["metric"], dim, 2, dim, "candidate metric")),
-                          ConnectionField(dim, _parse_grid(c["b"], dim, 3, dim, "candidate b")))
+                          MetricField(dim, _parse_grid(c["metric"], dim, 2, "candidate metric")),
+                          ConnectionField(dim, _parse_grid(c["b"], dim, 3, "candidate b")))
             for c in candidates)
 
     checks = raw.get("checks", [])
@@ -177,28 +176,22 @@ def _is_int(x) -> bool:
 
 
 def build_plan(spec: dict, args) -> SamplePlan:
-    dim = spec["dimension"]
-    plan_raw = spec["sample_plan"]
-    box = plan_raw.get("box", [[-1.0, 1.0]] * dim)
-    count = plan_raw.get("count", DEFAULT_COUNT)
-    seed = plan_raw.get("seed", 0)
-    tolerance = plan_raw.get("tolerance", DEFAULT_TOLERANCE)
-    floor = plan_raw.get("floor", DEFAULT_FLOOR)
-    if getattr(args, "samples", None) is not None:
-        count = args.samples
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    if getattr(args, "tol", None) is not None:
-        tolerance = args.tol
+    """The spec's plan: :func:`~hydroham.sampling.default_plan` with the
+    fields its ``sample_plan`` gives, then those the plan flags give."""
+    raw = spec["sample_plan"]
+    fields = {name: raw[name] for name in ("count", "seed", "tolerance", "floor") if name in raw}
+    box = raw.get("box")
+    return _flag_plan(args, lambda **flags: default_plan(
+        spec["dimension"], None if box is None else tuple(tuple(map(_box_bound, b)) for b in box),
+        **{**fields, **flags}))
+
+
+def _flag_plan(args, make) -> SamplePlan:
+    """``make(**flags)``, with the plan fields --samples, --seed and --tol
+    give (count, seed, tolerance) as flags; SpecError for a bad plan."""
+    flags = {"count": args.samples, "seed": args.seed, "tolerance": args.tol}
     try:
-        return SamplePlan(
-            dim=dim,
-            box=tuple(tuple(_box_bound(x) for x in b) for b in box),
-            count=count,
-            seed=seed,
-            tolerance=tolerance,
-            floor=floor,
-        )
+        return make(**{name: value for name, value in flags.items() if value is not None})
     except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad sample plan: {err}") from None
 
@@ -249,24 +242,29 @@ def _use_color(args) -> bool:
     )
 
 
-def emit(reports: list[CheckReport], args, spec_echo: dict, started: float,
-         extra_lines: list[str] | None = None, extra_data: dict | None = None) -> int:
+def emit(reports: list[CheckReport], args, echo: dict, plan: SamplePlan, started: float,
+         transformed: HydroSystem | None = None, lines=()) -> int:
+    """Print the reports, as a --json document whose spec is ``echo`` with
+    the effective plan or as tables after ``lines``, and return the exit
+    code.  A transformed system adds its speed matrix at the first plan points."""
     overall = all(r.passed for r in reports)
+    if transformed is not None:
+        lines, speeds = _transformed_speeds(transformed, plan)
     if args.json:
         doc = {
             "tool": "hydroham",
             "version": __version__,
-            "spec": spec_echo,
+            "spec": {**echo, "sample_plan": plan.echo()},
             "checks": [r.to_dict() for r in reports],
             "overall": "pass" if overall else "fail",
             "wall_time_s": round(time.perf_counter() - started, 6),
         }
-        if extra_data:
-            doc.update(extra_data)
+        if transformed is not None:
+            doc["transformed_speeds"] = speeds
         print(json.dumps(doc, indent=2))
     else:
         color = _use_color(args)
-        for line in extra_lines or []:
+        for line in lines:
             print(line)
         for r in reports:
             print(r.format_table(color=color))
@@ -289,8 +287,7 @@ def cmd_check(args) -> int:
         if any(f not in spec for f in fields):
             raise SpecError(f"check {cid!r} needs {' and '.join(map(repr, fields))}")
         reports += run(spec, plan)
-    echo = {**spec["raw"], "sample_plan": plan.echo()}
-    return emit(reports, args, echo, started)
+    return emit(reports, args, spec["raw"], plan, started)
 
 
 def _expression(name: str, text: str):
@@ -335,10 +332,9 @@ def _local_suite(op: LocalOperator, plan: SamplePlan):
 
 
 def _hat_suite(build: str, opts: dict, plan: SamplePlan):
-    op = getattr(driftflux, build)(
-        opts.get("theta", driftflux.DEFAULT_THETA), opts.get("lambda1", driftflux.DEFAULT_LAMBDA1),
-        opts.get("lambda2", driftflux.DEFAULT_LAMBDA2), _block(opts))
-    return [check_ferapontov(op, plan)], None
+    given = {param: opts[name] for name, param in (("theta", "theta"), ("lambda1", "lam1"),
+                                                   ("lambda2", "lam2")) if name in opts}
+    return [check_ferapontov(getattr(driftflux, build)(**given, block=_block(opts)), plan)], None
 
 
 def _remark_reports(opts: dict, plan: SamplePlan) -> list[CheckReport]:
@@ -440,8 +436,7 @@ PRESETS = {
 def _transformed_speeds(system: HydroSystem, plan: SamplePlan):
     """(table lines, JSON data) of the transformed speed matrix at the first
     plan points, up to four, each redrawn where a speed leaves its domain
-    under the one redraw rule (:func:`~hydroham.sampling.resolve`), and
-    evaluated once for both formats."""
+    under the one redraw rule (:func:`~hydroham.sampling.resolve`)."""
     def evaluate(points):
         speeds = speed_values(system, points)
         return REDRAW_DOMAIN * speeds.failed, (speeds.vals.transpose(2, 0, 1),)
@@ -457,7 +452,7 @@ def _transformed_speeds(system: HydroSystem, plan: SamplePlan):
         lines.append(f"  at ({pt}): {rows}")
     data = [{"point": [float(x) for x in p], "v": [[float(x) for x in row] for row in v]}
             for p, v in grid]
-    return lines, {"transformed_speeds": data}
+    return lines, data
 
 
 def cmd_preset(args) -> int:
@@ -470,16 +465,9 @@ def cmd_preset(args) -> int:
         raise SpecError(f"preset {args.name!r} does not take {' '.join(extra)}; it takes "
                         + (" ".join(f"--{name}" for name in takes) or "no options"))
     opts = {name: PRESET_OPTIONS[name][1](name, text) for name, text in given.items()}
-    count = args.samples if args.samples is not None else DEFAULT_COUNT
-    seed = args.seed if args.seed is not None else driftflux.DEFAULT_SEED
-    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCE
-    plan = getattr(driftflux, factory)(count=count, seed=seed, tolerance=tol)
+    plan = _flag_plan(args, getattr(driftflux, factory))
     reports, transformed = suite(opts, plan)
-    lines, data = [], None
-    if transformed is not None:
-        lines, data = _transformed_speeds(transformed, plan)
-    echo = {"preset": args.name, "params": given, "sample_plan": plan.echo()}
-    return emit(reports, args, echo, started, extra_lines=lines, extra_data=data)
+    return emit(reports, args, {"preset": args.name, "params": given}, plan, started, transformed)
 
 
 def cmd_reciprocal(args) -> int:
@@ -493,18 +481,16 @@ def cmd_reciprocal(args) -> int:
     plan = build_plan(spec, args)
     system = spec["system"]
     reports = _current_reports(system, currents, plan)
-    echo = {**spec["raw"], "sample_plan": plan.echo()}
     if not all(r.passed for r in reports):
-        return emit(reports, args, echo, started,
-                    extra_lines=["currents are not conserved; not transforming"])
+        return emit(reports, args, spec["raw"], plan, started,
+                    lines=["currents are not conserved; not transforming"])
     transformed = build_reciprocal_system(system, currents[0], currents[1], plan)
     for rep in reports:
         rep.notes.append(SIGN_BRIDGE_NOTE)
-    lines, data = _transformed_speeds(transformed, plan)
     reports += _numbered("candidate operator {}: local Hamiltonian",
                          (check_local_hamiltonian(op, plan)
                           for op in spec.get("candidate_operators", ())))
-    return emit(reports, args, echo, started, extra_lines=lines, extra_data=data)
+    return emit(reports, args, spec["raw"], plan, started, transformed)
 
 
 # -- entry point -----------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .exprs import (
     variables,
 )
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
-from .geometry import AffinorField, ConnectionField, MetricField
+from .geometry import AffinorField, ConnectionField, MetricField, _require_signs
 from .operators import LocalOperator, NonlocalOperator
 from .reports import CheckReport, walk_report
 from .sampling import DEFAULT_COUNT, DEFAULT_TOLERANCE, REDRAW_DOMAIN, SamplePlan, resolve
@@ -214,10 +214,13 @@ def _bordered(diag, g33: Expr, prefactor: Expr, grid, border, f33: dict) -> Loca
     return LocalOperator(3, g, _connection(3, prefactor, rows))
 
 
-def _require_r3_only(e: Expr, name: str) -> Expr:
+def _require_vars(e, name: str, *indices: int) -> Expr:
+    """``e`` as an expression; ValueError unless it depends on the variables
+    ``indices`` only (0 is r1)."""
     e = as_expr(e)
-    if not var_indices(e) <= {2}:
-        raise ValueError(f"{name} must depend on r3 only")
+    if not var_indices(e) <= set(indices):
+        on = ", ".join(f"r{i + 1}" for i in indices)
+        raise ValueError(f"{name} must depend on {on if len(indices) == 1 else f'({on})'} only")
     return e
 
 
@@ -239,7 +242,7 @@ def _prolongation(k: int, theta: Expr) -> LocalOperator:
 def build_H1_Theta(theta) -> LocalOperator:
     """The local family prolonging the first classical structure to S,
     parameterized by a function Theta of r3."""
-    return _prolongation(1, _require_r3_only(theta, "Theta"))
+    return _prolongation(1, _require_vars(theta, "Theta", 2))
 
 
 @dataclass(frozen=True)
@@ -263,8 +266,7 @@ class ConstantBlock:
             if len(vals) != 3:
                 raise ValueError(f"{name} must have exactly three components")
             object.__setattr__(self, name, vals)
-        if any(e not in (-1, 1) for e in self.eps):
-            raise ValueError("signs must be exactly -1 or +1")
+        _require_signs(self.eps, "signs")
 
     def validate(self) -> None:
         checks = (
@@ -325,9 +327,9 @@ def _hat(k: int, tails, theta, lam1, lam2, block: ConstantBlock) -> NonlocalOper
     """Structure k prolonged to S with tails(block, Lambda1, Lambda2), inputs
     validated: Lambda1, Lambda2 and 1 independent at three draws of
     :func:`drift_plan`, each redrawn where a Lambda leaves its domain."""
-    theta = _require_r3_only(theta, "Theta")
-    lam1 = _require_r3_only(lam1, "Lambda1")
-    lam2 = _require_r3_only(lam2, "Lambda2")
+    theta = _require_vars(theta, "Theta", 2)
+    lam1 = _require_vars(lam1, "Lambda1", 2)
+    lam2 = _require_vars(lam2, "Lambda2", 2)
     block.validate()
     tape = compile_tape((lam1, lam2), 3, 0)
 
@@ -360,7 +362,7 @@ def build_remark_operators(theta_tilde) -> tuple[LocalOperator, LocalOperator, L
     system, parameterized by a function of r3: the rows of ``_REMARK``, each
     bordered with g^{33} = e^{r1-r2} e^{r2-r1} Theta~ (built as that product)
     and b^{33}_3 a multiple of Theta~'."""
-    tt = _require_r3_only(theta_tilde, "Theta")
+    tt = _require_vars(theta_tilde, "Theta", 2)
     dtt = Deriv(tt, 2)
     return tuple(
         _bordered(diag, _E * _P * tt, prefactor, grid, ({},) * 4, {2: lead * dtt})
@@ -396,9 +398,7 @@ def kg_residual(psi: Expr, plan: SamplePlan | None = None) -> CheckReport:
     """Residual of the linear wave identity 2 Psi_{r1 r2} = Psi_{r2} - Psi_{r1}
     for a function of (r1, r2), redrawing points where Psi leaves its
     domain."""
-    psi = as_expr(psi)
-    if not var_indices(psi) <= {0, 1}:
-        raise ValueError("Psi must depend on (r1, r2) only")
+    psi = _require_vars(psi, "Psi", 0, 1)
     if plan is None:
         plan = plane_plan()
     n = min(2, plan.dim)
@@ -475,17 +475,9 @@ class ProlongationAnsatz:
     def __post_init__(self):
         if not (len(self.eps) == len(self.psi) == len(self.phi) == 3):
             raise ValueError("ansatz needs exactly three components")
-        object.__setattr__(self, "eps", tuple(int(e) for e in self.eps))
-        object.__setattr__(self, "psi", tuple(as_expr(p) for p in self.psi))
-        object.__setattr__(self, "phi", tuple(as_expr(p) for p in self.phi))
-        if any(e not in (-1, 1) for e in self.eps):
-            raise ValueError("signs must be exactly -1 or +1")
-        for p in self.psi:
-            if not var_indices(p) <= {0, 1}:
-                raise ValueError("each Psi must depend on (r1, r2) only")
-        for p in self.phi:
-            if not var_indices(p) <= {2}:
-                raise ValueError("each Phi must depend on r3 only")
+        object.__setattr__(self, "eps", tuple(int(e) for e in _require_signs(self.eps, "signs")))
+        object.__setattr__(self, "psi", tuple(_require_vars(p, "each Psi", 0, 1) for p in self.psi))
+        object.__setattr__(self, "phi", tuple(_require_vars(p, "each Phi", 2) for p in self.phi))
 
     def require_wave_identity(self, seed: int) -> None:
         """Raise ValueError unless each Psi satisfies the wave identity on the
@@ -555,7 +547,7 @@ def constraint_residuals(ansatz: ProlongationAnsatz, which: str,
     if which not in CONSTRAINT_EQUATIONS:
         raise ValueError(f"unknown equation tag {which!r}")
     if which == "eq5":
-        omega = const(0) if omega is None else _require_r3_only(omega, "Omega")
+        omega = const(0) if omega is None else _require_vars(omega, "Omega", 2)
     if which == "eq7" and big_c is None:
         raise ValueError("eq7 requires the constant C")
     if plan is None:

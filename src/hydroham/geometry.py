@@ -142,11 +142,19 @@ class AffinorField:
     entries: tuple
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("affinor sign must be exactly -1 or +1")
+        _require_signs((self.sign,), "affinor sign")
         object.__setattr__(
             self, "entries", _as_entry_grid(self.entries, (self.dim, self.dim), "affinor")
         )
+
+
+def _require_signs(signs, what: str) -> tuple:
+    """``signs`` as a tuple; ValueError, saying ``what`` they are, unless each
+    is exactly -1 or +1 (a bool is neither, although True == 1)."""
+    signs = tuple(signs)
+    if any(isinstance(s, bool) or s not in (-1, 1) for s in signs):
+        raise ValueError(f"{what} must be exactly -1 or +1")
+    return signs
 
 
 # -- batched evaluation ----------------------------------------------------------
@@ -398,11 +406,18 @@ def scaled_abs_det(m: np.ndarray) -> float:
     return float(scaled_abs_dets(np.asarray(m)[None])[0])
 
 
-@np.errstate(all="ignore")  # a non-finite entry leaves det NaN, not a warning
 def scaled_abs_dets(ms: np.ndarray) -> np.ndarray:
     """:func:`scaled_abs_det` of each matrix stacked along leading axes, as
-    np.linalg takes them (a lanes-last array goes in as a moveaxis view).
-    The determinant of the row-scaled matrix is written out for n <= 3 (its
+    np.linalg takes them (a lanes-last array goes in as a moveaxis view):
+    the |.| of :func:`_scaled_dets`."""
+    return np.abs(_scaled_dets(ms))
+
+
+@np.errstate(all="ignore")  # a non-finite entry leaves det NaN, not a warning
+def _scaled_dets(ms: np.ndarray) -> np.ndarray:
+    """The determinant of each matrix with each row divided by its largest
+    |entry|, 0.0 where a row vanishes; each divisor is positive, so it has
+    the sign of the matrix's determinant.  It is written out for n <= 3 (the
     cofactor expansion along the first row) and taken from np.linalg.det
     beyond; either way a non-finite entry makes it NaN."""
     n, lead = ms.shape[-1], tuple(range(ms.ndim - 2))
@@ -420,7 +435,7 @@ def scaled_abs_dets(ms: np.ndarray) -> np.ndarray:
     else:
         (a, b, c), (d, e, f), (g, h, i) = rows
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return np.where(vanishing.any(0), 0.0, np.abs(det))
+    return np.where(vanishing.any(0), 0.0, det)
 
 
 def invert_metric(g: MetricField, point) -> np.ndarray:

@@ -77,8 +77,7 @@ class SamplePlan:
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
+        _natural("dim", self.dim, 1)
         if len(self.box) != self.dim:
             raise ValueError("box must supply one interval per variable")
         for lo, hi in self.box:

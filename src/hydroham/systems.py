@@ -47,7 +47,7 @@ from .errors import (HostileDomainError, NonConservedCurrentError, VanishingDeno
                      plain_point)
 from .exprs import Const, Expr, TapeValues, compile_tape, const, eval_tape
 from .exprs import eval_jet  # noqa: F401  (benchmarks/tracer.py spans calls at this binding)
-from .geometry import _as_entry_grid, lane_einsum, lane_max, scaled_abs_dets
+from .geometry import _as_entry_grid, _scaled_dets, lane_einsum, lane_max, scaled_abs_dets
 from .reports import CheckReport, walk_report
 from .sampling import REDRAW_DOMAIN, SamplePlan, check_dimension, resolve
 
@@ -222,9 +222,12 @@ def reciprocal_transform_system(s: HydroSystem, c1: ConservedCurrent,
 
 def denominator_dets(sigma1: np.ndarray, rho1: np.ndarray, v: np.ndarray):
     """Per lane, the scaled |det| and the sign (+1 or -1) of the determinant
-    of the denominator sigma_1 I - rho_1 v, from speeds v (n, n, N)."""
+    of the denominator sigma_1 I - rho_1 v, from speeds v (n, n, N), both
+    from one row-scaled determinant; a non-finite entry makes it NaN, so
+    the sign -1."""
     d = sigma1[:, None, None] * np.eye(len(v)) - rho1[:, None, None] * np.moveaxis(v, -1, 0)
-    return scaled_abs_dets(d), np.where(np.linalg.det(d) > 0, 1, -1)
+    det = _scaled_dets(d)
+    return np.abs(det), np.where(det > 0, 1, -1)
 
 
 def build_reciprocal_system(s: HydroSystem, c1: ConservedCurrent,

@@ -408,6 +408,14 @@ def test_plan_rejects_a_count_that_is_not_an_integer_or_a_bool_tolerance(field, 
         SamplePlan(1, ((-1.0, 1.0),), **{field: value})
 
 
+@pytest.mark.parametrize("dim", [True, 0, 1.0])
+def test_plan_rejects_a_dimension_that_is_not_an_integer(dim):
+    # dim=True was accepted and echoed "dim": true
+    with pytest.raises(ValueError) as err:
+        SamplePlan(dim=dim, box=((0.0, 1.0),))
+    assert str(err.value) == f"dim must be an integer >= 1, got {dim!r}"
+
+
 @pytest.mark.parametrize("box", [((float("-inf"), 1.0),), ((-1.0, float("inf")),),
                                  ((float("nan"), 1.0),)])
 def test_plan_rejects_a_non_finite_box_bound(box):
@@ -495,25 +503,114 @@ def test_non_finite_floor_is_invalid_input(tmp_path, capsys):
 _CANDIDATE = {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 
 
+_KNOWN = "skew_adjoint, local_hamiltonian, ferapontov, conserved_currents"
+
+
 @pytest.mark.parametrize("command,fields,message", [
     ("check", {"sample_plan": [1]}, "'sample_plan' must be a JSON object"),
-    ("check", {"sample_plan": {"box": 3}}, "one [lo, hi] interval per variable"),
-    ("check", {"sample_plan": {"box": [[-1.0, 1.0, 2.0]]}}, "one [lo, hi] interval per variable"),
+    ("check", {"sample_plan": {"box": 3}},
+     "sample_plan box must supply one [lo, hi] interval per variable"),
+    ("check", {"sample_plan": {"box": [[-1.0, 1.0, 2.0]]}},
+     "sample_plan box must supply one [lo, hi] interval per variable"),
     ("check", {"dimension": True}, "'dimension' must be a positive integer"),
-    ("check", {"tails": [{"epsilon": True, "matrix": [["u1"]]}]}, "epsilon"),
-    ("check", {"checks": [["local_hamiltonian"]]}, "unknown check id"),
+    ("check", {"metric": [[2]]}, "metric entries must be expression strings"),
+    ("check", {"tails": {}}, "'tails' must be a list of {epsilon, matrix} objects"),
+    ("check", {"tails": [{"epsilon": 1}]}, "each tail needs 'epsilon' and 'matrix'"),
+    ("check", {"tails": [{"epsilon": True, "matrix": [["u1"]]}]},
+     "tail 'epsilon' must be -1 or 1"),
+    ("check", {"checks": [["local_hamiltonian"]]},
+     f"unknown check id ['local_hamiltonian']; known: {_KNOWN}"),
+    ("check", {"checks": "skew_adjoint"}, "'checks' must be a list of check ids"),
+    ("check", {"checks": []}, "spec requests no checks"),
+    # the first fault in the order the spec is read is the one reported
+    ("check", {"checks": [], "sample_plan": [1]}, "'sample_plan' must be a JSON object"),
+    ("check", {"tails": {}, "checks": "skew_adjoint"},
+     "'tails' must be a list of {epsilon, matrix} objects"),
+    ("check", {"checks": [], "sample_plan": {"count": 0}}, "spec requests no checks"),
+    ("reciprocal", {"currents": {}}, "'currents' must be a list of {rho, sigma} objects"),
     ("reciprocal", {"currents": [{"rho": 1, "sigma": "0"}, {"rho": "0", "sigma": "1"}]},
-     "'rho' and 'sigma' expression strings"),
-    ("reciprocal", {"candidate_operators": [_CANDIDATE]}, "list of {metric, b} objects"),
+     "each current needs 'rho' and 'sigma' expression strings"),
+    ("reciprocal", {"currents": [{"rho": "(", "sigma": "1"}, {"rho": "0", "sigma": "1"}]},
+     "bad expression in currents: unexpected end of input (at position 1)"),
+    ("reciprocal", {"currents": [{"rho": "0", "sigma": "1"}]},
+     "reciprocal needs exactly two currents"),
+    ("reciprocal", {"candidate_operators": [_CANDIDATE]},
+     "'candidate_operators' must be a list of {metric, b} objects"),
     ("reciprocal", {"candidate_operators": {"metric": _CANDIDATE["metric"]}},
-     "list of {metric, b} objects"),
+     "'candidate_operators' must be a list of {metric, b} objects"),
 ])
 def test_malformed_spec_is_invalid_input(tmp_path, capsys, command, fields, message):
     base = dict(WRONG_CONNECTION) if command == "check" else cases.spec_example()
     spec = write_spec(tmp_path, **dict(base, **fields))
     assert main([command, spec, "--json"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and message in captured.err
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("check", None, "spec file not found: {path}"),
+    ("check", "", "spec file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("check", "[]", "spec file must contain a JSON object"),
+    ("check", "{}", "spec is missing the required field 'dimension'"),
+    ("reciprocal", json.dumps(WRONG_CONNECTION), "reciprocal needs a 'system' in the spec file"),
+    ("reciprocal", json.dumps(dict(WRONG_CONNECTION, currents=[])),
+     "reciprocal needs a 'system' in the spec file"),
+])
+def test_unreadable_or_incomplete_spec_is_invalid_input(tmp_path, capsys, command, text,
+                                                         message):
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main([command, str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message.format(path=path)}\n"
+
+
+_TRUE_CANDIDATE = {"metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                   "b": [[["0"] * 3] * 3] * 3}
+# g^{11} = 2 + u1 with b = 0 is not metric compatible
+_MUTATED_CANDIDATE = dict(_TRUE_CANDIDATE,
+                          metric=[["2 + u1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+
+
+def test_reciprocal_checks_each_candidate_operator(tmp_path, capsys):
+    spec = write_spec(tmp_path, **dict(cases.spec_example(),
+                                       candidate_operators=[_TRUE_CANDIDATE, _MUTATED_CANDIDATE]))
+    assert main(["reciprocal", spec, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    verdicts = {c["title"]: c["passed"] for c in doc["checks"]}
+    assert verdicts.pop("candidate operator 1: local Hamiltonian") is True
+    assert verdicts.pop("candidate operator 2: local Hamiltonian") is False
+    assert all(verdicts.values())  # the two currents
+    assert main(["reciprocal", spec]) == 1
+    out = capsys.readouterr().out
+    assert "candidate operator 1: local Hamiltonian: PASS" in out
+    assert "candidate operator 2: local Hamiltonian: FAIL" in out
+
+
+def test_a_candidate_metric_of_the_wrong_shape_exits_before_any_check(tmp_path, capsys):
+    bad = dict(_TRUE_CANDIDATE, metric=[["1", "0"], ["0", "1"]])
+    spec = write_spec(tmp_path, **dict(cases.spec_example(),
+                                       candidate_operators=[_TRUE_CANDIDATE, bad]))
+    assert main(["reciprocal", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: candidate metric must be a 3x3 array\n"
+
+
+def test_the_table_prints_a_condition_note(capsys):
+    assert main(["preset", "h1-theta", "--theta", "0", "--samples", "20"]) == 1
+    line = next(x for x in capsys.readouterr().out.splitlines() if "metric_nondegenerate" in x)
+    assert line.endswith("[identically degenerate]")
+
+
+@pytest.mark.parametrize("command", ["check", "reciprocal", "preset"])
+def test_a_bad_plan_flag_is_one_error_line_for_every_command(tmp_path, capsys, command):
+    target = {"check": write_spec(tmp_path, **WRONG_CONNECTION), "preset": "h1",
+              "reciprocal": write_spec(tmp_path, "example.json", **cases.spec_example())}
+    assert main([command, target[command], "--samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: bad sample plan: count must be an integer >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("names", [5, ["a"], ["a", 3], "ab"])

@@ -9,8 +9,10 @@ from hydroham import driftflux as df
 from hydroham import systems
 from hydroham.errors import ConstraintViolation, EvalDomainError
 from hydroham.exprs import Deriv, const, eval_scalar, exp, fields_equal_numeric
-from hydroham.geometry import AffinorField, eval_matrix
-from hydroham.operators import check_ferapontov, check_local_hamiltonian, check_skew_adjoint
+from hydroham.geometry import AffinorField, ConnectionField, eval_matrix
+from hydroham.operators import (LocalOperator, NonlocalOperator, check_ferapontov,
+                               check_local_hamiltonian, check_pencil_compatibility,
+                               check_skew_adjoint)
 from hydroham.parsing import parse_expr
 
 
@@ -342,3 +344,55 @@ def test_every_mutation_fails_with_visible_residual():
         worst = max((c.residual for c in rep.conditions if c.residual is not None),
                     default=0.0)
         assert worst >= 1e-3, name
+
+
+# -- library input rules -------------------------------------------------------------
+
+
+_ONE = ((const(1),),)
+_ANSATZ = df.default_ansatz()
+
+
+def _ansatz(**fields):
+    return df.ProlongationAnsatz(**{"eps": _ANSATZ.eps, "psi": _ANSATZ.psi, "phi": _ANSATZ.phi,
+                                    **fields})
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: df.ConstantBlock(c=(3, 4), b1=(4, -3, 0), b2=(0, 5, 4), b3=(0, 0, 1)),
+     ValueError, "c must have exactly three components"),
+    (lambda: df.ConstantBlock(c=(3, 4, 5), b1=(4, -3, 0), b2=(0, 5, 4), b3=(0, 0, 1),
+                              eps=(1, 1, 0)),
+     ValueError, "signs must be exactly -1 or +1"),
+    (lambda: df.kg_residual(df.R3), ValueError, "Psi must depend on (r1, r2) only"),
+    (lambda: _ansatz(eps=(1, 1)), ValueError, "ansatz needs exactly three components"),
+    (lambda: _ansatz(eps=(1, 1, 2)), ValueError, "signs must be exactly -1 or +1"),
+    (lambda: _ansatz(psi=(df.R1, df.R2, df.R3)), ValueError,
+     "each Psi must depend on (r1, r2) only"),
+    (lambda: _ansatz(phi=(df.R3, df.R3, df.R1)), ValueError, "each Phi must depend on r3 only"),
+    (lambda: AffinorField(1, 2, _ONE), ValueError, "affinor sign must be exactly -1 or +1"),
+    (lambda: LocalOperator(2, df.build_nutku(1).g, ConnectionField(1, (_ONE,))), ValueError,
+     "operator parts disagree on dimension"),
+    (lambda: NonlocalOperator(df.build_nutku(1), (AffinorField(1, 1, _ONE),)), ValueError,
+     "tail dimension disagrees with the local part"),
+    (lambda: check_pencil_compatibility(df.build_nutku(1), df.build_nutku(2), [df.R1],
+                                        df.plane_plan(count=5)),
+     TypeError, "a pencil parameter must be a constant, got Var(index=0)"),
+    (lambda: systems.PointChangeMap((df.R1,)).apply_inverse((0.5,)), ValueError,
+     "no inverse map supplied"),
+    (lambda: systems.check_change_of_variables(df.build_system_S0(), df.build_system_S(),
+                                               df.riemann_map(), df.drift_plan(count=5)),
+     ValueError, "systems and map disagree on dimension"),
+    (lambda: parse_expr("u1", 0), ValueError, "dimension must be positive"),
+    # True == 1, so the sign rule accepted a bool
+    (lambda: AffinorField(1, True, _ONE), ValueError, "affinor sign must be exactly -1 or +1"),
+    (lambda: df.ConstantBlock(c=(3, 4, 5), b1=(4, -3, 0), b2=(0, 5, 4), b3=(0, 0, 1),
+                              eps=(True, True, -1)),
+     ValueError, "signs must be exactly -1 or +1"),
+    (lambda: _ansatz(eps=(True, True, -1)), ValueError, "signs must be exactly -1 or +1"),
+])
+def test_library_input_rules(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+

@@ -5,6 +5,7 @@ import cases
 from hydroham import driftflux as df
 from hydroham.errors import NonConservedCurrentError, VanishingDenominatorError
 from hydroham.exprs import const, eval_scalar, exp, variables
+from hydroham.geometry import scaled_abs_dets
 from hydroham.parsing import parse_expr
 from hydroham.sampling import SamplePlan, default_plan
 from hydroham.systems import (
@@ -14,6 +15,7 @@ from hydroham.systems import (
     build_reciprocal_system,
     check_change_of_variables,
     check_conserved_current,
+    denominator_dets,
     reciprocal_transform_system,
 )
 
@@ -232,3 +234,33 @@ def test_diagonal_system_transforms_to_diagonal():
     from hydroham.exprs import Const
 
     assert isinstance(t.v[0][1], Const)
+
+
+# -- the denominator scan ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_denominator_sign_is_read_from_the_scaled_determinant(monkeypatch, n):
+    # the sign of det(sigma_1 I - rho_1 v) as np.linalg.det gives it, read
+    # from the row-scaled determinant, which calls np.linalg.det only past 3 x 3
+    rng = np.random.default_rng(n)
+    lanes = 300
+    sigma1, rho1 = rng.standard_normal((2, lanes))
+    v = rng.standard_normal((n, n, lanes))
+    d = sigma1[:, None, None] * np.eye(n) - rho1[:, None, None] * np.moveaxis(v, -1, 0)
+    want = np.where(np.linalg.det(d) > 0, 1, -1)
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m.shape) or det(m))
+    dets, sign = denominator_dets(sigma1, rho1, v)
+    assert calls == ([] if n <= 3 else [(lanes, n, n)])
+    assert np.array_equal(sign, want) and (sign == 1).any() and (sign == -1).any()
+    monkeypatch.undo()
+    assert np.array_equal(dets, scaled_abs_dets(d))
+
+
+def test_a_non_finite_denominator_entry_reads_nan_and_sign_minus_one():
+    # np.linalg.det gave +inf here, so the sign +1
+    dets, sign = denominator_dets(np.ones(2), -np.ones(2), np.array([[[np.inf, 2.0]]]))
+    assert np.isnan(dets[0]) and dets[1] == 1.0
+    assert sign.tolist() == [-1, 1]
