@@ -436,7 +436,8 @@ PRESETS = {
 def _transformed_speeds(system: HydroSystem, plan: SamplePlan):
     """(table lines, JSON data) of the transformed speed matrix at the first
     plan points, up to four, each redrawn where a speed leaves its domain
-    under the one redraw rule (:func:`~hydroham.sampling.resolve`)."""
+    under the one redraw rule (:func:`~hydroham.sampling.resolve`), and
+    evaluated once for both formats."""
     def evaluate(points):
         speeds = speed_values(system, points)
         return REDRAW_DOMAIN * speeds.failed, (speeds.vals.transpose(2, 0, 1),)
