@@ -180,10 +180,8 @@ def build_plan(spec: dict, args) -> SamplePlan:
     fields its ``sample_plan`` gives, then those the plan flags give."""
     raw = spec["sample_plan"]
     fields = {name: raw[name] for name in ("count", "seed", "tolerance", "floor") if name in raw}
-    box = raw.get("box")
     return _flag_plan(args, lambda **flags: default_plan(
-        spec["dimension"], None if box is None else tuple(tuple(map(_box_bound, b)) for b in box),
-        **{**fields, **flags}))
+        spec["dimension"], raw.get("box"), **{**fields, **flags}))
 
 
 def _flag_plan(args, make) -> SamplePlan:
@@ -194,14 +192,6 @@ def _flag_plan(args, make) -> SamplePlan:
         return make(**{name: value for name, value in flags.items() if value is not None})
     except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad sample plan: {err}") from None
-
-
-def _box_bound(x) -> float:
-    """A spec box bound as a float; ValueError unless it is a JSON number (a
-    bool or a numeric string is not)."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"box bound must be a number, got {x!r}")
-    return float(x)
 
 
 def _numbered(title: str, reports) -> list[CheckReport]:

@@ -24,7 +24,7 @@ such as e^{r2-r1} and the +-1/2 factors, becomes b^{ij}_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -588,24 +588,16 @@ def constraint_equation_residuals(which: str, eps, points, psi, psi_r1, psi_r2, 
 # -- mutation catalog ----------------------------------------------------------------
 
 
-def _replace_b_entry(op: LocalOperator, i: int, j: int, k: int | None,
-                     transform) -> LocalOperator:
-    n = op.dim
-    entries = [[list(op.b.entries[a][b]) for b in range(n)] for a in range(n)]
-    ks = range(n) if k is None else (k,)
-    for kk in ks:
-        entries[i][j][kk] = transform(entries[i][j][kk])
-    b = ConnectionField(n, tuple(tuple(tuple(row) for row in plane) for plane in entries))
-    return LocalOperator(n, op.g, b)
-
-
-def _negate_metric_entry(op: LocalOperator, i: int, j: int) -> LocalOperator:
-    n = op.dim
-    entries = [list(row) for row in op.g.entries]
-    entries[i][j] = -entries[i][j]
-    if i != j:
-        entries[j][i] = -entries[j][i]
-    return LocalOperator(n, MetricField(n, tuple(tuple(r) for r in entries)), op.b)
+def _edited(op: LocalOperator, part: str, at: tuple, transform=lambda e: -e) -> LocalOperator:
+    """``op`` with ``transform`` (negation unless given) applied to the entries
+    of its metric (``part`` "g") or connection ("b") at the index path ``at``,
+    None in it for every index of that axis."""
+    def edit(grid, at):
+        if not at:
+            return transform(grid)
+        return tuple(edit(x, at[1:]) if at[0] in (None, i) else x for i, x in enumerate(grid))
+    field = getattr(op, part)
+    return replace(op, **{part: type(field)(op.dim, edit(field.entries, at))})
 
 
 def mutation_catalog() -> list[tuple[str, str, object]]:
@@ -613,18 +605,16 @@ def mutation_catalog() -> list[tuple[str, str, object]]:
     (name, check kind, operator); every one must fail its check with a
     residual of at least 1e-3 somewhere on the box."""
     h1, h2, h3 = build_nutku(1), build_nutku(2), build_nutku(3)
-    neg = lambda e: -e
     catalog: list[tuple[str, str, object]] = [
-        ("h1 b entry (1,2) negated", "local", _replace_b_entry(h1, 0, 1, None, neg)),
-        ("h1 b entry (1,1) k=1 negated", "local", _replace_b_entry(h1, 0, 0, 0, neg)),
-        ("h2 b entry (2,1) negated", "local", _replace_b_entry(h2, 1, 0, None, neg)),
+        ("h1 b entry (1,2) negated", "local", _edited(h1, "b", (0, 1, None))),
+        ("h1 b entry (1,1) k=1 negated", "local", _edited(h1, "b", (0, 0, 0))),
+        ("h2 b entry (2,1) negated", "local", _edited(h2, "b", (1, 0, None))),
         ("h3 b entry (1,1) k=1 shifted", "local",
-         _replace_b_entry(h3, 0, 0, 0, lambda e: e + _HALF * _P)),
-        ("h1-theta metric (3,3) negated", "local",
-         _negate_metric_entry(build_H1_Theta(const(1)), 2, 2)),
+         _edited(h3, "b", (0, 0, 0), lambda e: e + _HALF * _P)),
+        ("h1-theta metric (3,3) negated", "local", _edited(build_H1_Theta(const(1)), "g", (2, 2))),
         ("h1-theta Theta = 0 (degenerate)", "local", build_H1_Theta(const(0))),
         ("remark op 1 b entry (3,3) negated", "local",
-         _replace_b_entry(build_remark_operators(R3)[0], 2, 2, None, neg)),
+         _edited(build_remark_operators(R3)[0], "b", (2, 2, None))),
     ]
     lams = (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2)
     bad_b3 = ConstantBlock(c=(3, 4, 5), b1=(4, -3, 0), b2=(0, 5, 4), b3=(0, 0, 0))

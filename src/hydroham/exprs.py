@@ -39,6 +39,7 @@ make zero.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -96,9 +97,7 @@ class Expr:
         return BinOp("/", as_expr(other), self)
 
     def __pow__(self, exponent):
-        if isinstance(exponent, float):
-            exponent = Fraction(exponent)
-        if not isinstance(exponent, (int, Fraction)):
+        if not isinstance(exponent, (int, float, Fraction)):
             raise TypeError("exponent must be a constant integer or rational")
         return Power(self, Fraction(exponent))
 
@@ -198,9 +197,7 @@ class Deriv(Expr):
 def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
-    if isinstance(x, float):
+    if isinstance(x, (int, float, Fraction)):
         return Const(Fraction(x))
     raise TypeError(f"cannot interpret {x!r} as an expression")
 
@@ -283,6 +280,11 @@ def var_indices(e: Expr, memo: dict | None = None) -> frozenset[int]:
 # argument before the Deriv), and keeps computing garbage that nothing reads.
 
 
+# The constant folds of + - * shared by the tape compiler (doubles) and the
+# parser's exponent folder (exact rationals); each folds / by its own rule.
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 class Tape(NamedTuple):
     n: int  # number of variables
     order: int  # of the outputs; 0 for values only
@@ -350,12 +352,8 @@ class _TapeCompiler:
             a, b = self.slot(node.left, order), self.slot(node.right, order)
             ca, cb = self.value(a), self.value(b)
             if ca is not None and cb is not None:
-                if node.op == "+":
-                    return ca + cb
-                if node.op == "-":
-                    return ca - cb
-                if node.op == "*":
-                    return ca * cb
+                if node.op in _FOLD:
+                    return _FOLD[node.op](ca, cb)
                 if cb != 0.0:  # jets divide by multiplying with the reciprocal
                     return ca / cb if order == 0 else ca * (1.0 / cb)
             return self.emit((node.op, self.read(a, order), self.read(b, order), None), node,
@@ -552,12 +550,8 @@ def _run_tape(tape: Tape, points: np.ndarray) -> TapeValues:
                 x[1 + param] = 1.0  # graded order: the unit multi-indices follow the constant
             slots[i] = x
         elif op == "deriv":  # the argument's coefficients, one order higher
-            coeffs = kernels[order + 1][2](slots[args[0]])
-            if order:
-                positions, factors = partial_map(n, order + 1, param)
-                slots[i] = coeffs[positions] * factors[:, None]
-            else:
-                slots[i] = coeffs[1 + param : 2 + param].copy()
+            positions, factors = partial_map(n, order + 1, param)
+            slots[i] = kernels[order + 1][2](slots[args[0]])[positions] * factors[:, None]
         elif op in ("+", "-", "*", "/"):
             slots[i], bad, operand = _binary(op, slots[args[0]], slots[args[1]], order,
                                              scatter, full)

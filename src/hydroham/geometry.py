@@ -86,8 +86,9 @@ DEGENERACY_FLOOR = 1e-8
 
 def _as_entry_grid(entries, shape, what: str):
     """Validate a nested sequence of Expr against a shape and its variables
-    against the dimension ``shape[0]``; return nested tuples.  A subtree
-    shared by several entries is walked once."""
+    against the dimension ``shape[0]``, an integer >= 1; return nested
+    tuples.  A subtree shared by several entries is walked once."""
+    sampling._natural("dim", shape[0], 1)
     memo: dict = {}
 
     def rec(node, dims):

@@ -26,6 +26,7 @@ default recursion limit.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -33,8 +34,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .errors import ParseError
-from .exprs import (FUNCTIONS, BinOp, Call, Const, Expr, NamedConst, Neg, Power, Var, compile_tape,
-                    eval_tape)
+from .exprs import (_FOLD, FUNCTIONS, BinOp, Call, Const, Expr, NamedConst, Neg, Power, Var,
+                    compile_tape, eval_tape)
 
 MAX_NESTING = 100  # open parentheses, and levels of an expression tree
 
@@ -107,18 +108,14 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
 
     # precedence levels, loosest first
-    def expr(self) -> Expr:
-        node = self.term()
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "+-":
+    def expr(self, ops: str = "+-") -> Expr:
+        """A left-associative chain of the binary operators ``ops``: an expr
+        of terms for "+-", a term of signed powers for "*/"."""
+        operand = self.unary if ops == "*/" else functools.partial(self.expr, "*/")
+        node = operand()
+        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in ops:
             self.next()
-            node = self.build(BinOp(tok.text, node, self.term()), tok.pos)
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "*/":
-            self.next()
-            node = self.build(BinOp(tok.text, node, self.unary()), tok.pos)
+            node = self.build(BinOp(tok.text, node, operand()), tok.pos)
         return node
 
     def unary(self, operand=None) -> Expr:
@@ -212,12 +209,8 @@ def _fold_rational(e: Expr, pos: int) -> Fraction:
     if isinstance(e, BinOp):
         left = _fold_rational(e.left, pos)
         right = _fold_rational(e.right, pos)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
+        if e.op in _FOLD:
+            return _FOLD[e.op](left, right)
         if right == 0:
             raise ParseError("division by zero in exponent", pos)
         return left / right

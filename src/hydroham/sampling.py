@@ -39,6 +39,7 @@ so a NaN or infinity a check computes is no warning but a failed condition
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,7 +68,8 @@ _G = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2**64 over the golden ratio, 
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Sampling box, point count, seed and tolerances for one check run."""
+    """Sampling box, point count, seed and tolerances for one check run.  Box
+    bounds are stored as floats."""
 
     dim: int
     box: tuple[tuple[float, float], ...]
@@ -78,6 +80,8 @@ class SamplePlan:
 
     def __post_init__(self):
         _natural("dim", self.dim, 1)
+        object.__setattr__(self, "box", tuple((_number("box bound", lo), _number("box bound", hi))
+                                              for lo, hi in self.box))
         if len(self.box) != self.dim:
             raise ValueError("box must supply one interval per variable")
         for lo, hi in self.box:
@@ -87,9 +91,8 @@ class SamplePlan:
                 raise ValueError(f"empty sampling interval [{lo}, {hi}]")
         _natural("count", self.count, 1)
         _natural("seed", self.seed)
-        for name in ("tolerance", "floor"):  # a bool passes the checks below: true as 1.0
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in ("tolerance", "floor"):
+            _number(name, getattr(self, name))
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not (math.isfinite(self.floor) and self.floor >= 0):
@@ -147,6 +150,14 @@ def _natural(name: str, value, least: int = 0) -> int:
     return int(value)
 
 
+def _number(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a real number and no bool
+    (which would pass as 0.0 or 1.0); int and float skip the slow ABC check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _retry_steps(retry) -> np.ndarray:
     """``retry*G`` modulo 2**64 for the retry, or for each retry of a range,
     as a uint64 array; ValueError unless each is an integer >= 0 and below
@@ -177,8 +188,8 @@ def default_plan(dim: int, box=None, count: int = DEFAULT_COUNT, seed: int = 0,
     """Plan over [-1, 1]^dim unless a box is given."""
     if box is None:
         box = tuple((-1.0, 1.0) for _ in range(dim))
-    return SamplePlan(dim=dim, box=tuple(tuple(b) for b in box), count=count,
-                      seed=seed, tolerance=tolerance, floor=floor)
+    return SamplePlan(dim=dim, box=box, count=count, seed=seed, tolerance=tolerance,
+                      floor=floor)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

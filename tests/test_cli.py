@@ -423,6 +423,24 @@ def test_plan_rejects_a_non_finite_box_bound(box):
         SamplePlan(1, box)
 
 
+@pytest.mark.parametrize("box,message", [
+    (((False, True),), "box bound must be a number, got False"),
+    ((("0", 1),), "box bound must be a number, got '0'"),
+])
+def test_plan_rejects_a_box_bound_that_is_not_a_number(box, message):
+    # ((False, True),) was accepted and echoed [[false, true]]; "0" raised a TypeError
+    with pytest.raises(ValueError) as err:
+        SamplePlan(1, box)
+    assert str(err.value) == message
+
+
+def test_plan_stores_its_box_bounds_as_floats():
+    plan = SamplePlan(2, ((0, 1), (-1, 0.5)))
+    assert plan.box == ((0.0, 1.0), (-1.0, 0.5))
+    assert all(type(x) is float for b in plan.box for x in b)
+    assert plan.echo()["box"] == [[0.0, 1.0], [-1.0, 0.5]]
+
+
 # g = 2 + u1 with b = 0 is not metric compatible (normalized residual about 0.99)
 WRONG_CONNECTION = {"dimension": 1, "metric": [["2 + u1"]], "b": [[["0"]]],
                     "checks": ["local_hamiltonian"]}

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ import cases
 from hydroham import driftflux as df
 from hydroham.errors import EvalDomainError, HostileDomainError
 from hydroham.exprs import (
+    BinOp,
+    Call,
+    Const,
     Deriv,
+    Power,
+    Var,
+    as_expr,
     compile_tape,
     const,
     eval_jet,
@@ -156,6 +163,30 @@ def test_sample_plan_validation():
         SamplePlan(dim=2, box=((-1.0, 1.0),), count=10)
     with pytest.raises(ValueError):
         SamplePlan(dim=1, box=((-1.0, 1.0),), count=10, tolerance=0.0)
+
+
+_U1 = Var(0)
+
+
+@pytest.mark.parametrize("build,expected", [
+    (lambda: 1 - _U1, BinOp("-", Const(Fraction(1)), Var(0))),
+    (lambda: 1 / _U1, BinOp("/", Const(Fraction(1)), Var(0))),
+    (lambda: _U1 ** 0.5, Power(Var(0), Fraction(1, 2))),
+    (lambda: _U1 ** "2", (TypeError, "exponent must be a constant integer or rational")),
+    (lambda: Var(-1), (ValueError, "variable index must be non-negative")),
+    (lambda: Call("tan", _U1), (ValueError, "unknown function 'tan'")),
+    (lambda: as_expr("x"), (TypeError, "cannot interpret 'x' as an expression")),
+    (lambda: compile_tape([Var(2)], 2, 0),
+     (ValueError, "variable u3 out of range for dimension 2")),
+], ids=["rsub", "rtruediv", "float-exponent", "string-exponent", "negative-index",
+        "unknown-function", "not-an-expression", "variable-out-of-range"])
+def test_expression_input_rules(build, expected):
+    if isinstance(expected, tuple):
+        kind, message = expected
+        with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+            build()
+    else:
+        assert build() == expected
 
 
 # -- instructions no one reads --------------------------------------------------------

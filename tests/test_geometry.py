@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from hydroham.geometry import (
 )
 from hydroham.operators import LocalOperator, check_local_hamiltonian, gauss_tail_sum
 from hydroham.sampling import SamplePlan
+from hydroham.systems import HydroSystem
 from hydroham.parsing import parse_expr
 from hydroham import driftflux as df
 
@@ -535,3 +537,20 @@ def test_a_diagonal_inverse_past_the_doubles_fails_as_the_lapack_one(monkeypatch
     assert sorted(failed) == ["metric_compatible", "metric_flat"]
     assert all(c["max_residual"] is None and c["note"].startswith("non-finite value")
                for c in failed.values())
+
+
+_U1 = parse_expr("u1", 1)
+
+
+@pytest.mark.parametrize("dim", [True, 1.0, 0], ids=["bool", "float", "zero"])
+@pytest.mark.parametrize("build", [
+    lambda dim: MetricField(dim, ((_U1 + 2,),)),
+    lambda dim: ConnectionField(dim, (((_U1,),),)),
+    lambda dim: AffinorField(dim, 1, ((_U1,),)),
+    lambda dim: HydroSystem(dim, ((_U1,),)),
+], ids=["metric", "connection", "affinor", "system"])
+def test_a_field_dimension_is_an_integer_of_at_least_one(build, dim):
+    # a bool dimension was accepted, and a check on it died inside numpy
+    message = f"dim must be an integer >= 1, got {dim!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(dim)

@@ -145,6 +145,7 @@ def test_an_exponent_folds_sums_products_and_integer_powers_of_either_sign(text,
 
 @pytest.mark.parametrize("text,message", [
     ("u1^(0^-1)", "division by zero in exponent (at position 3)"),
+    ("u1^(1/0)", "division by zero in exponent (at position 3)"),
     ("u1^(2^(1/2))", "exponent must be a constant rational (at position 3)"),
 ])
 def test_an_exponent_that_is_no_rational_is_rejected(text, message):
